@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ribbonvol.exact import Surd
 from ribbonvol.multicurve import Multicurve, intersection_matrix
-from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph
+from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph, face_cycles
 
 S5 = Surd(0, 1, 5)
 X_REF = [
@@ -94,9 +94,7 @@ def main():
 
 def _labels(s0, s1, to5, at3):
     """Label the bigon between edges 1 and 2 as face 1."""
-    from ribbonvol.ribbon import _faces_of
-
-    faces = sorted(_faces_of(list(s0), list(s1)), key=min)
+    faces = face_cycles(s0, s1)
     if len(faces) != 2:
         raise ValueError("wrong face count")
     sizes = sorted(len(f) for f in faces)

@@ -4,7 +4,7 @@ Subcommands: enumerate, volume, psi, verify-kcf, identities, witten12,
 angle.  Output is UTF-8 JSON (or CSV / LaTeX where noted), written to
 stdout or --out.  Exit codes: 0 success, 1 verification failure, 2 usage
 error.  Randomised commands require an explicit --seed, echoed in the
-output.  MODULI_THREADS caps enumeration parallelism.
+output.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -25,32 +24,6 @@ from .wittencycle import witten12_report
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: what to run and where the output goes."""
-
-    command: str
-    g: int = None
-    n: int = None
-    degrees: tuple = None
-    trials: int = None
-    seed: int = None
-    format: str = "json"
-    out: str = None
-    points: bool = False
-    d: int = None
-    chord1: tuple = None
-    chord2: tuple = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        fields = {k: getattr(args, k) for k in cls.__dataclass_fields__
-                  if hasattr(args, k)}
-        if fields.get("degrees") is not None:
-            fields["degrees"] = tuple(fields["degrees"])
-        return cls(**fields)
 
 
 def _parse_degrees(text: str):
@@ -290,17 +263,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    config = RunConfig.from_args(args)
     try:
-        payload, code = args.func(config)
+        payload, code = args.func(args)
     except ValueError as exc:
         print(json.dumps({"v": 1, "error": str(exc)}))
         return USAGE_ERROR
     if payload is None:
         return code
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=1) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -246,9 +246,16 @@ def rhs_laplace(g: int, n: int) -> RationalFunction:
 def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     """Compare both sides of the combinatorial formula at random points.
 
-    Both sides are exact rational numbers at exact rational points, so
-    equality at more than twice the degree-bound many points is a proof;
-    failures report the first offending point.
+    Both sides are evaluated exactly at rational points whose coordinates
+    are p/q with p, q uniform on 1..1000.  Agreement is a probabilistic
+    check, not a proof: in n >= 2 variables no number of agreeing points
+    proves an identity of rational functions.  If the sides differ, the
+    numerator of their difference is a nonzero polynomial of some total
+    degree D, and by Schwartz-Zippel a point passes falsely with
+    probability at most D/|S|, where |S| = 1000 since no coordinate value
+    has probability above 1/1000; independent points multiply these
+    bounds.  At least 2 * degree_bound + 1 points are sampled.  Failures
+    report the first offending point.
     """
     if not is_stable(g, n):
         raise ValueError(f"({g},{n}) is unstable")

@@ -76,6 +76,14 @@ class Multicurve:
     def is_empty(self) -> bool:
         return not self.components
 
+    def edge_counts(self, graph: RibbonGraph) -> list:
+        """How many times the multicurve traverses each edge (by edge index)."""
+        counts = [0] * graph.num_edges
+        for walk in self.components:
+            for w in walk:
+                counts[graph.edge_of[w]] += 1
+        return counts
+
     def to_signed_edges(self, graph: RibbonGraph):
         out = []
         for walk in self.components:
@@ -149,12 +157,8 @@ def limit_length(graph: RibbonGraph, mc: Multicurve) -> Poly:
     """Limiting normalised length: the sum of the traversed edge lengths."""
     E = graph.num_edges
     evars = tuple(f"e{i}" for i in range(1, E + 1))
-    counts = [0] * E
-    for walk in mc.components:
-        for w in walk:
-            counts[graph.edge_of[w]] += 1
     terms = {}
-    for i, c in enumerate(counts):
+    for i, c in enumerate(mc.edge_counts(graph)):
         if c:
             exp = tuple(1 if j == i else 0 for j in range(E))
             terms[exp] = Fraction(c)
@@ -172,10 +176,7 @@ def limit_length_reduced(graph: RibbonGraph, mc: Multicurve):
     """
     E = graph.num_edges
     A = graph.face_edge_matrix()
-    counts = [0] * E
-    for walk in mc.components:
-        for w in walk:
-            counts[graph.edge_of[w]] += 1
+    counts = mc.edge_counts(graph)
     n = graph.num_faces
     bound = max(counts, default=0) + 1
     best = None

@@ -12,7 +12,7 @@ isomorphism class together with the automorphism group order.
 
 from __future__ import annotations
 
-import os
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,6 +61,42 @@ def _inverse(p):
     for i, j in enumerate(p):
         inv[j] = i
     return inv
+
+
+def face_cycles(s0, s1):
+    """Cycles of s2 = s0^{-1} s1.
+
+    `_perm_cycles` starts each cycle at the smallest dart not yet seen, so
+    every cycle begins at its minimal dart and the cycles come ordered by it.
+    """
+    inv0 = _inverse(s0)
+    return _perm_cycles([inv0[s1[d]] for d in range(len(s0))])
+
+
+def _bfs_relabel(s0, s1, root):
+    """Breadth-first relabelling of (s0, s1) from `root`.
+
+    Returns the relabelled pair `(s0', s1')` and the dart map `new`
+    (old dart d becomes new[d]); the pair is a deterministic encoding.
+    """
+    N = len(s0)
+    new = [-1] * N
+    order = [root]
+    new[root] = 0
+    head = 0
+    while head < len(order):
+        d = order[head]
+        head += 1
+        for nxt in (s0[d], s1[d]):
+            if new[nxt] < 0:
+                new[nxt] = len(order)
+                order.append(nxt)
+    s0p = [0] * N
+    s1p = [0] * N
+    for d in range(N):
+        s0p[new[d]] = new[s0[d]]
+        s1p[new[d]] = new[s1[d]]
+    return (tuple(s0p), tuple(s1p)), new
 
 
 @dataclass(frozen=True)
@@ -147,13 +183,11 @@ class RibbonGraph:
 
     def faces(self):
         """Cycles of s2 = s0^{-1} s1, ordered by minimal dart."""
-        inv0 = _inverse(list(self.s0))
-        s2 = [inv0[self.s1[d]] for d in range(self.num_darts)]
-        return sorted(_perm_cycles(s2), key=min)
+        return list(self._faces)
 
     @cached_property
     def _faces(self):
-        return tuple(self.faces())
+        return tuple(face_cycles(self.s0, self.s1))
 
     @property
     def num_faces(self) -> int:
@@ -221,29 +255,11 @@ class RibbonGraph:
 
     def _encode_from(self, root: int):
         """Breadth-first relabelling rooted at `root`; deterministic encoding."""
-        N = self.num_darts
-        new = [-1] * N
-        order = []
-        new[root] = 0
-        order.append(root)
-        head = 0
-        while head < len(order):
-            d = order[head]
-            head += 1
-            for nxt in (self.s0[d], self.s1[d]):
-                if new[nxt] < 0:
-                    new[nxt] = len(order)
-                    order.append(nxt)
-        s0p = [0] * N
-        s1p = [0] * N
-        for d in range(N):
-            s0p[new[d]] = new[self.s0[d]]
-            s1p[new[d]] = new[self.s1[d]]
+        pair, new = _bfs_relabel(self.s0, self.s1, root)
         # face labels in the relabelled graph, faces sorted by minimal new dart
         faces = sorted(((min(new[d] for d in cyc), i)
                         for i, cyc in enumerate(self._faces)))
-        labels = tuple(self.face_labels[i] for _, i in faces)
-        return (tuple(s0p), tuple(s1p), labels)
+        return pair + (tuple(self.face_labels[i] for _, i in faces),)
 
     @cached_property
     def _canonical(self):
@@ -357,36 +373,9 @@ def _search_pairings(degrees):
     yield from rec(0)
 
 
-def _faces_of(s0, s1):
-    inv0 = _inverse(list(s0))
-    s2 = [inv0[s1[d]] for d in range(len(s0))]
-    return _perm_cycles(s2)
-
-
-def _encode_pair(s0, s1, root):
-    """BFS relabelling of a bare (s0, s1) pair from `root`."""
-    N = len(s0)
-    new = [-1] * N
-    order = [root]
-    new[root] = 0
-    head = 0
-    while head < len(order):
-        d = order[head]
-        head += 1
-        for nxt in (s0[d], s1[d]):
-            if new[nxt] < 0:
-                new[nxt] = len(order)
-                order.append(nxt)
-    s0p = [0] * N
-    s1p = [0] * N
-    for d in range(N):
-        s0p[new[d]] = new[s0[d]]
-        s1p[new[d]] = new[s1[d]]
-    return (tuple(s0p), tuple(s1p))
-
-
 def _canonical_pair(s0, s1):
-    return min(_encode_pair(s0, s1, r) for r in range(len(s0)))
+    """The unlabelled canonical form: the least BFS encoding over all roots."""
+    return min(_bfs_relabel(s0, s1, r)[0] for r in range(len(s0)))
 
 
 def enumerate_graphs(g: int, n: int, degrees) -> list:
@@ -396,8 +385,6 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     label-preserving isomorphism class, deterministically ordered.  An
     inconsistent (g, n, degrees) combination yields the empty list.
     """
-    import itertools
-
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(d < 3 for d in degrees):
         return []
@@ -416,24 +403,9 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     s0 = tuple(starts[v] + (k + 1) % deg
                for v, deg in enumerate(degrees) for k in range(deg))
 
-    threads = int(os.environ.get("MODULI_THREADS", "1") or "1")
-    unlabeled = {}
-
-    def consume(s1):
-        # face count n forces genus g here since V and E are already fixed
-        if len(_faces_of(s0, s1)) != n:
-            return
-        unlabeled.setdefault(_canonical_pair(s0, s1), None)
-
-    pairings = _search_pairings(degrees)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in pool.map(consume, list(pairings)):
-                pass
-    else:
-        for s1 in pairings:
-            consume(s1)
+    # face count n forces genus g here since V and E are already fixed
+    unlabeled = {_canonical_pair(s0, s1) for s1 in _search_pairings(degrees)
+                 if len(face_cycles(s0, s1)) == n}
 
     classes = {}
     for s0k, s1k in sorted(unlabeled):

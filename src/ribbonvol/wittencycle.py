@@ -29,7 +29,7 @@ from .exact import (
     pfaffian,
 )
 from .kformula import kernel_normalization, restrict_form
-from .multicurve import Multicurve, intersection_matrix, limit_length
+from .multicurve import Multicurve, intersection_matrix, limit_differential, limit_length
 from .ribbon import RibbonGraph, enumerate_graphs
 
 __all__ = [
@@ -86,8 +86,6 @@ class CellChart:
 
     def limit_differentials(self):
         """Reduced differentials of the curve lengths on the cell."""
-        from .multicurve import limit_differential
-
         return [limit_differential(self.graph, c) for c in self.curves]
 
     def to_json(self):
@@ -115,19 +113,6 @@ class CellChart:
         return cls(graph, curves, overrides)
 
 
-def _differential_matrix(graph: RibbonGraph, curves):
-    """Rows = d(limit length) of each curve in de-coordinates (raw counts)."""
-    E = graph.num_edges
-    D = []
-    for c in curves:
-        counts = [Fraction(0)] * E
-        for walk in c.components:
-            for w in walk:
-                counts[graph.edge_of[w]] += 1
-        D.append(counts)
-    return D
-
-
 def asymptotic_form(chart: CellChart):
     """The matrix of Omega = -sum_{i<j} [X^{-1}]_{ij} dl_i ^ dl_j in de
     coordinates: M = -D^T X^{-1} D over Q(sqrt(5)).
@@ -140,7 +125,8 @@ def asymptotic_form(chart: CellChart):
         Xinv = mat_inverse(X)
     except Exception as exc:
         raise ChartError(f"chart is degenerate: X is singular ({exc})") from exc
-    D = _differential_matrix(chart.graph, chart.curves)
+    # rows: d(limit length) of each curve in de-coordinates (raw edge counts)
+    D = [c.edge_counts(chart.graph) for c in chart.curves]
     m = len(D)
     E = chart.graph.num_edges
     M = [[Surd(0, 0, 5) for _ in range(E)] for _ in range(E)]

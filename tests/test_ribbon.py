@@ -9,6 +9,7 @@ from ribbonvol.ribbon import (
     InvalidRibbonGraph,
     RibbonGraph,
     UnsupportedGraph,
+    _canonical_pair,
     enumerate_graphs,
     enumerate_trivalent,
 )
@@ -45,6 +46,27 @@ def test_faces_partition_darts():
     assert len(faces) == 1
     assert sorted(d for f in faces for d in f) == list(range(6))
     assert sum(len(f) for f in faces) == 2 * G11.num_edges
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 2), (1, 3)])
+def test_faces_match_oracle_and_are_ordered_by_minimal_dart(g, n):
+    for graph, _ in enumerate_trivalent(g, n):
+        faces = graph.faces()
+        assert faces == oracle.faces_of(graph.s0, graph.s1)
+        assert len(faces) == n
+        assert sorted(d for f in faces for d in f) == list(range(graph.num_darts))
+        # each cycle starts at its minimal dart and the cycles ascend by it
+        assert all(f[0] == min(f) for f in faces)
+        assert [f[0] for f in faces] == sorted(f[0] for f in faces)
+
+
+@pytest.mark.parametrize("g,n,degrees", [
+    (0, 4, [3] * 4), (1, 2, [5, 3]), (1, 2, [3] * 4), (1, 3, [3] * 6),
+])
+def test_labelled_canonical_form_extends_unlabelled_pair(g, n, degrees):
+    for graph, _ in enumerate_graphs(g, n, degrees):
+        pair = (graph.s0, graph.s1)
+        assert graph.canonical_form()[:2] == pair == _canonical_pair(*pair)
 
 
 def test_genus_bookkeeping():
@@ -171,10 +193,3 @@ def test_json_roundtrip_and_version_check():
     with pytest.raises(InvalidRibbonGraph):
         RibbonGraph.from_json(j)
 
-
-def test_parallel_enumeration_matches(monkeypatch):
-    monkeypatch.setenv("MODULI_THREADS", "2")
-    par = enumerate_graphs(0, 3, [3, 3])
-    monkeypatch.setenv("MODULI_THREADS", "1")
-    seq = enumerate_graphs(0, 3, [3, 3])
-    assert [(g.to_json(), a) for g, a in par] == [(g.to_json(), a) for g, a in seq]
