@@ -18,7 +18,7 @@ from . import __version__
 from .exact import Poly
 from .hypgeom import IdealPolygonChord, chords_cross, crossing_cos, crossing_cos_exact
 from .kformula import cell_density, verify_form_identities, verify_kcf
-from .ribbon import enumerate_graphs
+from .ribbon import enumerate_graphs, enumerate_trivalent
 from .volumes import kontsevich_volume, psi_numbers, is_stable
 from .wittencycle import witten12_report
 
@@ -144,8 +144,6 @@ def cmd_verify_kcf(args) -> tuple:
 
 
 def cmd_identities(args) -> tuple:
-    from .ribbon import enumerate_trivalent
-
     if not is_stable(args.g, args.n):
         print(f"error: ({args.g},{args.n}) is unstable", file=sys.stderr)
         return None, USAGE_ERROR

@@ -7,7 +7,13 @@ half-edges (darts): `s0` rotates the darts at each vertex anticlockwise and
 `s1` must be fixed-point free, and the graph must be connected.
 
 The enumerator produces exactly one representative per label-preserving
-isomorphism class together with the automorphism group order.
+isomorphism class together with the automorphism group order.  Every
+canonical form is the least breadth-first encoding over all root darts;
+each encoding is bounded by the best one so far and stops as soon as it
+compares larger.  Each unlabelled map is canonicalised once, and its
+labelled classes are the orbits of its automorphism group on the face
+labellings (orderly generation in the sense of McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
@@ -73,30 +79,53 @@ def face_cycles(s0, s1):
     return _perm_cycles([inv0[s1[d]] for d in range(len(s0))])
 
 
-def _bfs_relabel(s0, s1, root):
+def _bfs_relabel(s0, s1, root, bound=None):
     """Breadth-first relabelling of (s0, s1) from `root`.
 
-    Returns the relabelled pair `(s0', s1')` and the dart map `new`
-    (old dart d becomes new[d]); the pair is a deterministic encoding.
+    Returns the relabelled pair `(s0', s1')` and the dart map `new` (old
+    dart d becomes new[d]); the pair is a deterministic encoding.  The i-th
+    dart visited becomes dart i, and both of its images are numbered by the
+    time it is visited, so `s0'[i]` and `s1'[i]` are filled in at that step.
+
+    With a `bound` pair, the relabelling stops and returns None as soon as
+    the `s0'` prefix exceeds the bound's; if `s0'` ties the bound, `s1'`
+    settles the comparison at the end.  A pair equal to the bound is
+    returned, so callers can count the roots that reach a minimum.
     """
     N = len(s0)
     new = [-1] * N
-    order = [root]
     new[root] = 0
-    head = 0
-    while head < len(order):
-        d = order[head]
-        head += 1
-        for nxt in (s0[d], s1[d]):
-            if new[nxt] < 0:
-                new[nxt] = len(order)
-                order.append(nxt)
+    order = [root]
     s0p = [0] * N
     s1p = [0] * N
-    for d in range(N):
-        s0p[new[d]] = new[s0[d]]
-        s1p[new[d]] = new[s1[d]]
-    return (tuple(s0p), tuple(s1p)), new
+    tight = bound is not None  # the s0' prefix still equals the bound's
+    b0 = bound[0] if tight else None
+    for i, d in enumerate(order):
+        a = s0[d]
+        if new[a] < 0:
+            new[a] = len(order)
+            order.append(a)
+        b = s1[d]
+        if new[b] < 0:
+            new[b] = len(order)
+            order.append(b)
+        x = new[a]
+        s0p[i] = x
+        s1p[i] = new[b]
+        if tight and x != b0[i]:
+            if x > b0[i]:
+                return None
+            tight = False
+    pair = (tuple(s0p), tuple(s1p))
+    if tight and pair[1] > bound[1]:
+        return None
+    return pair, new
+
+
+def _face_order(faces, new):
+    """Face indices in the order of their minimal dart under the map `new`."""
+    return [i for _, i in sorted((min(new[d] for d in cyc), i)
+                                 for i, cyc in enumerate(faces))]
 
 
 @dataclass(frozen=True)
@@ -253,26 +282,27 @@ class RibbonGraph:
 
     # -- canonical form and automorphisms ---------------------------------------
 
-    def _encode_from(self, root: int):
-        """Breadth-first relabelling rooted at `root`; deterministic encoding."""
-        pair, new = _bfs_relabel(self.s0, self.s1, root)
-        # face labels in the relabelled graph, faces sorted by minimal new dart
-        faces = sorted(((min(new[d] for d in cyc), i)
-                        for i, cyc in enumerate(self._faces)))
-        return pair + (tuple(self.face_labels[i] for _, i in faces),)
-
     @cached_property
     def _canonical(self):
-        best = None
+        """The least labelled encoding `(s0', s1', labels)` over all roots and
+        the number of roots that reach it.
+
+        A root's labels only matter once its pair ties the best pair so far,
+        so each BFS is bounded by that pair and losing roots stop early.
+        """
+        best_pair = best_labels = None
         count = 0
         for root in range(self.num_darts):
-            enc = self._encode_from(root)
-            if best is None or enc < best:
-                best = enc
-                count = 1
-            elif enc == best:
+            res = _bfs_relabel(self.s0, self.s1, root, best_pair)
+            if res is None:
+                continue
+            pair, new = res
+            labels = tuple(self.face_labels[i] for i in _face_order(self._faces, new))
+            if best_pair is None or (pair, labels) < (best_pair, best_labels):
+                best_pair, best_labels, count = pair, labels, 1
+            elif labels == best_labels:  # the bound leaves pair == best_pair
                 count += 1
-        return best, count
+        return best_pair + (best_labels,), count
 
     def canonical_form(self):
         return self._canonical[0]
@@ -286,7 +316,11 @@ class RibbonGraph:
 
         Any such map is determined by the image of one dart (the centraliser
         of a transitive action is semiregular), so the count equals the
-        number of roots realising the canonical encoding.
+        number of roots realising the canonical encoding.  Roots whose
+        unlabelled pair already loses are dropped by the bounded BFS.
+        `enumerate_graphs` counts the same roots without building the graph:
+        among the map's automorphisms, those whose face permutation fixes
+        the canonical labels.
         """
         return self._canonical[1]
 
@@ -321,7 +355,8 @@ class RibbonGraph:
 
 
 def _search_pairings(degrees):
-    """Yield complete pairings of vertex slots, one per quasi-canonical DFS path.
+    """The vertex rotation `s0` of the block layout and an iterator over the
+    complete pairings `s1` of its slots, one per quasi-canonical DFS path.
 
     Vertices are blocks of consecutive slots; s0 rotates inside each block.
     The smallest unpaired slot is matched against unpaired slots of already
@@ -330,15 +365,14 @@ def _search_pairings(degrees):
     (final deduplication is by canonical form).
     """
     starts = []
-    base = 0
-    for deg in degrees:
+    vertex_at = []
+    s0 = []
+    for v, deg in enumerate(degrees):
+        base = len(s0)
         starts.append(base)
-        base += deg
-    N = base
-    vertex_at = [0] * N
-    for v, s in enumerate(starts):
-        for k in range(degrees[v]):
-            vertex_at[s + k] = v
+        vertex_at += [v] * deg
+        s0 += [base + (k + 1) % deg for k in range(deg)]
+    N = len(s0)
     partner = [-1] * N
     used = [False] * len(degrees)
     used[0] = True
@@ -370,12 +404,47 @@ def _search_pairings(degrees):
             if opened:
                 used[v] = False
 
-    yield from rec(0)
+    return tuple(s0), rec(0)
 
 
 def _canonical_pair(s0, s1):
-    """The unlabelled canonical form: the least BFS encoding over all roots."""
-    return min(_bfs_relabel(s0, s1, r)[0] for r in range(len(s0)))
+    """The unlabelled canonical form: the least BFS encoding over all roots.
+
+    Each root's BFS is bounded by the best pair so far and stops as soon as
+    it compares larger.
+    """
+    best = None
+    for root in range(len(s0)):
+        res = _bfs_relabel(s0, s1, root, best)
+        if res is not None:
+            best = res[0]
+    return best
+
+
+def _labelled_classes(pair, n):
+    """Canonical face labels and |Aut| of every labelled class over the
+    canonical unlabelled pair `pair`, as `{labels: aut_order}`.
+
+    The automorphisms of the map are the roots whose BFS encoding is `pair`
+    itself (root 0 is one).  Each of them permutes the faces; the labelled
+    encoding from such a root lists the labels in that face order, and every
+    other root loses already on the pair.  So the canonical labels of a
+    labelling are the least of its images under these face orders, and the
+    labelled |Aut| is the number of roots that reach that least image.
+    """
+    faces = face_cycles(*pair)
+    orders = []
+    for root in range(len(pair[0])):
+        res = _bfs_relabel(*pair, root, pair)
+        if res is not None:
+            orders.append(_face_order(faces, res[1]))
+    classes = {}
+    for labels in itertools.permutations(range(1, n + 1)):
+        images = [tuple(labels[i] for i in order) for order in orders]
+        least = min(images)
+        if least not in classes:
+            classes[least] = images.count(least)
+    return classes
 
 
 def enumerate_graphs(g: int, n: int, degrees) -> list:
@@ -384,6 +453,12 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     Returns `[(graph, aut_order), ...]`, one canonical representative per
     label-preserving isomorphism class, deterministically ordered.  An
     inconsistent (g, n, degrees) combination yields the empty list.
+
+    Each unlabelled map is found by the pairing search and canonicalised
+    once, by bounded BFS encodings.  Its labelled classes are then the
+    orbits of its automorphism group on the n! face labellings
+    (`_labelled_classes`), which costs tuple operations only; a
+    `RibbonGraph` is built, and validated, for the returned classes alone.
     """
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(d < 3 for d in degrees):
@@ -395,30 +470,16 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     if V - E + n != 2 - 2 * g or 2 - 2 * g - n >= 0:
         return []
 
-    starts = []
-    base = 0
-    for deg in degrees:
-        starts.append(base)
-        base += deg
-    s0 = tuple(starts[v] + (k + 1) % deg
-               for v, deg in enumerate(degrees) for k in range(deg))
-
+    s0, pairings = _search_pairings(degrees)
     # face count n forces genus g here since V and E are already fixed
-    unlabeled = {_canonical_pair(s0, s1) for s1 in _search_pairings(degrees)
+    unlabeled = {_canonical_pair(s0, s1) for s1 in pairings
                  if len(face_cycles(s0, s1)) == n}
 
-    classes = {}
-    for s0k, s1k in sorted(unlabeled):
-        for labels in itertools.permutations(range(1, n + 1)):
-            graph = RibbonGraph(s0k, s1k, labels)
-            key = graph.canonical_form()
-            if key not in classes:
-                classes[key] = graph.automorphism_group_order()
-
     out = []
-    for key in sorted(classes):
-        s0k, s1k, labels = key
-        out.append((RibbonGraph(s0k, s1k, labels), classes[key]))
+    for pair in sorted(unlabeled):
+        classes = _labelled_classes(pair, n)
+        for labels in sorted(classes):
+            out.append((RibbonGraph(*pair, labels), classes[labels]))
     return out
 
 

@@ -4,11 +4,14 @@ Fixes the dart set and the vertex rotation s0 (one cycle per vertex over
 consecutive slot blocks), iterates over every fixed-point-free involution
 s1 and every face labelling, and partitions the survivors into orbits of
 the full relabelling group by explicit conjugation.  Nothing here is shared
-with the package's enumeration path beyond elementary permutation algebra.
+with the package's enumeration path beyond elementary permutation algebra,
+except in `labelled_classes`, which checks only the labelling step.
 """
 
 import itertools
 from math import factorial
+
+from ribbonvol.ribbon import RibbonGraph, _canonical_pair, _search_pairings, face_cycles
 
 
 def perm_cycles(p):
@@ -152,3 +155,30 @@ def total_labelled_structures(g, n, degrees):
         stab *= factorial(deg.count(d))
     n_s0 = factorial(N) // stab
     return n_s0 * len(structs)
+
+
+def labelled_classes(g, n, degrees):
+    """Labelled classes with |Aut|, one canonical form per labelling.
+
+    Takes the package's unlabelled maps (pairing search and canonical pair)
+    and builds a `RibbonGraph` for each of the n! face labellings of each
+    map; its `canonical_form()` names the class and its
+    `automorphism_group_order()` gives |Aut|.  Returns the same
+    `[(graph, aut_order), ...]` list as `enumerate_graphs`, without its
+    orbit computation.
+    """
+    degrees = sorted(degrees, reverse=True)
+    s0, pairings = _search_pairings(degrees)
+    V, E = len(degrees), len(s0) // 2
+    if V - E + n != 2 - 2 * g:
+        return []
+    unlabeled = {_canonical_pair(s0, s1) for s1 in pairings
+                 if len(face_cycles(s0, s1)) == n}
+    classes = {}
+    for s0k, s1k in sorted(unlabeled):
+        for labels in itertools.permutations(range(1, n + 1)):
+            graph = RibbonGraph(s0k, s1k, labels)
+            key = graph.canonical_form()
+            if key not in classes:
+                classes[key] = graph.automorphism_group_order()
+    return [(RibbonGraph(*key), classes[key]) for key in sorted(classes)]

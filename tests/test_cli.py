@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -72,6 +73,33 @@ def test_enumerate_counts(run):
     validate(payload, "enumerate")
     assert payload["count"] == 8
     assert all(row["aut"] == 1 for row in payload["classes"])
+
+
+# sha256 of `enumerate` stdout for the benchmark's enumerate jobs, recorded
+# before enumeration switched to automorphism orbits; the output must not move
+ENUMERATE_DIGESTS = [
+    (["--g", "2", "--n", "1", "--degrees", "3,3,3,3,3,3"],
+     "1a3cd85b8e070b8032e40c8e56a5709bd92a15ce9300683a92b5660b19915f58"),
+    (["--g", "2", "--n", "1", "--degrees", "4,3,3,3,3"],
+     "b95afbf52e5f8a67cf3fd0e720b518efe7497ac0bbba0c4870036213b8910d9a"),
+    (["--g", "1", "--n", "3", "--degrees", "3,3,3,3,3,3"],
+     "f3ce41f2c77972f20a57af31a76b004754baa9e86267312936d5c0a2006d1db2"),
+    (["--g", "0", "--n", "5", "--degrees", "4,4,4"],
+     "910c4290fce339818508beda0757da63c669f5b9b03a5416cbd12cb8b67487c1"),
+    (["--g", "0", "--n", "5", "--degrees", "5,5"],
+     "3d8db501e71225713eb43dae84dc1789fab68d473dcd3f25b14f945d3e18b822"),
+    (["--g", "1", "--n", "2", "--degrees", "5,3"],
+     "0e88898b84308b2aaa599febe080d8a4bf33aca4e3417d3fe4585255b571b741"),
+    (["--g", "1", "--n", "2", "--degrees", "5,3", "--format", "csv"],
+     "be2ab6ceb885bd24c8e9b3dcc737c13d15252cbadd4ed227de48d6d984cf9248"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", ENUMERATE_DIGESTS)
+def test_enumerate_output_is_byte_identical(run, argv, digest):
+    code, out = run("enumerate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_inconsistent_is_empty(run):

@@ -9,9 +9,12 @@ from ribbonvol.ribbon import (
     InvalidRibbonGraph,
     RibbonGraph,
     UnsupportedGraph,
+    _bfs_relabel,
     _canonical_pair,
+    _search_pairings,
     enumerate_graphs,
     enumerate_trivalent,
+    face_cycles,
 )
 
 # one-face torus graph: two trivalent vertices joined by three edges
@@ -125,11 +128,42 @@ def test_oriented_adjacency_needs_trivalent():
         graph.oriented_adjacency()
 
 
+# the types of the `enumerate` benchmark workload
+WORKLOAD_TYPES = [
+    (2, 1, [3] * 6), (2, 1, [4, 3, 3, 3, 3]), (1, 3, [3] * 6),
+    (0, 5, [4, 4, 4]), (0, 5, [5, 5]), (1, 2, [5, 3]),
+]
+
+
 def test_automorphisms_identity_counted():
     assert G11.automorphism_group_order() == 6
     for graph, aut in enumerate_trivalent(0, 3):
         assert aut >= 1
         assert graph.automorphism_group_order() == aut
+    for g, n, degrees in WORKLOAD_TYPES:
+        for graph, aut in enumerate_graphs(g, n, degrees):
+            assert graph.automorphism_group_order() == aut
+
+
+@pytest.mark.parametrize("g,n,degrees", [
+    (0, 4, [3] * 4), (1, 2, [5, 3]), (1, 3, [4, 4, 4]), (0, 5, [5, 5]),
+])
+def test_orbit_enumeration_matches_per_labelling_oracle(g, n, degrees):
+    """Automorphism orbits give the same classes, |Aut| and order as one
+    canonical form per labelling."""
+    assert enumerate_graphs(g, n, degrees) == oracle.labelled_classes(g, n, degrees)
+
+
+@pytest.mark.parametrize("degrees", [[3] * 6, [4, 3, 3, 3, 3]])
+def test_bounded_canonical_pair_is_least_encoding(degrees):
+    # every pairing the search yields, whatever its face count
+    s0, pairings = _search_pairings(degrees)
+    faces = set()
+    for s1 in pairings:
+        faces.add(len(face_cycles(s0, s1)))
+        least = min(_bfs_relabel(s0, s1, r)[0] for r in range(len(s0)))
+        assert _canonical_pair(s0, s1) == least
+    assert len(faces) > 1
 
 
 def test_enumeration_matches_brute_force_oracle():
@@ -142,6 +176,7 @@ def test_enumeration_matches_brute_force_oracle():
 
 @pytest.mark.parametrize("g,n,degrees", [
     (0, 3, [3, 3]), (1, 1, [3, 3]), (0, 4, [3] * 4), (1, 2, [3] * 4),
+    (0, 5, [5, 5]), (1, 3, [4, 4, 4]), (0, 5, [4, 4, 4]),
 ])
 def test_orbit_counting_mass_identity(g, n, degrees):
     """Sum over classes of (2E)!/|Aut| equals the number of labelled
