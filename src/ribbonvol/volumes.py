@@ -1,26 +1,36 @@
 """Volume polynomials of the combinatorial moduli space and psi-class numbers.
 
+The psi-class intersection numbers <tau_{d_1} ... tau_{d_n}>_g =
+<psi_1^d1 ... psi_n^dn> on the compactified moduli space of curves come from
+the Dijkgraaf-Verlinde-Verlinde recursion (Witten's conjecture).  Peeling an
+index d_1 = k+1,
+
+    (2k+3)!! <tau_{k+1} tau_S>_g
+        = sum_j (2k+2d_j+1)!!/(2d_j-1)!! <tau_{d_j+k} tau_{S-j}>_g
+        + 1/2 sum_{r+s=k-1} (2r+1)!! (2s+1)!! [ <tau_r tau_s tau_S>_{g-1}
+              + sum_{I u J = S} <tau_r tau_I>_{g1} <tau_s tau_J>_{g2} ],
+
+with (-1)!! = 1, so that k = -1 is the string equation.  The seeds are
+<tau_0^3>_0 = 1 and <tau_1>_1 = 1/24; a bracket vanishes unless
+sum d_i = 3g-3+n for some g with 2g-2+n > 0, which fixes every genus above.
+
 `kontsevich_volume(g, n)` returns the polynomial W_{g,n}(L_1..L_n): the
 product of the perimeters times the top-power volume of the moduli space of
-metric ribbon graphs with boundary lengths L.  It is computed by the
-boundary-splitting recursion from the base cases
+metric ribbon graphs with boundary lengths L.  It is assembled from the psi
+numbers, d = 3g-3+n:
 
-    W_{0,3} = L1 L2 L3,        W_{1,1} = L1^3 / 48,
+    [L^{2a+1}] W_{g,n} = <psi_1^a1 ... psi_n^an> / (2^d prod a_k!),
 
-with the unstable conventions W_{0,1} = W_{0,2} = 0.  The coefficients of
-W_{g,n} carry the psi-class intersection numbers on the compactified moduli
-space of curves:
-
-    <psi_1^a1 ... psi_n^an> = [L^{2a+1}] W_{g,n} * 2^{3g-3+n} * prod(a_k!).
+so W_{0,3} = L1 L2 L3 and W_{1,1} = L1^3 / 48.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from .exact import Poly, RationalFunction, double_factorial, poly_integrate
+from .exact import Poly, RationalFunction, double_factorial
 
 __all__ = [
     "base_case",
@@ -61,84 +71,44 @@ def base_case(g: int, n: int) -> Poly:
     raise NotABaseCase(f"({g},{n}) is not a base case")
 
 
-def _W(g: int, n: int, names) -> Poly:
-    """W_{g,n} with the variables renamed to `names` (length n)."""
-    if 2 - 2 * g - n >= 0:
-        return Poly.zero(())  # unstable: identically zero inside the recursion
-    W = kontsevich_volume(g, n)
-    return W.rename({_L(i + 1): names[i] for i in range(n)})
+def _key(ds) -> tuple:
+    return tuple(sorted(ds, reverse=True))
 
 
 @lru_cache(maxsize=None)
-def kontsevich_volume(g: int, n: int) -> Poly:
-    """The polynomial W_{g,n}(L1..Ln), homogeneous of degree 6g-6+3n."""
-    if not is_stable(g, n):
-        raise UnstableInput(f"({g},{n}) is unstable")
-    if (g, n) in ((0, 3), (1, 1)):
-        return base_case(g, n)
-
-    # recurse on the boundary labelled 1; the rest are the index set S
-    L0 = _L(1)
-    S = list(range(2, n + 1))
-    x, y = "_x", "_y"
-    P0 = Poly.variable(L0)
-    Px = Poly.variable(x)
-    Py = Poly.variable(y)
-    total = Poly.zero(())
-
-    # boundary terms: join boundary 1 with boundary k
-    for k in S:
-        rest = [_L(i) for i in S if i != k]
-        Wk = _W(g, n - 1, tuple([x] + rest))
-        Lk = Poly.variable(_L(k))
-        inner1 = (P0 - Px) * Wk
-        part1 = poly_integrate(inner1, x, Poly.const(0), P0 - Lk)
-        inner2 = (P0 + Lk - Px) * Wk / 2
-        part2 = poly_integrate(inner2, x, P0 - Lk, P0 + Lk)
-        total = total + Lk * (part1 + part2)
-
-    # splitting terms: remove a pair of pants containing boundary 1
-    kernel = (P0 - Px - Py) / 2
-    bulk = _W(g - 1, n + 1, tuple([x, y] + [_L(i) for i in S])) if g >= 1 else Poly.zero(())
-    for g1 in range(0, g + 1):
-        g2 = g - g1
-        for r in range(0, len(S) + 1):
-            for I1 in itertools.combinations(S, r):
-                I2 = tuple(i for i in S if i not in I1)
-                if not (is_stable(g1, len(I1) + 1) and is_stable(g2, len(I2) + 1)):
-                    continue  # W_{0,1} = W_{0,2} = 0 kill these splittings
-                W1 = _W(g1, len(I1) + 1, tuple([x] + [_L(i) for i in I1]))
-                W2 = _W(g2, len(I2) + 1, tuple([y] + [_L(i) for i in I2]))
-                bulk = bulk + W1 * W2
-    if not bulk.is_zero():
-        inner = poly_integrate(kernel * bulk, x, Poly.const(0), P0 - Py)
-        total = total + poly_integrate(inner, y, Poly.const(0), P0)
-
-    vars = tuple(_L(i) for i in range(1, n + 1))
-    W = total.with_vars(vars)
-    deg = 6 * g - 6 + 3 * n
-    if not W.is_homogeneous(deg):
-        raise AssertionError(f"W_{{{g},{n}}} is not homogeneous of degree {deg}")
-    return W
+def _tau(ds: tuple) -> Fraction:
+    """<tau_{d_1} ... tau_{d_n}> for `ds` sorted in decreasing order, by DVV."""
+    n = len(ds)
+    g, rem = divmod(sum(ds) - n + 3, 3)
+    if rem or not is_stable(g, n) or ds[-1] < 0:
+        return Fraction(0)
+    if ds == (0, 0, 0):
+        return Fraction(1)
+    if ds == (1,):
+        return Fraction(1, 24)
+    k, rest = ds[0] - 1, ds[1:]
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        weight = double_factorial(2 * k + 2 * d + 1) // double_factorial(2 * d - 1)
+        total += weight * _tau(_key(rest[:j] + (d + k,) + rest[j + 1:]))
+    splits = [([d for i, d in enumerate(rest) if mask >> i & 1],
+               [d for i, d in enumerate(rest) if not mask >> i & 1])
+              for mask in range(1 << len(rest))] if k > 0 else []
+    half = Fraction(0)
+    for r in range(k):
+        s = k - 1 - r
+        inner = _tau(_key((r, s) + rest))
+        for I, J in splits:
+            inner += _tau(_key([r] + I)) * _tau(_key([s] + J))
+        half += double_factorial(2 * r + 1) * double_factorial(2 * s + 1) * inner
+    return (total + half / 2) / double_factorial(2 * k + 3)
 
 
 def psi_numbers(g: int, n: int) -> dict:
     """Map from exponent tuples a (|a| = 3g-3+n) to <psi^a> in Q."""
     if not is_stable(g, n):
         raise UnstableInput(f"({g},{n}) is unstable")
-    W = kontsevich_volume(g, n)
-    d = 3 * g - 3 + n
-    scale = Fraction(2) ** d
-    out = {}
-    for alpha in _compositions(d, n):
-        exp = tuple(2 * a + 1 for a in alpha)
-        c = W.coefficient(exp)
-        fact = 1
-        for a in alpha:
-            for t in range(2, a + 1):
-                fact *= t
-        out[alpha] = c * scale * fact
-    return out
+    return {alpha: _tau(_key(alpha)) for alpha in _compositions(3 * g - 3 + n, n)}
 
 
 def _compositions(total: int, parts: int):
@@ -148,6 +118,24 @@ def _compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def _volume_poly(g: int, n: int, prefix: str, shift: int) -> Poly:
+    """sum_a <psi^a> / (2^d prod a_k!) prod_k v_k^(2a_k + shift), v_k = prefix+k."""
+    scale = 2 ** (3 * g - 3 + n)
+    terms = {}
+    for alpha, val in psi_numbers(g, n).items():
+        denom = scale
+        for a in alpha:
+            denom *= factorial(a)
+        terms[tuple(2 * a + shift for a in alpha)] = val / denom
+    return Poly(tuple(f"{prefix}{i}" for i in range(1, n + 1)), terms)
+
+
+@lru_cache(maxsize=None)
+def kontsevich_volume(g: int, n: int) -> Poly:
+    """The polynomial W_{g,n}(L1..Ln), homogeneous of degree 6g-6+3n."""
+    return _volume_poly(g, n, "L", 1)
 
 
 def lhs_laplace(g: int, n: int) -> RationalFunction:
@@ -175,10 +163,4 @@ def wp_volume_asymptotic(g: int, n: int) -> Poly:
     Equals W_{g,n} divided by the product of the perimeters, with L renamed
     to x; its coefficients are <psi^a> / (2^{3g-3+n} prod a_k!).
     """
-    W = kontsevich_volume(g, n)
-    terms = {}
-    for exp, c in W.terms.items():
-        if any(e < 1 for e in exp):
-            raise AssertionError("W_{g,n} has a monomial missing some L_k")
-        terms[tuple(e - 1 for e in exp)] = c
-    return Poly(tuple(f"x{i}" for i in range(1, n + 1)), terms)
+    return _volume_poly(g, n, "x", 0)

@@ -1,0 +1,94 @@
+"""Independent oracle for W_{g,n}: the boundary-splitting recursion.
+
+Builds W_{g,n}(L_1..L_n) symbolically from the base cases W_{0,3} = L1 L2 L3
+and W_{1,1} = L1^3/48 by removing the pair of pants that contains boundary 1:
+either it joins boundary 1 to another boundary k (a polynomial integral over
+the new boundary's length), or it splits off the rest of the surface along
+two new boundaries, into one surface of genus g-1 or two surfaces of genus
+g1 + g2 = g over all 2^(n-1) subsets of the other boundaries.  Nothing here
+uses the package's psi-number recursion; the psi numbers are read back off
+the coefficients, <psi^a> = [L^{2a+1}] W_{g,n} * 2^{3g-3+n} * prod(a_k!).
+"""
+
+import itertools
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from ribbonvol.exact import Poly, poly_integrate
+from ribbonvol.volumes import base_case, is_stable
+
+
+def _L(i):
+    return f"L{i}"
+
+
+def _W(g, n, names):
+    """W_{g,n} with the variables renamed to `names` (length n)."""
+    if 2 - 2 * g - n >= 0:
+        return Poly.zero(())  # unstable: identically zero inside the recursion
+    W = kontsevich_volume(g, n)
+    return W.rename({_L(i + 1): names[i] for i in range(n)})
+
+
+@lru_cache(maxsize=None)
+def kontsevich_volume(g, n):
+    """The polynomial W_{g,n}(L1..Ln), homogeneous of degree 6g-6+3n."""
+    if not is_stable(g, n):
+        raise ValueError(f"({g},{n}) is unstable")
+    if (g, n) in ((0, 3), (1, 1)):
+        return base_case(g, n)
+
+    # recurse on the boundary labelled 1; the rest are the index set S
+    L0 = _L(1)
+    S = list(range(2, n + 1))
+    x, y = "_x", "_y"
+    P0 = Poly.variable(L0)
+    Px = Poly.variable(x)
+    Py = Poly.variable(y)
+    total = Poly.zero(())
+
+    # boundary terms: join boundary 1 with boundary k
+    for k in S:
+        rest = [_L(i) for i in S if i != k]
+        Wk = _W(g, n - 1, tuple([x] + rest))
+        Lk = Poly.variable(_L(k))
+        inner1 = (P0 - Px) * Wk
+        part1 = poly_integrate(inner1, x, Poly.const(0), P0 - Lk)
+        inner2 = (P0 + Lk - Px) * Wk / 2
+        part2 = poly_integrate(inner2, x, P0 - Lk, P0 + Lk)
+        total = total + Lk * (part1 + part2)
+
+    # splitting terms: remove a pair of pants containing boundary 1
+    kernel = (P0 - Px - Py) / 2
+    bulk = _W(g - 1, n + 1, tuple([x, y] + [_L(i) for i in S])) if g >= 1 else Poly.zero(())
+    for g1 in range(0, g + 1):
+        g2 = g - g1
+        for r in range(0, len(S) + 1):
+            for I1 in itertools.combinations(S, r):
+                I2 = tuple(i for i in S if i not in I1)
+                if not (is_stable(g1, len(I1) + 1) and is_stable(g2, len(I2) + 1)):
+                    continue  # W_{0,1} = W_{0,2} = 0 kill these splittings
+                W1 = _W(g1, len(I1) + 1, tuple([x] + [_L(i) for i in I1]))
+                W2 = _W(g2, len(I2) + 1, tuple([y] + [_L(i) for i in I2]))
+                bulk = bulk + W1 * W2
+    if not bulk.is_zero():
+        inner = poly_integrate(kernel * bulk, x, Poly.const(0), P0 - Py)
+        total = total + poly_integrate(inner, y, Poly.const(0), P0)
+
+    return total.with_vars(tuple(_L(i) for i in range(1, n + 1)))
+
+
+def psi_numbers(g, n):
+    """<psi^a> for every a with |a| = 3g-3+n, read off the oracle's W_{g,n}."""
+    W = kontsevich_volume(g, n)
+    d = 3 * g - 3 + n
+    out = {}
+    for alpha in itertools.product(range(d + 1), repeat=n):
+        if sum(alpha) != d:
+            continue
+        c = W.coefficient(tuple(2 * a + 1 for a in alpha))
+        for a in alpha:
+            c *= factorial(a)
+        out[alpha] = c * Fraction(2) ** d
+    return out

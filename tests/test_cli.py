@@ -102,6 +102,33 @@ def test_enumerate_output_is_byte_identical(run, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout for the benchmark's volumes jobs and two LaTeX renderings,
+# recorded while W_{g,n} still came from the boundary-splitting recursion
+VOLUME_DIGESTS = [
+    (["volume", "--g", "0", "--n", "6"],
+     "d520cc0c53d5de773aa26a5f92663667f483e650f8ab78a634eff1053ba450ad"),
+    (["psi", "--g", "1", "--n", "4"],
+     "7ebfc8a4eab3355f7a8c506e7954038285f1a0a108013ff89bd8b5e14b588c48"),
+    (["volume", "--g", "2", "--n", "3"],
+     "406e34016c5a4e0360a2121a6ac54821bd8505ab05c2cf7fb89cbed9ea380183"),
+    (["psi", "--g", "3", "--n", "1"],
+     "54164068aa616701136c3968306a5a237f3bb5893adffa7aaae545fb3f1869f2"),
+    (["volume", "--g", "1", "--n", "5"],
+     "ec0224a0e9391fee8fc99f75b473fe4ac9df9a3a605e7ed7bde26b4dbbc5eaf5"),
+    (["volume", "--g", "0", "--n", "4", "--format", "latex"],
+     "160f259dd992f68d330a1cedd1fc630786f7af34e009ba4a9650cc78b4e8c9eb"),
+    (["volume", "--g", "1", "--n", "2", "--format", "latex"],
+     "2a4da647df97c69a9c366c8700da46b430c6b027ae72bbbbc83d7e64b3fd74b4"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", VOLUME_DIGESTS)
+def test_volume_output_is_byte_identical(run, argv, digest):
+    code, out = run(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_inconsistent_is_empty(run):
     code, out = run("enumerate", "--g", "0", "--n", "1", "--degrees", "3")
     assert code == 0

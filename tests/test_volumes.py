@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import oracle_volumes
 from ribbonvol.exact import Poly, laplace
 from ribbonvol.volumes import (
     NotABaseCase,
@@ -14,6 +15,10 @@ from ribbonvol.volumes import (
     psi_numbers,
     wp_volume_asymptotic,
 )
+
+# every stable (g, n) with 3g-3+n <= 6
+TYPES_UP_TO_6 = [(g, n) for g in range(3) for n in range(1, 10)
+                 if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 6]
 
 
 def L(i):
@@ -34,8 +39,9 @@ def test_unstable_rejected():
 
 
 def test_four_boundary_sphere():
-    # forced by the recursion; cross-checked against the graph sum in
-    # test_kformula via the Laplace identity
+    # the psi numbers of (0,4) are all 1, so every coefficient is 1/2^1;
+    # cross-checked against the graph sum in test_kformula via the Laplace
+    # identity
     W = kontsevich_volume(0, 4)
     Ls = [L(i) for i in range(1, 5)]
     prod = Ls[0] * Ls[1] * Ls[2] * Ls[3]
@@ -49,7 +55,8 @@ def test_two_boundary_torus():
     assert W == expected
 
 
-@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)])
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1),
+                                 (0, 6), (1, 4), (2, 3), (3, 1), (1, 5)])
 def test_volume_polynomial_invariants(g, n):
     W = kontsevich_volume(g, n)
     d = 6 * g - 6 + 3 * n
@@ -62,6 +69,47 @@ def test_volume_polynomial_invariants(g, n):
     for i, j in itertools.combinations(range(1, n + 1), 2):
         swapped = W.permute_vars({f"L{i}": f"L{j}", f"L{j}": f"L{i}"})
         assert swapped == W
+
+
+@pytest.mark.parametrize("g,n", [(g, n) for g, n in TYPES_UP_TO_6 if 3 * g - 3 + n <= 4]
+                         + [(2, 3), (3, 1), (1, 5)])
+def test_volumes_and_psi_numbers_equal_the_boundary_splitting_oracle(g, n):
+    W = kontsevich_volume(g, n)
+    assert W.vars == tuple(f"L{i}" for i in range(1, n + 1))
+    assert W.terms == oracle_volumes.kontsevich_volume(g, n).terms
+    assert psi_numbers(g, n) == oracle_volumes.psi_numbers(g, n)
+
+
+# the types whose (g, n-1) is stable too
+TYPES_WITH_STABLE_FORGET = [(g, n) for g, n in TYPES_UP_TO_6 if (g, n - 1) in TYPES_UP_TO_6]
+
+
+@pytest.mark.parametrize("g,n", TYPES_WITH_STABLE_FORGET)
+def test_string_equation(g, n):
+    """<tau_0 tau_S>_g = sum_j <tau_S with d_j lowered by one>_g."""
+    small = psi_numbers(g, n - 1)
+    for alpha, val in psi_numbers(g, n).items():
+        if alpha[-1] != 0:
+            continue
+        S = alpha[:-1]
+        expected = sum(small[S[:j] + (S[j] - 1,) + S[j + 1:]]
+                       for j in range(n - 1) if S[j] > 0)
+        assert val == expected
+
+
+@pytest.mark.parametrize("g,n", TYPES_WITH_STABLE_FORGET)
+def test_dilaton_equation(g, n):
+    """<tau_1 tau_S>_g = (2g-2+|S|) <tau_S>_g."""
+    small = psi_numbers(g, n - 1)
+    for alpha, val in psi_numbers(g, n).items():
+        if alpha[-1] == 1:
+            assert val == (2 * g - 3 + n) * small[alpha[:-1]]
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_one_point_numbers(g):
+    """<tau_{3g-2}>_g = 1/(24^g g!)."""
+    assert psi_numbers(g, 1) == {(3 * g - 2,): Fraction(1, 24 ** g * factorial(g))}
 
 
 def test_psi_numbers_small():
