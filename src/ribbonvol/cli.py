@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import __version__
 from .exact import Poly
 from .hypgeom import IdealPolygonChord, chords_cross, crossing_cos, crossing_cos_exact
-from .kformula import cell_density, verify_form_identities, verify_kcf
+from .kformula import _cell_form, verify_form_identities, verify_kcf
 from .ribbon import enumerate_graphs, enumerate_trivalent
 from .volumes import kontsevich_volume, psi_numbers, is_stable
 from .wittencycle import witten12_report
@@ -152,8 +152,9 @@ def cmd_identities(args) -> tuple:
     out = []
     all_ok = True
     for graph, aut in graphs:
-        rep = verify_form_identities(graph)
-        rho = cell_density(graph)
+        form = _cell_form(graph)
+        rep = verify_form_identities(graph, form)
+        rho = form.density()
         ok = rep["ok"] and rho == expected_density
         all_ok &= ok
         out.append({"graph": graph.to_json(), "aut": aut, "checks": rep["checks"],

@@ -10,8 +10,11 @@ cell, and assembles/verifies both sides of the combinatorial formula.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import lcm, prod
+from typing import NamedTuple
 
 from .exact import (
     RationalFunction,
@@ -99,6 +102,27 @@ def restrict_form(M, V):
     return [[sum(a * b for a, b in zip(u, Mv)) for Mv in images] for u in V]
 
 
+class _CellForm(NamedTuple):
+    """K, a basis V of ker A, its volume factor, and G = V^T (K/4) V."""
+
+    K: list
+    V: list
+    volfactor: Fraction
+    G: list
+
+    def density(self) -> Fraction:
+        return abs(pfaffian(self.G)) / self.volfactor
+
+
+def _cell_form(graph: RibbonGraph) -> _CellForm:
+    """The quarter-K form restricted to ker A, shared by the identities and
+    the density so that one cell builds K, ker A and G only once."""
+    K = kontsevich_form(graph)
+    V, volfactor = kernel_normalization(graph.face_edge_matrix())
+    G = restrict_form([[Fraction(x, 4) for x in row] for row in K], V)
+    return _CellForm(K, V, volfactor, G)
+
+
 def cell_density(graph: RibbonGraph) -> Fraction:
     """Constant density of the top power of the quarter-K form on the cell.
 
@@ -108,16 +132,14 @@ def cell_density(graph: RibbonGraph) -> Fraction:
     """
     if not graph.is_trivalent:
         raise UnsupportedGraph("cell density is defined on trivalent cells")
-    K = kontsevich_form(graph)
-    A = graph.face_edge_matrix()
-    V, volfactor = kernel_normalization(A)
-    Kq = [[Fraction(x, 4) for x in row] for row in K]
-    G = restrict_form(Kq, V)
-    return abs(pfaffian(G)) / volfactor
+    return _cell_form(graph).density()
 
 
-def verify_form_identities(graph: RibbonGraph) -> dict:
+def verify_form_identities(graph: RibbonGraph, form: _CellForm | None = None) -> dict:
     """Exact checks tying K to the oriented adjacency B on one graph.
+
+    `form` is `_cell_form(graph)` when the caller also wants the density
+    from the same K, ker A and G (default: built here).
 
     With eps = EPSILON, a single global sign:
 
@@ -134,11 +156,11 @@ def verify_form_identities(graph: RibbonGraph) -> dict:
     """
     if not graph.is_trivalent:
         raise UnsupportedGraph("form identities are about trivalent cells")
+    if form is None:
+        form = _cell_form(graph)
+    K, V, G = form.K, form.V, form.G
     E = graph.num_edges
     B = graph.oriented_adjacency()
-    K = kontsevich_form(graph)
-    A = graph.face_edge_matrix()
-    V, _ = kernel_normalization(A)
     g, n = graph.genus, graph.num_faces
     dim = 6 * g - 6 + 2 * n
 
@@ -160,8 +182,6 @@ def verify_form_identities(graph: RibbonGraph) -> dict:
     report["checks"]["BK_minus_eps4I_kills_kerA"] = c2
     ok &= c2
 
-    Kq = [[Fraction(x, 4) for x in row] for row in K]
-    G = restrict_form(Kq, V)
     c3 = mat_rank(G) == dim
     report["checks"]["quarterK_nondegenerate_on_kerA"] = c3
     ok &= c3
@@ -185,8 +205,6 @@ def verify_form_identities(graph: RibbonGraph) -> dict:
 
 def _principal_block_identity(graph, B, G, V):
     """(1/4) K on ker A  ==  eps * (v_S^T Bhat^{-1} v_S)-form, Bhat invertible."""
-    import itertools
-
     E = graph.num_edges
     dim = len(V)
     for S in itertools.combinations(range(E), dim):
@@ -223,10 +241,67 @@ def rhs_terms(g: int, n: int):
     return out
 
 
+def _factor_groups(terms, n: int):
+    """Merge (graph, aut, term) triples with equal denominators.
+
+    A term's denominator is a multiset of the factors s_i and s_i + s_j,
+    recorded as its exponent vector over the fixed factor order s_1..s_n,
+    then s_i + s_j for i < j.  Returns a list of (exponent vector, summed
+    Fraction coefficient).  Every term of `rhs_terms` has the constant
+    numerator 1; any other numerator raises ValueError.
+    """
+    index = {(i,): i for i in range(n)}
+    for pair in itertools.combinations(range(n), 2):
+        index[pair] = len(index)
+    one = {(0,) * n: 1}
+    groups = {}
+    for _, _, term in terms:
+        if term.num.terms != one:
+            raise ValueError(f"graph term {term} has numerator {term.num}, not 1")
+        exps = [0] * len(index)
+        for f, m in term.den.items():
+            exps[index[f]] = m
+        exps = tuple(exps)
+        groups[exps] = groups.get(exps, 0) + term.scalar
+    return list(groups.items())
+
+
+def _evaluate_groups(groups, coords) -> Fraction:
+    """Exact value of the grouped graph sum at the point `coords` (s_1..s_n).
+
+    Each factor value a/b is computed once as an integer pair: (p_i, q_i)
+    for s_i = p_i/q_i and (p_i q_j + p_j q_i, q_i q_j) for s_i + s_j.  The
+    groups are summed in ints over one common denominator, the lcm of the
+    coefficients' denominators times a^M for each factor's largest exponent
+    M; the one Fraction built at the end is normalised.
+    """
+    p = [x.numerator for x in coords]
+    q = [x.denominator for x in coords]
+    values = list(zip(p, q))
+    for i, j in itertools.combinations(range(len(coords)), 2):
+        values.append((p[i] * q[j] + p[j] * q[i], q[i] * q[j]))
+    highest = [max(col) for col in zip(*(exps for exps, _ in groups))]
+    # powers[f][m] = a^(M - m) * b^m: (a/b)^-m times the factor's a^M
+    powers = [[a ** (M - m) * b ** m for m in range(M + 1)]
+              for (a, b), M in zip(values, highest)]
+    cden = lcm(*(c.denominator for _, c in groups))
+    total = sum(c.numerator * (cden // c.denominator)
+                * prod(map(list.__getitem__, powers, exps))
+                for exps, c in groups)
+    return Fraction(total, cden * prod(a ** M for (a, _), M in zip(values, highest)))
+
+
 def rhs_evaluate(g: int, n: int, point: dict, terms=None) -> Fraction:
+    """The graph side at `point` (dict s_i -> Fraction), exactly.
+
+    The (graph, aut, term) triples (default: `rhs_terms(g, n)`) are merged
+    by factor multiset, each factor s_i, s_i + s_j is computed once for the
+    point, and the sum is taken over one integer common denominator.
+    """
     if terms is None:
         terms = rhs_terms(g, n)
-    return sum((t.evaluate(point) for _, _, t in terms), Fraction(0))
+    coords = [point[f"s{i}"] for i in range(1, n + 1)]
+    return _evaluate_groups(_factor_groups(terms, n), coords)
 
 
 def rhs_laplace(g: int, n: int) -> RationalFunction:
@@ -256,6 +331,11 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     has probability above 1/1000; independent points multiply these
     bounds.  At least 2 * degree_bound + 1 points are sampled.  Failures
     report the first offending point.
+
+    The graph side is grouped once per call: graphs with equal
+    denominator-factor multisets are merged, and at each point the factor
+    values s_i, s_i + s_j are computed once and the groups summed exactly
+    over one integer common denominator.
     """
     if not is_stable(g, n):
         raise ValueError(f"({g},{n}) is unstable")
@@ -265,13 +345,14 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     svars = tuple(f"s{i}" for i in range(1, n + 1))
     lhs = lhs_laplace(g, n)
     terms = rhs_terms(g, n)
+    groups = _factor_groups(terms, n)
     points = []
     equal = True
     first_bad = None
     for _ in range(trials):
         point = {v: Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for v in svars}
         lv = lhs.evaluate(point)
-        rv = rhs_evaluate(g, n, point, terms)
+        rv = _evaluate_groups(groups, [point[v] for v in svars])
         same = lv == rv
         points.append({
             "point": {v: str(point[v]) for v in svars},

@@ -129,6 +129,34 @@ def test_volume_output_is_byte_identical(run, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout for the benchmark's formula jobs at seed 1 and two full
+# point listings, recorded while the graph side was still summed term by term
+# in Fractions; the printed lhs/rhs values must not move
+FORMULA_DIGESTS = [
+    (["verify-kcf", "--g", "0", "--n", "4", "--trials", "30", "--seed", "1"],
+     "ad1c89006a2f7304edcd6622b87c768b6247314e7c424206e27249cefb762540"),
+    (["verify-kcf", "--g", "1", "--n", "3", "--trials", "30", "--seed", "1"],
+     "51183ca6a624835d31726088f9778e11766db37de86c9788e64216704b41011c"),
+    (["identities", "--g", "1", "--n", "2"],
+     "3b47c077dbc76105589945a44919baa1df0be579225806ae7429f57a0f49c515"),
+    (["identities", "--g", "0", "--n", "4"],
+     "a733033c40aff8474a36a58b884f904b68521bf9b6afd3f100228bd70dff0e81"),
+    (["witten12"],
+     "4d518191abc6f9ddf9d61ae8a2388684c68b6347e093f9f413406d2b8755636d"),
+    (["verify-kcf", "--g", "1", "--n", "3", "--trials", "30", "--seed", "1", "--points"],
+     "72ade1cdb53af3523c4bc365cb5cbdb0c5ecd338d32a354e9789249bb974cc4b"),
+    (["verify-kcf", "--g", "0", "--n", "5", "--trials", "30", "--seed", "2", "--points"],
+     "0979c1b4b0ca7f71a7f51b6002b5bdc131306cc79824acb5f18348cfbb9e964e"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", FORMULA_DIGESTS)
+def test_formula_output_is_byte_identical(run, argv, digest):
+    code, out = run(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_inconsistent_is_empty(run):
     code, out = run("enumerate", "--g", "0", "--n", "1", "--degrees", "3")
     assert code == 0

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from ribbonvol.exact import Poly, RationalFunction
 from ribbonvol.kformula import (
     EPSILON,
+    _cell_form,
+    _factor_groups,
     cell_density,
     kontsevich_form,
     rhs_evaluate,
@@ -60,6 +64,14 @@ def test_form_identities_hold_with_one_global_sign(g, n):
 def test_cell_density_is_two_to_one_minus_g(g, n):
     for graph, _ in enumerate_trivalent(g, n):
         assert cell_density(graph) == Fraction(2) ** (1 - g)
+
+
+@pytest.mark.parametrize("g,n", SMALL_TYPES)
+def test_shared_cell_form_gives_the_same_report_and_density(g, n):
+    for graph, _ in enumerate_trivalent(g, n):
+        form = _cell_form(graph)
+        assert verify_form_identities(graph, form) == verify_form_identities(graph)
+        assert form.density() == cell_density(graph)
 
 
 def test_density_is_distinguished_side_and_basis_independent():
@@ -138,3 +150,67 @@ def test_perturbed_automorphism_detected():
             mismatch = True
             break
     assert mismatch
+
+
+def per_term_sum(point, terms):
+    """Oracle for the graph side: each term's RationalFunction.evaluate, summed
+    in Fractions, with no grouping and no shared factor values."""
+    return sum((t.evaluate(point) for _, _, t in terms), Fraction(0))
+
+
+def sample_points(n, count, seed):
+    """Seeded points p/q, 1 <= p, q <= 1000, after the extremes 1/1000 and
+    1000/1 in every coordinate and alternating between them."""
+    ends = (Fraction(1, 1000), Fraction(1000))
+    coords = [[ends[0]] * n, [ends[1]] * n, [ends[i % 2] for i in range(n)]]
+    rng = random.Random(seed)
+    coords += [[Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(n)]
+               for _ in range(count)]
+    return [{f"s{i + 1}": c for i, c in enumerate(cs)} for cs in coords]
+
+
+# (g, n) -> (graphs, distinct denominator-factor multisets)
+GROUP_COUNTS = {(0, 3): (4, 4), (1, 1): (1, 1), (0, 4): (64, 59), (1, 2): (9, 9),
+                (2, 1): (9, 1), (1, 3): (236, 152), (0, 5): (2240, 1535)}
+
+
+@pytest.mark.parametrize("g,n", list(GROUP_COUNTS))
+def test_grouped_graph_side_equals_per_term_sum(g, n):
+    terms = rhs_terms(g, n)
+    assert (len(terms), len(_factor_groups(terms, n))) == GROUP_COUNTS[g, n]
+    for point in sample_points(n, 2 if n == 5 else 6, seed=17 * n + g):
+        assert rhs_evaluate(g, n, point, terms) == per_term_sum(point, terms)
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2), (2, 1)])
+def test_grouped_graph_side_equals_closed_form(g, n):
+    closed = rhs_laplace(g, n)
+    for point in sample_points(n, 4, seed=5 * n + g):
+        assert rhs_evaluate(g, n, point) == closed.evaluate(point)
+
+
+def test_corrupted_aut_in_a_merged_group_is_detected():
+    """Soundness canary: merging graphs with one factor multiset must not hide
+    a wrong |Aut| on one of them."""
+    g, n = 0, 4
+    terms = rhs_terms(g, n)
+    keys = [tuple(sorted(t.den.items())) for _, _, t in terms]
+    k = next(i for i, key in enumerate(keys) if keys.count(key) > 1)
+    graph, aut, term = terms[k]
+    bad = list(terms)
+    bad[k] = (graph, aut + 1, term * Fraction(aut, aut + 1))
+    assert len(_factor_groups(bad, n)) == len(_factor_groups(terms, n))
+    lhs = lhs_laplace(g, n)
+    points = sample_points(n, 6, seed=3)
+    assert all(lhs.evaluate(pt) == rhs_evaluate(g, n, pt, terms) for pt in points)
+    assert any(lhs.evaluate(pt) != rhs_evaluate(g, n, pt, bad) for pt in points)
+
+
+def test_grouping_refuses_a_numerator_other_than_one():
+    svars = ("s1", "s2")
+    den = {(0,): 1, (0, 1): 2}
+    point = {"s1": Fraction(2), "s2": Fraction(3, 5)}
+    for num in (Poly.variable("s1", svars), Poly.const(2, svars)):
+        term = RationalFunction(svars, Fraction(1, 3), num, den)
+        with pytest.raises(ValueError, match="numerator"):
+            rhs_evaluate(0, 2, point, [(None, 1, term)])
