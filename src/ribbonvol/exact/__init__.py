@@ -18,6 +18,7 @@ from .linalg import (
     mat_rank,
     mat_det,
     mat_inverse,
+    rref,
     kernel_basis,
     right_inverse,
     pfaffian,
@@ -40,6 +41,7 @@ __all__ = [
     "mat_rank",
     "mat_det",
     "mat_inverse",
+    "rref",
     "kernel_basis",
     "right_inverse",
     "pfaffian",

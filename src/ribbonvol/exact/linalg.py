@@ -18,6 +18,7 @@ __all__ = [
     "mat_rank",
     "mat_det",
     "mat_inverse",
+    "rref",
     "kernel_basis",
     "right_inverse",
     "pfaffian",
@@ -61,8 +62,9 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _echelon(A):
-    """Row echelon form (in place on a copy); returns (rows, pivot_cols)."""
+def rref(A):
+    """Reduced row echelon form of a copy of A; returns (R, pivot_cols).
+    The pivots are the lexicographically first basis of A's column space."""
     M = [list(row) for row in A]
     n = len(M)
     m = len(M[0]) if n else 0
@@ -89,7 +91,7 @@ def _echelon(A):
 def mat_rank(A) -> int:
     if not A:
         return 0
-    return len(_echelon(A)[1])
+    return len(rref(A)[1])
 
 
 def mat_det(A):
@@ -116,7 +118,7 @@ def mat_det(A):
 def mat_inverse(A):
     n = len(A)
     M = [list(row) + list(irow) for row, irow in zip(A, identity(n))]
-    R, pivots = _echelon(M)
+    R, pivots = rref(M)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [row[n:] for row in R]
@@ -126,8 +128,12 @@ def kernel_basis(A):
     """Basis of the right kernel, one vector per free column, in column order."""
     if not A:
         return []
-    m = len(A[0])
-    R, pivots = _echelon(A)
+    return _rref_kernel(*rref(A))
+
+
+def _rref_kernel(R, pivots):
+    """`kernel_basis` read off an `rref` result (R, pivots) with R nonempty."""
+    m = len(R[0])
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
@@ -143,7 +149,7 @@ def right_inverse(A):
     """Any W with A @ W = I; requires full row rank."""
     n = len(A)
     m = len(A[0]) if n else 0
-    R, pivots = _echelon(A)
+    R, pivots = rref(A)
     if len(pivots) != n:
         raise SingularMatrixError("matrix does not have full row rank")
     # solve A w_j = e_j using only pivot columns

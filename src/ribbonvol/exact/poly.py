@@ -127,13 +127,6 @@ class Poly:
         vars = tuple(sorted(set(a.vars) | set(b.vars)))
         return a.with_vars(vars), b.with_vars(vars)
 
-    def drop_unused_vars(self) -> "Poly":
-        used = [i for i, v in enumerate(self.vars)
-                if any(e[i] for e in self.terms)]
-        vars = tuple(self.vars[i] for i in used)
-        terms = {tuple(e[i] for i in used): c for e, c in self.terms.items()}
-        return Poly(vars, terms)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _wrap(self, other):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .exact import (
     RationalFunction,
-    kernel_basis,
+    SingularMatrixError,
     mat_det,
     mat_inverse,
     mat_mul,
@@ -26,8 +26,9 @@ from .exact import (
     mat_vec,
     orthant_exponential_integral,
     pfaffian,
-    right_inverse,
+    rref,
 )
+from .exact.linalg import _rref_kernel
 from .ribbon import RibbonGraph, UnsupportedGraph, enumerate_trivalent
 from .volumes import is_stable, lhs_laplace
 
@@ -80,26 +81,32 @@ def kontsevich_form(graph: RibbonGraph, distinguished=None):
 
 
 def kernel_normalization(A):
-    """Basis V of ker A plus |det [V | W]| with A W = I.
+    """Basis V of ker A, as `kernel_basis` gives it, plus |det [V | W]|.
 
-    The determinant converts the basis volume into the quotient Lebesgue
-    measure on {A e = x}: the fibre measure lambda satisfies
-    de_1...de_E = lambda tensor dx exactly when the block matrix has
-    unit determinant.
+    W is any right inverse of A.  The factor converts the basis volume into
+    the quotient (fibre) Lebesgue measure lambda on {A e = x}: de_1...de_E
+    = lambda tensor dx exactly when [V | W] has unit determinant.  It equals
+    1/|det A_P|, P the pivot columns of A's RREF: take W = A_P^{-1} on the
+    pivot rows and 0 elsewhere, order the rows free first, and [V | W] is
+    [I 0; X A_P^{-1}].  Raises SingularMatrixError if rank A < len(A).
     """
     A = [[Fraction(x) for x in row] for row in A]
-    V = kernel_basis(A)
-    W = right_inverse(A)
-    E = len(A[0])
-    M = [[V[j][i] for j in range(len(V))] + [W[i][j] for j in range(len(A))]
-         for i in range(E)]
-    return V, abs(mat_det(M))
+    R, pivots = rref(A)
+    if len(pivots) != len(A):
+        raise SingularMatrixError("matrix does not have full row rank")
+    A_P = [[row[c] for c in pivots] for row in A]
+    return _rref_kernel(R, pivots), 1 / abs(mat_det(A_P))
 
 
 def restrict_form(M, V):
     """Gram matrix G[i][j] = v_i^T M v_j of the form M on the basis V."""
     images = [mat_vec(M, v) for v in V]
     return [[sum(a * b for a, b in zip(u, Mv)) for Mv in images] for u in V]
+
+
+def _quarter_form(K, V):
+    """The quarter-K form on the basis V: V^T (K/4) V."""
+    return restrict_form([[Fraction(x, 4) for x in row] for row in K], V)
 
 
 class _CellForm(NamedTuple):
@@ -119,8 +126,7 @@ def _cell_form(graph: RibbonGraph) -> _CellForm:
     the density so that one cell builds K, ker A and G only once."""
     K = kontsevich_form(graph)
     V, volfactor = kernel_normalization(graph.face_edge_matrix())
-    G = restrict_form([[Fraction(x, 4) for x in row] for row in K], V)
-    return _CellForm(K, V, volfactor, G)
+    return _CellForm(K, V, volfactor, _quarter_form(K, V))
 
 
 def cell_density(graph: RibbonGraph) -> Fraction:
@@ -189,13 +195,11 @@ def verify_form_identities(graph: RibbonGraph, form: _CellForm | None = None) ->
     # distinguished-side independence of the restriction
     faces = graph._faces
     alt = [len(c) // 2 for c in faces]
-    K2 = kontsevich_form(graph, alt)
-    G2 = restrict_form([[Fraction(x, 4) for x in row] for row in K2], V)
-    c4 = G == G2
+    c4 = G == _quarter_form(kontsevich_form(graph, alt), V)
     report["checks"]["distinguished_side_independent_on_kerA"] = c4
     ok &= c4
 
-    c5 = _principal_block_identity(graph, B, G, V)
+    c5 = _principal_block_identity(B, G, V)
     report["checks"]["matches_Bhat_inverse_form"] = c5
     ok &= c5
 
@@ -203,26 +207,22 @@ def verify_form_identities(graph: RibbonGraph, form: _CellForm | None = None) ->
     return report
 
 
-def _principal_block_identity(graph, B, G, V):
-    """(1/4) K on ker A  ==  eps * (v_S^T Bhat^{-1} v_S)-form, Bhat invertible."""
-    E = graph.num_edges
-    dim = len(V)
-    for S in itertools.combinations(range(E), dim):
-        Bhat = [[Fraction(B[i][j]) for j in S] for i in S]
-        if mat_det(Bhat) != 0:
-            break
-    else:
-        return dim == 0
-    Binv = mat_inverse(Bhat)
-    for i in range(dim):
-        for j in range(dim):
-            vi = [V[i][k] for k in S]
-            vj = [V[j][k] for k in S]
-            val = sum(vi[a] * sum(Binv[a][b] * vj[b] for b in range(dim))
-                      for a in range(dim))
-            if G[i][j] != EPSILON * val:
-                return False
-    return True
+def _principal_block_identity(B, G, V):
+    """G == eps * V_S^T Bhat^{-1} V_S, Bhat = B[S, S], S the pivots of B's RREF.
+
+    S indexes a column basis, so B = B[:, S] C with C[:, S] = I, and skew
+    symmetry gives B = C^T Bhat C: Bhat is invertible.  The invertible
+    principal blocks of size rank B are exactly the column bases, and the
+    greedy one, S, is the lexicographically first.  False if rank B !=
+    len(V), which no trivalent graph gives: both are 6g - 6 + 2n.
+    """
+    B = [[Fraction(x) for x in row] for row in B]
+    S = rref(B)[1]
+    if len(S) != len(V):
+        return False
+    Binv = mat_inverse([[B[i][j] for j in S] for i in S])
+    return G == restrict_form([[EPSILON * x for x in row] for row in Binv],
+                              [[v[k] for k in S] for v in V])
 
 
 # -- the combinatorial formula ------------------------------------------------

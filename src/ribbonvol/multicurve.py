@@ -18,6 +18,7 @@ for a system of multicurves.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,7 +181,6 @@ def limit_length_reduced(graph: RibbonGraph, mc: Multicurve):
     n = graph.num_faces
     bound = max(counts, default=0) + 1
     best = None
-    import itertools
     for lam_try in itertools.product(range(bound), repeat=n):
         mu = [counts[e] - sum(lam_try[i] * A[i][e] for i in range(n)) for e in range(E)]
         if all(m <= 0 for m in mu):

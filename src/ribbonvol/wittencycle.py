@@ -22,11 +22,14 @@ from fractions import Fraction
 
 from .exact import (
     RationalFunction,
+    SingularMatrixError,
     Surd,
     double_factorial,
     mat_inverse,
+    mat_mul,
     orthant_exponential_integral,
     pfaffian,
+    transpose,
 )
 from .kformula import kernel_normalization, restrict_form
 from .multicurve import Multicurve, intersection_matrix, limit_differential, limit_length
@@ -123,25 +126,14 @@ def asymptotic_form(chart: CellChart):
     X = chart.intersection_matrix()
     try:
         Xinv = mat_inverse(X)
-    except Exception as exc:
+    except SingularMatrixError as exc:
         raise ChartError(f"chart is degenerate: X is singular ({exc})") from exc
     # rows: d(limit length) of each curve in de-coordinates (raw edge counts)
     D = [c.edge_counts(chart.graph) for c in chart.curves]
-    m = len(D)
-    E = chart.graph.num_edges
-    M = [[Surd(0, 0, 5) for _ in range(E)] for _ in range(E)]
-    for a in range(E):
-        for b in range(E):
-            acc = Surd(0, 0, 5)
-            for i in range(m):
-                if D[i][a] == 0:
-                    continue
-                for j in range(m):
-                    if D[j][b] == 0:
-                        continue
-                    acc = acc + Xinv[i][j] * (D[i][a] * D[j][b])
-            M[a][b] = -acc
-    return M
+    if not D:  # a point cell: the zero form, whose size mat_mul cannot know
+        E = chart.graph.num_edges
+        return [[Surd(0, 0, 5)] * E for _ in range(E)]
+    return [[-x for x in row] for row in mat_mul(transpose(D), mat_mul(Xinv, D))]
 
 
 def form_on_kernel_basis(chart: CellChart):

@@ -1,14 +1,25 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from ribbonvol.exact import Poly, RationalFunction
+from ribbonvol.exact import (
+    Poly,
+    RationalFunction,
+    SingularMatrixError,
+    kernel_basis,
+    mat_det,
+    right_inverse,
+    rref,
+)
 from ribbonvol.kformula import (
     EPSILON,
     _cell_form,
     _factor_groups,
+    _principal_block_identity,
     cell_density,
+    kernel_normalization,
     kontsevich_form,
     rhs_evaluate,
     rhs_laplace,
@@ -214,3 +225,70 @@ def test_grouping_refuses_a_numerator_other_than_one():
         term = RationalFunction(svars, Fraction(1, 3), num, den)
         with pytest.raises(ValueError, match="numerator"):
             rhs_evaluate(0, 2, point, [(None, 1, term)])
+
+
+def volume_factor_oracle(A):
+    """Oracle for `kernel_normalization`: |det [V | W]| built in full, with
+    W = right_inverse(A) and V = kernel_basis(A)."""
+    A = [[Fraction(x) for x in row] for row in A]
+    V = kernel_basis(A)
+    W = right_inverse(A)
+    return V, abs(mat_det([[v[i] for v in V] + W[i] for i in range(len(A[0]))]))
+
+
+def lex_first_invertible_block(B, size):
+    """Oracle for the block of `_principal_block_identity`: the first S in
+    combinations order whose principal block of B is invertible."""
+    for S in itertools.combinations(range(len(B)), size):
+        if mat_det([[Fraction(B[i][j]) for j in S] for i in S]) != 0:
+            return list(S)
+    return None
+
+
+@pytest.mark.parametrize("g,n,degrees,classes", [
+    (0, 3, None, 4), (1, 1, None, 1), (0, 4, None, 64), (1, 2, None, 9),
+    (2, 1, None, 9), (1, 3, None, 236), (0, 5, None, 2240),
+    (1, 2, [5, 3], 8), (1, 3, [4, 3, 3, 3, 3], 918)])
+def test_volume_factor_equals_the_right_inverse_route(g, n, degrees, classes):
+    found = enumerate_trivalent(g, n) if degrees is None else enumerate_graphs(g, n, degrees)
+    assert len(found) == classes
+    graphs = [graph for graph, _ in found]
+    if (g, n) == (0, 5):
+        graphs = random.Random(5).sample(graphs, 150)
+    for graph in graphs:
+        A = graph.face_edge_matrix()
+        assert kernel_normalization(A) == volume_factor_oracle(A)
+
+
+def test_volume_factor_refuses_rank_deficient_face_matrices():
+    graphs = [graph for graph, _ in enumerate_graphs(0, 4, [4, 4])]
+    assert len(graphs) == 27
+    for graph in graphs:
+        A = graph.face_edge_matrix()
+        with pytest.raises(SingularMatrixError):
+            volume_factor_oracle(A)
+        with pytest.raises(SingularMatrixError):
+            kernel_normalization(A)
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1), (1, 3)])
+def test_rref_pivots_of_B_are_the_lex_first_invertible_block(g, n):
+    dim = 6 * g - 6 + 2 * n
+    for graph, _ in enumerate_trivalent(g, n):
+        B = graph.oriented_adjacency()
+        S = rref([[Fraction(x) for x in row] for row in B])[1]
+        assert S == lex_first_invertible_block(B, dim)
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 2)])
+def test_principal_block_identity_rejects_a_wrong_form(g, n):
+    """Canary: the Bhat^{-1} comparison fails on a scaled or negated G and
+    on a basis one vector short of the rank of B."""
+    for graph, _ in enumerate_trivalent(g, n):
+        form = _cell_form(graph)
+        B = graph.oriented_adjacency()
+        G, V = form.G, form.V
+        assert _principal_block_identity(B, G, V)
+        assert not _principal_block_identity(B, [[2 * x for x in row] for row in G], V)
+        assert not _principal_block_identity(B, [[-x for x in row] for row in G], V)
+        assert not _principal_block_identity(B, [row[:-1] for row in G[:-1]], V[:-1])

@@ -10,6 +10,7 @@ from ribbonvol.ribbon import enumerate_trivalent
 from ribbonvol.wittencycle import (
     CellChart,
     ChartError,
+    asymptotic_form,
     cell_volume_laplace,
     example5_charts,
     form_on_kernel_basis,
@@ -196,6 +197,40 @@ def test_perimeter_chart_is_degenerate(lead):
     assert mat_det(X) == 0
     with pytest.raises(ChartError):
         cell_volume_laplace(bad)
+
+
+def entrywise_asymptotic_form(chart):
+    """Oracle for `asymptotic_form`: -sum_ij [X^-1]_ij D_ia D_jb per entry."""
+    Xinv = mat_inverse(chart.intersection_matrix())
+    D = [c.edge_counts(chart.graph) for c in chart.curves]
+    E = chart.graph.num_edges
+    return [[-sum((Xinv[i][j] * (D[i][a] * D[j][b])
+                   for i in range(len(D)) for j in range(len(D))), Surd(0, 0, 5))
+             for b in range(E)] for a in range(E)]
+
+
+def test_asymptotic_form_equals_entrywise_sum(charts):
+    cs, _ = charts
+    for chart, _ in cs:
+        assert asymptotic_form(chart) == entrywise_asymptotic_form(chart)
+
+
+def test_point_cell_chart_has_the_zero_form():
+    graph = enumerate_trivalent(0, 3)[0][0]
+    chart = CellChart(graph, ())
+    assert asymptotic_form(chart) == [[Surd(0, 0, 5)] * 3 for _ in range(3)]
+    assert asymptotic_form(chart) == entrywise_asymptotic_form(chart)
+
+
+def test_only_a_singular_X_is_reported_as_degenerate(lead, monkeypatch):
+    import ribbonvol.wittencycle as wc
+
+    def broken(X):
+        raise TypeError("not a singular matrix")
+
+    monkeypatch.setattr(wc, "mat_inverse", broken)
+    with pytest.raises(TypeError):
+        asymptotic_form(lead)
 
 
 def _trivalent_standard_chart(graph):
