@@ -26,7 +26,7 @@ from ribbonvol.exact import Surd
 from ribbonvol.multicurve import Multicurve, intersection_matrix
 from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph, face_cycles
 
-S5 = Surd(0, 1, 5)
+S5 = Surd(0, 1)
 X_REF = [
     [Surd(0), S5 - 1, Surd(-2), Surd(-2)],
     [1 - S5, Surd(0), Surd(2), S5 - 1],

@@ -10,6 +10,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -51,13 +52,11 @@ def _poly_latex(p: Poly) -> str:
         mono = "".join(
             (f"{v}" if e == 1 else f"{v}^{{{e}}}")
             for v, e in zip(p.vars, exp) if e)
-        c = Fraction(c) if not hasattr(c, "is_rational") else c
-        frac = c if isinstance(c, Fraction) else c.as_fraction()
-        if frac.denominator == 1:
-            cs = str(frac.numerator)
+        if c.denominator == 1:
+            cs = str(c.numerator)
         else:
-            sign = "-" if frac < 0 else ""
-            cs = f"{sign}\\tfrac{{{abs(frac.numerator)}}}{{{frac.denominator}}}"
+            sign = "-" if c < 0 else ""
+            cs = f"{sign}\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
         if mono and cs == "1":
             cs = ""
         elif mono and cs == "-1":
@@ -67,6 +66,17 @@ def _poly_latex(p: Poly) -> str:
     for piece in pieces[1:]:
         out += f" {piece}" if piece.startswith("-") else f" + {piece}"
     return out
+
+
+def _stable_only(cmd):
+    """Refuse an unstable (g, n) with a usage error instead of running `cmd`."""
+    @functools.wraps(cmd)
+    def checked(args) -> tuple:
+        if not is_stable(args.g, args.n):
+            print(f"error: ({args.g},{args.n}) is unstable", file=sys.stderr)
+            return None, USAGE_ERROR
+        return cmd(args)
+    return checked
 
 
 def cmd_enumerate(args) -> tuple:
@@ -98,10 +108,8 @@ def cmd_enumerate(args) -> tuple:
     return payload, 0
 
 
+@_stable_only
 def cmd_volume(args) -> tuple:
-    if not is_stable(args.g, args.n):
-        print(f"error: ({args.g},{args.n}) is unstable", file=sys.stderr)
-        return None, USAGE_ERROR
     W = kontsevich_volume(args.g, args.n)
     if args.format == "latex":
         return f"W_{{{args.g},{args.n}}} = {_poly_latex(W)}\n", 0
@@ -116,10 +124,8 @@ def cmd_volume(args) -> tuple:
     return payload, 0
 
 
+@_stable_only
 def cmd_psi(args) -> tuple:
-    if not is_stable(args.g, args.n):
-        print(f"error: ({args.g},{args.n}) is unstable", file=sys.stderr)
-        return None, USAGE_ERROR
     table = psi_numbers(args.g, args.n)
     payload = {
         "v": 1,
@@ -132,10 +138,8 @@ def cmd_psi(args) -> tuple:
     return payload, 0
 
 
+@_stable_only
 def cmd_verify_kcf(args) -> tuple:
-    if not is_stable(args.g, args.n):
-        print(f"error: ({args.g},{args.n}) is unstable", file=sys.stderr)
-        return None, USAGE_ERROR
     report = verify_kcf(args.g, args.n, trials=args.trials, seed=args.seed)
     payload = {"v": 1, "command": "verify-kcf", **report}
     if not args.points:
@@ -143,10 +147,8 @@ def cmd_verify_kcf(args) -> tuple:
     return payload, 0 if report["equal"] else VERIFICATION_FAILURE
 
 
+@_stable_only
 def cmd_identities(args) -> tuple:
-    if not is_stable(args.g, args.n):
-        print(f"error: ({args.g},{args.n}) is unstable", file=sys.stderr)
-        return None, USAGE_ERROR
     graphs = enumerate_trivalent(args.g, args.n)
     expected_density = Fraction(2) ** (1 - args.g)
     out = []

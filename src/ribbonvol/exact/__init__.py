@@ -1,11 +1,10 @@
-"""Exact arithmetic kernel: rationals, surds, polynomials, rational functions,
-and dense linear algebra over those fields."""
+"""Exact arithmetic kernel: Q(sqrt(5)) surds, polynomials and rational
+functions over Q, and dense linear algebra over Q and Q(sqrt(5))."""
 
 from .surd import Surd, sqrt5
 from .poly import Poly, poly_integrate
 from .ratfun import (
     RationalFunction,
-    laplace,
     orthant_exponential_integral,
     double_factorial,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "Poly",
     "poly_integrate",
     "RationalFunction",
-    "laplace",
     "orthant_exponential_integral",
     "double_factorial",
     "SingularMatrixError",

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q or Q(sqrt(D)).
+"""Exact dense linear algebra over Q or Q(sqrt(5)).
 
 Matrices are lists of row lists whose entries support exact field
 arithmetic (`Fraction` or `Surd`).  Everything here is plain Gaussian
@@ -29,7 +29,8 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def identity(n, one=Fraction(1), zero=Fraction(0)):
+def identity(n):
+    one, zero = Fraction(1), Fraction(0)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 

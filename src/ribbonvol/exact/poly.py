@@ -1,8 +1,8 @@
-"""Exact multivariate polynomials over Q or Q(sqrt(D)).
+"""Exact multivariate polynomials over Q.
 
 A polynomial stores a variable tuple and a map from exponent tuples to
-nonzero coefficients.  Coefficients are `Fraction` or `Surd`; binary
-operations merge variable sets by name.
+nonzero `Fraction` coefficients; binary operations merge variable sets by
+name.
 """
 
 from __future__ import annotations
@@ -10,19 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 
-from .surd import Surd
-
 __all__ = ["Poly", "poly_integrate"]
 
 
 def _is_zero(c) -> bool:
     return not c
-
-
-def _coeff_json(c):
-    if isinstance(c, Surd):
-        return c.to_json()
-    return str(c)
 
 
 class Poly:
@@ -34,7 +26,7 @@ class Poly:
         if terms:
             for exp, c in terms.items():
                 if not _is_zero(c):
-                    clean[tuple(exp)] = c if isinstance(c, Surd) else Fraction(c)
+                    clean[tuple(exp)] = Fraction(c)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -66,7 +58,7 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Rational, Surd)):
+        if isinstance(other, (int, Rational)):
             other = Poly.const(other, self.vars)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -79,12 +71,6 @@ class Poly:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
 
     def is_homogeneous(self, degree=None) -> bool:
         degs = {sum(e) for e in self.terms}
@@ -130,7 +116,7 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def _wrap(self, other):
-        if isinstance(other, (int, Rational, Surd)):
+        if isinstance(other, (int, Rational)):
             return Poly.const(other, self.vars)
         return other
 
@@ -163,7 +149,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Rational, Surd)):
+        if isinstance(other, (int, Rational)):
             if _is_zero(other):
                 return Poly.zero(self.vars)
             return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
@@ -186,8 +172,6 @@ class Poly:
     def __truediv__(self, other):
         if isinstance(other, (int, Rational)):
             return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, Surd):
-            return self * other.inverse()
         return NotImplemented
 
     def __pow__(self, k: int):
@@ -281,11 +265,7 @@ class Poly:
                 f"{v}^{e}" if e > 1 else v
                 for v, e in zip(self.vars, exp) if e
             )
-            if isinstance(c, Surd) and not c.is_rational:
-                cs = f"({c})"
-            else:
-                cf = c.as_fraction() if isinstance(c, Surd) else c
-                cs = str(cf)
+            cs = str(c)
             if mono:
                 piece = mono if cs == "1" else (f"-{mono}" if cs == "-1" else f"{cs}*{mono}")
             else:
@@ -302,19 +282,9 @@ class Poly:
     def to_json(self):
         return {
             "vars": list(self.vars),
-            "terms": [{"exp": list(e), "coef": _coeff_json(c)}
+            "terms": [{"exp": list(e), "coef": str(c)}
                       for e, c in self._sorted_terms()],
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "Poly":
-        vars = tuple(obj["vars"])
-        terms = {}
-        for t in obj["terms"]:
-            coef = t["coef"]
-            c = Surd.from_json(coef) if isinstance(coef, dict) else Fraction(coef)
-            terms[tuple(t["exp"])] = c
-        return cls(vars, terms)
 
 
 def poly_integrate(p: Poly, name: str, lower, upper) -> Poly:

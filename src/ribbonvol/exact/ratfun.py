@@ -13,9 +13,8 @@ from fractions import Fraction
 from math import gcd
 
 from .poly import Poly
-from .surd import Surd
 
-__all__ = ["RationalFunction", "laplace", "orthant_exponential_integral", "double_factorial"]
+__all__ = ["RationalFunction", "orthant_exponential_integral", "double_factorial"]
 
 
 def double_factorial(n: int) -> int:
@@ -181,7 +180,7 @@ class RationalFunction:
                 den.pop(f, None)
         scalar = self.scalar
         coeffs = list(num.terms.values())
-        if coeffs and all(isinstance(c, Fraction) for c in coeffs):
+        if coeffs:
             num_gcd = 0
             den_lcm = 1
             for c in coeffs:
@@ -213,10 +212,7 @@ class RationalFunction:
 
     def evaluate(self, point: dict) -> Fraction:
         """Exact value at a point (dict var -> Fraction); denominators must not vanish."""
-        val = self.num.evaluate(point)
-        if isinstance(val, Surd):
-            val = val.as_fraction()
-        total = self.scalar * val
+        total = self.scalar * self.num.evaluate(point)
         for f, m in self.den.items():
             if len(f) == 1:
                 fv = point[self.svars[f[0]]]
@@ -260,45 +256,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
-
-    def to_json(self):
-        r = self.reduced()
-        return {
-            "svars": list(r.svars),
-            "scalar": str(r.scalar),
-            "numerator": r.num.to_json(),
-            "denominator": [{"factor": list(f), "power": m}
-                            for f, m in sorted(r.den.items())],
-        }
-
-
-def laplace(p: Poly, svars=None) -> RationalFunction:
-    """Laplace transform sending prod x_k^{m_k} to prod m_k! / s_k^{m_k+1}.
-
-    The polynomial variables map positionally to `svars` (default: x_i -> s_i
-    by rewriting the leading letter to `s`).
-    """
-    n = len(p.vars)
-    if svars is None:
-        svars = tuple("s" + v[1:] if v[1:] else "s" for v in p.vars)
-    svars = tuple(svars)
-    if len(svars) != n:
-        raise ValueError("variable count mismatch")
-    maxexp = [0] * n
-    for e in p.terms:
-        for i, x in enumerate(e):
-            maxexp[i] = max(maxexp[i], x)
-    den = {(i,): maxexp[i] + 1 for i in range(n)}
-    terms = {}
-    for e, c in p.terms.items():
-        fact = 1
-        for x in e:
-            for k in range(2, x + 1):
-                fact *= k
-        exp = tuple(maxexp[i] - e[i] for i in range(n))
-        terms[exp] = terms.get(exp, 0) + c * fact
-    num = Poly(svars, terms)
-    return RationalFunction(svars, 1, num, den).reduced()
 
 
 def orthant_exponential_integral(A, svars) -> RationalFunction:

@@ -1,8 +1,8 @@
-"""Exact arithmetic in the real quadratic field Q(sqrt(D)).
+"""Exact arithmetic in the real quadratic field Q(sqrt(5)).
 
-Elements are `a + b*sqrt(D)` with rational `a`, `b` and a fixed square-free
-positive integer `D` (the pentagon computations need D = 5).  Rationals embed
-as `b = 0`; mixed arithmetic with `int` and `Fraction` promotes automatically.
+Elements are `a + b*sqrt(5)` with rational `a`, `b`; the pentagon chord
+cosines live in this field.  Rationals embed as `b = 0`; mixed arithmetic
+with `int` and `Fraction` promotes automatically.
 """
 
 from __future__ import annotations
@@ -14,35 +14,25 @@ __all__ = ["Surd", "sqrt5"]
 
 
 class Surd:
-    """An element a + b*sqrt(D) of a real quadratic field."""
+    """An element a + b*sqrt(5) of Q(sqrt(5))."""
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a, b=0, D: int = 5):
-        if D <= 0:
-            raise ValueError("D must be a positive integer")
+    D = 5
+
+    def __init__(self, a, b=0):
         self.a = Fraction(a)
         self.b = Fraction(b)
-        self.D = D
 
     # -- helpers ---------------------------------------------------------
 
-    @classmethod
-    def _coerce(cls, x, D: int) -> "Surd":
+    @staticmethod
+    def _coerce(x) -> "Surd":
         if isinstance(x, Surd):
-            if x.b == 0:
-                return cls(x.a, 0, D)
-            if x.D != D:
-                raise ValueError(f"cannot mix sqrt({x.D}) with sqrt({D})")
             return x
         if isinstance(x, (int, Rational)):
-            return cls(x, 0, D)
+            return Surd(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to Surd")
-
-    def _pair(self, other):
-        if isinstance(other, Surd) and self.b == 0 and other.b != 0:
-            return Surd(self.a, 0, other.D), other
-        return self, Surd._coerce(other, self.D)
 
     @property
     def is_rational(self) -> bool:
@@ -57,50 +47,48 @@ class Surd:
 
     def __add__(self, other):
         try:
-            s, o = self._pair(other)
+            o = Surd._coerce(other)
         except TypeError:
             return NotImplemented
-        return Surd(s.a + o.a, s.b + o.b, s.D if s.b != 0 else o.D)
+        return Surd(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.a, -self.b, self.D)
+        return Surd(-self.a, -self.b)
 
     def __sub__(self, other):
         try:
-            s, o = self._pair(other)
+            o = Surd._coerce(other)
         except TypeError:
             return NotImplemented
-        return s + (-o)
+        return Surd(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         try:
-            s, o = self._pair(other)
+            o = Surd._coerce(other)
         except TypeError:
             return NotImplemented
-        D = s.D if s.b != 0 else o.D
-        return Surd(s.a * o.a + D * s.b * o.b, s.a * o.b + s.b * o.a, D)
+        return Surd(self.a * o.a + self.D * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Surd":
+        # sqrt(5) is irrational, so the norm vanishes only at zero
         norm = self.a * self.a - self.D * self.b * self.b
         if norm == 0:
-            if self.a == 0 and self.b == 0:
-                raise ZeroDivisionError("division by zero Surd")
-            raise ZeroDivisionError(f"sqrt({self.D}) is rational?")
-        return Surd(self.a / norm, -self.b / norm, self.D)
+            raise ZeroDivisionError("division by zero Surd")
+        return Surd(self.a / norm, -self.b / norm)
 
     def __truediv__(self, other):
         try:
-            s, o = self._pair(other)
+            o = Surd._coerce(other)
         except TypeError:
             return NotImplemented
-        return s * o.inverse()
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -108,7 +96,7 @@ class Surd:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Surd(1, 0, self.D)
+        out = Surd(1)
         base = self
         while k:
             if k & 1:
@@ -123,8 +111,7 @@ class Surd:
         if isinstance(other, (int, Rational)):
             return self.b == 0 and self.a == other
         if isinstance(other, Surd):
-            s, o = self._pair(other)
-            return s.a == o.a and s.b == o.b
+            return self.a == other.a and self.b == other.b
         return NotImplemented
 
     def __hash__(self):
@@ -136,13 +123,13 @@ class Surd:
         return self.a != 0 or self.b != 0
 
     def _sign(self) -> int:
-        """Exact sign of a + b*sqrt(D)."""
+        """Exact sign of a + b*sqrt(5)."""
         a, b = self.a, self.b
         if b == 0:
             return (a > 0) - (a < 0)
         if a == 0:
             return 1 if b > 0 else -1
-        # compare a with -b*sqrt(D); both sides squared with care for signs
+        # compare a with -b*sqrt(5); both sides squared with care for signs
         if a > 0 and b > 0:
             return 1
         if a < 0 and b < 0:
@@ -154,20 +141,16 @@ class Surd:
         return -1 if lhs > rhs else (1 if lhs < rhs else 0)
 
     def __lt__(self, other):
-        s, o = self._pair(other)
-        return (s - o)._sign() < 0
+        return (self - Surd._coerce(other))._sign() < 0
 
     def __le__(self, other):
-        s, o = self._pair(other)
-        return (s - o)._sign() <= 0
+        return (self - Surd._coerce(other))._sign() <= 0
 
     def __gt__(self, other):
-        s, o = self._pair(other)
-        return (s - o)._sign() > 0
+        return (self - Surd._coerce(other))._sign() > 0
 
     def __ge__(self, other):
-        s, o = self._pair(other)
-        return (s - o)._sign() >= 0
+        return (self - Surd._coerce(other))._sign() >= 0
 
     def __abs__(self):
         return -self if self._sign() < 0 else self
@@ -178,7 +161,7 @@ class Surd:
     # -- formatting ------------------------------------------------------
 
     def __repr__(self):
-        return f"Surd({self.a!r}, {self.b!r}, D={self.D})"
+        return f"Surd({self.a!r}, {self.b!r})"
 
     def __str__(self):
         if self.b == 0:
@@ -201,8 +184,10 @@ class Surd:
     def from_json(cls, obj) -> "Surd":
         if isinstance(obj, str):
             return cls(Fraction(obj))
-        return cls(Fraction(obj["a"]), Fraction(obj["b"]), int(obj["D"]))
+        if int(obj["D"]) != cls.D:
+            raise ValueError(f"only sqrt({cls.D}) is supported, got D = {obj['D']}")
+        return cls(Fraction(obj["a"]), Fraction(obj["b"]))
 
 
 def sqrt5() -> Surd:
-    return Surd(0, 1, 5)
+    return Surd(0, 1)

@@ -118,6 +118,11 @@ class NoCrossingError(ValueError):
     pass
 
 
+def _between(x, lo, hi, n) -> bool:
+    """Whether vertex x is one of lo, lo + 1, ..., hi - 1 (mod n)."""
+    return (x - lo) % n < (hi - lo) % n
+
+
 def chords_cross(c1: IdealPolygonChord, c2: IdealPolygonChord) -> bool:
     """Whether the chords cross in the open disk: endpoints interleave."""
     if c1.d != c2.d:
@@ -126,13 +131,7 @@ def chords_cross(c1: IdealPolygonChord, c2: IdealPolygonChord) -> bool:
     c, d = c2.ends
     if len({a, b, c, d}) < 4:
         return False
-
-    def between(x, lo, hi, n):
-        return (x - lo) % n < (hi - lo) % n
-
-    inside_c = between(c, a, b, c1.d)
-    inside_d = between(d, a, b, c1.d)
-    return inside_c != inside_d
+    return _between(c, a, b, c1.d) != _between(d, a, b, c1.d)
 
 
 def _interleaved(c1: IdealPolygonChord, c2: IdealPolygonChord):
@@ -141,12 +140,7 @@ def _interleaved(c1: IdealPolygonChord, c2: IdealPolygonChord):
         raise NoCrossingError(f"chords {c1.ends} and {c2.ends} do not cross")
     a, b = c1.ends
     c, d = c2.ends
-    n = c1.d
-
-    def between(x, lo, hi):
-        return (x - lo) % n < (hi - lo) % n
-
-    if not between(c, a, b):
+    if not _between(c, a, b, c1.d):
         c, d = d, c
     return a, b, c, d
 
@@ -154,9 +148,9 @@ def _interleaved(c1: IdealPolygonChord, c2: IdealPolygonChord):
 def _cos_table(d: int):
     if d == 5:
         # cos(2 pi k / 5) in Q(sqrt(5))
-        s5 = Surd(0, 1, 5)
+        s5 = Surd(0, 1)
         return {
-            0: Surd(1, 0, 5),
+            0: Surd(1),
             1: (s5 - 1) / 4,
             2: (s5 + 1) / -4,
             3: (s5 + 1) / -4,
@@ -199,4 +193,4 @@ def crossing_cos_exact(c1: IdealPolygonChord, c2: IdealPolygonChord) -> Surd:
         raise ValueError("exact chord angles are implemented for d = 5 only")
     a, b, c, e = _interleaved(c1, c2)
     val = _crossing_cos_from_table(5, a, b, c, e, _cos_table(5))
-    return val if isinstance(val, Surd) else Surd(val, 0, 5)
+    return val if isinstance(val, Surd) else Surd(val)

@@ -299,7 +299,7 @@ def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve, overrides=N
     by (vertex, frozenset of the two position-pair chords) and signed from
     P to Q).
     """
-    total = Surd(0, 0, 5)
+    total = Surd(0)
     overrides = overrides or {}
 
     # shared-path crossings
@@ -347,11 +347,11 @@ def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve, overrides=N
 def intersection_matrix(graph: RibbonGraph, curves, overrides=None):
     """The skew matrix X of limiting crossing cosines for a curve system."""
     m = len(curves)
-    X = [[Surd(0, 0, 5) for _ in range(m)] for _ in range(m)]
+    X = [[Surd(0) for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             val = curve_pair_cos(graph, curves[i], curves[j], overrides)
-            val = val if isinstance(val, Surd) else Surd(val, 0, 5)
+            val = val if isinstance(val, Surd) else Surd(val)
             X[i][j] = val
             X[j][i] = -val
     return X

@@ -230,9 +230,6 @@ class RibbonGraph:
                 out[d] = i
         return tuple(out)
 
-    def label_of_face(self, face_index: int) -> int:
-        return self.face_labels[face_index]
-
     @property
     def genus(self) -> int:
         chi = self.num_vertices - self.num_edges + self.num_faces
@@ -323,9 +320,6 @@ class RibbonGraph:
         the canonical labels.
         """
         return self._canonical[1]
-
-    def is_isomorphic(self, other: "RibbonGraph") -> bool:
-        return self.canonical_form() == other.canonical_form()
 
     # -- serialisation ------------------------------------------------------------
 

@@ -32,7 +32,7 @@ from .exact import (
     transpose,
 )
 from .kformula import kernel_normalization, restrict_form
-from .multicurve import Multicurve, intersection_matrix, limit_differential, limit_length
+from .multicurve import Multicurve, intersection_matrix, limit_differential
 from .ribbon import RibbonGraph, enumerate_graphs
 
 __all__ = [
@@ -84,9 +84,6 @@ class CellChart:
         return intersection_matrix(self.graph, self.curves,
                                    overrides=self._override_map())
 
-    def limit_lengths(self):
-        return [limit_length(self.graph, c) for c in self.curves]
-
     def limit_differentials(self):
         """Reduced differentials of the curve lengths on the cell."""
         return [limit_differential(self.graph, c) for c in self.curves]
@@ -132,7 +129,7 @@ def asymptotic_form(chart: CellChart):
     D = [c.edge_counts(chart.graph) for c in chart.curves]
     if not D:  # a point cell: the zero form, whose size mat_mul cannot know
         E = chart.graph.num_edges
-        return [[Surd(0, 0, 5)] * E for _ in range(E)]
+        return [[Surd(0)] * E for _ in range(E)]
     return [[-x for x in row] for row in mat_mul(transpose(D), mat_mul(Xinv, D))]
 
 
@@ -142,7 +139,7 @@ def form_on_kernel_basis(chart: CellChart):
     A = chart.graph.face_edge_matrix()
     V, volfactor = kernel_normalization(A)
     M = asymptotic_form(chart)
-    G = restrict_form(M, [[Surd(x, 0, 5) for x in v] for v in V])
+    G = restrict_form(M, [[Surd(x) for x in v] for v in V])
     return V, G, volfactor
 
 

@@ -8,14 +8,18 @@ two new boundaries, into one surface of genus g-1 or two surfaces of genus
 g1 + g2 = g over all 2^(n-1) subsets of the other boundaries.  Nothing here
 uses the package's psi-number recursion; the psi numbers are read back off
 the coefficients, <psi^a> = [L^{2a+1}] W_{g,n} * 2^{3g-3+n} * prod(a_k!).
+
+`laplace` is the term-by-term Laplace transform of a polynomial, the second
+derivation of `ribbonvol.volumes.lhs_laplace` (which is built from the psi
+numbers directly).
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
-from ribbonvol.exact import Poly, poly_integrate
+from ribbonvol.exact import Poly, RationalFunction, poly_integrate
 from ribbonvol.volumes import base_case, is_stable
 
 
@@ -92,3 +96,24 @@ def psi_numbers(g, n):
             c *= factorial(a)
         out[alpha] = c * Fraction(2) ** d
     return out
+
+
+def laplace(p, svars=None):
+    """Laplace transform sending prod x_k^{m_k} to prod m_k! / s_k^{m_k+1}.
+
+    The polynomial variables map positionally to `svars` (default: x_i -> s_i
+    by rewriting the leading letter to `s`).
+    """
+    n = len(p.vars)
+    if svars is None:
+        svars = tuple("s" + v[1:] if v[1:] else "s" for v in p.vars)
+    svars = tuple(svars)
+    if len(svars) != n:
+        raise ValueError("variable count mismatch")
+    maxexp = [max((e[i] for e in p.terms), default=0) for i in range(n)]
+    den = {(i,): maxexp[i] + 1 for i in range(n)}
+    terms = {}
+    for e, c in p.terms.items():
+        exp = tuple(maxexp[i] - e[i] for i in range(n))
+        terms[exp] = terms.get(exp, 0) + c * prod(factorial(x) for x in e)
+    return RationalFunction(svars, 1, Poly(svars, terms), den).reduced()

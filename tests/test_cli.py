@@ -61,9 +61,13 @@ def test_volume_latex(run):
     assert out.strip() == "W_{0,3} = L1L2L3"
 
 
-def test_volume_unstable_is_usage_error(run):
-    code, out = run("volume", "--g", "0", "--n", "2")
-    assert code == 2
+def test_volume_unstable_is_usage_error(capsys):
+    for argv in (["volume"], ["psi"], ["verify-kcf", "--seed", "0"], ["identities"]):
+        code = main(argv + ["--g", "0", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err == "error: (0,2) is unstable\n"
 
 
 def test_enumerate_counts(run):

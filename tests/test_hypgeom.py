@@ -94,10 +94,10 @@ def test_crossing_detection():
 
 def test_pentagon_crossing_exact():
     val = crossing_cos_exact(IdealPolygonChord(5, (0, 2)), IdealPolygonChord(5, (1, 3)))
-    assert val == Surd(-2, 1, 5)
+    assert val == Surd(-2, 1)
     assert float(val) == pytest.approx(math.sqrt(5) - 2, abs=1e-12)
     other = crossing_cos_exact(IdealPolygonChord(5, (0, 2)), IdealPolygonChord(5, (1, 4)))
-    assert other in (Surd(-2, 1, 5), Surd(2, -1, 5))
+    assert other in (Surd(-2, 1), Surd(2, -1))
 
 
 def test_square_diameters_perpendicular():
@@ -109,7 +109,7 @@ def test_rotation_invariance_and_antisymmetry():
     for off in range(5):
         a = IdealPolygonChord(5, ((0 + off) % 5, (2 + off) % 5))
         b = IdealPolygonChord(5, ((1 + off) % 5, (3 + off) % 5))
-        assert abs(crossing_cos_exact(a, b)) == Surd(-2, 1, 5)
+        assert abs(crossing_cos_exact(a, b)) == Surd(-2, 1)
         assert crossing_cos_exact(a, b) == -crossing_cos_exact(b, a)
 
 

@@ -193,11 +193,34 @@ def test_grouped_graph_side_equals_per_term_sum(g, n):
         assert rhs_evaluate(g, n, point, terms) == per_term_sum(point, terms)
 
 
-@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2), (2, 1), (0, 4), (1, 3)])
 def test_grouped_graph_side_equals_closed_form(g, n):
     closed = rhs_laplace(g, n)
     for point in sample_points(n, 4, seed=5 * n + g):
         assert rhs_evaluate(g, n, point) == closed.evaluate(point)
+
+
+def pairwise_sum(terms, n):
+    """The graph terms added one at a time, each sum reduced (oracle)."""
+    total = RationalFunction.zero(tuple(f"s{i}" for i in range(1, n + 1)))
+    for _, _, term in terms:
+        total = total + term
+    return total.reduced()
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2), (2, 1), (0, 4)])
+def test_closed_form_equals_pairwise_sum(g, n):
+    closed = rhs_laplace(g, n)
+    oracle = pairwise_sum(rhs_terms(g, n), n)
+    assert str(closed) == str(oracle)
+    assert closed.canonical_key() == oracle.canonical_key()
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 2), (2, 1), (1, 3), (2, 2)])
+def test_combinatorial_formula_holds_as_an_identity(g, n):
+    """The two sides are equal as reduced rational functions: an exact proof
+    of the formula for these types, not a check at sample points."""
+    assert rhs_laplace(g, n) == lhs_laplace(g, n)
 
 
 def test_corrupted_aut_in_a_merged_group_is_detected():

@@ -242,5 +242,5 @@ def test_transversal_crossing_needs_exact_angle_or_override():
         curve_pair_cos(graph, P, Q)
     key = (v7, frozenset((frozenset((pos[l1[0]], pos[l1[1]])),
                           frozenset((pos[l2[0]], pos[l2[1]])))))
-    val = curve_pair_cos(graph, P, Q, overrides={key: Surd(Fraction(1, 3), 0, 5)})
+    val = curve_pair_cos(graph, P, Q, overrides={key: Surd(Fraction(1, 3))})
     assert val == Fraction(1, 3)

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_volumes import laplace
 from ribbonvol.exact import (
     Poly,
     RationalFunction,
-    laplace,
     orthant_exponential_integral,
 )
 

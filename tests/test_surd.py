@@ -14,7 +14,7 @@ def rational(max_num=50):
 
 
 def surds():
-    return st.builds(Surd, rational(), rational(), st.just(5))
+    return st.builds(Surd, rational(), rational())
 
 
 def test_basic_values():
@@ -49,11 +49,10 @@ def test_ordering_is_exact():
     assert abs(2 - r5) == r5 - 2
 
 
-def test_mixing_distinct_roots_rejected():
+def test_from_json_rejects_other_roots():
+    assert Surd.from_json({"a": "-2", "b": "1", "D": 5}) == sqrt5() - 2
     with pytest.raises(ValueError):
-        Surd(0, 1, 5) + Surd(0, 1, 2)
-    # rational elements mix freely whatever their declared root
-    assert Surd(1, 0, 2) + Surd(1, 0, 5) == 2
+        Surd.from_json({"a": "0", "b": "1", "D": 2})
 
 
 @settings(max_examples=100)

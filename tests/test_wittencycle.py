@@ -18,7 +18,7 @@ from ribbonvol.wittencycle import (
     witten_cycle_intersections,
 )
 
-S5 = Surd(0, 1, 5)
+S5 = Surd(0, 1)
 
 # reference crossing matrix of the documented lead cell, rows C1..C4
 X_REF = [
@@ -108,7 +108,7 @@ def test_lead_reduced_form_is_single_wedge(lead):
     for i, u in enumerate(V):
         for j, v in enumerate(V):
             wedge = u[e2] * v[e3] - u[e3] * v[e2]
-            assert G[i][j] == Surd(wedge, 0, 5)
+            assert G[i][j] == Surd(wedge)
 
 
 def test_lead_laplace_term(lead):
@@ -179,12 +179,12 @@ def test_angle_overrides_take_precedence(lead):
     g = lead.graph
     v5 = next(v for v, cyc in enumerate(g.vertices) if len(cyc) == 5)
     X0 = lead.intersection_matrix()
-    ov = (v5, ((0, 2), (1, 3)), Surd(-2, 1, 5))
+    ov = (v5, ((0, 2), (1, 3)), Surd(-2, 1))
     chart = CellChart(g, lead.curves, (ov,))
     back = CellChart.from_json(chart.to_json())
     assert back.angle_overrides == chart.angle_overrides
     assert chart.intersection_matrix() == X0
-    wrong = CellChart(g, lead.curves, ((v5, ((0, 2), (1, 3)), Surd(0, 0, 5)),))
+    wrong = CellChart(g, lead.curves, ((v5, ((0, 2), (1, 3)), Surd(0)),))
     assert wrong.intersection_matrix() != X0
 
 
@@ -205,7 +205,7 @@ def entrywise_asymptotic_form(chart):
     D = [c.edge_counts(chart.graph) for c in chart.curves]
     E = chart.graph.num_edges
     return [[-sum((Xinv[i][j] * (D[i][a] * D[j][b])
-                   for i in range(len(D)) for j in range(len(D))), Surd(0, 0, 5))
+                   for i in range(len(D)) for j in range(len(D))), Surd(0))
              for b in range(E)] for a in range(E)]
 
 
@@ -218,7 +218,7 @@ def test_asymptotic_form_equals_entrywise_sum(charts):
 def test_point_cell_chart_has_the_zero_form():
     graph = enumerate_trivalent(0, 3)[0][0]
     chart = CellChart(graph, ())
-    assert asymptotic_form(chart) == [[Surd(0, 0, 5)] * 3 for _ in range(3)]
+    assert asymptotic_form(chart) == [[Surd(0)] * 3 for _ in range(3)]
     assert asymptotic_form(chart) == entrywise_asymptotic_form(chart)
 
 
