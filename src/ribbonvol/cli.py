@@ -85,15 +85,6 @@ def cmd_enumerate(args) -> tuple:
     for graph, aut in enumerate_graphs(args.g, args.n, degrees):
         rows.append({"graph": graph.to_json(), "aut": aut,
                      "genus": graph.genus, "faces": graph.num_faces})
-    payload = {
-        "v": 1,
-        "command": "enumerate",
-        "g": args.g,
-        "n": args.n,
-        "degrees": sorted(degrees, reverse=True),
-        "count": len(rows),
-        "classes": rows,
-    }
     if args.format == "csv":
         lines = ["index,aut,half_edges,s0,s1,face_labels"]
         for i, row in enumerate(rows):
@@ -105,6 +96,15 @@ def cmd_enumerate(args) -> tuple:
                 " ".join(map(str, gj["face_labels"])),
             ]))
         return "\n".join(lines) + "\n", 0
+    payload = {
+        "v": 1,
+        "command": "enumerate",
+        "g": args.g,
+        "n": args.n,
+        "degrees": sorted(degrees, reverse=True),
+        "count": len(rows),
+        "classes": rows,
+    }
     return payload, 0
 
 
@@ -159,7 +159,7 @@ def cmd_identities(args) -> tuple:
         rho = form.density()
         ok = rep["ok"] and rho == expected_density
         all_ok &= ok
-        out.append({"graph": graph.to_json(), "aut": aut, "checks": rep["checks"],
+        out.append({"graph": rep["graph"], "aut": aut, "checks": rep["checks"],
                     "density": str(rho), "ok": ok})
     payload = {
         "v": 1,

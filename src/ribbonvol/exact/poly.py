@@ -13,10 +13,6 @@ from numbers import Rational
 __all__ = ["Poly", "poly_integrate"]
 
 
-def _is_zero(c) -> bool:
-    return not c
-
-
 class Poly:
     __slots__ = ("vars", "terms")
 
@@ -25,7 +21,7 @@ class Poly:
         clean = {}
         if terms:
             for exp, c in terms.items():
-                if not _is_zero(c):
+                if c:
                     clean[tuple(exp)] = Fraction(c)
         self.terms = clean
 
@@ -72,20 +68,6 @@ class Poly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self, degree=None) -> bool:
-        degs = {sum(e) for e in self.terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
-
-    def coefficient(self, exp) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
-    def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
-
     # -- variable bookkeeping ----------------------------------------------
 
     def with_vars(self, vars) -> "Poly":
@@ -128,7 +110,7 @@ class Poly:
         terms = dict(a.terms)
         for exp, c in b.terms.items():
             acc = terms.get(exp, 0) + c
-            if _is_zero(acc):
+            if not acc:
                 terms.pop(exp, None)
             else:
                 terms[exp] = acc
@@ -150,7 +132,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Rational)):
-            if _is_zero(other):
+            if not other:
                 return Poly.zero(self.vars)
             return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Poly):
@@ -161,7 +143,7 @@ class Poly:
             for e2, c2 in b.terms.items():
                 exp = tuple(x + y for x, y in zip(e1, e2))
                 acc = terms.get(exp, 0) + c1 * c2
-                if _is_zero(acc):
+                if not acc:
                     terms.pop(exp, None)
                 else:
                     terms[exp] = acc
@@ -207,14 +189,6 @@ class Poly:
             out = out + mono * powers[exp[i]]
         return out
 
-    def rename(self, mapping: dict) -> "Poly":
-        vars = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(vars)) != len(vars):
-            raise ValueError("variable rename collides")
-        order = tuple(sorted(range(len(vars)), key=lambda i: vars[i]))
-        terms = {tuple(e[i] for i in order): c for e, c in self.terms.items()}
-        return Poly(tuple(vars[i] for i in order), terms)
-
     def evaluate(self, point: dict):
         """Exact evaluation; `point` must cover every used variable."""
         total = 0
@@ -225,18 +199,6 @@ class Poly:
                     val = val * point[v] ** e
             total = val + total
         return total
-
-    def permute_vars(self, perm: dict) -> "Poly":
-        """Permute variables by name; `perm` maps old name -> new name."""
-        vars = self.vars
-        idx = {v: i for i, v in enumerate(vars)}
-        terms = {}
-        for exp, c in self.terms.items():
-            new = [0] * len(vars)
-            for v, e in zip(vars, exp):
-                new[idx[perm.get(v, v)]] = e
-            terms[tuple(new)] = c
-        return Poly(vars, terms)
 
     # -- calculus ------------------------------------------------------------
 

@@ -93,19 +93,7 @@ class Surd:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Surd(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- comparisons -----------------------------------------------------
+    # -- equality and conversion -----------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Rational)):
@@ -121,39 +109,6 @@ class Surd:
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
-
-    def _sign(self) -> int:
-        """Exact sign of a + b*sqrt(5)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        # compare a with -b*sqrt(5); both sides squared with care for signs
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs = a * a
-        rhs = self.D * b * b
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
-
-    def __lt__(self, other):
-        return (self - Surd._coerce(other))._sign() < 0
-
-    def __le__(self, other):
-        return (self - Surd._coerce(other))._sign() <= 0
-
-    def __gt__(self, other):
-        return (self - Surd._coerce(other))._sign() > 0
-
-    def __ge__(self, other):
-        return (self - Surd._coerce(other))._sign() >= 0
-
-    def __abs__(self):
-        return -self if self._sign() < 0 else self
 
     def __float__(self):
         return float(self.a) + float(self.b) * float(self.D) ** 0.5

@@ -145,31 +145,33 @@ def _interleaved(c1: IdealPolygonChord, c2: IdealPolygonChord):
     return a, b, c, d
 
 
-def _cos_table(d: int):
+# cos(2 pi k / 5) in Q(sqrt(5)), k = 0..4
+_PENTAGON_COS = (
+    Surd(1),
+    (Surd(0, 1) - 1) / 4,
+    (Surd(0, 1) + 1) / -4,
+    (Surd(0, 1) + 1) / -4,
+    (Surd(0, 1) - 1) / 4,
+)
+
+
+def _root_cos(d: int):
+    """k -> cos(2 pi k / d) for any integer k: exact for d = 5, else a float
+    computed on demand, so the cost does not grow with d."""
     if d == 5:
-        # cos(2 pi k / 5) in Q(sqrt(5))
-        s5 = Surd(0, 1)
-        return {
-            0: Surd(1),
-            1: (s5 - 1) / 4,
-            2: (s5 + 1) / -4,
-            3: (s5 + 1) / -4,
-            4: (s5 - 1) / 4,
-        }
-    return {k: math.cos(2.0 * math.pi * k / d) for k in range(d)}
+        return lambda k: _PENTAGON_COS[k % 5]
+    return lambda k: math.cos(2.0 * math.pi * (k % d) / d)
 
 
-def _crossing_cos_from_table(d, a, b, c, e, cos):
+def _crossing_cos_from(a, b, c, e, C):
     """cos of the anticlockwise angle from chord (a,b) to chord (c,e),
-    endpoints interleaved as (a, c, b, e); works over floats or surds.
+    endpoints interleaved as (a, c, b, e), with C(k) = cos(2 pi k / d);
+    works over floats or surds.
 
     Geodesics joining ideal points are planes in the projective model; the
     angle comes from the Minkowski product of their normals, with
     sin(x) sin(y) expanded into cosines so everything stays in the field.
     """
-    def C(k):
-        return cos[k % d]
-
     # Q(u_ab, u_ce) with u the Minkowski normal of the chord's plane
     sinprod = (C((b - a) - (e - c)) - C((b - a) + (e - c))) * Fraction(1, 2)
     q = -sinprod + C(a - c) - C(a - e) - C(b - c) + C(b - e)
@@ -183,7 +185,7 @@ def crossing_cos(c1: IdealPolygonChord, c2: IdealPolygonChord) -> float:
     Antisymmetric under swapping the chords; double precision.
     """
     a, b, c, e = _interleaved(c1, c2)
-    val = _crossing_cos_from_table(c1.d, a, b, c, e, _cos_table(c1.d))
+    val = _crossing_cos_from(a, b, c, e, _root_cos(c1.d))
     return float(val)
 
 
@@ -192,5 +194,4 @@ def crossing_cos_exact(c1: IdealPolygonChord, c2: IdealPolygonChord) -> Surd:
     if c1.d != 5 or c2.d != 5:
         raise ValueError("exact chord angles are implemented for d = 5 only")
     a, b, c, e = _interleaved(c1, c2)
-    val = _crossing_cos_from_table(5, a, b, c, e, _cos_table(5))
-    return val if isinstance(val, Surd) else Surd(val)
+    return _crossing_cos_from(a, b, c, e, _root_cos(5))

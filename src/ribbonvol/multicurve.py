@@ -290,17 +290,14 @@ def _run_contribution(graph, gamma, delta, run, opposite: bool):
     return 0
 
 
-def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve, overrides=None):
+def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve):
     """Sum of cos of the limiting anticlockwise angles from P to Q.
 
     Shared maximal edge paths contribute 0 or +-1; chord crossings at
-    vertices of degree >= 4 contribute the ideal polygon cosines (exact
-    surds for degree 5; other degrees need an entry in `overrides`, keyed
-    by (vertex, frozenset of the two position-pair chords) and signed from
-    P to Q).
+    degree-5 vertices contribute the exact ideal pentagon cosines.  A chord
+    crossing at a vertex of any other degree raises `UnresolvableCrossing`.
     """
     total = Surd(0)
-    overrides = overrides or {}
 
     # shared-path crossings
     for gamma in P.components:
@@ -331,26 +328,21 @@ def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve, overrides=N
             ch2 = IdealPolygonChord(deg, (pos[in2], pos[out2]))
             if not chords_cross(ch1, ch2):
                 continue
-            key = (v1, frozenset((frozenset(ch1.ends), frozenset(ch2.ends))))
-            if key in overrides:
-                total = total + overrides[key]
-            elif deg == 5:
-                total = total + crossing_cos_exact(ch1, ch2)
-            else:
+            if deg != 5:
                 raise UnresolvableCrossing(
-                    f"no exact angle for a degree-{deg} crossing at vertex "
-                    f"{v1}; supply an angle override")
+                    f"no exact angle for a degree-{deg} crossing at vertex {v1}")
+            total = total + crossing_cos_exact(ch1, ch2)
 
     return total.as_fraction() if total.is_rational else total
 
 
-def intersection_matrix(graph: RibbonGraph, curves, overrides=None):
+def intersection_matrix(graph: RibbonGraph, curves):
     """The skew matrix X of limiting crossing cosines for a curve system."""
     m = len(curves)
     X = [[Surd(0) for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            val = curve_pair_cos(graph, curves[i], curves[j], overrides)
+            val = curve_pair_cos(graph, curves[i], curves[j])
             val = val if isinstance(val, Surd) else Surd(val)
             X[i][j] = val
             X[j][i] = -val

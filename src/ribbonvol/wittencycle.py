@@ -32,7 +32,7 @@ from .exact import (
     transpose,
 )
 from .kformula import kernel_normalization, restrict_form
-from .multicurve import Multicurve, intersection_matrix, limit_differential
+from .multicurve import Multicurve, intersection_matrix
 from .ribbon import RibbonGraph, enumerate_graphs
 
 __all__ = [
@@ -55,15 +55,12 @@ class ChartError(ValueError):
 class CellChart:
     """A ribbon graph with a multicurve coordinate system on its cell.
 
-    `angle_overrides` optionally pins the crossing cosine of specific chord
-    pairs at a vertex, keyed by (vertex, frozenset of the two position
-    pairs); it takes precedence over the ideal polygon computation, which
-    covers vertices where no exact value is available natively.
+    Transversal crossings must lie at degree-5 vertices, where the chord
+    angles of the ideal pentagon are exact in Q(sqrt(5)).
     """
 
     graph: RibbonGraph
     curves: tuple
-    angle_overrides: tuple = ()
 
     def __post_init__(self):
         expected = 6 * self.graph.genus - 6 + 2 * self.graph.num_faces
@@ -73,44 +70,21 @@ class CellChart:
         for c in self.curves:
             c.validate(self.graph)
 
-    def _override_map(self):
-        out = {}
-        for vertex, pair, cos in self.angle_overrides:
-            chords = frozenset(frozenset(ch) for ch in pair)
-            out[(vertex, chords)] = cos
-        return out
-
     def intersection_matrix(self):
-        return intersection_matrix(self.graph, self.curves,
-                                   overrides=self._override_map())
-
-    def limit_differentials(self):
-        """Reduced differentials of the curve lengths on the cell."""
-        return [limit_differential(self.graph, c) for c in self.curves]
+        return intersection_matrix(self.graph, self.curves)
 
     def to_json(self):
-        out = {
+        return {
             "graph": self.graph.to_json(),
             "curves": [c.to_signed_edges(self.graph) for c in self.curves],
         }
-        if self.angle_overrides:
-            out["angle_overrides"] = [
-                {"vertex": v, "pair": [sorted(ch) for ch in sorted(map(sorted, pair))],
-                 "cos": cos.to_json()}
-                for v, pair, cos in self.angle_overrides]
-        return out
 
     @classmethod
     def from_json(cls, obj) -> "CellChart":
         graph = RibbonGraph.from_json(obj["graph"])
         curves = tuple(Multicurve.from_signed_edges(graph, comp)
                        for comp in obj["curves"])
-        overrides = tuple(
-            (entry["vertex"],
-             tuple(tuple(ch) for ch in entry["pair"]),
-             Surd.from_json(entry["cos"]))
-            for entry in obj.get("angle_overrides", ()))
-        return cls(graph, curves, overrides)
+        return cls(graph, curves)
 
 
 def asymptotic_form(chart: CellChart):
@@ -139,7 +113,7 @@ def form_on_kernel_basis(chart: CellChart):
     A = chart.graph.face_edge_matrix()
     V, volfactor = kernel_normalization(A)
     M = asymptotic_form(chart)
-    G = restrict_form(M, [[Surd(x) for x in v] for v in V])
+    G = restrict_form(M, V)
     return V, G, volfactor
 
 

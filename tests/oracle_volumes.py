@@ -32,7 +32,8 @@ def _W(g, n, names):
     if 2 - 2 * g - n >= 0:
         return Poly.zero(())  # unstable: identically zero inside the recursion
     W = kontsevich_volume(g, n)
-    return W.rename({_L(i + 1): names[i] for i in range(n)})
+    assert W.vars == tuple(_L(i + 1) for i in range(n))
+    return Poly(tuple(names), W.terms).with_vars(tuple(sorted(names)))
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +92,7 @@ def psi_numbers(g, n):
     for alpha in itertools.product(range(d + 1), repeat=n):
         if sum(alpha) != d:
             continue
-        c = W.coefficient(tuple(2 * a + 1 for a in alpha))
+        c = W.terms.get(tuple(2 * a + 1 for a in alpha), Fraction(0))
         for a in alpha:
             c *= factorial(a)
         out[alpha] = c * Fraction(2) ** d

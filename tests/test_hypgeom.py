@@ -1,8 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
+from ribbonvol import hypgeom
 from ribbonvol.exact import Surd
 from ribbonvol.hypgeom import (
     IdealPolygonChord,
@@ -109,7 +111,7 @@ def test_rotation_invariance_and_antisymmetry():
     for off in range(5):
         a = IdealPolygonChord(5, ((0 + off) % 5, (2 + off) % 5))
         b = IdealPolygonChord(5, ((1 + off) % 5, (3 + off) % 5))
-        assert abs(crossing_cos_exact(a, b)) == Surd(-2, 1)
+        assert crossing_cos_exact(a, b) in (Surd(-2, 1), Surd(2, -1))
         assert crossing_cos_exact(a, b) == -crossing_cos_exact(b, a)
 
 
@@ -176,3 +178,38 @@ def test_against_disk_model_oracle():
                     continue
                 assert crossing_cos(c1, c2) == pytest.approx(
                     _disk_model_cos(d, ch1, ch2), abs=1e-11)
+
+
+def _table_crossing_cos(c1, c2):
+    """The former route, kept as an oracle: a d-entry cosine table, read
+    modulo d."""
+    d = c1.d
+    if d == 5:
+        table = {k: hypgeom._PENTAGON_COS[k] for k in range(5)}
+    else:
+        table = {k: math.cos(2.0 * math.pi * k / d) for k in range(d)}
+    a, b, c, e = hypgeom._interleaved(c1, c2)
+    return float(hypgeom._crossing_cos_from(a, b, c, e, lambda k: table[k % d]))
+
+
+def test_on_demand_cosines_equal_the_table_route():
+    for d in range(3, 13):
+        for ch1 in itertools.combinations(range(d), 2):
+            for ch2 in itertools.combinations(range(d), 2):
+                c1, c2 = IdealPolygonChord(d, ch1), IdealPolygonChord(d, ch2)
+                if chords_cross(c1, c2):
+                    assert crossing_cos(c1, c2) == _table_crossing_cos(c1, c2)
+
+
+def test_crossing_cos_memory_does_not_grow_with_degree():
+    d = 10**6
+    c1 = IdealPolygonChord(d, (0, d // 2))
+    c2 = IdealPolygonChord(d, (d // 4, 3 * d // 4))
+    tracemalloc.start()
+    try:
+        val = crossing_cos(c1, c2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert val == pytest.approx(0.0, abs=1e-9)  # perpendicular diameters
+    assert peak < 1_000_000

@@ -212,9 +212,8 @@ def test_pairing_ignores_walk_presentation(seed):
 
 
 def test_transversal_crossing_needs_exact_angle_or_override():
-    """Two interleaved loops at a degree-7 vertex raise without an angle
-    override and take the supplied value with one."""
-    from ribbonvol.exact import Surd
+    """Two interleaved loops at a degree-7 vertex have no exact crossing
+    angle, so their crossing cosine raises."""
     from ribbonvol.multicurve import UnresolvableCrossing
 
     def interleave(a, b, c, d, n):
@@ -230,17 +229,13 @@ def test_transversal_crossing_needs_exact_angle_or_override():
                  if graph.vertex_of[a] == graph.vertex_of[b] == v7]
         for (a1, b1), (a2, b2) in itertools.combinations(loops, 2):
             if interleave(pos[a1], pos[b1], pos[a2], pos[b2], 7):
-                target = (graph, v7, pos, (a1, b1), (a2, b2))
+                target = (graph, a1, a2)
                 break
         if target:
             break
     assert target is not None
-    graph, v7, pos, l1, l2 = target
-    P = Multicurve(((l1[0],),)).validate(graph)
-    Q = Multicurve(((l2[0],),)).validate(graph)
+    graph, a1, a2 = target
+    P = Multicurve(((a1,),)).validate(graph)
+    Q = Multicurve(((a2,),)).validate(graph)
     with pytest.raises(UnresolvableCrossing):
         curve_pair_cos(graph, P, Q)
-    key = (v7, frozenset((frozenset((pos[l1[0]], pos[l1[1]])),
-                          frozenset((pos[l2[0]], pos[l2[1]])))))
-    val = curve_pair_cos(graph, P, Q, overrides={key: Surd(Fraction(1, 3))})
-    assert val == Fraction(1, 3)
