@@ -18,6 +18,8 @@ from .linalg import (
     mat_det,
     mat_inverse,
     rref,
+    bareiss,
+    bareiss_kernel,
     kernel_basis,
     right_inverse,
     pfaffian,
@@ -40,6 +42,8 @@ __all__ = [
     "mat_det",
     "mat_inverse",
     "rref",
+    "bareiss",
+    "bareiss_kernel",
     "kernel_basis",
     "right_inverse",
     "pfaffian",

@@ -1,13 +1,15 @@
-"""Exact dense linear algebra over Q or Q(sqrt(5)).
+"""Exact dense linear algebra over Q or Q(sqrt(5)), and over Z.
 
 Matrices are lists of row lists whose entries support exact field
 arithmetic (`Fraction` or `Surd`).  Everything here is plain Gaussian
 elimination; the sizes in this package never exceed a few dozen.
+`bareiss` is the fraction-free elimination for integer matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "SingularMatrixError",
@@ -19,6 +21,8 @@ __all__ = [
     "mat_det",
     "mat_inverse",
     "rref",
+    "bareiss",
+    "bareiss_kernel",
     "kernel_basis",
     "right_inverse",
     "pfaffian",
@@ -125,15 +129,69 @@ def mat_inverse(A):
     return [row[n:] for row in R]
 
 
+def bareiss(A):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix A.
+
+    Returns (R, pivots, det): R = det * rref(A)[0] in integers, the pivot
+    columns of `rref`, and det = det A[P, pivots], P the pivot rows in
+    their original order (1 if A has rank 0).  Each step scales every row
+    by the new pivot and divides exactly by the previous one (Bareiss,
+    Math. Comp. 22, 1968), so every entry stays a minor of A.
+    """
+    M = [list(row) for row in A]
+    n = len(M)
+    m = len(M[0]) if n else 0
+    rows = list(range(n))
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(m):
+        pr = next((i for i in range(r, n) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p, top = M[r][c], M[r]
+        for i in range(n):
+            f = M[i][c]  # a row with f == 0 is only rescaled by p / prev
+            if i != r and (f or p != prev):
+                M[i] = [(p * a - f * b) // prev for a, b in zip(M[i], top)]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    # prev is the determinant with the pivot rows in elimination order
+    used = rows[:r]
+    swaps = sum(a > b for k, a in enumerate(used) for b in used[k + 1:])
+    if swaps % 2:
+        prev = -prev
+        M = [[-x for x in row] for row in M]
+    return M, pivots, prev
+
+
+def bareiss_kernel(R, pivots, det):
+    """(W, d) from a `bareiss` result with R nonempty: W = d * kernel_basis(A)
+    in integers, d > 0 the lcm of the denominators of kernel_basis(A)."""
+    free = [c for c in range(len(R[0])) if c not in pivots]
+    # kernel_basis has -R[r][fc] / det at pivot column pivots[r]
+    g = gcd(det, *(R[r][fc] for r in range(len(pivots)) for fc in free))
+    d, unit = abs(det) // g, (g if det > 0 else -g)
+    W = []
+    for fc in free:
+        w = [0] * len(R[0])
+        w[fc] = d
+        for r, pc in enumerate(pivots):
+            w[pc] = -R[r][fc] // unit
+        W.append(w)
+    return W, d
+
+
 def kernel_basis(A):
     """Basis of the right kernel, one vector per free column, in column order."""
     if not A:
         return []
-    return _rref_kernel(*rref(A))
-
-
-def _rref_kernel(R, pivots):
-    """`kernel_basis` read off an `rref` result (R, pivots) with R nonempty."""
+    R, pivots = rref(A)
     m = len(R[0])
     free = [c for c in range(m) if c not in pivots]
     basis = []
@@ -167,7 +225,8 @@ def pfaffian(A):
     """Pfaffian of an even-dimensional skew-symmetric matrix.
 
     Expansion along the first row with memoisation on index subsets; exact
-    over any field, fine for the sizes used here (<= 12).
+    over Z (integer entries give an int) or any field, fine for the sizes
+    used here (<= 12).
     """
     n = len(A)
     if n % 2:
@@ -180,7 +239,7 @@ def pfaffian(A):
 
     def pf(idx):
         if not idx:
-            return Fraction(1)
+            return 1
         if idx in cache:
             return cache[idx]
         i = idx[0]

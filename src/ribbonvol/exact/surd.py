@@ -110,6 +110,9 @@ class Surd:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
+    def __int__(self):
+        return int(self.as_fraction())
+
     def __float__(self):
         return float(self.a) + float(self.b) * float(self.D) ** 0.5
 

@@ -20,16 +20,13 @@ from .exact import (
     Poly,
     RationalFunction,
     SingularMatrixError,
-    mat_det,
-    mat_inverse,
+    bareiss,
+    bareiss_kernel,
     mat_mul,
-    mat_rank,
     mat_vec,
     orthant_exponential_integral,
     pfaffian,
-    rref,
 )
-from .exact.linalg import _rref_kernel
 from .ribbon import RibbonGraph, UnsupportedGraph, enumerate_trivalent
 from .volumes import is_stable, lhs_laplace
 
@@ -82,21 +79,22 @@ def kontsevich_form(graph: RibbonGraph, distinguished=None):
 
 
 def kernel_normalization(A):
-    """Basis V of ker A, as `kernel_basis` gives it, plus |det [V | W]|.
+    """Integer basis W = d * V of ker A, d, and |det [V | W']| for integer A.
 
-    W is any right inverse of A.  The factor converts the basis volume into
-    the quotient (fibre) Lebesgue measure lambda on {A e = x}: de_1...de_E
-    = lambda tensor dx exactly when [V | W] has unit determinant.  It equals
-    1/|det A_P|, P the pivot columns of A's RREF: take W = A_P^{-1} on the
-    pivot rows and 0 elsewhere, order the rows free first, and [V | W] is
-    [I 0; X A_P^{-1}].  Raises SingularMatrixError if rank A < len(A).
+    V is the basis `kernel_basis` gives, and d > 0 the lcm of its
+    denominators.  W' is any right inverse of A.  The factor converts the
+    basis volume of V into the quotient (fibre) Lebesgue measure lambda on
+    {A e = x}: de_1...de_E = lambda tensor dx exactly when [V | W'] has unit
+    determinant.  It equals 1/|det A_P|, P the pivot columns of A's RREF:
+    take W' = A_P^{-1} on the pivot rows and 0 elsewhere, order the rows
+    free first, and [V | W'] is [I 0; X A_P^{-1}].  One `bareiss` pass
+    gives P, det A_P and W.  Raises SingularMatrixError if rank A < len(A).
     """
-    A = [[Fraction(x) for x in row] for row in A]
-    R, pivots = rref(A)
+    R, pivots, det = bareiss(A)
     if len(pivots) != len(A):
         raise SingularMatrixError("matrix does not have full row rank")
-    A_P = [[row[c] for c in pivots] for row in A]
-    return _rref_kernel(R, pivots), 1 / abs(mat_det(A_P))
+    W, d = bareiss_kernel(R, pivots, det)
+    return W, d, Fraction(1, abs(det))
 
 
 def restrict_form(M, V):
@@ -105,29 +103,31 @@ def restrict_form(M, V):
     return [[sum(a * b for a, b in zip(u, Mv)) for Mv in images] for u in V]
 
 
-def _quarter_form(K, V):
-    """The quarter-K form on the basis V: V^T (K/4) V."""
-    return restrict_form([[Fraction(x, 4) for x in row] for row in K], V)
-
-
 class _CellForm(NamedTuple):
-    """K, a basis V of ker A, its volume factor, and G = V^T (K/4) V."""
+    """K, an integer basis V of ker A, its scale d, the volume factor, and
+    G = V^T K V in integers.
+
+    V is d times the basis `kernel_basis` gives, so the quarter-K form on
+    that basis is G / (4 d^2).
+    """
 
     K: list
     V: list
+    d: int
     volfactor: Fraction
     G: list
 
     def density(self) -> Fraction:
-        return abs(pfaffian(self.G)) / self.volfactor
+        scale = (4 * self.d * self.d) ** (len(self.G) // 2)
+        return Fraction(abs(pfaffian(self.G)), scale) / self.volfactor
 
 
 def _cell_form(graph: RibbonGraph) -> _CellForm:
-    """The quarter-K form restricted to ker A, shared by the identities and
-    the density so that one cell builds K, ker A and G only once."""
+    """The K form restricted to ker A, shared by the identities and the
+    density so that one cell builds K, ker A and G only once."""
     K = kontsevich_form(graph)
-    V, volfactor = kernel_normalization(graph.face_edge_matrix())
-    return _CellForm(K, V, volfactor, _quarter_form(K, V))
+    V, d, volfactor = kernel_normalization(graph.face_edge_matrix())
+    return _CellForm(K, V, d, volfactor, restrict_form(K, V))
 
 
 def cell_density(graph: RibbonGraph) -> Fraction:
@@ -160,6 +160,9 @@ def verify_form_identities(graph: RibbonGraph, form: _CellForm | None = None) ->
     factor is 4, not 8: with the literal side-ordering rule for K the cell
     density comes out 2^(1-g), forced by the combinatorial formula, which
     pins the quarter-K form at half the limiting Weil-Petersson form.
+
+    Every check runs in integers on the integer basis V of the form; each
+    is unchanged by scaling the basis, so it says the same of ker A.
     """
     if not graph.is_trivalent:
         raise UnsupportedGraph("form identities are about trivalent cells")
@@ -189,14 +192,14 @@ def verify_form_identities(graph: RibbonGraph, form: _CellForm | None = None) ->
     report["checks"]["BK_minus_eps4I_kills_kerA"] = c2
     ok &= c2
 
-    c3 = mat_rank(G) == dim
+    c3 = len(bareiss(G)[1]) == dim
     report["checks"]["quarterK_nondegenerate_on_kerA"] = c3
     ok &= c3
 
     # distinguished-side independence of the restriction
     faces = graph._faces
     alt = [len(c) // 2 for c in faces]
-    c4 = G == _quarter_form(kontsevich_form(graph, alt), V)
+    c4 = G == restrict_form(kontsevich_form(graph, alt), V)
     report["checks"]["distinguished_side_independent_on_kerA"] = c4
     ok &= c4
 
@@ -209,21 +212,27 @@ def verify_form_identities(graph: RibbonGraph, form: _CellForm | None = None) ->
 
 
 def _principal_block_identity(B, G, V):
-    """G == eps * V_S^T Bhat^{-1} V_S, Bhat = B[S, S], S the pivots of B's RREF.
+    """G == eps * 4 * V_S^T Bhat^{-1} V_S for G = V^T K V on a basis V of
+    ker A, Bhat = B[S, S], S the pivot columns of B's RREF.
 
+    Both sides scale by c^2 when V does by c, and G / 4 is the quarter-K
+    form.  The comparison runs in integers: `bareiss` of [Bhat | I] gives
+    D [I | Bhat^{-1}], so D * G must equal eps * 4 * V_S^T (D Bhat^{-1}) V_S.
     S indexes a column basis, so B = B[:, S] C with C[:, S] = I, and skew
     symmetry gives B = C^T Bhat C: Bhat is invertible.  The invertible
     principal blocks of size rank B are exactly the column bases, and the
     greedy one, S, is the lexicographically first.  False if rank B !=
     len(V), which no trivalent graph gives: both are 6g - 6 + 2n.
     """
-    B = [[Fraction(x) for x in row] for row in B]
-    S = rref(B)[1]
-    if len(S) != len(V):
+    S = bareiss(B)[1]
+    k = len(S)
+    if k != len(V):
         return False
-    Binv = mat_inverse([[B[i][j] for j in S] for i in S])
-    return G == restrict_form([[EPSILON * x for x in row] for row in Binv],
-                              [[v[k] for k in S] for v in V])
+    R, _, D = bareiss([[B[i][j] for j in S] + [int(t == r) for t in range(k)]
+                       for r, i in enumerate(S)])
+    adj = [[EPSILON * 4 * x for x in row[k:]] for row in R]
+    return [[D * x for x in row] for row in G] == restrict_form(
+        adj, [[v[i] for i in S] for v in V])
 
 
 # -- the combinatorial formula ------------------------------------------------

@@ -333,7 +333,7 @@ def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve):
                     f"no exact angle for a degree-{deg} crossing at vertex {v1}")
             total = total + crossing_cos_exact(ch1, ch2)
 
-    return total.as_fraction() if total.is_rational else total
+    return total
 
 
 def intersection_matrix(graph: RibbonGraph, curves):
@@ -343,7 +343,6 @@ def intersection_matrix(graph: RibbonGraph, curves):
     for i in range(m):
         for j in range(i + 1, m):
             val = curve_pair_cos(graph, curves[i], curves[j])
-            val = val if isinstance(val, Surd) else Surd(val)
             X[i][j] = val
             X[j][i] = -val
     return X

@@ -111,7 +111,8 @@ def form_on_kernel_basis(chart: CellChart):
     """(V, G, volfactor): kernel basis of A, the Gram matrix of Omega on it,
     and the basis-to-Lebesgue conversion factor."""
     A = chart.graph.face_edge_matrix()
-    V, volfactor = kernel_normalization(A)
+    W, d, volfactor = kernel_normalization(A)
+    V = [[Fraction(x, d) for x in w] for w in W]
     M = asymptotic_form(chart)
     G = restrict_form(M, V)
     return V, G, volfactor

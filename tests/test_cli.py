@@ -151,6 +151,8 @@ FORMULA_DIGESTS = [
      "72ade1cdb53af3523c4bc365cb5cbdb0c5ecd338d32a354e9789249bb974cc4b"),
     (["verify-kcf", "--g", "0", "--n", "5", "--trials", "30", "--seed", "2", "--points"],
      "0979c1b4b0ca7f71a7f51b6002b5bdc131306cc79824acb5f18348cfbb9e964e"),
+    (["identities", "--g", "1", "--n", "3"],
+     "09cc7867e942d52ac47e41e5c758a51b6757eedae2df208f11ef88e510f3228a"),
 ]
 
 

@@ -8,6 +8,7 @@ from ribbonvol.exact import (
     Poly,
     RationalFunction,
     SingularMatrixError,
+    bareiss,
     kernel_basis,
     mat_det,
     right_inverse,
@@ -29,6 +30,8 @@ from ribbonvol.kformula import (
 )
 from ribbonvol.ribbon import UnsupportedGraph, enumerate_graphs, enumerate_trivalent
 from ribbonvol.volumes import lhs_laplace
+
+import oracle_cells
 
 SMALL_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2)]
 
@@ -280,7 +283,9 @@ def test_volume_factor_equals_the_right_inverse_route(g, n, degrees, classes):
         graphs = random.Random(5).sample(graphs, 150)
     for graph in graphs:
         A = graph.face_edge_matrix()
-        assert kernel_normalization(A) == volume_factor_oracle(A)
+        W, d, volfactor = kernel_normalization(A)
+        V = [[Fraction(x, d) for x in w] for w in W]
+        assert (V, volfactor) == volume_factor_oracle(A)
 
 
 def test_volume_factor_refuses_rank_deficient_face_matrices():
@@ -290,6 +295,8 @@ def test_volume_factor_refuses_rank_deficient_face_matrices():
         A = graph.face_edge_matrix()
         with pytest.raises(SingularMatrixError):
             volume_factor_oracle(A)
+        with pytest.raises(SingularMatrixError):
+            oracle_cells.kernel_normalization(A)
         with pytest.raises(SingularMatrixError):
             kernel_normalization(A)
 
@@ -301,6 +308,7 @@ def test_rref_pivots_of_B_are_the_lex_first_invertible_block(g, n):
         B = graph.oriented_adjacency()
         S = rref([[Fraction(x) for x in row] for row in B])[1]
         assert S == lex_first_invertible_block(B, dim)
+        assert bareiss(B)[1] == S
 
 
 @pytest.mark.parametrize("g,n", [(0, 4), (1, 2)])

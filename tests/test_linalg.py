@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonvol.exact import (
     SingularMatrixError,
     Surd,
+    bareiss,
+    bareiss_kernel,
     identity,
     kernel_basis,
     mat_det,
@@ -14,6 +19,7 @@ from ribbonvol.exact import (
     mat_rank,
     pfaffian,
     right_inverse,
+    rref,
     sqrt5,
 )
 
@@ -95,3 +101,55 @@ def test_pfaffian_squares_to_determinant(n, seed):
             x = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
             M[i][j], M[j][i] = x, -x
     assert pfaffian(M) ** 2 == mat_det(M)
+
+
+@st.composite
+def int_matrices(draw):
+    """Small integer matrices; about half are products X Y through an inner
+    dimension k below both sides, hence of rank at most k."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entries = st.integers(-4, 4)
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        return matrix(n, m)
+    k = draw(st.integers(0, min(n, m) - 1))
+    X, Y = matrix(n, k), matrix(k, m)
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] if k else [0] * m
+            for row in X]
+
+
+@settings(max_examples=300)
+@given(int_matrices())
+def test_bareiss_equals_the_fraction_route(A):
+    """One fraction-free pass gives the pivots, rank and scaled RREF of
+    `rref`, the determinant of `mat_det`, and `kernel_basis` up to d."""
+    AQ = [[Fraction(x) for x in row] for row in A]
+    R, pivots = rref(AQ)
+    RI, pivots_i, det = bareiss(A)
+    assert pivots_i == pivots
+    assert len(pivots) == mat_rank(AQ)
+    assert RI == [[det * x for x in row] for row in R]
+    assert all(type(x) is int for row in RI for x in row)
+    if len(A) == len(A[0]):
+        assert mat_det(AQ) == (det if len(pivots) == len(A) else 0)
+    if len(pivots) == len(A):
+        assert det == mat_det([[row[c] for c in pivots] for row in AQ])
+    W, d = bareiss_kernel(RI, pivots, det)
+    V = kernel_basis(AQ)
+    assert [[Fraction(x, d) for x in w] for w in W] == V
+    assert d == lcm(1, *(x.denominator for v in V for x in v))
+    assert all(type(x) is int for w in W for x in w)
+
+
+def test_bareiss_determinant_sign_and_fractional_kernel():
+    assert bareiss([[0, 1], [1, 0]])[2] == -1
+    assert bareiss([[0, 2, 1], [3, 0, 0], [0, 0, 0]])[2] == -6
+    # kernel_basis([[2, 1, 1]]) is (-1/2, 1, 0), (-1/2, 0, 1): d = 2
+    elim = bareiss([[2, 1, 1]])
+    assert elim == ([[2, 1, 1]], [0], 2)
+    assert bareiss_kernel(*elim) == ([[-1, 2, 0], [-1, 0, 2]], 2)
+    assert bareiss_kernel(*bareiss([[0, 0], [0, 0]])) == ([[1, 0], [0, 1]], 1)
