@@ -174,12 +174,9 @@ def main():
     ]:
         expected.append(RationalFunction.from_factors(svars, scalar, factors).canonical_key())
 
-    got = []
-    total = RationalFunction.zero(svars)
-    for chart, aut in charts:
-        term = cell_volume_laplace(chart) * Fraction(1, aut)
-        got.append(term.canonical_key())
-        total = total + term
+    terms = [cell_volume_laplace(chart) * Fraction(1, aut) for chart, aut in charts]
+    got = [term.canonical_key() for term in terms]
+    total = RationalFunction.sum(terms)
     assert sorted(got) == sorted(expected), "per-cell terms do not match the expected multiset"
     target = (RationalFunction.from_factors(svars, Fraction(1, 2), [(0,), (1,), (1,), (1,)])
               + RationalFunction.from_factors(svars, Fraction(1, 2), [(0,), (0,), (0,), (1,)]))

@@ -273,8 +273,12 @@ def main(argv=None) -> int:
         return code
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=1) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return USAGE_ERROR
     else:
         sys.stdout.write(text)
     return code

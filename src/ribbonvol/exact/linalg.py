@@ -1,8 +1,9 @@
 """Exact dense linear algebra over Q or Q(sqrt(5)), and over Z.
 
 Matrices are lists of row lists whose entries support exact field
-arithmetic (`Fraction` or `Surd`).  Everything here is plain Gaussian
-elimination; the sizes in this package never exceed a few dozen.
+arithmetic (`Fraction` or `Surd`).  One Gauss-Jordan elimination serves
+rank, determinant, inverse and kernel; the sizes in this package never
+exceed a few dozen.
 `bareiss` is the fraction-free elimination for integer matrices.
 """
 
@@ -67,20 +68,25 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def rref(A):
-    """Reduced row echelon form of a copy of A; returns (R, pivot_cols).
-    The pivots are the lexicographically first basis of A's column space."""
+def _gauss_jordan(A):
+    """The one Gauss-Jordan elimination over a field: (R, pivot_cols, det)
+    with (R, pivot_cols) as `rref` returns them and det the signed product
+    of the pivots, the determinant of A when A is square and nonsingular."""
     M = [list(row) for row in A]
     n = len(M)
     m = len(M[0]) if n else 0
     pivots = []
+    det = Fraction(1)
     r = 0
     for c in range(m):
         pr = next((i for i in range(r, n) if M[i][c]), None)
         if pr is None:
             continue
-        M[r], M[pr] = M[pr], M[r]
+        if pr != r:
+            M[r], M[pr] = M[pr], M[r]
+            det = -det
         inv = M[r][c]
+        det = det * inv
         M[r] = [x / inv for x in M[r]]
         for i in range(n):
             if i != r and M[i][c]:
@@ -90,7 +96,14 @@ def rref(A):
         r += 1
         if r == n:
             break
-    return M, pivots
+    return M, pivots, det
+
+
+def rref(A):
+    """Reduced row echelon form of a copy of A; returns (R, pivot_cols).
+    The pivots are the lexicographically first basis of A's column space."""
+    R, pivots, _ = _gauss_jordan(A)
+    return R, pivots
 
 
 def mat_rank(A) -> int:
@@ -100,24 +113,12 @@ def mat_rank(A) -> int:
 
 
 def mat_det(A):
-    n = len(A)
-    M = [list(row) for row in A]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if M[i][c]), None)
-        if pr is None:
-            return det * 0
-        if pr != c:
-            M[c], M[pr] = M[pr], M[c]
-            det = -det
-        det = det * M[c][c]
-        inv = M[c][c]
-        M[c] = [x / inv for x in M[c]]
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return det
+    """Determinant of the square matrix A, the pivot product of its
+    elimination (0 when A is singular)."""
+    if any(len(row) != len(A) for row in A):
+        raise ValueError("determinant of a non-square matrix")
+    _, pivots, det = _gauss_jordan(A)
+    return det if len(pivots) == len(A) else det * 0
 
 
 def mat_inverse(A):

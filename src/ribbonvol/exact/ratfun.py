@@ -3,14 +3,17 @@
 This is the closed form produced by Laplace transforms of piecewise
 polynomial volumes: a scalar, a polynomial numerator, and a multiset of
 linear denominator factors drawn from {s_k} and {s_i + s_j, i < j}.
-Keeping the denominator factored avoids expansion blowup; sums reduce by
-exact division against the factor list.
+Keeping the denominator factored avoids expansion blowup; a sum of any
+number of terms (`RationalFunction.sum`) is taken once over the common
+denominator and reduced by exact division against the factor list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import mul
 
 from .poly import Poly
 
@@ -118,6 +121,45 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.scalar == 0 or self.num.is_zero()
 
+    @staticmethod
+    def sum(terms) -> "RationalFunction":
+        """The reduced sum of `terms`, added once over a common denominator.
+
+        Terms with equal denominators are merged first.  The common
+        denominator is prod_f f^(M_f), M_f the largest exponent of the
+        factor f in any term; each merged numerator is raised to it by the
+        powers f^k, k <= M_f, computed once per factor, and the one sum is
+        then reduced.  The variables are those of the first term, so an
+        empty `terms` raises ValueError.
+        """
+        terms = list(terms)
+        if not terms:
+            raise ValueError("a sum of no rational functions has no variables")
+        svars = terms[0].svars
+        groups = {}
+        for t in terms:
+            if not t.is_zero():
+                key = tuple(sorted(t.den.items()))
+                groups[key] = groups.get(key, 0) + t.num * t.scalar
+        highest = {}
+        for key in groups:
+            for f, m in key:
+                highest[f] = max(highest.get(f, 0), m)
+        # the monomials s_k first: a product grows least multiplied by them
+        order = sorted(highest, key=lambda f: (len(f), f))
+        # powers[f][k - 1] = f^k
+        powers = {f: list(accumulate([_factor_poly(f, svars)] * highest[f], mul))
+                  for f in order}
+        num = Poly.zero(svars)
+        for key, part in groups.items():
+            den = dict(key)
+            for f in order:
+                e = highest[f] - den.get(f, 0)
+                if e:
+                    part = part * powers[f][e - 1]
+            num = num + part
+        return RationalFunction(svars, 1, num, highest).reduced()
+
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other):
@@ -139,24 +181,7 @@ class RationalFunction:
     def __add__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lcm = dict(self.den)
-        for f, m in other.den.items():
-            lcm[f] = max(lcm.get(f, 0), m)
-        a = self.num * self.scalar
-        b = other.num * other.scalar
-        for f, m in lcm.items():
-            fa = m - self.den.get(f, 0)
-            fb = m - other.den.get(f, 0)
-            fp = _factor_poly(f, self.svars)
-            if fa:
-                a = a * fp**fa
-            if fb:
-                b = b * fp**fb
-        return RationalFunction(self.svars, 1, a + b, lcm).reduced()
+        return RationalFunction.sum((self, other))
 
     def __sub__(self, other):
         return self + (-other)

@@ -17,7 +17,6 @@ from math import lcm, prod
 from typing import NamedTuple
 
 from .exact import (
-    Poly,
     RationalFunction,
     SingularMatrixError,
     bareiss,
@@ -251,12 +250,6 @@ def rhs_terms(g: int, n: int):
     return out
 
 
-def _factor_order(n: int):
-    """The denominator factors s_1..s_n, then s_i + s_j for i < j, as index
-    tuples: the coordinates of a group's exponent vector."""
-    return [(i,) for i in range(n)] + list(itertools.combinations(range(n), 2))
-
-
 def _factor_groups(terms, n: int):
     """Merge (graph, aut, term) triples with equal denominators.
 
@@ -266,7 +259,8 @@ def _factor_groups(terms, n: int):
     Fraction coefficient).  Every term of `rhs_terms` has the constant
     numerator 1; any other numerator raises ValueError.
     """
-    index = {f: k for k, f in enumerate(_factor_order(n))}
+    factors = [(i,) for i in range(n)] + list(itertools.combinations(range(n), 2))
+    index = {f: k for k, f in enumerate(factors)}
     one = {(0,) * n: 1}
     groups = {}
     for _, _, term in terms:
@@ -321,29 +315,12 @@ def rhs_evaluate(g: int, n: int, point: dict, terms=None) -> Fraction:
 def rhs_laplace(g: int, n: int) -> RationalFunction:
     """The graph sum combined into a single reduced rational function.
 
-    The graph terms are merged by factor multiset (`_factor_groups`) and
-    added once over the common denominator prod_f f^(M_f), where M_f is
-    the largest exponent of the factor f in any group; the one sum is then
-    reduced.  (1,3) and (2,2) take about a second; (0,5) is out of reach
-    (unfinished after 300 s), so use `rhs_evaluate` for pointwise work on
-    larger types.
+    The graph terms are added once over their common denominator by
+    `RationalFunction.sum`.  (1,3) and (2,2) take about a second; (0,5) is
+    out of reach (unfinished after 300 s), so use `rhs_evaluate` for
+    pointwise work on larger types.
     """
-    groups = _factor_groups(rhs_terms(g, n), n)
-    svars = tuple(f"s{i}" for i in range(1, n + 1))
-    factors = _factor_order(n)
-    s = [Poly.variable(v, svars) for v in svars]
-    linear = [s[f[0]] if len(f) == 1 else s[f[0]] + s[f[1]] for f in factors]
-    highest = [max(col) for col in zip(*(exps for exps, _ in groups))]
-    powers = [[p ** k for k in range(M + 1)] for p, M in zip(linear, highest)]
-    num = Poly.zero(svars)
-    for exps, c in groups:
-        term = Poly.const(c, svars)
-        for pw, e, M in zip(powers, exps, highest):
-            if e < M:
-                term = term * pw[M - e]
-        num = num + term
-    den = {f: M for f, M in zip(factors, highest) if M}
-    return RationalFunction(svars, 1, num, den).reduced()
+    return RationalFunction.sum(term for _, _, term in rhs_terms(g, n))
 
 
 def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:

@@ -122,12 +122,6 @@ def _bfs_relabel(s0, s1, root, bound=None):
     return pair, new
 
 
-def _face_order(faces, new):
-    """Face indices in the order of their minimal dart under the map `new`."""
-    return [i for _, i in sorted((min(new[d] for d in cyc), i)
-                                 for i, cyc in enumerate(faces))]
-
-
 @dataclass(frozen=True)
 class RibbonGraph:
     s0: tuple
@@ -284,22 +278,13 @@ class RibbonGraph:
         """The least labelled encoding `(s0', s1', labels)` over all roots and
         the number of roots that reach it.
 
-        A root's labels only matter once its pair ties the best pair so far,
-        so each BFS is bounded by that pair and losing roots stop early.
+        Only roots that reach the unlabelled canonical pair can win, and
+        their face orders list the labels of its faces.
         """
-        best_pair = best_labels = None
-        count = 0
-        for root in range(self.num_darts):
-            res = _bfs_relabel(self.s0, self.s1, root, best_pair)
-            if res is None:
-                continue
-            pair, new = res
-            labels = tuple(self.face_labels[i] for i in _face_order(self._faces, new))
-            if best_pair is None or (pair, labels) < (best_pair, best_labels):
-                best_pair, best_labels, count = pair, labels, 1
-            elif labels == best_labels:  # the bound leaves pair == best_pair
-                count += 1
-        return best_pair + (best_labels,), count
+        pair = _canonical_pair(self.s0, self.s1)
+        orders = _face_orders(self.s0, self.s1, pair)
+        labels, count = _least_image(self.face_labels, orders)
+        return pair + (labels,), count
 
     def canonical_form(self):
         return self._canonical[0]
@@ -315,7 +300,7 @@ class RibbonGraph:
         of a transitive action is semiregular), so the count equals the
         number of roots realising the canonical encoding.  Roots whose
         unlabelled pair already loses are dropped by the bounded BFS.
-        `enumerate_graphs` counts the same roots without building the graph:
+        `enumerate_graphs` counts the same roots on the canonical pair:
         among the map's automorphisms, those whose face permutation fixes
         the canonical labels.
         """
@@ -415,30 +400,34 @@ def _canonical_pair(s0, s1):
     return best
 
 
-def _labelled_classes(pair, n):
-    """Canonical face labels and |Aut| of every labelled class over the
-    canonical unlabelled pair `pair`, as `{labels: aut_order}`.
-
-    The automorphisms of the map are the roots whose BFS encoding is `pair`
-    itself (root 0 is one).  Each of them permutes the faces; the labelled
-    encoding from such a root lists the labels in that face order, and every
-    other root loses already on the pair.  So the canonical labels of a
-    labelling are the least of its images under these face orders, and the
-    labelled |Aut| is the number of roots that reach that least image.
-    """
-    faces = face_cycles(*pair)
+def _face_orders(s0, s1, pair):
+    """For every root whose BFS encoding of (s0, s1) is `pair`, the face
+    indices in the order of their minimal dart under its dart map.  On
+    `pair` itself these roots are its automorphisms (root 0 is one), each
+    permuting the faces."""
+    faces = face_cycles(s0, s1)
     orders = []
-    for root in range(len(pair[0])):
-        res = _bfs_relabel(*pair, root, pair)
+    for root in range(len(s0)):
+        res = _bfs_relabel(s0, s1, root, pair)
         if res is not None:
-            orders.append(_face_order(faces, res[1]))
-    classes = {}
-    for labels in itertools.permutations(range(1, n + 1)):
-        images = [tuple(labels[i] for i in order) for order in orders]
-        least = min(images)
-        if least not in classes:
-            classes[least] = images.count(least)
-    return classes
+            new = res[1]
+            orders.append([i for _, i in sorted((min(new[d] for d in cyc), i)
+                                                for i, cyc in enumerate(faces))])
+    return orders
+
+
+def _least_image(labels, orders):
+    """The least of the face labellings `labels` listed in each of the face
+    orders `orders`, and the number of orders that give it.
+
+    The labelled encoding from a root that reaches the canonical pair lists
+    the labels in that root's face order, and every other root loses
+    already on the pair; so the least image is the canonical labelling and
+    its count is the labelled |Aut|.
+    """
+    images = [tuple(labels[i] for i in order) for order in orders]
+    least = min(images)
+    return least, images.count(least)
 
 
 def enumerate_graphs(g: int, n: int, degrees) -> list:
@@ -450,9 +439,10 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
 
     Each unlabelled map is found by the pairing search and canonicalised
     once, by bounded BFS encodings.  Its labelled classes are then the
-    orbits of its automorphism group on the n! face labellings
-    (`_labelled_classes`), which costs tuple operations only; a
-    `RibbonGraph` is built, and validated, for the returned classes alone.
+    orbits of its automorphism group on the n! face labellings (the least
+    image of each under the automorphisms' face orders, `_least_image`),
+    which costs tuple operations only; a `RibbonGraph` is built, and
+    validated, for the returned classes alone.
     """
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(d < 3 for d in degrees):
@@ -471,7 +461,9 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
 
     out = []
     for pair in sorted(unlabeled):
-        classes = _labelled_classes(pair, n)
+        orders = _face_orders(*pair, pair)
+        classes = dict(_least_image(labels, orders)
+                       for labels in itertools.permutations(range(1, n + 1)))
         for labels in sorted(classes):
             out.append((RibbonGraph(*pair, labels), classes[labels]))
     return out

@@ -148,13 +148,8 @@ def witten_cycle_intersections(charts, codim_pairs: int) -> dict:
     g, n = first.genus, first.num_faces
     dprime = 3 * g - 3 + n - codim_pairs
     svars = tuple(f"s{i}" for i in range(1, n + 1))
-    total = RationalFunction.zero(svars)
-    terms = []
-    for chart, aut in charts:
-        t = cell_volume_laplace(chart) * Fraction(1, aut)
-        terms.append(t)
-        total = total + t
-    total = total.reduced()
+    terms = [cell_volume_laplace(chart) * Fraction(1, aut) for chart, aut in charts]
+    total = RationalFunction.sum(terms)
     scaled = (total * Fraction(2) ** dprime).reduced()
     # scaled must be a pure co-monomial sum: numerator over prod s_k^{m_k}
     for f in scaled.den:

@@ -5,13 +5,20 @@ consecutive slot blocks), iterates over every fixed-point-free involution
 s1 and every face labelling, and partitions the survivors into orbits of
 the full relabelling group by explicit conjugation.  Nothing here is shared
 with the package's enumeration path beyond elementary permutation algebra,
-except in `labelled_classes`, which checks only the labelling step.
+except in `canonical_form` and `labelled_classes`, which share the BFS
+encoding and check only the labelling step.
 """
 
 import itertools
 from math import factorial
 
-from ribbonvol.ribbon import RibbonGraph, _canonical_pair, _search_pairings, face_cycles
+from ribbonvol.ribbon import (
+    RibbonGraph,
+    _bfs_relabel,
+    _canonical_pair,
+    _search_pairings,
+    face_cycles,
+)
 
 
 def perm_cycles(p):
@@ -157,15 +164,40 @@ def total_labelled_structures(g, n, degrees):
     return n_s0 * len(structs)
 
 
+def canonical_form(graph):
+    """The least labelled encoding `(s0', s1', labels)` of `graph` over all
+    roots and the number of roots that reach it, in one fused pass.
+
+    Each root's BFS is bounded by the best pair so far, so losing roots stop
+    early; a root's face labels are compared once its pair ties the best.
+    The package reaches the same answer in two passes (the unlabelled
+    canonical pair, then the face orders of the roots that reach it).
+    """
+    faces = faces_of(graph.s0, graph.s1)
+    best_pair = best_labels = None
+    count = 0
+    for root in range(graph.num_darts):
+        res = _bfs_relabel(graph.s0, graph.s1, root, best_pair)
+        if res is None:
+            continue
+        pair, new = res
+        order = sorted(range(len(faces)), key=lambda i: min(new[d] for d in faces[i]))
+        labels = tuple(graph.face_labels[i] for i in order)
+        if best_pair is None or (pair, labels) < (best_pair, best_labels):
+            best_pair, best_labels, count = pair, labels, 1
+        elif labels == best_labels:  # the bound leaves pair == best_pair
+            count += 1
+    return best_pair + (best_labels,), count
+
+
 def labelled_classes(g, n, degrees):
     """Labelled classes with |Aut|, one canonical form per labelling.
 
     Takes the package's unlabelled maps (pairing search and canonical pair)
     and builds a `RibbonGraph` for each of the n! face labellings of each
-    map; its `canonical_form()` names the class and its
-    `automorphism_group_order()` gives |Aut|.  Returns the same
-    `[(graph, aut_order), ...]` list as `enumerate_graphs`, without its
-    orbit computation.
+    map; the fused `canonical_form` names its class and gives |Aut|.
+    Returns the same `[(graph, aut_order), ...]` list as `enumerate_graphs`,
+    without its orbit computation.
     """
     degrees = sorted(degrees, reverse=True)
     s0, pairings = _search_pairings(degrees)
@@ -177,8 +209,6 @@ def labelled_classes(g, n, degrees):
     classes = {}
     for s0k, s1k in sorted(unlabeled):
         for labels in itertools.permutations(range(1, n + 1)):
-            graph = RibbonGraph(s0k, s1k, labels)
-            key = graph.canonical_form()
-            if key not in classes:
-                classes[key] = graph.automorphism_group_order()
+            key, aut = canonical_form(RibbonGraph(s0k, s1k, labels))
+            classes.setdefault(key, aut)
     return [(RibbonGraph(*key), classes[key]) for key in sorted(classes)]

@@ -106,13 +106,14 @@ def test_criterion_4_matrix_identities(capsys):
     for g, n in KCF_TYPES:
         for graph, _ in enumerate_trivalent(g, n):
             E = graph.num_edges
-            B = [[Fraction(x) for x in row] for row in graph.oriented_adjacency()]
+            BI, AI = graph.oriented_adjacency(), graph.face_edge_matrix()
+            B = [[Fraction(x) for x in row] for row in BI]
             ok &= mat_rank(B) == 6 * g - 6 + 2 * n
-            A = [[Fraction(x) for x in row] for row in graph.face_edge_matrix()]
-            # ker B = im A^T: B kills every row of A, and the ranks leave
-            # no room for anything else (dim ker B = E - (6g-6+2n) = n)
-            ok &= all(all(x == 0 for x in mat_vec(B, row)) for row in A)
-            ok &= mat_rank(A) == n
+            # ker B = im A^T: B kills every row of A (exactly, in integers),
+            # and the ranks leave no room for anything else
+            # (dim ker B = E - (6g-6+2n) = n)
+            ok &= all(all(x == 0 for x in mat_vec(BI, row)) for row in AI)
+            ok &= mat_rank([[Fraction(x) for x in row] for row in AI]) == n
             form = _cell_form(graph)
             rep = verify_form_identities(graph, form)
             ok &= rep["ok"] and rep["epsilon"] == EPSILON

@@ -247,6 +247,14 @@ def test_out_file(tmp_path, run):
     assert json.loads(dest.read_text())["W_str"] == "L1*L2*L3"
 
 
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    # a directory cannot be opened for writing
+    code = main(["psi", "--g", "1", "--n", "1", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 def test_help_and_bad_usage_exit_codes(run):
     code, _ = run("--help")
     assert code == 0

@@ -32,6 +32,7 @@ from ribbonvol.ribbon import UnsupportedGraph, enumerate_graphs, enumerate_triva
 from ribbonvol.volumes import lhs_laplace
 
 import oracle_cells
+import oracle_ratfun
 
 SMALL_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2)]
 
@@ -207,7 +208,7 @@ def pairwise_sum(terms, n):
     """The graph terms added one at a time, each sum reduced (oracle)."""
     total = RationalFunction.zero(tuple(f"s{i}" for i in range(1, n + 1)))
     for _, _, term in terms:
-        total = total + term
+        total = oracle_ratfun.pairwise_add(total, term)
     return total.reduced()
 
 

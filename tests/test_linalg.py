@@ -153,3 +153,66 @@ def test_bareiss_determinant_sign_and_fractional_kernel():
     assert elim == ([[2, 1, 1]], [0], 2)
     assert bareiss_kernel(*elim) == ([[-1, 2, 0], [-1, 0, 2]], 2)
     assert bareiss_kernel(*bareiss([[0, 0], [0, 0]])) == ([[1, 0], [0, 1]], 1)
+
+
+def forward_elimination_det(A):
+    """The determinant by forward elimination alone, with the pivot choice
+    and row swaps of `rref` (oracle for `mat_det`)."""
+    n = len(A)
+    M = [list(row) for row in A]
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if M[i][c]), None)
+        if pr is None:
+            return det * 0
+        if pr != c:
+            M[c], M[pr] = M[pr], M[c]
+            det = -det
+        det = det * M[c][c]
+        inv = M[c][c]
+        M[c] = [x / inv for x in M[c]]
+        for i in range(c + 1, n):
+            if M[i][c]:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    return det
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mat_det_equals_forward_elimination_and_bareiss(seed):
+    """Random Fraction matrices, a third of them singular: the pivot product
+    of the Gauss-Jordan elimination equals the forward elimination's, and
+    Bareiss's determinant once the denominators are cleared."""
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        A = rand_matrix(rng, n)
+        if n > 1 and rng.randrange(3) == 0:
+            k, j = rng.sample(range(n), 2)
+            A[k] = [x * rng.randint(-2, 2) for x in A[j]]
+        det = mat_det(A)
+        assert det == forward_elimination_det(A)
+        D = lcm(*(x.denominator for row in A for x in row))
+        AI = [[int(x * D) for x in row] for row in A]
+        _, pivots, bdet = bareiss(AI)
+        assert det * D**n == (bdet if len(pivots) == n else 0)
+
+
+def test_mat_det_over_surds_equals_forward_elimination():
+    """The crossing matrices X of the eight packaged (1,2) charts (the lead
+    chart's is the reference X_REF of `test_wittencycle`), whose nonzero
+    determinant `build_charts.py` asks for, and a singular Surd matrix."""
+    from ribbonvol.wittencycle import example5_charts
+
+    charts, _ = example5_charts()
+    for chart, _ in charts:
+        X = chart.intersection_matrix()
+        assert mat_det(X) == forward_elimination_det(X) != 0
+    r = Surd(-1, 1)
+    S = [[r, Surd(2)], [r * r, Surd(2) * r]]
+    assert mat_det(S) == forward_elimination_det(S) == 0
+
+
+def test_mat_det_rejects_non_square_matrices():
+    # the elimination would find a pivot in a column beyond the first n
+    with pytest.raises(ValueError):
+        mat_det([[Fraction(0), Fraction(2), Fraction(3)]])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_ratfun import pairwise_add, pairwise_sum
 from oracle_volumes import laplace
 from ribbonvol.exact import (
     Poly,
@@ -122,3 +123,65 @@ def test_sum_evaluates_pointwise(f1, f2, a, b, c):
     pt = {"s1": Fraction(a, 7), "s2": Fraction(b, 5), "s3": Fraction(c, 11)}
     assert (x + y).evaluate(pt) == x.evaluate(pt) + y.evaluate(pt)
     assert (x * y).evaluate(pt) == x.evaluate(pt) * y.evaluate(pt)
+
+
+FACTORS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+
+
+@st.composite
+def rational_functions(draw, dens):
+    """A term over SV with a denominator drawn from `dens`, a scalar that may
+    be zero and a numerator of up to three monomials."""
+    monomials = st.tuples(*[st.integers(0, 2)] * len(SV))
+    num = Poly(SV, draw(st.dictionaries(monomials, st.integers(-3, 3), max_size=3)))
+    scalar = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+    den = {}
+    for f in draw(dens):
+        den[f] = den.get(f, 0) + 1
+    return RationalFunction(SV, scalar, num, den)
+
+
+@st.composite
+def term_lists(draw):
+    """Lists of terms whose denominators come from a small pool, so some are
+    shared; about a third of the lists are extended by their negations and
+    cancel to zero."""
+    pool = draw(st.lists(st.lists(st.sampled_from(FACTORS), max_size=4),
+                         min_size=1, max_size=3))
+    terms = draw(st.lists(rational_functions(st.sampled_from(pool)),
+                          min_size=1, max_size=5))
+    if draw(st.integers(0, 2)) == 0:
+        terms += [-t for t in draw(st.permutations(terms))]
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_lists())
+def test_sum_equals_the_pairwise_fold(terms):
+    total = RationalFunction.sum(terms)
+    oracle = pairwise_sum(terms)
+    assert str(total) == str(oracle)
+    assert total.canonical_key() == oracle.canonical_key()
+    assert str(terms[0] + terms[-1]) == str(pairwise_add(terms[0], terms[-1]).reduced())
+
+
+def test_sum_of_a_cancelling_list_is_zero():
+    a = RationalFunction(SV, 3, Poly(SV, {(1, 0, 0): 1, (0, 1, 0): 1}), {(0, 1): 2, (2,): 1})
+    b = RationalFunction.from_factors(SV, Fraction(1, 2), [(0,), (1, 2)])
+    total = RationalFunction.sum([a, b, -a, RationalFunction.zero(SV), -b])
+    assert total.is_zero() and str(total) == "0"
+    assert total.canonical_key() == RationalFunction.zero(SV).canonical_key()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_functions(st.lists(st.sampled_from(FACTORS), max_size=4)))
+def test_sum_of_one_term_is_the_term_reduced(term):
+    total, reduced = RationalFunction.sum([term]), term.reduced()
+    assert (total.scalar, total.den, total.num.terms) == (
+        reduced.scalar, reduced.den, reduced.num.terms)
+    assert str(total) == str(reduced)
+
+
+def test_sum_of_no_terms_raises():
+    with pytest.raises(ValueError):
+        RationalFunction.sum([])

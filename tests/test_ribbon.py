@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -16,6 +17,7 @@ from ribbonvol.ribbon import (
     enumerate_trivalent,
     face_cycles,
 )
+from ribbonvol.wittencycle import example5_charts
 
 # one-face torus graph: two trivalent vertices joined by three edges
 G11 = RibbonGraph((1, 2, 0, 4, 5, 3), (3, 4, 5, 0, 1, 2), (1,))
@@ -152,6 +154,41 @@ def test_orbit_enumeration_matches_per_labelling_oracle(g, n, degrees):
     """Automorphism orbits give the same classes, |Aut| and order as one
     canonical form per labelling."""
     assert enumerate_graphs(g, n, degrees) == oracle.labelled_classes(g, n, degrees)
+
+
+def relabelled(graph, rng):
+    """`graph` with its darts renamed by a random permutation."""
+    pi = list(range(graph.num_darts))
+    rng.shuffle(pi)
+    return RibbonGraph(*oracle.conjugate((graph.s0, graph.s1, graph.face_labels), pi))
+
+
+def assert_canonical_under_relabelling(graph, aut, rng, times=2):
+    """`canonical_form()` and |Aut| equal the fused oracle's on `graph` and on
+    random relabellings of it, which are not canonical as labelled."""
+    form = graph.canonical_form()
+    assert oracle.canonical_form(graph) == (form, aut)
+    assert graph.automorphism_group_order() == aut
+    for _ in range(times):
+        moved = relabelled(graph, rng)
+        assert oracle.canonical_form(moved) == (form, aut)
+        assert moved.canonical_form() == form
+        assert moved.automorphism_group_order() == aut
+
+
+@pytest.mark.parametrize("g,n,degrees", WORKLOAD_TYPES)
+def test_canonical_form_of_relabelled_classes_matches_fused_oracle(g, n, degrees):
+    rng = random.Random(f"{g},{n},{degrees}")
+    for graph, aut in enumerate_graphs(g, n, degrees):
+        assert_canonical_under_relabelling(graph, aut, rng)
+
+
+def test_canonical_form_of_relabelled_chart_graphs_matches_fused_oracle():
+    rng = random.Random(12)
+    charts, _ = example5_charts()
+    assert len(charts) == 8
+    for chart, aut in charts:
+        assert_canonical_under_relabelling(chart.graph, aut, rng)
 
 
 @pytest.mark.parametrize("degrees", [[3] * 6, [4, 3, 3, 3, 3]])
