@@ -5,6 +5,10 @@ angle.  Output is UTF-8 JSON (or CSV / LaTeX where noted), written to
 stdout or --out.  Exit codes: 0 success, 1 verification failure, 2 usage
 error.  Randomised commands require an explicit --seed, echoed in the
 output.
+
+JSON is written as `json.dumps(payload, indent=1)`.  `enumerate` streams
+its classes instead, one fixed row template per class, with the same
+bytes as `json.dumps(indent=1)` of the whole payload.
 """
 
 from __future__ import annotations
@@ -79,33 +83,65 @@ def _stable_only(cmd):
     return checked
 
 
+def _int_list(xs, depth: int) -> str:
+    """`xs`, a non-empty list of ints, as `json.dumps(indent=1)` writes it
+    at `depth`."""
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(map(str, xs)) + "\n" + " " * depth + "]"
+
+
+# One class of `enumerate` JSON at depth 2, preceded by its separator.
+_CLASS_ROW = """%s  {
+   "graph": {
+    "v": 1,
+    "half_edges": %d,
+    "s0": %s,
+    "s1": %s,
+    "face_labels": %s
+   },
+   "aut": %d,
+   "genus": %d,
+   "faces": %d
+  }"""
+
+
+def _enumerate_json(head: dict, classes):
+    """The `enumerate` payload `head` with `"classes"` filled from the
+    (graph, aut) pairs, streamed one class per chunk."""
+    text = json.dumps({**head, "classes": []}, indent=1)
+    if not classes:
+        yield text + "\n"
+        return
+    sep = text[:-len("[]\n}")] + "[\n"
+    for graph, aut in classes:
+        yield _CLASS_ROW % (
+            sep, len(graph.s0), _int_list(graph.s0, 4), _int_list(graph.s1, 4),
+            _int_list(graph.face_labels, 4), aut, graph.genus, graph.num_faces)
+        sep = ",\n"
+    yield "\n ]\n}\n"
+
+
+def _enumerate_csv(classes):
+    yield "index,aut,half_edges,s0,s1,face_labels\n"
+    for i, (graph, aut) in enumerate(classes):
+        yield "%d,%d,%d,%s,%s,%s\n" % (
+            i, aut, len(graph.s0), " ".join(map(str, graph.s0)),
+            " ".join(map(str, graph.s1)), " ".join(map(str, graph.face_labels)))
+
+
 def cmd_enumerate(args) -> tuple:
-    degrees = args.degrees
-    rows = []
-    for graph, aut in enumerate_graphs(args.g, args.n, degrees):
-        rows.append({"graph": graph.to_json(), "aut": aut,
-                     "genus": graph.genus, "faces": graph.num_faces})
+    classes = enumerate_graphs(args.g, args.n, args.degrees)
     if args.format == "csv":
-        lines = ["index,aut,half_edges,s0,s1,face_labels"]
-        for i, row in enumerate(rows):
-            gj = row["graph"]
-            lines.append(",".join([
-                str(i), str(row["aut"]), str(gj["half_edges"]),
-                " ".join(map(str, gj["s0"])),
-                " ".join(map(str, gj["s1"])),
-                " ".join(map(str, gj["face_labels"])),
-            ]))
-        return "\n".join(lines) + "\n", 0
-    payload = {
+        return _enumerate_csv(classes), 0
+    head = {
         "v": 1,
         "command": "enumerate",
         "g": args.g,
         "n": args.n,
-        "degrees": sorted(degrees, reverse=True),
-        "count": len(rows),
-        "classes": rows,
+        "degrees": sorted(args.degrees, reverse=True),
+        "count": len(classes),
     }
-    return payload, 0
+    return _enumerate_json(head, classes), 0
 
 
 @_stable_only
@@ -258,6 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(fh, payload) -> None:
+    """Write a command's payload: a dict as indent=1 JSON, a str as is, or
+    an iterable of str chunks as they are produced."""
+    if isinstance(payload, dict):
+        fh.write(json.dumps(payload, indent=1) + "\n")
+    elif isinstance(payload, str):
+        fh.write(payload)
+    else:
+        fh.writelines(payload)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -271,16 +318,15 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     if payload is None:
         return code
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=1) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write(fh, payload)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return USAGE_ERROR
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, payload)
     return code
 
 

@@ -228,7 +228,7 @@ class RationalFunction:
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (self - other).reduced().is_zero()
+        return (self - other).is_zero()
 
     def __hash__(self):
         return hash(self.canonical_key())

@@ -141,7 +141,7 @@ class RibbonGraph:
         for d in range(N):
             if s1[d] == d or s1[s1[d]] != d:
                 raise InvalidRibbonGraph("s1 must be a fixed-point-free involution")
-        for cyc in _perm_cycles(s0):
+        for cyc in self.vertices:
             if len(cyc) < 3:
                 raise InvalidRibbonGraph(f"vertex of degree {len(cyc)} < 3")
         # connectivity under <s0, s1>

@@ -4,7 +4,8 @@ import json
 import pytest
 from jsonschema import Draft202012Validator
 
-from ribbonvol.cli import main
+from oracle_cli import oracle_enumerate_text
+from ribbonvol.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -96,6 +97,11 @@ ENUMERATE_DIGESTS = [
      "0e88898b84308b2aaa599febe080d8a4bf33aca4e3417d3fe4585255b571b741"),
     (["--g", "1", "--n", "2", "--degrees", "5,3", "--format", "csv"],
      "be2ab6ceb885bd24c8e9b3dcc737c13d15252cbadd4ed227de48d6d984cf9248"),
+    # 918 classes, recorded while classes were still serialised as row dicts
+    (["--g", "1", "--n", "3", "--degrees", "4,3,3,3,3"],
+     "52f1eeafa996d4fc43012702014a7525a009fb1bbc9f53e88792225f091ecde9"),
+    (["--g", "1", "--n", "3", "--degrees", "4,3,3,3,3", "--format", "csv"],
+     "dc15dcf4854daf8777491191f98983c7b5812b44e9193b98c47320e4b274c31c"),
 ]
 
 
@@ -161,6 +167,51 @@ def test_formula_output_is_byte_identical(run, argv, digest):
     code, out = run(*argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the six types of the benchmark's enumerate workload, a larger type, an
+# empty result and a one-class result
+ORACLE_CASES = [
+    (2, 1, "3,3,3,3,3,3"), (2, 1, "4,3,3,3,3"), (1, 3, "3,3,3,3,3,3"),
+    (0, 5, "4,4,4"), (0, 5, "5,5"), (1, 2, "5,3"),
+    (1, 3, "4,3,3,3,3"), (0, 1, "3"), (1, 1, "3,3"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("g,n,degrees", ORACLE_CASES)
+def test_enumerate_matches_the_row_dict_oracle(tmp_path, run, g, n, degrees, fmt):
+    argv = ["enumerate", "--g", str(g), "--n", str(n), "--degrees", degrees,
+            "--format", fmt]
+    code, out = run(*argv)
+    assert code == 0
+    oracle = oracle_enumerate_text(build_parser().parse_args(argv))
+    assert out.splitlines(keepends=True) == oracle.splitlines(keepends=True)
+    dest = tmp_path / "classes"
+    code, printed = run(*argv, "--out", str(dest))
+    assert code == 0 and printed == ""
+    assert dest.read_bytes() == out.encode()
+
+
+# every JSON command's bytes are exactly `json.dumps(indent=1)` of what they
+# parse to, whichever writer produced them
+ROUND_TRIP_ARGV = [
+    ["enumerate", "--g", "1", "--n", "2", "--degrees", "5,3"],
+    ["volume", "--g", "1", "--n", "2"],
+    ["psi", "--g", "1", "--n", "2"],
+    ["verify-kcf", "--g", "1", "--n", "1", "--trials", "4", "--seed", "9"],
+    ["identities", "--g", "0", "--n", "3"],
+    ["witten12"],
+    ["angle", "--d", "5", "--chord1", "0,2", "--chord2", "1,3"],
+    ["angle", "--d", "7", "--chord1", "0,3", "--chord2", "1,4"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIP_ARGV)
+def test_json_output_round_trips_through_indent_1(run, argv):
+    code, out = run(*argv)
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=1) + "\n" == out
 
 
 def test_enumerate_inconsistent_is_empty(run):
@@ -248,11 +299,13 @@ def test_out_file(tmp_path, run):
 
 
 def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
-    # a directory cannot be opened for writing
-    code = main(["psi", "--g", "1", "--n", "1", "--out", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+    # a directory cannot be opened for writing; `enumerate` streams its output
+    for argv in (["psi", "--g", "1", "--n", "1"],
+                 ["enumerate", "--g", "1", "--n", "2", "--degrees", "5,3"]):
+        code = main(argv + ["--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 def test_help_and_bad_usage_exit_codes(run):

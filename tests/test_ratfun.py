@@ -165,6 +165,19 @@ def test_sum_equals_the_pairwise_fold(terms):
     assert str(terms[0] + terms[-1]) == str(pairwise_add(terms[0], terms[-1]).reduced())
 
 
+@settings(max_examples=150, deadline=None)
+@given(term_lists())
+def test_equality_agrees_with_the_reduced_difference(terms):
+    """`==` reads zero-ness off the difference, which `RationalFunction.sum`
+    has already reduced; reducing it once more gives the same verdict.  On a
+    list extended by its negations the first term equals minus the rest."""
+    first = terms[0]
+    rest = -RationalFunction.sum(terms[1:] or [RationalFunction.zero(SV)])
+    for x, y in ((first, terms[-1]), (first, first.reduced()), (first, rest)):
+        assert (x == y) == (x - y).reduced().is_zero()
+    assert first == first.reduced()
+
+
 def test_sum_of_a_cancelling_list_is_zero():
     a = RationalFunction(SV, 3, Poly(SV, {(1, 0, 0): 1, (0, 1, 0): 1}), {(0, 1): 2, (2,): 1})
     b = RationalFunction.from_factors(SV, Fraction(1, 2), [(0,), (1, 2)])
