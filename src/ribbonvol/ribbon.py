@@ -8,12 +8,16 @@ half-edges (darts): `s0` rotates the darts at each vertex anticlockwise and
 
 The enumerator produces exactly one representative per label-preserving
 isomorphism class together with the automorphism group order.  Every
-canonical form is the least breadth-first encoding over all root darts;
-each encoding is bounded by the best one so far and stops as soon as it
-compares larger.  Each unlabelled map is canonicalised once, and its
+canonical form is the least breadth-first encoding over all root darts,
+for a single graph and for the enumerator alike (`_rooted`).  The
+enumerator's pairing search closes faces as it pairs darts and cuts every
+branch that cannot end with n faces.  A BFS encoding is a complete
+invariant of a rooted connected map, so a pairing is a map found before
+exactly when its encoding from root 0 is one of the encodings, from every
+root, of the maps found so far; a new map is relabelled from each of its
+roots once, and the least of those encodings is its canonical pair.  Its
 labelled classes are the orbits of its automorphism group on the face
-labellings (orderly generation in the sense of McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998).
+labellings.
 """
 
 from __future__ import annotations
@@ -79,18 +83,13 @@ def face_cycles(s0, s1):
     return _perm_cycles([inv0[s1[d]] for d in range(len(s0))])
 
 
-def _bfs_relabel(s0, s1, root, bound=None):
+def _bfs_relabel(s0, s1, root):
     """Breadth-first relabelling of (s0, s1) from `root`.
 
     Returns the relabelled pair `(s0', s1')` and the dart map `new` (old
     dart d becomes new[d]); the pair is a deterministic encoding.  The i-th
     dart visited becomes dart i, and both of its images are numbered by the
     time it is visited, so `s0'[i]` and `s1'[i]` are filled in at that step.
-
-    With a `bound` pair, the relabelling stops and returns None as soon as
-    the `s0'` prefix exceeds the bound's; if `s0'` ties the bound, `s1'`
-    settles the comparison at the end.  A pair equal to the bound is
-    returned, so callers can count the roots that reach a minimum.
     """
     N = len(s0)
     new = [-1] * N
@@ -98,8 +97,6 @@ def _bfs_relabel(s0, s1, root, bound=None):
     order = [root]
     s0p = [0] * N
     s1p = [0] * N
-    tight = bound is not None  # the s0' prefix still equals the bound's
-    b0 = bound[0] if tight else None
     for i, d in enumerate(order):
         a = s0[d]
         if new[a] < 0:
@@ -109,17 +106,9 @@ def _bfs_relabel(s0, s1, root, bound=None):
         if new[b] < 0:
             new[b] = len(order)
             order.append(b)
-        x = new[a]
-        s0p[i] = x
+        s0p[i] = new[a]
         s1p[i] = new[b]
-        if tight and x != b0[i]:
-            if x > b0[i]:
-                return None
-            tight = False
-    pair = (tuple(s0p), tuple(s1p))
-    if tight and pair[1] > bound[1]:
-        return None
-    return pair, new
+    return (tuple(s0p), tuple(s1p)), new
 
 
 @dataclass(frozen=True)
@@ -281,8 +270,7 @@ class RibbonGraph:
         Only roots that reach the unlabelled canonical pair can win, and
         their face orders list the labels of its faces.
         """
-        pair = _canonical_pair(self.s0, self.s1)
-        orders = _face_orders(self.s0, self.s1, pair)
+        _, pair, orders = _rooted(self.s0, self.s1)
         labels, count = _least_image(self.face_labels, orders)
         return pair + (labels,), count
 
@@ -298,8 +286,8 @@ class RibbonGraph:
 
         Any such map is determined by the image of one dart (the centraliser
         of a transitive action is semiregular), so the count equals the
-        number of roots realising the canonical encoding.  Roots whose
-        unlabelled pair already loses are dropped by the bounded BFS.
+        number of roots realising the canonical encoding; roots whose
+        unlabelled pair loses give no face order.
         `enumerate_graphs` counts the same roots on the canonical pair:
         among the map's automorphisms, those whose face permutation fixes
         the canonical labels.
@@ -333,15 +321,25 @@ class RibbonGraph:
 # -- enumeration ------------------------------------------------------------------
 
 
-def _search_pairings(degrees):
+def _search_pairings(degrees, n):
     """The vertex rotation `s0` of the block layout and an iterator over the
-    complete pairings `s1` of its slots, one per quasi-canonical DFS path.
+    complete pairings `s1` of its slots with exactly `n` faces, one per
+    quasi-canonical DFS path.
 
     Vertices are blocks of consecutive slots; s0 rotates inside each block.
     The smallest unpaired slot is matched against unpaired slots of already
     used vertices, or against the first slot of the first unused vertex of
-    each distinct degree; this reaches every connected isomorphism class
-    (final deduplication is by canonical form).
+    each distinct degree; this reaches every connected isomorphism class,
+    some more than once.
+
+    The faces are the cycles of s2 = s0^{-1} s1, and pairing s with t sets
+    s2(s) = s0^{-1}(t) and s2(t) = s0^{-1}(s).  The links set so far form
+    open paths and closed cycles; `head[d]` is the first dart of the path
+    ending at d and `tail[d]` the last dart of the path starting at d (read
+    at path ends only).  A link from a path end to a path start closes a
+    face when both lie on one path and merges two paths otherwise.  A
+    branch is cut once more than n faces are closed, or n are closed while
+    slots are still unpaired: those slots will close another face.
     """
     starts = []
     vertex_at = []
@@ -352,17 +350,36 @@ def _search_pairings(degrees):
         vertex_at += [v] * deg
         s0 += [base + (k + 1) % deg for k in range(deg)]
     N = len(s0)
+    inv0 = _inverse(s0)
     partner = [-1] * N
     used = [False] * len(degrees)
     used[0] = True
+    head = list(range(N))
+    tail = list(range(N))
 
-    def rec(next_free):
+    def link(d, e):
+        """Set s2(d) = e, merging the path ending at d into the path
+        starting at e; True if that closes a face (both were one path)."""
+        a, b = head[d], tail[e]
+        tail[a], head[b] = b, a
+        return b == d
+
+    def unlink(d, e):
+        """Undo `link(d, e)`, the last link still set: head[d] and tail[e]
+        still name the ends of the path it made."""
+        a, b = head[d], tail[e]
+        tail[a], head[b] = d, e
+
+    def rec(next_free, closed):
         s = next_free
         while s < N and partner[s] >= 0:
             s += 1
         if s == N:
-            yield tuple(partner)
+            if closed == n:
+                yield tuple(partner)
             return
+        if closed >= n:
+            return  # the unpaired slots close at least one more face
         if not used[vertex_at[s]]:
             return  # used component closed while vertices remain: disconnected
         cands = [t for t in range(s + 1, N)
@@ -378,42 +395,37 @@ def _search_pairings(degrees):
             opened = not used[v]
             used[v] = True
             partner[s], partner[t] = t, s
-            yield from rec(s + 1)
+            closes = link(s, inv0[t]) + link(t, inv0[s])
+            if closed + closes <= n:
+                yield from rec(s + 1, closed + closes)
+            unlink(t, inv0[s])
+            unlink(s, inv0[t])
             partner[s] = partner[t] = -1
             if opened:
                 used[v] = False
 
-    return tuple(s0), rec(0)
+    return tuple(s0), rec(0, 0)
 
 
-def _canonical_pair(s0, s1):
-    """The unlabelled canonical form: the least BFS encoding over all roots.
+def _encoding_key(pair):
+    """A BFS encoding `(s0', s1')` as one bytes key, one byte per dart
+    number; more than 256 darts raise ValueError."""
+    return bytes(pair[0] + pair[1])
 
-    Each root's BFS is bounded by the best pair so far and stops as soon as
-    it compares larger.
+
+def _rooted(s0, s1):
+    """The BFS encodings of (s0, s1) from every root, the canonical pair
+    (their least) and, for every root that reaches it, the face indices in
+    the order of their minimal dart under its dart map.  On the canonical
+    pair itself these roots are its automorphisms, each permuting the faces.
     """
-    best = None
-    for root in range(len(s0)):
-        res = _bfs_relabel(s0, s1, root, best)
-        if res is not None:
-            best = res[0]
-    return best
-
-
-def _face_orders(s0, s1, pair):
-    """For every root whose BFS encoding of (s0, s1) is `pair`, the face
-    indices in the order of their minimal dart under its dart map.  On
-    `pair` itself these roots are its automorphisms (root 0 is one), each
-    permuting the faces."""
+    relabels = [_bfs_relabel(s0, s1, root) for root in range(len(s0))]
+    pair = min(enc for enc, _ in relabels)
     faces = face_cycles(s0, s1)
-    orders = []
-    for root in range(len(s0)):
-        res = _bfs_relabel(s0, s1, root, pair)
-        if res is not None:
-            new = res[1]
-            orders.append([i for _, i in sorted((min(new[d] for d in cyc), i)
-                                                for i, cyc in enumerate(faces))])
-    return orders
+    orders = [[i for _, i in sorted((min(new[d] for d in cyc), i)
+                                    for i, cyc in enumerate(faces))]
+              for enc, new in relabels if enc == pair]
+    return [enc for enc, _ in relabels], pair, orders
 
 
 def _least_image(labels, orders):
@@ -430,6 +442,29 @@ def _least_image(labels, orders):
     return least, images.count(least)
 
 
+def _unlabelled_maps(degrees, n):
+    """Each connected map with the degrees (sorted descending) and n faces,
+    once: its canonical pair and the face orders of the roots that reach it.
+
+    `seen` holds every rooted BFS encoding of every map found so far.  An
+    encoding is a complete invariant of a rooted connected map, so a pairing
+    whose encoding from root 0 is in `seen` is a map already found.  A new
+    map adds its 2E encodings; their least is its canonical pair, and the
+    dart maps of the roots that reach it give its face orders (`_rooted`, in
+    the pairing's face indices, which list the same labelled classes).
+    """
+    s0, pairings = _search_pairings(degrees, n)
+    seen = set()
+    maps = []
+    for s1 in pairings:
+        if _encoding_key(_bfs_relabel(s0, s1, 0)[0]) in seen:
+            continue
+        encodings, pair, orders = _rooted(s0, s1)
+        seen.update(map(_encoding_key, encodings))
+        maps.append((pair, orders))
+    return maps
+
+
 def enumerate_graphs(g: int, n: int, degrees) -> list:
     """All ribbon graphs of type (g, n) with the given vertex degree multiset.
 
@@ -437,12 +472,13 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     label-preserving isomorphism class, deterministically ordered.  An
     inconsistent (g, n, degrees) combination yields the empty list.
 
-    Each unlabelled map is found by the pairing search and canonicalised
-    once, by bounded BFS encodings.  Its labelled classes are then the
-    orbits of its automorphism group on the n! face labellings (the least
-    image of each under the automorphisms' face orders, `_least_image`),
-    which costs tuple operations only; a `RibbonGraph` is built, and
-    validated, for the returned classes alone.
+    The pairing search yields only the pairings with n faces, and
+    `_unlabelled_maps` keeps one per unlabelled map: each pairing is
+    relabelled once, from root 0, and each new map from its 2E roots.  Its
+    labelled classes are then the orbits of its automorphism group on the
+    n! face labellings (the least image of each under the automorphisms'
+    face orders, `_least_image`), which costs tuple operations only; a
+    `RibbonGraph` is built, and validated, for the returned classes alone.
     """
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(d < 3 for d in degrees):
@@ -454,14 +490,9 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     if V - E + n != 2 - 2 * g or 2 - 2 * g - n >= 0:
         return []
 
-    s0, pairings = _search_pairings(degrees)
-    # face count n forces genus g here since V and E are already fixed
-    unlabeled = {_canonical_pair(s0, s1) for s1 in pairings
-                 if len(face_cycles(s0, s1)) == n}
-
+    # n faces force genus g here since V and E are already fixed
     out = []
-    for pair in sorted(unlabeled):
-        orders = _face_orders(*pair, pair)
+    for pair, orders in sorted(_unlabelled_maps(degrees, n)):
         classes = dict(_least_image(labels, orders)
                        for labels in itertools.permutations(range(1, n + 1)))
         for labels in sorted(classes):

@@ -7,6 +7,14 @@ the full relabelling group by explicit conjugation.  Nothing here is shared
 with the package's enumeration path beyond elementary permutation algebra,
 except in `canonical_form` and `labelled_classes`, which share the BFS
 encoding and check only the labelling step.
+
+`bounded_relabel` and `canonical_pair` keep the bounded canonical form (each
+root's BFS stops as soon as it compares larger than the best pair so far)
+as the oracle for the package's least encoding over all roots.
+`search_pairings` and `canonical_pairs` keep the enumeration's earlier
+route as the oracle for the face-count pruned search and the once-per-map
+dedupe: every pairing of the quasi-canonical DFS, whatever its face count,
+and one bounded canonical pair per n-face pairing.
 """
 
 import itertools
@@ -15,8 +23,6 @@ from math import factorial
 from ribbonvol.ribbon import (
     RibbonGraph,
     _bfs_relabel,
-    _canonical_pair,
-    _search_pairings,
     face_cycles,
 )
 
@@ -164,6 +170,52 @@ def total_labelled_structures(g, n, degrees):
     return n_s0 * len(structs)
 
 
+def bounded_relabel(s0, s1, root, bound):
+    """`_bfs_relabel(s0, s1, root)`, or None as soon as the `s0'` prefix
+    exceeds the bound's; if `s0'` ties the bound, `s1'` settles the
+    comparison at the end.  A pair equal to the bound is returned, so
+    callers can count the roots that reach a minimum.  No bound (None)
+    relabels in full.
+    """
+    if bound is None:
+        return _bfs_relabel(s0, s1, root)
+    N = len(s0)
+    new = [-1] * N
+    new[root] = 0
+    order = [root]
+    s0p = [0] * N
+    s1p = [0] * N
+    tight = True  # the s0' prefix still equals the bound's
+    b0 = bound[0]
+    for i, d in enumerate(order):
+        for e in (s0[d], s1[d]):
+            if new[e] < 0:
+                new[e] = len(order)
+                order.append(e)
+        x = new[s0[d]]
+        s0p[i] = x
+        s1p[i] = new[s1[d]]
+        if tight and x != b0[i]:
+            if x > b0[i]:
+                return None
+            tight = False
+    pair = (tuple(s0p), tuple(s1p))
+    if tight and pair[1] > bound[1]:
+        return None
+    return pair, new
+
+
+def canonical_pair(s0, s1):
+    """The unlabelled canonical form: the least BFS encoding over all roots,
+    each root's BFS bounded by the best pair so far."""
+    best = None
+    for root in range(len(s0)):
+        res = bounded_relabel(s0, s1, root, best)
+        if res is not None:
+            best = res[0]
+    return best
+
+
 def canonical_form(graph):
     """The least labelled encoding `(s0', s1', labels)` of `graph` over all
     roots and the number of roots that reach it, in one fused pass.
@@ -177,7 +229,7 @@ def canonical_form(graph):
     best_pair = best_labels = None
     count = 0
     for root in range(graph.num_darts):
-        res = _bfs_relabel(graph.s0, graph.s1, root, best_pair)
+        res = bounded_relabel(graph.s0, graph.s1, root, best_pair)
         if res is None:
             continue
         pair, new = res
@@ -190,24 +242,81 @@ def canonical_form(graph):
     return best_pair + (best_labels,), count
 
 
+def search_pairings(degrees):
+    """The vertex rotation `s0` of the block layout and an iterator over the
+    complete pairings `s1` of its slots, one per quasi-canonical DFS path,
+    with no face-count pruning.
+
+    Vertices are blocks of consecutive slots; s0 rotates inside each block.
+    The smallest unpaired slot is matched against unpaired slots of already
+    used vertices, or against the first slot of the first unused vertex of
+    each distinct degree; this reaches every connected isomorphism class.
+    """
+    starts = []
+    vertex_at = []
+    s0 = []
+    for v, deg in enumerate(degrees):
+        base = len(s0)
+        starts.append(base)
+        vertex_at += [v] * deg
+        s0 += [base + (k + 1) % deg for k in range(deg)]
+    N = len(s0)
+    partner = [-1] * N
+    used = [False] * len(degrees)
+    used[0] = True
+
+    def rec(next_free):
+        s = next_free
+        while s < N and partner[s] >= 0:
+            s += 1
+        if s == N:
+            yield tuple(partner)
+            return
+        if not used[vertex_at[s]]:
+            return  # used component closed while vertices remain: disconnected
+        cands = [t for t in range(s + 1, N)
+                 if partner[t] < 0 and used[vertex_at[t]]]
+        fresh = []
+        seen_deg = set()
+        for v in range(len(degrees)):
+            if not used[v] and degrees[v] not in seen_deg:
+                seen_deg.add(degrees[v])
+                fresh.append(starts[v])
+        for t in cands + fresh:
+            v = vertex_at[t]
+            opened = not used[v]
+            used[v] = True
+            partner[s], partner[t] = t, s
+            yield from rec(s + 1)
+            partner[s] = partner[t] = -1
+            if opened:
+                used[v] = False
+
+    return tuple(s0), rec(0)
+
+
+def canonical_pairs(n, degrees):
+    """The unlabelled maps with n faces, sorted: the bounded canonical pair
+    of every n-face pairing of `search_pairings`, deduplicated as a set."""
+    s0, pairings = search_pairings(sorted(degrees, reverse=True))
+    return sorted({canonical_pair(s0, s1) for s1 in pairings
+                   if len(face_cycles(s0, s1)) == n})
+
+
 def labelled_classes(g, n, degrees):
     """Labelled classes with |Aut|, one canonical form per labelling.
 
-    Takes the package's unlabelled maps (pairing search and canonical pair)
-    and builds a `RibbonGraph` for each of the n! face labellings of each
-    map; the fused `canonical_form` names its class and gives |Aut|.
-    Returns the same `[(graph, aut_order), ...]` list as `enumerate_graphs`,
-    without its orbit computation.
+    Takes the unlabelled maps of `canonical_pairs` and builds a
+    `RibbonGraph` for each of the n! face labellings of each map; the fused
+    `canonical_form` names its class and gives |Aut|.  Returns the same
+    `[(graph, aut_order), ...]` list as `enumerate_graphs`, without its
+    pruned search, its dedupe or its orbit computation.
     """
-    degrees = sorted(degrees, reverse=True)
-    s0, pairings = _search_pairings(degrees)
-    V, E = len(degrees), len(s0) // 2
+    V, E = len(degrees), sum(degrees) // 2
     if V - E + n != 2 - 2 * g:
         return []
-    unlabeled = {_canonical_pair(s0, s1) for s1 in pairings
-                 if len(face_cycles(s0, s1)) == n}
     classes = {}
-    for s0k, s1k in sorted(unlabeled):
+    for s0k, s1k in canonical_pairs(n, degrees):
         for labels in itertools.permutations(range(1, n + 1)):
             key, aut = canonical_form(RibbonGraph(s0k, s1k, labels))
             classes.setdefault(key, aut)

@@ -102,6 +102,9 @@ ENUMERATE_DIGESTS = [
      "52f1eeafa996d4fc43012702014a7525a009fb1bbc9f53e88792225f091ecde9"),
     (["--g", "1", "--n", "3", "--degrees", "4,3,3,3,3", "--format", "csv"],
      "dc15dcf4854daf8777491191f98983c7b5812b44e9193b98c47320e4b274c31c"),
+    # 713 classes, recorded before the pairing search was pruned by face count
+    (["--g", "2", "--n", "2", "--degrees", "3,3,3,3,3,3,3,3"],
+     "bc2ad53ccf8bfe28e7e3c0e845025ad857869ab78392dcc07a9d06fd6a294141"),
 ]
 
 

@@ -5,14 +5,16 @@ from math import factorial
 import pytest
 
 import oracle_ribbon as oracle
+import ribbonvol.ribbon as ribbon
 from ribbonvol.exact import mat_rank, transpose
 from ribbonvol.ribbon import (
     InvalidRibbonGraph,
     RibbonGraph,
     UnsupportedGraph,
     _bfs_relabel,
-    _canonical_pair,
+    _encoding_key,
     _search_pairings,
+    _unlabelled_maps,
     enumerate_graphs,
     enumerate_trivalent,
     face_cycles,
@@ -71,7 +73,7 @@ def test_faces_match_oracle_and_are_ordered_by_minimal_dart(g, n):
 def test_labelled_canonical_form_extends_unlabelled_pair(g, n, degrees):
     for graph, _ in enumerate_graphs(g, n, degrees):
         pair = (graph.s0, graph.s1)
-        assert graph.canonical_form()[:2] == pair == _canonical_pair(*pair)
+        assert graph.canonical_form()[:2] == pair == oracle.canonical_pair(*pair)
 
 
 def test_genus_bookkeeping():
@@ -193,14 +195,62 @@ def test_canonical_form_of_relabelled_chart_graphs_matches_fused_oracle():
 
 @pytest.mark.parametrize("degrees", [[3] * 6, [4, 3, 3, 3, 3]])
 def test_bounded_canonical_pair_is_least_encoding(degrees):
-    # every pairing the search yields, whatever its face count
-    s0, pairings = _search_pairings(degrees)
+    # every pairing the unpruned search yields, whatever its face count
+    s0, pairings = oracle.search_pairings(degrees)
     faces = set()
     for s1 in pairings:
         faces.add(len(face_cycles(s0, s1)))
         least = min(_bfs_relabel(s0, s1, r)[0] for r in range(len(s0)))
-        assert _canonical_pair(s0, s1) == least
+        assert oracle.canonical_pair(s0, s1) == least
     assert len(faces) > 1
+
+
+@pytest.mark.parametrize("degrees", [
+    [3] * 6, [4, 3, 3, 3, 3], [4, 4, 4], [5, 5], [3] * 8,
+])
+def test_pruned_search_yields_the_oracle_n_face_pairings_in_order(degrees):
+    s0, pairings = oracle.search_pairings(degrees)
+    counted = [(len(face_cycles(s0, s1)), s1) for s1 in pairings]
+    top = max(f for f, _ in counted)
+    for n in range(-1, top + 2):
+        pruned_s0, pruned = _search_pairings(degrees, n)
+        assert pruned_s0 == s0
+        assert list(pruned) == [s1 for f, s1 in counted if f == n], n
+
+
+@pytest.mark.parametrize("n,degrees", [(n, degrees) for _, n, degrees in WORKLOAD_TYPES]
+                         + [(2, [3] * 8), (4, [3] * 8), (6, [3] * 8)])
+def test_deduped_maps_equal_the_oracle_canonical_pairs(n, degrees):
+    maps = _unlabelled_maps(sorted(degrees, reverse=True), n)
+    assert maps
+    assert sorted(pair for pair, _ in maps) == oracle.canonical_pairs(n, degrees)
+
+
+def test_each_map_is_relabelled_from_every_root_once(monkeypatch):
+    """One BFS relabelling per n-face pairing and 2E per new map; the bound
+    n-face pairings + 4E x maps allows 2320 on (1,3) 3^6, and canonicalising
+    every pairing afresh would take about 12 800."""
+    calls = 0
+    relabel = ribbon._bfs_relabel
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return relabel(*args)
+
+    monkeypatch.setattr(ribbon, "_bfs_relabel", counted)
+    out = enumerate_graphs(1, 3, [3] * 6)
+    monkeypatch.undo()
+    s0, pairings = _search_pairings([3] * 6, 3)
+    found = sum(1 for _ in pairings)
+    maps = len({(graph.s0, graph.s1) for graph, _ in out})
+    assert (found, maps, len(s0)) == (664, 46, 18)
+    assert calls == found + len(s0) * maps
+    assert calls <= found + 2 * len(s0) * maps == 2320
+
+
+def test_encoding_keys_are_bytes():
+    assert _encoding_key(((1, 2, 0), (2, 0, 1))) == bytes([1, 2, 0, 2, 0, 1])
 
 
 def test_enumeration_matches_brute_force_oracle():
