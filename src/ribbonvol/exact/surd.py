@@ -24,6 +24,14 @@ class Surd:
         self.a = Fraction(a)
         self.b = Fraction(b)
 
+    @staticmethod
+    def _make(a: Fraction, b: Fraction) -> "Surd":
+        """a + b*sqrt(5) from two Fractions, stored without conversion."""
+        s = object.__new__(Surd)
+        s.a = a
+        s.b = b
+        return s
+
     # -- helpers ---------------------------------------------------------
 
     @staticmethod
@@ -50,29 +58,32 @@ class Surd:
             o = Surd._coerce(other)
         except TypeError:
             return NotImplemented
-        return Surd(self.a + o.a, self.b + o.b)
+        return Surd._make(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.a, -self.b)
+        return Surd._make(-self.a, -self.b)
 
     def __sub__(self, other):
         try:
             o = Surd._coerce(other)
         except TypeError:
             return NotImplemented
-        return Surd(self.a - o.a, self.b - o.b)
+        return Surd._make(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int:  # a scalar: no coercion to Surd
+            return Surd._make(self.a * other, self.b * other)
         try:
             o = Surd._coerce(other)
         except TypeError:
             return NotImplemented
-        return Surd(self.a * o.a + self.D * self.b * o.b, self.a * o.b + self.b * o.a)
+        return Surd._make(self.a * o.a + self.D * self.b * o.b,
+                          self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
@@ -81,7 +92,7 @@ class Surd:
         norm = self.a * self.a - self.D * self.b * self.b
         if norm == 0:
             raise ZeroDivisionError("division by zero Surd")
-        return Surd(self.a / norm, -self.b / norm)
+        return Surd._make(self.a / norm, -self.b / norm)
 
     def __truediv__(self, other):
         try:

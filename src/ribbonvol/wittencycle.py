@@ -29,9 +29,10 @@ from .exact import (
     mat_mul,
     orthant_exponential_integral,
     pfaffian,
+    rref,
     transpose,
 )
-from .kformula import kernel_normalization, restrict_form
+from .kformula import kernel_normalization
 from .multicurve import Multicurve, intersection_matrix
 from .ribbon import RibbonGraph, enumerate_graphs
 
@@ -89,10 +90,11 @@ class CellChart:
 
 def asymptotic_form(chart: CellChart):
     """The matrix of Omega = -sum_{i<j} [X^{-1}]_{ij} dl_i ^ dl_j in de
-    coordinates: M = -D^T X^{-1} D over Q(sqrt(5)).
+    coordinates: the full E x E form M = -D^T X^{-1} D over Q(sqrt(5)).
 
     Only the restriction to ker A (the tangent space of the cell) is
-    meaningful; use `form_on_kernel_basis` for the reduced form.
+    meaningful.  `form_on_kernel_basis` computes that restriction without
+    building M; this full form is kept as its reference.
     """
     X = chart.intersection_matrix()
     try:
@@ -109,12 +111,30 @@ def asymptotic_form(chart: CellChart):
 
 def form_on_kernel_basis(chart: CellChart):
     """(V, G, volfactor): kernel basis of A, the Gram matrix of Omega on it,
-    and the basis-to-Lebesgue conversion factor."""
+    and the basis-to-Lebesgue conversion factor.
+
+    With the integer basis W = d * V of ker A from `kernel_normalization`
+    and the curves' edge counts D, the restriction of M = -D^T X^{-1} D is
+
+        G = V M V^T = -(1/d^2) Y^T X^{-1} Y,   Y = D W^T  (m x k, integer),
+
+    so one elimination of [X | Y] gives X^{-1} Y, and no E x E form is
+    built.
+    """
     A = chart.graph.face_edge_matrix()
     W, d, volfactor = kernel_normalization(A)
     V = [[Fraction(x, d) for x in w] for w in W]
-    M = asymptotic_form(chart)
-    G = restrict_form(M, V)
+    X = chart.intersection_matrix()
+    m, k = len(X), len(W)
+    D = [c.edge_counts(chart.graph) for c in chart.curves]
+    Y = [[sum(a * b for a, b in zip(row, w)) for w in W] for row in D]
+    R, pivots = rref([list(xrow) + yrow for xrow, yrow in zip(X, Y)])
+    if pivots[:m] != list(range(m)):
+        raise ChartError("chart is degenerate: X is singular")
+    Z = [row[m:] for row in R]  # X^{-1} Y
+    scale = Fraction(-1, d * d)
+    G = [[sum((Y[t][i] * Z[t][j] for t in range(m)), Surd(0)) * scale
+          for j in range(k)] for i in range(k)]
     return V, G, volfactor
 
 

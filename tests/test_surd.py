@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ribbonvol.exact import Surd, sqrt5
@@ -63,3 +63,35 @@ def test_inverse_roundtrip(a):
     if a != 0:
         assert a * a.inverse() == 1
     assert Surd.from_json(a.to_json()) == a
+
+
+def _stored_as_fractions(x):
+    return isinstance(x, Surd) and type(x.a) is type(x.b) is Fraction
+
+
+@settings(max_examples=100)
+@given(surds(), surds(), st.integers(-20, 20))
+def test_ring_results_store_fractions(a, b, k):
+    results = [a + b, a - b, a * b, -a, a + k, k + a, a - k, k - a, a * k, k * a]
+    if b != 0:
+        results += [a / b, b.inverse(), k / b]
+    if k:
+        results.append(a / k)
+    assert all(_stored_as_fractions(x) for x in results)
+
+
+@settings(max_examples=100)
+@given(surds(), st.integers(-20, 20))
+@example(Surd(Fraction(1, 3), Fraction(-2, 5)), 0)
+@example(Surd(Fraction(1, 3), Fraction(-2, 5)), -3)
+def test_int_scaling_equals_surd_product(s, k):
+    assert s * k == s * Surd(k) == k * s
+    assert _stored_as_fractions(s * k) and _stored_as_fractions(k * s)
+
+
+@settings(max_examples=50)
+@given(surds())
+def test_bool_scalar_is_coerced(s):
+    assert s * True == s and True * s == s
+    assert s * False == 0
+    assert _stored_as_fractions(s * True)

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from ribbonvol.exact import Poly, RationalFunction, Surd, mat_det, mat_inverse
-from ribbonvol.kformula import EPSILON, kontsevich_form, restrict_form
+from ribbonvol.kformula import (
+    EPSILON,
+    kernel_normalization,
+    kontsevich_form,
+    restrict_form,
+)
 from ribbonvol.multicurve import (
     Multicurve,
     edge_multicurve,
@@ -275,3 +280,70 @@ def test_trivalent_cell_volumes_give_graph_sum_weights(g, n):
         svars = tuple(f"s{i}" for i in range(1, n + 1))
         direct = orthant_exponential_integral(graph.face_edge_matrix(), svars)
         assert cell_volume_laplace(chart) == direct * (Fraction(2) ** (2 * g - 2 + n))
+
+
+def _assert_form_matches_full_form(chart):
+    """`form_on_kernel_basis` against the reference route: the full E x E
+    form of `asymptotic_form`, restricted to V by `restrict_form`."""
+    V, G, volfactor = form_on_kernel_basis(chart)
+    assert all(type(x) is Surd for row in G for x in row)
+    assert G == restrict_form(asymptotic_form(chart), V)
+    W, d, vf = kernel_normalization(chart.graph.face_edge_matrix())
+    assert V == [[Fraction(x, d) for x in w] for w in W] and volfactor == vf
+
+
+def test_form_on_kernel_basis_matches_full_form_on_packaged_charts(charts):
+    cs, _ = charts
+    for chart, _ in cs:
+        _assert_form_matches_full_form(chart)
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (0, 4), (1, 2)])
+def test_form_on_kernel_basis_matches_full_form_on_trivalent_charts(g, n):
+    """Includes the (0,3) point cell, whose chart has no curves."""
+    for graph, _ in enumerate_trivalent(g, n):
+        _assert_form_matches_full_form(_trivalent_standard_chart(graph))
+
+
+def test_form_on_kernel_basis_scales_by_d(charts, monkeypatch):
+    """d = 1 on every chart here, so the 1/d^2 of G and the integer basis
+    W in Y = D W^T are checked on the basis 3W with d = 3: V, and so G,
+    must not change."""
+    import ribbonvol.wittencycle as wc
+
+    def scaled(A):
+        W, d, volfactor = kernel_normalization(A)
+        return [[3 * x for x in w] for w in W], 3 * d, volfactor
+
+    cs, _ = charts
+    trivalent = [_trivalent_standard_chart(graph)
+                 for graph, _ in enumerate_trivalent(1, 2)]
+    monkeypatch.setattr(wc, "kernel_normalization", scaled)
+    for chart in [c for c, _ in cs] + trivalent:
+        _assert_form_matches_full_form(chart)
+
+
+def test_form_on_kernel_basis_reports_a_singular_X(lead):
+    g = lead.graph
+    boundary = Multicurve((tuple(reversed(g._faces[0])),)).validate(g)
+    for pos in range(4):
+        curves = list(lead.curves)
+        curves[pos] = boundary
+        with pytest.raises(ChartError, match="X is singular"):
+            form_on_kernel_basis(CellChart(g, tuple(curves)))
+
+
+def test_witten12_builds_no_full_form(monkeypatch):
+    """The form on each cell comes from one elimination of [X | D W^T]; the
+    route through the E x E form made 2304 Surd multiplications here."""
+    calls = [0]
+    mul = Surd.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Surd, "__mul__", counted)
+    monkeypatch.setattr(Surd, "__rmul__", counted)
+    witten12_report()
+    assert 0 < calls[0] <= 1000
