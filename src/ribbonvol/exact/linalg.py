@@ -87,7 +87,8 @@ def _gauss_jordan(A):
             det = -det
         inv = M[r][c]
         det = det * inv
-        M[r] = [x / inv for x in M[r]]
+        rec = Fraction(1) / inv  # one reciprocal per pivot; Surd via __rtruediv__
+        M[r] = [x * rec for x in M[r]]
         for i in range(n):
             if i != r and M[i][c]:
                 f = M[i][c]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
 from typing import NamedTuple
@@ -26,7 +27,14 @@ from .exact import (
     orthant_exponential_integral,
     pfaffian,
 )
-from .ribbon import RibbonGraph, UnsupportedGraph, enumerate_trivalent
+from .ribbon import (
+    RibbonGraph,
+    UnsupportedGraph,
+    _labelled_classes,
+    _unlabelled_maps,
+    enumerate_trivalent,
+    face_cycles,
+)
 from .volumes import is_stable, lhs_laplace
 
 __all__ = [
@@ -238,7 +246,13 @@ def _principal_block_identity(B, G, V):
 
 
 def rhs_terms(g: int, n: int):
-    """Per-graph closed forms: (graph, aut, RationalFunction term)."""
+    """Per-graph closed forms: (graph, aut, RationalFunction term).
+
+    The per-graph reference for the graph side: one `RibbonGraph` and one
+    `orthant_exponential_integral` per labelled class.  `verify_kcf` sums
+    per unlabelled map instead (`_map_groups`); this route stays for
+    `rhs_laplace` and because `perfbench/spans.py` traces it.
+    """
     if not is_stable(g, n):
         raise ValueError(f"({g},{n}) is unstable")
     svars = tuple(f"s{i}" for i in range(1, n + 1))
@@ -250,6 +264,12 @@ def rhs_terms(g: int, n: int):
     return out
 
 
+def _factor_order(n: int):
+    """The denominator factors in their fixed order: s_1..s_n as (i,), then
+    s_i + s_j for i < j as (i, j), 0-based."""
+    return [(i,) for i in range(n)] + list(itertools.combinations(range(n), 2))
+
+
 def _factor_groups(terms, n: int):
     """Merge (graph, aut, term) triples with equal denominators.
 
@@ -259,8 +279,7 @@ def _factor_groups(terms, n: int):
     Fraction coefficient).  Every term of `rhs_terms` has the constant
     numerator 1; any other numerator raises ValueError.
     """
-    factors = [(i,) for i in range(n)] + list(itertools.combinations(range(n), 2))
-    index = {f: k for k, f in enumerate(factors)}
+    index = {f: k for k, f in enumerate(_factor_order(n))}
     one = {(0,) * n: 1}
     groups = {}
     for _, _, term in terms:
@@ -272,6 +291,59 @@ def _factor_groups(terms, n: int):
         exps = tuple(exps)
         groups[exps] = groups.get(exps, 0) + term.scalar
     return list(groups.items())
+
+
+def _labelled_exponents(s0, s1, n: int):
+    """(labels, exponent vector) for each of the n! face labellings of the
+    map (s0, s1) with n faces.
+
+    `labels[i]` is the 0-based label of the i-th face cycle (ordered by
+    minimal dart, as `RibbonGraph.face_labels` lists them, less one).  The
+    vector is the denominator of that labelled graph's term over
+    `_factor_order(n)`: an edge whose sides lie on faces labelled a != b
+    gives s_a + s_b, and an edge with both sides on face a gives 2 s_a,
+    whose 1/2 the caller takes from the first n entries.
+    """
+    face_of = [0] * len(s0)
+    for i, cyc in enumerate(face_cycles(s0, s1)):
+        for d in cyc:
+            face_of[d] = i
+    sides = Counter((face_of[d], face_of[s1[d]]) for d in range(len(s0)) if d < s1[d])
+    factors = _factor_order(n)
+    index = [[0] * n for _ in range(n)]
+    for k, f in enumerate(factors):
+        a, b = f if len(f) == 2 else f * 2
+        index[a][b] = index[b][a] = k
+    for labels in itertools.permutations(range(n)):
+        exps = [0] * len(factors)
+        for (a, b), m in sides.items():
+            exps[index[labels[a]][labels[b]]] += m
+        yield labels, tuple(exps)
+
+
+def _map_groups(g: int, n: int):
+    """The graph side merged by denominator factors, as `_factor_groups`
+    gives it from `rhs_terms`, and the number of labelled classes, both
+    computed once per unlabelled trivalent map.
+
+    By orbit-stabiliser, sum_{L of U} f(L) / |Aut L| = (1 / |Aut U|)
+    sum_{sigma in S_n} f(sigma U) over the labelled classes L of a map U:
+    the labellings in the orbit of L number |Aut U| / |Aut L|.  |Aut U| is
+    the number of face orders `_unlabelled_maps` gives, and each labelling
+    contributes 2^(2g-2+n) / (|Aut U| 2^m), m its edges with one face on
+    both sides.  Returns ({exponent vector: Fraction}, class count).
+    """
+    pref = 2 ** (2 * g - 2 + n)
+    groups = {}
+    classes = 0
+    for (s0, s1), orders in _unlabelled_maps([3] * (4 * g - 4 + 2 * n), n):
+        classes += len(_labelled_classes(orders, n))
+        aut = len(orders)
+        counts = Counter(exps for _, exps in _labelled_exponents(s0, s1, n))
+        for exps, count in counts.items():
+            c = Fraction(pref * count, aut * 2 ** sum(exps[:n]))
+            groups[exps] = groups.get(exps, 0) + c
+    return groups, classes
 
 
 def _evaluate_groups(groups, coords) -> Fraction:
@@ -302,9 +374,12 @@ def _evaluate_groups(groups, coords) -> Fraction:
 def rhs_evaluate(g: int, n: int, point: dict, terms=None) -> Fraction:
     """The graph side at `point` (dict s_i -> Fraction), exactly.
 
-    The (graph, aut, term) triples (default: `rhs_terms(g, n)`) are merged
-    by factor multiset, each factor s_i, s_i + s_j is computed once for the
-    point, and the sum is taken over one integer common denominator.
+    The per-graph reference for the graph side, kept because
+    `perfbench/spans.py` traces it; `verify_kcf` evaluates the per-map
+    groups instead.  The (graph, aut, term) triples (default:
+    `rhs_terms(g, n)`) are merged by factor multiset, each factor s_i,
+    s_i + s_j is computed once for the point, and the sum is taken over one
+    integer common denominator.
     """
     if terms is None:
         terms = rhs_terms(g, n)
@@ -337,10 +412,15 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     bounds.  At least 2 * degree_bound + 1 points are sampled.  Failures
     report the first offending point.
 
-    The graph side is grouped once per call: graphs with equal
+    The graph side is grouped once per call, one unlabelled map at a
+    time (`_map_groups`): by orbit-stabiliser, the sum over the labelled
+    classes L of a map U of f(L) / |Aut L| is (1 / |Aut U|) times the sum
+    of f(sigma U) over all n! face labellings sigma, so no `RibbonGraph`
+    and no per-graph rational function is built.  Labellings with equal
     denominator-factor multisets are merged, and at each point the factor
     values s_i, s_i + s_j are computed once and the groups summed exactly
-    over one integer common denominator.
+    over one integer common denominator.  "graphs" counts the labelled
+    classes, the automorphism orbits on the labellings of each map.
     """
     if not is_stable(g, n):
         raise ValueError(f"({g},{n}) is unstable")
@@ -349,8 +429,8 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     rng = random.Random(seed)
     svars = tuple(f"s{i}" for i in range(1, n + 1))
     lhs = lhs_laplace(g, n)
-    terms = rhs_terms(g, n)
-    groups = _factor_groups(terms, n)
+    groups, classes = _map_groups(g, n)
+    groups = list(groups.items())
     points = []
     equal = True
     first_bad = None
@@ -371,7 +451,7 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     return {
         "g": g,
         "n": n,
-        "graphs": len(terms),
+        "graphs": classes,
         "trials": trials,
         "seed": seed,
         "equal": equal,

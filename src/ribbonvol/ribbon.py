@@ -442,6 +442,17 @@ def _least_image(labels, orders):
     return least, images.count(least)
 
 
+def _labelled_classes(orders, n):
+    """The labelled classes of a map with n faces whose automorphisms have
+    the face orders `orders`: {canonical labelling: labelled |Aut|}.
+
+    They are the orbits of the automorphism group on the n! face
+    labellings, each named by its least image (`_least_image`).
+    """
+    return dict(_least_image(labels, orders)
+                for labels in itertools.permutations(range(1, n + 1)))
+
+
 def _unlabelled_maps(degrees, n):
     """Each connected map with the degrees (sorted descending) and n faces,
     once: its canonical pair and the face orders of the roots that reach it.
@@ -476,9 +487,9 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     `_unlabelled_maps` keeps one per unlabelled map: each pairing is
     relabelled once, from root 0, and each new map from its 2E roots.  Its
     labelled classes are then the orbits of its automorphism group on the
-    n! face labellings (the least image of each under the automorphisms'
-    face orders, `_least_image`), which costs tuple operations only; a
-    `RibbonGraph` is built, and validated, for the returned classes alone.
+    n! face labellings (`_labelled_classes`), which costs tuple operations
+    only; a `RibbonGraph` is built, and validated, for the returned classes
+    alone.
     """
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(d < 3 for d in degrees):
@@ -493,8 +504,7 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     # n faces force genus g here since V and E are already fixed
     out = []
     for pair, orders in sorted(_unlabelled_maps(degrees, n)):
-        classes = dict(_least_image(labels, orders)
-                       for labels in itertools.permutations(range(1, n + 1)))
+        classes = _labelled_classes(orders, n)
         for labels in sorted(classes):
             out.append((RibbonGraph(*pair, labels), classes[labels]))
     return out

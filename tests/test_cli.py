@@ -4,7 +4,7 @@ import json
 import pytest
 from jsonschema import Draft202012Validator
 
-from oracle_cli import oracle_enumerate_text
+from oracle_cli import oracle_enumerate_text, oracle_identities_payload
 from ribbonvol.cli import build_parser, main
 
 
@@ -262,6 +262,43 @@ def test_identities_command(run):
     validate(payload, "identities")
     assert payload["ok"] is True
     assert payload["expected_density"] == "2"
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 3)])
+def test_identities_matches_the_per_class_oracle(run, g, n):
+    argv = ["identities", "--g", str(g), "--n", str(n)]
+    code, out = run(*argv)
+    assert code == 0
+    oracle = oracle_identities_payload(build_parser().parse_args(argv))
+    assert out == json.dumps(oracle, indent=1) + "\n"
+
+
+def test_identities_builds_one_cell_form_per_map(run, monkeypatch):
+    """(0,4) has 64 labelled classes on 6 maps; each map's form is built
+    once, and every check runs on the graph's own form."""
+    import ribbonvol.cli as cli
+    from ribbonvol.kformula import _cell_form
+
+    built = []
+    checked = []
+
+    def counted_cell_form(graph):
+        built.append(graph)
+        return _cell_form(graph)
+
+    def recorded_identities(graph, form):
+        checked.append((graph, form))
+        return verify_form_identities(graph, form)
+
+    verify_form_identities = cli.verify_form_identities
+    monkeypatch.setattr(cli, "_cell_form", counted_cell_form)
+    monkeypatch.setattr(cli, "verify_form_identities", recorded_identities)
+    code, out = run("identities", "--g", "0", "--n", "4")
+    assert code == 0 and json.loads(out)["graphs"] == 64
+    assert len(built) == 6
+    assert len({(graph.s0, graph.s1) for graph in built}) == 6
+    assert [graph for graph, _ in checked] == built
+    assert all(form == _cell_form(graph) for graph, form in checked)
 
 
 def test_witten12_command(run):

@@ -11,6 +11,7 @@ from ribbonvol.exact import (
     bareiss,
     kernel_basis,
     mat_det,
+    orthant_exponential_integral,
     right_inverse,
     rref,
 )
@@ -18,6 +19,8 @@ from ribbonvol.kformula import (
     EPSILON,
     _cell_form,
     _factor_groups,
+    _labelled_exponents,
+    _map_groups,
     _principal_block_identity,
     cell_density,
     kernel_normalization,
@@ -28,7 +31,13 @@ from ribbonvol.kformula import (
     verify_form_identities,
     verify_kcf,
 )
-from ribbonvol.ribbon import UnsupportedGraph, enumerate_graphs, enumerate_trivalent
+from ribbonvol.ribbon import (
+    RibbonGraph,
+    UnsupportedGraph,
+    _unlabelled_maps,
+    enumerate_graphs,
+    enumerate_trivalent,
+)
 from ribbonvol.volumes import lhs_laplace
 
 import oracle_cells
@@ -242,6 +251,103 @@ def test_corrupted_aut_in_a_merged_group_is_detected():
     points = sample_points(n, 6, seed=3)
     assert all(lhs.evaluate(pt) == rhs_evaluate(g, n, pt, terms) for pt in points)
     assert any(lhs.evaluate(pt) != rhs_evaluate(g, n, pt, bad) for pt in points)
+
+
+# every stable type with at most 12 trivalent edges but (0, 6)
+MAP_ROUTE_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1), (1, 3), (0, 5), (2, 2), (1, 4)]
+
+
+@pytest.mark.parametrize("g,n", MAP_ROUTE_TYPES)
+def test_map_route_equals_the_per_graph_groups(g, n):
+    """Oracle gate: summing each unlabelled map over all n! labellings and
+    dividing by |Aut U| gives the same merged groups, and counts the same
+    classes, as one term per labelled class divided by its |Aut L|."""
+    terms = rhs_terms(g, n)
+    groups, classes = _map_groups(g, n)
+    assert groups == dict(_factor_groups(terms, n))
+    assert classes == len(terms)
+
+
+def trivalent_maps(g, n):
+    return _unlabelled_maps([3] * (4 * g - 4 + 2 * n), n)
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 2), (1, 3)])
+def test_each_labelling_gives_the_denominator_of_its_labelled_graph(g, n):
+    """labels[i] labels the i-th face cycle, as `RibbonGraph.face_labels`
+    does: the exponent vector is that of the graph's own orthant term, and
+    the term's scalar is 1/2 per edge with one face on both sides."""
+    svars = tuple(f"s{i}" for i in range(1, n + 1))
+    for (s0, s1), _ in trivalent_maps(g, n):
+        seen = set()
+        for labels, exps in _labelled_exponents(s0, s1, n):
+            seen.add(labels)
+            graph = RibbonGraph(s0, s1, [x + 1 for x in labels])
+            term = orthant_exponential_integral(graph.face_edge_matrix(), svars)
+            assert _factor_groups([(graph, 1, term)], n) == [(exps, term.scalar)]
+            assert term.scalar == Fraction(1, 2 ** sum(exps[:n]))
+        assert len(seen) == len(list(itertools.permutations(range(n))))
+
+
+def test_a_wrong_map_automorphism_count_is_detected(monkeypatch):
+    """Soundness canary: one map of (0,4) with |Aut U| off by one makes the
+    two sides differ."""
+    import ribbonvol.kformula as kf
+
+    assert kf.verify_kcf(0, 4, trials=3, seed=5)["equal"]
+    maps = trivalent_maps(0, 4)
+    pair, orders = maps[0]
+    bad = [(pair, orders + orders[:1])] + maps[1:]
+    monkeypatch.setattr(kf, "_unlabelled_maps", lambda degrees, n: bad)
+    report = kf.verify_kcf(0, 4, trials=3, seed=5)
+    assert not report["equal"]
+    assert report["first_mismatch"] is not None
+
+
+def test_verify_kcf_builds_no_graph_and_no_orthant_term(monkeypatch):
+    import ribbonvol.exact.ratfun as ratfun
+    import ribbonvol.kformula as kf
+
+    calls = {"graphs": 0, "orthant": 0}
+    post_init = RibbonGraph.__post_init__
+
+    def counted_post_init(self):
+        calls["graphs"] += 1
+        post_init(self)
+
+    def counted_orthant(*args, **kwargs):
+        calls["orthant"] += 1
+        return orthant_exponential_integral(*args, **kwargs)
+
+    monkeypatch.setattr(RibbonGraph, "__post_init__", counted_post_init)
+    monkeypatch.setattr(kf, "orthant_exponential_integral", counted_orthant)
+    monkeypatch.setattr(ratfun, "orthant_exponential_integral", counted_orthant)
+    report = kf.verify_kcf(1, 3, trials=3, seed=1)
+    assert report["equal"] and report["graphs"] == 236
+    assert calls == {"graphs": 0, "orthant": 0}
+    kf.rhs_terms(1, 1)  # the counters see the per-graph route
+    assert calls["graphs"] > 0 and calls["orthant"] > 0
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 2), (1, 3)])
+def test_cell_form_and_checks_are_label_invariant(g, n):
+    """Label-invariance gate: every labelled class of a map has the cell
+    form, the identity checks and the density of the map's first class.
+    The labels only permute the rows of A, which leaves its RREF, ker A,
+    d and |det A_P| unchanged."""
+    classes = enumerate_trivalent(g, n)
+    maps = 0
+    for _, group in itertools.groupby(classes, key=lambda c: (c[0].s0, c[0].s1)):
+        graphs = [graph for graph, _ in group]
+        maps += 1
+        form = _cell_form(graphs[0])
+        checks = verify_form_identities(graphs[0])["checks"]
+        for graph in graphs:
+            other = _cell_form(graph)
+            assert other == form
+            assert verify_form_identities(graph)["checks"] == checks
+            assert other.density() == form.density()
+    assert maps == len(trivalent_maps(g, n))
 
 
 def test_grouping_refuses_a_numerator_other_than_one():

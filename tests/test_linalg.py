@@ -216,3 +216,11 @@ def test_mat_det_rejects_non_square_matrices():
     # the elimination would find a pivot in a column beyond the first n
     with pytest.raises(ValueError):
         mat_det([[Fraction(0), Fraction(2), Fraction(3)]])
+
+
+def test_rref_of_an_integer_matrix_stays_exact():
+    """An int pivot scales its row by a Fraction reciprocal, never a float."""
+    R, pivots = rref([[3, 1, 2], [6, 4, 1]])
+    assert pivots == [0, 1]
+    assert R == [[1, 0, Fraction(7, 6)], [0, 1, Fraction(-3, 2)]]
+    assert all(isinstance(x, Fraction) for row in R for x in row)

@@ -347,3 +347,19 @@ def test_witten12_builds_no_full_form(monkeypatch):
     monkeypatch.setattr(Surd, "__rmul__", counted)
     witten12_report()
     assert 0 < calls[0] <= 1000
+
+
+def test_witten12_inverts_each_surd_pivot_once(monkeypatch):
+    """Gauss-Jordan scales each pivot row by one reciprocal of the pivot;
+    dividing entry by entry inverted a Surd 249 times here."""
+    calls = [0]
+    inverse = Surd.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(Surd, "inverse", counted)
+    report = witten12_report()
+    assert report["intersections"] == {"psi1": "1", "psi2": "1"}
+    assert 0 < calls[0] <= 61
