@@ -7,8 +7,9 @@ error.  Randomised commands require an explicit --seed, echoed in the
 output.
 
 JSON is written as `json.dumps(payload, indent=1)`.  `enumerate` streams
-its classes instead, one fixed row template per class, with the same
-bytes as `json.dumps(indent=1)` of the whole payload.
+its classes instead, from a row template filled once per map and then once
+per class, with the same bytes as `json.dumps(indent=1)` of the whole
+payload.
 """
 
 from __future__ import annotations
@@ -91,16 +92,17 @@ def _int_list(xs, depth: int) -> str:
     return "[" + pad + ("," + pad).join(map(str, xs)) + "\n" + " " * depth + "]"
 
 
-# One class of `enumerate` JSON at depth 2, preceded by its separator.
-_CLASS_ROW = """%s  {
+# One class of `enumerate` JSON at depth 2.  The map's fields are filled in
+# first; the %% slots left are the separator, the face labels and |Aut|.
+_CLASS_ROW = """%%s  {
    "graph": {
     "v": 1,
     "half_edges": %d,
     "s0": %s,
     "s1": %s,
-    "face_labels": %s
+    "face_labels": %%s
    },
-   "aut": %d,
+   "aut": %%d,
    "genus": %d,
    "faces": %d
   }"""
@@ -108,26 +110,39 @@ _CLASS_ROW = """%s  {
 
 def _enumerate_json(head: dict, classes):
     """The `enumerate` payload `head` with `"classes"` filled from the
-    (graph, aut) pairs, streamed one class per chunk."""
+    (graph, aut) pairs, streamed one class per chunk.
+
+    The classes of one map come consecutively and differ only in their face
+    labels, so half_edges, s0, s1, genus and faces are formatted once per
+    run of classes with the same (s0, s1) pair, the key of `row`.
+    """
     text = json.dumps({**head, "classes": []}, indent=1)
     if not classes:
         yield text + "\n"
         return
     sep = text[:-len("[]\n}")] + "[\n"
+    key = None
     for graph, aut in classes:
-        yield _CLASS_ROW % (
-            sep, len(graph.s0), _int_list(graph.s0, 4), _int_list(graph.s1, 4),
-            _int_list(graph.face_labels, 4), aut, graph.genus, graph.num_faces)
+        if key != (graph.s0, graph.s1):
+            key = (graph.s0, graph.s1)
+            row = _CLASS_ROW % (len(graph.s0), _int_list(graph.s0, 4),
+                                _int_list(graph.s1, 4), graph.genus, graph.num_faces)
+        yield row % (sep, _int_list(graph.face_labels, 4), aut)
         sep = ",\n"
     yield "\n ]\n}\n"
 
 
 def _enumerate_csv(classes):
+    """The `enumerate` CSV, with the map's columns formatted once per run of
+    classes with the same (s0, s1) pair, as in `_enumerate_json`."""
     yield "index,aut,half_edges,s0,s1,face_labels\n"
+    key = None
     for i, (graph, aut) in enumerate(classes):
-        yield "%d,%d,%d,%s,%s,%s\n" % (
-            i, aut, len(graph.s0), " ".join(map(str, graph.s0)),
-            " ".join(map(str, graph.s1)), " ".join(map(str, graph.face_labels)))
+        if key != (graph.s0, graph.s1):
+            key = (graph.s0, graph.s1)
+            row = "%%d,%%d,%d,%s,%s,%%s\n" % (
+                len(graph.s0), " ".join(map(str, graph.s0)), " ".join(map(str, graph.s1)))
+        yield row % (i, aut, " ".join(map(str, graph.face_labels)))
 
 
 def cmd_enumerate(args) -> tuple:

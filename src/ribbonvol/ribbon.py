@@ -17,7 +17,7 @@ exactly when its encoding from root 0 is one of the encodings, from every
 root, of the maps found so far; a new map is relabelled from each of its
 roots once, and the least of those encodings is its canonical pair.  Its
 labelled classes are the orbits of its automorphism group on the face
-labellings.
+labellings; one `RibbonGraph` is validated per map and relabelled per class.
 """
 
 from __future__ import annotations
@@ -111,6 +111,12 @@ def _bfs_relabel(s0, s1, root):
     return (tuple(s0p), tuple(s1p)), new
 
 
+def _check_labels(labels, n):
+    if sorted(labels) != list(range(1, n + 1)):
+        raise InvalidRibbonGraph(
+            f"face labels must be a bijection onto 1..{n}, got {labels}")
+
+
 @dataclass(frozen=True)
 class RibbonGraph:
     s0: tuple
@@ -144,15 +150,25 @@ class RibbonGraph:
                     stack.append(e)
         if len(seen) != N:
             raise InvalidRibbonGraph("graph is not connected")
-        faces = self.faces()
-        labels = self.face_labels
-        if sorted(labels) != list(range(1, len(faces) + 1)):
-            raise InvalidRibbonGraph(
-                f"face labels must be a bijection onto 1..{len(faces)}, got {labels}")
+        _check_labels(self.face_labels, self.num_faces)
         if (2 - self.num_vertices + self.num_edges - self.num_faces) % 2:
             raise InvalidRibbonGraph("odd Euler characteristic defect: corrupted permutations")
         if self.genus < 0:
             raise InvalidRibbonGraph("negative genus: corrupted permutations")
+
+    def _relabelled(self, labels) -> "RibbonGraph":
+        """The same map with the face labels `labels`, not validated again.
+
+        The copy shares `s0`, `s1` and the label-free caches `vertices` and
+        `_faces`; only the labels are checked.  `_canonical` reads the
+        labels, so it is never carried over.
+        """
+        labels = tuple(labels)
+        _check_labels(labels, self.num_faces)
+        copy = object.__new__(type(self))
+        copy.__dict__.update(s0=self.s0, s1=self.s1, face_labels=labels,
+                             vertices=self.vertices, _faces=self._faces)
+        return copy
 
     # -- basic structure -----------------------------------------------------
 
@@ -407,9 +423,13 @@ def _search_pairings(degrees, n):
     return tuple(s0), rec(0, 0)
 
 
+# `_encoding_key` packs one dart number into one byte
+_MAX_DARTS = 256
+
+
 def _encoding_key(pair):
     """A BFS encoding `(s0', s1')` as one bytes key, one byte per dart
-    number; more than 256 darts raise ValueError."""
+    number; more than `_MAX_DARTS` darts raise ValueError."""
     return bytes(pair[0] + pair[1])
 
 
@@ -488,8 +508,12 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     relabelled once, from root 0, and each new map from its 2E roots.  Its
     labelled classes are then the orbits of its automorphism group on the
     n! face labellings (`_labelled_classes`), which costs tuple operations
-    only; a `RibbonGraph` is built, and validated, for the returned classes
-    alone.
+    only.  One `RibbonGraph` is built, and validated, per map, from its
+    first class; every other class is that graph relabelled
+    (`RibbonGraph._relabelled`), which checks only the labels.
+
+    More than 256 half-edges raise ValueError before the search starts:
+    the encodings store one dart number per byte.
     """
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(d < 3 for d in degrees):
@@ -501,12 +525,18 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     if V - E + n != 2 - 2 * g or 2 - 2 * g - n >= 0:
         return []
 
+    if 2 * E > _MAX_DARTS:
+        raise ValueError(f"enumeration is limited to {_MAX_DARTS} half-edges, "
+                         f"got {2 * E}")
+
     # n faces force genus g here since V and E are already fixed
     out = []
     for pair, orders in sorted(_unlabelled_maps(degrees, n)):
         classes = _labelled_classes(orders, n)
-        for labels in sorted(classes):
-            out.append((RibbonGraph(*pair, labels), classes[labels]))
+        first, *rest = sorted(classes)
+        graph = RibbonGraph(*pair, first)
+        out.append((graph, classes[first]))
+        out += [(graph._relabelled(labels), classes[labels]) for labels in rest]
     return out
 
 

@@ -18,11 +18,14 @@ from ribbonvol.kformula import _cell_form, verify_form_identities
 from ribbonvol.ribbon import enumerate_graphs, enumerate_trivalent
 
 
-def oracle_enumerate_text(args) -> str:
-    """The text of `enumerate` for parsed CLI `args` (g, n, degrees, format)."""
+def oracle_enumerate_text(args, classes=None) -> str:
+    """The text of `enumerate` for parsed CLI `args` (g, n, degrees, format),
+    from the (graph, aut) `classes` if given, else from `enumerate_graphs`."""
+    if classes is None:
+        classes = enumerate_graphs(args.g, args.n, args.degrees)
     rows = [{"graph": graph.to_json(), "aut": aut,
              "genus": graph.genus, "faces": graph.num_faces}
-            for graph, aut in enumerate_graphs(args.g, args.n, args.degrees)]
+            for graph, aut in classes]
     if args.format == "csv":
         lines = ["index,aut,half_edges,s0,s1,face_labels"]
         for i, row in enumerate(rows):

@@ -6,6 +6,7 @@ from jsonschema import Draft202012Validator
 
 from oracle_cli import oracle_enumerate_text, oracle_identities_payload
 from ribbonvol.cli import build_parser, main
+from ribbonvol.ribbon import RibbonGraph, enumerate_graphs
 
 
 @pytest.fixture()
@@ -194,6 +195,52 @@ def test_enumerate_matches_the_row_dict_oracle(tmp_path, run, g, n, degrees, fmt
     code, printed = run(*argv, "--out", str(dest))
     assert code == 0 and printed == ""
     assert dest.read_bytes() == out.encode()
+
+
+def _hand_built_classes():
+    """Two pairs of (0,4) classes the row cache must tell apart: two maps
+    sharing one s0 tuple object, with different s1, and two classes of one
+    map built from equal but distinct s0 and s1 tuples."""
+    by_s0 = {}
+    for graph, aut in enumerate_graphs(0, 4, [3] * 4):
+        by_s0.setdefault(graph.s0, {}).setdefault(graph.s1, (graph.face_labels, aut))
+    s0, maps = next((s0, maps) for s0, maps in by_s0.items() if len(maps) == 2)
+    (s1a, (labels_a, aut_a)), (s1b, (labels_b, aut_b)) = maps.items()
+    shared_s0 = [(RibbonGraph(s0, s1a, labels_a), aut_a),
+                 (RibbonGraph(s0, s1b, labels_b), aut_b)]
+    assert shared_s0[0][0].s0 is shared_s0[1][0].s0
+    one_map = [(RibbonGraph(tuple(list(s0)), tuple(list(s1a)), labels), aut_a)
+               for labels in (labels_a, labels_a[::-1])]
+    assert one_map[0][0].s1 is not one_map[1][0].s1
+    return shared_s0, one_map
+
+
+@pytest.mark.parametrize("case", [0, 1])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_enumerate_rows_are_keyed_on_s0_and_s1(run, monkeypatch, fmt, case):
+    """The map's fields are formatted once per run of equal (s0, s1); a
+    change of s1 alone must start a new row, and equal tuples reuse it."""
+    import ribbonvol.cli as cli
+
+    classes = _hand_built_classes()[case]
+    monkeypatch.setattr(cli, "enumerate_graphs", lambda g, n, degrees: classes)
+    argv = ["enumerate", "--g", "0", "--n", "4", "--degrees", "3,3,3,3", "--format", fmt]
+    code, out = run(*argv)
+    assert code == 0
+    assert out == oracle_enumerate_text(build_parser().parse_args(argv), classes)
+
+
+def test_enumerate_refuses_more_than_256_half_edges_up_front(run, monkeypatch):
+    import ribbonvol.ribbon as ribbon
+
+    def no_search(degrees, n):
+        raise AssertionError("pairing search started")
+
+    monkeypatch.setattr(ribbon, "_search_pairings", no_search)
+    code, out = run("enumerate", "--g", "0", "--n", "130", "--degrees", "258")
+    assert code == 2
+    assert json.loads(out) == {
+        "v": 1, "error": "enumeration is limited to 256 half-edges, got 258"}
 
 
 # every JSON command's bytes are exactly `json.dumps(indent=1)` of what they

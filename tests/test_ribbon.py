@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -5,6 +6,7 @@ from math import factorial
 import pytest
 
 import oracle_ribbon as oracle
+from test_cli import ORACLE_CASES
 import ribbonvol.ribbon as ribbon
 from ribbonvol.exact import mat_rank, transpose
 from ribbonvol.ribbon import (
@@ -315,3 +317,92 @@ def test_json_roundtrip_and_version_check():
     with pytest.raises(InvalidRibbonGraph):
         RibbonGraph.from_json(j)
 
+
+
+# the types of `test_enumerate_matches_the_row_dict_oracle` and three
+# trivalent ones, up to the 713 classes of (2,2)
+SHARED_CLASS_TYPES = [(g, n, [int(d) for d in degrees.split(",")])
+                      for g, n, degrees in ORACLE_CASES] + [
+    (0, 4, [3] * 4), (1, 3, [3] * 6), (2, 2, [3] * 8)]
+
+
+@pytest.mark.parametrize("g,n,degrees", SHARED_CLASS_TYPES)
+def test_relabelled_classes_equal_freshly_built_graphs(g, n, degrees):
+    """Every class but a map's first is that graph relabelled; it must be
+    indistinguishable from a `RibbonGraph` built and validated afresh."""
+    for graph, aut in enumerate_graphs(g, n, degrees):
+        fresh = RibbonGraph(graph.s0, graph.s1, graph.face_labels)
+        assert type(graph) is RibbonGraph
+        assert graph == fresh and hash(graph) == hash(fresh)
+        assert graph.vertices == fresh.vertices
+        assert graph.faces() == fresh.faces()
+        assert graph.edges == fresh.edges
+        assert (graph.genus, graph.num_faces) == (fresh.genus, fresh.num_faces) == (g, n)
+        assert graph.face_edge_matrix() == fresh.face_edge_matrix()
+        assert graph.canonical_form() == fresh.canonical_form()
+        assert graph.automorphism_group_order() == fresh.automorphism_group_order() == aut
+
+
+def test_each_map_is_validated_once(monkeypatch):
+    """(0,5) 4,4,4 has 540 classes; each of its maps runs `__post_init__`
+    once, where one validation per class would run it 540 times."""
+    calls = 0
+    post_init = RibbonGraph.__post_init__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        post_init(self)
+
+    monkeypatch.setattr(RibbonGraph, "__post_init__", counted)
+    out = enumerate_graphs(0, 5, [4, 4, 4])
+    monkeypatch.undo()
+    maps = _unlabelled_maps([4, 4, 4], 5)
+    assert len(out) == 540
+    assert calls == len(maps) == len({(graph.s0, graph.s1) for graph, _ in out})
+
+
+def test_relabelled_checks_the_labels():
+    graph = enumerate_graphs(0, 4, [3] * 4)[0][0]
+    for labels in [(1, 1, 2, 3), (1, 2, 3), (1, 2, 3, 4, 5), (0, 1, 2, 3)]:
+        with pytest.raises(InvalidRibbonGraph):
+            graph._relabelled(labels)
+
+
+def test_relabelled_recomputes_the_labelled_canonical_form():
+    """A relabelled copy of a graph whose canonical form is already cached
+    must not inherit it: the form and |Aut| depend on the labels."""
+    graph = enumerate_graphs(0, 4, [3] * 4)[0][0]
+    graph.canonical_form()
+    forms = set()
+    for labels in itertools.permutations(range(1, 5)):
+        copy = graph._relabelled(labels)
+        fresh = RibbonGraph(graph.s0, graph.s1, labels)
+        assert copy.s0 is graph.s0 and copy.s1 is graph.s1
+        assert copy.face_labels == labels
+        assert copy.canonical_form() == fresh.canonical_form()
+        assert copy.automorphism_group_order() == fresh.automorphism_group_order()
+        forms.add(fresh.canonical_form())
+    assert len(forms) == 12
+
+
+def test_more_than_256_half_edges_refused_before_the_search(monkeypatch):
+    """Encodings hold one dart number per byte; the limit is checked before
+    any pairing is searched, and 256 darts pass it."""
+    def no_search(degrees, n):
+        raise AssertionError("pairing search started")
+
+    monkeypatch.setattr(ribbon, "_search_pairings", no_search)
+    with pytest.raises(ValueError, match="256 half-edges, got 258"):
+        enumerate_graphs(0, 130, [258])
+    with pytest.raises(ValueError, match="256 half-edges, got 258"):
+        enumerate_trivalent(0, 45)
+    searched = []
+
+    def empty_search(degrees, n):
+        searched.append(sum(degrees))
+        return (), iter(())
+
+    monkeypatch.setattr(ribbon, "_search_pairings", empty_search)
+    assert enumerate_graphs(0, 129, [256]) == []
+    assert searched == [256]
