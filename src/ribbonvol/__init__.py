@@ -8,20 +8,8 @@ limiting Weil-Petersson geometry over combinatorial cycles.
 __version__ = "0.1.0"
 
 from .ribbon import RibbonGraph, enumerate_graphs, enumerate_trivalent
-from .volumes import (
-    base_case,
-    kontsevich_volume,
-    lhs_laplace,
-    psi_numbers,
-    wp_volume_asymptotic,
-)
-from .kformula import (
-    cell_density,
-    kontsevich_form,
-    rhs_laplace,
-    verify_form_identities,
-    verify_kcf,
-)
+from .volumes import kontsevich_volume, lhs_laplace, psi_numbers
+from .kformula import cell_density, kontsevich_form, verify_form_identities, verify_kcf
 from .multicurve import Multicurve, edge_multicurve, intersection_matrix, limit_length
 from .wittencycle import CellChart, cell_volume_laplace, witten12_report
 
@@ -29,14 +17,11 @@ __all__ = [
     "RibbonGraph",
     "enumerate_graphs",
     "enumerate_trivalent",
-    "base_case",
     "kontsevich_volume",
     "lhs_laplace",
     "psi_numbers",
-    "wp_volume_asymptotic",
     "cell_density",
     "kontsevich_form",
-    "rhs_laplace",
     "verify_form_identities",
     "verify_kcf",
     "Multicurve",

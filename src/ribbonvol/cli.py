@@ -108,41 +108,45 @@ _CLASS_ROW = """%%s  {
   }"""
 
 
-def _enumerate_json(head: dict, classes):
-    """The `enumerate` payload `head` with `"classes"` filled from the
-    (graph, aut) pairs, streamed one class per chunk.
+def _map_runs(classes):
+    """The (graph, aut) pairs of `enumerate_graphs`, one list per map.
 
     The classes of one map come consecutively and differ only in their face
-    labels, so half_edges, s0, s1, genus and faces are formatted once per
-    run of classes with the same (s0, s1) pair, the key of `row`.
+    labels, so a map's run ends where the (s0, s1) pair changes.
     """
+    for _, run in itertools.groupby(classes, key=lambda c: (c[0].s0, c[0].s1)):
+        yield list(run)
+
+
+def _enumerate_json(head: dict, classes):
+    """The `enumerate` payload `head` with `"classes"` filled from the
+    (graph, aut) pairs, streamed one class per chunk; half_edges, s0, s1,
+    genus and faces are formatted once per map."""
     text = json.dumps({**head, "classes": []}, indent=1)
     if not classes:
         yield text + "\n"
         return
     sep = text[:-len("[]\n}")] + "[\n"
-    key = None
-    for graph, aut in classes:
-        if key != (graph.s0, graph.s1):
-            key = (graph.s0, graph.s1)
-            row = _CLASS_ROW % (len(graph.s0), _int_list(graph.s0, 4),
-                                _int_list(graph.s1, 4), graph.genus, graph.num_faces)
-        yield row % (sep, _int_list(graph.face_labels, 4), aut)
-        sep = ",\n"
+    for run in _map_runs(classes):
+        first = run[0][0]
+        row = _CLASS_ROW % (len(first.s0), _int_list(first.s0, 4),
+                            _int_list(first.s1, 4), first.genus, first.num_faces)
+        for graph, aut in run:
+            yield row % (sep, _int_list(graph.face_labels, 4), aut)
+            sep = ",\n"
     yield "\n ]\n}\n"
 
 
 def _enumerate_csv(classes):
-    """The `enumerate` CSV, with the map's columns formatted once per run of
-    classes with the same (s0, s1) pair, as in `_enumerate_json`."""
+    """The `enumerate` CSV, with the map's columns formatted once per map."""
     yield "index,aut,half_edges,s0,s1,face_labels\n"
-    key = None
-    for i, (graph, aut) in enumerate(classes):
-        if key != (graph.s0, graph.s1):
-            key = (graph.s0, graph.s1)
-            row = "%%d,%%d,%d,%s,%s,%%s\n" % (
-                len(graph.s0), " ".join(map(str, graph.s0)), " ".join(map(str, graph.s1)))
-        yield row % (i, aut, " ".join(map(str, graph.face_labels)))
+    index = itertools.count()
+    for run in _map_runs(classes):
+        first = run[0][0]
+        row = "%%d,%%d,%d,%s,%s,%%s\n" % (
+            len(first.s0), " ".join(map(str, first.s0)), " ".join(map(str, first.s1)))
+        for graph, aut in run:
+            yield row % (next(index), aut, " ".join(map(str, graph.face_labels)))
 
 
 def cmd_enumerate(args) -> tuple:
@@ -205,18 +209,17 @@ def cmd_identities(args) -> tuple:
     expected_density = Fraction(2) ** (1 - args.g)
     out = []
     all_ok = True
-    # The classes of one map come consecutively, with equal s0 and s1.  The
-    # checks and the density read only K, B, ker A and G, which the face
+    # The checks and the density read only K, B, ker A and G, which the face
     # labels do not change (they permute the rows of A), so each map's cell
     # form is built and checked once.
-    for _, classes in itertools.groupby(graphs, key=lambda c: (c[0].s0, c[0].s1)):
-        classes = list(classes)
-        form = _cell_form(classes[0][0])
-        rep = verify_form_identities(classes[0][0], form)
+    for run in _map_runs(graphs):
+        first = run[0][0]
+        form = _cell_form(first)
+        rep = verify_form_identities(first, form)
         rho = form.density()
         ok = rep["ok"] and rho == expected_density
         all_ok &= ok
-        for graph, aut in classes:
+        for graph, aut in run:
             out.append({"graph": graph.to_json(), "aut": aut, "checks": rep["checks"],
                         "density": str(rho), "ok": ok})
     payload = {

@@ -1,7 +1,7 @@
 """Exact arithmetic kernel: Q(sqrt(5)) surds, polynomials and rational
 functions over Q, and dense linear algebra over Q and Q(sqrt(5))."""
 
-from .surd import Surd, sqrt5
+from .surd import Surd
 from .poly import Poly, poly_integrate
 from .ratfun import (
     RationalFunction,
@@ -27,7 +27,6 @@ from .linalg import (
 
 __all__ = [
     "Surd",
-    "sqrt5",
     "Poly",
     "poly_integrate",
     "RationalFunction",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 
-__all__ = ["Surd", "sqrt5"]
+__all__ = ["Surd"]
 
 
 class Surd:
@@ -156,7 +156,3 @@ class Surd:
         if int(obj["D"]) != cls.D:
             raise ValueError(f"only sqrt({cls.D}) is supported, got D = {obj['D']}")
         return cls(Fraction(obj["a"]), Fraction(obj["b"]))
-
-
-def sqrt5() -> Surd:
-    return Surd(0, 1)

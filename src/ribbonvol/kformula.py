@@ -14,11 +14,10 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from .exact import (
-    RationalFunction,
     SingularMatrixError,
     bareiss,
     bareiss_kernel,
@@ -30,7 +29,6 @@ from .exact import (
 from .ribbon import (
     RibbonGraph,
     UnsupportedGraph,
-    _labelled_classes,
     _unlabelled_maps,
     enumerate_trivalent,
     face_cycles,
@@ -40,7 +38,6 @@ from .volumes import is_stable, lhs_laplace
 __all__ = [
     "kontsevich_form",
     "rhs_terms",
-    "rhs_laplace",
     "rhs_evaluate",
     "verify_kcf",
     "verify_form_identities",
@@ -66,7 +63,7 @@ def kontsevich_form(graph: RibbonGraph, distinguished=None):
     """
     if not graph.is_trivalent:
         raise UnsupportedGraph("K is defined on trivalent cells")
-    faces = graph._faces
+    faces = graph.faces
     if distinguished is None:
         distinguished = [0] * len(faces)
     E = graph.num_edges
@@ -204,7 +201,7 @@ def verify_form_identities(graph: RibbonGraph, form: _CellForm | None = None) ->
     ok &= c3
 
     # distinguished-side independence of the restriction
-    faces = graph._faces
+    faces = graph.faces
     alt = [len(c) // 2 for c in faces]
     c4 = G == restrict_form(kontsevich_form(graph, alt), V)
     report["checks"]["distinguished_side_independent_on_kerA"] = c4
@@ -250,8 +247,8 @@ def rhs_terms(g: int, n: int):
 
     The per-graph reference for the graph side: one `RibbonGraph` and one
     `orthant_exponential_integral` per labelled class.  `verify_kcf` sums
-    per unlabelled map instead (`_map_groups`); this route stays for
-    `rhs_laplace` and because `perfbench/spans.py` traces it.
+    per unlabelled map instead (`_map_groups`); this route stays because
+    `perfbench/spans.py` traces it.
     """
     if not is_stable(g, n):
         raise ValueError(f"({g},{n}) is unstable")
@@ -331,13 +328,16 @@ def _map_groups(g: int, n: int):
     the labellings in the orbit of L number |Aut U| / |Aut L|.  |Aut U| is
     the number of face orders `_unlabelled_maps` gives, and each labelling
     contributes 2^(2g-2+n) / (|Aut U| 2^m), m its edges with one face on
-    both sides.  Returns ({exponent vector: Fraction}, class count).
+    both sides.  The distinct face orders form a coset of the image H of
+    Aut U in S_n, which acts freely on the n! labellings, so the map has
+    n! / |H| labelled classes.  Returns ({exponent vector: Fraction},
+    class count).
     """
     pref = 2 ** (2 * g - 2 + n)
     groups = {}
     classes = 0
     for (s0, s1), orders in _unlabelled_maps([3] * (4 * g - 4 + 2 * n), n):
-        classes += len(_labelled_classes(orders, n))
+        classes += factorial(n) // len(set(map(tuple, orders)))
         aut = len(orders)
         counts = Counter(exps for _, exps in _labelled_exponents(s0, s1, n))
         for exps, count in counts.items():
@@ -385,17 +385,6 @@ def rhs_evaluate(g: int, n: int, point: dict, terms=None) -> Fraction:
         terms = rhs_terms(g, n)
     coords = [point[f"s{i}"] for i in range(1, n + 1)]
     return _evaluate_groups(_factor_groups(terms, n), coords)
-
-
-def rhs_laplace(g: int, n: int) -> RationalFunction:
-    """The graph sum combined into a single reduced rational function.
-
-    The graph terms are added once over their common denominator by
-    `RationalFunction.sum`.  (1,3) and (2,2) take about a second; (0,5) is
-    out of reach (unfinished after 300 s), so use `rhs_evaluate` for
-    pointwise work on larger types.
-    """
-    return RationalFunction.sum(term for _, _, term in rhs_terms(g, n))
 
 
 def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:

@@ -144,7 +144,7 @@ def _face_walk_minus(graph: RibbonGraph, face_index: int, removed):
     are the two ends of the removed edge side; removing two leaves two arcs,
     each already closed.
     """
-    cyc = list(graph._faces[face_index])
+    cyc = list(graph.faces[face_index])
     walk = list(reversed(cyc))
     pos = sorted(walk.index(d) for d in removed)
     if len(pos) == 1:

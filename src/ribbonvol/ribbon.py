@@ -160,14 +160,14 @@ class RibbonGraph:
         """The same map with the face labels `labels`, not validated again.
 
         The copy shares `s0`, `s1` and the label-free caches `vertices` and
-        `_faces`; only the labels are checked.  `_canonical` reads the
+        `faces`; only the labels are checked.  `_canonical` reads the
         labels, so it is never carried over.
         """
         labels = tuple(labels)
         _check_labels(labels, self.num_faces)
         copy = object.__new__(type(self))
         copy.__dict__.update(s0=self.s0, s1=self.s1, face_labels=labels,
-                             vertices=self.vertices, _faces=self._faces)
+                             vertices=self.vertices, faces=self.faces)
         return copy
 
     # -- basic structure -----------------------------------------------------
@@ -209,22 +209,19 @@ class RibbonGraph:
                 out[d] = v
         return tuple(out)
 
+    @cached_property
     def faces(self):
         """Cycles of s2 = s0^{-1} s1, ordered by minimal dart."""
-        return list(self._faces)
-
-    @cached_property
-    def _faces(self):
         return tuple(face_cycles(self.s0, self.s1))
 
     @property
     def num_faces(self) -> int:
-        return len(self._faces)
+        return len(self.faces)
 
     @cached_property
     def face_of(self):
         out = [0] * self.num_darts
-        for i, cyc in enumerate(self._faces):
+        for i, cyc in enumerate(self.faces):
             for d in cyc:
                 out[d] = i
         return tuple(out)
@@ -251,7 +248,7 @@ class RibbonGraph:
         face labelled i+1.  Columns sum to 2 and A e = x gives perimeters."""
         n, E = self.num_faces, self.num_edges
         A = [[0] * E for _ in range(n)]
-        for fi, cyc in enumerate(self._faces):
+        for fi, cyc in enumerate(self.faces):
             row = self.face_labels[fi] - 1
             for d in cyc:
                 A[row][self.edge_of[d]] += 1
@@ -292,10 +289,6 @@ class RibbonGraph:
 
     def canonical_form(self):
         return self._canonical[0]
-
-    def canonical(self) -> "RibbonGraph":
-        s0, s1, labels = self.canonical_form()
-        return RibbonGraph(s0, s1, labels)
 
     def automorphism_group_order(self) -> int:
         """Half-edge bijections commuting with s0, s1 and preserving labels.

@@ -33,19 +33,12 @@ from math import factorial
 from .exact import Poly, RationalFunction, double_factorial
 
 __all__ = [
-    "base_case",
     "is_stable",
     "kontsevich_volume",
     "psi_numbers",
     "lhs_laplace",
-    "wp_volume_asymptotic",
-    "NotABaseCase",
     "UnstableInput",
 ]
-
-
-class NotABaseCase(ValueError):
-    pass
 
 
 class UnstableInput(ValueError):
@@ -54,21 +47,6 @@ class UnstableInput(ValueError):
 
 def is_stable(g: int, n: int) -> bool:
     return g >= 0 and n >= 1 and 2 - 2 * g - n < 0
-
-
-def _L(i: int) -> str:
-    return f"L{i}"
-
-
-def base_case(g: int, n: int) -> Poly:
-    if (g, n) == (0, 3):
-        out = Poly.const(1, ())
-        for i in (1, 2, 3):
-            out = out * Poly.variable(_L(i))
-        return out
-    if (g, n) == (1, 1):
-        return Poly((_L(1),), {(3,): Fraction(1, 48)})
-    raise NotABaseCase(f"({g},{n}) is not a base case")
 
 
 def _key(ds) -> tuple:
@@ -120,22 +98,18 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _volume_poly(g: int, n: int, prefix: str, shift: int) -> Poly:
-    """sum_a <psi^a> / (2^d prod a_k!) prod_k v_k^(2a_k + shift), v_k = prefix+k."""
+@lru_cache(maxsize=None)
+def kontsevich_volume(g: int, n: int) -> Poly:
+    """The polynomial W_{g,n}(L1..Ln), homogeneous of degree 6g-6+3n:
+    sum_a <psi^a> / (2^d prod a_k!) prod_k L_k^(2a_k + 1)."""
     scale = 2 ** (3 * g - 3 + n)
     terms = {}
     for alpha, val in psi_numbers(g, n).items():
         denom = scale
         for a in alpha:
             denom *= factorial(a)
-        terms[tuple(2 * a + shift for a in alpha)] = val / denom
-    return Poly(tuple(f"{prefix}{i}" for i in range(1, n + 1)), terms)
-
-
-@lru_cache(maxsize=None)
-def kontsevich_volume(g: int, n: int) -> Poly:
-    """The polynomial W_{g,n}(L1..Ln), homogeneous of degree 6g-6+3n."""
-    return _volume_poly(g, n, "L", 1)
+        terms[tuple(2 * a + 1 for a in alpha)] = val / denom
+    return Poly(tuple(f"L{i}" for i in range(1, n + 1)), terms)
 
 
 def lhs_laplace(g: int, n: int) -> RationalFunction:
@@ -155,12 +129,3 @@ def lhs_laplace(g: int, n: int) -> RationalFunction:
         terms[exp] = terms.get(exp, 0) + coef
     num = Poly(svars, terms)
     return RationalFunction(svars, 1, num, den).reduced()
-
-
-def wp_volume_asymptotic(g: int, n: int) -> Poly:
-    """The degree-(6g-6+2n) polynomial lim V_{g,n}(N x)/N^{6g-6+2n} in x.
-
-    Equals W_{g,n} divided by the product of the perimeters, with L renamed
-    to x; its coefficients are <psi^a> / (2^{3g-3+n} prod a_k!).
-    """
-    return _volume_poly(g, n, "x", 0)

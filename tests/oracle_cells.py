@@ -91,7 +91,7 @@ def verify_form_identities(graph):
             for v in V for i in range(E)),
         "quarterK_nondegenerate_on_kerA": mat_rank(G) == dim,
         "distinguished_side_independent_on_kerA": G == quarter_form(
-            kontsevich_form(graph, [len(c) // 2 for c in graph._faces]), V),
+            kontsevich_form(graph, [len(c) // 2 for c in graph.faces]), V),
         "matches_Bhat_inverse_form": principal_block_identity(B, G, V),
     }
     return {"graph": graph.to_json(), "epsilon": EPSILON, "checks": checks,

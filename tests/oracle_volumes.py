@@ -11,7 +11,8 @@ the coefficients, <psi^a> = [L^{2a+1}] W_{g,n} * 2^{3g-3+n} * prod(a_k!).
 
 `laplace` is the term-by-term Laplace transform of a polynomial, the second
 derivation of `ribbonvol.volumes.lhs_laplace` (which is built from the psi
-numbers directly).
+numbers directly), applied to `wp_volume_asymptotic`, the asymptotic
+Weil-Petersson polynomial read off W_{g,n}.
 """
 
 import itertools
@@ -20,11 +21,28 @@ from functools import lru_cache
 from math import factorial, prod
 
 from ribbonvol.exact import Poly, RationalFunction, poly_integrate
-from ribbonvol.volumes import base_case, is_stable
+from ribbonvol.volumes import is_stable
+from ribbonvol.volumes import kontsevich_volume as package_volume
+
+
+class NotABaseCase(ValueError):
+    pass
 
 
 def _L(i):
     return f"L{i}"
+
+
+def base_case(g, n):
+    """The seeds of the recursion: W_{0,3} = L1 L2 L3 and W_{1,1} = L1^3/48."""
+    if (g, n) == (0, 3):
+        out = Poly.const(1, ())
+        for i in (1, 2, 3):
+            out = out * Poly.variable(_L(i))
+        return out
+    if (g, n) == (1, 1):
+        return Poly((_L(1),), {(3,): Fraction(1, 48)})
+    raise NotABaseCase(f"({g},{n}) is not a base case")
 
 
 def _W(g, n, names):
@@ -118,3 +136,16 @@ def laplace(p, svars=None):
         exp = tuple(maxexp[i] - e[i] for i in range(n))
         terms[exp] = terms.get(exp, 0) + c * prod(factorial(x) for x in e)
     return RationalFunction(svars, 1, Poly(svars, terms), den).reduced()
+
+
+def wp_volume_asymptotic(g, n):
+    """The degree-(6g-6+2n) polynomial lim V_{g,n}(N x)/N^{6g-6+2n} in x.
+
+    Re-derived from the package's W_{g,n}: every term of W_{g,n} has each
+    L_k to an odd power, so dividing by the product of the perimeters lowers
+    each exponent by one; L_k is renamed to x_k.
+    """
+    W = package_volume(g, n)
+    assert all(e % 2 == 1 for exp in W.terms for e in exp)
+    return Poly(tuple(f"x{i}" for i in range(1, n + 1)),
+                {tuple(e - 1 for e in exp): c for exp, c in W.terms.items()})

@@ -46,7 +46,7 @@ def _flip_one_entry(graph, form):
     """The alternative K with one entry K[i][j] negated, (i, j) chosen so
     that both edges appear in the basis of ker A: G changes by a nonzero
     rank-one matrix."""
-    alt = [len(c) // 2 for c in graph._faces]
+    alt = [len(c) // 2 for c in graph.faces]
     K = kf.kontsevich_form(graph, alt)
     used = [e for e in range(graph.num_edges) if any(v[e] for v in form.V)]
     i, j = next((i, j) for i in used for j in used if K[i][j])

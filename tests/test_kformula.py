@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -26,7 +27,6 @@ from ribbonvol.kformula import (
     kernel_normalization,
     kontsevich_form,
     rhs_evaluate,
-    rhs_laplace,
     rhs_terms,
     verify_form_identities,
     verify_kcf,
@@ -34,6 +34,7 @@ from ribbonvol.kformula import (
 from ribbonvol.ribbon import (
     RibbonGraph,
     UnsupportedGraph,
+    _labelled_classes,
     _unlabelled_maps,
     enumerate_graphs,
     enumerate_trivalent,
@@ -44,6 +45,17 @@ import oracle_cells
 import oracle_ratfun
 
 SMALL_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2)]
+
+
+def rhs_laplace(g, n):
+    """The graph sum combined into one reduced rational function, the exact
+    oracle for the graph side: the per-graph terms of `rhs_terms` added once
+    over their common denominator by `RationalFunction.sum`.
+
+    (1,3) and (2,2) take about a second; (0,5) is out of reach (unfinished
+    after 300 s).
+    """
+    return RationalFunction.sum(term for _, _, term in rhs_terms(g, n))
 
 
 def test_kontsevich_form_is_skew_with_bounded_entries():
@@ -102,7 +114,7 @@ def test_density_is_distinguished_side_and_basis_independent():
     # |Pf| with the normalisation is intrinsic: recompute on a permuted graph
     for graph, _ in enumerate_trivalent(1, 1):
         rho = cell_density(graph)
-        relabeled = graph.canonical()
+        relabeled = RibbonGraph(*graph.canonical_form())
         assert cell_density(relabeled) == rho
 
 
@@ -270,6 +282,19 @@ def test_map_route_equals_the_per_graph_groups(g, n):
 
 def trivalent_maps(g, n):
     return _unlabelled_maps([3] * (4 * g - 4 + 2 * n), n)
+
+
+@pytest.mark.parametrize("g,n,degrees", [(g, n, None) for g, n in MAP_ROUTE_TYPES]
+                         + [(0, 5, [4, 4, 4])])
+def test_orbit_count_equals_the_labelled_classes(g, n, degrees):
+    """The class count `_map_groups` takes per map, n! / |H| with |H| the
+    number of distinct face orders, equals the number of automorphism
+    orbits on the n! labellings that `enumerate_graphs` lists."""
+    maps = trivalent_maps(g, n) if degrees is None else _unlabelled_maps(degrees, n)
+    assert maps
+    for _, orders in maps:
+        assert (factorial(n) // len(set(map(tuple, orders)))
+                == len(_labelled_classes(orders, n)))
 
 
 @pytest.mark.parametrize("g,n", [(0, 4), (1, 2), (1, 3)])

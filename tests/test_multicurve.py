@@ -105,7 +105,7 @@ def test_limit_differential_of_standard_system():
 def test_perimeter_curve_has_zero_differential():
     # the boundary walk of a face is constant on the cell
     graph = enumerate_trivalent(0, 3)[0][0]
-    face = list(reversed(graph._faces[0]))
+    face = list(reversed(graph.faces[0]))
     mc = Multicurve((tuple(face),)).validate(graph)
     assert limit_differential(graph, mc) == [0] * graph.num_edges
 

@@ -51,7 +51,7 @@ def test_face_labels_must_be_bijection():
 
 
 def test_faces_partition_darts():
-    faces = G11.faces()
+    faces = G11.faces
     assert len(faces) == 1
     assert sorted(d for f in faces for d in f) == list(range(6))
     assert sum(len(f) for f in faces) == 2 * G11.num_edges
@@ -60,8 +60,8 @@ def test_faces_partition_darts():
 @pytest.mark.parametrize("g,n", [(0, 4), (1, 2), (1, 3)])
 def test_faces_match_oracle_and_are_ordered_by_minimal_dart(g, n):
     for graph, _ in enumerate_trivalent(g, n):
-        faces = graph.faces()
-        assert faces == oracle.faces_of(graph.s0, graph.s1)
+        faces = graph.faces
+        assert list(faces) == oracle.faces_of(graph.s0, graph.s1)
         assert len(faces) == n
         assert sorted(d for f in faces for d in f) == list(range(graph.num_darts))
         # each cycle starts at its minimal dart and the cycles ascend by it
@@ -335,7 +335,7 @@ def test_relabelled_classes_equal_freshly_built_graphs(g, n, degrees):
         assert type(graph) is RibbonGraph
         assert graph == fresh and hash(graph) == hash(fresh)
         assert graph.vertices == fresh.vertices
-        assert graph.faces() == fresh.faces()
+        assert graph.faces == fresh.faces
         assert graph.edges == fresh.edges
         assert (graph.genus, graph.num_faces) == (fresh.genus, fresh.num_faces) == (g, n)
         assert graph.face_edge_matrix() == fresh.face_edge_matrix()

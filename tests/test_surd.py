@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ribbonvol.exact import Surd, sqrt5
+from ribbonvol.exact import Surd
 
 
 def rational(max_num=50):
@@ -18,7 +18,7 @@ def surds():
 
 
 def test_basic_values():
-    r5 = sqrt5()
+    r5 = Surd(0, 1)
     assert (r5 - 2) * (r5 + 2) == 1
     assert r5 * r5 == 5
     assert float(r5 - 2) == pytest.approx(5**0.5 - 2)
@@ -30,11 +30,11 @@ def test_embedding_of_rationals():
     assert x.as_fraction() == Fraction(3, 4)
     assert x + Fraction(1, 4) == 1
     with pytest.raises(ValueError):
-        sqrt5().as_fraction()
+        Surd(0, 1).as_fraction()
 
 
 def test_division_and_inverse():
-    x = Surd(3) + sqrt5()
+    x = Surd(3) + Surd(0, 1)
     assert (1 / x) * x == 1
     assert x / x == 1
     with pytest.raises(ZeroDivisionError):
@@ -42,7 +42,7 @@ def test_division_and_inverse():
 
 
 def test_from_json_rejects_other_roots():
-    assert Surd.from_json({"a": "-2", "b": "1", "D": 5}) == sqrt5() - 2
+    assert Surd.from_json({"a": "-2", "b": "1", "D": 5}) == Surd(0, 1) - 2
     with pytest.raises(ValueError):
         Surd.from_json({"a": "0", "b": "1", "D": 2})
 

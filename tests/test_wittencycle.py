@@ -194,7 +194,7 @@ def test_chart_json_roundtrip(charts):
 def test_perimeter_chart_is_degenerate(lead):
     """Replacing a curve by a face boundary zeroes a row of X."""
     g = lead.graph
-    boundary = Multicurve((tuple(reversed(g._faces[0])),)).validate(g)
+    boundary = Multicurve((tuple(reversed(g.faces[0])),)).validate(g)
     bad = CellChart(g, (lead.curves[0], lead.curves[1], lead.curves[2], boundary))
     X = bad.intersection_matrix()
     assert mat_det(X) == 0
@@ -325,7 +325,7 @@ def test_form_on_kernel_basis_scales_by_d(charts, monkeypatch):
 
 def test_form_on_kernel_basis_reports_a_singular_X(lead):
     g = lead.graph
-    boundary = Multicurve((tuple(reversed(g._faces[0])),)).validate(g)
+    boundary = Multicurve((tuple(reversed(g.faces[0])),)).validate(g)
     for pos in range(4):
         curves = list(lead.curves)
         curves[pos] = boundary
