@@ -20,6 +20,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import __version__
 from .exact import Poly
@@ -31,6 +32,10 @@ from .wittencycle import witten12_report
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
+
+# `volume` and `psi` refuse a (g, n) whose `_dvv_cost` exceeds this; the
+# cut falls near 3.5 CPU s on a 2-vCPU Xeon (Python 3.11).
+_DVV_BUDGET = 5_000_000
 
 
 def _parse_degrees(text: str):
@@ -80,6 +85,30 @@ def _stable_only(cmd):
     def checked(args) -> tuple:
         if not is_stable(args.g, args.n):
             print(f"error: ({args.g},{args.n}) is unstable", file=sys.stderr)
+            return None, USAGE_ERROR
+        return cmd(args)
+    return checked
+
+
+def _dvv_cost(g: int, n: int) -> int:
+    """Estimated CPU microseconds of `volume` at a stable (g, n), which
+    bounds `psi` too: 40 for each of the C(d+n-1, n-1) exponent tuples,
+    d = 3g-3+n, plus 17 * 3^(g+n) for the DVV recursion, whose work grows
+    about threefold with each unit of g or of n.  Fitted on a 2-vCPU Xeon;
+    at g <= 2 it overestimates by up to 2.5 times.
+    """
+    d = 3 * g - 3 + n
+    return 40 * comb(d + n - 1, n - 1) + 17 * 3 ** (g + n)
+
+
+def _in_reach(cmd):
+    """Refuse a (g, n) above `_DVV_BUDGET` with exit 2, before any DVV work."""
+    @functools.wraps(cmd)
+    def checked(args) -> tuple:
+        cost = _dvv_cost(args.g, args.n)
+        if cost > _DVV_BUDGET:
+            print(f"error: ({args.g},{args.n}) is out of reach: estimated "
+                  f"{cost / 1e6:.2g} CPU s", file=sys.stderr)
             return None, USAGE_ERROR
         return cmd(args)
     return checked
@@ -165,6 +194,7 @@ def cmd_enumerate(args) -> tuple:
 
 
 @_stable_only
+@_in_reach
 def cmd_volume(args) -> tuple:
     W = kontsevich_volume(args.g, args.n)
     if args.format == "latex":
@@ -181,6 +211,7 @@ def cmd_volume(args) -> tuple:
 
 
 @_stable_only
+@_in_reach
 def cmd_psi(args) -> tuple:
     table = psi_numbers(args.g, args.n)
     payload = {

@@ -127,9 +127,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Rational)):
             if not other:
@@ -150,23 +147,6 @@ class Poly:
         return Poly(a.vars, terms)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Rational)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly.const(1, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- substitution and evaluation ----------------------------------------
 

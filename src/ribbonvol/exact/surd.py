@@ -121,9 +121,6 @@ class Surd:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def __int__(self):
-        return int(self.as_fraction())
-
     def __float__(self):
         return float(self.a) + float(self.b) * float(self.D) ** 0.5
 
@@ -148,11 +145,3 @@ class Surd:
         if self.b == 0:
             return str(self.a)
         return {"a": str(self.a), "b": str(self.b), "D": self.D}
-
-    @classmethod
-    def from_json(cls, obj) -> "Surd":
-        if isinstance(obj, str):
-            return cls(Fraction(obj))
-        if int(obj["D"]) != cls.D:
-            raise ValueError(f"only sqrt({cls.D}) is supported, got D = {obj['D']}")
-        return cls(Fraction(obj["a"]), Fraction(obj["b"]))

@@ -267,29 +267,6 @@ def _factor_order(n: int):
     return [(i,) for i in range(n)] + list(itertools.combinations(range(n), 2))
 
 
-def _factor_groups(terms, n: int):
-    """Merge (graph, aut, term) triples with equal denominators.
-
-    A term's denominator is a multiset of the factors s_i and s_i + s_j,
-    recorded as its exponent vector over the fixed factor order s_1..s_n,
-    then s_i + s_j for i < j.  Returns a list of (exponent vector, summed
-    Fraction coefficient).  Every term of `rhs_terms` has the constant
-    numerator 1; any other numerator raises ValueError.
-    """
-    index = {f: k for k, f in enumerate(_factor_order(n))}
-    one = {(0,) * n: 1}
-    groups = {}
-    for _, _, term in terms:
-        if term.num.terms != one:
-            raise ValueError(f"graph term {term} has numerator {term.num}, not 1")
-        exps = [0] * len(index)
-        for f, m in term.den.items():
-            exps[index[f]] = m
-        exps = tuple(exps)
-        groups[exps] = groups.get(exps, 0) + term.scalar
-    return list(groups.items())
-
-
 def _labelled_exponents(s0, s1, n: int):
     """(labels, exponent vector) for each of the n! face labellings of the
     map (s0, s1) with n faces.
@@ -319,9 +296,9 @@ def _labelled_exponents(s0, s1, n: int):
 
 
 def _map_groups(g: int, n: int):
-    """The graph side merged by denominator factors, as `_factor_groups`
-    gives it from `rhs_terms`, and the number of labelled classes, both
-    computed once per unlabelled trivalent map.
+    """The graph side merged by denominator factors, the terms of
+    `rhs_terms` with equal exponent vectors summed, and the number of
+    labelled classes, both computed once per unlabelled trivalent map.
 
     By orbit-stabiliser, sum_{L of U} f(L) / |Aut L| = (1 / |Aut U|)
     sum_{sigma in S_n} f(sigma U) over the labelled classes L of a map U:
@@ -372,19 +349,17 @@ def _evaluate_groups(groups, coords) -> Fraction:
 
 
 def rhs_evaluate(g: int, n: int, point: dict, terms=None) -> Fraction:
-    """The graph side at `point` (dict s_i -> Fraction), exactly.
+    """The graph side at `point` (dict s_i -> Fraction), exactly: the sum of
+    each (graph, aut, term) triple's `RationalFunction.evaluate` (default:
+    `rhs_terms(g, n)`).
 
-    The per-graph reference for the graph side, kept because
-    `perfbench/spans.py` traces it; `verify_kcf` evaluates the per-map
-    groups instead.  The (graph, aut, term) triples (default:
-    `rhs_terms(g, n)`) are merged by factor multiset, each factor s_i,
-    s_i + s_j is computed once for the point, and the sum is taken over one
-    integer common denominator.
+    The per-graph reference for the graph side, with no grouping and no
+    shared factor values, kept because `perfbench/spans.py` traces it;
+    `verify_kcf` evaluates the per-map groups instead.
     """
     if terms is None:
         terms = rhs_terms(g, n)
-    coords = [point[f"s{i}"] for i in range(1, n + 1)]
-    return _evaluate_groups(_factor_groups(terms, n), coords)
+    return sum((term.evaluate(point) for _, _, term in terms), Fraction(0))
 
 
 def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:

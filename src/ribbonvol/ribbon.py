@@ -151,17 +151,12 @@ class RibbonGraph:
         if len(seen) != N:
             raise InvalidRibbonGraph("graph is not connected")
         _check_labels(self.face_labels, self.num_faces)
-        if (2 - self.num_vertices + self.num_edges - self.num_faces) % 2:
-            raise InvalidRibbonGraph("odd Euler characteristic defect: corrupted permutations")
-        if self.genus < 0:
-            raise InvalidRibbonGraph("negative genus: corrupted permutations")
 
     def _relabelled(self, labels) -> "RibbonGraph":
         """The same map with the face labels `labels`, not validated again.
 
         The copy shares `s0`, `s1` and the label-free caches `vertices` and
-        `faces`; only the labels are checked.  `_canonical` reads the
-        labels, so it is never carried over.
+        `faces`; only the labels are checked.
         """
         labels = tuple(labels)
         _check_labels(labels, self.num_faces)
@@ -228,10 +223,8 @@ class RibbonGraph:
 
     @property
     def genus(self) -> int:
-        chi = self.num_vertices - self.num_edges + self.num_faces
-        if (2 - chi) % 2:
-            raise InvalidRibbonGraph("half-integer genus")
-        return (2 - chi) // 2
+        """(2 - V + E - F) / 2, an integer >= 0 for every connected map."""
+        return (2 - self.num_vertices + self.num_edges - self.num_faces) // 2
 
     @cached_property
     def degree_sequence(self):
@@ -273,35 +266,16 @@ class RibbonGraph:
             B[b][a] -= B_SIGN
         return B
 
-    # -- canonical form and automorphisms ---------------------------------------
+    # -- canonical form ----------------------------------------------------------
 
-    @cached_property
-    def _canonical(self):
-        """The least labelled encoding `(s0', s1', labels)` over all roots and
-        the number of roots that reach it.
+    def canonical_form(self):
+        """The least labelled encoding `(s0', s1', labels)` over all roots.
 
         Only roots that reach the unlabelled canonical pair can win, and
         their face orders list the labels of its faces.
         """
         _, pair, orders = _rooted(self.s0, self.s1)
-        labels, count = _least_image(self.face_labels, orders)
-        return pair + (labels,), count
-
-    def canonical_form(self):
-        return self._canonical[0]
-
-    def automorphism_group_order(self) -> int:
-        """Half-edge bijections commuting with s0, s1 and preserving labels.
-
-        Any such map is determined by the image of one dart (the centraliser
-        of a transitive action is semiregular), so the count equals the
-        number of roots realising the canonical encoding; roots whose
-        unlabelled pair loses give no face order.
-        `enumerate_graphs` counts the same roots on the canonical pair:
-        among the map's automorphisms, those whose face permutation fixes
-        the canonical labels.
-        """
-        return self._canonical[1]
+        return pair + (_least_image(self.face_labels, orders)[0],)
 
     # -- serialisation ------------------------------------------------------------
 

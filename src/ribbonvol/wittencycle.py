@@ -222,15 +222,16 @@ def example5_charts():
     enumerated = enumerate_graphs(1, 2, [5, 3])
     canon = {g.canonical_form(): (g, a) for g, a in enumerated}
     out = []
+    keys = set()
     for entry in payload["charts"]:
         chart = CellChart.from_json(entry)
         key = chart.graph.canonical_form()
         if key not in canon:
             raise ChartError("packaged chart graph is not a (5,3) cell of type (1,2)")
+        keys.add(key)
         out.append((chart, canon[key][1]))
     if len(out) != len(enumerated):
         raise ChartError(f"expected {len(enumerated)} charts, found {len(out)}")
-    keys = {c.graph.canonical_form() for c, _ in out}
     if len(keys) != len(out):
         raise ChartError("duplicate chart for the same cell")
     return out, payload["lead_index"]

@@ -32,10 +32,10 @@ def pairwise_add(a, b):
         fx = m - a.den.get(f, 0)
         fy = m - b.den.get(f, 0)
         fp = _factor_poly(f, a.svars)
-        if fx:
-            x = x * fp**fx
-        if fy:
-            y = y * fp**fy
+        for _ in range(fx):
+            x = x * fp
+        for _ in range(fy):
+            y = y * fp
     return RationalFunction(a.svars, 1, x + y, lcm).reduced()
 
 

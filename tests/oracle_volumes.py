@@ -78,12 +78,12 @@ def kontsevich_volume(g, n):
         Lk = Poly.variable(_L(k))
         inner1 = (P0 - Px) * Wk
         part1 = poly_integrate(inner1, x, Poly.const(0), P0 - Lk)
-        inner2 = (P0 + Lk - Px) * Wk / 2
+        inner2 = (P0 + Lk - Px) * Wk * Fraction(1, 2)
         part2 = poly_integrate(inner2, x, P0 - Lk, P0 + Lk)
         total = total + Lk * (part1 + part2)
 
     # splitting terms: remove a pair of pants containing boundary 1
-    kernel = (P0 - Px - Py) / 2
+    kernel = (P0 - Px - Py) * Fraction(1, 2)
     bulk = _W(g - 1, n + 1, tuple([x, y] + [_L(i) for i in S])) if g >= 1 else Poly.zero(())
     for g1 in range(0, g + 1):
         g2 = g - g1

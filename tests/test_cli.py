@@ -288,6 +288,49 @@ def test_psi_values(run):
         (1, 0, 0, 0): "1", (0, 1, 0, 0): "1", (0, 0, 1, 0): "1", (0, 0, 0, 1): "1"}
 
 
+def test_dvv_cost_accepts_every_test_and_benchmark_input():
+    from ribbonvol.cli import _DVV_BUDGET, _dvv_cost
+    from ribbonvol.volumes import psi_numbers
+
+    used = {(int(argv[2]), int(argv[4])) for argv, _ in VOLUME_DIGESTS}
+    used |= {(0, 3), (0, 4), (0, 5), (1, 1), (1, 2)}
+    assert all(_dvv_cost(g, n) <= _DVV_BUDGET for g, n in used)
+    # the tuple term counts the exponent tuples `psi_numbers` returns
+    for g, n in [(0, 5), (1, 4), (2, 3), (3, 1)]:
+        assert _dvv_cost(g, n) == 40 * len(psi_numbers(g, n)) + 17 * 3 ** (g + n)
+
+
+def test_dvv_cost_grows_with_genus_and_with_faces():
+    from ribbonvol.cli import _DVV_BUDGET, _dvv_cost
+    from ribbonvol.volumes import is_stable
+
+    for g in range(12):
+        for n in range(1, 14):
+            if is_stable(g, n):
+                assert _dvv_cost(g + 1, n) > _dvv_cost(g, n)
+                assert _dvv_cost(g, n + 1) > _dvv_cost(g, n)
+    # the largest accepted and smallest refused case of each family:
+    # n = 1 (3.1 and 10.5 CPU s) and g = 0 (`volume` 1.9 and 7.5 CPU s)
+    assert _dvv_cost(10, 1) <= _DVV_BUDGET < _dvv_cost(11, 1)
+    assert _dvv_cost(0, 11) <= _DVV_BUDGET < _dvv_cost(0, 12)
+
+
+def test_out_of_reach_psi_and_volume_exit_2_before_any_dvv_work(monkeypatch, capsys):
+    import ribbonvol.cli as cli
+    import ribbonvol.volumes as volumes
+
+    def refuse(g, n):
+        raise AssertionError("psi_numbers called past the guard")
+
+    monkeypatch.setattr(cli, "psi_numbers", refuse)
+    monkeypatch.setattr(volumes, "psi_numbers", refuse)
+    for argv in (["psi", "--g", "11", "--n", "1"], ["volume", "--g", "0", "--n", "12"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of reach" in captured.err
+
+
 def test_verify_kcf_seed_required(run):
     code, _ = run("verify-kcf", "--g", "1", "--n", "1")
     assert code == 2

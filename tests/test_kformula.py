@@ -19,7 +19,8 @@ from ribbonvol.exact import (
 from ribbonvol.kformula import (
     EPSILON,
     _cell_form,
-    _factor_groups,
+    _evaluate_groups,
+    _factor_order,
     _labelled_exponents,
     _map_groups,
     _principal_block_identity,
@@ -194,6 +195,35 @@ def per_term_sum(point, terms):
     return sum((t.evaluate(point) for _, _, t in terms), Fraction(0))
 
 
+def factor_groups(terms, n):
+    """Merge (graph, aut, term) triples with equal denominators: the
+    grouping oracle of `_map_groups`, one term per labelled class.
+
+    A term's denominator is a multiset of the factors s_i and s_i + s_j,
+    recorded as its exponent vector over the fixed factor order s_1..s_n,
+    then s_i + s_j for i < j.  Returns a list of (exponent vector, summed
+    Fraction coefficient).  Every term of `rhs_terms` has the constant
+    numerator 1; any other numerator raises ValueError.
+    """
+    index = {f: k for k, f in enumerate(_factor_order(n))}
+    one = {(0,) * n: 1}
+    groups = {}
+    for _, _, term in terms:
+        if term.num.terms != one:
+            raise ValueError(f"graph term {term} has numerator {term.num}, not 1")
+        exps = [0] * len(index)
+        for f, m in term.den.items():
+            exps[index[f]] = m
+        exps = tuple(exps)
+        groups[exps] = groups.get(exps, 0) + term.scalar
+    return list(groups.items())
+
+
+def grouped_sum(groups, point):
+    """The production evaluator `_evaluate_groups` at `point` (s_i -> Fraction)."""
+    return _evaluate_groups(groups, [point[f"s{i}"] for i in range(1, len(point) + 1)])
+
+
 def sample_points(n, count, seed):
     """Seeded points p/q, 1 <= p, q <= 1000, after the extremes 1/1000 and
     1000/1 in every coordinate and alternating between them."""
@@ -213,9 +243,10 @@ GROUP_COUNTS = {(0, 3): (4, 4), (1, 1): (1, 1), (0, 4): (64, 59), (1, 2): (9, 9)
 @pytest.mark.parametrize("g,n", list(GROUP_COUNTS))
 def test_grouped_graph_side_equals_per_term_sum(g, n):
     terms = rhs_terms(g, n)
-    assert (len(terms), len(_factor_groups(terms, n))) == GROUP_COUNTS[g, n]
+    groups = factor_groups(terms, n)
+    assert (len(terms), len(groups)) == GROUP_COUNTS[g, n]
     for point in sample_points(n, 2 if n == 5 else 6, seed=17 * n + g):
-        assert rhs_evaluate(g, n, point, terms) == per_term_sum(point, terms)
+        assert grouped_sum(groups, point) == per_term_sum(point, terms)
 
 
 @pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2), (2, 1), (0, 4), (1, 3)])
@@ -258,11 +289,12 @@ def test_corrupted_aut_in_a_merged_group_is_detected():
     graph, aut, term = terms[k]
     bad = list(terms)
     bad[k] = (graph, aut + 1, term * Fraction(aut, aut + 1))
-    assert len(_factor_groups(bad, n)) == len(_factor_groups(terms, n))
+    good_groups, bad_groups = factor_groups(terms, n), factor_groups(bad, n)
+    assert len(bad_groups) == len(good_groups)
     lhs = lhs_laplace(g, n)
     points = sample_points(n, 6, seed=3)
-    assert all(lhs.evaluate(pt) == rhs_evaluate(g, n, pt, terms) for pt in points)
-    assert any(lhs.evaluate(pt) != rhs_evaluate(g, n, pt, bad) for pt in points)
+    assert all(lhs.evaluate(pt) == grouped_sum(good_groups, pt) for pt in points)
+    assert any(lhs.evaluate(pt) != grouped_sum(bad_groups, pt) for pt in points)
 
 
 # every stable type with at most 12 trivalent edges but (0, 6)
@@ -276,7 +308,7 @@ def test_map_route_equals_the_per_graph_groups(g, n):
     classes, as one term per labelled class divided by its |Aut L|."""
     terms = rhs_terms(g, n)
     groups, classes = _map_groups(g, n)
-    assert groups == dict(_factor_groups(terms, n))
+    assert groups == dict(factor_groups(terms, n))
     assert classes == len(terms)
 
 
@@ -309,7 +341,7 @@ def test_each_labelling_gives_the_denominator_of_its_labelled_graph(g, n):
             seen.add(labels)
             graph = RibbonGraph(s0, s1, [x + 1 for x in labels])
             term = orthant_exponential_integral(graph.face_edge_matrix(), svars)
-            assert _factor_groups([(graph, 1, term)], n) == [(exps, term.scalar)]
+            assert factor_groups([(graph, 1, term)], n) == [(exps, term.scalar)]
             assert term.scalar == Fraction(1, 2 ** sum(exps[:n]))
         assert len(seen) == len(list(itertools.permutations(range(n))))
 
@@ -378,11 +410,26 @@ def test_cell_form_and_checks_are_label_invariant(g, n):
 def test_grouping_refuses_a_numerator_other_than_one():
     svars = ("s1", "s2")
     den = {(0,): 1, (0, 1): 2}
-    point = {"s1": Fraction(2), "s2": Fraction(3, 5)}
     for num in (Poly.variable("s1", svars), Poly.const(2, svars)):
         term = RationalFunction(svars, Fraction(1, 3), num, den)
         with pytest.raises(ValueError, match="numerator"):
-            rhs_evaluate(0, 2, point, [(None, 1, term)])
+            factor_groups([(None, 1, term)], 2)
+
+
+def test_rhs_evaluate_never_reaches_the_grouped_evaluator(monkeypatch):
+    """`rhs_evaluate`, the per-graph reference, is a plain per-term sum: it
+    stays correct with `_evaluate_groups` patched to raise."""
+    import ribbonvol.kformula as kf
+
+    def refuse(groups, coords):
+        raise AssertionError("rhs_evaluate called _evaluate_groups")
+
+    monkeypatch.setattr(kf, "_evaluate_groups", refuse)
+    terms = rhs_terms(0, 4)
+    for point in sample_points(4, 2, seed=8):
+        assert kf.rhs_evaluate(0, 4, point, terms) == per_term_sum(point, terms)
+    point = {"s1": Fraction(3, 7)}
+    assert kf.rhs_evaluate(1, 1, point) == lhs_laplace(1, 1).evaluate(point)
 
 
 def volume_factor_oracle(A):

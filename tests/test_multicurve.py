@@ -190,7 +190,8 @@ def test_pairing_is_antisymmetric_on_random_walks(seed):
     pq = curve_pair_cos(graph, P, Q)
     qp = curve_pair_cos(graph, Q, P)
     assert pq == -qp
-    assert pq == int(pq)  # trivalent crossings contribute only +-1
+    # trivalent crossings contribute only +-1
+    assert pq.is_rational and pq.as_fraction().denominator == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
