@@ -24,7 +24,8 @@ from math import comb
 
 from . import __version__
 from .exact import Poly
-from .hypgeom import IdealPolygonChord, chords_cross, crossing_cos, crossing_cos_exact
+from .hypgeom import (IdealPolygonChord, chords_cross, crossing_cos, crossing_cos_error,
+                      crossing_cos_exact)
 from .kformula import _cell_form, verify_form_identities, verify_kcf
 from .ribbon import enumerate_graphs, enumerate_trivalent
 from .volumes import kontsevich_volume, psi_numbers, is_stable
@@ -36,6 +37,10 @@ VERIFICATION_FAILURE = 1
 # `volume` and `psi` refuse a (g, n) whose `_dvv_cost` exceeds this; the
 # cut falls near 3.5 CPU s on a 2-vCPU Xeon (Python 3.11).
 _DVV_BUDGET = 5_000_000
+
+# `angle` refuses a crossing whose `crossing_cos_error` exceeds this: short
+# chords of a large polygon, from d = 1151 for (0,2) and (1,3).
+_ANGLE_MAX_ERROR = 1e-6
 
 
 def _parse_degrees(text: str):
@@ -283,6 +288,10 @@ def cmd_angle(args) -> tuple:
     if not chords_cross(c1, c2):
         print("error: chords do not cross", file=sys.stderr)
         return None, VERIFICATION_FAILURE
+    err = crossing_cos_error(c1, c2)
+    if err > _ANGLE_MAX_ERROR:
+        print(f"error: the cosine's rounding error may reach {err:.2g}", file=sys.stderr)
+        return None, USAGE_ERROR
     payload = {
         "v": 1,
         "command": "angle",

@@ -20,6 +20,7 @@ from .linalg import (
     rref,
     bareiss,
     bareiss_kernel,
+    solve_sqrt5,
     kernel_basis,
     right_inverse,
     pfaffian,
@@ -43,6 +44,7 @@ __all__ = [
     "rref",
     "bareiss",
     "bareiss_kernel",
+    "solve_sqrt5",
     "kernel_basis",
     "right_inverse",
     "pfaffian",

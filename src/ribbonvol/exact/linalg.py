@@ -4,13 +4,14 @@ Matrices are lists of row lists whose entries support exact field
 arithmetic (`Fraction` or `Surd`).  One Gauss-Jordan elimination serves
 rank, determinant, inverse and kernel; the sizes in this package never
 exceed a few dozen.
-`bareiss` is the fraction-free elimination for integer matrices.
+`bareiss` is the fraction-free elimination for integer matrices; systems
+over Q(sqrt(5)) reach it through `solve_sqrt5`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "SingularMatrixError",
@@ -24,6 +25,7 @@ __all__ = [
     "rref",
     "bareiss",
     "bareiss_kernel",
+    "solve_sqrt5",
     "kernel_basis",
     "right_inverse",
     "pfaffian",
@@ -170,6 +172,28 @@ def bareiss(A):
         prev = -prev
         M = [[-x for x in row] for row in M]
     return M, pivots, prev
+
+
+def solve_sqrt5(X, Y):
+    """(Za, Zb, det), integers with X^{-1} Y = (Za + Zb sqrt(5)) / det, for
+    X over Q(sqrt(5)) (m x m, `Surd`) and rational Y (m x k).
+
+    x = a + b sqrt(5) acts on (u, v) ~ u + v sqrt(5) as [[a, 5b], [b, a]], so
+    one `bareiss` of [Xa 5Xb | Y; Xb Xa | 0], each row scaled by the lcm of
+    its denominators, gives det [I | Za; Zb].  SingularMatrixError if X is
+    singular.
+    """
+    m = len(X)
+    rows = ([[x.a for x in xr] + [5 * x.b for x in xr] + list(yr) for xr, yr in zip(X, Y)]
+            + [[x.b for x in xr] + [x.a for x in xr] + [0] * len(yr) for xr, yr in zip(X, Y)])
+    M = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        M.append([x.numerator * (scale // x.denominator) for x in row])
+    R, pivots, det = bareiss(M)
+    if pivots != list(range(2 * m)):
+        raise SingularMatrixError("matrix is singular")
+    return [row[2 * m:] for row in R[:m]], [row[2 * m:] for row in R[m:]], det
 
 
 def bareiss_kernel(R, pivots, det):

@@ -25,11 +25,12 @@ from .exact import (
     SingularMatrixError,
     Surd,
     double_factorial,
+    identity,
     mat_inverse,
     mat_mul,
     orthant_exponential_integral,
     pfaffian,
-    rref,
+    solve_sqrt5,
     transpose,
 )
 from .kformula import kernel_normalization
@@ -109,6 +110,12 @@ def asymptotic_form(chart: CellChart):
     return [[-x for x in row] for row in mat_mul(transpose(D), mat_mul(Xinv, D))]
 
 
+def _surd_matrix(A, B, den):
+    """The matrix (A + B sqrt(5)) / den from integer matrices A and B."""
+    return [[Surd(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, rb)]
+            for ra, rb in zip(A, B)]
+
+
 def form_on_kernel_basis(chart: CellChart):
     """(V, G, volfactor): kernel basis of A, the Gram matrix of Omega on it,
     and the basis-to-Lebesgue conversion factor.
@@ -118,24 +125,20 @@ def form_on_kernel_basis(chart: CellChart):
 
         G = V M V^T = -(1/d^2) Y^T X^{-1} Y,   Y = D W^T  (m x k, integer),
 
-    so one elimination of [X | Y] gives X^{-1} Y, and no E x E form is
-    built.
+    so no E x E form is built: with X^{-1} Y = (Za + Zb sqrt(5)) / det from
+    `solve_sqrt5`, G = -(Y^T Za + Y^T Zb sqrt(5)) / (d^2 det) in integers.
     """
     A = chart.graph.face_edge_matrix()
     W, d, volfactor = kernel_normalization(A)
     V = [[Fraction(x, d) for x in w] for w in W]
-    X = chart.intersection_matrix()
-    m, k = len(X), len(W)
     D = [c.edge_counts(chart.graph) for c in chart.curves]
     Y = [[sum(a * b for a, b in zip(row, w)) for w in W] for row in D]
-    R, pivots = rref([list(xrow) + yrow for xrow, yrow in zip(X, Y)])
-    if pivots[:m] != list(range(m)):
-        raise ChartError("chart is degenerate: X is singular")
-    Z = [row[m:] for row in R]  # X^{-1} Y
-    scale = Fraction(-1, d * d)
-    G = [[sum((Y[t][i] * Z[t][j] for t in range(m)), Surd(0)) * scale
-          for j in range(k)] for i in range(k)]
-    return V, G, volfactor
+    try:
+        Za, Zb, det = solve_sqrt5(chart.intersection_matrix(), Y)
+    except SingularMatrixError as exc:
+        raise ChartError("chart is degenerate: X is singular") from exc
+    Yt = transpose(Y)
+    return V, _surd_matrix(mat_mul(Yt, Za), mat_mul(Yt, Zb), -d * d * det), volfactor
 
 
 def cell_volume_laplace(chart: CellChart) -> RationalFunction:
@@ -238,12 +241,13 @@ def example5_charts():
 
 
 def witten12_report() -> dict:
-    """Run the full (1,2) one-vertex-of-degree-five pipeline."""
+    """Run the full (1,2) one-vertex-of-degree-five pipeline; the lead
+    chart's X^{-1} is one `solve_sqrt5` of [X | I], in integers."""
     charts, lead_index = example5_charts()
     result = witten_cycle_intersections(charts, codim_pairs=1)
     lead = charts[lead_index][0]
     X = lead.intersection_matrix()
-    Xinv = mat_inverse(X)
+    Xinv = _surd_matrix(*solve_sqrt5(X, identity(len(X))))
     report = {
         "graphs": len(charts),
         "lead_chart": lead.to_json(),

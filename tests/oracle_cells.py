@@ -5,13 +5,16 @@ is 1/|det A_P| by `mat_det` on the pivot columns P, the quarter-K form is
 V (K/4) V^T by `mat_mul`, and the B-hat comparison inverts the block with
 `mat_inverse`.  Nothing here uses `bareiss` or the integer scale d of
 `ribbonvol.kformula`; the same checks, in the same order, give the report
-that `verify_form_identities` must reproduce.
+that `verify_form_identities` must reproduce.  Linear systems over
+Q(sqrt(5)) are solved by the `Surd` RREF (`surd_solve`), the field route
+that `ribbonvol.exact.solve_sqrt5` replaces in the chart layer.
 """
 
 from fractions import Fraction
 
 from ribbonvol.exact import (
     SingularMatrixError,
+    Surd,
     mat_det,
     mat_inverse,
     mat_mul,
@@ -62,6 +65,16 @@ def cell_form(graph):
 
 def density(G, volfactor):
     return abs(Fraction(pfaffian(G))) / volfactor
+
+
+def surd_solve(X, Y):
+    """X^{-1} Y over Q(sqrt(5)) by one `rref` of [X | Y] in `Surd`
+    arithmetic; SingularMatrixError if X is singular."""
+    m = len(X)
+    R, pivots = rref([list(xr) + [Surd(y) for y in yr] for xr, yr in zip(X, Y)])
+    if pivots[:m] != list(range(m)):
+        raise SingularMatrixError("matrix is singular")
+    return [row[m:] for row in R]
 
 
 def principal_block_identity(B, G, V):

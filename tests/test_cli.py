@@ -1,11 +1,14 @@
+import argparse
 import hashlib
+import itertools
 import json
 
 import pytest
 from jsonschema import Draft202012Validator
 
 from oracle_cli import oracle_enumerate_text, oracle_identities_payload
-from ribbonvol.cli import build_parser, main
+from ribbonvol.cli import build_parser, cmd_angle, main
+from ribbonvol.hypgeom import IdealPolygonChord, chords_cross, crossing_cos
 from ribbonvol.ribbon import RibbonGraph, enumerate_graphs
 
 
@@ -410,6 +413,36 @@ def test_angle_command(run):
     assert code == 1
     code, _ = run("angle", "--d", "5", "--chord1", "0,0", "--chord2", "2,4")
     assert code == 2
+
+
+def test_angle_refuses_a_cosine_lost_to_rounding(capsys):
+    """Short chords of a large polygon: 1 - cos(2 pi k / d) cancels.  The
+    cosine tends to 1/2, but d = 10^5 and 10^9 printed 0.0, and 10^10
+    divided by zero."""
+    for d in (10**5, 10**9, 10**10):
+        code = main(["angle", "--d", str(d), "--chord1", "0,2", "--chord2", "1,3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", d
+        assert captured.err.startswith("error: the cosine's rounding error may reach")
+
+
+def test_angle_accepts_every_small_polygon_and_far_diameters():
+    """Every crossing with d <= 12, and perpendicular diameters at d = 10^6,
+    print `crossing_cos` as before (`cmd_angle` builds the payload `main`
+    prints)."""
+    cases = [(d, ch1, ch2) for d in range(3, 13)
+             for ch1 in itertools.combinations(range(d), 2)
+             for ch2 in itertools.combinations(range(d), 2)]
+    cases.append((10**6, (0, 500_000), (250_000, 750_000)))
+    accepted = 0
+    for d, ch1, ch2 in cases:
+        c1, c2 = IdealPolygonChord(d, ch1), IdealPolygonChord(d, ch2)
+        if not chords_cross(c1, c2):
+            continue
+        payload, code = cmd_angle(argparse.Namespace(d=d, chord1=ch1, chord2=ch2))
+        assert code == 0 and payload["cos"] == crossing_cos(c1, c2)
+        accepted += 1
+    assert accepted > 1000
 
 
 def test_byte_identical_reruns(run):

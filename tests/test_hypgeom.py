@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -11,6 +12,7 @@ from ribbonvol.hypgeom import (
     NoCrossingError,
     chords_cross,
     crossing_cos,
+    crossing_cos_error,
     crossing_cos_exact,
     hexagon_angle,
     hexagon_side,
@@ -213,3 +215,35 @@ def test_crossing_cos_memory_does_not_grow_with_degree():
         tracemalloc.stop()
     assert val == pytest.approx(0.0, abs=1e-9)  # perpendicular diameters
     assert peak < 1_000_000
+
+
+def _decimal_crossing_cos(c1, c2):
+    """The formula of `_crossing_cos_from` in 60-digit decimals, cosines by
+    Taylor series: the oracle for the float route's rounding error."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+        def cos(k):
+            x, term, total, j = 2 * pi * (k % c1.d) / c1.d, Decimal(1), Decimal(1), 0
+            while abs(term) > Decimal(10) ** -58:
+                j += 2
+                term = -term * x * x / (j * (j - 1))
+                total += term
+            return total
+
+        a, b, c, e = hypgeom._interleaved(c1, c2)
+        sinprod = (cos((b - a) - (e - c)) - cos((b - a) + (e - c))) / 2
+        q = -sinprod + cos(a - c) - cos(a - e) - cos(b - c) + cos(b - e)
+        return float(hypgeom.SIGMA * q / ((1 - cos(b - a)) * (1 - cos(e - c))))
+
+
+@pytest.mark.parametrize("d", [7, 100, 1000, 3000, 10**4, 3 * 10**4, 10**5])
+def test_crossing_cos_error_bounds_the_rounding_error(d):
+    """The estimate is above the float route's distance from the 60-digit
+    value for short chords, where both factors of the denominator cancel,
+    and for long ones."""
+    for ch1, ch2 in [((0, 2), (1, 3)), ((0, 3), (1, 4)), ((0, 3), (2, 5)),
+                     ((0, d // 2), (1, d // 2 + 1)), ((0, d // 3 + 1), (1, 2 * d // 3 + 2))]:
+        c1, c2 = IdealPolygonChord(d, ch1), IdealPolygonChord(d, ch2)
+        assert abs(crossing_cos(c1, c2) - _decimal_crossing_cos(c1, c2)) <= crossing_cos_error(c1, c2)

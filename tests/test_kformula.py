@@ -22,6 +22,7 @@ from ribbonvol.kformula import (
     _evaluate_groups,
     _factor_order,
     _labelled_exponents,
+    _lhs_groups,
     _map_groups,
     _principal_block_identity,
     cell_density,
@@ -430,6 +431,55 @@ def test_rhs_evaluate_never_reaches_the_grouped_evaluator(monkeypatch):
         assert kf.rhs_evaluate(0, 4, point, terms) == per_term_sum(point, terms)
     point = {"s1": Fraction(3, 7)}
     assert kf.rhs_evaluate(1, 1, point) == lhs_laplace(1, 1).evaluate(point)
+
+
+# every stable type with 3g - 3 + n <= 4
+LHS_TYPES = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+             (1, 1), (1, 2), (1, 3), (1, 4), (2, 1)]
+
+
+@pytest.mark.parametrize("g,n", LHS_TYPES)
+def test_psi_side_groups_equal_the_closed_form(g, n):
+    """The psi side as `_evaluate_groups` evaluates it in `verify_kcf`,
+    against `RationalFunction.evaluate` of `lhs_laplace`, at the extremes
+    1/1000 and 1000 and at seeded points."""
+    lhs = lhs_laplace(g, n)
+    groups = _lhs_groups(lhs, n)
+    assert len(groups) == len(lhs.num.terms)
+    assert all(len(exps) == len(_factor_order(n)) and not any(exps[n:])
+               for exps, _ in groups)
+    for point in sample_points(n, 4, seed=11 * n + g):
+        assert grouped_sum(groups, point) == lhs.evaluate(point)
+
+
+def test_psi_side_grouping_refuses_a_monomial_above_the_denominator():
+    svars = ("s1", "s2")
+    num = Poly(svars, {(2, 0): 1, (0, 1): 3})
+    with pytest.raises(ValueError, match="denominator"):
+        _lhs_groups(RationalFunction(svars, 1, num, {(0,): 1, (1,): 4}), 2)
+
+
+def test_verify_kcf_never_evaluates_a_rational_function(monkeypatch):
+    """Both sides go through `_evaluate_groups`: `verify_kcf` is unchanged
+    with `RationalFunction.evaluate` patched to raise."""
+    expected = verify_kcf(1, 2, trials=3, seed=4)
+
+    def refuse(self, point):
+        raise AssertionError("verify_kcf called RationalFunction.evaluate")
+
+    monkeypatch.setattr(RationalFunction, "evaluate", refuse)
+    assert verify_kcf(1, 2, trials=3, seed=4) == expected and expected["equal"]
+
+
+def test_dropping_one_psi_group_is_detected(monkeypatch):
+    """Soundness canary: the psi side without one of its monomials must
+    make `verify_kcf` report a mismatch."""
+    import ribbonvol.kformula as kf
+
+    assert len(_lhs_groups(lhs_laplace(0, 4), 4)) > 1
+    monkeypatch.setattr(kf, "_lhs_groups", lambda lhs, n: _lhs_groups(lhs, n)[1:])
+    report = kf.verify_kcf(0, 4, trials=3, seed=2)
+    assert not report["equal"] and report["first_mismatch"] is not None
 
 
 def volume_factor_oracle(A):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ribbonvol.exact import (
@@ -20,7 +20,9 @@ from ribbonvol.exact import (
     pfaffian,
     right_inverse,
     rref,
+    solve_sqrt5,
 )
+from oracle_cells import surd_solve
 
 
 def rand_matrix(rng, n, m=None, lo=-9, hi=9):
@@ -223,3 +225,54 @@ def test_rref_of_an_integer_matrix_stays_exact():
     assert pivots == [0, 1]
     assert R == [[1, 0, Fraction(7, 6)], [0, 1, Fraction(-3, 2)]]
     assert all(isinstance(x, Fraction) for row in R for x in row)
+
+
+def sqrt5_matrix(Za, Zb, det):
+    return [[Surd(Fraction(a, det), Fraction(b, det)) for a, b in zip(ra, rb)]
+            for ra, rb in zip(Za, Zb)]
+
+
+QUARTER_SURDS = st.builds(lambda a, b: Surd(Fraction(a, 4), Fraction(b, 4)),
+                          st.integers(-12, 12), st.integers(-12, 12))
+
+
+@st.composite
+def sqrt5_systems(draw):
+    """(X, Y): X m x m with entries in (1/4) Z[sqrt 5], Y m x k integer."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    row = st.lists(QUARTER_SURDS, min_size=m, max_size=m)
+    X = draw(st.lists(row, min_size=m, max_size=m))
+    Y = draw(st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+                      min_size=m, max_size=m))
+    return X, Y
+
+
+@settings(max_examples=80, deadline=None)
+@given(sqrt5_systems())
+def test_solve_sqrt5_equals_the_surd_field_route(system):
+    """The integer solve of the regular representation against the `Surd`
+    RREF of [X | Y], and against `mat_inverse` for Y = I."""
+    X, Y = system
+    assume(mat_det(X) != 0)
+    Za, Zb, det = solve_sqrt5(X, Y)
+    assert all(type(x) is int for Z in (Za, Zb) for row in Z for x in row)
+    assert sqrt5_matrix(Za, Zb, det) == surd_solve(X, Y)
+    assert sqrt5_matrix(*solve_sqrt5(X, identity(len(X)))) == mat_inverse(X)
+
+
+def test_solve_sqrt5_of_the_empty_system():
+    # a point cell's chart has no curves: X is 0 x 0
+    assert solve_sqrt5([], []) == ([], [], 1)
+
+
+def test_solve_sqrt5_refuses_a_singular_matrix():
+    """Singular matrices over Z[sqrt 5]: zero, and two 2 x 2 ones whose
+    rational and irrational parts are each invertible."""
+    r = Surd(1, 1)  # (1 + sqrt 5)^2 = 2 (3 + sqrt 5)
+    for X in ([[r, Surd(2)], [Surd(3, 1), r]], [[Surd(0)]],
+              [[Surd(-1, 1), Surd(2)], [Surd(6, -2), Surd(-2, 2)]]):
+        assert mat_det(X) == 0
+        with pytest.raises(SingularMatrixError):
+            solve_sqrt5(X, [[1]] * len(X))
+        with pytest.raises(SingularMatrixError):
+            surd_solve(X, [[1]] * len(X))

@@ -244,6 +244,25 @@ def test_deduped_maps_equal_the_oracle_canonical_pairs(n, degrees):
     assert sorted(pair for pair, _ in maps) == oracle.canonical_pairs(n, degrees)
 
 
+# (n, degrees, n-face pairings): the `enumerate` workload types, then the
+# trivalent (0,4), (2,2) and (0,5); trivalent (1,3) is the workload's 3^6
+PAIRING_COUNTS = [(n, degrees, count) for (_, n, degrees), count in zip(
+    WORKLOAD_TYPES, (105, 105, 664, 54, 36, 20))] + [
+    (4, [3] * 4, 32), (2, [3] * 8, 8112), (5, [3] * 6, 336)]
+
+
+@pytest.mark.parametrize("n,degrees,count", PAIRING_COUNTS)
+def test_search_yields_each_map_once_per_top_degree_root_orbit(n, degrees, count):
+    """The search roots every pairing at a dart of a vertex of the largest
+    degree, so a map U is yielded once per orbit of Aut U on the m darts of
+    those vertices: sum_U m / |Aut U| pairings, |Aut U| = len(orders)."""
+    degrees = sorted(degrees, reverse=True)
+    m = degrees[0] * degrees.count(degrees[0])
+    found = len(list(_search_pairings(degrees, n)[1]))
+    orbits = sum(Fraction(m, len(orders)) for _, orders in _unlabelled_maps(degrees, n))
+    assert found == orbits == count
+
+
 def test_each_map_is_relabelled_from_every_root_once(monkeypatch):
     """One BFS relabelling per n-face pairing and 2E per new map; the bound
     n-face pairings + 4E x maps allows 2320 on (1,3) 3^6, and canonicalising

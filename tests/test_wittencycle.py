@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonvol.exact import Poly, RationalFunction, Surd, mat_det, mat_inverse
+from oracle_cells import surd_solve
+from test_linalg import sqrt5_matrix
+from ribbonvol.exact import (
+    Poly,
+    RationalFunction,
+    Surd,
+    identity,
+    mat_det,
+    mat_inverse,
+    solve_sqrt5,
+)
 from ribbonvol.kformula import (
     EPSILON,
     kernel_normalization,
@@ -363,3 +373,34 @@ def test_witten12_inverts_each_surd_pivot_once(monkeypatch):
     report = witten12_report()
     assert report["intersections"] == {"psi1": "1", "psi2": "1"}
     assert 0 < calls[0] <= 61
+
+
+def test_chart_solves_equal_the_surd_field_route(charts):
+    """`solve_sqrt5` against the `Surd` RREF for [X | D W^T] and [X | I] on
+    the eight packaged charts and on the (0,3) point cell, whose X is 0 x 0."""
+    point = CellChart(enumerate_trivalent(0, 3)[0][0], ())
+    for chart in [c for c, _ in charts[0]] + [point]:
+        X = chart.intersection_matrix()
+        W, _, _ = kernel_normalization(chart.graph.face_edge_matrix())
+        Y = [[sum(a * b for a, b in zip(c.edge_counts(chart.graph), w)) for w in W]
+             for c in chart.curves]
+        for rhs in (Y, identity(len(X))):
+            assert sqrt5_matrix(*solve_sqrt5(X, rhs)) == surd_solve(X, rhs)
+
+
+def test_witten12_lead_inverse_equals_mat_inverse(charts):
+    cs, lead_index = charts
+    Xinv = mat_inverse(cs[lead_index][0].intersection_matrix())
+    assert witten12_report()["lead_X_inverse"] == [[x.to_json() for x in row] for row in Xinv]
+
+
+def test_witten12_runs_no_field_elimination(monkeypatch):
+    """Every Q(sqrt 5) system of the pipeline goes through `solve_sqrt5`:
+    it runs with the `Surd` Gauss-Jordan elimination patched to raise."""
+    import ribbonvol.exact.linalg as linalg
+
+    def refuse(A):
+        raise AssertionError("witten12 ran a field elimination")
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", refuse)
+    assert witten12_report()["intersections"] == {"psi1": "1", "psi2": "1"}
