@@ -6,10 +6,10 @@ stdout or --out.  Exit codes: 0 success, 1 verification failure, 2 usage
 error.  Randomised commands require an explicit --seed, echoed in the
 output.
 
-JSON is written as `json.dumps(payload, indent=1)`.  `enumerate` streams
-its classes instead, from a row template filled once per map and then once
-per class, with the same bytes as `json.dumps(indent=1)` of the whole
-payload.
+JSON is written with the bytes of `json.dumps(payload, indent=1)`, streamed
+chunk by chunk.  `enumerate` streams its classes from a row template filled
+once per map and then once per class, with the same bytes as
+`json.dumps(indent=1)` of the whole payload.
 """
 
 from __future__ import annotations
@@ -155,7 +155,10 @@ def _map_runs(classes):
 def _enumerate_json(head: dict, classes):
     """The `enumerate` payload `head` with `"classes"` filled from the
     (graph, aut) pairs, streamed one class per chunk; half_edges, s0, s1,
-    genus and faces are formatted once per map."""
+    genus and faces are formatted once per map, and each distinct tuple of
+    face labels once per payload, since the classes of every map draw their
+    labels from the same n! permutations."""
+    labels_text = functools.cache(functools.partial(_int_list, depth=4))
     text = json.dumps({**head, "classes": []}, indent=1)
     if not classes:
         yield text + "\n"
@@ -166,13 +169,15 @@ def _enumerate_json(head: dict, classes):
         row = _CLASS_ROW % (len(first.s0), _int_list(first.s0, 4),
                             _int_list(first.s1, 4), first.genus, first.num_faces)
         for graph, aut in run:
-            yield row % (sep, _int_list(graph.face_labels, 4), aut)
+            yield row % (sep, labels_text(graph.face_labels), aut)
             sep = ",\n"
     yield "\n ]\n}\n"
 
 
 def _enumerate_csv(classes):
-    """The `enumerate` CSV, with the map's columns formatted once per map."""
+    """The `enumerate` CSV, with the map's columns formatted once per map
+    and each distinct tuple of face labels once."""
+    labels_text = functools.cache(lambda labels: " ".join(map(str, labels)))
     yield "index,aut,half_edges,s0,s1,face_labels\n"
     index = itertools.count()
     for run in _map_runs(classes):
@@ -180,7 +185,7 @@ def _enumerate_csv(classes):
         row = "%%d,%%d,%d,%s,%s,%%s\n" % (
             len(first.s0), " ".join(map(str, first.s0)), " ".join(map(str, first.s1)))
         for graph, aut in run:
-            yield row % (next(index), aut, " ".join(map(str, graph.face_labels)))
+            yield row % (next(index), aut, labels_text(graph.face_labels))
 
 
 def cmd_enumerate(args) -> tuple:
@@ -361,9 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(fh, payload) -> None:
     """Write a command's payload: a dict as indent=1 JSON, a str as is, or
-    an iterable of str chunks as they are produced."""
+    an iterable of str chunks as they are produced.  A dict is streamed
+    from the encoder, so neither all its chunks nor the whole text are held
+    at once; the chunks are joined in runs, since one write per chunk costs
+    about a third more."""
     if isinstance(payload, dict):
-        fh.write(json.dumps(payload, indent=1) + "\n")
+        chunks = json.JSONEncoder(indent=1).iterencode(payload)
+        while text := "".join(itertools.islice(chunks, 4096)):
+            fh.write(text)
+        fh.write("\n")
     elif isinstance(payload, str):
         fh.write(payload)
     else:

@@ -29,6 +29,7 @@ from .exact import (
 from .ribbon import (
     RibbonGraph,
     UnsupportedGraph,
+    _distinct_orders,
     _unlabelled_maps,
     enumerate_trivalent,
     face_cycles,
@@ -283,16 +284,16 @@ def _map_groups(g: int, n: int):
     the labellings in the orbit of L number |Aut U| / |Aut L|.  |Aut U| is
     the number of face orders `_unlabelled_maps` gives, and each labelling
     contributes 2^(2g-2+n) / (|Aut U| 2^m), m its edges with one face on
-    both sides.  The distinct face orders form a coset of the image H of
-    Aut U in S_n, which acts freely on the n! labellings, so the map has
-    n! / |H| labelled classes.  Returns ({exponent vector: Fraction},
-    class count).
+    both sides.  The distinct face orders (`_distinct_orders`) form a
+    coset of the image H of Aut U in S_n, which acts freely on the n!
+    labellings, so the map has n! / |H| labelled classes.  Returns
+    ({exponent vector: Fraction}, class count).
     """
     pref = 2 ** (2 * g - 2 + n)
     groups = {}
     classes = 0
     for (s0, s1), orders in _unlabelled_maps([3] * (4 * g - 4 + 2 * n), n):
-        classes += factorial(n) // len(set(map(tuple, orders)))
+        classes += factorial(n) // len(_distinct_orders(orders))
         aut = len(orders)
         counts = Counter(exps for _, exps in _labelled_exponents(s0, s1, n))
         for exps, count in counts.items():

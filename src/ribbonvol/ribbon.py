@@ -17,7 +17,8 @@ exactly when its encoding from root 0 is one of the encodings, from every
 root, of the maps found so far; a new map is relabelled from each of its
 roots once, and the least of those encodings is its canonical pair.  Its
 labelled classes are the orbits of its automorphism group on the face
-labellings; one `RibbonGraph` is validated per map and relabelled per class.
+labellings, read off the coset of its distinct face orders; one
+`RibbonGraph` is validated per map and relabelled per class.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 __all__ = [
     "RibbonGraph",
@@ -304,16 +306,27 @@ class RibbonGraph:
 # -- enumeration ------------------------------------------------------------------
 
 
-def _search_pairings(degrees, n):
-    """The vertex rotation `s0` of the block layout and an iterator over the
-    complete pairings `s1` of its slots with exactly `n` faces, one per
-    quasi-canonical DFS path.
+def _block_rotation(degrees):
+    """The vertex rotation `s0` of the block layout: vertex v is the block
+    of `degrees[v]` consecutive slots, and s0 rotates inside each block."""
+    s0 = []
+    for deg in degrees:
+        base = len(s0)
+        s0 += [base + (k + 1) % deg for k in range(deg)]
+    return tuple(s0)
 
-    Vertices are blocks of consecutive slots; s0 rotates inside each block.
+
+def _search_pairings(degrees, n, emit):
+    """Call `emit(s1)` for each complete pairing `s1` of the slots of the
+    block layout `_block_rotation(degrees)` with exactly `n` faces, one per
+    quasi-canonical DFS path, in DFS order.  The caller builds the same
+    layout to read each `s1`, since it needs `s0` before the first call.
+
     The smallest unpaired slot is matched against unpaired slots of already
     used vertices, or against the first slot of the first unused vertex of
     each distinct degree; this reaches every connected isomorphism class,
-    some more than once.
+    some more than once.  The search is one plain recursion that hands each
+    pairing to `emit` where it is found, so no frame is resumed per pairing.
 
     The faces are the cycles of s2 = s0^{-1} s1, and pairing s with t sets
     s2(s) = s0^{-1}(t) and s2(t) = s0^{-1}(s).  The links set so far form
@@ -324,14 +337,12 @@ def _search_pairings(degrees, n):
     branch is cut once more than n faces are closed, or n are closed while
     slots are still unpaired: those slots will close another face.
     """
+    s0 = _block_rotation(degrees)
     starts = []
     vertex_at = []
-    s0 = []
     for v, deg in enumerate(degrees):
-        base = len(s0)
-        starts.append(base)
+        starts.append(len(vertex_at))
         vertex_at += [v] * deg
-        s0 += [base + (k + 1) % deg for k in range(deg)]
     N = len(s0)
     inv0 = _inverse(s0)
     partner = [-1] * N
@@ -359,7 +370,7 @@ def _search_pairings(degrees, n):
             s += 1
         if s == N:
             if closed == n:
-                yield tuple(partner)
+                emit(tuple(partner))
             return
         if closed >= n:
             return  # the unpaired slots close at least one more face
@@ -380,14 +391,17 @@ def _search_pairings(degrees, n):
             partner[s], partner[t] = t, s
             closes = link(s, inv0[t]) + link(t, inv0[s])
             if closed + closes <= n:
-                yield from rec(s + 1, closed + closes)
+                rec(s + 1, closed + closes)
             unlink(t, inv0[s])
             unlink(s, inv0[t])
             partner[s] = partner[t] = -1
             if opened:
                 used[v] = False
 
-    return tuple(s0), rec(0, 0)
+    rec(0, 0)
+    # rec's closure holds rec itself; clearing it frees the cycle, and the
+    # state `emit` keeps, now rather than at the next garbage collection
+    del rec
 
 
 # `_encoding_key` packs one dart number into one byte
@@ -429,37 +443,73 @@ def _least_image(labels, orders):
     return least, images.count(least)
 
 
+def _distinct_orders(orders):
+    """The distinct face orders among `orders` (see `_rooted`).
+
+    They form a coset of the image of Aut U in S_n, and every distinct
+    order is given by the same number of automorphisms: len(orders) over
+    their count.
+    """
+    return set(map(tuple, orders))
+
+
 def _labelled_classes(orders, n):
     """The labelled classes of a map with n faces whose automorphisms have
     the face orders `orders`: {canonical labelling: labelled |Aut|}.
 
     They are the orbits of the automorphism group on the n! face
-    labellings, each named by its least image (`_least_image`).
+    labellings, each named by its least image (`_least_image`).  With H
+    the distinct face orders, a coset, the labellings whose least image is
+    m are exactly m o^{-1} for o in H: |H| of them, so every class has
+    |Aut L| = len(orders) / |H|.  The labellings are walked in order; the
+    first one of each orbit names it and marks the rest done.  If |H| = 1
+    every labelling is a class of its own.
     """
-    return dict(_least_image(labels, orders)
-                for labels in itertools.permutations(range(1, n + 1)))
+    coset = _distinct_orders(orders)
+    aut = len(orders) // len(coset)
+    labellings = itertools.permutations(range(1, n + 1))
+    if len(coset) == 1:
+        return dict.fromkeys(labellings, aut)
+    # n >= 2 here, so each getter returns a tuple: labels listed in order o,
+    # and m o^{-1}
+    images = [itemgetter(*o) for o in coset]
+    preimages = [itemgetter(*_inverse(o)) for o in coset]
+    classes = {}
+    done = set()
+    for labels in labellings:
+        if labels in done:
+            continue
+        least = min(image(labels) for image in images)
+        classes[least] = aut
+        done.update(preimage(least) for preimage in preimages)
+    return classes
 
 
 def _unlabelled_maps(degrees, n):
     """Each connected map with the degrees (sorted descending) and n faces,
     once: its canonical pair and the face orders of the roots that reach it.
 
-    `seen` holds every rooted BFS encoding of every map found so far.  An
-    encoding is a complete invariant of a rooted connected map, so a pairing
-    whose encoding from root 0 is in `seen` is a map already found.  A new
-    map adds its 2E encodings; their least is its canonical pair, and the
-    dart maps of the roots that reach it give its face orders (`_rooted`, in
-    the pairing's face indices, which list the same labelled classes).
+    The pairing search hands each n-face pairing to `dedupe` as it finds
+    it.  `seen` holds every rooted BFS encoding of every map found so far.
+    An encoding is a complete invariant of a rooted connected map, so a
+    pairing whose encoding from root 0 is in `seen` is a map already found.
+    A new map adds its 2E encodings; their least is its canonical pair, and
+    the dart maps of the roots that reach it give its face orders
+    (`_rooted`, in the pairing's face indices, which list the same labelled
+    classes).
     """
-    s0, pairings = _search_pairings(degrees, n)
+    s0 = _block_rotation(degrees)
     seen = set()
     maps = []
-    for s1 in pairings:
+
+    def dedupe(s1):
         if _encoding_key(_bfs_relabel(s0, s1, 0)[0]) in seen:
-            continue
+            return
         encodings, pair, orders = _rooted(s0, s1)
         seen.update(map(_encoding_key, encodings))
         maps.append((pair, orders))
+
+    _search_pairings(degrees, n, dedupe)
     return maps
 
 
@@ -470,14 +520,15 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     label-preserving isomorphism class, deterministically ordered.  An
     inconsistent (g, n, degrees) combination yields the empty list.
 
-    The pairing search yields only the pairings with n faces, and
+    The pairing search emits only the pairings with n faces, and
     `_unlabelled_maps` keeps one per unlabelled map: each pairing is
     relabelled once, from root 0, and each new map from its 2E roots.  Its
     labelled classes are then the orbits of its automorphism group on the
-    n! face labellings (`_labelled_classes`), which costs tuple operations
-    only.  One `RibbonGraph` is built, and validated, per map, from its
-    first class; every other class is that graph relabelled
-    (`RibbonGraph._relabelled`), which checks only the labels.
+    n! face labellings (`_labelled_classes`), read off the coset of its
+    distinct face orders with about 2 n! tuples per map.  One `RibbonGraph`
+    is built, and validated, per map, from its first class; every other
+    class is that graph relabelled (`RibbonGraph._relabelled`), which
+    checks only the labels.
 
     More than 256 half-edges raise ValueError before the search starts:
     the encodings store one dart number per byte.

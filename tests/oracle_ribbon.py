@@ -8,6 +8,11 @@ with the package's enumeration path beyond elementary permutation algebra,
 except in `canonical_form` and `labelled_classes`, which share the BFS
 encoding and check only the labelling step.
 
+`orbit_labelled_classes` keeps the enumeration's earlier labelling step,
+the least image of every one of the n! labellings under every face order,
+as the oracle for the package's classes read off the coset of distinct
+face orders.
+
 `bounded_relabel` and `canonical_pair` keep the bounded canonical form (each
 root's BFS stops as soon as it compares larger than the best pair so far)
 as the oracle for the package's least encoding over all roots.
@@ -23,6 +28,7 @@ from math import factorial
 from ribbonvol.ribbon import (
     RibbonGraph,
     _bfs_relabel,
+    _least_image,
     face_cycles,
 )
 
@@ -321,3 +327,12 @@ def labelled_classes(g, n, degrees):
             key, aut = canonical_form(RibbonGraph(s0k, s1k, labels))
             classes.setdefault(key, aut)
     return [(RibbonGraph(*key), classes[key]) for key in sorted(classes)]
+
+
+def orbit_labelled_classes(orders, n):
+    """The labelled classes of a map with the face orders `orders`,
+    {canonical labelling: labelled |Aut|}: the least image, and its count,
+    of each of the n! labellings over every order, n! x len(orders) tuples.
+    """
+    return dict(_least_image(labels, orders)
+                for labels in itertools.permutations(range(1, n + 1)))

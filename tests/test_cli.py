@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import itertools
 import json
 
@@ -236,7 +237,7 @@ def test_enumerate_rows_are_keyed_on_s0_and_s1(run, monkeypatch, fmt, case):
 def test_enumerate_refuses_more_than_256_half_edges_up_front(run, monkeypatch):
     import ribbonvol.ribbon as ribbon
 
-    def no_search(degrees, n):
+    def no_search(degrees, n, emit):
         raise AssertionError("pairing search started")
 
     monkeypatch.setattr(ribbon, "_search_pairings", no_search)
@@ -265,6 +266,39 @@ def test_json_output_round_trips_through_indent_1(run, argv):
     code, out = run(*argv)
     assert code == 0
     assert json.dumps(json.loads(out), indent=1) + "\n" == out
+
+
+# sha256 of `psi --g 1 --n 2`, recorded when dict payloads were still
+# written through `json.dumps(indent=1)`
+PSI_1_2_SHA256 = "3780ba585ab5df5017ab6ef0dc72a5590cfee8849e249b7ead69cc92d9e7c7e3"
+
+
+def test_dict_payloads_are_streamed_with_the_json_dumps_bytes(tmp_path, run, monkeypatch):
+    """A dict payload is encoded chunk by chunk, never through `json.dumps`,
+    and gives the same bytes on stdout and in --out."""
+    import ribbonvol.cli as cli
+
+    dumps = json.dumps
+
+    def no_dict_dumps(obj, *args, **kwargs):
+        if isinstance(obj, dict):
+            raise AssertionError("dict payload passed to json.dumps")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", no_dict_dumps)
+    code, out = run("psi", "--g", "1", "--n", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PSI_1_2_SHA256
+    dest = tmp_path / "psi.json"
+    code, printed = run("psi", "--g", "1", "--n", "2", "--out", str(dest))
+    assert code == 0 and printed == ""
+    assert dest.read_bytes() == out.encode()
+    # a payload of many runs of chunks, the last one partial
+    payload = {"v": 1, "rows": [{"i": i, "s": str(i)} for i in range(2000)]}
+    buf = io.StringIO()
+    cli._write(buf, payload)
+    monkeypatch.undo()
+    assert buf.getvalue() == json.dumps(payload, indent=1) + "\n"
 
 
 def test_enumerate_inconsistent_is_empty(run):

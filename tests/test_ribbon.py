@@ -14,7 +14,11 @@ from ribbonvol.ribbon import (
     RibbonGraph,
     UnsupportedGraph,
     _bfs_relabel,
+    _block_rotation,
+    _distinct_orders,
     _encoding_key,
+    _inverse,
+    _labelled_classes,
     _search_pairings,
     _unlabelled_maps,
     enumerate_graphs,
@@ -228,12 +232,13 @@ def test_bounded_canonical_pair_is_least_encoding(degrees):
 ])
 def test_pruned_search_yields_the_oracle_n_face_pairings_in_order(degrees):
     s0, pairings = oracle.search_pairings(degrees)
+    assert _block_rotation(degrees) == s0
     counted = [(len(face_cycles(s0, s1)), s1) for s1 in pairings]
     top = max(f for f, _ in counted)
     for n in range(-1, top + 2):
-        pruned_s0, pruned = _search_pairings(degrees, n)
-        assert pruned_s0 == s0
-        assert list(pruned) == [s1 for f, s1 in counted if f == n], n
+        pruned = []
+        _search_pairings(degrees, n, pruned.append)
+        assert pruned == [s1 for f, s1 in counted if f == n], n
 
 
 @pytest.mark.parametrize("n,degrees", [(n, degrees) for _, n, degrees in WORKLOAD_TYPES]
@@ -258,9 +263,10 @@ def test_search_yields_each_map_once_per_top_degree_root_orbit(n, degrees, count
     those vertices: sum_U m / |Aut U| pairings, |Aut U| = len(orders)."""
     degrees = sorted(degrees, reverse=True)
     m = degrees[0] * degrees.count(degrees[0])
-    found = len(list(_search_pairings(degrees, n)[1]))
+    found = []
+    _search_pairings(degrees, n, found.append)
     orbits = sum(Fraction(m, len(orders)) for _, orders in _unlabelled_maps(degrees, n))
-    assert found == orbits == count
+    assert len(found) == orbits == count
 
 
 def test_each_map_is_relabelled_from_every_root_once(monkeypatch):
@@ -278,8 +284,10 @@ def test_each_map_is_relabelled_from_every_root_once(monkeypatch):
     monkeypatch.setattr(ribbon, "_bfs_relabel", counted)
     out = enumerate_graphs(1, 3, [3] * 6)
     monkeypatch.undo()
-    s0, pairings = _search_pairings([3] * 6, 3)
-    found = sum(1 for _ in pairings)
+    pairings = []
+    _search_pairings([3] * 6, 3, pairings.append)
+    found = len(pairings)
+    s0 = _block_rotation([3] * 6)
     maps = len({(graph.s0, graph.s1) for graph, _ in out})
     assert (found, maps, len(s0)) == (664, 46, 18)
     assert calls == found + len(s0) * maps
@@ -424,7 +432,7 @@ def test_relabelled_recomputes_the_labelled_canonical_form():
 def test_more_than_256_half_edges_refused_before_the_search(monkeypatch):
     """Encodings hold one dart number per byte; the limit is checked before
     any pairing is searched, and 256 darts pass it."""
-    def no_search(degrees, n):
+    def no_search(degrees, n, emit):
         raise AssertionError("pairing search started")
 
     monkeypatch.setattr(ribbon, "_search_pairings", no_search)
@@ -434,10 +442,71 @@ def test_more_than_256_half_edges_refused_before_the_search(monkeypatch):
         enumerate_trivalent(0, 45)
     searched = []
 
-    def empty_search(degrees, n):
+    def empty_search(degrees, n, emit):
         searched.append(sum(degrees))
-        return (), iter(())
 
     monkeypatch.setattr(ribbon, "_search_pairings", empty_search)
     assert enumerate_graphs(0, 129, [256]) == []
     assert searched == [256]
+
+
+# the types of `test_enumerate_matches_the_row_dict_oracle` (with the
+# trivalent (1,3) and the empty (0,1) 3), trivalent (0,4), (2,2) and (0,5),
+# and (0,6) 4,4,4,4, whose maps have 720 labellings each: 698 maps
+COSET_TYPES = [(n, [int(d) for d in degrees.split(",")])
+               for _, n, degrees in ORACLE_CASES] + [
+    (4, [3] * 4), (2, [3] * 8), (5, [3] * 6), (6, [4] * 4)]
+
+
+def _compose(a, b):
+    """a o b: k -> a[b[k]]."""
+    return tuple(a[k] for k in b)
+
+
+def _is_coset(orders):
+    """True when the distinct orders are closed under a o b^{-1} o c, which
+    holds exactly for a coset of a subgroup of S_n, and each distinct order
+    is given by equally many automorphisms."""
+    coset = _distinct_orders(orders)
+    law = all(_compose(_compose(a, _inverse(b)), c) in coset
+              for a in coset for b in coset for c in coset)
+    counts = {o: 0 for o in coset}
+    for o in orders:
+        counts[tuple(o)] += 1
+    return law and len(set(counts.values())) == 1
+
+
+@pytest.fixture(scope="module")
+def coset_maps():
+    return {(n, tuple(degrees)): _unlabelled_maps(sorted(degrees, reverse=True), n)
+            for n, degrees in COSET_TYPES}
+
+
+@pytest.mark.parametrize("n,degrees", COSET_TYPES)
+def test_labelled_classes_equal_the_orbit_oracle(coset_maps, n, degrees):
+    """The classes read off the coset of distinct face orders are the least
+    images of all n! labellings over every order, dict for dict."""
+    for _, orders in coset_maps[n, tuple(degrees)]:
+        assert _labelled_classes(orders, n) == oracle.orbit_labelled_classes(orders, n)
+
+
+@pytest.mark.parametrize("n,degrees", COSET_TYPES)
+def test_distinct_face_orders_form_a_coset(coset_maps, n, degrees):
+    """The property `_labelled_classes` relies on, checked on the data."""
+    maps = coset_maps[n, tuple(degrees)]
+    assert all(_is_coset(orders) for _, orders in maps)
+
+
+def test_the_coset_types_cover_698_maps(coset_maps):
+    assert sum(map(len, coset_maps.values())) == 698
+
+
+def test_a_dropped_face_order_breaks_the_coset_check(coset_maps):
+    """Canary: without one of its distinct orders, a map's orders are no
+    longer a coset.  It needs |H| >= 3: one order left of two is a coset of
+    the trivial group."""
+    orders = max((orders for maps in coset_maps.values() for _, orders in maps),
+                 key=lambda orders: len(_distinct_orders(orders)))
+    assert len(_distinct_orders(orders)) >= 3 and _is_coset(orders)
+    dropped = tuple(orders[0])
+    assert not _is_coset([o for o in orders if tuple(o) != dropped])
