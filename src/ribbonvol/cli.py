@@ -10,6 +10,11 @@ JSON is written with the bytes of `json.dumps(payload, indent=1)`, streamed
 chunk by chunk.  `enumerate` streams its classes from a row template filled
 once per map and then once per class, with the same bytes as
 `json.dumps(indent=1)` of the whole payload.
+
+The argument parser is built on the first `main()` call and reused by every
+later call in the process; a one-shot `ribbonvol` process pays one cold
+build, a few milliseconds.  An unwritable stdout, such as a pipe closed by
+its reader, exits 2 like an unwritable --out.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from math import comb
@@ -54,10 +60,11 @@ def _parse_degrees(text: str):
 
 
 def _parse_chord(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
+    try:
+        i, j = (int(x) for x in text.split(","))
+    except ValueError:
         raise argparse.ArgumentTypeError(f"chord must be i,j; got {text!r}")
-    return (int(parts[0]), int(parts[1]))
+    return (i, j)
 
 
 def _poly_latex(p: Poly) -> str:
@@ -310,7 +317,15 @@ def cmd_angle(args) -> tuple:
     return payload, 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process on first use.
+
+    Sharing it between `main()` calls is safe: argparse parses each call
+    into a fresh namespace and looks up `sys.stdout` and `sys.stderr` only
+    when it prints.  It is not built at import, which would add its cold
+    build to the import time.
+    """
     parser = argparse.ArgumentParser(
         prog="ribbonvol",
         description="Exact ribbon graph volumes and moduli intersection numbers.")
@@ -402,7 +417,17 @@ def main(argv=None) -> int:
             print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return USAGE_ERROR
     else:
-        _write(sys.stdout, payload)
+        try:
+            _write(sys.stdout, payload)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Send what is still buffered to devnull, so that the flush at
+            # exit does not raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("error: cannot write stdout", file=sys.stderr)
+            return USAGE_ERROR
     return code
 
 

@@ -3,6 +3,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -511,4 +515,117 @@ def test_help_and_bad_usage_exit_codes(run):
     code, _ = run("no-such-command")
     assert code == 2
     code, _ = run("enumerate", "--g", "1", "--n", "2", "--degrees", "five,3")
+    assert code == 2
+
+
+def test_a_chord_that_is_not_two_integers_is_a_usage_error(capsys):
+    for text in ("1,a", "1,2,3", "1"):
+        code = main(["angle", "--d", "5", "--chord1", text, "--chord2", "0,2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", text
+        assert captured.err.endswith(
+            f"ribbonvol angle: error: argument --chord1: chord must be i,j; got {text!r}\n")
+
+
+def test_the_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """Each call through the one cached parser, in two orders, prints the
+    bytes and exits with the code of the same call through a parser built
+    for it alone."""
+    import ribbonvol.cli as cli
+
+    dest = tmp_path / "out.json"
+    # every subcommand, `verify-kcf` with and without --points, both formats
+    # of `enumerate` and of `volume`, an --out run, --help, and a usage
+    # error that sits between valid calls in either order
+    calls = [
+        ["enumerate", "--g", "1", "--n", "2", "--degrees", "5,3"],
+        ["enumerate", "--g", "1", "--n", "2", "--degrees", "5,3", "--format", "csv"],
+        ["volume", "--g", "1", "--n", "2"],
+        ["volume", "--g", "0", "--n", "4", "--format", "latex"],
+        ["angle", "--d", "5", "--chord1", "1,a", "--chord2", "0,2"],
+        ["psi", "--g", "1", "--n", "2"],
+        ["verify-kcf", "--g", "1", "--n", "1", "--trials", "4", "--seed", "9"],
+        ["verify-kcf", "--g", "1", "--n", "1", "--trials", "4", "--seed", "9", "--points"],
+        ["identities", "--g", "0", "--n", "3"],
+        ["witten12", "--out", str(dest)],
+        ["angle", "--d", "5", "--chord1", "0,2", "--chord2", "1,3"],
+        ["--help"],
+    ]
+
+    def call(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = dest.read_bytes() if dest.exists() else None
+        dest.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        expected = [call(argv) for argv in calls]
+    assert [result[0] for result in expected] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert expected[9][1] == "" and expected[9][3]
+    for order in (range(len(calls)), reversed(range(len(calls)))):
+        for i in order:
+            assert call(calls[i]) == expected[i], calls[i]
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    import ribbonvol.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
+    assert main(["witten12"]) == 0
+    assert len(built) == 8  # the top-level parser and one per subcommand
+    assert main(["psi", "--g", "1", "--n", "2"]) == 0
+    assert main(["angle", "--d", "5", "--chord1", "0,a", "--chord2", "1,3"]) == 2
+    assert len(built) == 8
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _cli_env(unbuffered=False):
+    """The environment of a subprocess that imports the package under test,
+    with Python's default buffered stdout unless `unbuffered`."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def test_importing_the_cli_builds_no_parser():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import ribbonvol.cli as cli; print(cli.build_parser.cache_info().currsize)"],
+        env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout == "0\n"
+
+
+# The first two outputs are larger than the pipe's buffer and the writer's
+# together, so the pipe is closed while the command is still writing; the
+# third is closed before the command writes, and its 2 kB wait in the
+# buffer of a buffered stdout until `main` flushes them.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,read", [
+    (["enumerate", "--g", "1", "--n", "3", "--degrees", "3,3,3,3,3,3"], 10),  # 117 kB of rows
+    (["psi", "--g", "0", "--n", "9"], 10),  # 326 kB from the JSON encoder
+    (["witten12"], 0),
+])
+def test_a_stdout_pipe_closed_by_its_reader_exits_2_without_a_traceback(argv, read, unbuffered):
+    with subprocess.Popen([sys.executable, "-m", "ribbonvol.cli", *argv],
+                          env=_cli_env(unbuffered),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(os.read(proc.stdout.fileno(), read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert err == "error: cannot write stdout\n"
     assert code == 2
