@@ -13,14 +13,17 @@ once per map and then once per class, with the same bytes as
 
 The argument parser is built on the first `main()` call and reused by every
 later call in the process; a one-shot `ribbonvol` process pays one cold
-build, a few milliseconds.  An unwritable stdout, such as a pipe closed by
-its reader, exits 2 like an unwritable --out.
+build, a few milliseconds.  All that `main` writes to stdout, --help,
+--version and error lines too, goes through one guarded write: an
+unwritable stdout, such as a pipe closed by its reader, exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import itertools
 import json
 import os
@@ -105,9 +108,10 @@ def _stable_only(cmd):
 def _dvv_cost(g: int, n: int) -> int:
     """Estimated CPU microseconds of `volume` at a stable (g, n), which
     bounds `psi` too: 40 for each of the C(d+n-1, n-1) exponent tuples,
-    d = 3g-3+n, plus 17 * 3^(g+n) for the DVV recursion, whose work grows
-    about threefold with each unit of g or of n.  Fitted on a 2-vCPU Xeon;
-    at g <= 2 it overestimates by up to 2.5 times.
+    d = 3g-3+n, plus 17 * 3^(g+n), fitted on a 2-vCPU Xeon to a DVV
+    recursion peeling the largest index.  `_tau` peels the smallest, whose
+    work grows far slower, so the 3^(g+n) term does not model it; the
+    estimate is kept as fitted so that the same inputs are refused.
     """
     d = 3 * g - 3 + n
     return 40 * comb(d + n - 1, n - 1) + 17 * 3 ** (g + n)
@@ -397,37 +401,38 @@ def _write(fh, payload) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    shown = io.StringIO()  # what --help or --version prints
+    out = None  # --out takes only a command's payload
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
+        with contextlib.redirect_stdout(shown):
+            args = build_parser().parse_args(argv)
         payload, code = args.func(args)
+        out = args.out
+    except SystemExit as exc:
+        payload, code = shown.getvalue(), USAGE_ERROR if exc.code not in (0, None) else 0
     except ValueError as exc:
-        print(json.dumps({"v": 1, "error": str(exc)}))
-        return USAGE_ERROR
+        payload, code = json.dumps({"v": 1, "error": str(exc)}) + "\n", USAGE_ERROR
     if payload is None:
         return code
-    if args.out:
+    if out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 _write(fh, payload)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
             return USAGE_ERROR
-    else:
-        try:
-            _write(sys.stdout, payload)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # Send what is still buffered to devnull, so that the flush at
-            # exit does not raise again.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            print("error: cannot write stdout", file=sys.stderr)
-            return USAGE_ERROR
+        return code
+    try:
+        _write(sys.stdout, payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send what is still buffered to devnull, so that the flush at exit
+        # does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write stdout", file=sys.stderr)
+        return USAGE_ERROR
     return code
 
 

@@ -21,6 +21,7 @@ from .exact import (
     SingularMatrixError,
     bareiss,
     bareiss_kernel,
+    double_factorial,
     mat_mul,
     mat_vec,
     orthant_exponential_integral,
@@ -34,7 +35,7 @@ from .ribbon import (
     enumerate_trivalent,
     face_cycles,
 )
-from .volumes import is_stable, lhs_laplace
+from .volumes import is_stable, psi_numbers
 
 __all__ = [
     "kontsevich_form",
@@ -302,22 +303,18 @@ def _map_groups(g: int, n: int):
     return groups, classes
 
 
-def _lhs_groups(lhs, n: int):
-    """The psi side, scalar * sum c s^e / prod s_k^(m_k), as groups over
-    `_factor_order(n)`: c s^e has exponents m_k - e_k on s_k and 0 on each
-    s_i + s_j, and coefficient scalar * c.  ValueError if one is negative."""
-    den = [lhs.den.get(f, 0) for f in _factor_order(n)]
-    groups = []
-    for e, c in lhs.num.with_vars(lhs.svars).terms.items():
-        exps = tuple(m - x for m, x in zip(den, e + (0,) * (len(den) - n)))
-        if min(exps) < 0:
-            raise ValueError(f"monomial {e} is not divided by the denominator")
-        groups.append((exps, lhs.scalar * c))
-    return groups
+def _psi_groups(g: int, n: int):
+    """The psi side sum_a <psi^a> prod (2a_k-1)!! / s_k^(2a_k+1), the
+    Laplace transform of W_{g,n}, as groups over `_factor_order(n)`: one per
+    nonzero <psi^a>, with exponents 2a_k+1 on s_k and 0 on each s_i + s_j."""
+    zeros = (0,) * (n * (n - 1) // 2)
+    return [(tuple(2 * a + 1 for a in alpha) + zeros,
+             val * prod(double_factorial(2 * a - 1) for a in alpha))
+            for alpha, val in psi_numbers(g, n).items() if val]
 
 
 def _evaluate_groups(groups, coords) -> Fraction:
-    """Exact value of grouped terms (either side: `_map_groups`, `_lhs_groups`)
+    """Exact value of grouped terms (either side: `_map_groups`, `_psi_groups`)
     at the point `coords` (s_1..s_n).
 
     Each factor value a/b is computed once as an integer pair: (p_i, q_i)
@@ -372,7 +369,7 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
 
     The graph side is grouped once per unlabelled map (`_map_groups`, by
     orbit-stabiliser: no `RibbonGraph` or per-graph rational function is
-    built), the psi side once from `lhs_laplace` (`_lhs_groups`), and
+    built), the psi side once from `psi_numbers` (`_psi_groups`), and
     `_evaluate_groups` sums each side at a point in integers, the factor
     values s_i, s_i + s_j computed once.  "graphs" counts the labelled
     classes, the automorphism orbits on the labellings of each map.
@@ -383,7 +380,7 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     trials = max(trials, 2 * degree_bound + 1)
     rng = random.Random(seed)
     svars = tuple(f"s{i}" for i in range(1, n + 1))
-    lhs = _lhs_groups(lhs_laplace(g, n), n)
+    lhs = _psi_groups(g, n)
     groups, classes = _map_groups(g, n)
     groups = list(groups.items())
     points = []

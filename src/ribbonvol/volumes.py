@@ -3,16 +3,20 @@
 The psi-class intersection numbers <tau_{d_1} ... tau_{d_n}>_g =
 <psi_1^d1 ... psi_n^dn> on the compactified moduli space of curves come from
 the Dijkgraaf-Verlinde-Verlinde recursion (Witten's conjecture).  Peeling an
-index d_1 = k+1,
+index k+1 off the bracket,
 
     (2k+3)!! <tau_{k+1} tau_S>_g
         = sum_j (2k+2d_j+1)!!/(2d_j-1)!! <tau_{d_j+k} tau_{S-j}>_g
         + 1/2 sum_{r+s=k-1} (2r+1)!! (2s+1)!! [ <tau_r tau_s tau_S>_{g-1}
               + sum_{I u J = S} <tau_r tau_I>_{g1} <tau_s tau_J>_{g2} ],
 
-with (-1)!! = 1, so that k = -1 is the string equation.  The seeds are
-<tau_0^3>_0 = 1 and <tau_1>_1 = 1/24; a bracket vanishes unless
-sum d_i = 3g-3+n for some g with 2g-2+n > 0, which fixes every genus above.
+with (-1)!! = 1.  `_tau` peels the smallest index.  Its step is the string
+equation when that index is 0 (k = -1: weights 1, empty half-sum) and the
+dilaton equation <tau_1 tau_S>_g = (2g-2+|S|) <tau_S>_g when it is 1 (k = 0:
+weights 2d_j+1, summing to 3(2g-2+|S|)), so subset splits run only when
+every index is at least 2.  The seeds are <tau_0^3>_0 = 1 and <tau_1>_1 =
+1/24; a bracket vanishes unless sum d_i = 3g-3+n for some g with
+2g-2+n > 0, which fixes every genus above.
 
 `kontsevich_volume(g, n)` returns the polynomial W_{g,n}(L_1..L_n): the
 product of the perimeters times the top-power volume of the moduli space of
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .exact import Poly, RationalFunction, double_factorial
 
@@ -55,7 +59,8 @@ def _key(ds) -> tuple:
 
 @lru_cache(maxsize=None)
 def _tau(ds: tuple) -> Fraction:
-    """<tau_{d_1} ... tau_{d_n}> for `ds` sorted in decreasing order, by DVV."""
+    """<tau_{d_1} ... tau_{d_n}> for `ds` sorted in decreasing order, by DVV
+    on the smallest index."""
     n = len(ds)
     g, rem = divmod(sum(ds) - n + 3, 3)
     if rem or not is_stable(g, n) or ds[-1] < 0:
@@ -64,7 +69,7 @@ def _tau(ds: tuple) -> Fraction:
         return Fraction(1)
     if ds == (1,):
         return Fraction(1, 24)
-    k, rest = ds[0] - 1, ds[1:]
+    k, rest = ds[-1] - 1, ds[:-1]
     total = Fraction(0)
     for j, d in enumerate(rest):
         weight = double_factorial(2 * k + 2 * d + 1) // double_factorial(2 * d - 1)
@@ -114,18 +119,10 @@ def kontsevich_volume(g: int, n: int) -> Poly:
 
 def lhs_laplace(g: int, n: int) -> RationalFunction:
     """Sum over |a| = 3g-3+n of <psi^a> prod (2a_k-1)!! / s_k^{2a_k+1}."""
-    psi = psi_numbers(g, n)
-    svars = tuple(f"s{i}" for i in range(1, n + 1))
     d = 3 * g - 3 + n
+    svars = tuple(f"s{i}" for i in range(1, n + 1))
+    terms = {tuple(2 * (d - a) for a in alpha):
+             val * prod(double_factorial(2 * a - 1) for a in alpha)
+             for alpha, val in psi_numbers(g, n).items() if val}
     den = {(i,): 2 * d + 1 for i in range(n)}
-    terms = {}
-    for alpha, val in psi.items():
-        if val == 0:
-            continue
-        coef = val
-        for a in alpha:
-            coef *= double_factorial(2 * a - 1)
-        exp = tuple(2 * d + 1 - (2 * a + 1) for a in alpha)
-        terms[exp] = terms.get(exp, 0) + coef
-    num = Poly(svars, terms)
-    return RationalFunction(svars, 1, num, den).reduced()
+    return RationalFunction(svars, 1, Poly(svars, terms), den).reduced()

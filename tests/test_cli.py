@@ -611,13 +611,18 @@ def test_importing_the_cli_builds_no_parser():
 
 # The first two outputs are larger than the pipe's buffer and the writer's
 # together, so the pipe is closed while the command is still writing; the
-# third is closed before the command writes, and its 2 kB wait in the
-# buffer of a buffered stdout until `main` flushes them.
+# others are closed before the command writes, and with a buffered stdout
+# they wait in its buffer until `main` flushes them: witten12's 2 kB, the
+# help and the version argparse prints, and the error line of a refused
+# input.
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv,read", [
     (["enumerate", "--g", "1", "--n", "3", "--degrees", "3,3,3,3,3,3"], 10),  # 117 kB of rows
     (["psi", "--g", "0", "--n", "9"], 10),  # 326 kB from the JSON encoder
     (["witten12"], 0),
+    (["--help"], 0),
+    (["--version"], 0),
+    (["enumerate", "--g", "0", "--n", "130", "--degrees", "258"], 0),
 ])
 def test_a_stdout_pipe_closed_by_its_reader_exits_2_without_a_traceback(argv, read, unbuffered):
     with subprocess.Popen([sys.executable, "-m", "ribbonvol.cli", *argv],

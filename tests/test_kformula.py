@@ -22,9 +22,9 @@ from ribbonvol.kformula import (
     _evaluate_groups,
     _factor_order,
     _labelled_exponents,
-    _lhs_groups,
     _map_groups,
     _principal_block_identity,
+    _psi_groups,
     cell_density,
     kernel_normalization,
     kontsevich_form,
@@ -41,7 +41,7 @@ from ribbonvol.ribbon import (
     enumerate_graphs,
     enumerate_trivalent,
 )
-from ribbonvol.volumes import lhs_laplace
+from ribbonvol.volumes import lhs_laplace, psi_numbers
 
 import oracle_cells
 import oracle_ratfun
@@ -161,8 +161,9 @@ def test_mismatch_produces_failure_report(monkeypatch):
     import ribbonvol.kformula as kf
     from ribbonvol.cli import main
 
-    true_lhs = lhs_laplace(1, 1)
-    monkeypatch.setattr(kf, "lhs_laplace", lambda g, n: true_lhs * Fraction(3, 2))
+    true_psi = psi_numbers(1, 1)
+    monkeypatch.setattr(kf, "psi_numbers",
+                        lambda g, n: {a: v * Fraction(3, 2) for a, v in true_psi.items()})
     report = kf.verify_kcf(1, 1, trials=3, seed=0)
     assert not report["equal"]
     bad = report["first_mismatch"]
@@ -433,21 +434,38 @@ def test_rhs_evaluate_never_reaches_the_grouped_evaluator(monkeypatch):
     assert kf.rhs_evaluate(1, 1, point) == lhs_laplace(1, 1).evaluate(point)
 
 
-# every stable type with 3g - 3 + n <= 4
-LHS_TYPES = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
-             (1, 1), (1, 2), (1, 3), (1, 4), (2, 1)]
+def _lhs_groups(lhs, n):
+    """The bridge oracle from `lhs_laplace` to the groups of `_psi_groups`:
+    the psi side, scalar * sum c s^e / prod s_k^(m_k), as groups over
+    `_factor_order(n)`: c s^e has exponents m_k - e_k on s_k and 0 on each
+    s_i + s_j, and coefficient scalar * c.  ValueError if one is negative."""
+    den = [lhs.den.get(f, 0) for f in _factor_order(n)]
+    groups = []
+    for e, c in lhs.num.with_vars(lhs.svars).terms.items():
+        exps = tuple(m - x for m, x in zip(den, e + (0,) * (len(den) - n)))
+        if min(exps) < 0:
+            raise ValueError(f"monomial {e} is not divided by the denominator")
+        groups.append((exps, lhs.scalar * c))
+    return groups
+
+
+# every stable type with 3g - 3 + n <= 6
+LHS_TYPES = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9),
+             (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 1), (2, 2), (2, 3)]
 
 
 @pytest.mark.parametrize("g,n", LHS_TYPES)
 def test_psi_side_groups_equal_the_closed_form(g, n):
-    """The psi side as `_evaluate_groups` evaluates it in `verify_kcf`,
-    against `RationalFunction.evaluate` of `lhs_laplace`, at the extremes
-    1/1000 and 1000 and at seeded points."""
+    """The psi side as `verify_kcf` builds it from `psi_numbers`, against
+    the reduced `lhs_laplace` unpacked by the oracle `_lhs_groups` (equal as
+    dicts) and against `RationalFunction.evaluate` of `lhs_laplace`, at the
+    extremes 1/1000 and 1000 and at seeded points."""
     lhs = lhs_laplace(g, n)
-    groups = _lhs_groups(lhs, n)
+    groups = _psi_groups(g, n)
     assert len(groups) == len(lhs.num.terms)
     assert all(len(exps) == len(_factor_order(n)) and not any(exps[n:])
                for exps, _ in groups)
+    assert dict(groups) == dict(_lhs_groups(lhs, n))
     for point in sample_points(n, 4, seed=11 * n + g):
         assert grouped_sum(groups, point) == lhs.evaluate(point)
 
@@ -460,24 +478,27 @@ def test_psi_side_grouping_refuses_a_monomial_above_the_denominator():
 
 
 def test_verify_kcf_never_evaluates_a_rational_function(monkeypatch):
-    """Both sides go through `_evaluate_groups`: `verify_kcf` is unchanged
-    with `RationalFunction.evaluate` patched to raise."""
+    """Both sides go through `_evaluate_groups`, and the psi side comes
+    straight from `psi_numbers`: `verify_kcf` is unchanged with
+    `RationalFunction.evaluate` and `RationalFunction.reduced` patched to
+    raise."""
     expected = verify_kcf(1, 2, trials=3, seed=4)
 
-    def refuse(self, point):
-        raise AssertionError("verify_kcf called RationalFunction.evaluate")
+    def refuse(self, *args):
+        raise AssertionError("verify_kcf evaluated or reduced a RationalFunction")
 
     monkeypatch.setattr(RationalFunction, "evaluate", refuse)
+    monkeypatch.setattr(RationalFunction, "reduced", refuse)
     assert verify_kcf(1, 2, trials=3, seed=4) == expected and expected["equal"]
 
 
 def test_dropping_one_psi_group_is_detected(monkeypatch):
-    """Soundness canary: the psi side without one of its monomials must
-    make `verify_kcf` report a mismatch."""
+    """Soundness canary: the psi side without one of its groups must make
+    `verify_kcf` report a mismatch."""
     import ribbonvol.kformula as kf
 
-    assert len(_lhs_groups(lhs_laplace(0, 4), 4)) > 1
-    monkeypatch.setattr(kf, "_lhs_groups", lambda lhs, n: _lhs_groups(lhs, n)[1:])
+    assert len(_psi_groups(0, 4)) > 1
+    monkeypatch.setattr(kf, "_psi_groups", lambda g, n: _psi_groups(g, n)[1:])
     report = kf.verify_kcf(0, 4, trials=3, seed=2)
     assert not report["equal"] and report["first_mismatch"] is not None
 
