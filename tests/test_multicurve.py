@@ -159,6 +159,9 @@ def test_signed_edge_roundtrip():
         signed = mc.to_signed_edges(graph)
         back = Multicurve.from_signed_edges(graph, signed)
         assert back == mc
+        assert Multicurve([list(c) for c in mc.components]) == mc
+        last = mc.components[-1]
+        assert Multicurve(mc.components[:-1] + (last + last,)) != mc
 
 
 def _random_closed_walk(graph, rng, max_len=9):

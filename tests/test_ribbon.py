@@ -386,6 +386,19 @@ def test_relabelled_classes_equal_freshly_built_graphs(g, n, degrees):
         assert oracle.canonical_form(fresh) == (graph.canonical_form(), aut)
 
 
+def test_graphs_are_values_keyed_by_all_three_fields():
+    """Equality needs the same face labels too, lists are stored as tuples,
+    and the fields the hash and the caches derive from cannot be set."""
+    graph = enumerate_graphs(0, 4, [3] * 4)[0][0]
+    swapped = (graph.face_labels[1], graph.face_labels[0]) + graph.face_labels[2:]
+    assert graph != RibbonGraph(graph.s0, graph.s1, swapped)
+    assert graph == RibbonGraph(list(graph.s0), list(graph.s1), list(graph.face_labels))
+    assert graph != (graph.s0, graph.s1, graph.face_labels)
+    with pytest.raises(AttributeError):
+        graph.s0 = graph.s1
+    assert RibbonGraph(graph.s0, graph.s1, graph.face_labels) == graph
+
+
 def test_each_map_is_validated_once(monkeypatch):
     """(0,5) 4,4,4 has 540 classes; each of its maps runs `__post_init__`
     once, where one validation per class would run it 540 times."""

@@ -198,6 +198,9 @@ def test_chart_json_roundtrip(charts):
     for chart, _ in charts[0]:
         back = CellChart.from_json(chart.to_json())
         assert back == chart
+        first, second = chart.curves[:2]
+        assert first != second
+        assert CellChart(chart.graph, (second,) + chart.curves[1:]) != chart
         assert back.intersection_matrix() == chart.intersection_matrix()
 
 
