@@ -43,9 +43,9 @@ from .wittencycle import witten12_report
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
 
-# `volume` and `psi` refuse a (g, n) whose `_dvv_cost` exceeds this; the
-# cut falls near 3.5 CPU s on a 2-vCPU Xeon (Python 3.11).
-_DVV_BUDGET = 5_000_000
+# `volume` and `psi` refuse a (g, n) whose `_dvv_cost` exceeds this: 3.5
+# CPU s on a 2-vCPU Xeon (Python 3.11).
+_DVV_BUDGET = 3_500_000
 
 # `angle` refuses a crossing whose `crossing_cos_error` exceeds this: short
 # chords of a large polygon, from d = 1151 for (0,2) and (1,3).
@@ -105,16 +105,16 @@ def _stable_only(cmd):
     return checked
 
 
-def _dvv_cost(g: int, n: int) -> int:
+def _dvv_cost(g: int, n: int) -> float:
     """Estimated CPU microseconds of `volume` at a stable (g, n), which
-    bounds `psi` too: 40 for each of the C(d+n-1, n-1) exponent tuples,
-    d = 3g-3+n, plus 17 * 3^(g+n), fitted on a 2-vCPU Xeon to a DVV
-    recursion peeling the largest index.  `_tau` peels the smallest, whose
-    work grows far slower, so the 3^(g+n) term does not model it; the
-    estimate is kept as fitted so that the same inputs are refused.
+    bounds `psi` too, d = 3g-3+n: 46 for each of the C(d+n-1, n-1) exponent
+    tuples that `psi_numbers` fills and `volume` prints, plus d^5 (6 + n^2)
+    / 10^4 for the DVV recursion, which peels the smallest index and grows
+    like d^5 at n <= 2.  Fitted on a 2-vCPU Xeon (Python 3.11) to within a
+    factor 1.5 of every run measured from 0.3 to 18 CPU s.
     """
     d = 3 * g - 3 + n
-    return 40 * comb(d + n - 1, n - 1) + 17 * 3 ** (g + n)
+    return 46 * comb(d + n - 1, n - 1) + d ** 5 * (6 + n * n) / 10_000
 
 
 def _in_reach(cmd):

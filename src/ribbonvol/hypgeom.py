@@ -14,7 +14,6 @@ also returned exactly in Q(sqrt(5)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Surd
@@ -97,22 +96,17 @@ def vertex_angle_limit(d: int) -> float:
 # -- chords of the regular ideal d-gon ----------------------------------------
 
 
-@dataclass(frozen=True)
 class IdealPolygonChord:
     """Complete geodesic joining two ideal vertices of a regular ideal d-gon
     (vertices at the d-th roots of unity in the disk model)."""
 
-    d: int
-    ends: tuple
-
-    def __post_init__(self):
-        d = self.d
-        i, j = self.ends
+    def __init__(self, d: int, ends):
+        i, j = ends
         if d < 3:
             raise ValueError("polygon degree must be at least 3")
         if not (0 <= i < d and 0 <= j < d) or i == j:
             raise ValueError(f"chord endpoints must be distinct vertices of the {d}-gon")
-        object.__setattr__(self, "ends", (i, j))
+        self.d, self.ends = d, (i, j)
 
 
 class NoCrossingError(ValueError):

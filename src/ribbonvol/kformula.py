@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import factorial, lcm, prod
-from typing import NamedTuple
 
 from .exact import (
     SingularMatrixError,
@@ -109,7 +108,7 @@ def restrict_form(M, V):
     return [[sum(a * b for a, b in zip(u, Mv)) for Mv in images] for u in V]
 
 
-class _CellForm(NamedTuple):
+class _CellForm(namedtuple("_CellForm", "K V d volfactor G")):
     """K, an integer basis V of ker A, its scale d, the volume factor, and
     G = V^T K V in integers.
 
@@ -117,11 +116,7 @@ class _CellForm(NamedTuple):
     that basis is G / (4 d^2).
     """
 
-    K: list
-    V: list
-    d: int
-    volfactor: Fraction
-    G: list
+    __slots__ = ()
 
     def density(self) -> Fraction:
         scale = (4 * self.d * self.d) ** (len(self.G) // 2)

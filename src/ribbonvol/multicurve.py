@@ -19,7 +19,6 @@ for a system of multicurves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Poly, Surd
@@ -46,15 +45,14 @@ class UnresolvableCrossing(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Multicurve:
     """Weighted union of closed dart walks (weights realised by repetition)."""
 
-    components: tuple
+    def __init__(self, components):
+        self.components = tuple(tuple(c) for c in components)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           tuple(tuple(c) for c in self.components))
+    def __eq__(self, other):
+        return isinstance(other, Multicurve) and self.components == other.components
 
     def validate(self, graph: RibbonGraph) -> "Multicurve":
         for walk in self.components:

@@ -24,7 +24,6 @@ labellings, read off the coset of its distinct face orders; one
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -119,18 +118,14 @@ def _check_labels(labels, n):
             f"face labels must be a bijection onto 1..{n}, got {labels}")
 
 
-@dataclass(frozen=True)
 class RibbonGraph:
-    s0: tuple
-    s1: tuple
-    face_labels: tuple  # label of each s2-cycle, cycles ordered by minimal dart
+    """The map (s0, s1) and `face_labels`, the label of each s2-cycle in order
+    of minimal dart; fixed, as the hash and cached structure derive from them."""
 
-    def __post_init__(self):
-        s0, s1 = tuple(self.s0), tuple(self.s1)
+    def __init__(self, s0, s1, face_labels):
+        s0, s1 = tuple(s0), tuple(s1)
         N = len(s0)
-        object.__setattr__(self, "s0", s0)
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "face_labels", tuple(self.face_labels))
+        self.__dict__.update(s0=s0, s1=s1, face_labels=tuple(face_labels))
         if len(s1) != N or sorted(s0) != list(range(N)) or sorted(s1) != list(range(N)):
             raise InvalidRibbonGraph("s0 and s1 must be permutations of the same dart set")
         if N == 0 or N % 2:
@@ -153,6 +148,16 @@ class RibbonGraph:
         if len(seen) != N:
             raise InvalidRibbonGraph("graph is not connected")
         _check_labels(self.face_labels, self.num_faces)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a RibbonGraph is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, RibbonGraph) and (
+            (self.s0, self.s1, self.face_labels) == (other.s0, other.s1, other.face_labels))
+
+    def __hash__(self):
+        return hash((self.s0, self.s1, self.face_labels))
 
     def _relabelled(self, labels) -> "RibbonGraph":
         """The same map with the face labels `labels`, not validated again.

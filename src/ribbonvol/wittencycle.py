@@ -15,9 +15,8 @@ cycle's intersection numbers.
 
 from __future__ import annotations
 
-import importlib.resources
 import json
-from dataclasses import dataclass
+import os
 from fractions import Fraction
 
 from .exact import (
@@ -53,7 +52,6 @@ class ChartError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class CellChart:
     """A ribbon graph with a multicurve coordinate system on its cell.
 
@@ -61,16 +59,18 @@ class CellChart:
     angles of the ideal pentagon are exact in Q(sqrt(5)).
     """
 
-    graph: RibbonGraph
-    curves: tuple
-
-    def __post_init__(self):
+    def __init__(self, graph: RibbonGraph, curves):
+        self.graph, self.curves = graph, curves
         expected = 6 * self.graph.genus - 6 + 2 * self.graph.num_faces
         if len(self.curves) != expected:
             raise ChartError(
                 f"need {expected} multicurves for this cell, got {len(self.curves)}")
         for c in self.curves:
             c.validate(self.graph)
+
+    def __eq__(self, other):
+        return isinstance(other, CellChart) and (
+            (self.graph, self.curves) == (other.graph, other.curves))
 
     def intersection_matrix(self):
         return intersection_matrix(self.graph, self.curves)
@@ -210,8 +210,9 @@ def witten_cycle_intersections(charts, codim_pairs: int) -> dict:
 
 
 def _charts_payload():
-    ref = importlib.resources.files("ribbonvol.charts") / "witten12.json"
-    return json.loads(ref.read_text())
+    path = os.path.join(os.path.dirname(__file__), "charts", "witten12.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def example5_charts():

@@ -368,17 +368,17 @@ def test_verify_kcf_builds_no_graph_and_no_orthant_term(monkeypatch):
     import ribbonvol.kformula as kf
 
     calls = {"graphs": 0, "orthant": 0}
-    post_init = RibbonGraph.__post_init__
+    init = RibbonGraph.__init__
 
-    def counted_post_init(self):
+    def counted_init(self, *args):
         calls["graphs"] += 1
-        post_init(self)
+        init(self, *args)
 
     def counted_orthant(*args, **kwargs):
         calls["orthant"] += 1
         return orthant_exponential_integral(*args, **kwargs)
 
-    monkeypatch.setattr(RibbonGraph, "__post_init__", counted_post_init)
+    monkeypatch.setattr(RibbonGraph, "__init__", counted_init)
     monkeypatch.setattr(kf, "orthant_exponential_integral", counted_orthant)
     monkeypatch.setattr(ratfun, "orthant_exponential_integral", counted_orthant)
     report = kf.verify_kcf(1, 3, trials=3, seed=1)
