@@ -308,30 +308,41 @@ def _psi_groups(g: int, n: int):
             for alpha, val in psi_numbers(g, n).items() if val]
 
 
-def _evaluate_groups(groups, coords) -> Fraction:
-    """Exact value of grouped terms (either side: `_map_groups`, `_psi_groups`)
-    at the point `coords` (s_1..s_n).
+def _integer_form(*sides):
+    """(cden, highest, sides) for grouped terms (`_psi_groups`, `_map_groups`)
+    put over one shared denominator, built once for all points.
+
+    cden is the lcm of every coefficient denominator of every side and
+    highest[f] the largest exponent of factor f over every side; each
+    coefficient c becomes the integer c * cden.
+    """
+    groups = [group for side in sides for group in side]
+    cden = lcm(*(c.denominator for _, c in groups))
+    highest = [max(col) for col in zip(*(exps for exps, _ in groups))]
+    return cden, highest, [[(exps, c.numerator * (cden // c.denominator)) for exps, c in side]
+                           for side in sides]
+
+
+def _side_totals(form, coords):
+    """([integer total of each side], den) of `_integer_form` at the point
+    `coords` (s_1..s_n): side k is worth totals[k] / den, den > 0 shared.
 
     Each factor value a/b is computed once as an integer pair: (p_i, q_i)
     for s_i = p_i/q_i and (p_i q_j + p_j q_i, q_i q_j) for s_i + s_j.  The
-    groups are summed in ints over one common denominator, the lcm of the
-    coefficients' denominators times a^M for each factor's largest exponent
-    M; the one Fraction built at the end is normalised.
+    denominator is cden times a^M for each factor's highest exponent M.
     """
+    cden, highest, sides = form
     p = [x.numerator for x in coords]
     q = [x.denominator for x in coords]
     values = list(zip(p, q))
     for i, j in itertools.combinations(range(len(coords)), 2):
         values.append((p[i] * q[j] + p[j] * q[i], q[i] * q[j]))
-    highest = [max(col) for col in zip(*(exps for exps, _ in groups))]
     # powers[f][m] = a^(M - m) * b^m: (a/b)^-m times the factor's a^M
     powers = [[a ** (M - m) * b ** m for m in range(M + 1)]
               for (a, b), M in zip(values, highest)]
-    cden = lcm(*(c.denominator for _, c in groups))
-    total = sum(c.numerator * (cden // c.denominator)
-                * prod(map(list.__getitem__, powers, exps))
-                for exps, c in groups)
-    return Fraction(total, cden * prod(a ** M for (a, _), M in zip(values, highest)))
+    totals = [sum(k * prod(map(list.__getitem__, powers, exps)) for exps, k in side)
+              for side in sides]
+    return totals, cden * prod(a ** M for (a, _), M in zip(values, highest))
 
 
 def rhs_evaluate(g: int, n: int, point: dict, terms=None) -> Fraction:
@@ -364,10 +375,13 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
 
     The graph side is grouped once per unlabelled map (`_map_groups`, by
     orbit-stabiliser: no `RibbonGraph` or per-graph rational function is
-    built), the psi side once from `psi_numbers` (`_psi_groups`), and
-    `_evaluate_groups` sums each side at a point in integers, the factor
-    values s_i, s_i + s_j computed once.  "graphs" counts the labelled
-    classes, the automorphism orbits on the labellings of each map.
+    built) and the psi side once from `psi_numbers` (`_psi_groups`).  Both
+    go over one shared denominator once (`_integer_form`), and at each
+    point `_side_totals` computes the factor values s_i, s_i + s_j and
+    their powers once and sums each side to an integer over the one
+    denominator den > 0 both share: the sides are equal exactly when their
+    integer totals are.  "graphs" counts the labelled classes, the
+    automorphism orbits on the labellings of each map.
     """
     if not is_stable(g, n):
         raise ValueError(f"({g},{n}) is unstable")
@@ -375,19 +389,17 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     trials = max(trials, 2 * degree_bound + 1)
     rng = random.Random(seed)
     svars = tuple(f"s{i}" for i in range(1, n + 1))
-    lhs = _psi_groups(g, n)
     groups, classes = _map_groups(g, n)
-    groups = list(groups.items())
+    form = _integer_form(_psi_groups(g, n), list(groups.items()))
     points = []
     for _ in range(trials):
         coords = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in svars]
-        lv = _evaluate_groups(lhs, coords)
-        rv = _evaluate_groups(groups, coords)
+        (lt, rt), den = _side_totals(form, coords)
         points.append({
             "point": {v: str(x) for v, x in zip(svars, coords)},
-            "lhs": str(lv),
-            "rhs": str(rv),
-            "equal": lv == rv,
+            "lhs": str(Fraction(lt, den)),
+            "rhs": str(Fraction(rt, den)),
+            "equal": lt == rt,
         })
     first_bad = next((p for p in points if not p["equal"]), None)
     return {

@@ -116,9 +116,10 @@ def _surd_matrix(A, B, den):
             for ra, rb in zip(A, B)]
 
 
-def form_on_kernel_basis(chart: CellChart):
+def form_on_kernel_basis(chart: CellChart, X=None):
     """(V, G, volfactor): kernel basis of A, the Gram matrix of Omega on it,
-    and the basis-to-Lebesgue conversion factor.
+    and the basis-to-Lebesgue conversion factor.  `X` is the chart's
+    `intersection_matrix()` when the caller has it (default: built here).
 
     With the integer basis W = d * V of ker A from `kernel_normalization`
     and the curves' edge counts D, the restriction of M = -D^T X^{-1} D is
@@ -134,17 +135,18 @@ def form_on_kernel_basis(chart: CellChart):
     D = [c.edge_counts(chart.graph) for c in chart.curves]
     Y = [[sum(a * b for a, b in zip(row, w)) for w in W] for row in D]
     try:
-        Za, Zb, det = solve_sqrt5(chart.intersection_matrix(), Y)
+        Za, Zb, det = solve_sqrt5(chart.intersection_matrix() if X is None else X, Y)
     except SingularMatrixError as exc:
         raise ChartError("chart is degenerate: X is singular") from exc
     Yt = transpose(Y)
     return V, _surd_matrix(mat_mul(Yt, Za), mat_mul(Yt, Zb), -d * d * det), volfactor
 
 
-def cell_volume_laplace(chart: CellChart) -> RationalFunction:
+def cell_volume_laplace(chart: CellChart, X=None) -> RationalFunction:
     """Laplace transform of the integral of the top power of Omega over the
-    cell: (constant density) x (per-edge orthant product)."""
-    V, G, volfactor = form_on_kernel_basis(chart)
+    cell: (constant density) x (per-edge orthant product).  `X` is as for
+    `form_on_kernel_basis`."""
+    V, G, volfactor = form_on_kernel_basis(chart, X)
     pf = pfaffian(G)
     if isinstance(pf, Surd):
         if not pf.is_rational:
@@ -166,12 +168,16 @@ def witten_cycle_intersections(charts, codim_pairs: int) -> dict:
       sum_a <W psi^a> prod (2a_k - 1)!! / s_k^{2a_k+1} = 2^{d'} * total,
 
     with d' = 3g - 3 + n - d, which is solved for the numbers <W psi^a>.
+    Each chart's intersection matrix X is built once and returned, in the
+    order of `charts`, as "matrices".
     """
     first = charts[0][0].graph
     g, n = first.genus, first.num_faces
     dprime = 3 * g - 3 + n - codim_pairs
     svars = tuple(f"s{i}" for i in range(1, n + 1))
-    terms = [cell_volume_laplace(chart) * Fraction(1, aut) for chart, aut in charts]
+    matrices = [chart.intersection_matrix() for chart, _ in charts]
+    terms = [cell_volume_laplace(chart, X) * Fraction(1, aut)
+             for (chart, aut), X in zip(charts, matrices)]
     total = RationalFunction.sum(terms)
     scaled = (total * Fraction(2) ** dprime).reduced()
     # scaled must be a pure co-monomial sum: numerator over prod s_k^{m_k}
@@ -202,6 +208,7 @@ def witten_cycle_intersections(charts, codim_pairs: int) -> dict:
         "codim_pairs": codim_pairs,
         "totals": total,
         "terms": terms,
+        "matrices": matrices,
         "intersections": values,
     }
 
@@ -243,11 +250,12 @@ def example5_charts():
 
 def witten12_report() -> dict:
     """Run the full (1,2) one-vertex-of-degree-five pipeline; the lead
-    chart's X^{-1} is one `solve_sqrt5` of [X | I], in integers."""
+    chart's X^{-1} is one `solve_sqrt5` of [X | I], in integers, on the X
+    the cycle computation built."""
     charts, lead_index = example5_charts()
     result = witten_cycle_intersections(charts, codim_pairs=1)
     lead = charts[lead_index][0]
-    X = lead.intersection_matrix()
+    X = result["matrices"][lead_index]
     Xinv = _surd_matrix(*solve_sqrt5(X, identity(len(X))))
     report = {
         "graphs": len(charts),

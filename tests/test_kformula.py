@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor, lcm, prod
 
 import pytest
 
@@ -19,12 +19,13 @@ from ribbonvol.exact import (
 from ribbonvol.kformula import (
     EPSILON,
     _cell_form,
-    _evaluate_groups,
     _factor_order,
+    _integer_form,
     _labelled_exponents,
     _map_groups,
     _principal_block_identity,
     _psi_groups,
+    _side_totals,
     cell_density,
     kernel_normalization,
     kontsevich_form,
@@ -221,9 +222,36 @@ def factor_groups(terms, n):
     return list(groups.items())
 
 
+def evaluate_groups(groups, coords) -> Fraction:
+    """Oracle for `_side_totals`: the exact value of one side's grouped terms
+    (`_map_groups`, `_psi_groups`) at the point `coords` (s_1..s_n), over
+    that side's own denominator.
+
+    Each factor value a/b is computed once as an integer pair: (p_i, q_i)
+    for s_i = p_i/q_i and (p_i q_j + p_j q_i, q_i q_j) for s_i + s_j.  The
+    groups are summed in ints over one common denominator, the lcm of the
+    coefficients' denominators times a^M for each factor's largest exponent
+    M; the one Fraction built at the end is normalised.
+    """
+    p = [x.numerator for x in coords]
+    q = [x.denominator for x in coords]
+    values = list(zip(p, q))
+    for i, j in itertools.combinations(range(len(coords)), 2):
+        values.append((p[i] * q[j] + p[j] * q[i], q[i] * q[j]))
+    highest = [max(col) for col in zip(*(exps for exps, _ in groups))]
+    # powers[f][m] = a^(M - m) * b^m: (a/b)^-m times the factor's a^M
+    powers = [[a ** (M - m) * b ** m for m in range(M + 1)]
+              for (a, b), M in zip(values, highest)]
+    cden = lcm(*(c.denominator for _, c in groups))
+    total = sum(c.numerator * (cden // c.denominator)
+                * prod(map(list.__getitem__, powers, exps))
+                for exps, c in groups)
+    return Fraction(total, cden * prod(a ** M for (a, _), M in zip(values, highest)))
+
+
 def grouped_sum(groups, point):
-    """The production evaluator `_evaluate_groups` at `point` (s_i -> Fraction)."""
-    return _evaluate_groups(groups, [point[f"s{i}"] for i in range(1, len(point) + 1)])
+    """The per-side oracle `evaluate_groups` at `point` (s_i -> Fraction)."""
+    return evaluate_groups(groups, [point[f"s{i}"] for i in range(1, len(point) + 1)])
 
 
 def sample_points(n, count, seed):
@@ -420,13 +448,14 @@ def test_grouping_refuses_a_numerator_other_than_one():
 
 def test_rhs_evaluate_never_reaches_the_grouped_evaluator(monkeypatch):
     """`rhs_evaluate`, the per-graph reference, is a plain per-term sum: it
-    stays correct with `_evaluate_groups` patched to raise."""
+    stays correct with `_integer_form` and `_side_totals` patched to raise."""
     import ribbonvol.kformula as kf
 
-    def refuse(groups, coords):
-        raise AssertionError("rhs_evaluate called _evaluate_groups")
+    def refuse(*args):
+        raise AssertionError("rhs_evaluate called the grouped evaluator")
 
-    monkeypatch.setattr(kf, "_evaluate_groups", refuse)
+    monkeypatch.setattr(kf, "_integer_form", refuse)
+    monkeypatch.setattr(kf, "_side_totals", refuse)
     terms = rhs_terms(0, 4)
     for point in sample_points(4, 2, seed=8):
         assert kf.rhs_evaluate(0, 4, point, terms) == per_term_sum(point, terms)
@@ -478,8 +507,8 @@ def test_psi_side_grouping_refuses_a_monomial_above_the_denominator():
 
 
 def test_verify_kcf_never_evaluates_a_rational_function(monkeypatch):
-    """Both sides go through `_evaluate_groups`, and the psi side comes
-    straight from `psi_numbers`: `verify_kcf` is unchanged with
+    """Both sides go through `_integer_form` and `_side_totals`, and the psi
+    side comes straight from `psi_numbers`: `verify_kcf` is unchanged with
     `RationalFunction.evaluate` and `RationalFunction.reduced` patched to
     raise."""
     expected = verify_kcf(1, 2, trials=3, seed=4)
@@ -490,6 +519,60 @@ def test_verify_kcf_never_evaluates_a_rational_function(monkeypatch):
     monkeypatch.setattr(RationalFunction, "evaluate", refuse)
     monkeypatch.setattr(RationalFunction, "reduced", refuse)
     assert verify_kcf(1, 2, trials=3, seed=4) == expected and expected["equal"]
+
+
+@pytest.mark.parametrize("g,n", sorted(set(MAP_ROUTE_TYPES) | set(LHS_TYPES)))
+def test_integer_totals_equal_the_per_side_oracle(g, n):
+    """Oracle gate for the shared integer form: at the extremes and at
+    seeded points, each side's integer total over the shared denominator
+    equals `evaluate_groups` of that side alone.  The graph side joins the
+    psi side on every type `_map_groups` reaches in the suite."""
+    sides = [_psi_groups(g, n)]
+    if (g, n) in MAP_ROUTE_TYPES:
+        sides.append(list(_map_groups(g, n)[0].items()))
+    form = _integer_form(*sides)
+    for point in sample_points(n, 2 if n >= 5 else 4, seed=13 * n + g):
+        coords = [point[f"s{i}"] for i in range(1, n + 1)]
+        totals, den = _side_totals(form, coords)
+        assert den > 0 and len(totals) == len(sides)
+        for total, side in zip(totals, sides):
+            assert Fraction(total, den) == evaluate_groups(side, coords)
+        assert totals[0] == totals[-1]  # the formula, where both sides are built
+
+
+def test_the_smallest_coefficient_step_is_detected(monkeypatch):
+    """Soundness canary: one graph-side coefficient shifted by 1/cden, the
+    smallest step the shared integer form represents, makes `verify_kcf`
+    report a mismatch at every point, the first one included.
+
+    Seed 1647 and the group worth least at the first point make the step
+    there smaller than a double's precision (relative 9e-18) and than 1, so
+    a comparison of rounded or truncated sides would pass that point and
+    report a later one as the first mismatch."""
+    import ribbonvol.kformula as kf
+
+    g, n, seed = 0, 4, 1647
+    groups, classes = _map_groups(g, n)
+    cden = _integer_form(_psi_groups(g, n), list(groups.items()))[0]
+    first = verify_kcf(g, n, trials=3, seed=seed)["points"][0]
+    coords = [Fraction(x) for x in first["point"].values()]
+    factors = coords + [a + b for a, b in itertools.combinations(coords, 2)]
+
+    def worth(exps):
+        return prod(f ** -e for f, e in zip(factors, exps))
+
+    exps = min(groups, key=worth)
+    shifted = dict(groups)
+    shifted[exps] += Fraction(1, cden)
+    assert _integer_form(_psi_groups(g, n), list(shifted.items()))[0] == cden
+    monkeypatch.setattr(kf, "_map_groups", lambda g, n: (shifted, classes))
+    report = kf.verify_kcf(g, n, trials=3, seed=seed)
+    assert not report["equal"]
+    assert report["first_mismatch"] == report["points"][0]
+    assert not any(p["equal"] for p in report["points"])
+    lhs, rhs = Fraction(report["points"][0]["lhs"]), Fraction(report["points"][0]["rhs"])
+    assert rhs - lhs == worth(exps) / cden
+    assert float(lhs) == float(rhs) and floor(lhs) == floor(rhs)
 
 
 def test_dropping_one_psi_group_is_detected(monkeypatch):

@@ -23,6 +23,7 @@ from ribbonvol.kformula import (
 from ribbonvol.multicurve import (
     Multicurve,
     edge_multicurve,
+    intersection_matrix,
     limit_differential,
     limit_length_reduced,
 )
@@ -407,3 +408,25 @@ def test_witten12_runs_no_field_elimination(monkeypatch):
 
     monkeypatch.setattr(linalg, "_gauss_jordan", refuse)
     assert witten12_report()["intersections"] == {"psi1": "1", "psi2": "1"}
+
+
+def test_witten12_builds_each_chart_x_once(monkeypatch, charts):
+    """One intersection matrix per chart: the cycle computation builds each
+    X once, passes it to the cell's form and returns it, and the lead X of
+    the report is the one it built."""
+    import ribbonvol.wittencycle as wc
+
+    built = []
+
+    def counted(graph, curves):
+        built.append(intersection_matrix(graph, curves))
+        return built[-1]
+
+    monkeypatch.setattr(wc, "intersection_matrix", counted)
+    cs, lead_index = charts
+    report = witten12_report()
+    assert len(built) == len(cs) == 8
+    assert report["lead_X"] == [[x.to_json() for x in row] for row in built[lead_index]]
+    monkeypatch.undo()
+    result = witten_cycle_intersections(cs, codim_pairs=1)
+    assert result["matrices"] == [chart.intersection_matrix() for chart, _ in cs]
