@@ -13,9 +13,9 @@ once per map and then once per class, with the same bytes as
 
 The argument parser is built on the first `main()` call and reused by every
 later call in the process; a one-shot `ribbonvol` process pays one cold
-build, a few milliseconds.  All that `main` writes to stdout, --help,
---version and error lines too, goes through one guarded write: an
-unwritable stdout, such as a pipe closed by its reader, exits 2.
+build, a few milliseconds.  All that `main` writes, --help, --version and
+error lines too, goes through one guarded write: any write error, such as a
+pipe closed by its reader, a full device or a closed stdout, exits 2.
 """
 
 from __future__ import annotations
@@ -108,13 +108,14 @@ def _stable_only(cmd):
 def _dvv_cost(g: int, n: int) -> float:
     """Estimated CPU microseconds of `volume` at a stable (g, n), which
     bounds `psi` too, d = 3g-3+n: 46 for each of the C(d+n-1, n-1) exponent
-    tuples that `psi_numbers` fills and `volume` prints, plus d^5 (6 + n^2)
-    / 10^4 for the DVV recursion, which peels the smallest index and grows
-    like d^5 at n <= 2.  Fitted on a 2-vCPU Xeon (Python 3.11) to within a
-    factor 1.5 of every run measured from 0.3 to 18 CPU s.
+    tuples that `psi_numbers` fills and `volume` prints, plus d^5 (6 + n^2
+    + 6 C(n, 3)) / 10^4 for the DVV recursion, which peels the smallest
+    index and grows like d^5 at fixed n, and faster than n^2 from n = 3 on.
+    Fitted on a 2-vCPU Xeon (Python 3.11) to within a factor 1.5 of every
+    run measured from 0.3 to 18 CPU s.
     """
     d = 3 * g - 3 + n
-    return 46 * comb(d + n - 1, n - 1) + d ** 5 * (6 + n * n) / 10_000
+    return 46 * comb(d + n - 1, n - 1) + d ** 5 * (6 + n * n + 6 * comb(n, 3)) / 10_000
 
 
 def _in_reach(cmd):
@@ -130,11 +131,10 @@ def _in_reach(cmd):
     return checked
 
 
-def _int_list(xs, depth: int) -> str:
-    """`xs`, a non-empty list of ints, as `json.dumps(indent=1)` writes it
-    at `depth`."""
-    pad = "\n" + " " * (depth + 1)
-    return "[" + pad + ("," + pad).join(map(str, xs)) + "\n" + " " * depth + "]"
+def _int_list(xs) -> str:
+    """`xs`, a non-empty list of ints, as `json.dumps(indent=1)` writes a
+    field of a class's graph, at depth 4."""
+    return "[\n     " + ",\n     ".join(map(str, xs)) + "\n    ]"
 
 
 # One class of `enumerate` JSON at depth 2.  The map's fields are filled in
@@ -169,7 +169,7 @@ def _enumerate_json(head: dict, classes):
     genus and faces are formatted once per map, and each distinct tuple of
     face labels once per payload, since the classes of every map draw their
     labels from the same n! permutations."""
-    labels_text = functools.cache(functools.partial(_int_list, depth=4))
+    labels_text = functools.cache(_int_list)
     text = json.dumps({**head, "classes": []}, indent=1)
     if not classes:
         yield text + "\n"
@@ -177,8 +177,8 @@ def _enumerate_json(head: dict, classes):
     sep = text[:-len("[]\n}")] + "[\n"
     for run in _map_runs(classes):
         first = run[0][0]
-        row = _CLASS_ROW % (len(first.s0), _int_list(first.s0, 4),
-                            _int_list(first.s1, 4), first.genus, first.num_faces)
+        row = _CLASS_ROW % (len(first.s0), _int_list(first.s0), _int_list(first.s1),
+                            first.genus, first.num_faces)
         for graph, aut in run:
             yield row % (sep, labels_text(graph.face_labels), aut)
             sep = ",\n"
@@ -414,24 +414,22 @@ def main(argv=None) -> int:
         payload, code = json.dumps({"v": 1, "error": str(exc)}) + "\n", USAGE_ERROR
     if payload is None:
         return code
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                _write(fh, payload)
-        except OSError as exc:
-            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-            return USAGE_ERROR
-        return code
     try:
-        _write(sys.stdout, payload)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # Send what is still buffered to devnull, so that the flush at exit
-        # does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: cannot write stdout", file=sys.stderr)
+        with (open(out, "w", encoding="utf-8") if out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            if fh is None:  # fd 1 was closed when Python started
+                raise OSError("stdout is closed")
+            _write(fh, payload)
+            fh.flush()
+    except OSError as exc:
+        if not out and sys.stdout is not None:
+            # Send what is still buffered to devnull, so that the flush at
+            # exit does not raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write {out}: {exc.strerror or exc}" if out
+              else "error: cannot write stdout", file=sys.stderr)
         return USAGE_ERROR
     return code
 

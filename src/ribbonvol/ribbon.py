@@ -545,7 +545,7 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
         return []
     E = sum(degrees) // 2
     V = len(degrees)
-    if V - E + n != 2 - 2 * g or 2 - 2 * g - n >= 0:
+    if V - E + n != 2 - 2 * g:
         return []
 
     if 2 * E > _MAX_DARTS:
@@ -564,8 +564,6 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
 
 
 def enumerate_trivalent(g: int, n: int) -> list:
-    """Trivalent graphs of type (g, n): the top-dimensional cells."""
-    E = 6 * g - 6 + 3 * n
-    if E <= 0:
-        return []
-    return enumerate_graphs(g, n, [3] * (2 * E // 3))
+    """Trivalent graphs of type (g, n), with 4g - 4 + 2n vertices: the
+    top-dimensional cells.  An unstable type has no vertex and no graph."""
+    return enumerate_graphs(g, n, [3] * (4 * g - 4 + 2 * n))

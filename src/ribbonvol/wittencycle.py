@@ -179,7 +179,7 @@ def witten_cycle_intersections(charts, codim_pairs: int) -> dict:
     terms = [cell_volume_laplace(chart, X) * Fraction(1, aut)
              for (chart, aut), X in zip(charts, matrices)]
     total = RationalFunction.sum(terms)
-    scaled = (total * Fraction(2) ** dprime).reduced()
+    scaled = total * Fraction(2) ** dprime  # still reduced: only the scalar changes
     # scaled must be a pure co-monomial sum: numerator over prod s_k^{m_k}
     for f in scaled.den:
         if len(f) != 1:

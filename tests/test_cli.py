@@ -337,9 +337,10 @@ def test_dvv_cost_accepts_every_test_and_benchmark_input():
     used |= {(0, 3), (0, 4), (0, 5), (1, 1), (1, 2)}
     assert all(_dvv_cost(g, n) <= _DVV_BUDGET for g, n in used)
     # the tuple term counts the exponent tuples `psi_numbers` returns
-    for g, n in [(0, 5), (1, 4), (2, 3), (3, 1)]:
+    for g, n in [(0, 5), (1, 4), (2, 3), (3, 1), (0, 7)]:
         d = 3 * g - 3 + n
-        assert _dvv_cost(g, n) == 46 * len(psi_numbers(g, n)) + d ** 5 * (6 + n * n) / 10_000
+        assert _dvv_cost(g, n) == 46 * len(psi_numbers(g, n)) + d ** 5 * (
+            6 + n * n + n * (n - 1) * (n - 2)) / 10_000
 
 
 def test_dvv_cost_grows_with_genus_and_with_faces():
@@ -351,12 +352,15 @@ def test_dvv_cost_grows_with_genus_and_with_faces():
             if is_stable(g, n):
                 assert _dvv_cost(g + 1, n) > _dvv_cost(g, n)
                 assert _dvv_cost(g, n + 1) > _dvv_cost(g, n)
-    # the largest accepted and smallest refused case of three families, by
-    # `volume`'s CPU: n = 1 (3.6 and 4.4 s), g = 0 (2.5 and 7.8 s) and
-    # g = 1 (0.9 and 4.4 s)
+    # the largest accepted and smallest refused case of five families, by
+    # `volume`'s CPU: n = 1 (3.6 and 4.4 s), g = 0 (2.5 and 7.8 s), g = 1
+    # (0.9 and 4.4 s), n = 3 (3.2-3.6 and 2.8-3.8 s) and n = 4 (2.8-3.2 and
+    # 2.7-4.2 s; (19,4) 3.9-4.5 s)
     assert _dvv_cost(29, 1) <= _DVV_BUDGET < _dvv_cost(30, 1)
     assert _dvv_cost(0, 11) <= _DVV_BUDGET < _dvv_cost(0, 12)
     assert _dvv_cost(1, 9) <= _DVV_BUDGET < _dvv_cost(1, 10)
+    assert _dvv_cost(23, 3) <= _DVV_BUDGET < _dvv_cost(24, 3)
+    assert _dvv_cost(17, 4) <= _DVV_BUDGET < _dvv_cost(18, 4)
 
 
 def test_out_of_reach_psi_and_volume_exit_2_before_any_dvv_work(monkeypatch, capsys):
@@ -369,7 +373,7 @@ def test_out_of_reach_psi_and_volume_exit_2_before_any_dvv_work(monkeypatch, cap
     monkeypatch.setattr(cli, "psi_numbers", refuse)
     monkeypatch.setattr(volumes, "psi_numbers", refuse)
     for argv in (["psi", "--g", "30", "--n", "1"], ["volume", "--g", "0", "--n", "12"],
-                 ["psi", "--g", "1", "--n", "10"]):
+                 ["psi", "--g", "1", "--n", "10"], ["volume", "--g", "19", "--n", "4"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -649,3 +653,26 @@ def test_a_stdout_pipe_closed_by_its_reader_exits_2_without_a_traceback(argv, re
         code = proc.wait(timeout=60)
     assert err == "error: cannot write stdout\n"
     assert code == 2
+
+
+# A stdout on which every write fails with ENOSPC, and one closed before the
+# interpreter starts, which Python leaves as `sys.stdout is None`.
+@pytest.mark.parametrize("stdout", ["dev_full", "fd_1_closed"])
+@pytest.mark.parametrize("argv", [
+    ["psi", "--g", "1", "--n", "1"],  # a dict payload
+    ["enumerate", "--g", "1", "--n", "2", "--degrees", "5,3"],  # streamed rows
+    ["volume", "--g", "1", "--n", "2", "--format", "latex"],  # a str payload
+    ["--help"],
+    ["--version"],
+    ["enumerate", "--g", "0", "--n", "130", "--degrees", "258"],  # a refused input
+], ids=["psi", "enumerate", "latex", "help", "version", "refused"])
+def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, stdout):
+    if stdout == "dev_full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this host")
+    with open("/dev/full" if stdout == "dev_full" else os.devnull, "wb") as fh:
+        done = subprocess.run(
+            [sys.executable, "-m", "ribbonvol.cli", *argv], env=_cli_env(),
+            stdout=fh, stderr=subprocess.PIPE, timeout=60,
+            preexec_fn=(lambda: os.close(1)) if stdout == "fd_1_closed" else None)
+    assert done.stderr.decode() == "error: cannot write stdout\n"
+    assert done.returncode == 2
