@@ -400,6 +400,15 @@ def _write(fh, payload) -> None:
         fh.writelines(payload)
 
 
+def _to_devnull(stream) -> None:
+    """Point the fd under `stream` at devnull, so that what is still
+    buffered there cannot fail again at exit, which would make the exit
+    code 120."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     shown = io.StringIO()  # what --help or --version prints
     out = None  # --out takes only a command's payload
@@ -423,13 +432,12 @@ def main(argv=None) -> int:
             fh.flush()
     except OSError as exc:
         if not out and sys.stdout is not None:
-            # Send what is still buffered to devnull, so that the flush at
-            # exit does not raise again.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        print(f"error: cannot write {out}: {exc.strerror or exc}" if out
-              else "error: cannot write stdout", file=sys.stderr)
+            _to_devnull(sys.stdout)
+        try:
+            print(f"error: cannot write {out}: {exc.strerror or exc}" if out
+                  else "error: cannot write stdout", file=sys.stderr)
+        except OSError:  # stderr is on the same closed pipe, say
+            _to_devnull(sys.stderr)
         return USAGE_ERROR
     return code
 

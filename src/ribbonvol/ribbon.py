@@ -9,16 +9,18 @@ half-edges (darts): `s0` rotates the darts at each vertex anticlockwise and
 The enumerator produces exactly one representative per label-preserving
 isomorphism class together with the automorphism group order.  Every
 canonical form is the least breadth-first encoding over all root darts,
-for a single graph and for the enumerator alike (`_rooted`).  The
-enumerator's pairing search closes faces as it pairs darts and cuts every
-branch that cannot end with n faces.  A BFS encoding is a complete
-invariant of a rooted connected map, so a pairing is a map found before
-exactly when its encoding from root 0 is one of the encodings, from every
-root, of the maps found so far; a new map is relabelled from each of its
-roots once, and the least of those encodings is its canonical pair.  Its
-labelled classes are the orbits of its automorphism group on the face
-labellings, read off the coset of its distinct face orders; one
-`RibbonGraph` is validated per map and relabelled per class.
+for a single graph and for the enumerator alike (`_rooted`); an encoding
+is kept as one key, `s0' + s1'` in bytes.  The enumerator's pairing search
+closes faces as it pairs darts and cuts every branch that cannot end with
+n faces.  A BFS encoding is a complete invariant of a rooted connected
+map, and every pairing is rooted at a dart of a vertex of the largest
+degree, so a pairing is a map found before exactly when its key from root
+0 is the key of a map found so far from one of those darts; a new map is
+relabelled from each of its other roots once, and the least of its keys
+is its canonical pair.  Its labelled classes are the orbits of its
+automorphism group on the face labellings, read off the coset of its
+distinct face orders; one `RibbonGraph` is validated per map and
+relabelled per class.
 """
 
 from __future__ import annotations
@@ -84,32 +86,42 @@ def face_cycles(s0, s1):
     return _perm_cycles([inv0[s1[d]] for d in range(len(s0))])
 
 
+# A key stores one dart number per byte up to this many darts, and a tuple of
+# ints beyond; the two orders agree, so only the key's type changes.
+_MAX_DARTS = 256
+
+
 def _bfs_relabel(s0, s1, root):
     """Breadth-first relabelling of (s0, s1) from `root`.
 
-    Returns the relabelled pair `(s0', s1')` and the dart map `new` (old
-    dart d becomes new[d]); the pair is a deterministic encoding.  The i-th
+    Returns the key `s0' + s1'` of the relabelled pair and the dart map
+    `new` (old dart d becomes new[d]); the key is a deterministic encoding,
+    as bytes up to `_MAX_DARTS` darts and as a tuple beyond.  Every `s0'`
+    has length N, so keys order as the pairs `(s0', s1')` do.  The i-th
     dart visited becomes dart i, and both of its images are numbered by the
-    time it is visited, so `s0'[i]` and `s1'[i]` are filled in at that step.
+    time it is visited, so `s0'[i]` and `s1'[i]` are appended at that step.
     """
     N = len(s0)
     new = [-1] * N
     new[root] = 0
     order = [root]
-    s0p = [0] * N
-    s1p = [0] * N
-    for i, d in enumerate(order):
+    key = []  # s0', then s1' is appended
+    s1p = []
+    for d in order:
         a = s0[d]
-        if new[a] < 0:
-            new[a] = len(order)
+        x = new[a]
+        if x < 0:
+            new[a] = x = len(order)
             order.append(a)
         b = s1[d]
-        if new[b] < 0:
-            new[b] = len(order)
+        y = new[b]
+        if y < 0:
+            new[b] = y = len(order)
             order.append(b)
-        s0p[i] = new[a]
-        s1p[i] = new[b]
-    return (tuple(s0p), tuple(s1p)), new
+        key.append(x)
+        s1p.append(y)
+    key += s1p
+    return (bytes(key) if N <= _MAX_DARTS else tuple(key)), new
 
 
 def _check_labels(labels, n):
@@ -324,30 +336,43 @@ def _block_rotation(degrees):
 def _search_pairings(degrees, n, emit):
     """Call `emit(s1)` for each complete pairing `s1` of the slots of the
     block layout `_block_rotation(degrees)` with exactly `n` faces, one per
-    quasi-canonical DFS path, in DFS order.  The caller builds the same
-    layout to read each `s1`, since it needs `s0` before the first call.
+    quasi-canonical DFS path, in DFS order.  The degrees are sorted
+    descending.  The caller builds the same layout to read each `s1`, since
+    it needs `s0` before the first call.
 
     The smallest unpaired slot is matched against unpaired slots of already
     used vertices, or against the first slot of the first unused vertex of
     each distinct degree; this reaches every connected isomorphism class,
-    some more than once.  The search is one plain recursion that hands each
-    pairing to `emit` where it is found, so no frame is resumed per pairing.
+    some more than once.  The used vertices of each run of equal degrees
+    are a prefix of it, so one pointer per run names its first unused
+    vertex.  The search is one plain recursion that hands each pairing to
+    `emit` where it is found, so no frame is resumed per pairing.
 
     The faces are the cycles of s2 = s0^{-1} s1, and pairing s with t sets
     s2(s) = s0^{-1}(t) and s2(t) = s0^{-1}(s).  The links set so far form
     open paths and closed cycles; `head[d]` is the first dart of the path
     ending at d and `tail[d]` the last dart of the path starting at d (read
-    at path ends only).  A link from a path end to a path start closes a
-    face when both lie on one path and merges two paths otherwise.  A
-    branch is cut once more than n faces are closed, or n are closed while
-    slots are still unpaired: those slots will close another face.
+    at path ends only).  Setting s2(d) = e links the path ending at d to the
+    path starting at e: it closes a face when both are one path (the path
+    from e ends at d) and merges them otherwise.  A branch is cut once more
+    than n faces are closed, or n are closed while slots are still
+    unpaired: those slots will close another face.
     """
     s0 = _block_rotation(degrees)
     starts = []
     vertex_at = []
+    run_of = []
+    run_end = []  # one past the last vertex of each run of equal degrees
     for v, deg in enumerate(degrees):
         starts.append(len(vertex_at))
         vertex_at += [v] * deg
+        if v and deg == degrees[v - 1]:
+            run_end[-1] += 1
+        else:
+            run_end.append(v + 1)
+        run_of.append(len(run_end) - 1)
+    # each run's first unused vertex; vertex 0 holds the root and is used
+    next_unused = [1] + run_end[:-1]
     N = len(s0)
     inv0 = _inverse(s0)
     partner = [-1] * N
@@ -356,21 +381,7 @@ def _search_pairings(degrees, n, emit):
     head = list(range(N))
     tail = list(range(N))
 
-    def link(d, e):
-        """Set s2(d) = e, merging the path ending at d into the path
-        starting at e; True if that closes a face (both were one path)."""
-        a, b = head[d], tail[e]
-        tail[a], head[b] = b, a
-        return b == d
-
-    def unlink(d, e):
-        """Undo `link(d, e)`, the last link still set: head[d] and tail[e]
-        still name the ends of the path it made."""
-        a, b = head[d], tail[e]
-        tail[a], head[b] = d, e
-
-    def rec(next_free, closed):
-        s = next_free
+    def rec(s, closed):
         while s < N and partner[s] >= 0:
             s += 1
         if s == N:
@@ -383,25 +394,31 @@ def _search_pairings(degrees, n, emit):
             return  # used component closed while vertices remain: disconnected
         cands = [t for t in range(s + 1, N)
                  if partner[t] < 0 and used[vertex_at[t]]]
-        fresh = []
-        seen_deg = set()
-        for v in range(len(degrees)):
-            if not used[v] and degrees[v] not in seen_deg:
-                seen_deg.add(degrees[v])
-                fresh.append(starts[v])
-        for t in cands + fresh:
+        cands += [starts[v] for v, end in zip(next_unused, run_end) if v < end]
+        es = inv0[s]
+        for t in cands:
             v = vertex_at[t]
             opened = not used[v]
-            used[v] = True
+            if opened:
+                used[v] = True
+                next_unused[run_of[v]] += 1
             partner[s], partner[t] = t, s
-            closes = link(s, inv0[t]) + link(t, inv0[s])
-            if closed + closes <= n:
-                rec(s + 1, closed + closes)
-            unlink(t, inv0[s])
-            unlink(s, inv0[t])
+            # s2(s) = et and s2(t) = es, each linking two path ends
+            et = inv0[t]
+            a, b = head[s], tail[et]
+            tail[a], head[b] = b, a
+            c, d = head[t], tail[es]
+            tail[c], head[d] = d, c
+            total = closed + (b == s) + (d == t)
+            if total <= n:
+                rec(s + 1, total)
+            # undo the links in reverse order; each path keeps its ends
+            tail[c], head[d] = t, es
+            tail[a], head[b] = s, et
             partner[s] = partner[t] = -1
             if opened:
                 used[v] = False
+                next_unused[run_of[v]] -= 1
 
     rec(0, 0)
     # rec's closure holds rec itself; clearing it frees the cycle, and the
@@ -409,29 +426,24 @@ def _search_pairings(degrees, n, emit):
     del rec
 
 
-# `_encoding_key` packs one dart number into one byte
-_MAX_DARTS = 256
-
-
-def _encoding_key(pair):
-    """A BFS encoding `(s0', s1')` as one bytes key, one byte per dart
-    number; more than `_MAX_DARTS` darts raise ValueError."""
-    return bytes(pair[0] + pair[1])
-
-
-def _rooted(s0, s1):
-    """The BFS encodings of (s0, s1) from every root, the canonical pair
-    (their least) and, for every root that reaches it, the face indices in
-    the order of their minimal dart under its dart map.  On the canonical
-    pair itself these roots are its automorphisms, each permuting the faces.
+def _rooted(s0, s1, first=None):
+    """The BFS keys of (s0, s1) from every root, in root order, the
+    canonical pair (the least key, decoded) and, for every root that
+    reaches it, the face indices in the order of their minimal dart under
+    its dart map.  `first` is the relabelling from root 0 if the caller
+    has it already.  On the canonical pair itself these roots are its
+    automorphisms, each permuting the faces.
     """
-    relabels = [_bfs_relabel(s0, s1, root) for root in range(len(s0))]
-    pair = min(enc for enc, _ in relabels)
+    N = len(s0)
+    relabels = [first or _bfs_relabel(s0, s1, 0)]
+    relabels += [_bfs_relabel(s0, s1, root) for root in range(1, N)]
+    keys = [key for key, _ in relabels]
+    least = min(keys)
     faces = face_cycles(s0, s1)
     orders = [[i for _, i in sorted((min(new[d] for d in cyc), i)
                                     for i, cyc in enumerate(faces))]
-              for enc, new in relabels if enc == pair]
-    return [enc for enc, _ in relabels], pair, orders
+              for key, new in relabels if key == least]
+    return keys, (tuple(least[:N]), tuple(least[N:])), orders
 
 
 def _least_image(labels, orders):
@@ -495,23 +507,28 @@ def _unlabelled_maps(degrees, n):
     once: its canonical pair and the face orders of the roots that reach it.
 
     The pairing search hands each n-face pairing to `dedupe` as it finds
-    it.  `seen` holds every rooted BFS encoding of every map found so far.
-    An encoding is a complete invariant of a rooted connected map, so a
-    pairing whose encoding from root 0 is in `seen` is a map already found.
-    A new map adds its 2E encodings; their least is its canonical pair, and
-    the dart maps of the roots that reach it give its face orders
+    it, always rooted at slot 0, a dart of a vertex of the largest degree.
+    A BFS key is a complete invariant of a rooted connected map, so a
+    pairing whose key from root 0 is a key of a map found before, from one
+    of its darts on a vertex of the largest degree, is that map.  Those
+    darts are the m slots `0..m-1` of the block layout, and `seen` holds
+    their keys for every map found so far.  A new map is relabelled from
+    its other 2E - 1 roots; the least of its 2E keys is its canonical pair,
+    and the dart maps of the roots that reach it give its face orders
     (`_rooted`, in the pairing's face indices, which list the same labelled
     classes).
     """
     s0 = _block_rotation(degrees)
+    m = degrees[0] * degrees.count(degrees[0])
     seen = set()
     maps = []
 
     def dedupe(s1):
-        if _encoding_key(_bfs_relabel(s0, s1, 0)[0]) in seen:
+        first = _bfs_relabel(s0, s1, 0)
+        if first[0] in seen:
             return
-        encodings, pair, orders = _rooted(s0, s1)
-        seen.update(map(_encoding_key, encodings))
+        keys, pair, orders = _rooted(s0, s1, first)
+        seen.update(keys[:m])
         maps.append((pair, orders))
 
     _search_pairings(degrees, n, dedupe)
@@ -527,16 +544,17 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
 
     The pairing search emits only the pairings with n faces, and
     `_unlabelled_maps` keeps one per unlabelled map: each pairing is
-    relabelled once, from root 0, and each new map from its 2E roots.  Its
-    labelled classes are then the orbits of its automorphism group on the
-    n! face labellings (`_labelled_classes`), read off the coset of its
-    distinct face orders with about 2 n! tuples per map.  One `RibbonGraph`
-    is built, and validated, per map, from its first class; every other
-    class is that graph relabelled (`RibbonGraph._relabelled`), which
-    checks only the labels.
+    relabelled once, from root 0, and each new map from its other 2E - 1
+    roots, keeping the keys of the darts of its vertices of the largest
+    degree.  Its labelled classes are then the orbits of its automorphism
+    group on the n! face labellings (`_labelled_classes`), read off the
+    coset of its distinct face orders with about 2 n! tuples per map.  One
+    `RibbonGraph` is built, and validated, per map, from its first class;
+    every other class is that graph relabelled (`RibbonGraph._relabelled`),
+    which checks only the labels.
 
     More than 256 half-edges raise ValueError before the search starts:
-    the encodings store one dart number per byte.
+    the search's keys store one dart number per byte.
     """
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(d < 3 for d in degrees):

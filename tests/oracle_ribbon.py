@@ -4,15 +4,17 @@ Fixes the dart set and the vertex rotation s0 (one cycle per vertex over
 consecutive slot blocks), iterates over every fixed-point-free involution
 s1 and every face labelling, and partitions the survivors into orbits of
 the full relabelling group by explicit conjugation.  Nothing here is shared
-with the package's enumeration path beyond elementary permutation algebra,
-except in `canonical_form` and `labelled_classes`, which share the BFS
-encoding and check only the labelling step.
+with the package's enumeration path beyond elementary permutation algebra
+(`face_cycles`), `RibbonGraph` as a container, and `_least_image` in
+`orbit_labelled_classes`.
 
 `orbit_labelled_classes` keeps the enumeration's earlier labelling step,
 the least image of every one of the n! labellings under every face order,
 as the oracle for the package's classes read off the coset of distinct
 face orders.
 
+`bfs_relabel` keeps the package's earlier encoder, the relabelled pair
+`(s0', s1')` as two tuples, as the oracle for its bytes key.
 `bounded_relabel` and `canonical_pair` keep the bounded canonical form (each
 root's BFS stops as soon as it compares larger than the best pair so far)
 as the oracle for the package's least encoding over all roots.
@@ -27,7 +29,6 @@ from math import factorial
 
 from ribbonvol.ribbon import (
     RibbonGraph,
-    _bfs_relabel,
     _least_image,
     face_cycles,
 )
@@ -176,15 +177,43 @@ def total_labelled_structures(g, n, degrees):
     return n_s0 * len(structs)
 
 
+def bfs_relabel(s0, s1, root):
+    """Breadth-first relabelling of (s0, s1) from `root`.
+
+    Returns the relabelled pair `(s0', s1')` and the dart map `new` (old
+    dart d becomes new[d]).  The i-th dart visited becomes dart i, and both
+    of its images are numbered by the time it is visited, so `s0'[i]` and
+    `s1'[i]` are filled in at that step.
+    """
+    N = len(s0)
+    new = [-1] * N
+    new[root] = 0
+    order = [root]
+    s0p = [0] * N
+    s1p = [0] * N
+    for i, d in enumerate(order):
+        a = s0[d]
+        if new[a] < 0:
+            new[a] = len(order)
+            order.append(a)
+        b = s1[d]
+        if new[b] < 0:
+            new[b] = len(order)
+            order.append(b)
+        s0p[i] = new[a]
+        s1p[i] = new[b]
+    return (tuple(s0p), tuple(s1p)), new
+
+
 def bounded_relabel(s0, s1, root, bound):
-    """`_bfs_relabel(s0, s1, root)`, or None as soon as the `s0'` prefix
+    """`bfs_relabel(s0, s1, root)`, or None as soon as the `s0'` prefix
     exceeds the bound's; if `s0'` ties the bound, `s1'` settles the
     comparison at the end.  A pair equal to the bound is returned, so
     callers can count the roots that reach a minimum.  No bound (None)
     relabels in full.
     """
     if bound is None:
-        return _bfs_relabel(s0, s1, root)
+        return bfs_relabel(s0, s1, root)
     N = len(s0)
     new = [-1] * N
     new[root] = 0

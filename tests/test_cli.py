@@ -676,3 +676,25 @@ def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, stdout):
             preexec_fn=(lambda: os.close(1)) if stdout == "fd_1_closed" else None)
     assert done.stderr.decode() == "error: cannot write stdout\n"
     assert done.returncode == 2
+
+
+# stdout and stderr on one pipe whose reader is gone before the command
+# starts: the error line cannot be written either, and the exit code must
+# still be the usage error's, not 1 from a traceback or 120 from the flush
+# at exit.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["witten12"],
+    ["--version"],
+    ["enumerate", "--g", "0", "--n", "130", "--degrees", "258"],  # a refused input
+], ids=["witten12", "version", "refused"])
+def test_stdout_and_stderr_on_a_closed_pipe_exit_2(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ribbonvol.cli", *argv], env=_cli_env(unbuffered),
+            stdout=write, stderr=write, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 2

@@ -16,9 +16,9 @@ from ribbonvol.ribbon import (
     _bfs_relabel,
     _block_rotation,
     _distinct_orders,
-    _encoding_key,
     _inverse,
     _labelled_classes,
+    _rooted,
     _search_pairings,
     _unlabelled_maps,
     enumerate_graphs,
@@ -222,8 +222,7 @@ def test_bounded_canonical_pair_is_least_encoding(degrees):
     faces = set()
     for s1 in pairings:
         faces.add(len(face_cycles(s0, s1)))
-        least = min(_bfs_relabel(s0, s1, r)[0] for r in range(len(s0)))
-        assert oracle.canonical_pair(s0, s1) == least
+        assert oracle.canonical_pair(s0, s1) == _rooted(s0, s1)[1]
     assert len(faces) > 1
 
 
@@ -270,9 +269,10 @@ def test_search_yields_each_map_once_per_top_degree_root_orbit(n, degrees, count
 
 
 def test_each_map_is_relabelled_from_every_root_once(monkeypatch):
-    """One BFS relabelling per n-face pairing and 2E per new map; the bound
-    n-face pairings + 4E x maps allows 2320 on (1,3) 3^6, and canonicalising
-    every pairing afresh would take about 12 800."""
+    """One BFS relabelling per n-face pairing, from root 0, and 2E - 1 more
+    per new map, whose root-0 relabelling is reused; the bound n-face
+    pairings + 4E x maps allows 2320 on (1,3) 3^6, and canonicalising every
+    pairing afresh would take about 12 800."""
     calls = 0
     relabel = ribbon._bfs_relabel
 
@@ -281,21 +281,79 @@ def test_each_map_is_relabelled_from_every_root_once(monkeypatch):
         calls += 1
         return relabel(*args)
 
-    monkeypatch.setattr(ribbon, "_bfs_relabel", counted)
-    out = enumerate_graphs(1, 3, [3] * 6)
-    monkeypatch.undo()
+    for g, n, degrees, expected in [(1, 3, [3] * 6, (664, 46, 18, 1446)),
+                                    (2, 1, [4, 3, 3, 3, 3], (105, 29, 16, 540))]:
+        calls = 0
+        monkeypatch.setattr(ribbon, "_bfs_relabel", counted)
+        out = enumerate_graphs(g, n, degrees)
+        monkeypatch.undo()
+        pairings = []
+        _search_pairings(degrees, n, pairings.append)
+        found = len(pairings)
+        N = len(_block_rotation(degrees))
+        maps = len({(graph.s0, graph.s1) for graph, _ in out})
+        assert (found, maps, N, calls) == expected
+        assert calls == found + (N - 1) * maps
+        assert calls <= found + 2 * N * maps
+
+
+@pytest.mark.parametrize("n,degrees,count", PAIRING_COUNTS)
+def test_bytes_keys_equal_the_oracle_pairs_from_every_root(n, degrees, count):
+    """The key from every root of every n-face pairing is the oracle's
+    relabelled pair `(s0', s1')` as bytes, with the same dart map."""
+    degrees = sorted(degrees, reverse=True)
+    s0 = _block_rotation(degrees)
     pairings = []
-    _search_pairings([3] * 6, 3, pairings.append)
-    found = len(pairings)
-    s0 = _block_rotation([3] * 6)
-    maps = len({(graph.s0, graph.s1) for graph, _ in out})
-    assert (found, maps, len(s0)) == (664, 46, 18)
-    assert calls == found + len(s0) * maps
-    assert calls <= found + 2 * len(s0) * maps == 2320
+    _search_pairings(degrees, n, pairings.append)
+    assert len(pairings) == count
+    for s1 in pairings:
+        for root in range(len(s0)):
+            key, new = _bfs_relabel(s0, s1, root)
+            (s0p, s1p), oracle_new = oracle.bfs_relabel(s0, s1, root)
+            assert key == bytes(s0p + s1p)
+            assert new == oracle_new
 
 
 def test_encoding_keys_are_bytes():
-    assert _encoding_key(((1, 2, 0), (2, 0, 1))) == bytes([1, 2, 0, 2, 0, 1])
+    """On the one-face torus from dart 0: s0' = 1 3 4 0 5 2 and
+    s1' = 2 4 0 5 1 3, one byte per dart number."""
+    key, new = _bfs_relabel(G11.s0, G11.s1, 0)
+    assert type(key) is bytes
+    assert key == bytes([1, 3, 4, 0, 5, 2, 2, 4, 0, 5, 1, 3])
+    assert new == [0, 1, 3, 2, 4, 5]
+    assert key == bytes(sum(oracle.bfs_relabel(G11.s0, G11.s1, 0)[0], ()))
+
+
+def _big_trivalent_graph(V, rng):
+    """A connected trivalent map on V vertices (V even), 3V darts: a cycle
+    through the vertices in order and a random matching on their third
+    darts, with the faces labelled at random."""
+    s0 = _block_rotation([3] * V)
+    s1 = [0] * (3 * V)
+    for v in range(V):
+        w = (v + 1) % V
+        s1[3 * v], s1[3 * w + 1] = 3 * w + 1, 3 * v
+    thirds = [3 * v + 2 for v in range(V)]
+    rng.shuffle(thirds)
+    for a, b in zip(thirds[::2], thirds[1::2]):
+        s1[a], s1[b] = b, a
+    F = len(face_cycles(s0, s1))
+    labels = list(range(1, F + 1))
+    rng.shuffle(labels)
+    return RibbonGraph(s0, s1, labels)
+
+
+@pytest.mark.parametrize("V", [84, 86, 88])
+def test_canonical_form_past_256_darts_equals_the_oracle(V):
+    """Keys are bytes up to 256 darts and tuples beyond (252, 258 and 264
+    darts here); the canonical form equals the oracle's either way."""
+    rng = random.Random(V)
+    graph = _big_trivalent_graph(V, rng)
+    key = _bfs_relabel(graph.s0, graph.s1, 0)[0]
+    assert type(key) is (bytes if 3 * V <= 256 else tuple)
+    form = graph.canonical_form()
+    assert form == oracle.canonical_form(graph)[0]
+    assert relabelled(graph, rng).canonical_form() == form
 
 
 def test_enumeration_matches_brute_force_oracle():
@@ -442,8 +500,8 @@ def test_relabelled_recomputes_the_labelled_canonical_form():
 
 
 def test_more_than_256_half_edges_refused_before_the_search(monkeypatch):
-    """Encodings hold one dart number per byte; the limit is checked before
-    any pairing is searched, and 256 darts pass it."""
+    """The search's keys hold one dart number per byte; the limit is
+    checked before any pairing is searched, and 256 darts pass it."""
     def no_search(degrees, n, emit):
         raise AssertionError("pairing search started")
 
