@@ -11,11 +11,19 @@ chunk by chunk.  `enumerate` streams its classes from a row template filled
 once per map and then once per class, with the same bytes as
 `json.dumps(indent=1)` of the whole payload.
 
-The argument parser is built on the first `main()` call and reused by every
-later call in the process; a one-shot `ribbonvol` process pays one cold
-build, a few milliseconds.  All that `main` writes, --help, --version and
-error lines too, goes through one guarded write: any write error, such as a
-pipe closed by its reader, a full device or a closed stdout, exits 2.
+The grammar is one table, `_COMMANDS`, read two ways.  `main` first tries
+`_recognize`, which takes only a subcommand followed by its exact long
+flags, each once and with its value as the next token, and returns the
+namespace argparse would.  Anything else (--help, --version, -h,
+--flag=value, abbreviations, values starting with "-", --, repeated flags,
+bad values) goes to the argparse parser `build_parser` makes from the same
+table, so argparse prints every help, version and usage-error line.  That
+parser is built at most once per process and never at import; a well-formed
+call builds none, which saves a one-shot `ribbonvol` process a few
+milliseconds, the `locale` import among them.  All that `main` writes,
+--help, --version and error lines too, goes through one guarded write: any
+write error, such as a pipe closed by its reader, a full device or a closed
+stdout, exits 2.
 """
 
 from __future__ import annotations
@@ -321,65 +329,102 @@ def cmd_angle(args) -> tuple:
     return payload, 0
 
 
+# The command line's grammar, read by `build_parser` and by `_recognize`:
+# one row per subcommand, its name, help, handler and options in the order
+# of its help.  An option is (flag, type, choices, default, required, help);
+# its dest is the flag without its dashes, a type of None keeps the value's
+# str, and a type of bool marks a flag that takes no value.
+_G = ("--g", int, None, None, True, "genus")
+_N = ("--n", int, None, None, True, "number of labelled faces")
+_OUT = ("--out", str, None, None, False, "output path (default stdout)")
+_COMMANDS = (
+    ("enumerate", "list ribbon graph classes with a degree sequence", cmd_enumerate, (
+        _G, _N, _OUT,
+        ("--degrees", _parse_degrees, None, None, True,
+         "comma separated vertex degrees, e.g. 5,3"),
+        ("--format", None, ("json", "csv"), "json", False, None))),
+    ("volume", "Kontsevich volume polynomial W_{g,n}", cmd_volume, (
+        _G, _N, _OUT,
+        ("--format", None, ("json", "latex"), "json", False, None))),
+    ("psi", "psi-class intersection numbers", cmd_psi, (_G, _N, _OUT)),
+    ("verify-kcf", "verify the combinatorial formula at random points", cmd_verify_kcf, (
+        _G, _N, _OUT,
+        ("--trials", int, None, 30, False, None),
+        ("--seed", int, None, None, True, None),
+        ("--points", bool, None, False, False, "emit every sampled point"))),
+    ("identities", "matrix identities and cell densities", cmd_identities, (_G, _N, _OUT)),
+    ("witten12", "the (1,2) combinatorial cycle computation", cmd_witten12, (_OUT,)),
+    ("angle", "crossing angle of two regular ideal polygon chords", cmd_angle, (
+        _OUT,
+        ("--d", int, None, None, True, "polygon degree"),
+        ("--chord1", _parse_chord, None, None, True, "i,j"),
+        ("--chord2", _parse_chord, None, None, True, "i,j"))),
+)
+
+# Each subcommand's handler and its options by flag, for `_recognize`.
+_GRAMMAR = {name: (func, {option[0]: option for option in options})
+            for name, _, func, options in _COMMANDS}
+
+
+def _recognize(argv: list):
+    """The namespace that `build_parser().parse_args(argv)` returns, when
+    `argv` is a subcommand followed by its exact long flags, each given once
+    and each, but a flag that takes no value, followed by a value that does
+    not start with "-" and passes the flag's type and choices, with every
+    required flag given.  For any other `argv`, None: argparse decides."""
+    if not argv or not all(type(token) is str for token in argv) or argv[0] not in _GRAMMAR:
+        return None
+    func, options = _GRAMMAR[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in options or flag in given:
+            return None
+        _, type_, choices, _, _, _ = options[flag]
+        if type_ is bool:
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            given[flag] = value if type_ is None else type_(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if choices is not None and given[flag] not in choices:
+            return None
+    values = {"command": argv[0]}
+    for flag, (_, _, _, default, required, _) in options.items():
+        if required and flag not in given:
+            return None
+        values[flag.lstrip("-").replace("-", "_")] = given.get(flag, default)
+    return argparse.Namespace(**values, func=func)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process on first use.
+    """The argparse parser of `_COMMANDS`, built once per process on first use.
 
+    `main` needs it only for what `_recognize` leaves: help, version, usage
+    errors and the spellings argparse accepts beyond the plainest one.
     Sharing it between `main()` calls is safe: argparse parses each call
     into a fresh namespace and looks up `sys.stdout` and `sys.stderr` only
-    when it prints.  It is not built at import, which would add its cold
-    build to the import time.
+    when it prints.
     """
     parser = argparse.ArgumentParser(
         prog="ribbonvol",
         description="Exact ribbon graph volumes and moduli intersection numbers.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_gn=True):
-        if needs_gn:
-            p.add_argument("--g", type=int, required=True, help="genus")
-            p.add_argument("--n", type=int, required=True, help="number of labelled faces")
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("enumerate", help="list ribbon graph classes with a degree sequence")
-    common(p)
-    p.add_argument("--degrees", type=_parse_degrees, required=True,
-                   help="comma separated vertex degrees, e.g. 5,3")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("volume", help="Kontsevich volume polynomial W_{g,n}")
-    common(p)
-    p.add_argument("--format", choices=("json", "latex"), default="json")
-    p.set_defaults(func=cmd_volume)
-
-    p = sub.add_parser("psi", help="psi-class intersection numbers")
-    common(p)
-    p.set_defaults(func=cmd_psi)
-
-    p = sub.add_parser("verify-kcf", help="verify the combinatorial formula at random points")
-    common(p)
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--points", action="store_true", help="emit every sampled point")
-    p.set_defaults(func=cmd_verify_kcf)
-
-    p = sub.add_parser("identities", help="matrix identities and cell densities")
-    common(p)
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("witten12", help="the (1,2) combinatorial cycle computation")
-    common(p, needs_gn=False)
-    p.set_defaults(func=cmd_witten12)
-
-    p = sub.add_parser("angle", help="crossing angle of two regular ideal polygon chords")
-    common(p, needs_gn=False)
-    p.add_argument("--d", type=int, required=True, help="polygon degree")
-    p.add_argument("--chord1", type=_parse_chord, required=True, help="i,j")
-    p.add_argument("--chord2", type=_parse_chord, required=True, help="i,j")
-    p.set_defaults(func=cmd_angle)
-
+    for name, help_, func, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        for flag, type_, choices, default, required, text in options:
+            if type_ is bool:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, type=type_, choices=choices, default=default,
+                               required=required, help=text)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -410,11 +455,14 @@ def _to_devnull(stream) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     shown = io.StringIO()  # what --help or --version prints
     out = None  # --out takes only a command's payload
     try:
-        with contextlib.redirect_stdout(shown):
-            args = build_parser().parse_args(argv)
+        args = _recognize(argv)
+        if args is None:
+            with contextlib.redirect_stdout(shown):
+                args = build_parser().parse_args(argv)
         payload, code = args.func(args)
         out = args.out
     except SystemExit as exc:

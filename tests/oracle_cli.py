@@ -9,11 +9,20 @@ streamed class by class; this route shares only `enumerate_graphs` and
 `oracle_identities_payload` builds the cell form, the identity checks and
 the density once per labelled class.  The CLI builds them once per
 unlabelled map and reuses them for every labelling of it.
+
+`oracle_parser` builds the argument parser with one hand-written
+`add_argument` call per option, as `build_parser` did before the CLI's
+grammar became one table; help, version and usage-error bytes must match.
 """
 
+import argparse
 import json
 from fractions import Fraction
 
+from ribbonvol import __version__
+from ribbonvol.cli import (_parse_chord, _parse_degrees, cmd_angle, cmd_enumerate,
+                           cmd_identities, cmd_psi, cmd_verify_kcf, cmd_volume,
+                           cmd_witten12)
 from ribbonvol.kformula import _cell_form, verify_form_identities
 from ribbonvol.ribbon import enumerate_graphs, enumerate_trivalent
 
@@ -74,3 +83,58 @@ def oracle_identities_payload(args) -> dict:
         "ok": all_ok,
         "reports": out,
     }
+
+
+def oracle_parser() -> argparse.ArgumentParser:
+    """A fresh parser of every subcommand, written out call by call."""
+    parser = argparse.ArgumentParser(
+        prog="ribbonvol",
+        description="Exact ribbon graph volumes and moduli intersection numbers.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, needs_gn=True):
+        if needs_gn:
+            p.add_argument("--g", type=int, required=True, help="genus")
+            p.add_argument("--n", type=int, required=True, help="number of labelled faces")
+        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+
+    p = sub.add_parser("enumerate", help="list ribbon graph classes with a degree sequence")
+    common(p)
+    p.add_argument("--degrees", type=_parse_degrees, required=True,
+                   help="comma separated vertex degrees, e.g. 5,3")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(func=cmd_enumerate)
+
+    p = sub.add_parser("volume", help="Kontsevich volume polynomial W_{g,n}")
+    common(p)
+    p.add_argument("--format", choices=("json", "latex"), default="json")
+    p.set_defaults(func=cmd_volume)
+
+    p = sub.add_parser("psi", help="psi-class intersection numbers")
+    common(p)
+    p.set_defaults(func=cmd_psi)
+
+    p = sub.add_parser("verify-kcf", help="verify the combinatorial formula at random points")
+    common(p)
+    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--points", action="store_true", help="emit every sampled point")
+    p.set_defaults(func=cmd_verify_kcf)
+
+    p = sub.add_parser("identities", help="matrix identities and cell densities")
+    common(p)
+    p.set_defaults(func=cmd_identities)
+
+    p = sub.add_parser("witten12", help="the (1,2) combinatorial cycle computation")
+    common(p, needs_gn=False)
+    p.set_defaults(func=cmd_witten12)
+
+    p = sub.add_parser("angle", help="crossing angle of two regular ideal polygon chords")
+    common(p, needs_gn=False)
+    p.add_argument("--d", type=int, required=True, help="polygon degree")
+    p.add_argument("--chord1", type=_parse_chord, required=True, help="i,j")
+    p.add_argument("--chord2", type=_parse_chord, required=True, help="i,j")
+    p.set_defaults(func=cmd_angle)
+
+    return parser

@@ -1,9 +1,13 @@
 import argparse
+import ast
+import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +15,13 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from oracle_cli import oracle_enumerate_text, oracle_identities_payload
+import ribbonvol.cli as cli_module
+from oracle_cli import oracle_enumerate_text, oracle_identities_payload, oracle_parser
 from ribbonvol.cli import build_parser, cmd_angle, main
 from ribbonvol.hypgeom import IdealPolygonChord, chords_cross, crossing_cos
 from ribbonvol.ribbon import RibbonGraph, enumerate_graphs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -526,6 +533,33 @@ def test_help_and_bad_usage_exit_codes(run):
     assert code == 2
 
 
+# stdout, stderr and exit code of --help, --version, every subcommand's
+# --help and seven usage errors, recorded at 80 columns on Python 3.11 while
+# the parser was still built by one hand-written call per option
+GOLDEN = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("call", GOLDEN["calls"],
+                         ids=lambda call: " ".join(call["argv"]) or "no arguments")
+def test_help_version_and_usage_errors_print_the_recorded_bytes(call, capsys, monkeypatch):
+    """The bytes match those of the hand-written parser of `oracle_parser` on
+    any Python, and the recorded ones on the Python that recorded them
+    (argparse's wording differs between versions)."""
+    monkeypatch.setenv("COLUMNS", str(GOLDEN["columns"]))
+
+    def printed():
+        code = main(call["argv"])
+        captured = capsys.readouterr()
+        return {"stdout": captured.out, "stderr": captured.err, "exit": code}
+
+    got = printed()
+    with monkeypatch.context() as old:
+        old.setattr(cli_module, "build_parser", oracle_parser)
+        assert got == printed()
+    if "%d.%d" % sys.version_info[:2] == GOLDEN["python"]:
+        assert got == {key: call[key] for key in ("stdout", "stderr", "exit")}
+
+
 def test_a_chord_that_is_not_two_integers_is_a_usage_error(capsys):
     for text in ("1,a", "1,2,3", "1"):
         code = main(["angle", "--d", "5", "--chord1", text, "--chord2", "0,2"])
@@ -536,21 +570,24 @@ def test_a_chord_that_is_not_two_integers_is_a_usage_error(capsys):
 
 
 def test_the_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
-    """Each call through the one cached parser, in two orders, prints the
-    bytes and exits with the code of the same call through a parser built
-    for it alone."""
+    """Each call, through `_recognize` or the one cached parser, in two
+    orders, prints the bytes and exits with the code of the same call
+    through argparse alone, on a parser built for it alone."""
     import ribbonvol.cli as cli
 
     dest = tmp_path / "out.json"
     # every subcommand, `verify-kcf` with and without --points, both formats
-    # of `enumerate` and of `volume`, an --out run, --help, and a usage
+    # of `enumerate` and of `volume`, an --out run, --help, two valid calls
+    # only argparse reads (--flag=value and an abbreviation), and a usage
     # error that sits between valid calls in either order
     calls = [
         ["enumerate", "--g", "1", "--n", "2", "--degrees", "5,3"],
         ["enumerate", "--g", "1", "--n", "2", "--degrees", "5,3", "--format", "csv"],
         ["volume", "--g", "1", "--n", "2"],
         ["volume", "--g", "0", "--n", "4", "--format", "latex"],
+        ["volume", "--g", "0", "--n", "4", "--form", "latex"],
         ["angle", "--d", "5", "--chord1", "1,a", "--chord2", "0,2"],
+        ["psi", "--g=1", "--n=2"],
         ["psi", "--g", "1", "--n", "2"],
         ["verify-kcf", "--g", "1", "--n", "1", "--trials", "4", "--seed", "9"],
         ["verify-kcf", "--g", "1", "--n", "1", "--trials", "4", "--seed", "9", "--points"],
@@ -569,15 +606,32 @@ def test_the_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monk
 
     with monkeypatch.context() as fresh:
         fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh.setattr(cli, "_recognize", lambda argv: None)
         expected = [call(argv) for argv in calls]
-    assert [result[0] for result in expected] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
-    assert expected[9][1] == "" and expected[9][3]
+    assert [result[0] for result in expected] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert expected[4] == expected[3] and expected[6] == expected[7]
+    assert expected[11][1] == "" and expected[11][3]
     for order in (range(len(calls)), reversed(range(len(calls)))):
         for i in order:
             assert call(calls[i]) == expected[i], calls[i]
 
 
-def test_main_builds_the_parser_once(monkeypatch):
+def _bench_argv() -> list:
+    """Every job of the benchmark's workloads, `formula` at seeds 1 and 2."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv for workload in workloads.WORKLOADS for seed in (1, 2)
+            for argv in workloads.jobs(workload, seed)]
+
+
+BENCH_ARGV = _bench_argv()
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    """Well-formed calls, every benchmark job among them, build no parser;
+    the first --help or usage error builds it, and no later call does."""
     import ribbonvol.cli as cli
 
     built = []
@@ -588,15 +642,26 @@ def test_main_builds_the_parser_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-    cli.build_parser.cache_clear()
-    assert main(["witten12"]) == 0
-    assert len(built) == 8  # the top-level parser and one per subcommand
-    assert main(["psi", "--g", "1", "--n", "2"]) == 0
-    assert main(["angle", "--d", "5", "--chord1", "0,a", "--chord2", "1,3"]) == 2
-    assert len(built) == 8
+    well_formed = BENCH_ARGV + ROUND_TRIP_ARGV + [
+        ["volume", "--g", "1", "--n", "2", "--format", "latex"],
+        ["verify-kcf", "--points", "--seed", "9", "--n", "1", "--g", "1", "--trials", "4"]]
+    for first in (["--help"], ["angle", "--d", "5", "--chord1", "0,a", "--chord2", "1,3"]):
+        cli.build_parser.cache_clear()
+        built.clear()
+        for argv in well_formed:
+            assert main(argv) == 0, argv
+        assert built == []
+        main(first)
+        assert len(built) == 8  # the top-level parser and one per subcommand
+        assert main(["psi", "--g", "1", "--n", "2"]) == 0
+        assert main(["psi", "--g=1", "--n=2"]) == 0
+        assert main(["angle", "--d", "5", "--chord1", "0,a", "--chord2", "1,3"]) == 2
+        assert main(["--help"]) == 0
+        assert len(built) == 8
+    capsys.readouterr()
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = ROOT / "src"
 
 
 def _cli_env(unbuffered=False):
@@ -607,6 +672,148 @@ def _cli_env(unbuffered=False):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return env
+
+
+def _argv_in_this_file() -> list:
+    """Every argv spelled out in this file: each list of str literals, and
+    the str arguments of each `run(...)` call."""
+    found = []
+    for node in ast.walk(ast.parse(Path(__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.List):
+            tokens = node.elts
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run":
+            tokens = node.args
+        else:
+            continue
+        if tokens and all(isinstance(t, ast.Constant) and isinstance(t.value, str)
+                          for t in tokens):
+            found.append([t.value for t in tokens])
+    found += [["enumerate", *argv] for argv, _ in ENUMERATE_DIGESTS]
+    return found
+
+
+# A value of each option type that passes it, and some that do not or that
+# only argparse reads
+VALID = {int: ["0", "1", "12", " 3", "1_0"], str: ["x.json", "", "a b", "=x"],
+         cli_module._parse_degrees: ["5,3", "3, 3,3"], cli_module._parse_chord: ["0,2", "1, 3"]}
+INVALID = ["-1", "-", "1.5", "x", "", "xml", "five,3", "1,a", "--", "-x", "--g", "-h"]
+
+
+def _plain_argv(rng, name, options, share=0.5) -> list:
+    """`name` with its required options and each other one at chance
+    `share`, each once with a value that passes, in a random order."""
+    picked = [option for option in options if option[4] or rng.random() < share]
+    rng.shuffle(picked)
+    argv = [name]
+    for flag, type_, choices, _, _, _ in picked:
+        argv.append(flag)
+        if type_ is not bool:
+            argv.append(rng.choice(choices or VALID[type_]))
+    return argv
+
+
+def _mutated(rng, argv, options) -> list:
+    """`argv` changed once, in a way `_recognize` must leave to argparse or
+    read as argparse does."""
+    argv = list(argv)
+    flags = [option[0] for option in options]
+    at = rng.randrange(1, len(argv) + 1)
+    kind = rng.randrange(9)
+    if kind == 0 and len(argv) > 1:  # drop a token
+        del argv[at - 1 if at == len(argv) else at]
+    elif kind == 1:  # a flag given twice
+        flag = rng.choice(flags)
+        argv[at:at] = [flag] if flag == "--points" else [flag, rng.choice(["1", "0,2"])]
+    elif kind == 2 and len(argv) > 2 and argv[1].startswith("--"):  # --flag=value
+        argv[1:3] = [argv[1] + "=" + argv[2]]
+    elif kind == 3 and len(argv) > 1 and argv[1].startswith("--") and len(argv[1]) > 3:
+        argv[1] = argv[1][:rng.randrange(3, len(argv[1]))]  # an abbreviation
+    elif kind == 4:
+        argv.insert(at, rng.choice(["-h", "--help", "--version", "--", "-", "---g"]))
+    elif kind == 5:  # a value that fails, starts with "-" or only argparse reads
+        values = [i for i in range(2, len(argv)) if not argv[i].startswith("--")]
+        if values:
+            argv[rng.choice(values)] = rng.choice(INVALID)
+    elif kind == 6:  # an unknown flag or a stray token
+        argv.insert(at, rng.choice(["--bogus", "-g", "--G", "extra", "psi"]))
+    elif kind == 7:  # an unknown or abbreviated command, or none
+        argv[0] = rng.choice(["frobnicate", argv[0][:3], "--g", "-h"])
+    else:
+        rng.shuffle(argv)
+    return argv
+
+
+def _generated_argv(seed=20261019, per_command=60) -> tuple:
+    """(plain, mutated): argv lists drawn from the CLI's own table."""
+    rng = random.Random(seed)
+    plain, mutated = [], []
+    for name, _, _, options in cli_module._COMMANDS:
+        for _ in range(per_command):
+            argv = _plain_argv(rng, name, options)
+            plain.append(argv)
+            mutated.append(_mutated(rng, argv, options))
+            mutated.append(_mutated(rng, mutated[-1], options))
+        # each token of a call with every option in turn not a str
+        full = _plain_argv(rng, name, options, share=1)
+        mutated += [full[:i] + [token] + full[i + 1:]
+                    for i in range(len(full)) for token in (1, None, Path("x"))]
+    return plain, mutated
+
+
+PLAIN_ARGV, MUTATED_ARGV = _generated_argv()
+
+
+def _parsed(parser, argv):
+    """What `parser.parse_args(argv)` gives: the namespace's dict, or the
+    exit code with all it printed, or the type of the exception raised."""
+    shown = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(shown), contextlib.redirect_stderr(shown):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, shown.getvalue()
+    except Exception as exc:  # argparse on a token that is not a str
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("corpus", ["this file", "benchmark jobs", "plain", "mutated"])
+def test_recognize_reads_as_argparse_or_leaves_it_to_argparse(corpus, monkeypatch):
+    """On every argv, `_recognize` returns None or the namespace argparse
+    returns, and the table-built parser reads it as the hand-written one."""
+    monkeypatch.setenv("COLUMNS", "80")
+    corpus = {"this file": _argv_in_this_file(), "benchmark jobs": BENCH_ARGV,
+              "plain": PLAIN_ARGV, "mutated": MUTATED_ARGV}[corpus]
+    assert len(corpus) >= 30
+    old = oracle_parser()
+    recognized = 0
+    for argv in corpus:
+        expected = _parsed(build_parser(), argv)
+        assert _parsed(old, argv) == expected, argv
+        args = cli_module._recognize(argv)
+        if args is not None:
+            assert vars(args) == expected, argv
+            recognized += 1
+    assert recognized > 0
+
+
+def test_recognize_reads_every_benchmark_job_and_plain_call():
+    for argv in BENCH_ARGV + PLAIN_ARGV:
+        assert cli_module._recognize(argv) is not None, argv
+
+
+def test_a_well_formed_call_builds_no_parser_and_loads_no_locale():
+    """`-S` as in the import test below; `--g=1` goes to argparse, which
+    builds the parser."""
+    script = ("import contextlib, io, sys, ribbonvol.cli as cli\n"
+              "for argv in (['psi', '--g', '1', '--n', '2'], ['psi', '--g=1', '--n=2']):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = cli.main(argv)\n"
+              "    print(code, cli.build_parser.cache_info().currsize, 'locale' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=_cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "0 0 False"
+    assert done.stdout.splitlines()[1].startswith("0 1 ")
 
 
 def test_importing_the_cli_builds_no_parser():
