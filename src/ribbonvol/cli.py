@@ -6,10 +6,13 @@ stdout or --out.  Exit codes: 0 success, 1 verification failure, 2 usage
 error.  Randomised commands require an explicit --seed, echoed in the
 output.
 
-JSON is written with the bytes of `json.dumps(payload, indent=1)`, streamed
-chunk by chunk.  `enumerate` streams its classes from a row template filled
-once per map and then once per class, with the same bytes as
-`json.dumps(indent=1)` of the whole payload.
+JSON is written with the bytes of `json.dumps(payload, indent=1)` by one
+small writer, `_json_chunks`, which streams a dict item by item and a list
+element by element, each element built as one string; the stdlib encoder,
+pure Python when given an indent, is left to the tests as its oracle.
+`enumerate` streams its classes from a row template filled once per map and
+then once per class, its head and int lists from the same writer, with the
+same bytes as `json.dumps(indent=1)` of the whole payload.
 
 The grammar is one table, `_COMMANDS`, read two ways.  `main` first tries
 `_recognize`, which takes only a subcommand followed by its exact long
@@ -37,7 +40,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 from . import __version__
 from .exact import Poly
@@ -139,10 +142,84 @@ def _in_reach(cmd):
     return checked
 
 
+def _float_text(x: float) -> str:
+    """`x` by json's rule: NaN and the infinities by name, else its repr."""
+    if x != x:
+        return "NaN"
+    return "Infinity" if x == inf else "-Infinity" if x == -inf else float.__repr__(x)
+
+
+# The text of each JSON scalar type, looked up by exact type.  The str
+# encoder raises TypeError on anything but a str, a dict key included.
+_encode_str = json.encoder.encode_basestring_ascii
+_SCALAR_TEXT = {str: _encode_str, int: int.__repr__, float: _float_text,
+                bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _scalar_list_text(items):
+    """The text function of the one scalar type of all of `items`, a
+    non-empty list or tuple, or None if they are not all of one."""
+    kinds = set(map(type, items))
+    return _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+
+
+def _json_text(value, indent: str) -> str:
+    """`value` as one string, with the bytes `json.dumps(value, indent=1)`
+    gives it on a line that starts with `indent`.  Keys must be str and
+    values JSON scalars, lists, tuples or dicts, else TypeError."""
+    kind = type(value)
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is list or kind is tuple:
+        return _list_text(value, indent) if value else "[]"
+    if kind is not dict:
+        raise TypeError(f"{kind.__name__} is not JSON serializable")
+    if not value:
+        return "{}"
+    inner = indent + " "
+    body = (",\n" + inner).join([f"{_encode_str(key)}: {_json_text(item, inner)}"
+                                 for key, item in value.items()])
+    return "{\n" + inner + body + "\n" + indent + "}"
+
+
+def _list_text(items, indent: str) -> str:
+    """`_json_text` of `items`, a non-empty list or tuple: one `str.join`
+    of the scalars if they share one type, else of each element's text."""
+    inner = indent + " "
+    text = _scalar_list_text(items)
+    body = (",\n" + inner).join(map(text, items) if text
+                                else [_json_text(x, inner) for x in items])
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
+def _json_chunks(value, indent: str = ""):
+    """The text of `_json_text(value, indent)` in chunks: a dict item by
+    item, a list of containers or of mixed scalars element by element, each
+    element as one string, and anything else as one chunk."""
+    kind = type(value)
+    inner = indent + " "
+    if kind is dict and value:
+        sep = "{\n" + inner
+        for key, item in value.items():
+            yield sep + _encode_str(key) + ": "
+            yield from _json_chunks(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif (kind is list or kind is tuple) and value and not _scalar_list_text(value):
+        sep = "[\n" + inner
+        for item in value:
+            yield sep + _json_text(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "]"
+    else:
+        yield _json_text(value, indent)
+
+
 def _int_list(xs) -> str:
-    """`xs`, a non-empty list of ints, as `json.dumps(indent=1)` writes a
-    field of a class's graph, at depth 4."""
-    return "[\n     " + ",\n     ".join(map(str, xs)) + "\n    ]"
+    """`xs`, a non-empty list or tuple of ints, as `json.dumps(indent=1)`
+    writes a field of a class's graph, at depth 4."""
+    return _list_text(xs, "    ")
 
 
 # One class of `enumerate` JSON at depth 2.  The map's fields are filled in
@@ -178,7 +255,7 @@ def _enumerate_json(head: dict, classes):
     face labels once per payload, since the classes of every map draw their
     labels from the same n! permutations."""
     labels_text = functools.cache(_int_list)
-    text = json.dumps({**head, "classes": []}, indent=1)
+    text = _json_text({**head, "classes": []}, "")
     if not classes:
         yield text + "\n"
         return
@@ -430,14 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(fh, payload) -> None:
     """Write a command's payload: a dict as indent=1 JSON, a str as is, or
-    an iterable of str chunks as they are produced.  A dict is streamed
-    from the encoder, so neither all its chunks nor the whole text are held
-    at once; the chunks are joined in runs, since one write per chunk costs
-    about a third more."""
+    an iterable of str chunks as they are produced.  A dict goes to the file
+    in the chunks of `_json_chunks`, one per dict item or list element, so
+    neither the whole text nor a run of chunks is held at once."""
     if isinstance(payload, dict):
-        chunks = json.JSONEncoder(indent=1).iterencode(payload)
-        while text := "".join(itertools.islice(chunks, 4096)):
-            fh.write(text)
+        fh.writelines(_json_chunks(payload))
         fh.write("\n")
     elif isinstance(payload, str):
         fh.write(payload)
@@ -472,17 +546,17 @@ def main(argv=None) -> int:
     if payload is None:
         return code
     try:
-        with (open(out, "w", encoding="utf-8") if out
+        with (open(out, "w", encoding="utf-8") if out is not None
               else contextlib.nullcontext(sys.stdout)) as fh:
             if fh is None:  # fd 1 was closed when Python started
                 raise OSError("stdout is closed")
             _write(fh, payload)
             fh.flush()
     except OSError as exc:
-        if not out and sys.stdout is not None:
+        if out is None and sys.stdout is not None:
             _to_devnull(sys.stdout)
         try:
-            print(f"error: cannot write {out}: {exc.strerror or exc}" if out
+            print(f"error: cannot write {out}: {exc.strerror or exc}" if out is not None
                   else "error: cannot write stdout", file=sys.stderr)
         except OSError:  # stderr is on the same closed pipe, say
             _to_devnull(sys.stderr)

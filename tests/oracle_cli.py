@@ -1,5 +1,9 @@
 """CLI outputs built the direct way, as oracles.
 
+`oracle_json_text` is the standard library's `json.dumps(indent=1)`, the
+encoder the CLI's own indent=1 writer (`_json_chunks`, `_json_text`) must
+match byte for byte; the CLI itself never calls it.
+
 `oracle_enumerate_text` turns every class into a row dict and serialises
 the whole payload with `json.dumps(indent=1)`, or joins the CSV lines from
 those dicts.  The CLI writes the same bytes from a fixed row template,
@@ -25,6 +29,11 @@ from ribbonvol.cli import (_parse_chord, _parse_degrees, cmd_angle, cmd_enumerat
                            cmd_witten12)
 from ribbonvol.kformula import _cell_form, verify_form_identities
 from ribbonvol.ribbon import enumerate_graphs, enumerate_trivalent
+
+
+def oracle_json_text(value) -> str:
+    """`value` as the stdlib encoder writes it with indent=1."""
+    return json.dumps(value, indent=1)
 
 
 def oracle_enumerate_text(args, classes=None) -> str:

@@ -10,13 +10,18 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import ribbonvol.cli as cli_module
-from oracle_cli import oracle_enumerate_text, oracle_identities_payload, oracle_parser
+from oracle_cli import (oracle_enumerate_text, oracle_identities_payload, oracle_json_text,
+                        oracle_parser)
 from ribbonvol.cli import build_parser, cmd_angle, main
 from ribbonvol.hypgeom import IdealPolygonChord, chords_cross, crossing_cos
 from ribbonvol.ribbon import RibbonGraph, enumerate_graphs
@@ -304,12 +309,103 @@ def test_dict_payloads_are_streamed_with_the_json_dumps_bytes(tmp_path, run, mon
     code, printed = run("psi", "--g", "1", "--n", "2", "--out", str(dest))
     assert code == 0 and printed == ""
     assert dest.read_bytes() == out.encode()
-    # a payload of many runs of chunks, the last one partial
+    # a payload of 2000 list elements, each written as a chunk of its own
     payload = {"v": 1, "rows": [{"i": i, "s": str(i)} for i in range(2000)]}
     buf = io.StringIO()
     cli._write(buf, payload)
     monkeypatch.undo()
     assert buf.getvalue() == json.dumps(payload, indent=1) + "\n"
+
+
+def _writer_text(value) -> str:
+    """The text of the CLI's indent=1 writer, its chunks joined."""
+    return "".join(cli_module._json_chunks(value))
+
+
+# JSON scalars with the edge cases of each type: escapes, non-ASCII and
+# lone surrogates, ints past 64 bits, bool next to int, -0.0, a float near
+# the bottom of the normal range and the non-finite floats json writes by name
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text() | st.text(st.characters(exclude_categories=()), max_size=8)
+                | st.sampled_from((0, 1, True, False, -0.0, 0.0, 1e-300, float("inf"),
+                                   float("-inf"), float("nan"), 2 ** 64, -2 ** 80, "",
+                                   '"', "\\", "\x00\x1f\x7f", "\u2028é\U0001F600", "\ud800")))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=5)
+                   | st.lists(st.integers(), max_size=5) | st.lists(st.text(max_size=3), max_size=5)),
+    max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+@example([[], (), {}, [[]], {"a": {}}, [{}, ()]])
+def test_the_writer_gives_the_bytes_of_json_dumps_indent_1(value):
+    expected = oracle_json_text(value)
+    assert _writer_text(value) == expected
+    assert cli_module._json_text(value, "") == expected
+
+
+def test_the_writer_gives_the_bytes_of_json_dumps_on_every_payload():
+    """Every round-trip argv and benchmark job: a dict payload as it is
+    built, and `enumerate`'s streamed text parsed back."""
+    for argv in ROUND_TRIP_ARGV + BENCH_ARGV:
+        args = cli_module._recognize(argv)
+        payload, code = args.func(args)
+        assert code == 0, argv
+        if not isinstance(payload, dict):
+            payload = json.loads("".join(payload))
+        assert _writer_text(payload) == oracle_json_text(payload), argv
+
+
+@pytest.mark.parametrize("value", [
+    {"a": Fraction(1, 2)}, {"a": {1, 2}}, {1: "a"}, [Fraction(1)], [1, 2, {3}],
+    [{"a": [{2: 1}]}], {"a": [{"b": (Fraction(1),)}]}, Fraction(1), frozenset()],
+    ids=repr)
+def test_the_writer_refuses_non_json_values_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        _writer_text(value)
+    with pytest.raises(TypeError):
+        cli_module._json_text(value, "")
+
+
+class _DroppingSink:
+    """A file that drops what it is given, chunk by chunk."""
+
+    def write(self, text):
+        pass
+
+    def writelines(self, chunks):
+        for _ in chunks:
+            pass
+
+
+def test_a_dict_payload_is_written_without_holding_its_text():
+    """`volume --g 0 --n 10` (2.06 MB of text, 0.56 MB of it `W_str`) is
+    written to a sink that drops its input while the traced peak stays
+    below 0.4 times its text; a writer that joins its chunks in runs of
+    4096 before each write holds 0.58 times."""
+    args = cli_module._recognize(["volume", "--g", "0", "--n", "10"])
+    payload, _ = args.func(args)
+    size = len(oracle_json_text(payload)) + 1
+    tracemalloc.start()
+    try:
+        cli_module._write(_DroppingSink(), payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * size, (peak, size)
+
+
+def test_the_writer_is_the_only_indent_1_route_in_src():
+    """No module under `src/` passes an `indent` to an encoder or builds
+    the stdlib's `JSONEncoder`; indent=1 JSON is `_json_chunks` alone."""
+    for path in sorted((ROOT / "src" / "ribbonvol").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not (isinstance(node, ast.keyword) and node.arg == "indent"), path.name
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr in ("JSONEncoder", "iterencode")), path.name
 
 
 def test_enumerate_inconsistent_is_empty(run):
@@ -522,6 +618,21 @@ def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", argv
         assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--g", "1", "--n", "1"],
+    ["enumerate", "--g", "1", "--n", "2", "--degrees", "5,3", "--format", "csv"],
+    ["volume", "--g", "1", "--n", "1", "--format", "latex"],
+])
+def test_an_empty_out_path_is_usage_error(capsys, argv):
+    """`--out ""` names a path that cannot be opened: exit 2 and an error
+    line, as for any unwritable path, and nothing on stdout."""
+    code = main(argv + ["--out", ""])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot write : ")
+    assert "Traceback" not in captured.err
 
 
 def test_help_and_bad_usage_exit_codes(run):
