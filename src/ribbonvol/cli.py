@@ -105,15 +105,14 @@ def _poly_latex(p: Poly) -> str:
     return out
 
 
-def _stable_only(cmd):
-    """Refuse an unstable (g, n) with a usage error instead of running `cmd`."""
-    @functools.wraps(cmd)
-    def checked(args) -> tuple:
-        if not is_stable(args.g, args.n):
-            print(f"error: ({args.g},{args.n}) is unstable", file=sys.stderr)
-            return None, USAGE_ERROR
-        return cmd(args)
-    return checked
+class _Refused(Exception):
+    """An input a handler refuses, with its error line and exit code, which
+    `main` writes and returns."""
+
+
+def _check_stable(g: int, n: int) -> None:
+    if not is_stable(g, n):
+        raise _Refused(f"({g},{n}) is unstable", USAGE_ERROR)
 
 
 def _dvv_cost(g: int, n: int) -> float:
@@ -129,17 +128,12 @@ def _dvv_cost(g: int, n: int) -> float:
     return 46 * comb(d + n - 1, n - 1) + d ** 5 * (6 + n * n + 6 * comb(n, 3)) / 10_000
 
 
-def _in_reach(cmd):
-    """Refuse a (g, n) above `_DVV_BUDGET` with exit 2, before any DVV work."""
-    @functools.wraps(cmd)
-    def checked(args) -> tuple:
-        cost = _dvv_cost(args.g, args.n)
-        if cost > _DVV_BUDGET:
-            print(f"error: ({args.g},{args.n}) is out of reach: estimated "
-                  f"{cost / 1e6:.2g} CPU s", file=sys.stderr)
-            return None, USAGE_ERROR
-        return cmd(args)
-    return checked
+def _check_reach(g: int, n: int) -> None:
+    """Refuse a (g, n) above `_DVV_BUDGET`, before any DVV work."""
+    cost = _dvv_cost(g, n)
+    if cost > _DVV_BUDGET:
+        raise _Refused(f"({g},{n}) is out of reach: estimated {cost / 1e6:.2g} CPU s",
+                       USAGE_ERROR)
 
 
 def _float_text(x: float) -> str:
@@ -299,9 +293,9 @@ def cmd_enumerate(args) -> tuple:
     return _enumerate_json(head, classes), 0
 
 
-@_stable_only
-@_in_reach
 def cmd_volume(args) -> tuple:
+    _check_stable(args.g, args.n)
+    _check_reach(args.g, args.n)
     W = kontsevich_volume(args.g, args.n)
     if args.format == "latex":
         return f"W_{{{args.g},{args.n}}} = {_poly_latex(W)}\n", 0
@@ -316,9 +310,9 @@ def cmd_volume(args) -> tuple:
     return payload, 0
 
 
-@_stable_only
-@_in_reach
 def cmd_psi(args) -> tuple:
+    _check_stable(args.g, args.n)
+    _check_reach(args.g, args.n)
     table = psi_numbers(args.g, args.n)
     payload = {
         "v": 1,
@@ -331,8 +325,8 @@ def cmd_psi(args) -> tuple:
     return payload, 0
 
 
-@_stable_only
 def cmd_verify_kcf(args) -> tuple:
+    _check_stable(args.g, args.n)
     report = verify_kcf(args.g, args.n, trials=args.trials, seed=args.seed)
     payload = {"v": 1, "command": "verify-kcf", **report}
     if not args.points:
@@ -340,8 +334,8 @@ def cmd_verify_kcf(args) -> tuple:
     return payload, 0 if report["equal"] else VERIFICATION_FAILURE
 
 
-@_stable_only
 def cmd_identities(args) -> tuple:
+    _check_stable(args.g, args.n)
     graphs = enumerate_trivalent(args.g, args.n)
     expected_density = Fraction(2) ** (1 - args.g)
     out = []
@@ -384,15 +378,12 @@ def cmd_angle(args) -> tuple:
         c1 = IdealPolygonChord(args.d, args.chord1)
         c2 = IdealPolygonChord(args.d, args.chord2)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, USAGE_ERROR
+        raise _Refused(str(exc), USAGE_ERROR)
     if not chords_cross(c1, c2):
-        print("error: chords do not cross", file=sys.stderr)
-        return None, VERIFICATION_FAILURE
+        raise _Refused("chords do not cross", VERIFICATION_FAILURE)
     err = crossing_cos_error(c1, c2)
     if err > _ANGLE_MAX_ERROR:
-        print(f"error: the cosine's rounding error may reach {err:.2g}", file=sys.stderr)
-        return None, USAGE_ERROR
+        raise _Refused(f"the cosine's rounding error may reach {err:.2g}", USAGE_ERROR)
     payload = {
         "v": 1,
         "command": "angle",
@@ -530,37 +521,43 @@ def _to_devnull(stream) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    shown = io.StringIO()  # what --help or --version prints
+    shown, errors = io.StringIO(), io.StringIO()  # what argparse prints, and stderr
     out = None  # --out takes only a command's payload
+    payload = ""  # a refusal has none
     try:
         args = _recognize(argv)
         if args is None:
-            with contextlib.redirect_stdout(shown):
+            with contextlib.redirect_stdout(shown), contextlib.redirect_stderr(errors):
                 args = build_parser().parse_args(argv)
         payload, code = args.func(args)
         out = args.out
     except SystemExit as exc:
         payload, code = shown.getvalue(), USAGE_ERROR if exc.code not in (0, None) else 0
+    except _Refused as exc:
+        message, code = exc.args
+        errors.write(f"error: {message}\n")
     except ValueError as exc:
         payload, code = json.dumps({"v": 1, "error": str(exc)}) + "\n", USAGE_ERROR
-    if payload is None:
-        return code
     try:
-        with (open(out, "w", encoding="utf-8") if out is not None
-              else contextlib.nullcontext(sys.stdout)) as fh:
-            if fh is None:  # fd 1 was closed when Python started
-                raise OSError("stdout is closed")
-            _write(fh, payload)
-            fh.flush()
+        if payload != "":  # nothing to write, so no --out to open and no stdout to need
+            with (open(out, "w", encoding="utf-8") if out is not None
+                  else contextlib.nullcontext(sys.stdout)) as fh:
+                if fh is None:  # fd 1 was closed when Python started
+                    raise OSError("stdout is closed")
+                _write(fh, payload)
+                fh.flush()
     except OSError as exc:
         if out is None and sys.stdout is not None:
             _to_devnull(sys.stdout)
-        try:
-            print(f"error: cannot write {out}: {exc.strerror or exc}" if out is not None
-                  else "error: cannot write stdout", file=sys.stderr)
-        except OSError:  # stderr is on the same closed pipe, say
-            _to_devnull(sys.stderr)
-        return USAGE_ERROR
+        errors.write(f"error: cannot write {out}: {exc.strerror or exc}\n" if out is not None
+                     else "error: cannot write stdout\n")
+        code = USAGE_ERROR
+    try:
+        if sys.stderr is not None:  # else fd 2 was closed when Python started
+            sys.stderr.write(errors.getvalue())
+            sys.stderr.flush()
+    except OSError:  # stderr is on a closed pipe, say
+        _to_devnull(sys.stderr)
     return code
 
 
