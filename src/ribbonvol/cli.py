@@ -23,10 +23,17 @@ bad values) goes to the argparse parser `build_parser` makes from the same
 table, so argparse prints every help, version and usage-error line.  That
 parser is built at most once per process and never at import; a well-formed
 call builds none, which saves a one-shot `ribbonvol` process a few
-milliseconds, the `locale` import among them.  All that `main` writes,
---help, --version and error lines too, goes through one guarded write: any
-write error, such as a pipe closed by its reader, a full device or a closed
-stdout, exits 2.
+milliseconds, the `locale` import among them.
+
+A handler returns its payload and exit code, or raises `_Refused` with an
+error line and code: an unstable (g, n), one past the DVV budget or past
+256 half-edges, a bad chord, a cosine lost to rounding (2 each) and chords
+that do not cross (1).  argparse's stdout and stderr are captured.  `main`
+alone writes: the payload once to stdout or --out, then every stderr line
+once.  Any write error on the payload, such as a pipe closed by its reader,
+a full device or a closed stdout, exits 2 with an error line; a stderr that
+cannot be written loses its line, not the exit code.  Only the 256
+half-edge error of `enumerate` is a payload, one JSON line on stdout.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from .exact import Poly
 from .hypgeom import (IdealPolygonChord, chords_cross, crossing_cos, crossing_cos_error,
                       crossing_cos_exact)
 from .kformula import _cell_form, verify_form_identities, verify_kcf
-from .ribbon import enumerate_graphs, enumerate_trivalent
+from .ribbon import _MAX_DARTS, enumerate_graphs, enumerate_trivalent
 from .volumes import kontsevich_volume, psi_numbers, is_stable
 from .wittencycle import witten12_report
 
@@ -129,11 +136,24 @@ def _dvv_cost(g: int, n: int) -> float:
 
 
 def _check_reach(g: int, n: int) -> None:
-    """Refuse a (g, n) above `_DVV_BUDGET`, before any DVV work."""
+    """Refuse a (g, n) above `_DVV_BUDGET`, before any DVV work.  From
+    d = 3g-3+n = 100 on, the d^5 term alone is over 6 CPU s, and `_dvv_cost`
+    is not called: its C(d+n-1, n-1) grows with n and its float overflows."""
+    if 3 * g - 3 + n >= 100:
+        raise _Refused(f"({g},{n}) is out of reach: estimated over 6 CPU s", USAGE_ERROR)
     cost = _dvv_cost(g, n)
     if cost > _DVV_BUDGET:
         raise _Refused(f"({g},{n}) is out of reach: estimated {cost / 1e6:.2g} CPU s",
                        USAGE_ERROR)
+
+
+def _check_half_edges(g: int, n: int) -> None:
+    """Refuse a (g, n) whose trivalent graphs have more half-edges, 12g-12+6n,
+    than enumeration takes, before any degree list or power of 2 is built."""
+    darts = 12 * g - 12 + 6 * n
+    if darts > _MAX_DARTS:
+        raise _Refused(f"({g},{n}) is out of reach: enumeration is limited to "
+                       f"{_MAX_DARTS} half-edges, got {darts}", USAGE_ERROR)
 
 
 def _float_text(x: float) -> str:
@@ -327,6 +347,7 @@ def cmd_psi(args) -> tuple:
 
 def cmd_verify_kcf(args) -> tuple:
     _check_stable(args.g, args.n)
+    _check_half_edges(args.g, args.n)
     report = verify_kcf(args.g, args.n, trials=args.trials, seed=args.seed)
     payload = {"v": 1, "command": "verify-kcf", **report}
     if not args.points:
@@ -336,6 +357,7 @@ def cmd_verify_kcf(args) -> tuple:
 
 def cmd_identities(args) -> tuple:
     _check_stable(args.g, args.n)
+    _check_half_edges(args.g, args.n)
     graphs = enumerate_trivalent(args.g, args.n)
     expected_density = Fraction(2) ** (1 - args.g)
     out = []
@@ -521,7 +543,7 @@ def _to_devnull(stream) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    shown, errors = io.StringIO(), io.StringIO()  # what argparse prints, and stderr
+    shown, errors = io.StringIO(), io.StringIO()  # argparse's stdout; every stderr line
     out = None  # --out takes only a command's payload
     payload = ""  # a refusal has none
     try:
@@ -539,7 +561,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         payload, code = json.dumps({"v": 1, "error": str(exc)}) + "\n", USAGE_ERROR
     try:
-        if payload != "":  # nothing to write, so no --out to open and no stdout to need
+        if payload != "":  # a refusal or usage error needs no stdout and opens no --out
             with (open(out, "w", encoding="utf-8") if out is not None
                   else contextlib.nullcontext(sys.stdout)) as fh:
                 if fh is None:  # fd 1 was closed when Python started

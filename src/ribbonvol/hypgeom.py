@@ -104,6 +104,8 @@ class IdealPolygonChord:
         i, j = ends
         if d < 3:
             raise ValueError("polygon degree must be at least 3")
+        if d > 10 ** 300:  # so that 2 pi k for k < d is a finite double
+            raise ValueError("polygon degree must be at most 10^300")
         if not (0 <= i < d and 0 <= j < d) or i == j:
             raise ValueError(f"chord endpoints must be distinct vertices of the {d}-gon")
         self.d, self.ends = d, (i, j)

@@ -483,6 +483,67 @@ def test_out_of_reach_psi_and_volume_exit_2_before_any_dvv_work(monkeypatch, cap
         assert "out of reach" in captured.err
 
 
+def test_the_reach_check_makes_no_estimate_past_6_cpu_s(monkeypatch, capsys):
+    """From d = 3g-3+n = 100 on, `_check_reach` refuses without calling
+    `_dvv_cost`, whose estimate there is over 6 CPU s at every n: above the
+    budget, so the shortcut refuses nothing the estimate would accept."""
+    import ribbonvol.cli as cli
+    from ribbonvol.volumes import is_stable
+
+    for g in range(40):
+        for n in range(1, 110):
+            if is_stable(g, n) and 3 * g - 3 + n >= 100:
+                assert cli._dvv_cost(g, n) > 6e6 > cli._DVV_BUDGET, (g, n)
+
+    def refuse(g, n):
+        raise AssertionError("_dvv_cost called past d = 100")
+
+    monkeypatch.setattr(cli, "_dvv_cost", refuse)
+    for g, n in [(34, 1), (0, 103), (10**50, 2), (2, 10**50)]:
+        assert main(["psi", "--g", str(g), "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ({g},{n}) is out of reach: estimated over 6 CPU s\n"
+
+
+def test_verify_kcf_and_identities_refuse_more_than_256_half_edges(monkeypatch, capsys):
+    """12g-12+6n half-edges: (0,44) has 252 and runs; (0,45) has 258 and is
+    refused before any graph or power of 2 is built."""
+    import ribbonvol.cli as cli
+
+    for name in ("verify_kcf", "enumerate_trivalent"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("called"))
+    for argv in (["verify-kcf", "--seed", "1"], ["identities"]):
+        for g, n, darts in [(0, 45, 258), (22, 2, 264), (10**9, 1, 12 * 10**9 - 6)]:
+            assert main(argv + ["--g", str(g), "--n", str(n)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: ({g},{n}) is out of reach: enumeration is "
+                                    f"limited to 256 half-edges, got {darts}\n")
+    assert cli._check_half_edges(0, 44) is None and cli._check_half_edges(21, 2) is None
+
+
+# Integers of 400 digits: each of these once overflowed a float or a list
+# size and exited 1 with a traceback, or for `verify-kcf` ran on computing
+# 2^(2g-2+n).
+HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--g", HUGE, "--n", "1"],
+    ["volume", "--g", "2", "--n", HUGE],
+    ["identities", "--g", HUGE, "--n", "1"],
+    ["angle", "--d", HUGE, "--chord1", "0,2", "--chord2", "1,3"],
+    ["verify-kcf", "--g", HUGE, "--n", "1", "--seed", "1"],
+], ids=["psi", "volume", "identities", "angle", "verify-kcf"])
+def test_an_oversized_integer_is_refused_up_front(argv):
+    done = subprocess.run([sys.executable, "-m", "ribbonvol.cli", *argv], env=_cli_env(),
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_verify_kcf_seed_required(run):
     code, _ = run("verify-kcf", "--g", "1", "--n", "1")
     assert code == 2
@@ -965,7 +1026,10 @@ def test_a_stdout_pipe_closed_by_its_reader_exits_2_without_a_traceback(argv, re
     with subprocess.Popen([sys.executable, "-m", "ribbonvol.cli", *argv],
                           env=_cli_env(unbuffered),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert len(os.read(proc.stdout.fileno(), read)) == read
+        got = b""  # an unbuffered stdout may send its first bytes in pieces
+        while len(got) < read and (chunk := os.read(proc.stdout.fileno(), read - len(got))):
+            got += chunk
+        assert len(got) == read
         proc.stdout.close()
         err = proc.stderr.read().decode()
         code = proc.wait(timeout=60)
@@ -996,16 +1060,68 @@ def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, stdout):
     assert done.returncode == 2
 
 
+# Each input a handler refuses with an error line on stderr, and its exit
+# code: 1 for chords that do not cross, 2 for every other
+STDERR_REFUSALS = {
+    "unstable": (["psi", "--g", "0", "--n", "2"], 2),
+    "psi-out-of-reach": (["psi", "--g", "30", "--n", "1"], 2),
+    "volume-out-of-reach": (["volume", "--g", "0", "--n", "12"], 2),
+    "identities-unstable": (["identities", "--g", "0", "--n", "2"], 2),
+    "verify-kcf-unstable": (["verify-kcf", "--g", "0", "--n", "2", "--seed", "1"], 2),
+    "bad-chord": (["angle", "--d", "5", "--chord1", "0,0", "--chord2", "2,4"], 2),
+    "rounding": (["angle", "--d", "100000", "--chord1", "0,2", "--chord2", "1,3"], 2),
+    "no-crossing": (["angle", "--d", "5", "--chord1", "0,1", "--chord2", "2,4"], 1),
+    "usage-error": (["psi", "--g", "x", "--n", "1"], 2),
+}
+
+
+class _BrokenPipeStream(io.TextIOBase):
+    """A stream on a pipe whose reader is gone: every write raises, as
+    `sys.stderr`'s does there; `fileno` is `fd`."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("stream", ["stderr-broken-pipe", "stderr-closed", "stdout-closed"])
+@pytest.mark.parametrize("argv,code", STDERR_REFUSALS.values(), ids=STDERR_REFUSALS)
+def test_a_refusal_returns_its_code_whatever_the_streams(argv, code, stream, tmp_path, capsys,
+                                                         monkeypatch):
+    """In process, with stderr on a pipe whose reader is gone, or with fd 2
+    or fd 1 closed when Python started (`sys.stderr` or `sys.stdout` None):
+    the refusal's exit code, nothing on stdout and no other error line.
+    Across a pipe, exit 1 from a traceback looks like the exit 1 of chords
+    that do not cross."""
+    with open(tmp_path / "stderr", "w") as fh:
+        if stream == "stderr-broken-pipe":
+            monkeypatch.setattr(sys, "stderr", _BrokenPipeStream(fh.fileno()))
+        else:
+            monkeypatch.setattr(sys, stream.split("-")[0], None)
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == (stream == "stdout-closed")
+
+
 # stdout and stderr on one pipe whose reader is gone before the command
 # starts: the error line cannot be written either, and the exit code must
 # still be the usage error's, not 1 from a traceback or 120 from the flush
-# at exit.
+# at exit.  The chords that do not cross are left out: their designed exit
+# 1 looks the same as a traceback's.
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["witten12"],
     ["--version"],
     ["enumerate", "--g", "0", "--n", "130", "--degrees", "258"],  # a refused input
-], ids=["witten12", "version", "refused"])
+    *(argv for argv, code in STDERR_REFUSALS.values() if code == 2),
+], ids=["witten12", "version", "refused",
+        *(name for name, (_, code) in STDERR_REFUSALS.items() if code == 2)])
 def test_stdout_and_stderr_on_a_closed_pipe_exit_2(argv, unbuffered):
     read, write = os.pipe()
     os.close(read)

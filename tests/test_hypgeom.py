@@ -87,6 +87,19 @@ def test_chord_validation():
         IdealPolygonChord(5, (0, 7))
 
 
+def test_a_polygon_degree_is_at_most_10_to_the_300():
+    """2 pi k stays a finite double for every vertex k of an accepted
+    polygon; past 10^300 the constructor refuses before any float."""
+    d = 10**300
+    diameters = IdealPolygonChord(d, (0, d // 2)), IdealPolygonChord(d, (d // 4, 3 * d // 4))
+    assert crossing_cos(*diameters) == pytest.approx(0.0, abs=1e-12)
+    far = IdealPolygonChord(d, (1, d - 1)), IdealPolygonChord(d, (0, d // 2))
+    assert chords_cross(*far)
+    assert crossing_cos_error(*far) == math.inf  # its cosine is lost to rounding
+    with pytest.raises(ValueError, match="at most 10"):
+        IdealPolygonChord(d + 1, (0, 1))
+
+
 def test_crossing_detection():
     assert chords_cross(IdealPolygonChord(5, (0, 2)), IdealPolygonChord(5, (1, 3)))
     assert not chords_cross(IdealPolygonChord(5, (0, 1)), IdealPolygonChord(5, (2, 4)))
