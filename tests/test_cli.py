@@ -523,9 +523,9 @@ def test_verify_kcf_and_identities_refuse_more_than_256_half_edges(monkeypatch, 
     assert cli._check_half_edges(0, 44) is None and cli._check_half_edges(21, 2) is None
 
 
-# Integers of 400 digits: each of these once overflowed a float or a list
-# size and exited 1 with a traceback, or for `verify-kcf` ran on computing
-# 2^(2g-2+n).
+# Integers of 400 digits, past any float and any list size: each must be
+# refused before the arithmetic it would overflow or, for `verify-kcf`, the
+# 2^(2g-2+n) it would spend minutes on.
 HUGE = "9" * 400
 
 
@@ -1060,8 +1060,8 @@ def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, stdout):
     assert done.returncode == 2
 
 
-# Each input a handler refuses with an error line on stderr, and its exit
-# code: 1 for chords that do not cross, 2 for every other
+# Each input refused with an error line on stderr alone, a usage error
+# among them, and its exit code: 1 for chords that do not cross, else 2
 STDERR_REFUSALS = {
     "unstable": (["psi", "--g", "0", "--n", "2"], 2),
     "psi-out-of-reach": (["psi", "--g", "30", "--n", "1"], 2),
