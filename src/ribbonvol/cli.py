@@ -27,13 +27,14 @@ milliseconds, the `locale` import among them.
 
 A handler returns its payload and exit code, or raises `_Refused` with an
 error line and code: an unstable (g, n), one past the DVV budget or past
-256 half-edges, a bad chord, a cosine lost to rounding (2 each) and chords
-that do not cross (1).  argparse's stdout and stderr are captured.  `main`
-alone writes: the payload once to stdout or --out, then every stderr line
-once.  Any write error on the payload, such as a pipe closed by its reader,
-a full device or a closed stdout, exits 2 with an error line; a stderr that
-cannot be written loses its line, not the exit code.  Only the 256
-half-edge error of `enumerate` is a payload, one JSON line on stdout.
+256 half-edges, more than 1000 `verify-kcf` trials, a bad chord, a cosine
+lost to rounding (2 each) and chords that do not cross (1).  argparse's
+stdout and stderr are captured.  `main` alone writes: the payload once to
+stdout or --out, then every stderr line once.  Any write error on the
+payload, such as a pipe closed by its reader, a full device or a closed
+stdout, exits 2 with an error line; a stderr that cannot be written loses
+its line, not the exit code.  Only the 256 half-edge error of `enumerate`
+is a payload, one JSON line on stdout.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ VERIFICATION_FAILURE = 1
 # `volume` and `psi` refuse a (g, n) whose `_dvv_cost` exceeds this: 3.5
 # CPU s on a 2-vCPU Xeon (Python 3.11).
 _DVV_BUDGET = 3_500_000
+
+# `verify-kcf` refuses more sampled points than this: each is evaluated
+# exactly and kept in the report; 1000 take about 3 CPU s at (0,5) and 11
+# at (1,4) on a 2-vCPU Xeon (Python 3.11).
+_MAX_TRIALS = 1000
 
 # `angle` refuses a crossing whose `crossing_cos_error` exceeds this: short
 # chords of a large polygon, from d = 1151 for (0,2) and (1,3).
@@ -154,6 +160,11 @@ def _check_half_edges(g: int, n: int) -> None:
     if darts > _MAX_DARTS:
         raise _Refused(f"({g},{n}) is out of reach: enumeration is limited to "
                        f"{_MAX_DARTS} half-edges, got {darts}", USAGE_ERROR)
+
+
+def _check_trials(trials: int) -> None:
+    if trials > _MAX_TRIALS:
+        raise _Refused(f"--trials is limited to {_MAX_TRIALS}, got {trials}", USAGE_ERROR)
 
 
 def _float_text(x: float) -> str:
@@ -348,6 +359,7 @@ def cmd_psi(args) -> tuple:
 def cmd_verify_kcf(args) -> tuple:
     _check_stable(args.g, args.n)
     _check_half_edges(args.g, args.n)
+    _check_trials(args.trials)
     report = verify_kcf(args.g, args.n, trials=args.trials, seed=args.seed)
     payload = {"v": 1, "command": "verify-kcf", **report}
     if not args.points:

@@ -12,15 +12,19 @@ canonical form is the least breadth-first encoding over all root darts,
 for a single graph and for the enumerator alike (`_rooted`); an encoding
 is kept as one key, `s0' + s1'` in bytes.  The enumerator's pairing search
 closes faces as it pairs darts and cuts every branch that cannot end with
-n faces.  A BFS encoding is a complete invariant of a rooted connected
-map, and every pairing is rooted at a dart of a vertex of the largest
-degree, so a pairing is a map found before exactly when its key from root
-0 is the key of a map found so far from one of those darts; a new map is
-relabelled from each of its other roots once, and the least of its keys
-is its canonical pair.  Its labelled classes are the orbits of its
-automorphism group on the face labellings, read off the coset of its
-distinct face orders; one `RibbonGraph` is validated per map and
-relabelled per class.
+n faces.  It roots every pairing at a top dart, a dart of a vertex of the
+largest degree, on a shortest top face, a shortest face among those that
+hold a top dart, and cuts a branch once a closed top face is shorter than
+the root face so far.  A BFS encoding is a complete invariant of a rooted
+connected map, and face length and top-ness are invariants too, so a
+pairing is a map found before exactly when its key from root 0 is the key
+of a map found so far from one of its top darts on a shortest top face.
+Those roots of a new map are relabelled in full; every other root is
+relabelled once, its BFS abandoned as soon as it loses to the least key
+so far, and the least key is the map's canonical pair.  Its labelled
+classes are the orbits of its automorphism group on the face labellings,
+read off the coset of its distinct face orders; one `RibbonGraph` is
+validated per map and relabelled per class.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ def face_cycles(s0, s1):
 _MAX_DARTS = 256
 
 
-def _bfs_relabel(s0, s1, root):
+def _bfs_relabel(s0, s1, root, bound=None):
     """Breadth-first relabelling of (s0, s1) from `root`.
 
     Returns the key `s0' + s1'` of the relabelled pair and the dart map
@@ -100,6 +104,10 @@ def _bfs_relabel(s0, s1, root):
     has length N, so keys order as the pairs `(s0', s1')` do.  The i-th
     dart visited becomes dart i, and both of its images are numbered by the
     time it is visited, so `s0'[i]` and `s1'[i]` are appended at that step.
+
+    Given a `bound` key, it returns None instead as soon as the `s0'`
+    prefix exceeds the bound's, or at the end if `s0'` ties it and `s1'`
+    exceeds it: a key equal to the bound is returned.
     """
     N = len(s0)
     new = [-1] * N
@@ -107,12 +115,17 @@ def _bfs_relabel(s0, s1, root):
     order = [root]
     key = []  # s0', then s1' is appended
     s1p = []
+    tight = bound is not None  # `key` is a prefix of the bound's s0'
     for d in order:
         a = s0[d]
         x = new[a]
         if x < 0:
             new[a] = x = len(order)
             order.append(a)
+        if tight and x != bound[len(key)]:
+            if x > bound[len(key)]:
+                return None
+            tight = False
         b = s1[d]
         y = new[b]
         if y < 0:
@@ -121,7 +134,10 @@ def _bfs_relabel(s0, s1, root):
         key.append(x)
         s1p.append(y)
     key += s1p
-    return (bytes(key) if N <= _MAX_DARTS else tuple(key)), new
+    key = bytes(key) if N <= _MAX_DARTS else tuple(key)
+    if tight and key > bound:
+        return None
+    return key, new
 
 
 def _check_labels(labels, n):
@@ -293,7 +309,8 @@ class RibbonGraph:
         Only roots that reach the unlabelled canonical pair can win, and
         their face orders list the labels of its faces.
         """
-        _, pair, orders = _rooted(self.s0, self.s1)
+        first = {0: _bfs_relabel(self.s0, self.s1, 0)}
+        pair, orders = _rooted(self.s0, self.s1, self.faces, first)
         return pair + (_least_image(self.face_labels, orders)[0],)
 
     # -- serialisation ------------------------------------------------------------
@@ -335,7 +352,8 @@ def _block_rotation(degrees):
 
 def _search_pairings(degrees, n, emit):
     """Call `emit(s1)` for each complete pairing `s1` of the slots of the
-    block layout `_block_rotation(degrees)` with exactly `n` faces, one per
+    block layout `_block_rotation(degrees)` with exactly `n` faces whose
+    root face, the face of slot 0, is a shortest top face, one per
     quasi-canonical DFS path, in DFS order.  The degrees are sorted
     descending.  The caller builds the same layout to read each `s1`, since
     it needs `s0` before the first call.
@@ -357,6 +375,16 @@ def _search_pairings(degrees, n, emit):
     from e ends at d) and merges them otherwise.  A branch is cut once more
     than n faces are closed, or n are closed while slots are still
     unpaired: those slots will close another face.
+
+    The top slots are the slots `0..m-1` of the vertices of the largest
+    degree, slot 0 among them.  Next to `head` and `tail`, `size[a]` and
+    `tops[a]` hold the length and the number of top slots of the path
+    starting at a; a merge adds the second path's to the first's, and the
+    undo subtracts them again.  The recursion carries the least length of a
+    closed top face and the start of the path through slot 0, and a branch
+    is also cut once that path is longer than a closed top face: paths only
+    grow, so its root face could no longer be a shortest top face.  With
+    n = 1 the one face is the root face, so nothing is tracked.
     """
     s0 = _block_rotation(degrees)
     starts = []
@@ -380,8 +408,14 @@ def _search_pairings(degrees, n, emit):
     used[0] = True
     head = list(range(N))
     tail = list(range(N))
+    size = [1] * N
+    m = run_end[0] * degrees[0]
+    tops = [1] * m + [0] * (N - m)
+    track = n > 1  # untracked, every size stays 1 and the cut never fires
 
-    def rec(s, closed):
+    def rec(s, closed, shortest, root):
+        # shortest: the least length of a closed top face (N + 1 if none);
+        # root: the start of the path through slot 0
         while s < N and partner[s] >= 0:
             s += 1
         if s == N:
@@ -404,46 +438,81 @@ def _search_pairings(degrees, n, emit):
                 next_unused[run_of[v]] += 1
             partner[s], partner[t] = t, s
             # s2(s) = et and s2(t) = es, each linking two path ends
+            total, low, r = closed, shortest, root
             et = inv0[t]
             a, b = head[s], tail[et]
             tail[a], head[b] = b, a
+            if b == s:
+                total += 1
+                if tops[a] and size[a] < low:
+                    low = size[a]
+            elif track:
+                size[a] += size[et]
+                tops[a] += tops[et]
+                if r == et:
+                    r = a
             c, d = head[t], tail[es]
             tail[c], head[d] = d, c
-            total = closed + (b == s) + (d == t)
-            if total <= n:
-                rec(s + 1, total)
+            if d == t:
+                total += 1
+                if tops[c] and size[c] < low:
+                    low = size[c]
+            elif track:
+                size[c] += size[es]
+                tops[c] += tops[es]
+                if r == es:
+                    r = c
+            # paths only grow: a root path longer than a closed top face
+            # cannot close as a shortest top face
+            if total <= n and size[r] <= low:
+                rec(s + 1, total, low, r)
             # undo the links in reverse order; each path keeps its ends
+            if track and d != t:
+                size[c] -= size[es]
+                tops[c] -= tops[es]
             tail[c], head[d] = t, es
+            if track and b != s:
+                size[a] -= size[et]
+                tops[a] -= tops[et]
             tail[a], head[b] = s, et
             partner[s] = partner[t] = -1
             if opened:
                 used[v] = False
                 next_unused[run_of[v]] -= 1
 
-    rec(0, 0)
+    rec(0, 0, N + 1, 0)
     # rec's closure holds rec itself; clearing it frees the cycle, and the
     # state `emit` keeps, now rather than at the next garbage collection
     del rec
 
 
-def _rooted(s0, s1, first=None):
-    """The BFS keys of (s0, s1) from every root, in root order, the
-    canonical pair (the least key, decoded) and, for every root that
-    reaches it, the face indices in the order of their minimal dart under
-    its dart map.  `first` is the relabelling from root 0 if the caller
-    has it already.  On the canonical pair itself these roots are its
-    automorphisms, each permuting the faces.
+def _rooted(s0, s1, faces, relabels):
+    """The canonical pair of (s0, s1), its least BFS key over all roots
+    decoded, and, for every root that reaches it in root order, the
+    indices of `faces` in the order of their minimal dart under its dart
+    map.  On the canonical pair itself these roots are its automorphisms,
+    each permuting the faces.
+
+    `relabels` maps some roots to their full relabellings `(key, new)`:
+    root 0 for `RibbonGraph.canonical_form`, the roots whose keys go in
+    `seen` for `_unlabelled_maps`.  Every other root's BFS is bounded by
+    the least key so far and stops once its `s0'` prefix exceeds it.  A
+    root whose key is at most the bound is never stopped, so the least key
+    and the roots that reach it are those of a full pass over all roots.
     """
     N = len(s0)
-    relabels = [first or _bfs_relabel(s0, s1, 0)]
-    relabels += [_bfs_relabel(s0, s1, root) for root in range(1, N)]
-    keys = [key for key, _ in relabels]
-    least = min(keys)
-    faces = face_cycles(s0, s1)
+    best = min(key for key, _ in relabels.values())
+    reached = []
+    for root in range(N):
+        res = relabels.get(root) or _bfs_relabel(s0, s1, root, best)
+        if res is not None and res[0] <= best:
+            if res[0] < best:
+                best, reached = res[0], []
+            reached.append(res[1])
     orders = [[i for _, i in sorted((min(new[d] for d in cyc), i)
                                     for i, cyc in enumerate(faces))]
-              for key, new in relabels if key == least]
-    return keys, (tuple(least[:N]), tuple(least[N:])), orders
+              for new in reached]
+    return (tuple(best[:N]), tuple(best[N:])), orders
 
 
 def _least_image(labels, orders):
@@ -507,16 +576,17 @@ def _unlabelled_maps(degrees, n):
     once: its canonical pair and the face orders of the roots that reach it.
 
     The pairing search hands each n-face pairing to `dedupe` as it finds
-    it, always rooted at slot 0, a dart of a vertex of the largest degree.
-    A BFS key is a complete invariant of a rooted connected map, so a
-    pairing whose key from root 0 is a key of a map found before, from one
-    of its darts on a vertex of the largest degree, is that map.  Those
-    darts are the m slots `0..m-1` of the block layout, and `seen` holds
-    their keys for every map found so far.  A new map is relabelled from
-    its other 2E - 1 roots; the least of its 2E keys is its canonical pair,
-    and the dart maps of the roots that reach it give its face orders
-    (`_rooted`, in the pairing's face indices, which list the same labelled
-    classes).
+    it, rooted at slot 0, a top dart (a dart of a vertex of the largest
+    degree, one of the m slots `0..m-1` of the block layout) on a shortest
+    top face.  A BFS key is a complete invariant of a rooted connected map,
+    and face length and top-ness are kept by every isomorphism, so a
+    pairing is a map found before exactly when its key from root 0 is the
+    key of that map from one of its top darts on a shortest top face.
+    `seen` holds those keys for every map found so far, and those roots of
+    a new map are relabelled in full.  Its other roots are bounded by the
+    least key so far; the least key is its canonical pair, and the dart
+    maps of the roots that reach it give its face orders (`_rooted`, in the
+    pairing's face indices, which list the same labelled classes).
     """
     s0 = _block_rotation(degrees)
     m = degrees[0] * degrees.count(degrees[0])
@@ -527,9 +597,12 @@ def _unlabelled_maps(degrees, n):
         first = _bfs_relabel(s0, s1, 0)
         if first[0] in seen:
             return
-        keys, pair, orders = _rooted(s0, s1, first)
-        seen.update(keys[:m])
-        maps.append((pair, orders))
+        faces = face_cycles(s0, s1)
+        # faces[0] is the root face, a shortest top face
+        full = {d: _bfs_relabel(s0, s1, d) if d else first
+                for cyc in faces if len(cyc) == len(faces[0]) for d in cyc if d < m}
+        seen.update(key for key, _ in full.values())
+        maps.append(_rooted(s0, s1, faces, full))
 
     _search_pairings(degrees, n, dedupe)
     return maps
@@ -542,16 +615,17 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     label-preserving isomorphism class, deterministically ordered.  An
     inconsistent (g, n, degrees) combination yields the empty list.
 
-    The pairing search emits only the pairings with n faces, and
-    `_unlabelled_maps` keeps one per unlabelled map: each pairing is
-    relabelled once, from root 0, and each new map from its other 2E - 1
-    roots, keeping the keys of the darts of its vertices of the largest
-    degree.  Its labelled classes are then the orbits of its automorphism
-    group on the n! face labellings (`_labelled_classes`), read off the
-    coset of its distinct face orders with about 2 n! tuples per map.  One
-    `RibbonGraph` is built, and validated, per map, from its first class;
-    every other class is that graph relabelled (`RibbonGraph._relabelled`),
-    which checks only the labels.
+    The pairing search emits only the pairings with n faces rooted at a
+    top dart on a shortest top face, and `_unlabelled_maps` keeps one per
+    unlabelled map: each pairing is relabelled once, from root 0, and each
+    new map from its other 2E - 1 roots, in full from its top darts on
+    shortest top faces, whose keys it keeps, and bounded by the least key
+    so far from the rest.  Its labelled classes are then the orbits of its
+    automorphism group on the n! face labellings (`_labelled_classes`),
+    read off the coset of its distinct face orders with about 2 n! tuples
+    per map.  One `RibbonGraph` is built, and validated, per map, from its
+    first class; every other class is that graph relabelled
+    (`RibbonGraph._relabelled`), which checks only the labels.
 
     More than 256 half-edges raise ValueError before the search starts:
     the search's keys store one dart number per byte.

@@ -19,9 +19,10 @@ face orders.
 root's BFS stops as soon as it compares larger than the best pair so far)
 as the oracle for the package's least encoding over all roots.
 `search_pairings` and `canonical_pairs` keep the enumeration's earlier
-route as the oracle for the face-count pruned search and the once-per-map
-dedupe: every pairing of the quasi-canonical DFS, whatever its face count,
-and one bounded canonical pair per n-face pairing.
+route as the oracle for the search pruned by face count and face length
+and the once-per-map dedupe: every pairing of the quasi-canonical DFS,
+whatever its face count and wherever its root face, and one bounded
+canonical pair per n-face pairing.
 """
 
 import itertools

@@ -523,6 +523,23 @@ def test_verify_kcf_and_identities_refuse_more_than_256_half_edges(monkeypatch, 
     assert cli._check_half_edges(0, 44) is None and cli._check_half_edges(21, 2) is None
 
 
+def test_verify_kcf_refuses_more_than_1000_trials_up_front(monkeypatch, capsys):
+    """Every sampled point is evaluated exactly and kept in the report, so
+    a trial count past the cap is refused before any map is searched."""
+    import ribbonvol.cli as cli
+    import ribbonvol.ribbon as ribbon
+
+    monkeypatch.setattr(cli, "verify_kcf", lambda *args, **kwargs: pytest.fail("called"))
+    monkeypatch.setattr(ribbon, "_search_pairings", lambda *args: pytest.fail("searched"))
+    for trials in ["1001", "100000000", "9" * 400]:
+        argv = ["verify-kcf", "--g", "1", "--n", "1", "--seed", "1", "--trials", trials]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --trials is limited to 1000, got {trials}\n"
+    assert cli._MAX_TRIALS == 1000 and cli._check_trials(1000) is None
+
+
 # Integers of 400 digits, past any float and any list size: each must be
 # refused before the arithmetic it would overflow or, for `verify-kcf`, the
 # 2^(2g-2+n) it would spend minutes on.

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -222,68 +223,147 @@ def test_bounded_canonical_pair_is_least_encoding(degrees):
     faces = set()
     for s1 in pairings:
         faces.add(len(face_cycles(s0, s1)))
-        assert oracle.canonical_pair(s0, s1) == _rooted(s0, s1)[1]
+        first = {0: _bfs_relabel(s0, s1, 0)}
+        assert oracle.canonical_pair(s0, s1) == _rooted(s0, s1, face_cycles(s0, s1), first)[0]
     assert len(faces) > 1
+
+
+def top_darts(s0):
+    """The darts of the vertices of the largest degree, the top darts."""
+    vertices = oracle.perm_cycles(s0)
+    top = max(map(len, vertices))
+    return {d for cyc in vertices if len(cyc) == top for d in cyc}
+
+
+def shortest_faces(s0, s1, top_only):
+    """The faces of (s0, s1) of the least length among those that hold a top
+    dart (`top_only`) or among all faces."""
+    faces = face_cycles(s0, s1)
+    top = top_darts(s0)
+    among = [f for f in faces if not top_only or top & set(f)]
+    least = min(map(len, among))
+    return [f for f in among if len(f) == least]
+
+
+def rooted_at_a_shortest_face(s0, s1, top_only=True):
+    return any(0 in f for f in shortest_faces(s0, s1, top_only))
 
 
 @pytest.mark.parametrize("degrees", [
     [3] * 6, [4, 3, 3, 3, 3], [4, 4, 4], [5, 5], [3] * 8,
 ])
 def test_pruned_search_yields_the_oracle_n_face_pairings_in_order(degrees):
+    """The search emits, in the oracle's DFS order, exactly the oracle's
+    n-face pairings whose root face is a shortest face among the faces that
+    hold a top dart."""
     s0, pairings = oracle.search_pairings(degrees)
     assert _block_rotation(degrees) == s0
     counted = [(len(face_cycles(s0, s1)), s1) for s1 in pairings]
     top = max(f for f, _ in counted)
+    kept = 0
     for n in range(-1, top + 2):
         pruned = []
         _search_pairings(degrees, n, pruned.append)
-        assert pruned == [s1 for f, s1 in counted if f == n], n
+        expected = [s1 for f, s1 in counted
+                    if f == n and rooted_at_a_shortest_face(s0, s1)]
+        assert pruned == expected, n
+        kept += len(pruned)
+    assert 0 < kept < len(counted)
 
 
 @pytest.mark.parametrize("n,degrees", [(n, degrees) for _, n, degrees in WORKLOAD_TYPES]
-                         + [(2, [3] * 8), (4, [3] * 8), (6, [3] * 8)])
+                         + [(2, [3] * 8), (4, [3] * 8), (6, [3] * 8),
+                            (2, [4, 3, 3]), (4, [4, 3, 3]), (3, [4, 4, 3, 3])])
 def test_deduped_maps_equal_the_oracle_canonical_pairs(n, degrees):
     maps = _unlabelled_maps(sorted(degrees, reverse=True), n)
     assert maps
     assert sorted(pair for pair, _ in maps) == oracle.canonical_pairs(n, degrees)
 
 
-# (n, degrees, n-face pairings): the `enumerate` workload types, then the
-# trivalent (0,4), (2,2) and (0,5); trivalent (1,3) is the workload's 3^6
+@pytest.mark.parametrize("n,degrees,off,total", [
+    (2, [4, 3, 3], 3, 8), (4, [4, 3, 3], 2, 7), (3, [4, 4, 3, 3], 40, 132),
+    (2, [5, 3], 1, 4),
+])
+def test_a_prune_over_all_faces_misses_maps(n, degrees, off, total):
+    """Canary for the top-dart rule: `off` of these maps have no top dart on
+    any shortest face, so a search rooted at a top dart on a shortest face
+    of all never reaches them; the search keeps the shortest top faces."""
+    maps = oracle.canonical_pairs(n, degrees)
+    missed = [pair for pair in maps if not any(
+        top_darts(pair[0]) & set(f) for f in shortest_faces(*pair, top_only=False))]
+    assert (len(missed), len(maps)) == (off, total)
+    s0, pairings = oracle.search_pairings(sorted(degrees, reverse=True))
+    n_face = [s1 for s1 in pairings if len(face_cycles(s0, s1)) == n]
+    over_all = {oracle.canonical_pair(s0, s1) for s1 in n_face
+                if rooted_at_a_shortest_face(s0, s1, top_only=False)}
+    assert sorted(set(maps) - over_all) == missed
+    over_top = {oracle.canonical_pair(s0, s1) for s1 in n_face
+                if rooted_at_a_shortest_face(s0, s1)}
+    assert sorted(over_top) == maps
+
+
+# (n, degrees, the oracle's n-face pairings): the `enumerate` workload
+# types, then the trivalent (0,4), (2,2) and (0,5); trivalent (1,3) is the
+# workload's 3^6
 PAIRING_COUNTS = [(n, degrees, count) for (_, n, degrees), count in zip(
     WORKLOAD_TYPES, (105, 105, 664, 54, 36, 20))] + [
     (4, [3] * 4, 32), (2, [3] * 8, 8112), (5, [3] * 6, 336)]
+# the pairings the search emits, for the types of PAIRING_COUNTS in order
+EMITTED = dict(zip(((n, tuple(degrees)) for n, degrees, _ in PAIRING_COUNTS),
+                   (105, 105, 76, 10, 10, 9, 6, 1516, 39)))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_n_face_pairings(n, degrees):
+    """The block rotation and the oracle's unpruned pairings with n faces;
+    `degrees` a tuple sorted descending."""
+    s0, pairings = oracle.search_pairings(list(degrees))
+    return s0, [s1 for s1 in pairings if len(face_cycles(s0, s1)) == n]
 
 
 @pytest.mark.parametrize("n,degrees,count", PAIRING_COUNTS)
 def test_search_yields_each_map_once_per_top_degree_root_orbit(n, degrees, count):
-    """The search roots every pairing at a dart of a vertex of the largest
-    degree, so a map U is yielded once per orbit of Aut U on the m darts of
-    those vertices: sum_U m / |Aut U| pairings, |Aut U| = len(orders)."""
+    """The oracle's unpruned search roots every pairing at a top dart, so a
+    map U is found once per orbit of Aut U on its m top darts: sum_U m /
+    |Aut U| n-face pairings, |Aut U| = len(orders).  The search emits U once
+    per orbit on its m'_U top darts on shortest top faces: sum_U m'_U /
+    |Aut U|."""
+    emitted = EMITTED[n, tuple(degrees)]
     degrees = sorted(degrees, reverse=True)
     m = degrees[0] * degrees.count(degrees[0])
     found = []
     _search_pairings(degrees, n, found.append)
-    orbits = sum(Fraction(m, len(orders)) for _, orders in _unlabelled_maps(degrees, n))
-    assert len(found) == orbits == count
+    maps = _unlabelled_maps(degrees, n)
+    orbits = sum(Fraction(m, len(orders)) for _, orders in maps)
+    assert len(oracle_n_face_pairings(n, tuple(degrees))[1]) == orbits == count
+    rooted = sum(Fraction(len(top_darts(s0) & set().union(*shortest_faces(s0, s1, True))),
+                          len(orders))
+                 for (s0, s1), orders in maps)
+    assert len(found) == rooted == emitted
 
 
 def test_each_map_is_relabelled_from_every_root_once(monkeypatch):
-    """One BFS relabelling per n-face pairing, from root 0, and 2E - 1 more
-    per new map, whose root-0 relabelling is reused; the bound n-face
-    pairings + 4E x maps allows 2320 on (1,3) 3^6, and canonicalising every
-    pairing afresh would take about 12 800."""
-    calls = 0
+    """One BFS relabelling per emitted pairing, from root 0, and N - 1 more
+    per new map, whose root-0 relabelling is reused.  The roots whose keys
+    go in `seen`, the top darts on shortest top faces, are relabelled in
+    full; every other root is bounded by the least key so far.  On (1,3)
+    3^6 that is 169 full and 689 bounded relabellings, where rooting every
+    pairing at any top dart took 1446 full ones (`before`)."""
+    full = bounded = 0
     relabel = ribbon._bfs_relabel
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return relabel(*args)
+    def counted(s0, s1, root, bound=None):
+        nonlocal full, bounded
+        if bound is None:
+            full += 1
+        else:
+            bounded += 1
+        return relabel(s0, s1, root, bound)
 
-    for g, n, degrees, expected in [(1, 3, [3] * 6, (664, 46, 18, 1446)),
-                                    (2, 1, [4, 3, 3, 3, 3], (105, 29, 16, 540))]:
-        calls = 0
+    for g, n, degrees, expected, before in [
+            (1, 3, [3] * 6, (76, 46, 18, 169, 689), 1446),
+            (2, 1, [4, 3, 3, 3, 3], (105, 29, 16, 192, 348), 540)]:
+        full = bounded = 0
         monkeypatch.setattr(ribbon, "_bfs_relabel", counted)
         out = enumerate_graphs(g, n, degrees)
         monkeypatch.undo()
@@ -292,19 +372,17 @@ def test_each_map_is_relabelled_from_every_root_once(monkeypatch):
         found = len(pairings)
         N = len(_block_rotation(degrees))
         maps = len({(graph.s0, graph.s1) for graph, _ in out})
-        assert (found, maps, N, calls) == expected
-        assert calls == found + (N - 1) * maps
-        assert calls <= found + 2 * N * maps
+        assert (found, maps, N, full, bounded) == expected
+        assert full + bounded == found + (N - 1) * maps
+        assert full < before
 
 
 @pytest.mark.parametrize("n,degrees,count", PAIRING_COUNTS)
 def test_bytes_keys_equal_the_oracle_pairs_from_every_root(n, degrees, count):
-    """The key from every root of every n-face pairing is the oracle's
-    relabelled pair `(s0', s1')` as bytes, with the same dart map."""
-    degrees = sorted(degrees, reverse=True)
-    s0 = _block_rotation(degrees)
-    pairings = []
-    _search_pairings(degrees, n, pairings.append)
+    """The key from every root of every one of the oracle's n-face
+    pairings is the oracle's relabelled pair `(s0', s1')` as bytes, with
+    the same dart map."""
+    s0, pairings = oracle_n_face_pairings(n, tuple(sorted(degrees, reverse=True)))
     assert len(pairings) == count
     for s1 in pairings:
         for root in range(len(s0)):
