@@ -19,7 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ribbonvol.exact import mat_det, RationalFunction
+from ribbonvol.exact import RationalFunction, SingularMatrixError, solve_sqrt5
 from ribbonvol.multicurve import (
     InvalidMulticurve,
     Multicurve,
@@ -139,11 +139,11 @@ def find_chart(graph, dim=4, pool_cap=40):
     for combo in itertools.combinations(range(len(pool)), dim):
         curves = tuple(pool[i] for i in combo)
         try:
-            X = intersection_matrix(graph, curves)
-        except UnresolvableCrossing:
+            # no right-hand side: only whether X is invertible is asked
+            solve_sqrt5(intersection_matrix(graph, curves), [[]] * dim)
+        except (UnresolvableCrossing, SingularMatrixError):
             continue
-        if mat_det(X) != 0:
-            return CellChart(graph, curves)
+        return CellChart(graph, curves)
     raise RuntimeError(f"no invertible chart found for {graph.describe()}")
 
 

@@ -34,7 +34,7 @@ stdout or --out, then every stderr line once.  Any write error on the
 payload, such as a pipe closed by its reader, a full device or a closed
 stdout, exits 2 with an error line; a stderr that cannot be written loses
 its line, not the exit code.  Only the 256 half-edge error of `enumerate`
-is a payload, one JSON line on stdout.
+is a payload, one JSON line; any other exception of a handler propagates.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .exact import Poly
 from .hypgeom import (IdealPolygonChord, chords_cross, crossing_cos, crossing_cos_error,
                       crossing_cos_exact)
 from .kformula import _cell_form, verify_form_identities, verify_kcf
-from .ribbon import _MAX_DARTS, enumerate_graphs, enumerate_trivalent
+from .ribbon import _MAX_DARTS, InvalidRibbonGraph, enumerate_graphs, enumerate_trivalent
 from .volumes import kontsevich_volume, psi_numbers, is_stable
 from .wittencycle import witten12_report
 
@@ -310,7 +310,12 @@ def _enumerate_csv(classes):
 
 
 def cmd_enumerate(args) -> tuple:
-    classes = enumerate_graphs(args.g, args.n, args.degrees)
+    try:
+        classes = enumerate_graphs(args.g, args.n, args.degrees)
+    except InvalidRibbonGraph:
+        raise  # a fault of enumeration, not of the input
+    except ValueError as exc:  # more than 256 half-edges
+        return json.dumps({"v": 1, "error": str(exc)}) + "\n", USAGE_ERROR
     if args.format == "csv":
         return _enumerate_csv(classes), 0
     head = {
@@ -570,8 +575,6 @@ def main(argv=None) -> int:
     except _Refused as exc:
         message, code = exc.args
         errors.write(f"error: {message}\n")
-    except ValueError as exc:
-        payload, code = json.dumps({"v": 1, "error": str(exc)}) + "\n", USAGE_ERROR
     try:
         if payload != "":  # a refusal or usage error needs no stdout and opens no --out
             with (open(out, "w", encoding="utf-8") if out is not None

@@ -242,19 +242,21 @@ def _factor_order(n: int):
     return [(i,) for i in range(n)] + list(itertools.combinations(range(n), 2))
 
 
-def _labelled_exponents(s0, s1, n: int):
-    """(labels, exponent vector) for each of the n! face labellings of the
-    map (s0, s1) with n faces.
+def _labelled_exponents(s0, s1):
+    """The exponent vector of each of the n! face labellings of the map
+    (s0, s1) with n faces, in the order of `itertools.permutations(range(n))`.
 
-    `labels[i]` is the 0-based label of the i-th face cycle (ordered by
-    minimal dart, as `RibbonGraph.face_labels` lists them, less one).  The
-    vector is the denominator of that labelled graph's term over
+    A labelling `labels` gives the i-th face cycle (ordered by minimal dart,
+    as `RibbonGraph.face_labels` lists them) the 0-based label `labels[i]`.
+    The vector is the denominator of that labelled graph's term over
     `_factor_order(n)`: an edge whose sides lie on faces labelled a != b
     gives s_a + s_b, and an edge with both sides on face a gives 2 s_a,
     whose 1/2 the caller takes from the first n entries.
     """
+    faces = face_cycles(s0, s1)
+    n = len(faces)
     face_of = [0] * len(s0)
-    for i, cyc in enumerate(face_cycles(s0, s1)):
+    for i, cyc in enumerate(faces):
         for d in cyc:
             face_of[d] = i
     sides = Counter((face_of[d], face_of[s1[d]]) for d in range(len(s0)) if d < s1[d])
@@ -267,7 +269,7 @@ def _labelled_exponents(s0, s1, n: int):
         exps = [0] * len(factors)
         for (a, b), m in sides.items():
             exps[index[labels[a]][labels[b]]] += m
-        yield labels, tuple(exps)
+        yield tuple(exps)
 
 
 def _map_groups(g: int, n: int):
@@ -291,7 +293,7 @@ def _map_groups(g: int, n: int):
     for (s0, s1), orders in _unlabelled_maps([3] * (4 * g - 4 + 2 * n), n):
         classes += factorial(n) // len(_distinct_orders(orders))
         aut = len(orders)
-        counts = Counter(exps for _, exps in _labelled_exponents(s0, s1, n))
+        counts = Counter(_labelled_exponents(s0, s1))
         for exps, count in counts.items():
             c = Fraction(pref * count, aut * 2 ** sum(exps[:n]))
             groups[exps] = groups.get(exps, 0) + c

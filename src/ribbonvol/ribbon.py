@@ -311,7 +311,7 @@ class RibbonGraph:
         """
         first = {0: _bfs_relabel(self.s0, self.s1, 0)}
         pair, orders = _rooted(self.s0, self.s1, self.faces, first)
-        return pair + (_least_image(self.face_labels, orders)[0],)
+        return pair + (_least_image(self.face_labels, orders),)
 
     # -- serialisation ------------------------------------------------------------
 
@@ -517,16 +517,13 @@ def _rooted(s0, s1, faces, relabels):
 
 def _least_image(labels, orders):
     """The least of the face labellings `labels` listed in each of the face
-    orders `orders`, and the number of orders that give it.
+    orders `orders`.
 
     The labelled encoding from a root that reaches the canonical pair lists
     the labels in that root's face order, and every other root loses
-    already on the pair; so the least image is the canonical labelling and
-    its count is the labelled |Aut|.
+    already on the pair; so the least image is the canonical labelling.
     """
-    images = [tuple(labels[i] for i in order) for order in orders]
-    least = min(images)
-    return least, images.count(least)
+    return min(tuple(labels[i] for i in order) for order in orders)
 
 
 def _distinct_orders(orders):

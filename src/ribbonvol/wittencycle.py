@@ -117,7 +117,7 @@ def _surd_matrix(A, B, den):
 
 
 def form_on_kernel_basis(chart: CellChart, X=None):
-    """(V, G, volfactor): kernel basis of A, the Gram matrix of Omega on it,
+    """(G, volfactor): the Gram matrix of Omega on the kernel basis V of A,
     and the basis-to-Lebesgue conversion factor.  `X` is the chart's
     `intersection_matrix()` when the caller has it (default: built here).
 
@@ -129,9 +129,7 @@ def form_on_kernel_basis(chart: CellChart, X=None):
     so no E x E form is built: with X^{-1} Y = (Za + Zb sqrt(5)) / det from
     `solve_sqrt5`, G = -(Y^T Za + Y^T Zb sqrt(5)) / (d^2 det) in integers.
     """
-    A = chart.graph.face_edge_matrix()
-    W, d, volfactor = kernel_normalization(A)
-    V = [[Fraction(x, d) for x in w] for w in W]
+    W, d, volfactor = kernel_normalization(chart.graph.face_edge_matrix())
     D = [c.edge_counts(chart.graph) for c in chart.curves]
     Y = [[sum(a * b for a, b in zip(row, w)) for w in W] for row in D]
     try:
@@ -139,14 +137,14 @@ def form_on_kernel_basis(chart: CellChart, X=None):
     except SingularMatrixError as exc:
         raise ChartError("chart is degenerate: X is singular") from exc
     Yt = transpose(Y)
-    return V, _surd_matrix(mat_mul(Yt, Za), mat_mul(Yt, Zb), -d * d * det), volfactor
+    return _surd_matrix(mat_mul(Yt, Za), mat_mul(Yt, Zb), -d * d * det), volfactor
 
 
 def cell_volume_laplace(chart: CellChart, X=None) -> RationalFunction:
     """Laplace transform of the integral of the top power of Omega over the
     cell: (constant density) x (per-edge orthant product).  `X` is as for
     `form_on_kernel_basis`."""
-    V, G, volfactor = form_on_kernel_basis(chart, X)
+    G, volfactor = form_on_kernel_basis(chart, X)
     pf = pfaffian(G)
     if isinstance(pf, Surd):
         if not pf.is_rational:
@@ -159,21 +157,24 @@ def cell_volume_laplace(chart: CellChart, X=None) -> RationalFunction:
     return base * density
 
 
-def witten_cycle_intersections(charts, codim_pairs: int) -> dict:
+def witten_cycle_intersections(charts) -> dict:
     """Intersection numbers of a combinatorial cycle from its cell charts.
 
-    `charts` carries one (chart, aut_order) per top cell of the cycle;
-    `codim_pairs` is d in codimension 2d.  The Laplace total satisfies
+    `charts` carries one (chart, aut_order) per top cell of the cycle, all of
+    one (g, n, E), else ChartError; a cell has dimension E - n = 2d'.  The
+    Laplace total satisfies
 
       sum_a <W psi^a> prod (2a_k - 1)!! / s_k^{2a_k+1} = 2^{d'} * total,
 
-    with d' = 3g - 3 + n - d, which is solved for the numbers <W psi^a>.
-    Each chart's intersection matrix X is built once and returned, in the
-    order of `charts`, as "matrices".
+    which is solved for the numbers <W psi^a>; W has codimension
+    2(3g - 3 + n - d').  Each chart's intersection matrix X is built once
+    and returned, in the order of `charts`, as "matrices".
     """
-    first = charts[0][0].graph
-    g, n = first.genus, first.num_faces
-    dprime = 3 * g - 3 + n - codim_pairs
+    types = {(c.graph.genus, c.graph.num_faces, c.graph.num_edges) for c, _ in charts}
+    if len(types) != 1:
+        raise ChartError(f"the cells disagree on (g, n, E): {sorted(types)}")
+    [(_, n, E)] = types
+    dprime = (E - n) // 2
     svars = tuple(f"s{i}" for i in range(1, n + 1))
     matrices = [chart.intersection_matrix() for chart, _ in charts]
     terms = [cell_volume_laplace(chart, X) * Fraction(1, aut)
@@ -203,9 +204,6 @@ def witten_cycle_intersections(charts, codim_pairs: int) -> dict:
             dd *= double_factorial(2 * a - 1)
         values[alpha] = scaled.scalar * c / dd
     return {
-        "g": g,
-        "n": n,
-        "codim_pairs": codim_pairs,
         "totals": total,
         "terms": terms,
         "matrices": matrices,
@@ -230,21 +228,17 @@ def example5_charts():
     curve system with the reference crossing matrix.
     """
     payload = _charts_payload()
-    enumerated = enumerate_graphs(1, 2, [5, 3])
-    canon = {g.canonical_form(): (g, a) for g, a in enumerated}
+    # enumeration lists each class as its canonical form; only |Aut| is kept
+    auts = {(g.s0, g.s1, g.face_labels): a for g, a in enumerate_graphs(1, 2, [5, 3])}
     out = []
-    keys = set()
     for entry in payload["charts"]:
         chart = CellChart.from_json(entry)
         key = chart.graph.canonical_form()
-        if key not in canon:
-            raise ChartError("packaged chart graph is not a (5,3) cell of type (1,2)")
-        keys.add(key)
-        out.append((chart, canon[key][1]))
-    if len(out) != len(enumerated):
-        raise ChartError(f"expected {len(enumerated)} charts, found {len(out)}")
-    if len(keys) != len(out):
-        raise ChartError("duplicate chart for the same cell")
+        if key not in auts:
+            raise ChartError("packaged chart graph is a duplicate or not a (5,3) cell")
+        out.append((chart, auts.pop(key)))
+    if auts:
+        raise ChartError(f"{len(auts)} of the (5,3) cells have no packaged chart")
     return out, payload["lead_index"]
 
 
@@ -253,7 +247,7 @@ def witten12_report() -> dict:
     chart's X^{-1} is one `solve_sqrt5` of [X | I], in integers, on the X
     the cycle computation built."""
     charts, lead_index = example5_charts()
-    result = witten_cycle_intersections(charts, codim_pairs=1)
+    result = witten_cycle_intersections(charts)
     lead = charts[lead_index][0]
     X = result["matrices"][lead_index]
     Xinv = _surd_matrix(*solve_sqrt5(X, identity(len(X))))

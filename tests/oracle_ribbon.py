@@ -5,8 +5,7 @@ consecutive slot blocks), iterates over every fixed-point-free involution
 s1 and every face labelling, and partitions the survivors into orbits of
 the full relabelling group by explicit conjugation.  Nothing here is shared
 with the package's enumeration path beyond elementary permutation algebra
-(`face_cycles`), `RibbonGraph` as a container, and `_least_image` in
-`orbit_labelled_classes`.
+(`face_cycles`) and `RibbonGraph` as a container.
 
 `orbit_labelled_classes` keeps the enumeration's earlier labelling step,
 the least image of every one of the n! labellings under every face order,
@@ -28,11 +27,7 @@ canonical pair per n-face pairing.
 import itertools
 from math import factorial
 
-from ribbonvol.ribbon import (
-    RibbonGraph,
-    _least_image,
-    face_cycles,
-)
+from ribbonvol.ribbon import RibbonGraph, face_cycles
 
 
 def perm_cycles(p):
@@ -364,5 +359,9 @@ def orbit_labelled_classes(orders, n):
     {canonical labelling: labelled |Aut|}: the least image, and its count,
     of each of the n! labellings over every order, n! x len(orders) tuples.
     """
-    return dict(_least_image(labels, orders)
-                for labels in itertools.permutations(range(1, n + 1)))
+    classes = {}
+    for labels in itertools.permutations(range(1, n + 1)):
+        images = [tuple(labels[i] for i in order) for order in orders]
+        least = min(images)
+        classes[least] = images.count(least)
+    return classes

@@ -29,6 +29,7 @@ from ribbonvol.hypgeom import (
 from ribbonvol.kformula import (
     EPSILON,
     _cell_form,
+    kernel_normalization,
     kontsevich_form,
     verify_form_identities,
     verify_kcf,
@@ -193,7 +194,9 @@ def test_criterion_6_example_cycle(capsys):
     _, mu3 = limit_length_reduced(lead.graph, lead.curves[2])
     e2 = next(e for e, m in enumerate(mu2) if m)
     e3 = next(e for e, m in enumerate(mu3) if m)
-    V, G, _ = form_on_kernel_basis(lead)
+    G, _ = form_on_kernel_basis(lead)
+    W, d, _ = kernel_normalization(lead.graph.face_edge_matrix())
+    V = [[Fraction(x, d) for x in w] for w in W]
     for i, u in enumerate(V):
         for j, v in enumerate(V):
             ok &= G[i][j] == Surd(u[e2] * v[e3] - u[e3] * v[e2])
@@ -216,7 +219,7 @@ def test_criterion_6_example_cycle(capsys):
     ok &= sorted(cell_volume_laplace(c).canonical_key() for c, _ in charts) == expected_terms
     ok &= cell_volume_laplace(lead) == rf(Fraction(1, 2), [(0, 1), (0, 1), (1,), (1,)])
 
-    result = witten_cycle_intersections(charts, codim_pairs=1)
+    result = witten_cycle_intersections(charts)
     total_ref = rf(Fraction(1, 2), [(0,), (1,), (1,), (1,)]) + \
         rf(Fraction(1, 2), [(0,), (0,), (0,), (1,)])
     ok &= result["totals"] == total_ref

@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import ribbonvol.cli as cli_module
+from enumerate_cases import ORACLE_CASES
 from oracle_cli import (oracle_enumerate_text, oracle_identities_payload, oracle_json_text,
                         oracle_parser)
 from ribbonvol.cli import build_parser, cmd_angle, main
 from ribbonvol.hypgeom import IdealPolygonChord, chords_cross, crossing_cos
-from ribbonvol.ribbon import RibbonGraph, enumerate_graphs
+from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph, enumerate_graphs
+from ribbonvol.wittencycle import ChartError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -193,15 +195,6 @@ def test_formula_output_is_byte_identical(run, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# the six types of the benchmark's enumerate workload, a larger type, an
-# empty result and a one-class result
-ORACLE_CASES = [
-    (2, 1, "3,3,3,3,3,3"), (2, 1, "4,3,3,3,3"), (1, 3, "3,3,3,3,3,3"),
-    (0, 5, "4,4,4"), (0, 5, "5,5"), (1, 2, "5,3"),
-    (1, 3, "4,3,3,3,3"), (0, 1, "3"), (1, 1, "3,3"),
-]
-
-
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("g,n,degrees", ORACLE_CASES)
 def test_enumerate_matches_the_row_dict_oracle(tmp_path, run, g, n, degrees, fmt):
@@ -261,6 +254,36 @@ def test_enumerate_refuses_more_than_256_half_edges_up_front(run, monkeypatch):
     assert code == 2
     assert json.loads(out) == {
         "v": 1, "error": "enumeration is limited to 256 half-edges, got 258"}
+
+
+def test_enumerate_refusal_is_its_payload(tmp_path, capsys):
+    """The 256 half-edge error line is the command's payload, so --out
+    takes it as it takes any payload."""
+    dest = tmp_path / "classes.json"
+    code = main(["enumerate", "--g", "0", "--n", "130", "--degrees", "258", "--out", str(dest)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "")
+    assert dest.read_text() == (
+        '{"v": 1, "error": "enumeration is limited to 256 half-edges, got 258"}\n')
+
+
+def test_handler_faults_are_not_usage_errors(monkeypatch):
+    """A fault inside a handler propagates out of `main`: a ChartError from
+    the packaged charts, an InvalidRibbonGraph from enumeration."""
+    import ribbonvol.wittencycle as wittencycle
+
+    def broken_charts():
+        raise ChartError("broken chart")
+
+    def broken_class(g, n, degrees):
+        raise InvalidRibbonGraph("broken class")
+
+    monkeypatch.setattr(wittencycle, "example5_charts", broken_charts)
+    with pytest.raises(ChartError, match="broken chart"):
+        main(["witten12"])
+    monkeypatch.setattr(cli_module, "enumerate_graphs", broken_class)
+    with pytest.raises(InvalidRibbonGraph, match="broken class"):
+        main(["enumerate", "--g", "1", "--n", "2", "--degrees", "5,3"])
 
 
 # every JSON command's bytes are exactly `json.dumps(indent=1)` of what they

@@ -361,19 +361,20 @@ def test_orbit_count_equals_the_labelled_classes(g, n, degrees):
 
 @pytest.mark.parametrize("g,n", [(0, 4), (1, 2), (1, 3)])
 def test_each_labelling_gives_the_denominator_of_its_labelled_graph(g, n):
-    """labels[i] labels the i-th face cycle, as `RibbonGraph.face_labels`
+    """The k-th vector is that of the k-th of `itertools.permutations`,
+    labels[i] labelling the i-th face cycle as `RibbonGraph.face_labels`
     does: the exponent vector is that of the graph's own orthant term, and
     the term's scalar is 1/2 per edge with one face on both sides."""
     svars = tuple(f"s{i}" for i in range(1, n + 1))
+    labellings = list(itertools.permutations(range(n)))
     for (s0, s1), _ in trivalent_maps(g, n):
-        seen = set()
-        for labels, exps in _labelled_exponents(s0, s1, n):
-            seen.add(labels)
+        vectors = list(_labelled_exponents(s0, s1))
+        assert len(vectors) == len(labellings)
+        for labels, exps in zip(labellings, vectors):
             graph = RibbonGraph(s0, s1, [x + 1 for x in labels])
             term = orthant_exponential_integral(graph.face_edge_matrix(), svars)
             assert factor_groups([(graph, 1, term)], n) == [(exps, term.scalar)]
             assert term.scalar == Fraction(1, 2 ** sum(exps[:n]))
-        assert len(seen) == len(list(itertools.permutations(range(n))))
 
 
 def test_a_wrong_map_automorphism_count_is_detected(monkeypatch):

@@ -200,8 +200,9 @@ def test_mat_det_equals_forward_elimination_and_bareiss(seed):
 
 def test_mat_det_over_surds_equals_forward_elimination():
     """The crossing matrices X of the eight packaged (1,2) charts (the lead
-    chart's is the reference X_REF of `test_wittencycle`), whose nonzero
-    determinant `build_charts.py` asks for, and a singular Surd matrix."""
+    chart's is the reference X_REF of `test_wittencycle`), each invertible
+    (`build_charts.py` asks `solve_sqrt5` for that), and a singular Surd
+    matrix."""
     from ribbonvol.wittencycle import example5_charts
 
     charts, _ = example5_charts()

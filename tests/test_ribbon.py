@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 import oracle_ribbon as oracle
-from test_cli import ORACLE_CASES
+from enumerate_cases import ORACLE_CASES
 import ribbonvol.ribbon as ribbon
 from ribbonvol.exact import mat_rank, transpose
 from ribbonvol.ribbon import (
@@ -503,6 +503,14 @@ def test_json_roundtrip_and_version_check():
 SHARED_CLASS_TYPES = [(g, n, [int(d) for d in degrees.split(",")])
                       for g, n, degrees in ORACLE_CASES] + [
     (0, 4, [3] * 4), (1, 3, [3] * 6), (2, 2, [3] * 8)]
+
+
+@pytest.mark.parametrize("g,n,degrees", ORACLE_CASES)
+def test_enumerated_classes_are_their_canonical_forms(g, n, degrees):
+    """Each class comes as its own canonical form, (1,2) 5,3 among them,
+    whose cells `example5_charts` keys by their fields."""
+    for graph, _ in enumerate_graphs(g, n, [int(d) for d in degrees.split(",")]):
+        assert graph.canonical_form() == (graph.s0, graph.s1, graph.face_labels)
 
 
 @pytest.mark.parametrize("g,n,degrees", SHARED_CLASS_TYPES)

@@ -28,6 +28,7 @@ from ribbonvol.multicurve import (
     limit_length_reduced,
 )
 from ribbonvol.ribbon import enumerate_trivalent
+from ribbonvol.volumes import psi_numbers
 from ribbonvol.wittencycle import (
     CellChart,
     ChartError,
@@ -73,6 +74,13 @@ def charts():
 def lead(charts):
     cs, lead_index = charts
     return cs[lead_index][0]
+
+
+def kernel_basis_of(chart):
+    """The basis V = W / d of ker A that `form_on_kernel_basis` restricts
+    the form to, from `kernel_normalization`."""
+    W, d, _ = kernel_normalization(chart.graph.face_edge_matrix())
+    return [[Fraction(x, d) for x in w] for w in W]
 
 
 def test_eight_cells_with_trivial_automorphisms(charts):
@@ -125,7 +133,8 @@ def test_lead_reduced_form_is_single_wedge(lead):
     _, mu3 = limit_length_reduced(g, lead.curves[2])
     e2 = next(e for e, m in enumerate(mu2) if m)
     e3 = next(e for e, m in enumerate(mu3) if m)
-    V, G, volfactor = form_on_kernel_basis(lead)
+    G, _ = form_on_kernel_basis(lead)
+    V = kernel_basis_of(lead)
     for i, u in enumerate(V):
         for j, v in enumerate(V):
             wedge = u[e2] * v[e3] - u[e3] * v[e2]
@@ -155,7 +164,7 @@ def test_all_eight_terms_multiset(charts):
 
 def test_cycle_total_and_intersections(charts):
     cs, _ = charts
-    result = witten_cycle_intersections(cs, codim_pairs=1)
+    result = witten_cycle_intersections(cs)
     target = rf(Fraction(1, 2), [(0,), (1,), (1,), (1,)]) + \
         rf(Fraction(1, 2), [(0,), (0,), (0,), (1,)])
     assert result["totals"] == target
@@ -164,7 +173,7 @@ def test_cycle_total_and_intersections(charts):
 
 def test_total_is_label_symmetric(charts):
     cs, _ = charts
-    result = witten_cycle_intersections(cs, codim_pairs=1)
+    result = witten_cycle_intersections(cs)
     total = result["totals"].reduced()
     num = total.num.with_vars(("s1", "s2"))
     swapped = RationalFunction(
@@ -173,6 +182,41 @@ def test_total_is_label_symmetric(charts):
         {tuple(sorted(1 - i for i in f)) if len(f) == 1 else f: m
          for f, m in total.den.items()})
     assert total == swapped
+
+
+def test_cells_that_differ_in_edge_count_are_refused(charts):
+    """Canary: d' is read off the cells, so a cell of another dimension, a
+    trivalent (1,2) cell with 6 edges among the 4-edge (5,3) cells, is
+    refused rather than summed."""
+    cs, _ = charts
+    trivalent = _trivalent_standard_chart(enumerate_trivalent(1, 2)[0][0])
+    with pytest.raises(ChartError, match=r"disagree on \(g, n, E\)"):
+        witten_cycle_intersections(cs + [(trivalent, 1)])
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (0, 4), (1, 2)])
+def test_trivalent_cells_give_d_prime_of_the_top_dimension(g, n):
+    """On the trivalent cells d' = (E - n)/2 = 3g - 3 + n, codimension 0:
+    their total is the psi side (see the cell volumes below), so the
+    numbers are 2^{d'} times the psi numbers."""
+    charts = [(_trivalent_standard_chart(graph), aut)
+              for graph, aut in enumerate_trivalent(g, n)]
+    scale = 2 ** (3 * g - 3 + n)
+    assert witten_cycle_intersections(charts)["intersections"] == {
+        alpha: scale * value for alpha, value in psi_numbers(g, n).items() if value}
+
+
+def test_packaged_charts_must_cover_each_cell_once(monkeypatch):
+    """A chart repeated in place of another, or left out, is refused."""
+    import ribbonvol.wittencycle as wc
+
+    payload = wc._charts_payload()
+    first, *rest = payload["charts"]
+    for charts, message in [([first, first] + rest[1:], "is a duplicate"),
+                            (rest, "1 of the \\(5,3\\) cells have no packaged chart")]:
+        monkeypatch.setattr(wc, "_charts_payload", lambda: {**payload, "charts": charts})
+        with pytest.raises(ChartError, match=message):
+            example5_charts()
 
 
 def test_report_shape():
@@ -273,7 +317,8 @@ def test_trivalent_charts_match_quarter_K_form(g, n):
         if 6 * g - 6 + 2 * n == 0:
             continue
         chart = _trivalent_standard_chart(graph)
-        V, G, volfactor = form_on_kernel_basis(chart)
+        G, _ = form_on_kernel_basis(chart)
+        V = kernel_basis_of(chart)
         K = kontsevich_form(graph)
         Kq = [[Fraction(x, 4) for x in row] for row in K]
         GK = restrict_form(Kq, V)
@@ -299,11 +344,10 @@ def test_trivalent_cell_volumes_give_graph_sum_weights(g, n):
 def _assert_form_matches_full_form(chart):
     """`form_on_kernel_basis` against the reference route: the full E x E
     form of `asymptotic_form`, restricted to V by `restrict_form`."""
-    V, G, volfactor = form_on_kernel_basis(chart)
+    G, volfactor = form_on_kernel_basis(chart)
     assert all(type(x) is Surd for row in G for x in row)
-    assert G == restrict_form(asymptotic_form(chart), V)
-    W, d, vf = kernel_normalization(chart.graph.face_edge_matrix())
-    assert V == [[Fraction(x, d) for x in w] for w in W] and volfactor == vf
+    assert G == restrict_form(asymptotic_form(chart), kernel_basis_of(chart))
+    assert volfactor == kernel_normalization(chart.graph.face_edge_matrix())[2]
 
 
 def test_form_on_kernel_basis_matches_full_form_on_packaged_charts(charts):
@@ -428,5 +472,5 @@ def test_witten12_builds_each_chart_x_once(monkeypatch, charts):
     assert len(built) == len(cs) == 8
     assert report["lead_X"] == [[x.to_json() for x in row] for row in built[lead_index]]
     monkeypatch.undo()
-    result = witten_cycle_intersections(cs, codim_pairs=1)
+    result = witten_cycle_intersections(cs)
     assert result["matrices"] == [chart.intersection_matrix() for chart, _ in cs]
