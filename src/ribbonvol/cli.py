@@ -10,9 +10,11 @@ JSON is written with the bytes of `json.dumps(payload, indent=1)` by one
 small writer, `_json_chunks`, which streams a dict item by item and a list
 element by element, each element built as one string; the stdlib encoder,
 pure Python when given an indent, is left to the tests as its oracle.
-`enumerate` streams its classes from a row template filled once per map and
-then once per class, its head and int lists from the same writer, with the
-same bytes as `json.dumps(indent=1)` of the whole payload.
+`enumerate` reads the maps of `enumerate_maps` one by one and streams each
+map's classes from a row template filled once per map and then once per
+class, with no graph built per class; its head and int lists come from the
+same writer, with the same bytes as `json.dumps(indent=1)` of the whole
+payload.  `identities` checks each map once and lists its classes.
 
 The grammar is one table, `_COMMANDS`, read two ways.  `main` first tries
 `_recognize`, which takes only a subcommand followed by its exact long
@@ -55,7 +57,7 @@ from .exact import Poly
 from .hypgeom import (IdealPolygonChord, chords_cross, crossing_cos, crossing_cos_error,
                       crossing_cos_exact)
 from .kformula import _cell_form, verify_form_identities, verify_kcf
-from .ribbon import _MAX_DARTS, InvalidRibbonGraph, enumerate_graphs, enumerate_trivalent
+from .ribbon import _MAX_DARTS, InvalidRibbonGraph, enumerate_maps
 from .volumes import kontsevich_volume, psi_numbers, is_stable
 from .wittencycle import witten12_report
 
@@ -263,70 +265,58 @@ _CLASS_ROW = """%%s  {
   }"""
 
 
-def _map_runs(classes):
-    """The (graph, aut) pairs of `enumerate_graphs`, one list per map.
-
-    The classes of one map come consecutively and differ only in their face
-    labels, so a map's run ends where the (s0, s1) pair changes.
-    """
-    for _, run in itertools.groupby(classes, key=lambda c: (c[0].s0, c[0].s1)):
-        yield list(run)
-
-
-def _enumerate_json(head: dict, classes):
+def _enumerate_json(head: dict, maps):
     """The `enumerate` payload `head` with `"classes"` filled from the
-    (graph, aut) pairs, streamed one class per chunk; half_edges, s0, s1,
-    genus and faces are formatted once per map, and each distinct tuple of
-    face labels once per payload, since the classes of every map draw their
-    labels from the same n! permutations."""
+    (graph, classes) pairs of `enumerate_maps`, streamed one class per
+    chunk; half_edges, s0, s1, genus and faces are formatted once per map,
+    and each distinct tuple of face labels once per payload, since the
+    classes of every map draw their labels from the same n! permutations."""
     labels_text = functools.cache(_int_list)
     text = _json_text({**head, "classes": []}, "")
-    if not classes:
+    if not head["count"]:
         yield text + "\n"
         return
     sep = text[:-len("[]\n}")] + "[\n"
-    for run in _map_runs(classes):
-        first = run[0][0]
-        row = _CLASS_ROW % (len(first.s0), _int_list(first.s0), _int_list(first.s1),
-                            first.genus, first.num_faces)
-        for graph, aut in run:
-            yield row % (sep, labels_text(graph.face_labels), aut)
+    for graph, classes in maps:
+        row = _CLASS_ROW % (len(graph.s0), _int_list(graph.s0), _int_list(graph.s1),
+                            graph.genus, graph.num_faces)
+        for labels, aut in classes:
+            yield row % (sep, labels_text(labels), aut)
             sep = ",\n"
     yield "\n ]\n}\n"
 
 
-def _enumerate_csv(classes):
+def _enumerate_csv(maps):
     """The `enumerate` CSV, with the map's columns formatted once per map
     and each distinct tuple of face labels once."""
     labels_text = functools.cache(lambda labels: " ".join(map(str, labels)))
     yield "index,aut,half_edges,s0,s1,face_labels\n"
     index = itertools.count()
-    for run in _map_runs(classes):
-        first = run[0][0]
+    for graph, classes in maps:
         row = "%%d,%%d,%d,%s,%s,%%s\n" % (
-            len(first.s0), " ".join(map(str, first.s0)), " ".join(map(str, first.s1)))
-        for graph, aut in run:
-            yield row % (next(index), aut, labels_text(graph.face_labels))
+            len(graph.s0), " ".join(map(str, graph.s0)), " ".join(map(str, graph.s1)))
+        for labels, aut in classes:
+            yield row % (next(index), aut, labels_text(labels))
 
 
 def cmd_enumerate(args) -> tuple:
     try:
-        classes = enumerate_graphs(args.g, args.n, args.degrees)
+        count, maps = enumerate_maps(args.g, args.n, args.degrees)
     except InvalidRibbonGraph:
         raise  # a fault of enumeration, not of the input
     except ValueError as exc:  # more than 256 half-edges
         return json.dumps({"v": 1, "error": str(exc)}) + "\n", USAGE_ERROR
     if args.format == "csv":
-        return _enumerate_csv(classes), 0
+        return _enumerate_csv(maps), 0
     head = {
         "v": 1,
         "command": "enumerate",
         "g": args.g,
         "n": args.n,
         "degrees": sorted(args.degrees, reverse=True),
-        "count": len(classes),
+        "count": count,
     }
-    return _enumerate_json(head, classes), 0
+    return _enumerate_json(head, maps), 0
 
 
 def cmd_volume(args) -> tuple:
@@ -375,30 +365,31 @@ def cmd_verify_kcf(args) -> tuple:
 def cmd_identities(args) -> tuple:
     _check_stable(args.g, args.n)
     _check_half_edges(args.g, args.n)
-    graphs = enumerate_trivalent(args.g, args.n)
+    count, maps = enumerate_maps(args.g, args.n, [3] * (4 * args.g - 4 + 2 * args.n))
     expected_density = Fraction(2) ** (1 - args.g)
     out = []
     all_ok = True
     # The checks and the density read only K, B, ker A and G, which the face
     # labels do not change (they permute the rows of A), so each map's cell
-    # form is built and checked once.
-    for run in _map_runs(graphs):
-        first = run[0][0]
-        form = _cell_form(first)
-        rep = verify_form_identities(first, form)
+    # form is built and checked once, and each class's graph is the map's
+    # with its own face labels.
+    for graph, classes in maps:
+        form = _cell_form(graph)
+        rep = verify_form_identities(graph, form)
         rho = form.density()
         ok = rep["ok"] and rho == expected_density
         all_ok &= ok
-        for graph, aut in run:
-            out.append({"graph": graph.to_json(), "aut": aut, "checks": rep["checks"],
-                        "density": str(rho), "ok": ok})
+        fields = graph.to_json()
+        out += [{"graph": {**fields, "face_labels": list(labels)}, "aut": aut,
+                 "checks": rep["checks"], "density": str(rho), "ok": ok}
+                for labels, aut in classes]
     payload = {
         "v": 1,
         "command": "identities",
         "g": args.g,
         "n": args.n,
         "expected_density": str(expected_density),
-        "graphs": len(graphs),
+        "graphs": count,
         "ok": all_ok,
         "reports": out,
     }

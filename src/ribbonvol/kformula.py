@@ -14,7 +14,7 @@ import itertools
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import lcm, prod
 
 from .exact import (
     SingularMatrixError,
@@ -29,7 +29,7 @@ from .exact import (
 from .ribbon import (
     RibbonGraph,
     UnsupportedGraph,
-    _distinct_orders,
+    _class_count,
     _unlabelled_maps,
     enumerate_trivalent,
     face_cycles,
@@ -282,16 +282,16 @@ def _map_groups(g: int, n: int):
     the labellings in the orbit of L number |Aut U| / |Aut L|.  |Aut U| is
     the number of face orders `_unlabelled_maps` gives, and each labelling
     contributes 2^(2g-2+n) / (|Aut U| 2^m), m its edges with one face on
-    both sides.  The distinct face orders (`_distinct_orders`) form a
-    coset of the image H of Aut U in S_n, which acts freely on the n!
-    labellings, so the map has n! / |H| labelled classes.  Returns
+    both sides.  The distinct face orders form a coset of the image H of
+    Aut U in S_n, which acts freely on the n! labellings, so the map has
+    n! / |H| labelled classes (`_class_count`).  Returns
     ({exponent vector: Fraction}, class count).
     """
     pref = 2 ** (2 * g - 2 + n)
     groups = {}
     classes = 0
     for (s0, s1), orders in _unlabelled_maps([3] * (4 * g - 4 + 2 * n), n):
-        classes += factorial(n) // len(_distinct_orders(orders))
+        classes += _class_count(orders, n)
         aut = len(orders)
         counts = Counter(_labelled_exponents(s0, s1))
         for exps, count in counts.items():

@@ -23,14 +23,17 @@ Those roots of a new map are relabelled in full; every other root is
 relabelled once, its BFS abandoned as soon as it loses to the least key
 so far, and the least key is the map's canonical pair.  Its labelled
 classes are the orbits of its automorphism group on the face labellings,
-read off the coset of its distinct face orders; one `RibbonGraph` is
-validated per map and relabelled per class.
+read off the coset of its distinct face orders.  `enumerate_maps`
+validates one `RibbonGraph` per map and lists each map's classes only when
+its caller reaches the map; `enumerate_graphs` flattens them into one
+relabelled graph per class.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from math import factorial
 from operator import itemgetter
 
 __all__ = [
@@ -38,6 +41,7 @@ __all__ = [
     "InvalidRibbonGraph",
     "UnsupportedGraph",
     "enumerate_graphs",
+    "enumerate_maps",
     "enumerate_trivalent",
     "B_SIGN",
 ]
@@ -536,6 +540,12 @@ def _distinct_orders(orders):
     return set(map(tuple, orders))
 
 
+def _class_count(orders, n):
+    """The number of labelled classes of a map with n faces whose
+    automorphisms have the face orders `orders` (see `_labelled_classes`)."""
+    return factorial(n) // len(_distinct_orders(orders))
+
+
 def _labelled_classes(orders, n):
     """The labelled classes of a map with n faces whose automorphisms have
     the face orders `orders`: {canonical labelling: labelled |Aut|}.
@@ -605,51 +615,60 @@ def _unlabelled_maps(degrees, n):
     return maps
 
 
-def enumerate_graphs(g: int, n: int, degrees) -> list:
-    """All ribbon graphs of type (g, n) with the given vertex degree multiset.
-
-    Returns `[(graph, aut_order), ...]`, one canonical representative per
-    label-preserving isomorphism class, deterministically ordered.  An
-    inconsistent (g, n, degrees) combination yields the empty list.
+def enumerate_maps(g: int, n: int, degrees):
+    """The ribbon graphs of type (g, n) with the given vertex degree
+    multiset, map by map: `(count, maps)`.  `count` is the number of
+    labelled classes, n! / |H| summed over the maps (`_class_count`).
+    `maps` iterates over the unlabelled maps in canonical order, each as
+    `(graph, classes)`: its `RibbonGraph` with the face labels 1..n, its
+    least class, and its sorted `(labels, aut_order)` pairs.  Every graph is
+    built and validated before this returns; a map's classes
+    (`_labelled_classes`, read off the coset of its distinct face orders
+    with about 2 n! tuples) are listed only when the iterator reaches it.
+    An inconsistent (g, n, degrees) combination yields `(0, [])`.
 
     The pairing search emits only the pairings with n faces rooted at a
     top dart on a shortest top face, and `_unlabelled_maps` keeps one per
     unlabelled map: each pairing is relabelled once, from root 0, and each
     new map from its other 2E - 1 roots, in full from its top darts on
     shortest top faces, whose keys it keeps, and bounded by the least key
-    so far from the rest.  Its labelled classes are then the orbits of its
-    automorphism group on the n! face labellings (`_labelled_classes`),
-    read off the coset of its distinct face orders with about 2 n! tuples
-    per map.  One `RibbonGraph` is built, and validated, per map, from its
-    first class; every other class is that graph relabelled
-    (`RibbonGraph._relabelled`), which checks only the labels.
+    so far from the rest.
 
     More than 256 half-edges raise ValueError before the search starts:
     the search's keys store one dart number per byte.
     """
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(d < 3 for d in degrees):
-        return []
+        return 0, []
     if sum(degrees) % 2:
-        return []
+        return 0, []
     E = sum(degrees) // 2
     V = len(degrees)
     if V - E + n != 2 - 2 * g:
-        return []
+        return 0, []
 
     if 2 * E > _MAX_DARTS:
         raise ValueError(f"enumeration is limited to {_MAX_DARTS} half-edges, "
                          f"got {2 * E}")
 
     # n faces force genus g here since V and E are already fixed
-    out = []
-    for pair, orders in sorted(_unlabelled_maps(degrees, n)):
-        classes = _labelled_classes(orders, n)
-        first, *rest = sorted(classes)
-        graph = RibbonGraph(*pair, first)
-        out.append((graph, classes[first]))
-        out += [(graph._relabelled(labels), classes[labels]) for labels in rest]
-    return out
+    maps = sorted(_unlabelled_maps(degrees, n))
+    count = sum(_class_count(orders, n) for _, orders in maps)
+    # 1..n, the least labelling, is the least image in its orbit, so it is
+    # every map's least class
+    graphs = [(RibbonGraph(*pair, range(1, n + 1)), orders) for pair, orders in maps]
+    return count, ((graph, sorted(_labelled_classes(orders, n).items()))
+                   for graph, orders in graphs)
+
+
+def enumerate_graphs(g: int, n: int, degrees) -> list:
+    """All ribbon graphs of type (g, n) with the given vertex degree multiset:
+    `[(graph, aut_order), ...]`, one canonical representative per
+    label-preserving isomorphism class, the classes of `enumerate_maps` in
+    order, each its map's graph relabelled (`RibbonGraph._relabelled`)."""
+    return [(graph._relabelled(labels), aut)
+            for graph, classes in enumerate_maps(g, n, degrees)[1]
+            for labels, aut in classes]
 
 
 def enumerate_trivalent(g: int, n: int) -> list:

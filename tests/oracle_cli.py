@@ -4,11 +4,13 @@
 encoder the CLI's own indent=1 writer (`_json_chunks`, `_json_text`) must
 match byte for byte; the CLI itself never calls it.
 
-`oracle_enumerate_text` turns every class into a row dict and serialises
-the whole payload with `json.dumps(indent=1)`, or joins the CSV lines from
-those dicts.  The CLI writes the same bytes from a fixed row template,
-streamed class by class; this route shares only `enumerate_graphs` and
-`RibbonGraph.to_json` with it.
+`oracle_enumerate_text` turns every class of `enumerate_graphs`, one
+relabelled graph per class, into a row dict and serialises the whole
+payload with `json.dumps(indent=1)`, or joins the CSV lines from those
+dicts.  The CLI reads `enumerate_maps`, of which `enumerate_graphs` is the
+flattening, and writes the same bytes from a fixed row template, streamed
+class by class with no graph per class; the two routes share only the map
+search and the labelled classes of each map.
 
 `oracle_identities_payload` builds the cell form, the identity checks and
 the density once per labelled class.  The CLI builds them once per

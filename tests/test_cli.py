@@ -210,37 +210,88 @@ def test_enumerate_matches_the_row_dict_oracle(tmp_path, run, g, n, degrees, fmt
     assert dest.read_bytes() == out.encode()
 
 
-def _hand_built_classes():
-    """Two pairs of (0,4) classes the row cache must tell apart: two maps
-    sharing one s0 tuple object, with different s1, and two classes of one
-    map built from equal but distinct s0 and s1 tuples."""
+def _hand_built_maps():
+    """Two (0,4) inputs whose rows must come from each map's own graph: two
+    maps sharing one s0 tuple object, with different s1, and one map built
+    from equal but distinct s0 and s1 tuples, with two classes.  Each is
+    given as `enumerate_maps` returns it, `(count, maps)`."""
     by_s0 = {}
     for graph, aut in enumerate_graphs(0, 4, [3] * 4):
         by_s0.setdefault(graph.s0, {}).setdefault(graph.s1, (graph.face_labels, aut))
     s0, maps = next((s0, maps) for s0, maps in by_s0.items() if len(maps) == 2)
     (s1a, (labels_a, aut_a)), (s1b, (labels_b, aut_b)) = maps.items()
-    shared_s0 = [(RibbonGraph(s0, s1a, labels_a), aut_a),
-                 (RibbonGraph(s0, s1b, labels_b), aut_b)]
+    shared_s0 = [(RibbonGraph(s0, s1a, labels_a), [(labels_a, aut_a)]),
+                 (RibbonGraph(s0, s1b, labels_b), [(labels_b, aut_b)])]
     assert shared_s0[0][0].s0 is shared_s0[1][0].s0
-    one_map = [(RibbonGraph(tuple(list(s0)), tuple(list(s1a)), labels), aut_a)
-               for labels in (labels_a, labels_a[::-1])]
-    assert one_map[0][0].s1 is not one_map[1][0].s1
-    return shared_s0, one_map
+    copied = RibbonGraph(tuple(list(s0)), tuple(list(s1a)), labels_a)
+    assert copied.s0 is not s0 and copied.s1 is not s1a
+    one_map = [(copied, [(labels_a, aut_a), (labels_a[::-1], aut_a)])]
+    return (2, shared_s0), (2, one_map)
 
 
 @pytest.mark.parametrize("case", [0, 1])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_enumerate_rows_are_keyed_on_s0_and_s1(run, monkeypatch, fmt, case):
-    """The map's fields are formatted once per run of equal (s0, s1); a
-    change of s1 alone must start a new row, and equal tuples reuse it."""
+    """Each map's fields are formatted from its own graph: two maps that
+    share an s0 object and differ in s1 give two rows, and a map built from
+    equal but distinct tuples gives one row per class, as the oracle writes
+    the flattened classes."""
     import ribbonvol.cli as cli
 
-    classes = _hand_built_classes()[case]
-    monkeypatch.setattr(cli, "enumerate_graphs", lambda g, n, degrees: classes)
+    count, maps = _hand_built_maps()[case]
+    monkeypatch.setattr(cli, "enumerate_maps", lambda g, n, degrees: (count, iter(maps)))
     argv = ["enumerate", "--g", "0", "--n", "4", "--degrees", "3,3,3,3", "--format", fmt]
     code, out = run(*argv)
     assert code == 0
+    classes = [(RibbonGraph(graph.s0, graph.s1, labels), aut)
+               for graph, labels_aut in maps for labels, aut in labels_aut]
     assert out == oracle_enumerate_text(build_parser().parse_args(argv), classes)
+
+
+# the types of ENUMERATE_DIGESTS and ORACLE_CASES, each once
+ENUMERATE_TYPES = sorted({(int(argv[1]), int(argv[3]), argv[5]) for argv, _ in ENUMERATE_DIGESTS}
+                         | set(ORACLE_CASES))
+
+
+@pytest.mark.parametrize("g,n,degrees", ENUMERATE_TYPES)
+def test_enumerate_count_is_its_number_of_rows(run, g, n, degrees):
+    """The head's count, summed per map before any class is listed, is the
+    number of rows written and of classes `enumerate_graphs` lists."""
+    argv = ["enumerate", "--g", str(g), "--n", str(n), "--degrees", degrees]
+    (code, out), (csv_code, csv) = run(*argv), run(*argv, "--format", "csv")
+    assert code == csv_code == 0
+    payload = json.loads(out)
+    classes = enumerate_graphs(g, n, [int(d) for d in degrees.split(",")])
+    assert payload["count"] == len(payload["classes"]) == len(csv.splitlines()) - 1 == len(classes)
+
+
+def test_enumerate_and_identities_build_one_graph_per_map(run, monkeypatch):
+    """`enumerate` (0,5) 4,4,4 writes 540 classes from 7 maps and
+    `identities` (0,4) 64 classes from 6: one `RibbonGraph` is built per
+    map, and no class is a relabelled graph."""
+    built = []
+    relabelled = 0
+    init, relabel = RibbonGraph.__init__, RibbonGraph._relabelled
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_relabel(self, labels):
+        nonlocal relabelled
+        relabelled += 1
+        return relabel(self, labels)
+
+    monkeypatch.setattr(RibbonGraph, "__init__", counted_init)
+    monkeypatch.setattr(RibbonGraph, "_relabelled", counted_relabel)
+    for argv, key, classes, maps in [
+            (["enumerate", "--g", "0", "--n", "5", "--degrees", "4,4,4"], "count", 540, 7),
+            (["identities", "--g", "0", "--n", "4"], "graphs", 64, 6)]:
+        built.clear()
+        code, out = run(*argv)
+        assert code == 0 and json.loads(out)[key] == classes
+        assert (len(built), relabelled) == (maps, 0)
+        assert len({(s0, s1) for s0, s1, _ in built}) == maps
 
 
 def test_enumerate_refuses_more_than_256_half_edges_up_front(run, monkeypatch):
@@ -275,15 +326,40 @@ def test_handler_faults_are_not_usage_errors(monkeypatch):
     def broken_charts():
         raise ChartError("broken chart")
 
-    def broken_class(g, n, degrees):
-        raise InvalidRibbonGraph("broken class")
+    def broken_map(g, n, degrees):
+        raise InvalidRibbonGraph("broken map")
 
     monkeypatch.setattr(wittencycle, "example5_charts", broken_charts)
     with pytest.raises(ChartError, match="broken chart"):
         main(["witten12"])
-    monkeypatch.setattr(cli_module, "enumerate_graphs", broken_class)
-    with pytest.raises(InvalidRibbonGraph, match="broken class"):
+    monkeypatch.setattr(cli_module, "enumerate_maps", broken_map)
+    with pytest.raises(InvalidRibbonGraph, match="broken map"):
         main(["enumerate", "--g", "1", "--n", "2", "--degrees", "5,3"])
+
+
+def test_a_map_that_fails_validation_writes_nothing(tmp_path, monkeypatch, capsys):
+    """Every map's graph is validated before the handler returns, so an
+    `InvalidRibbonGraph` from the last map in canonical order propagates out
+    of `main` before a byte of the earlier maps' rows goes to stdout or a
+    --out file is opened."""
+    import ribbonvol.ribbon as ribbon
+
+    maps = ribbon._unlabelled_maps
+
+    def with_broken_map(degrees, n):
+        found = maps(degrees, n)
+        # the reversal is the greatest permutation, and as s0 its vertices
+        # have degree 2
+        reversal = tuple(range(sum(degrees)))[::-1]
+        return found + [((reversal, reversal), found[0][1])]
+
+    monkeypatch.setattr(ribbon, "_unlabelled_maps", with_broken_map)
+    dest = tmp_path / "classes"
+    for extra in ([], ["--format", "csv"], ["--out", str(dest)]):
+        with pytest.raises(InvalidRibbonGraph, match="degree 2 < 3"):
+            main(["enumerate", "--g", "1", "--n", "2", "--degrees", "5,3", *extra])
+        assert capsys.readouterr().out == ""
+    assert not dest.exists()
 
 
 # every JSON command's bytes are exactly `json.dumps(indent=1)` of what they
@@ -534,7 +610,7 @@ def test_verify_kcf_and_identities_refuse_more_than_256_half_edges(monkeypatch, 
     refused before any graph or power of 2 is built."""
     import ribbonvol.cli as cli
 
-    for name in ("verify_kcf", "enumerate_trivalent"):
+    for name in ("verify_kcf", "enumerate_maps"):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("called"))
     for argv in (["verify-kcf", "--seed", "1"], ["identities"]):
         for g, n, darts in [(0, 45, 258), (22, 2, 264), (10**9, 1, 12 * 10**9 - 6)]:

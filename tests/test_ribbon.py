@@ -23,6 +23,7 @@ from ribbonvol.ribbon import (
     _search_pairings,
     _unlabelled_maps,
     enumerate_graphs,
+    enumerate_maps,
     enumerate_trivalent,
     face_cycles,
 )
@@ -559,6 +560,30 @@ def test_each_map_is_validated_once(monkeypatch):
     maps = _unlabelled_maps([4, 4, 4], 5)
     assert len(out) == 540
     assert calls == len(maps) == len({(graph.s0, graph.s1) for graph, _ in out})
+
+
+@pytest.mark.parametrize("g,n,degrees", SHARED_CLASS_TYPES)
+def test_maps_list_their_classes_only_when_reached(monkeypatch, g, n, degrees):
+    """`enumerate_maps` counts the classes before listing any; a map's
+    classes are listed when the iterator reaches it, the first of them the
+    labels 1..n of the map's graph, and they add up to the count."""
+    listed = []
+    labelled_classes = ribbon._labelled_classes
+
+    def recorded(orders, n):
+        listed.append(orders)
+        return labelled_classes(orders, n)
+
+    monkeypatch.setattr(ribbon, "_labelled_classes", recorded)
+    count, maps = enumerate_maps(g, n, degrees)
+    assert listed == []
+    total = 0
+    for i, (graph, classes) in enumerate(maps):
+        assert len(listed) == i + 1
+        assert classes[0][0] == graph.face_labels == tuple(range(1, n + 1))
+        assert [labels for labels, _ in classes] == sorted(labels for labels, _ in classes)
+        total += len(classes)
+    assert total == count == len(enumerate_graphs(g, n, degrees))
 
 
 def test_relabelled_checks_the_labels():
