@@ -8,7 +8,7 @@ ideal vertices of a regular ideal d-gon (the shape a vertex polygon
 approaches as the boundary lengths grow).
 
 Everything is double precision except the pentagon chord angles, which are
-also returned exactly in Q(sqrt(5)).
+also returned exactly: they lie in Z[sqrt(5)] and are computed in integers.
 """
 
 from __future__ import annotations
@@ -151,6 +151,9 @@ _PENTAGON_COS = (
     (Surd(0, 1) - 1) / 4,
 )
 
+# the same in integers: 4 cos(2 pi k / 5) = c + s sqrt(5) as (c, s)
+_PENTAGON_4COS = ((4, 0), (-1, 1), (-1, -1), (-1, -1), (-1, 1))
+
 
 def _root_cos(d: int):
     """k -> cos(2 pi k / d) for any integer k: exact for d = 5, else a float
@@ -176,6 +179,25 @@ def _crossing_cos_from(a, b, c, e, C):
     return SIGMA * q / norm
 
 
+def _pentagon_cos(a, b, c, e):
+    """`_crossing_cos_from` for d = 5 in integers: (x, y) for x + y sqrt(5).
+    With T = 4 C, p = b - a and q = e - c it is 2 N / D, N = 2 T(a-c) -
+    2 T(a-e) - 2 T(b-c) + 2 T(b-e) - T(p-q) + T(p+q), D = (4 - T(p)) (4 - T(q)):
+    N times the conjugate of D, over the norm of D, a division that must be exact."""
+    T = _PENTAGON_4COS
+    p, q = b - a, e - c
+    terms = ((2, a - c), (-2, a - e), (-2, b - c), (2, b - e), (-1, p - q), (1, p + q))
+    nx, ny = (sum(m * T[k % 5][i] for m, k in terms) for i in (0, 1))
+    (px, py), (qx, qy) = T[p % 5], T[q % 5]
+    dx, dy = (4 - px) * (4 - qx) + 5 * py * qy, -((4 - px) * qy + py * (4 - qx))
+    norm = dx * dx - 5 * dy * dy
+    (x, rx), (y, ry) = (divmod(2 * SIGMA * v, norm) for v in (nx * dx - 5 * ny * dy,
+                                                             ny * dx - nx * dy))
+    if rx or ry:
+        raise ArithmeticError(f"pentagon cosine at {(a, b, c, e)} is not in Z[sqrt(5)]")
+    return x, y
+
+
 def crossing_cos(c1: IdealPolygonChord, c2: IdealPolygonChord) -> float:
     """cos of the anticlockwise crossing angle (in (0, pi)) from c1 to c2.
 
@@ -197,8 +219,7 @@ def crossing_cos_error(c1: IdealPolygonChord, c2: IdealPolygonChord) -> float:
 
 
 def crossing_cos_exact(c1: IdealPolygonChord, c2: IdealPolygonChord) -> Surd:
-    """Exact crossing cosine in Q(sqrt(5)); only the pentagon is supported."""
+    """Exact crossing cosine in Z[sqrt(5)], in integers; only d = 5 is supported."""
     if c1.d != 5 or c2.d != 5:
         raise ValueError("exact chord angles are implemented for d = 5 only")
-    a, b, c, e = _interleaved(c1, c2)
-    return _crossing_cos_from(a, b, c, e, _root_cos(5))
+    return Surd(*_pentagon_cos(*_interleaved(c1, c2)))

@@ -12,8 +12,9 @@ whose boundary lengths grow, cross in two ways:
 * transversally inside a vertex polygon of degree >= 4, where the limiting
   angle is that of two chords of a regular ideal polygon.
 
-`intersection_matrix` assembles the limiting skew matrix X over Q(sqrt(5))
-for a system of multicurves.
+`intersection_matrix` assembles the limiting skew matrix X for a system of
+multicurves.  Its entries lie in Z[sqrt(5)]; `curve_pair_cos` sums each in
+integers and builds one `Surd`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 from fractions import Fraction
 
 from .exact import Poly, Surd
-from .hypgeom import IdealPolygonChord, chords_cross, crossing_cos_exact
+from .hypgeom import IdealPolygonChord, _interleaved, _pentagon_cos, chords_cross
 from .ribbon import RibbonGraph
 
 __all__ = [
@@ -288,14 +289,16 @@ def _run_contribution(graph, gamma, delta, run, opposite: bool):
     return 0
 
 
-def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve):
+def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve) -> Surd:
     """Sum of cos of the limiting anticlockwise angles from P to Q.
 
     Shared maximal edge paths contribute 0 or +-1; chord crossings at
-    degree-5 vertices contribute the exact ideal pentagon cosines.  A chord
-    crossing at a vertex of any other degree raises `UnresolvableCrossing`.
+    degree-5 vertices contribute the exact ideal pentagon cosines
+    +-(sqrt(5) - 2).  The sum x + y sqrt(5) is taken in two ints and
+    returned as one `Surd`.  A chord crossing at a vertex of any other
+    degree raises `UnresolvableCrossing`.
     """
-    total = Surd(0)
+    x = y = 0
 
     # shared-path crossings
     for gamma in P.components:
@@ -305,7 +308,7 @@ def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve):
                 if closed:
                     continue
                 for run in runs:
-                    total = total + _run_contribution(graph, gamma, delta, run, opposite)
+                    x += _run_contribution(graph, gamma, delta, run, opposite)
 
     # transversal vertex crossings between end-disjoint passages
     pass_P = [p for walk in P.components for p in _passages(graph, walk)]
@@ -329,15 +332,17 @@ def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve):
             if deg != 5:
                 raise UnresolvableCrossing(
                     f"no exact angle for a degree-{deg} crossing at vertex {v1}")
-            total = total + crossing_cos_exact(ch1, ch2)
+            cx, cy = _pentagon_cos(*_interleaved(ch1, ch2))
+            x, y = x + cx, y + cy
 
-    return total
+    return Surd(x, y)
 
 
 def intersection_matrix(graph: RibbonGraph, curves):
-    """The skew matrix X of limiting crossing cosines for a curve system."""
+    """The skew matrix X of limiting crossing cosines for a curve system;
+    `curve_pair_cos` sums each entry in Z[sqrt(5)] integers."""
     m = len(curves)
-    X = [[Surd(0) for _ in range(m)] for _ in range(m)]
+    X = [[Surd(0)] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             val = curve_pair_cos(graph, curves[i], curves[j])

@@ -161,14 +161,15 @@ def witten_cycle_intersections(charts) -> dict:
     """Intersection numbers of a combinatorial cycle from its cell charts.
 
     `charts` carries one (chart, aut_order) per top cell of the cycle, all of
-    one (g, n, E), else ChartError; a cell has dimension E - n = 2d'.  The
-    Laplace total satisfies
+    one (g, n, E), else ChartError; a cell has dimension E - n = 2d'.  For
+    [C] the cells' sum, each weighted 1/|Aut|, the Laplace total satisfies
 
-      sum_a <W psi^a> prod (2a_k - 1)!! / s_k^{2a_k+1} = 2^{d'} * total,
+      sum_a <[C] psi^a> prod (2a_k - 1)!! / s_k^{2a_k+1} = total,
 
-    which is solved for the numbers <W psi^a>; W has codimension
-    2(3g - 3 + n - d').  Each chart's intersection matrix X is built once
-    and returned, in the order of `charts`, as "matrices".
+    solved for <[C] psi^a> with no normalization factor (the trivalent top
+    cells give the psi numbers); [C] has codimension 2(3g - 3 + n - d').
+    Each chart's intersection matrix X is built once and returned, in the
+    order of `charts`, as "matrices".
     """
     types = {(c.graph.genus, c.graph.num_faces, c.graph.num_edges) for c, _ in charts}
     if len(types) != 1:
@@ -180,15 +181,14 @@ def witten_cycle_intersections(charts) -> dict:
     terms = [cell_volume_laplace(chart, X) * Fraction(1, aut)
              for (chart, aut), X in zip(charts, matrices)]
     total = RationalFunction.sum(terms)
-    scaled = total * Fraction(2) ** dprime  # still reduced: only the scalar changes
-    # scaled must be a pure co-monomial sum: numerator over prod s_k^{m_k}
-    for f in scaled.den:
+    # total must be a pure co-monomial sum: numerator over prod s_k^{m_k}
+    for f in total.den:
         if len(f) != 1:
             raise ChartError(
                 f"cycle total does not reduce to psi form; factor {f} survives")
-    mexp = [scaled.den.get((i,), 0) for i in range(n)]
+    mexp = [total.den.get((i,), 0) for i in range(n)]
     values = {}
-    num = scaled.num.with_vars(svars)
+    num = total.num.with_vars(svars)
     for exp, c in num.terms.items():
         alpha = []
         for i in range(n):
@@ -202,7 +202,7 @@ def witten_cycle_intersections(charts) -> dict:
         dd = 1
         for a in alpha:
             dd *= double_factorial(2 * a - 1)
-        values[alpha] = scaled.scalar * c / dd
+        values[alpha] = total.scalar * c / dd
     return {
         "totals": total,
         "terms": terms,
@@ -242,12 +242,21 @@ def example5_charts():
     return out, payload["lead_index"]
 
 
+_W5_FACTOR = 2  # W_5 = 2 [C]; see `witten12_report`
+
+
 def witten12_report() -> dict:
     """Run the full (1,2) one-vertex-of-degree-five pipeline; the lead
     chart's X^{-1} is one `solve_sqrt5` of [X | I], in integers, on the X
-    the cycle computation built."""
+    the cycle computation built.
+
+    The cells give <[C] psi_i> = 1/2; W_5 = 2 [C] is the Witten cycle as
+    Kontsevich (1992) and Arbarello-Cornalba (1996) normalize it, pairing
+    with psi_i as 12 kappa_1 (= 12 pi_* psi_{n+1}^2) does, to 1.  The 2 is
+    one per degree-5 vertex; here it equals 2^{d'} and 2^{codim/2} too."""
     charts, lead_index = example5_charts()
     result = witten_cycle_intersections(charts)
+    w5 = {alpha: _W5_FACTOR * v for alpha, v in result["intersections"].items()}
     lead = charts[lead_index][0]
     X = result["matrices"][lead_index]
     Xinv = _surd_matrix(*solve_sqrt5(X, identity(len(X))))
@@ -259,7 +268,6 @@ def witten12_report() -> dict:
         "lead_term": str(result["terms"][lead_index]),
         "terms": [str(t) for t in result["terms"]],
         "total_laplace": str(result["totals"]),
-        "intersections": {"psi1": str(result["intersections"].get((1, 0))),
-                          "psi2": str(result["intersections"].get((0, 1)))},
+        "intersections": {"psi1": str(w5.get((1, 0))), "psi2": str(w5.get((0, 1)))},
     }
     return report

@@ -7,7 +7,11 @@ V (K/4) V^T by `mat_mul`, and the B-hat comparison inverts the block with
 `ribbonvol.kformula`; the same checks, in the same order, give the report
 that `verify_form_identities` must reproduce.  Linear systems over
 Q(sqrt(5)) are solved by the `Surd` RREF (`surd_solve`), the field route
-that `ribbonvol.exact.solve_sqrt5` replaces in the chart layer.
+that `ribbonvol.exact.solve_sqrt5` replaces in the chart layer.  The
+limiting crossing matrix is summed in `Surd` arithmetic, every pentagon
+cosine from the `Surd` table of cos(2 pi k / 5) (`curve_pair_cos`,
+`intersection_matrix`), the field route that the integer sums of
+`ribbonvol.multicurve` replace.
 """
 
 from fractions import Fraction
@@ -23,7 +27,20 @@ from ribbonvol.exact import (
     rref,
     transpose,
 )
+from ribbonvol.hypgeom import (
+    IdealPolygonChord,
+    _crossing_cos_from,
+    _interleaved,
+    _root_cos,
+    chords_cross,
+)
 from ribbonvol.kformula import EPSILON, kontsevich_form
+from ribbonvol.multicurve import (
+    UnresolvableCrossing,
+    _maximal_runs,
+    _passages,
+    _run_contribution,
+)
 
 
 def _fractions(M):
@@ -109,3 +126,49 @@ def verify_form_identities(graph):
     }
     return {"graph": graph.to_json(), "epsilon": EPSILON, "checks": checks,
             "ok": all(checks.values())}
+
+
+def curve_pair_cos(graph, P, Q):
+    """Sum of cos of the limiting anticlockwise angles from P to Q, each
+    contribution added as a `Surd`: +-1 per shared maximal edge path, and
+    `_crossing_cos_from` over the `Surd` cosine table per pentagon crossing."""
+    total = Surd(0)
+    for gamma in P.components:
+        for delta in Q.components:
+            for opposite in (False, True):
+                runs, closed = _maximal_runs(graph, gamma, delta, opposite)
+                if closed:
+                    continue
+                for run in runs:
+                    total = total + _run_contribution(graph, gamma, delta, run, opposite)
+    pass_P = [p for walk in P.components for p in _passages(graph, walk)]
+    pass_Q = [q for walk in Q.components for q in _passages(graph, walk)]
+    for (v1, in1, out1) in pass_P:
+        for (v2, in2, out2) in pass_Q:
+            if v1 != v2 or {in1, out1} & {in2, out2}:
+                continue
+            deg = len(graph.vertices[v1])
+            if deg < 4:
+                raise UnresolvableCrossing(
+                    f"disjoint passages through trivalent vertex {v1}")
+            pos = {d: i for i, d in enumerate(graph.vertices[v1])}
+            ch1 = IdealPolygonChord(deg, (pos[in1], pos[out1]))
+            ch2 = IdealPolygonChord(deg, (pos[in2], pos[out2]))
+            if not chords_cross(ch1, ch2):
+                continue
+            if deg != 5:
+                raise UnresolvableCrossing(
+                    f"no exact angle for a degree-{deg} crossing at vertex {v1}")
+            total = total + _crossing_cos_from(*_interleaved(ch1, ch2), _root_cos(5))
+    return total
+
+
+def intersection_matrix(graph, curves):
+    """The skew matrix X of `curve_pair_cos`, entry by entry in `Surd`."""
+    m = len(curves)
+    X = [[Surd(0) for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            X[i][j] = curve_pair_cos(graph, curves[i], curves[j])
+            X[j][i] = -X[i][j]
+    return X

@@ -41,6 +41,7 @@ from ribbonvol.wittencycle import (
     cell_volume_laplace,
     example5_charts,
     form_on_kernel_basis,
+    witten12_report,
     witten_cycle_intersections,
 )
 
@@ -223,13 +224,15 @@ def test_criterion_6_example_cycle(capsys):
     total_ref = rf(Fraction(1, 2), [(0,), (1,), (1,), (1,)]) + \
         rf(Fraction(1, 2), [(0,), (0,), (0,), (1,)])
     ok &= result["totals"] == total_ref
-    ok &= result["intersections"] == {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    ok &= result["intersections"] == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+    ok &= witten12_report()["intersections"] == {"psi1": "1", "psi2": "1"}
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0
     with capsys.disabled():
         report(6, ok, "eight (5,3) cells, reference X and X^-1, "
                "Omega = de2^de3, the eight Laplace terms, total "
-               "1/(2 s1 s2^3) + 1/(2 s1^3 s2), psi-pairings = 1 "
+               "1/(2 s1 s2^3) + 1/(2 s1^3 s2), psi-pairings 1/2 on the cells "
+               "and 1 on W_5 "
                f"({elapsed:.1f}s < 30s)")
 
 

@@ -117,6 +117,62 @@ def test_pentagon_crossing_exact():
     assert other in (Surd(-2, 1), Surd(2, -1))
 
 
+def _crossing_pentagon_pairs():
+    """The 40 ordered pairs of oriented pentagon chords that cross."""
+    chords = [IdealPolygonChord(5, ends) for ends in itertools.permutations(range(5), 2)]
+    return [(c1, c2) for c1 in chords for c2 in chords if chords_cross(c1, c2)]
+
+
+def _pentagon_mismatches():
+    """How many crossing pairs `_pentagon_cos` gets wrong (or cannot divide)
+    against `_crossing_cos_from` over the `Surd` table `_PENTAGON_COS`."""
+    bad = 0
+    for c1, c2 in _crossing_pentagon_pairs():
+        ends = hypgeom._interleaved(c1, c2)
+        try:
+            got = Surd(*hypgeom._pentagon_cos(*ends))
+        except ArithmeticError:
+            bad += 1
+            continue
+        bad += got != hypgeom._crossing_cos_from(*ends, hypgeom._root_cos(5))
+    return bad
+
+
+def test_integer_pentagon_cosine_equals_the_surd_route():
+    pairs = _crossing_pentagon_pairs()
+    assert len(pairs) == 40
+    assert _pentagon_mismatches() == 0
+    for c1, c2 in pairs:
+        x, y = hypgeom._pentagon_cos(*hypgeom._interleaved(c1, c2))
+        assert (x, y) in ((-2, 1), (2, -1))  # +-(sqrt(5) - 2)
+        assert hypgeom._pentagon_cos(*hypgeom._interleaved(c2, c1)) == (-x, -y)
+        assert crossing_cos_exact(c1, c2) == Surd(x, y)
+
+
+def test_integer_pentagon_table_holds_four_cosines():
+    for k, (c, s) in enumerate(hypgeom._PENTAGON_4COS):
+        assert Surd(c, s) == 4 * hypgeom._PENTAGON_COS[k]
+        assert c + s * math.sqrt(5) == pytest.approx(4 * math.cos(2 * math.pi * k / 5))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_a_sign_flip_in_the_integer_table_is_caught(monkeypatch, k):
+    """Canary: with one entry of the integer table negated, the comparison
+    against the `Surd` route fails."""
+    table = list(hypgeom._PENTAGON_4COS)
+    table[k] = (-table[k][0], -table[k][1])
+    monkeypatch.setattr(hypgeom, "_PENTAGON_4COS", tuple(table))
+    assert _pentagon_mismatches() > 0
+
+
+def test_an_inexact_pentagon_division_raises(monkeypatch):
+    """A table whose quotient leaves Z[sqrt(5)] is refused, not rounded."""
+    table = ((4, 0), (1, -1)) + hypgeom._PENTAGON_4COS[2:]
+    monkeypatch.setattr(hypgeom, "_PENTAGON_4COS", table)
+    with pytest.raises(ArithmeticError, match=r"at \(0, 2, 1, 3\) is not in Z\[sqrt\(5\)\]"):
+        hypgeom._pentagon_cos(0, 2, 1, 3)
+
+
 def test_square_diameters_perpendicular():
     val = crossing_cos(IdealPolygonChord(4, (0, 2)), IdealPolygonChord(4, (1, 3)))
     assert val == pytest.approx(0.0, abs=1e-12)

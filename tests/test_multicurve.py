@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonvol.exact import Poly
+import oracle_cells
+from ribbonvol.exact import Poly, Surd
 from ribbonvol.multicurve import (
     InvalidMulticurve,
     Multicurve,
+    UnresolvableCrossing,
     curve_pair_cos,
     edge_multicurve,
     intersection_matrix,
@@ -14,6 +16,7 @@ from ribbonvol.multicurve import (
     limit_length,
 )
 from ribbonvol.ribbon import enumerate_graphs, enumerate_trivalent
+from ribbonvol.wittencycle import example5_charts
 
 SMALL_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2)]
 
@@ -215,16 +218,13 @@ def test_pairing_ignores_walk_presentation(seed):
     assert curve_pair_cos(graph, P, Q) == curve_pair_cos(graph, flipped, Q)
 
 
-def test_transversal_crossing_needs_exact_angle_or_override():
-    """Two interleaved loops at a degree-7 vertex have no exact crossing
-    angle, so their crossing cosine raises."""
-    from ribbonvol.multicurve import UnresolvableCrossing
-
+def _interleaved_degree7_loops():
+    """(graph, P, Q): two loops at a degree-7 vertex of a (1,3) [7, 3]
+    graph whose chords cross there."""
     def interleave(a, b, c, d, n):
         inside = lambda x, lo, hi: (x - lo) % n < (hi - lo) % n
         return inside(c, a, b) != inside(d, a, b)
 
-    target = None
     for graph, _ in enumerate_graphs(1, 3, [7, 3]):
         v7 = next(v for v, c in enumerate(graph.vertices) if len(c) == 7)
         cyc = graph.vertices[v7]
@@ -233,13 +233,83 @@ def test_transversal_crossing_needs_exact_angle_or_override():
                  if graph.vertex_of[a] == graph.vertex_of[b] == v7]
         for (a1, b1), (a2, b2) in itertools.combinations(loops, 2):
             if interleave(pos[a1], pos[b1], pos[a2], pos[b2], 7):
-                target = (graph, a1, a2)
-                break
-        if target:
-            break
-    assert target is not None
-    graph, a1, a2 = target
-    P = Multicurve(((a1,),)).validate(graph)
-    Q = Multicurve(((a2,),)).validate(graph)
+                P = Multicurve(((a1,),)).validate(graph)
+                Q = Multicurve(((a2,),)).validate(graph)
+                return graph, P, Q
+    raise AssertionError("no interleaved loops at a degree-7 vertex")
+
+
+def test_transversal_crossing_needs_exact_angle_or_override():
+    """Two interleaved loops at a degree-7 vertex have no exact crossing
+    angle, so their crossing cosine raises."""
+    graph, P, Q = _interleaved_degree7_loops()
     with pytest.raises(UnresolvableCrossing):
         curve_pair_cos(graph, P, Q)
+
+
+def _unresolvable_cases():
+    """(graph, P, Q, message) for each way a crossing cannot be resolved.
+
+    A U-turn (d, s1[d]) is refused by `validate`, so the two cases built on
+    one are reachable only by unvalidated walks: at its first dart it
+    separates from a curve through d toward d itself, and it passes through
+    the tail vertex of d by d alone, end-disjoint from a passage through the
+    other two darts of a trivalent vertex.
+    """
+    graph = enumerate_trivalent(1, 1)[0][0]  # two trivalent vertices, no loops
+    s1 = graph.s1
+    d = 0
+    walks = [Multicurve((w,)) for w in itertools.permutations(range(graph.num_darts), 2)
+             if _is_closed_walk(graph, w)]
+    through_d = next(c for c in walks if d in c.components[0])
+    avoiding_d = next(c for c in walks
+                      if graph.edge_of[d] not in {graph.edge_of[x] for x in c.components[0]})
+    u_turn = Multicurve(((d, s1[d]),))
+    v = graph.vertex_of[d]
+    g7, P7, Q7 = _interleaved_degree7_loops()
+    v7 = g7.vertex_of[P7.components[0][0]]
+    return [
+        (graph, u_turn, avoiding_d, f"disjoint passages through trivalent vertex {v}"),
+        (g7, P7, Q7, f"no exact angle for a degree-7 crossing at vertex {v7}"),
+        (graph, u_turn, through_d, f"degenerate separation at vertex {v}"),
+    ]
+
+
+def _is_closed_walk(graph, walk):
+    try:
+        Multicurve((walk,)).validate(graph)
+    except InvalidMulticurve:
+        return False
+    return True
+
+
+def test_unresolvable_crossings_keep_their_messages():
+    """Each refusal of the integer sums carries the message of the `Surd`
+    route, and both refuse the same inputs."""
+    for graph, P, Q, message in _unresolvable_cases():
+        for pair_cos in (curve_pair_cos, oracle_cells.curve_pair_cos):
+            with pytest.raises(UnresolvableCrossing) as info:
+                pair_cos(graph, P, Q)
+            assert str(info.value) == message
+
+
+def test_integer_crossing_sums_equal_the_surd_route_on_the_packaged_charts():
+    """The eight (5,3) charts of `witten12`, whose crossings include
+    pentagon chords: the integer sums against the `Surd` sums, entry by
+    entry, every entry a `Surd`."""
+    charts, _ = example5_charts()
+    irrational = 0
+    for chart, _ in charts:
+        X = intersection_matrix(chart.graph, chart.curves)
+        assert X == oracle_cells.intersection_matrix(chart.graph, chart.curves)
+        assert all(type(x) is Surd for row in X for x in row)
+        irrational += sum(not x.is_rational for row in X for x in row)
+    assert irrational > 0
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 2), (2, 1)])
+def test_integer_crossing_sums_equal_the_surd_route_on_standard_systems(g, n):
+    for graph, _ in enumerate_trivalent(g, n):
+        curves = [edge_multicurve(graph, k) for k in range(graph.num_edges)]
+        assert intersection_matrix(graph, curves) == \
+            oracle_cells.intersection_matrix(graph, curves)

@@ -9,6 +9,7 @@ from ribbonvol.exact import (
     Poly,
     RationalFunction,
     Surd,
+    bareiss,
     identity,
     mat_det,
     mat_inverse,
@@ -32,6 +33,7 @@ from ribbonvol.volumes import psi_numbers
 from ribbonvol.wittencycle import (
     CellChart,
     ChartError,
+    _W5_FACTOR,
     asymptotic_form,
     cell_volume_laplace,
     example5_charts,
@@ -168,7 +170,10 @@ def test_cycle_total_and_intersections(charts):
     target = rf(Fraction(1, 2), [(0,), (1,), (1,), (1,)]) + \
         rf(Fraction(1, 2), [(0,), (0,), (0,), (1,)])
     assert result["totals"] == target
-    assert result["intersections"] == {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    assert result["intersections"] == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+    # W_5 = 2 [C]: the report's pairings <W_5 psi_i> = 1
+    assert {a: _W5_FACTOR * v for a, v in result["intersections"].items()} == {
+        (1, 0): 1, (0, 1): 1}
 
 
 def test_total_is_label_symmetric(charts):
@@ -194,16 +199,15 @@ def test_cells_that_differ_in_edge_count_are_refused(charts):
         witten_cycle_intersections(cs + [(trivalent, 1)])
 
 
-@pytest.mark.parametrize("g,n", [(1, 1), (0, 4), (1, 2)])
+@pytest.mark.parametrize("g,n", [(1, 1), (0, 4), (1, 2), (2, 1), (1, 3)])
 def test_trivalent_cells_give_d_prime_of_the_top_dimension(g, n):
     """On the trivalent cells d' = (E - n)/2 = 3g - 3 + n, codimension 0:
-    their total is the psi side (see the cell volumes below), so the
-    numbers are 2^{d'} times the psi numbers."""
+    [C] is the fundamental class, their total is the psi side (see the cell
+    volumes below), and the numbers are the psi numbers themselves."""
     charts = [(_trivalent_standard_chart(graph), aut)
               for graph, aut in enumerate_trivalent(g, n)]
-    scale = 2 ** (3 * g - 3 + n)
     assert witten_cycle_intersections(charts)["intersections"] == {
-        alpha: scale * value for alpha, value in psi_numbers(g, n).items() if value}
+        alpha: value for alpha, value in psi_numbers(g, n).items() if value}
 
 
 def test_packaged_charts_must_cover_each_cell_once(monkeypatch):
@@ -299,13 +303,13 @@ def _trivalent_standard_chart(graph):
     B = graph.oriented_adjacency()
     E = graph.num_edges
     dim = 6 * graph.genus - 6 + 2 * graph.num_faces
+    curves = [edge_multicurve(graph, k) for k in range(E)]
     for S in itertools.combinations(range(E), dim):
-        Bhat = [[Fraction(B[i][j]) for j in S] for i in S]
-        if mat_det(Bhat) != 0:
-            curves = tuple(edge_multicurve(graph, k) for k in S)
-            if any(c.is_empty for c in curves):
-                continue
-            return CellChart(graph, curves)
+        if any(curves[k].is_empty for k in S):
+            continue
+        # B-hat is invertible when the integer elimination pivots on every column
+        if len(bareiss([[B[i][j] for j in S] for i in S])[1]) == dim:
+            return CellChart(graph, tuple(curves[k] for k in S))
     raise AssertionError("no invertible principal block")
 
 
@@ -407,9 +411,11 @@ def test_witten12_builds_no_full_form(monkeypatch):
     assert 0 < calls[0] <= 1000
 
 
-def test_witten12_inverts_each_surd_pivot_once(monkeypatch):
-    """Gauss-Jordan scales each pivot row by one reciprocal of the pivot;
-    dividing entry by entry inverted a Surd 249 times here."""
+def test_witten12_inverts_no_surd(monkeypatch):
+    """Every crossing cosine is summed as an integer pair and every
+    Q(sqrt 5) system goes through `solve_sqrt5`, so the pipeline inverts no
+    `Surd`: Gauss-Jordan once inverted one per pivot row, and the pentagon
+    cosines one per crossing."""
     calls = [0]
     inverse = Surd.inverse
 
@@ -420,7 +426,8 @@ def test_witten12_inverts_each_surd_pivot_once(monkeypatch):
     monkeypatch.setattr(Surd, "inverse", counted)
     report = witten12_report()
     assert report["intersections"] == {"psi1": "1", "psi2": "1"}
-    assert 0 < calls[0] <= 61
+    assert calls[0] == 0
+    assert Surd(2, 1).inverse() == Surd(-2, 1) and calls[0] == 1  # the count is live
 
 
 def test_chart_solves_equal_the_surd_field_route(charts):
