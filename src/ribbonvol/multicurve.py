@@ -289,15 +289,24 @@ def _run_contribution(graph, gamma, delta, run, opposite: bool):
     return 0
 
 
-def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve) -> Surd:
+def _curve_passages(graph: RibbonGraph, mc: Multicurve):
+    """The passages of every component of `mc`, in order (`_passages`)."""
+    return [p for walk in mc.components for p in _passages(graph, walk)]
+
+
+def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve, *,
+                   passages=None) -> Surd:
     """Sum of cos of the limiting anticlockwise angles from P to Q.
 
     Shared maximal edge paths contribute 0 or +-1; chord crossings at
     degree-5 vertices contribute the exact ideal pentagon cosines
     +-(sqrt(5) - 2).  The sum x + y sqrt(5) is taken in two ints and
     returned as one `Surd`.  A chord crossing at a vertex of any other
-    degree raises `UnresolvableCrossing`.
+    degree raises `UnresolvableCrossing`.  A caller that pairs each curve
+    with many others passes `passages`, the two curves' `_curve_passages`,
+    so that they are built once per curve rather than once per pair.
     """
+    pass_P, pass_Q = passages or (_curve_passages(graph, P), _curve_passages(graph, Q))
     x = y = 0
 
     # shared-path crossings
@@ -311,8 +320,6 @@ def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve) -> Surd:
                     x += _run_contribution(graph, gamma, delta, run, opposite)
 
     # transversal vertex crossings between end-disjoint passages
-    pass_P = [p for walk in P.components for p in _passages(graph, walk)]
-    pass_Q = [q for walk in Q.components for q in _passages(graph, walk)]
     for (v1, in1, out1) in pass_P:
         for (v2, in2, out2) in pass_Q:
             if v1 != v2:
@@ -340,12 +347,15 @@ def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve) -> Surd:
 
 def intersection_matrix(graph: RibbonGraph, curves):
     """The skew matrix X of limiting crossing cosines for a curve system;
-    `curve_pair_cos` sums each entry in Z[sqrt(5)] integers."""
+    `curve_pair_cos` sums each entry in Z[sqrt(5)] integers, given one
+    passage list per curve."""
     m = len(curves)
+    passages = [_curve_passages(graph, c) for c in curves]
     X = [[Surd(0)] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            val = curve_pair_cos(graph, curves[i], curves[j])
+            val = curve_pair_cos(graph, curves[i], curves[j],
+                                 passages=(passages[i], passages[j]))
             X[i][j] = val
             X[j][i] = -val
     return X

@@ -11,19 +11,22 @@ isomorphism class together with the automorphism group order.  Every
 canonical form is the least breadth-first encoding over all root darts,
 for a single graph and for the enumerator alike (`_rooted`); an encoding
 is kept as one key, `s0' + s1'` in bytes.  The enumerator's pairing search
-closes faces as it pairs darts and cuts every branch that cannot end with
-n faces.  It roots every pairing at a top dart, a dart of a vertex of the
-largest degree, on a shortest top face, a shortest face among those that
-hold a top dart, and cuts a branch once a closed top face is shorter than
-the root face so far.  A BFS encoding is a complete invariant of a rooted
-connected map, and face length and top-ness are invariants too, so a
-pairing is a map found before exactly when its key from root 0 is the key
-of a map found so far from one of its top darts on a shortest top face.
-Those roots of a new map are relabelled in full; every other root is
-relabelled once, its BFS abandoned as soon as it loses to the least key
-so far, and the least key is the map's canonical pair.  Its labelled
-classes are the orbits of its automorphism group on the face labellings,
-read off the coset of its distinct face orders.  `enumerate_maps`
+closes faces as it pairs darts, and before it descends into a pairing it
+checks an exact bound on the faces left to close: with k slots still
+unpaired, at least one and at most k more faces close, so a branch that
+cannot end with n faces is never entered.  It roots every pairing at a top
+dart, a dart of a vertex of the largest degree, on a shortest top face, a
+shortest face among those that hold a top dart, and cuts a branch once a
+closed top face is shorter than the root face so far.  A BFS encoding is
+a complete invariant of a rooted connected map, and face length and
+top-ness are invariants too, so a pairing is a map found before exactly
+when its key from root 0 is the key of a map found so far from one of its
+top darts on a shortest top face.  Those roots of a new map are relabelled
+in full; every other root is relabelled once, its BFS abandoned as soon as
+it loses to the least key so far, and the least key is the map's
+canonical pair.  Its labelled classes are the orbits of its automorphism
+group on the face labellings, read off the coset of its distinct face
+orders.  `enumerate_maps`
 validates one `RibbonGraph` per map and lists each map's classes only when
 its caller reaches the map; `enumerate_graphs` flattens them into one
 relabelled graph per class.
@@ -168,16 +171,16 @@ class RibbonGraph:
         for cyc in self.vertices:
             if len(cyc) < 3:
                 raise InvalidRibbonGraph(f"vertex of degree {len(cyc)} < 3")
-        # connectivity under <s0, s1>
-        seen = {0}
-        stack = [0]
-        while stack:
-            d = stack.pop()
+        # connectivity under <s0, s1>: a breadth-first search from dart 0
+        seen = [False] * N
+        seen[0] = True
+        order = [0]
+        for d in order:
             for e in (s0[d], s1[d]):
-                if e not in seen:
-                    seen.add(e)
-                    stack.append(e)
-        if len(seen) != N:
+                if not seen[e]:
+                    seen[e] = True
+                    order.append(e)
+        if len(order) != N:
             raise InvalidRibbonGraph("graph is not connected")
         _check_labels(self.face_labels, self.num_faces)
 
@@ -376,9 +379,13 @@ def _search_pairings(degrees, n, emit):
     ending at d and `tail[d]` the last dart of the path starting at d (read
     at path ends only).  Setting s2(d) = e links the path ending at d to the
     path starting at e: it closes a face when both are one path (the path
-    from e ends at d) and merges them otherwise.  A branch is cut once more
-    than n faces are closed, or n are closed while slots are still
-    unpaired: those slots will close another face.
+    from e ends at d) and merges them otherwise.  The candidate loop checks
+    the face count before the call, as an exact two-sided bound: with
+    `total` faces closed and `left` slots unpaired once s and t are paired,
+    it descends only if `left == 0` and `total == n`, or if `left > 0` and
+    `total < n <= total + left`.  While any path is open at least one more
+    face closes, and each of the `left` open links closes at most one, so
+    the bound cuts no branch that ends with n faces.
 
     The top slots are the slots `0..m-1` of the vertices of the largest
     degree, slot 0 among them.  Next to `head` and `tail`, `size[a]` and
@@ -417,23 +424,22 @@ def _search_pairings(degrees, n, emit):
     tops = [1] * m + [0] * (N - m)
     track = n > 1  # untracked, every size stays 1 and the cut never fires
 
-    def rec(s, closed, shortest, root):
-        # shortest: the least length of a closed top face (N + 1 if none);
-        # root: the start of the path through slot 0
-        while s < N and partner[s] >= 0:
-            s += 1
-        if s == N:
-            if closed == n:
-                emit(tuple(partner))
+    def rec(s, left, closed, shortest, root):
+        # left: the number of unpaired slots; shortest: the least length of
+        # a closed top face (N + 1 if none); root: the start of the path
+        # through slot 0
+        if not left:
+            emit(tuple(partner))
             return
-        if closed >= n:
-            return  # the unpaired slots close at least one more face
+        while partner[s] >= 0:
+            s += 1
         if not used[vertex_at[s]]:
             return  # used component closed while vertices remain: disconnected
         cands = [t for t in range(s + 1, N)
                  if partner[t] < 0 and used[vertex_at[t]]]
         cands += [starts[v] for v, end in zip(next_unused, run_end) if v < end]
         es = inv0[s]
+        left -= 2  # the slots left unpaired once s is paired
         for t in cands:
             v = vertex_at[t]
             opened = not used[v]
@@ -466,10 +472,12 @@ def _search_pairings(degrees, n, emit):
                 tops[c] += tops[es]
                 if r == es:
                     r = c
-            # paths only grow: a root path longer than a closed top face
+            # n faces must still be reachable (see the docstring); paths
+            # only grow, so a root path longer than a closed top face
             # cannot close as a shortest top face
-            if total <= n and size[r] <= low:
-                rec(s + 1, total, low, r)
+            if ((total < n <= total + left) if left else total == n) \
+                    and size[r] <= low:
+                rec(s + 1, left, total, low, r)
             # undo the links in reverse order; each path keeps its ends
             if track and d != t:
                 size[c] -= size[es]
@@ -484,7 +492,7 @@ def _search_pairings(degrees, n, emit):
                 used[v] = False
                 next_unused[run_of[v]] -= 1
 
-    rec(0, 0, N + 1, 0)
+    rec(0, N, 0, N + 1, 0)
     # rec's closure holds rec itself; clearing it frees the cycle, and the
     # state `emit` keeps, now rather than at the next garbage collection
     del rec
@@ -513,9 +521,11 @@ def _rooted(s0, s1, faces, relabels):
             if res[0] < best:
                 best, reached = res[0], []
             reached.append(res[1])
-    orders = [[i for _, i in sorted((min(new[d] for d in cyc), i)
-                                    for i, cyc in enumerate(faces))]
-              for new in reached]
+    orders = []
+    for new in reached:
+        # the least new dart of each face; they are distinct
+        least = [min(map(new.__getitem__, cyc)) for cyc in faces]
+        orders.append(sorted(range(len(faces)), key=least.__getitem__))
     return (tuple(best[:N]), tuple(best[N:])), orders
 
 
