@@ -14,7 +14,8 @@ import itertools
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
+from operator import mul
 
 from .exact import (
     SingularMatrixError,
@@ -29,10 +30,11 @@ from .exact import (
 from .ribbon import (
     RibbonGraph,
     UnsupportedGraph,
+    _automorphisms,
     _class_count,
-    _unlabelled_maps,
+    _each_map,
+    _face_orders,
     enumerate_trivalent,
-    face_cycles,
 )
 from .volumes import is_stable, psi_numbers
 
@@ -242,9 +244,10 @@ def _factor_order(n: int):
     return [(i,) for i in range(n)] + list(itertools.combinations(range(n), 2))
 
 
-def _labelled_exponents(s0, s1):
-    """The exponent vector of each of the n! face labellings of the map
-    (s0, s1) with n faces, in the order of `itertools.permutations(range(n))`.
+def _labelled_exponents(s1, faces):
+    """The exponent vector of each of the n! face labellings of a map with
+    edge involution s1 and the n face cycles `faces` (`face_cycles`), in
+    the order of `itertools.permutations(range(n))`.
 
     A labelling `labels` gives the i-th face cycle (ordered by minimal dart,
     as `RibbonGraph.face_labels` lists them) the 0-based label `labels[i]`.
@@ -253,13 +256,12 @@ def _labelled_exponents(s0, s1):
     gives s_a + s_b, and an edge with both sides on face a gives 2 s_a,
     whose 1/2 the caller takes from the first n entries.
     """
-    faces = face_cycles(s0, s1)
     n = len(faces)
-    face_of = [0] * len(s0)
+    face_of = [0] * len(s1)
     for i, cyc in enumerate(faces):
         for d in cyc:
             face_of[d] = i
-    sides = Counter((face_of[d], face_of[s1[d]]) for d in range(len(s0)) if d < s1[d])
+    sides = Counter((face_of[d], face_of[s1[d]]) for d in range(len(s1)) if d < s1[d])
     factors = _factor_order(n)
     index = [[0] * n for _ in range(n)]
     for k, f in enumerate(factors):
@@ -274,30 +276,49 @@ def _labelled_exponents(s0, s1):
 
 def _map_groups(g: int, n: int):
     """The graph side merged by denominator factors, the terms of
-    `rhs_terms` with equal exponent vectors summed, and the number of
-    labelled classes, both computed once per unlabelled trivalent map.
+    `rhs_terms` with equal exponent vectors summed, over one denominator,
+    and the number of labelled classes, both computed once per unlabelled
+    trivalent map (`_each_map`).
 
     By orbit-stabiliser, sum_{L of U} f(L) / |Aut L| = (1 / |Aut U|)
     sum_{sigma in S_n} f(sigma U) over the labelled classes L of a map U:
     the labellings in the orbit of L number |Aut U| / |Aut L|.  |Aut U| is
-    the number of face orders `_unlabelled_maps` gives, and each labelling
-    contributes 2^(2g-2+n) / (|Aut U| 2^m), m its edges with one face on
-    both sides.  The distinct face orders form a coset of the image H of
-    Aut U in S_n, which acts freely on the n! labellings, so the map has
-    n! / |H| labelled classes (`_class_count`).  Returns
-    ({exponent vector: Fraction}, class count).
+    the number of the map's eligible roots with root 0's key
+    (`_automorphisms`), and each labelling contributes 2^(2g-2+n) / (|Aut U|
+    2^m), m the map's edges with one face on both sides.  The face orders of
+    those roots form a coset of the image H of Aut U in S_n, which acts
+    freely on the n! labellings, so the map has n! / |H| labelled classes
+    (`_class_count`).  No canonical pair is computed.
+
+    The labellings of the maps with one weight |Aut U| 2^m are counted
+    together, per exponent vector, and each vector's coefficient is summed
+    as an int over den, the lcm of the weights, then divided by the gcd of
+    den and every coefficient.  Returns ({exponent vector: int}, den,
+    class count): a vector's coefficient is its int over den.
     """
     pref = 2 ** (2 * g - 2 + n)
-    groups = {}
+    weighed = {}
     classes = 0
-    for (s0, s1), orders in _unlabelled_maps([3] * (4 * g - 4 + 2 * n), n):
-        classes += _class_count(orders, n)
-        aut = len(orders)
-        counts = Counter(_labelled_exponents(s0, s1))
+
+    def visit(s0, s1, faces, full):
+        nonlocal classes
+        autos = _automorphisms(full)
+        classes += _class_count(_face_orders(faces, autos), n)
+        vectors = list(_labelled_exponents(s1, faces))
+        weight = len(autos) << sum(vectors[0][:n])
+        weighed.setdefault(weight, Counter()).update(vectors)
+
+    _each_map([3] * (4 * g - 4 + 2 * n), n, visit)
+    den = lcm(*weighed)
+    groups = {}
+    for weight, counts in weighed.items():
+        scale = pref * (den // weight)
         for exps, count in counts.items():
-            c = Fraction(pref * count, aut * 2 ** sum(exps[:n]))
-            groups[exps] = groups.get(exps, 0) + c
-    return groups, classes
+            groups[exps] = groups.get(exps, 0) + scale * count
+    common = gcd(den, *groups.values())
+    for exps in groups:
+        groups[exps] //= common
+    return groups, den // common, classes
 
 
 def _psi_groups(g: int, n: int):
@@ -310,19 +331,61 @@ def _psi_groups(g: int, n: int):
             for alpha, val in psi_numbers(g, n).items() if val]
 
 
-def _integer_form(*sides):
-    """(cden, highest, sides) for grouped terms (`_psi_groups`, `_map_groups`)
-    put over one shared denominator, built once for all points.
+def _integer_side(groups):
+    """Groups with `Fraction` coefficients (`_psi_groups`) as an integer
+    side `(groups, den)`: den the lcm of the denominators, and each
+    coefficient c the int c * den."""
+    den = lcm(*(c.denominator for _, c in groups))
+    return [(exps, c.numerator * (den // c.denominator)) for exps, c in groups], den
 
-    cden is the lcm of every coefficient denominator of every side and
-    highest[f] the largest exponent of factor f over every side; each
-    coefficient c becomes the integer c * cden.
+
+# The most groups in one prefix trie: `_side_totals` holds two levels of a
+# trie's products at once, so a larger side is cut into several tries.
+_TRIE_GROUPS = 8192
+
+
+def _integer_form(*sides):
+    """(cden, highest, sides) for integer sides `(groups, den)`
+    (`_integer_side`, `_map_groups`), each group an exponent vector over
+    `_factor_order(n)` and an int, worth the int over den; built once for
+    all points.
+
+    cden is the lcm of the sides' dens and highest[f] the largest exponent
+    of factor f over every side.  Each side becomes a list of tries: its
+    groups are sorted by vector, their ints scaled to cden, and cut into
+    runs of at most `_TRIE_GROUPS`; sorted, the groups under one prefix are
+    consecutive, so two runs share only the prefixes their boundary cuts,
+    at most one per level.  A run's trie `(levels, coeffs)` records each
+    distinct prefix once: level f lists the prefixes e_0..e_f as two lists,
+    `parent`, the index of the prefix e_0..e_{f-1} at level f - 1 (0, the
+    empty prefix, at level 0), and `exps`, e_f; `coeffs[i]` is the
+    coefficient of the i-th whole vector, the i-th node of the last level.
     """
-    groups = [group for side in sides for group in side]
-    cden = lcm(*(c.denominator for _, c in groups))
-    highest = [max(col) for col in zip(*(exps for exps, _ in groups))]
-    return cden, highest, [[(exps, c.numerator * (cden // c.denominator)) for exps, c in side]
-                           for side in sides]
+    cden = lcm(*(den for _, den in sides))
+    highest = [max(col) for col in zip(*(exps for groups, _ in sides for exps, _ in groups))]
+    out = []
+    for groups, den in sides:
+        scale = cden // den
+        groups = sorted(groups)
+        tries = []
+        for start in range(0, len(groups), _TRIE_GROUPS):
+            run = groups[start:start + _TRIE_GROUPS]
+            at = [0] * len(run)  # each group's node at the last level built
+            # one int object per node index, shared by every level's `parent`
+            # rather than one per entry: 28 bytes less a node
+            index = list(range(len(run)))
+            levels = []
+            for f in range(len(highest)):
+                nodes = {}
+                for i, (exps, _) in enumerate(run):
+                    at[i] = nodes.setdefault((at[i], exps[f]), index[len(nodes)])
+                levels.append(([a for a, _ in nodes], [e for _, e in nodes]))
+            coeffs = [0] * len(levels[-1][0])
+            for i, (_, k) in zip(at, run):
+                coeffs[i] += k * scale
+            tries.append((levels, coeffs))
+        out.append(tries)
+    return cden, highest, out
 
 
 def _side_totals(form, coords):
@@ -331,7 +394,12 @@ def _side_totals(form, coords):
 
     Each factor value a/b is computed once as an integer pair: (p_i, q_i)
     for s_i = p_i/q_i and (p_i q_j + p_j q_i, q_i q_j) for s_i + s_j.  The
-    denominator is cden times a^M for each factor's highest exponent M.
+    denominator is cden times a^M for each factor's highest exponent M, and
+    a group with exponents e is worth its coefficient times the product of
+    a^(M - e) b^e over the factors.  Those products are built level by
+    level: each prefix node's product is its parent's times the factor's
+    power, one C-level `map` per level of each trie with no bytecode per
+    node, so a prefix shared within a trie is multiplied once per point.
     """
     cden, highest, sides = form
     p = [x.numerator for x in coords]
@@ -342,8 +410,15 @@ def _side_totals(form, coords):
     # powers[f][m] = a^(M - m) * b^m: (a/b)^-m times the factor's a^M
     powers = [[a ** (M - m) * b ** m for m in range(M + 1)]
               for (a, b), M in zip(values, highest)]
-    totals = [sum(k * prod(map(list.__getitem__, powers, exps)) for exps, k in side)
-              for side in sides]
+    totals = []
+    for tries in sides:
+        total = 0
+        for levels, coeffs in tries:
+            vals = [1]
+            for (parent, exps), power in zip(levels, powers):
+                vals = list(map(mul, map(vals.__getitem__, parent), map(power.__getitem__, exps)))
+            total += sum(map(mul, coeffs, vals))
+        totals.append(total)
     return totals, cden * prod(a ** M for (a, _), M in zip(values, highest))
 
 
@@ -376,14 +451,17 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     report the first offending point.
 
     The graph side is grouped once per unlabelled map (`_map_groups`, by
-    orbit-stabiliser: no `RibbonGraph` or per-graph rational function is
-    built) and the psi side once from `psi_numbers` (`_psi_groups`).  Both
-    go over one shared denominator once (`_integer_form`), and at each
+    orbit-stabiliser, in ints over one denominator: no `RibbonGraph`,
+    per-graph rational function or canonical pair is built) and the psi
+    side once from `psi_numbers` (`_psi_groups`, `_integer_side`).  Both go
+    over one shared denominator once (`_integer_form`, which also records
+    each side's distinct exponent prefixes level by level), and at each
     point `_side_totals` computes the factor values s_i, s_i + s_j and
-    their powers once and sums each side to an integer over the one
-    denominator den > 0 both share: the sides are equal exactly when their
-    integer totals are.  "graphs" counts the labelled classes, the
-    automorphism orbits on the labellings of each map.
+    their powers once, multiplies each shared prefix once, and sums each
+    side to an integer over the one denominator den > 0 both share: the
+    sides are equal exactly when their integer totals are, and then one
+    reduced fraction is printed for both.  "graphs" counts the labelled
+    classes, the automorphism orbits on the labellings of each map.
     """
     if not is_stable(g, n):
         raise ValueError(f"({g},{n}) is unstable")
@@ -391,16 +469,17 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     trials = max(trials, 2 * degree_bound + 1)
     rng = random.Random(seed)
     svars = tuple(f"s{i}" for i in range(1, n + 1))
-    groups, classes = _map_groups(g, n)
-    form = _integer_form(_psi_groups(g, n), list(groups.items()))
+    groups, gden, classes = _map_groups(g, n)
+    form = _integer_form(_integer_side(_psi_groups(g, n)), (groups.items(), gden))
     points = []
     for _ in range(trials):
         coords = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in svars]
         (lt, rt), den = _side_totals(form, coords)
+        lhs = str(Fraction(lt, den))
         points.append({
             "point": {v: str(x) for v, x in zip(svars, coords)},
-            "lhs": str(Fraction(lt, den)),
-            "rhs": str(Fraction(rt, den)),
+            "lhs": lhs,
+            "rhs": lhs if lt == rt else str(Fraction(rt, den)),
             "equal": lt == rt,
         })
     first_bad = next((p for p in points if not p["equal"]), None)

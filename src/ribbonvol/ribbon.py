@@ -22,11 +22,13 @@ a complete invariant of a rooted connected map, and face length and
 top-ness are invariants too, so a pairing is a map found before exactly
 when its key from root 0 is the key of a map found so far from one of its
 top darts on a shortest top face.  Those roots of a new map are relabelled
-in full; every other root is relabelled once, its BFS abandoned as soon as
-it loses to the least key so far, and the least key is the map's
+in full and handed to a per-map callback (`_each_map`).  For the
+enumerator, every other root is relabelled once, its BFS abandoned as soon
+as it loses to the least key so far, and the least key is the map's
 canonical pair.  Its labelled classes are the orbits of its automorphism
 group on the face labellings, read off the coset of its distinct face
-orders.  `enumerate_maps`
+orders.  A caller that needs no canonical pair reads the automorphisms
+off the full relabellings alone (`_automorphisms`).  `enumerate_maps`
 validates one `RibbonGraph` per map and lists each map's classes only when
 its caller reaches the map; `enumerate_graphs` flattens them into one
 relabelled graph per class.
@@ -498,19 +500,30 @@ def _search_pairings(degrees, n, emit):
     del rec
 
 
+def _face_orders(faces, maps):
+    """For each dart map `new` of `maps` (old dart d becomes new[d]), the
+    indices of `faces` in the order of their least new dart; the least
+    darts are distinct, one face holding each."""
+    orders = []
+    for new in maps:
+        least = [min(map(new.__getitem__, cyc)) for cyc in faces]
+        orders.append(sorted(range(len(faces)), key=least.__getitem__))
+    return orders
+
+
 def _rooted(s0, s1, faces, relabels):
     """The canonical pair of (s0, s1), its least BFS key over all roots
-    decoded, and, for every root that reaches it in root order, the
-    indices of `faces` in the order of their minimal dart under its dart
-    map.  On the canonical pair itself these roots are its automorphisms,
-    each permuting the faces.
+    decoded, and the face orders (`_face_orders`) of every root that
+    reaches it, in root order.  On the canonical pair itself these roots
+    are its automorphisms, each permuting the faces.
 
     `relabels` maps some roots to their full relabellings `(key, new)`:
-    root 0 for `RibbonGraph.canonical_form`, the roots whose keys go in
-    `seen` for `_unlabelled_maps`.  Every other root's BFS is bounded by
-    the least key so far and stops once its `s0'` prefix exceeds it.  A
-    root whose key is at most the bound is never stopped, so the least key
-    and the roots that reach it are those of a full pass over all roots.
+    root 0 for `RibbonGraph.canonical_form`, the eligible roots of a new map
+    (see `_each_map`) for `_unlabelled_maps`.  Every other root's BFS is
+    bounded by the least key so far and stops once its `s0'` prefix
+    exceeds it.  A root whose key is at most the bound is never stopped, so
+    the least key and the roots that reach it are those of a full pass
+    over all roots.
     """
     N = len(s0)
     best = min(key for key, _ in relabels.values())
@@ -521,12 +534,7 @@ def _rooted(s0, s1, faces, relabels):
             if res[0] < best:
                 best, reached = res[0], []
             reached.append(res[1])
-    orders = []
-    for new in reached:
-        # the least new dart of each face; they are distinct
-        least = [min(map(new.__getitem__, cyc)) for cyc in faces]
-        orders.append(sorted(range(len(faces)), key=least.__getitem__))
-    return (tuple(best[:N]), tuple(best[N:])), orders
+    return (tuple(best[:N]), tuple(best[N:])), _face_orders(faces, reached)
 
 
 def _least_image(labels, orders):
@@ -588,27 +596,27 @@ def _labelled_classes(orders, n):
     return classes
 
 
-def _unlabelled_maps(degrees, n):
-    """Each connected map with the degrees (sorted descending) and n faces,
-    once: its canonical pair and the face orders of the roots that reach it.
+def _each_map(degrees, n, visit):
+    """Call `visit(s0, s1, faces, full)` once for each connected map with
+    the degrees (sorted descending) and n faces, and keep none of its
+    arguments after the call: `s0` the block layout's rotation, `s1` the
+    first pairing found of the map, `faces` its face cycles (`face_cycles`)
+    and `full` the full relabellings `{root: (key, new)}` of its eligible
+    roots, the top darts (darts of a vertex of the largest degree, the m
+    slots `0..m-1` of the block layout) on shortest top faces, root 0 among
+    them.
 
     The pairing search hands each n-face pairing to `dedupe` as it finds
-    it, rooted at slot 0, a top dart (a dart of a vertex of the largest
-    degree, one of the m slots `0..m-1` of the block layout) on a shortest
-    top face.  A BFS key is a complete invariant of a rooted connected map,
-    and face length and top-ness are kept by every isomorphism, so a
-    pairing is a map found before exactly when its key from root 0 is the
-    key of that map from one of its top darts on a shortest top face.
-    `seen` holds those keys for every map found so far, and those roots of
-    a new map are relabelled in full.  Its other roots are bounded by the
-    least key so far; the least key is its canonical pair, and the dart
-    maps of the roots that reach it give its face orders (`_rooted`, in the
-    pairing's face indices, which list the same labelled classes).
+    it, rooted at slot 0, an eligible root.  A BFS key is a complete
+    invariant of a rooted connected map, and face length and top-ness are
+    kept by every isomorphism, so a pairing is a map found before exactly
+    when its key from root 0 is the key of that map from one of its
+    eligible roots.  `seen` holds those keys for every map found so far;
+    the new map's are its keys in `full`.
     """
     s0 = _block_rotation(degrees)
     m = degrees[0] * degrees.count(degrees[0])
     seen = set()
-    maps = []
 
     def dedupe(s1):
         first = _bfs_relabel(s0, s1, 0)
@@ -619,9 +627,38 @@ def _unlabelled_maps(degrees, n):
         full = {d: _bfs_relabel(s0, s1, d) if d else first
                 for cyc in faces if len(cyc) == len(faces[0]) for d in cyc if d < m}
         seen.update(key for key, _ in full.values())
-        maps.append(_rooted(s0, s1, faces, full))
+        visit(s0, s1, faces, full)
 
     _search_pairings(degrees, n, dedupe)
+
+
+def _automorphisms(full):
+    """The dart maps of the roots in `full` (see `_each_map`) whose key is
+    root 0's: one per automorphism of the map.
+
+    Two roots have equal keys exactly when an automorphism takes one to the
+    other, automorphisms keep a root eligible, and they act freely on the
+    darts, so the roots with root 0's key are its |Aut U| images.  Their
+    distinct face orders (`_face_orders`) form a coset of the image of
+    Aut U in S_n, as those of the roots `_rooted` finds do.
+    """
+    key = full[0][0]
+    return [new for k, new in full.values() if k == key]
+
+
+def _unlabelled_maps(degrees, n):
+    """Each connected map with the degrees (sorted descending) and n faces,
+    once (`_each_map`): its canonical pair and the face orders of the roots
+    that reach it.
+
+    Each new map's eligible roots are relabelled in full there; its other
+    roots are bounded by the least key so far, the least key is its
+    canonical pair, and the dart maps of the roots that reach it give its
+    face orders (`_rooted`, in the pairing's face indices, which list the
+    same labelled classes).
+    """
+    maps = []
+    _each_map(degrees, n, lambda *found: maps.append(_rooted(*found)))
     return maps
 
 

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial, floor, lcm, prod
+from math import factorial, floor, gcd, lcm, prod
 
 import pytest
 
@@ -21,6 +21,7 @@ from ribbonvol.kformula import (
     _cell_form,
     _factor_order,
     _integer_form,
+    _integer_side,
     _labelled_exponents,
     _map_groups,
     _principal_block_identity,
@@ -37,10 +38,16 @@ from ribbonvol.kformula import (
 from ribbonvol.ribbon import (
     RibbonGraph,
     UnsupportedGraph,
+    _automorphisms,
+    _distinct_orders,
+    _each_map,
+    _face_orders,
     _labelled_classes,
+    _rooted,
     _unlabelled_maps,
     enumerate_graphs,
     enumerate_trivalent,
+    face_cycles,
 )
 from ribbonvol.volumes import lhs_laplace, psi_numbers
 
@@ -335,15 +342,60 @@ MAP_ROUTE_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1), (1, 3), (0, 5), (2, 2
 def test_map_route_equals_the_per_graph_groups(g, n):
     """Oracle gate: summing each unlabelled map over all n! labellings and
     dividing by |Aut U| gives the same merged groups, and counts the same
-    classes, as one term per labelled class divided by its |Aut L|."""
+    classes, as one term per labelled class divided by its |Aut L|.  The
+    ints are over one denominator, with no factor common to all of them."""
     terms = rhs_terms(g, n)
-    groups, classes = _map_groups(g, n)
-    assert groups == dict(factor_groups(terms, n))
+    groups, den, classes = _map_groups(g, n)
+    assert {exps: Fraction(k, den) for exps, k in groups.items()} == dict(factor_groups(terms, n))
+    assert gcd(den, *groups.values()) == 1
     assert classes == len(terms)
 
 
 def trivalent_maps(g, n):
     return _unlabelled_maps([3] * (4 * g - 4 + 2 * n), n)
+
+
+def automorphism_mismatches(degrees, n, automorphisms=_automorphisms):
+    """(maps, the pairings of the maps on which `automorphisms(full)`
+    disagrees with `_rooted`): in number, against the roots that reach the
+    canonical pair, or in the number of distinct face orders."""
+    maps, bad = 0, []
+
+    def visit(s0, s1, faces, full):
+        nonlocal maps
+        maps += 1
+        orders = _rooted(s0, s1, faces, full)[1]
+        autos = automorphisms(full)
+        if (len(autos) != len(orders) or len(_distinct_orders(_face_orders(faces, autos)))
+                != len(_distinct_orders(orders))):
+            bad.append(s1)
+
+    _each_map(sorted(degrees, reverse=True), n, visit)
+    return maps, bad
+
+
+@pytest.mark.parametrize("n,degrees", [(n, [3] * (4 * g - 4 + 2 * n)) for g, n in MAP_ROUTE_TYPES]
+                         + [(5, [4, 4, 4]), (1, [4, 3, 3, 3, 3])])
+def test_automorphisms_are_the_roots_with_root_0s_key(n, degrees):
+    """Oracle gate for the |Aut U| `_map_groups` takes: map by map, the
+    eligible roots with root 0's key are as many as the roots `_rooted`
+    finds reaching the canonical pair over all 2E roots, and their face
+    orders hold as many distinct orders."""
+    maps, bad = automorphism_mismatches(degrees, n)
+    assert maps and not bad
+
+
+def test_one_more_root_breaks_the_automorphism_gate():
+    """Canary: counting one eligible root whose key differs from root 0's
+    fails the gate on every map that has such a root: 20 of the 46 maps of
+    (1,3).  On (0,4) every eligible root has root 0's key."""
+    def with_one_more_root(full):
+        others = [new for key, new in full.values() if key != full[0][0]]
+        return _automorphisms(full) + others[:1]
+
+    maps, bad = automorphism_mismatches([3] * 6, 3, with_one_more_root)
+    assert maps == len(trivalent_maps(1, 3)) == 46 and len(bad) == 20
+    assert automorphism_mismatches([3] * 4, 4, with_one_more_root)[1] == []
 
 
 @pytest.mark.parametrize("g,n,degrees", [(g, n, None) for g, n in MAP_ROUTE_TYPES]
@@ -368,7 +420,7 @@ def test_each_labelling_gives_the_denominator_of_its_labelled_graph(g, n):
     svars = tuple(f"s{i}" for i in range(1, n + 1))
     labellings = list(itertools.permutations(range(n)))
     for (s0, s1), _ in trivalent_maps(g, n):
-        vectors = list(_labelled_exponents(s0, s1))
+        vectors = list(_labelled_exponents(s1, face_cycles(s0, s1)))
         assert len(vectors) == len(labellings)
         for labels, exps in zip(labellings, vectors):
             graph = RibbonGraph(s0, s1, [x + 1 for x in labels])
@@ -383,10 +435,19 @@ def test_a_wrong_map_automorphism_count_is_detected(monkeypatch):
     import ribbonvol.kformula as kf
 
     assert kf.verify_kcf(0, 4, trials=3, seed=5)["equal"]
-    maps = trivalent_maps(0, 4)
-    pair, orders = maps[0]
-    bad = [(pair, orders + orders[:1])] + maps[1:]
-    monkeypatch.setattr(kf, "_unlabelled_maps", lambda degrees, n: bad)
+    each_map = kf._each_map
+
+    def with_one_more_automorphism(degrees, n, visit):
+        visited = []
+
+        def visit_first_twice(s0, s1, faces, full):
+            # on the first map, root -1 repeats root 0
+            visit(s0, s1, faces, full if visited else {**full, -1: full[0]})
+            visited.append(s1)
+
+        each_map(degrees, n, visit_first_twice)
+
+    monkeypatch.setattr(kf, "_each_map", with_one_more_automorphism)
     report = kf.verify_kcf(0, 4, trials=3, seed=5)
     assert not report["equal"]
     assert report["first_mismatch"] is not None
@@ -529,9 +590,12 @@ def test_integer_totals_equal_the_per_side_oracle(g, n):
     equals `evaluate_groups` of that side alone.  The graph side joins the
     psi side on every type `_map_groups` reaches in the suite."""
     sides = [_psi_groups(g, n)]
+    integer_sides = [_integer_side(sides[0])]
     if (g, n) in MAP_ROUTE_TYPES:
-        sides.append(list(_map_groups(g, n)[0].items()))
-    form = _integer_form(*sides)
+        groups, den, _ = _map_groups(g, n)
+        sides.append([(exps, Fraction(k, den)) for exps, k in groups.items()])
+        integer_sides.append((groups.items(), den))
+    form = _integer_form(*integer_sides)
     for point in sample_points(n, 2 if n >= 5 else 4, seed=13 * n + g):
         coords = [point[f"s{i}"] for i in range(1, n + 1)]
         totals, den = _side_totals(form, coords)
@@ -541,10 +605,84 @@ def test_integer_totals_equal_the_per_side_oracle(g, n):
         assert totals[0] == totals[-1]  # the formula, where both sides are built
 
 
+def flat_side_totals(sides, coords):
+    """Oracle for `_side_totals`: the flat route it replaced, on the integer
+    sides `(groups, den)` that `_integer_form` takes.  Each group's product
+    of F factor powers is formed on its own, F multiplications per group
+    per point, with no prefix shared."""
+    cden = lcm(*(den for _, den in sides))
+    highest = [max(col) for col in zip(*(exps for groups, _ in sides for exps, _ in groups))]
+    p = [x.numerator for x in coords]
+    q = [x.denominator for x in coords]
+    values = list(zip(p, q))
+    for i, j in itertools.combinations(range(len(coords)), 2):
+        values.append((p[i] * q[j] + p[j] * q[i], q[i] * q[j]))
+    powers = [[a ** (M - m) * b ** m for m in range(M + 1)]
+              for (a, b), M in zip(values, highest)]
+    totals = [sum(k * (cden // den) * prod(map(list.__getitem__, powers, exps))
+                  for exps, k in groups)
+              for groups, den in sides]
+    return totals, cden * prod(a ** M for (a, _), M in zip(values, highest))
+
+
+def trie_products(tries):
+    """The products per point of one side of `_integer_form`: one per node."""
+    return sum(len(parent) for levels, _ in tries for parent, _ in levels)
+
+
+# (g, n) -> the graph side's products per point: flat, one per group and
+# factor, and level by level, one per distinct exponent prefix
+GRAPH_SIDE_PRODUCTS = {(0, 4): (590, 342), (1, 3): (912, 487),
+                       (0, 5): (23025, 9737), (1, 4): (47900, 18393)}
+
+
+@pytest.mark.parametrize("g,n", list(GRAPH_SIDE_PRODUCTS))
+def test_level_totals_equal_the_flat_products(g, n):
+    """Oracle gate for the level-by-level evaluator: at the extremes and at
+    seeded points both sides' integer totals and the shared denominator are
+    those of the flat route, and the graph side takes the pinned number of
+    products per point."""
+    groups, den, _ = _map_groups(g, n)
+    sides = [_integer_side(_psi_groups(g, n)), (list(groups.items()), den)]
+    form = _integer_form(*sides)
+    [(levels, coeffs)] = form[2][1]  # one trie: fewer than _TRIE_GROUPS groups
+    assert len(levels) == len(_factor_order(n))
+    assert len(levels[-1][0]) == len(coeffs) == len(groups)
+    flat = len(groups) * len(_factor_order(n))
+    assert (flat, trie_products(form[2][1])) == GRAPH_SIDE_PRODUCTS[g, n]
+    for point in sample_points(n, 4, seed=7 * n + g):
+        coords = [point[f"s{i}"] for i in range(1, n + 1)]
+        assert _side_totals(form, coords) == flat_side_totals(sides, coords)
+
+
+@pytest.mark.parametrize("size", [1, 7, 58])
+def test_a_side_cut_into_tries_keeps_the_totals(monkeypatch, size):
+    """A side of more than `_TRIE_GROUPS` groups is cut into tries, here the
+    59 graph-side groups of (0,4) into tries of `size`: the totals are the
+    flat route's, and each cut repeats at most one product per level.  One
+    group per trie takes the flat route's products."""
+    import ribbonvol.kformula as kf
+
+    groups, den, _ = _map_groups(0, 4)
+    sides = [_integer_side(_psi_groups(0, 4)), (list(groups.items()), den)]
+    whole = trie_products(_integer_form(*sides)[2][1])
+    monkeypatch.setattr(kf, "_TRIE_GROUPS", size)
+    form = kf._integer_form(*sides)
+    tries = form[2][1]
+    assert len(tries) == -(-len(groups) // size)
+    products = trie_products(tries)
+    assert whole <= products <= whole + (len(tries) - 1) * len(_factor_order(4))
+    assert (products == GRAPH_SIDE_PRODUCTS[0, 4][0]) == (size == 1)
+    for point in sample_points(4, 4, seed=29):
+        coords = [point[f"s{i}"] for i in range(1, 5)]
+        assert kf._side_totals(form, coords) == flat_side_totals(sides, coords)
+
+
 def test_the_smallest_coefficient_step_is_detected(monkeypatch):
-    """Soundness canary: one graph-side coefficient shifted by 1/cden, the
-    smallest step the shared integer form represents, makes `verify_kcf`
-    report a mismatch at every point, the first one included.
+    """Soundness canary: one graph-side integer coefficient over the shared
+    denominator cden shifted by 1, the smallest step the shared integer form
+    represents, makes `verify_kcf` report a mismatch at every point, the
+    first one included.
 
     Seed 1647 and the group worth least at the first point make the step
     there smaller than a double's precision (relative 9e-18) and than 1, so
@@ -553,8 +691,9 @@ def test_the_smallest_coefficient_step_is_detected(monkeypatch):
     import ribbonvol.kformula as kf
 
     g, n, seed = 0, 4, 1647
-    groups, classes = _map_groups(g, n)
-    cden = _integer_form(_psi_groups(g, n), list(groups.items()))[0]
+    groups, den, classes = _map_groups(g, n)
+    psi = _integer_side(_psi_groups(g, n))
+    cden = _integer_form(psi, (groups.items(), den))[0]
     first = verify_kcf(g, n, trials=3, seed=seed)["points"][0]
     coords = [Fraction(x) for x in first["point"].values()]
     factors = coords + [a + b for a, b in itertools.combinations(coords, 2)]
@@ -563,10 +702,10 @@ def test_the_smallest_coefficient_step_is_detected(monkeypatch):
         return prod(f ** -e for f, e in zip(factors, exps))
 
     exps = min(groups, key=worth)
-    shifted = dict(groups)
-    shifted[exps] += Fraction(1, cden)
-    assert _integer_form(_psi_groups(g, n), list(shifted.items()))[0] == cden
-    monkeypatch.setattr(kf, "_map_groups", lambda g, n: (shifted, classes))
+    shifted = {e: k * (cden // den) for e, k in groups.items()}
+    shifted[exps] += 1
+    assert _integer_form(psi, (shifted.items(), cden))[0] == cden
+    monkeypatch.setattr(kf, "_map_groups", lambda g, n: (shifted, cden, classes))
     report = kf.verify_kcf(g, n, trials=3, seed=seed)
     assert not report["equal"]
     assert report["first_mismatch"] == report["points"][0]
