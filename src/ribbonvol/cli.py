@@ -14,7 +14,9 @@ pure Python when given an indent, is left to the tests as its oracle.
 map's classes from a row template filled once per map and then once per
 class, with no graph built per class; its head and int lists come from the
 same writer, with the same bytes as `json.dumps(indent=1)` of the whole
-payload.  `identities` checks each map once and lists its classes.
+payload.  `identities` checks each map once, formats the map's report row
+once with slots for a class's face labels and |Aut|, and streams one
+filled row per class the same way.
 
 The grammar is one table, `_COMMANDS`, read two ways.  `main` first tries
 `_recognize`, which takes only a subcommand followed by its exact long
@@ -362,28 +364,56 @@ def cmd_verify_kcf(args) -> tuple:
     return payload, 0 if report["equal"] else VERIFICATION_FAILURE
 
 
+# Stands for a class's face labels and |Aut| in a map's `identities` row;
+# json writes it as "\u0000", which no other field of a row contains.
+_SLOT = "\0"
+_SLOT_TEXT = _encode_str(_SLOT)
+
+
+def _identities_json(head: dict, rows):
+    """The `identities` payload `head` with `"reports"` filled from `rows`,
+    one (template, classes) pair per map, streamed one class per chunk.
+    A template is the map's report row at depth 2 with %s slots for the
+    separator, the face labels and |Aut|; each distinct tuple of face
+    labels is formatted once per payload.  `rows` is never empty: every
+    stable type has a trivalent map."""
+    labels_text = functools.cache(_int_list)
+    text = _json_text({**head, "reports": []}, "")
+    sep = text[:-len("[]\n}")] + "[\n"
+    for row, classes in rows:
+        for labels, aut in classes:
+            yield row % (sep, labels_text(labels), aut)
+            sep = ",\n"
+    yield "\n ]\n}\n"
+
+
 def cmd_identities(args) -> tuple:
+    """Check the matrix identities and the cell density of every trivalent
+    class of type (g, n), as a stream of JSON chunks.
+
+    The checks and the density read only K, B, ker A and G, which the face
+    labels do not change (they permute the rows of A), so each map's cell
+    form is built and checked once, and each class's report is the map's
+    with its own face labels.  Each map's row is formatted once by
+    `_json_text`, with slots for a class's face labels and |Aut|, and
+    filled once per class.  The head's "ok" covers every map, so every map
+    is checked before the first chunk."""
     _check_stable(args.g, args.n)
     _check_half_edges(args.g, args.n)
     count, maps = enumerate_maps(args.g, args.n, [3] * (4 * args.g - 4 + 2 * args.n))
     expected_density = Fraction(2) ** (1 - args.g)
-    out = []
+    rows = []
     all_ok = True
-    # The checks and the density read only K, B, ker A and G, which the face
-    # labels do not change (they permute the rows of A), so each map's cell
-    # form is built and checked once, and each class's graph is the map's
-    # with its own face labels.
     for graph, classes in maps:
         form = _cell_form(graph)
         rep = verify_form_identities(graph, form)
         rho = form.density()
         ok = rep["ok"] and rho == expected_density
         all_ok &= ok
-        fields = graph.to_json()
-        out += [{"graph": {**fields, "face_labels": list(labels)}, "aut": aut,
-                 "checks": rep["checks"], "density": str(rho), "ok": ok}
-                for labels, aut in classes]
-    payload = {
+        row = _json_text({"graph": {**graph.to_json(), "face_labels": _SLOT}, "aut": _SLOT,
+                          "checks": rep["checks"], "density": str(rho), "ok": ok}, "  ")
+        rows.append(("%s  " + row.replace("%", "%%").replace(_SLOT_TEXT, "%s"), classes))
+    head = {
         "v": 1,
         "command": "identities",
         "g": args.g,
@@ -391,9 +421,8 @@ def cmd_identities(args) -> tuple:
         "expected_density": str(expected_density),
         "graphs": count,
         "ok": all_ok,
-        "reports": out,
     }
-    return payload, 0 if all_ok else VERIFICATION_FAILURE
+    return _identities_json(head, rows), 0 if all_ok else VERIFICATION_FAILURE
 
 
 def cmd_witten12(args) -> tuple:

@@ -1,8 +1,11 @@
 """Exact arithmetic in the real quadratic field Q(sqrt(5)).
 
-Elements are `a + b*sqrt(5)` with rational `a`, `b`; the pentagon chord
-cosines live in this field.  Rationals embed as `b = 0`; mixed arithmetic
-with `int` and `Fraction` promotes automatically.
+Elements are `a + b*sqrt(5)` with rational `a`, `b`, each stored as an
+`int` or a `Fraction`; the pentagon chord cosines live in this field.
+Rationals embed as `b = 0`; mixed arithmetic with `int` and `Fraction`
+promotes automatically.  Int parts stay ints under `+`, `-` and `*`, so
+the integer crossing matrices of the chart layer hold no `Fraction`;
+division goes through a `Fraction` norm, so it is exact on int parts too.
 """
 
 from __future__ import annotations
@@ -14,19 +17,21 @@ __all__ = ["Surd"]
 
 
 class Surd:
-    """An element a + b*sqrt(5) of Q(sqrt(5))."""
+    """An element a + b*sqrt(5) of Q(sqrt(5)); a and b are each an int
+    or a `Fraction` (anything else rational is converted to a Fraction)."""
 
     __slots__ = ("a", "b")
 
     D = 5
 
     def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is int else Fraction(a)
+        self.b = b if type(b) is int else Fraction(b)
 
     @staticmethod
-    def _make(a: Fraction, b: Fraction) -> "Surd":
-        """a + b*sqrt(5) from two Fractions, stored without conversion."""
+    def _make(a, b) -> "Surd":
+        """a + b*sqrt(5) from two parts, each an int or a Fraction, stored
+        without conversion."""
         s = object.__new__(Surd)
         s.a = a
         s.b = b
@@ -49,7 +54,7 @@ class Surd:
     def as_fraction(self) -> Fraction:
         if self.b != 0:
             raise ValueError(f"{self} is irrational")
-        return self.a
+        return Fraction(self.a)
 
     # -- ring operations -------------------------------------------------
 
@@ -92,6 +97,8 @@ class Surd:
         norm = self.a * self.a - self.D * self.b * self.b
         if norm == 0:
             raise ZeroDivisionError("division by zero Surd")
+        if type(norm) is int:  # int parts: divide by a Fraction, never int / int
+            norm = Fraction(norm)
         return Surd._make(self.a / norm, -self.b / norm)
 
     def __truediv__(self, other):

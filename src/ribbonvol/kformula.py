@@ -339,9 +339,26 @@ def _integer_side(groups):
     return [(exps, c.numerator * (den // c.denominator)) for exps, c in groups], den
 
 
-# The most groups in one prefix trie: `_side_totals` holds two levels of a
-# trie's products at once, so a larger side is cut into several tries.
+# The most groups in one run: `_side_totals` holds two levels of a trie's
+# products at once, so a larger side is cut into runs with tries of their own.
 _TRIE_GROUPS = 8192
+
+
+def _trie(keys, depth, index):
+    """(levels, at): the trie of the exponent tuples `keys`, each of length
+    `depth`, and the node of each key at its last level (0, the empty key,
+    if depth is 0).  Level f lists the distinct prefixes k_0..k_f as two
+    lists, `parent`, the index of k_0..k_{f-1} at level f - 1 (0, the empty
+    prefix, at level 0), and `exps`, k_f.  `index` supplies the node
+    numbers, one int object shared by every level's `parent`."""
+    at = [0] * len(keys)
+    levels = []
+    for f in range(depth):
+        nodes = {}
+        for i, key in enumerate(keys):
+            at[i] = nodes.setdefault((at[i], key[f]), index[len(nodes)])
+        levels.append(([a for a, _ in nodes], [e for _, e in nodes]))
+    return levels, at
 
 
 def _integer_form(*sides):
@@ -351,41 +368,46 @@ def _integer_form(*sides):
     all points.
 
     cden is the lcm of the sides' dens and highest[f] the largest exponent
-    of factor f over every side.  Each side becomes a list of tries: its
+    of factor f over every side.  Each side becomes a list of runs: its
     groups are sorted by vector, their ints scaled to cden, and cut into
-    runs of at most `_TRIE_GROUPS`; sorted, the groups under one prefix are
-    consecutive, so two runs share only the prefixes their boundary cuts,
-    at most one per level.  A run's trie `(levels, coeffs)` records each
-    distinct prefix once: level f lists the prefixes e_0..e_f as two lists,
-    `parent`, the index of the prefix e_0..e_{f-1} at level f - 1 (0, the
-    empty prefix, at level 0), and `exps`, e_f; `coeffs[i]` is the
-    coefficient of the i-th whole vector, the i-th node of the last level.
+    runs of at most `_TRIE_GROUPS`.  The F factors are cut at c = ceil(F/2),
+    and a run is `(prefix, suffix, pre, suf, coeffs)`: `prefix` the `_trie`
+    levels of the vectors' entries 0..c-1, `suffix` those of entries F-1
+    down to c, and for the i-th group of the run `pre[i]` and `suf[i]` its
+    nodes at the last level of each and `coeffs[i]` its int.  Sorted, the
+    groups under one prefix are consecutive, so two runs share at most one
+    prefix node per level; their suffixes interleave, so two runs may share
+    any number of suffix nodes.
     """
     cden = lcm(*(den for _, den in sides))
     highest = [max(col) for col in zip(*(exps for groups, _ in sides for exps, _ in groups))]
+    F = len(highest)
+    c = -(-F // 2)
     out = []
     for groups, den in sides:
         scale = cden // den
         groups = sorted(groups)
-        tries = []
+        runs = []
         for start in range(0, len(groups), _TRIE_GROUPS):
             run = groups[start:start + _TRIE_GROUPS]
-            at = [0] * len(run)  # each group's node at the last level built
-            # one int object per node index, shared by every level's `parent`
+            # one int object per node index, shared by both tries' levels
             # rather than one per entry: 28 bytes less a node
             index = list(range(len(run)))
-            levels = []
-            for f in range(len(highest)):
-                nodes = {}
-                for i, (exps, _) in enumerate(run):
-                    at[i] = nodes.setdefault((at[i], exps[f]), index[len(nodes)])
-                levels.append(([a for a, _ in nodes], [e for _, e in nodes]))
-            coeffs = [0] * len(levels[-1][0])
-            for i, (_, k) in zip(at, run):
-                coeffs[i] += k * scale
-            tries.append((levels, coeffs))
-        out.append(tries)
+            prefix, pre = _trie([exps[:c] for exps, _ in run], c, index)
+            suffix, suf = _trie([exps[c:][::-1] for exps, _ in run], F - c, index)
+            runs.append((prefix, suffix, pre, suf, [k * scale for _, k in run]))
+        out.append(runs)
     return cden, highest, out
+
+
+def _level_products(levels, powers):
+    """The product of each node of a `_trie` at its last level: level by
+    level, each node's parent's product times the factor's power, one
+    C-level `map` per level with no bytecode per node; [1] for no level."""
+    vals = [1]
+    for (parent, exps), power in zip(levels, powers):
+        vals = list(map(mul, map(vals.__getitem__, parent), map(power.__getitem__, exps)))
+    return vals
 
 
 def _side_totals(form, coords):
@@ -396,10 +418,10 @@ def _side_totals(form, coords):
     for s_i = p_i/q_i and (p_i q_j + p_j q_i, q_i q_j) for s_i + s_j.  The
     denominator is cden times a^M for each factor's highest exponent M, and
     a group with exponents e is worth its coefficient times the product of
-    a^(M - e) b^e over the factors.  Those products are built level by
-    level: each prefix node's product is its parent's times the factor's
-    power, one C-level `map` per level of each trie with no bytecode per
-    node, so a prefix shared within a trie is multiplied once per point.
+    a^(M - e) b^e over the factors.  That product is P * S, P over the
+    factors before the cut and S over those after it: each run's prefix
+    and suffix tries build every node's product once (`_level_products`),
+    and one more `map` sums coefficient * P * S over the run's groups.
     """
     cden, highest, sides = form
     p = [x.numerator for x in coords]
@@ -411,13 +433,13 @@ def _side_totals(form, coords):
     powers = [[a ** (M - m) * b ** m for m in range(M + 1)]
               for (a, b), M in zip(values, highest)]
     totals = []
-    for tries in sides:
+    for runs in sides:
         total = 0
-        for levels, coeffs in tries:
-            vals = [1]
-            for (parent, exps), power in zip(levels, powers):
-                vals = list(map(mul, map(vals.__getitem__, parent), map(power.__getitem__, exps)))
-            total += sum(map(mul, coeffs, vals))
+        for prefix, suffix, pre, suf, coeffs in runs:
+            P = _level_products(prefix, powers)
+            S = _level_products(suffix, powers[len(prefix):][::-1])
+            total += sum(map(mul, coeffs, map(mul, map(P.__getitem__, pre),
+                                              map(S.__getitem__, suf))))
         totals.append(total)
     return totals, cden * prod(a ** M for (a, _), M in zip(values, highest))
 
@@ -455,13 +477,15 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     per-graph rational function or canonical pair is built) and the psi
     side once from `psi_numbers` (`_psi_groups`, `_integer_side`).  Both go
     over one shared denominator once (`_integer_form`, which also records
-    each side's distinct exponent prefixes level by level), and at each
-    point `_side_totals` computes the factor values s_i, s_i + s_j and
-    their powers once, multiplies each shared prefix once, and sums each
-    side to an integer over the one denominator den > 0 both share: the
-    sides are equal exactly when their integer totals are, and then one
-    reduced fraction is printed for both.  "graphs" counts the labelled
-    classes, the automorphism orbits on the labellings of each map.
+    each side's distinct exponent prefixes and suffixes, cut at the middle
+    factor, in two tries), and at each point `_side_totals` computes the
+    factor values s_i, s_i + s_j and their powers once, multiplies each
+    shared prefix and each shared suffix once, and sums each side, one
+    prefix-times-suffix product per group, to an integer over the one
+    denominator den > 0 both share: the sides are equal exactly when their
+    integer totals are, and then one reduced fraction is printed for both.
+    "graphs" counts the labelled classes, the automorphism orbits on the
+    labellings of each map.
     """
     if not is_stable(g, n):
         raise ValueError(f"({g},{n}) is unstable")

@@ -14,7 +14,7 @@ whose boundary lengths grow, cross in two ways:
 
 `intersection_matrix` assembles the limiting skew matrix X for a system of
 multicurves.  Its entries lie in Z[sqrt(5)]; `curve_pair_cos` sums each in
-integers and builds one `Surd`.
+integers and builds one `Surd` with int parts, so X holds no `Fraction`.
 """
 
 from __future__ import annotations
@@ -301,8 +301,8 @@ def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve, *,
     Shared maximal edge paths contribute 0 or +-1; chord crossings at
     degree-5 vertices contribute the exact ideal pentagon cosines
     +-(sqrt(5) - 2).  The sum x + y sqrt(5) is taken in two ints and
-    returned as one `Surd`.  A chord crossing at a vertex of any other
-    degree raises `UnresolvableCrossing`.  A caller that pairs each curve
+    returned as one `Surd` whose parts are those ints.  A chord crossing at
+    a vertex of any other degree raises `UnresolvableCrossing`.  A caller that pairs each curve
     with many others passes `passages`, the two curves' `_curve_passages`,
     so that they are built once per curve rather than once per pair.
     """
@@ -348,7 +348,9 @@ def curve_pair_cos(graph: RibbonGraph, P: Multicurve, Q: Multicurve, *,
 def intersection_matrix(graph: RibbonGraph, curves):
     """The skew matrix X of limiting crossing cosines for a curve system;
     `curve_pair_cos` sums each entry in Z[sqrt(5)] integers, given one
-    passage list per curve."""
+    passage list per curve.  Every entry, the zero diagonal and the
+    negated lower triangle included, is a `Surd` with int parts: no
+    `Fraction` is built."""
     m = len(curves)
     passages = [_curve_passages(graph, c) for c in curves]
     X = [[Surd(0)] * m for _ in range(m)]

@@ -111,8 +111,9 @@ def asymptotic_form(chart: CellChart):
 
 
 def _surd_matrix(A, B, den):
-    """The matrix (A + B sqrt(5)) / den from integer matrices A and B."""
-    return [[Surd(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, rb)]
+    """The matrix (A + B sqrt(5)) / den from integer matrices A and B, each
+    entry one `Surd` of the two reduced Fractions, stored as they are."""
+    return [[Surd._make(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, rb)]
             for ra, rb in zip(A, B)]
 
 

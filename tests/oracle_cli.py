@@ -13,8 +13,10 @@ class by class with no graph per class; the two routes share only the map
 search and the labelled classes of each map.
 
 `oracle_identities_payload` builds the cell form, the identity checks and
-the density once per labelled class.  The CLI builds them once per
-unlabelled map and reuses them for every labelling of it.
+the density once per labelled class, and one report dict per class, for
+`json.dumps(indent=1)` to serialise.  The CLI builds them once per
+unlabelled map, reuses them for every labelling of it, and streams each
+class's row from a template formatted once per map.
 
 `oracle_parser` builds the argument parser with one hand-written
 `add_argument` call per option, as `build_parser` did before the CLI's

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from oracle_cli import (oracle_enumerate_text, oracle_identities_payload, oracle
                         oracle_parser)
 from ribbonvol.cli import build_parser, cmd_angle, main
 from ribbonvol.hypgeom import IdealPolygonChord, chords_cross, crossing_cos
-from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph, enumerate_graphs
+from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph, enumerate_graphs, enumerate_maps
 from ribbonvol.wittencycle import ChartError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -683,13 +684,23 @@ def test_identities_command(run):
     assert payload["expected_density"] == "2"
 
 
-@pytest.mark.parametrize("g,n", [(0, 4), (1, 3)])
-def test_identities_matches_the_per_class_oracle(run, g, n):
+@pytest.mark.parametrize("g,n", [(1, 2), (0, 4), (1, 3), (2, 2)])
+def test_identities_matches_the_per_class_oracle(tmp_path, run, g, n):
+    """The rows `identities` streams from one template per map are, on
+    stdout and in --out, the bytes of `json.dumps(indent=1)` of the oracle's
+    payload, one dict per class.  Each type has a map whose face orders
+    form a coset of more than one element, so that map's template is filled
+    by fewer than n! classes."""
     argv = ["identities", "--g", str(g), "--n", str(n)]
-    code, out = run(*argv)
-    assert code == 0
-    oracle = oracle_identities_payload(build_parser().parse_args(argv))
-    assert out == json.dumps(oracle, indent=1) + "\n"
+    path = tmp_path / "identities.json"
+    (code, out), (out_code, shown) = run(*argv), run(*argv, "--out", str(path))
+    assert code == out_code == 0 and shown == ""
+    expected = json.dumps(oracle_identities_payload(build_parser().parse_args(argv)),
+                          indent=1) + "\n"
+    assert out == expected
+    assert path.read_text(encoding="utf-8") == expected
+    _, maps = enumerate_maps(g, n, [3] * (4 * g - 4 + 2 * n))
+    assert any(len(classes) < factorial(n) for _, classes in maps)
 
 
 def test_identities_builds_one_cell_form_per_map(run, monkeypatch):

@@ -625,31 +625,40 @@ def flat_side_totals(sides, coords):
     return totals, cden * prod(a ** M for (a, _), M in zip(values, highest))
 
 
-def trie_products(tries):
-    """The products per point of one side of `_integer_form`: one per node."""
-    return sum(len(parent) for levels, _ in tries for parent, _ in levels)
+def run_products(runs):
+    """The products per point of one side of `_integer_form`, as (prefix
+    nodes, suffix nodes, groups): one per node of each trie and one
+    prefix-times-suffix product per group."""
+    prefix = sum(len(parent) for run in runs for parent, _ in run[0])
+    suffix = sum(len(parent) for run in runs for parent, _ in run[1])
+    return prefix, suffix, sum(len(run[4]) for run in runs)
 
 
 # (g, n) -> the graph side's products per point: flat, one per group and
-# factor, and level by level, one per distinct exponent prefix
-GRAPH_SIDE_PRODUCTS = {(0, 4): (590, 342), (1, 3): (912, 487),
-                       (0, 5): (23025, 9737), (1, 4): (47900, 18393)}
+# factor, and prefix times suffix, one per distinct exponent prefix of
+# factors 0..c-1, one per distinct suffix of factors F-1 down to c, c =
+# ceil(F/2), and one per group.  F = 1 at (1,1) and (2,1), 3 at (1,2).
+GRAPH_SIDE_PRODUCTS = {(1, 1): (1, 2), (2, 1): (1, 2), (1, 2): (27, 28),
+                       (0, 4): (590, 238), (1, 3): (912, 351),
+                       (0, 5): (23025, 3979), (1, 4): (47900, 7667)}
 
 
 @pytest.mark.parametrize("g,n", list(GRAPH_SIDE_PRODUCTS))
 def test_level_totals_equal_the_flat_products(g, n):
-    """Oracle gate for the level-by-level evaluator: at the extremes and at
-    seeded points both sides' integer totals and the shared denominator are
-    those of the flat route, and the graph side takes the pinned number of
-    products per point."""
+    """Oracle gate for the prefix-times-suffix evaluator: at the extremes
+    and at seeded points both sides' integer totals and the shared
+    denominator are those of the flat route, and the graph side takes the
+    pinned number of products per point, its tries cut at c = ceil(F/2)."""
     groups, den, _ = _map_groups(g, n)
     sides = [_integer_side(_psi_groups(g, n)), (list(groups.items()), den)]
     form = _integer_form(*sides)
-    [(levels, coeffs)] = form[2][1]  # one trie: fewer than _TRIE_GROUPS groups
-    assert len(levels) == len(_factor_order(n))
-    assert len(levels[-1][0]) == len(coeffs) == len(groups)
-    flat = len(groups) * len(_factor_order(n))
-    assert (flat, trie_products(form[2][1])) == GRAPH_SIDE_PRODUCTS[g, n]
+    F = len(_factor_order(n))
+    # one run: fewer than _TRIE_GROUPS groups
+    [(prefix, suffix, pre, suf, coeffs)] = runs = form[2][1]
+    assert (len(prefix), len(suffix)) == (-(-F // 2), F // 2)
+    assert len(pre) == len(suf) == len(coeffs) == len(groups)
+    assert len(set(zip(pre, suf))) == len(groups)
+    assert (len(groups) * F, sum(run_products(runs))) == GRAPH_SIDE_PRODUCTS[g, n]
     for point in sample_points(n, 4, seed=7 * n + g):
         coords = [point[f"s{i}"] for i in range(1, n + 1)]
         assert _side_totals(form, coords) == flat_side_totals(sides, coords)
@@ -657,22 +666,34 @@ def test_level_totals_equal_the_flat_products(g, n):
 
 @pytest.mark.parametrize("size", [1, 7, 58])
 def test_a_side_cut_into_tries_keeps_the_totals(monkeypatch, size):
-    """A side of more than `_TRIE_GROUPS` groups is cut into tries, here the
-    59 graph-side groups of (0,4) into tries of `size`: the totals are the
-    flat route's, and each cut repeats at most one product per level.  One
-    group per trie takes the flat route's products."""
+    """A side of more than `_TRIE_GROUPS` groups is cut into runs, each
+    with its own two tries, here the 59 graph-side groups of (0,4) (F = 10,
+    cut at c = 5) into runs of `size`: the totals are the flat route's.
+
+    The groups are sorted, so the prefixes of a run are consecutive and
+    each cut repeats at most one prefix node per level, c per cut.  Their
+    suffixes interleave: each run's suffix trie is a sub-trie of the whole
+    side's, so the k runs repeat at most k - 1 copies of it, and no run has
+    more than F - c suffix nodes per group.  The group count does not
+    change.  One group per run takes c + (F - c) + 1 = F + 1 products a
+    group."""
     import ribbonvol.kformula as kf
 
     groups, den, _ = _map_groups(0, 4)
     sides = [_integer_side(_psi_groups(0, 4)), (list(groups.items()), den)]
-    whole = trie_products(_integer_form(*sides)[2][1])
+    F = len(_factor_order(4))
+    c = -(-F // 2)
+    prefix, suffix, count = run_products(_integer_form(*sides)[2][1])
     monkeypatch.setattr(kf, "_TRIE_GROUPS", size)
     form = kf._integer_form(*sides)
-    tries = form[2][1]
-    assert len(tries) == -(-len(groups) // size)
-    products = trie_products(tries)
-    assert whole <= products <= whole + (len(tries) - 1) * len(_factor_order(4))
-    assert (products == GRAPH_SIDE_PRODUCTS[0, 4][0]) == (size == 1)
+    runs = form[2][1]
+    k = len(runs)
+    assert k == -(-len(groups) // size)
+    cut_prefix, cut_suffix, cut_count = run_products(runs)
+    assert prefix <= cut_prefix <= prefix + (k - 1) * c
+    assert suffix <= cut_suffix <= min(k * suffix, len(groups) * (F - c))
+    assert cut_count == count == len(groups)
+    assert (cut_prefix + cut_suffix + cut_count == len(groups) * (F + 1)) == (size == 1)
     for point in sample_points(4, 4, seed=29):
         coords = [point[f"s{i}"] for i in range(1, 5)]
         assert kf._side_totals(form, coords) == flat_side_totals(sides, coords)

@@ -313,3 +313,30 @@ def test_integer_crossing_sums_equal_the_surd_route_on_standard_systems(g, n):
         curves = [edge_multicurve(graph, k) for k in range(graph.num_edges)]
         assert intersection_matrix(graph, curves) == \
             oracle_cells.intersection_matrix(graph, curves)
+
+
+def test_intersection_matrix_builds_no_fraction(monkeypatch):
+    """Every crossing entry is summed in ints and kept as the int parts of
+    its `Surd`, the zero diagonal and the negated entries included: on the
+    eight packaged (5,3) charts, whose entries include sqrt(5) parts, and on
+    the standard systems of the trivalent (0,4) graphs, `Fraction.__new__`
+    is never called and every entry has int parts."""
+    charts, _ = example5_charts()
+    systems = [(chart.graph, chart.curves) for chart, _ in charts]
+    systems += [(graph, [edge_multicurve(graph, k) for k in range(graph.num_edges)])
+                for graph, _ in enumerate_trivalent(0, 4)]
+    made = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    matrices = [intersection_matrix(graph, curves) for graph, curves in systems]
+    monkeypatch.undo()
+    assert made == 0
+    assert all(type(x) is Surd and type(x.a) is type(x.b) is int
+               for X in matrices for row in X for x in row)
+    assert any(x.b for X in matrices for row in X for x in row)

@@ -103,3 +103,49 @@ def test_bool_scalar_is_coerced(s):
     assert s * True == s and True * s == s
     assert s * False == 0
     assert _stored_as_fractions(s * True)
+
+
+def _int_parts(x):
+    return isinstance(x, Surd) and type(x.a) is type(x.b) is int
+
+
+def int_surds(bound=20):
+    return st.builds(Surd, st.integers(-bound, bound), st.integers(-bound, bound))
+
+
+def test_int_parts_are_kept_as_ints():
+    """`Surd(x, y)` with int x, y, as `curve_pair_cos` builds each crossing
+    entry, stores the ints; any other rational part becomes a Fraction."""
+    assert _int_parts(Surd(3, -1)) and _int_parts(Surd(0))
+    assert _stored_as_fractions(Surd(Fraction(3), Fraction(-1)))
+    assert _stored_as_fractions(Surd(True, False))
+    assert Surd(3, -1) == Surd(Fraction(3), Fraction(-1))
+    assert hash(Surd(3, -1)) == hash(Surd(Fraction(3), Fraction(-1)))
+    assert hash(Surd(3)) == hash(3) == hash(Surd(Fraction(3)))
+
+
+@settings(max_examples=100)
+@given(int_surds(), int_surds(), st.integers(-20, 20))
+@example(Surd(4), Surd(3), 2)
+@example(Surd(1, 1), Surd(-1, 1), 3)
+def test_int_parts_stay_exact(a, b, k):
+    """Int-part Surds: +, - and * keep int parts; inverse, / and
+    as_fraction give Fractions, never a float, equal to the Fraction-part
+    route of the same values."""
+    fa, fb = Surd(Fraction(a.a), Fraction(a.b)), Surd(Fraction(b.a), Fraction(b.b))
+    ring = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (-a, -fa),
+            (a * k, fa * k), (k * a, k * fa), (a + k, fa + k), (k - a, k - fa)]
+    assert all(_int_parts(x) and x == y for x, y in ring)
+    divided = []
+    if b != 0:
+        divided += [(b.inverse(), fb.inverse()), (a / b, fa / fb), (k / b, k / fb)]
+    if k:
+        divided.append((a / k, fa / k))
+    assert all(_stored_as_fractions(x) and x == y for x, y in divided)
+    if b != 0:
+        assert b * b.inverse() == 1
+    if a.is_rational:
+        q = a.as_fraction()
+        assert type(q) is Fraction and q == a.a
+    assert type((Surd(a.a) / Surd(3)).as_fraction()) is Fraction
+    assert Surd(1) / Surd(3) == Fraction(1, 3) and Surd(2).inverse().a == Fraction(1, 2)

@@ -280,6 +280,24 @@ def test_asymptotic_form_equals_entrywise_sum(charts):
         assert asymptotic_form(chart) == entrywise_asymptotic_form(chart)
 
 
+def test_asymptotic_form_over_int_parts_equals_the_fraction_part_route(charts, monkeypatch):
+    """The crossing matrix now holds int parts; the Gauss-Jordan elimination
+    of `asymptotic_form` over it gives, on the eight packaged charts, the
+    form it gave when X held every part as a `Fraction`, and its entries
+    have Fraction or int parts, never a float."""
+    cs, _ = charts
+    forms = [asymptotic_form(chart) for chart, _ in cs]
+
+    def fraction_parts(self):
+        return [[Surd(Fraction(x.a), Fraction(x.b)) for x in row]
+                for row in intersection_matrix(self.graph, self.curves)]
+
+    monkeypatch.setattr(CellChart, "intersection_matrix", fraction_parts)
+    assert forms == [asymptotic_form(chart) for chart, _ in cs]
+    assert all(type(x.a) in (int, Fraction) and type(x.b) in (int, Fraction)
+               for M in forms for row in M for x in row)
+
+
 def test_point_cell_chart_has_the_zero_form():
     graph = enumerate_trivalent(0, 3)[0][0]
     chart = CellChart(graph, ())
