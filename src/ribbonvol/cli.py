@@ -16,7 +16,8 @@ class, with no graph built per class; its head and int lists come from the
 same writer, with the same bytes as `json.dumps(indent=1)` of the whole
 payload.  `identities` checks each map once, formats the map's report row
 once with slots for a class's face labels and |Aut|, and streams one
-filled row per class the same way.
+filled row per class the same way: both lists go through one helper,
+`_class_stream`.
 
 The grammar is one table, `_COMMANDS`, read two ways.  `main` first tries
 `_recognize`, which takes only a subcommand followed by its exact long
@@ -267,25 +268,32 @@ _CLASS_ROW = """%%s  {
   }"""
 
 
-def _enumerate_json(head: dict, maps):
-    """The `enumerate` payload `head` with `"classes"` filled from the
-    (graph, classes) pairs of `enumerate_maps`, streamed one class per
-    chunk; half_edges, s0, s1, genus and faces are formatted once per map,
-    and each distinct tuple of face labels once per payload, since the
-    classes of every map draw their labels from the same n! permutations."""
+def _class_stream(head: dict, key: str, rows):
+    """The payload `head` with the list `key` filled from `rows`, one
+    (template, classes) pair per map, streamed one class per chunk.  A
+    template is a class's row at depth 2 with %s slots for the separator,
+    the face labels and |Aut|, filled once per (labels, aut) of `classes`.
+    Each distinct tuple of face labels is formatted once per payload, since
+    the classes of every map draw their labels from the same n!
+    permutations.  With no class at all, `key` holds `[]`."""
     labels_text = functools.cache(_int_list)
-    text = _json_text({**head, "classes": []}, "")
-    if not head["count"]:
-        yield text + "\n"
-        return
+    text = _json_text({**head, key: []}, "")
     sep = text[:-len("[]\n}")] + "[\n"
-    for graph, classes in maps:
-        row = _CLASS_ROW % (len(graph.s0), _int_list(graph.s0), _int_list(graph.s1),
-                            graph.genus, graph.num_faces)
+    for row, classes in rows:
         for labels, aut in classes:
             yield row % (sep, labels_text(labels), aut)
             sep = ",\n"
-    yield "\n ]\n}\n"
+    yield "\n ]\n}\n" if sep == ",\n" else text + "\n"
+
+
+def _enumerate_json(head: dict, maps):
+    """The `enumerate` payload `head` with `"classes"` filled from the
+    (graph, classes) pairs of `enumerate_maps` by `_class_stream`; half_edges,
+    s0, s1, genus and faces are formatted once per map."""
+    rows = ((_CLASS_ROW % (len(graph.s0), _int_list(graph.s0), _int_list(graph.s1),
+                           graph.genus, graph.num_faces), classes)
+            for graph, classes in maps)
+    return _class_stream(head, "classes", rows)
 
 
 def _enumerate_csv(maps):
@@ -370,23 +378,6 @@ _SLOT = "\0"
 _SLOT_TEXT = _encode_str(_SLOT)
 
 
-def _identities_json(head: dict, rows):
-    """The `identities` payload `head` with `"reports"` filled from `rows`,
-    one (template, classes) pair per map, streamed one class per chunk.
-    A template is the map's report row at depth 2 with %s slots for the
-    separator, the face labels and |Aut|; each distinct tuple of face
-    labels is formatted once per payload.  `rows` is never empty: every
-    stable type has a trivalent map."""
-    labels_text = functools.cache(_int_list)
-    text = _json_text({**head, "reports": []}, "")
-    sep = text[:-len("[]\n}")] + "[\n"
-    for row, classes in rows:
-        for labels, aut in classes:
-            yield row % (sep, labels_text(labels), aut)
-            sep = ",\n"
-    yield "\n ]\n}\n"
-
-
 def cmd_identities(args) -> tuple:
     """Check the matrix identities and the cell density of every trivalent
     class of type (g, n), as a stream of JSON chunks.
@@ -422,7 +413,7 @@ def cmd_identities(args) -> tuple:
         "graphs": count,
         "ok": all_ok,
     }
-    return _identities_json(head, rows), 0 if all_ok else VERIFICATION_FAILURE
+    return _class_stream(head, "reports", rows), 0 if all_ok else VERIFICATION_FAILURE
 
 
 def cmd_witten12(args) -> tuple:

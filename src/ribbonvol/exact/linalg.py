@@ -180,18 +180,15 @@ def solve_sqrt5(X, Y):
 
     x = a + b sqrt(5) acts on (u, v) ~ u + v sqrt(5) as [[a, 5b], [b, a]], so
     one `bareiss` of [Xa 5Xb | Y; Xb Xa | 0], each row scaled by the lcm of
-    its denominators, gives det [I | Za; Zb].  A row whose entries are all
-    ints, as the int-part crossing matrix and integer Y of the chart layer
-    give, is taken as it is.  SingularMatrixError if X is singular.
+    its denominators, gives det [I | Za; Zb].  An int's denominator is 1, so
+    a row of ints, as the int-part crossing matrix and integer Y of the
+    chart layer give, scales by 1.  SingularMatrixError if X is singular.
     """
     m = len(X)
     rows = ([[x.a for x in xr] + [5 * x.b for x in xr] + list(yr) for xr, yr in zip(X, Y)]
             + [[x.b for x in xr] + [x.a for x in xr] + [0] * len(yr) for xr, yr in zip(X, Y)])
     M = []
     for row in rows:
-        if all(type(x) is int for x in row):
-            M.append(row)
-            continue
         scale = lcm(*(x.denominator for x in row))
         M.append([x.numerator * (scale // x.denominator) for x in row])
     R, pivots, det = bareiss(M)
