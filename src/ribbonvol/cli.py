@@ -72,7 +72,7 @@ VERIFICATION_FAILURE = 1
 _DVV_BUDGET = 3_500_000
 
 # `verify-kcf` refuses more sampled points than this: each is evaluated
-# exactly and kept in the report; 1000 take about 3 CPU s at (0,5) and 11
+# exactly and kept in the report; 1000 take about 2 CPU s at (0,5) and 5
 # at (1,4) on a 2-vCPU Xeon (Python 3.11).
 _MAX_TRIALS = 1000
 
@@ -385,7 +385,9 @@ def cmd_identities(args) -> tuple:
     The checks and the density read only K, B, ker A and G, which the face
     labels do not change (they permute the rows of A), so each map's cell
     form is built and checked once, and each class's report is the map's
-    with its own face labels.  Each map's row is formatted once by
+    with its own face labels.  The density's |Pf G| is isqrt(det G) from
+    `bareiss(G)`, the same elimination check (iii) runs, so the cell layer
+    takes no subset-expansion Pfaffian.  Each map's row is formatted once by
     `_json_text`, with slots for a class's face labels and |Aut|, and
     filled once per class.  The head's "ok" covers every map, so every map
     is checked before the first chunk."""

@@ -14,7 +14,7 @@ import itertools
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .exact import (
@@ -25,7 +25,6 @@ from .exact import (
     mat_mul,
     mat_vec,
     orthant_exponential_integral,
-    pfaffian,
 )
 from .ribbon import (
     RibbonGraph,
@@ -110,19 +109,41 @@ def restrict_form(M, V):
     return [[sum(a * b for a, b in zip(u, Mv)) for Mv in images] for u in V]
 
 
+def _abs_pf(G) -> int:
+    """|Pf G| of an even-dimensional skew-symmetric integer matrix G.
+
+    Read off `bareiss(G)`: 0 if G is singular, else isqrt(det G), since
+    det G = Pf(G)^2.  Raises ValueError on odd dimension or a G that is not
+    skew-symmetric, and ArithmeticError if det G is not a perfect square.
+    """
+    k = len(G)
+    if k % 2:
+        raise ValueError("a Pfaffian needs even dimension")
+    if any(G[i][j] != -G[j][i] for i in range(k) for j in range(i, k)):
+        raise ValueError("matrix is not skew-symmetric")
+    _, pivots, det = bareiss(G)
+    if len(pivots) < k:
+        return 0
+    pf = isqrt(max(det, 0))
+    if pf * pf != det:
+        raise ArithmeticError(f"det of a skew-symmetric matrix is not a square: {det}")
+    return pf
+
+
 class _CellForm(namedtuple("_CellForm", "K V d volfactor G")):
     """K, an integer basis V of ker A, its scale d, the volume factor, and
     G = V^T K V in integers.
 
     V is d times the basis `kernel_basis` gives, so the quarter-K form on
-    that basis is G / (4 d^2).
+    that basis is G / (4 d^2), and its |Pf| is |Pf G| / (4 d^2)^(k/2) on
+    k = len(G) rows, with |Pf G| read off `bareiss(G)`.
     """
 
     __slots__ = ()
 
     def density(self) -> Fraction:
         scale = (4 * self.d * self.d) ** (len(self.G) // 2)
-        return Fraction(abs(pfaffian(self.G)), scale) / self.volfactor
+        return Fraction(_abs_pf(self.G), scale) / self.volfactor
 
 
 def _cell_form(graph: RibbonGraph) -> _CellForm:
@@ -136,8 +157,9 @@ def _cell_form(graph: RibbonGraph) -> _CellForm:
 def cell_density(graph: RibbonGraph) -> Fraction:
     """Constant density of the top power of the quarter-K form on the cell.
 
-    Computed as |Pf((1/4) V^T K V)| divided by the factor converting the
-    kernel basis V into the quotient Lebesgue measure of {A e = x}.
+    Computed as |Pf((1/4) V^T K V)|, read off the `bareiss` determinant of
+    the integer G = V^T K V, divided by the factor converting the kernel
+    basis V into the quotient Lebesgue measure of {A e = x}.
     Equals 2^(1-g) on every trivalent graph.
     """
     if not graph.is_trivalent:
