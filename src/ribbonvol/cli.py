@@ -16,8 +16,13 @@ class, with no graph built per class; its head and int lists come from the
 same writer, with the same bytes as `json.dumps(indent=1)` of the whole
 payload.  `identities` checks each map once, formats the map's report row
 once with slots for a class's face labels and |Aut|, and streams one
-filled row per class the same way: both lists go through one helper,
-`_class_stream`.
+filled row per class the same way: both lists go through `_class_stream`.
+`volume` sorts W's terms once and formats each coefficient once
+(`Poly._term_texts`); "terms" is written from one row template, filled per
+term, and "W_str" from the same texts.  `psi` writes its table from one row
+template filled per nonzero number.  Every such list is streamed by one
+loop, `_row_stream`, one filled row per chunk, with the rest of the payload
+in the chunks of the writer.
 
 The grammar is one table, `_COMMANDS`, read two ways.  `main` first tries
 `_recognize`, which takes only a subcommand followed by its exact long
@@ -252,9 +257,10 @@ def _int_list(xs) -> str:
     return _list_text(xs, "    ")
 
 
-# One class of `enumerate` JSON at depth 2.  The map's fields are filled in
-# first; the %% slots left are the separator, the face labels and |Aut|.
-_CLASS_ROW = """%%s  {
+# One class of `enumerate` JSON at depth 2, after its separator.  The map's
+# fields are filled in first; the %% slots left are the face labels and |Aut|.
+_CLASS_ROW = """,
+  {
    "graph": {
     "v": 1,
     "half_edges": %d,
@@ -268,22 +274,56 @@ _CLASS_ROW = """%%s  {
   }"""
 
 
+# Stands for a value that a row template or a streamed payload fills in
+# later; json writes it as "\u0000", which no other field contains.
+_SLOT = "\0"
+_SLOT_TEXT = _encode_str(_SLOT)
+
+
+def _row_template(row: dict, indent: str) -> str:
+    """One list element's row template: the separator ",\n", then `row` as
+    `_json_text` writes it at depth `indent`, each `_SLOT` value of it a %s
+    slot."""
+    text = _json_text(row, indent).replace("%", "%%").replace(_SLOT_TEXT, "%s")
+    return ",\n" + indent + text
+
+
+def _row_stream(head: dict, rows):
+    """The payload `head`, in the chunks of `_json_chunks`, with its one
+    `_SLOT` value, a dict's value at any depth, filled by the list whose
+    elements are `rows`, one chunk each.  A row is an element's text after
+    the separator ",\n", a filled `_row_template` or `_CLASS_ROW`; the
+    first row opens the list instead.  The list closes at the indent of the
+    line that names it, and with no row at all it is `[]`."""
+    named = ""
+    for chunk in _json_chunks(head):
+        if chunk != _SLOT_TEXT:
+            yield chunk
+            named = chunk
+            continue
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            yield "[]"
+            continue
+        line = named[named.rindex("\n") + 1:]
+        yield "[\n" + first[2:]
+        yield from rows
+        yield "\n" + " " * (len(line) - len(line.lstrip(" "))) + "]"
+    yield "\n"
+
+
 def _class_stream(head: dict, key: str, rows):
-    """The payload `head` with the list `key` filled from `rows`, one
-    (template, classes) pair per map, streamed one class per chunk.  A
-    template is a class's row at depth 2 with %s slots for the separator,
+    """The payload `head` with the list `key` filled by `_row_stream` from
+    `rows`, one (template, classes) pair per map.  A template has slots for
     the face labels and |Aut|, filled once per (labels, aut) of `classes`.
     Each distinct tuple of face labels is formatted once per payload, since
     the classes of every map draw their labels from the same n!
-    permutations.  With no class at all, `key` holds `[]`."""
+    permutations."""
     labels_text = functools.cache(_int_list)
-    text = _json_text({**head, key: []}, "")
-    sep = text[:-len("[]\n}")] + "[\n"
-    for row, classes in rows:
-        for labels, aut in classes:
-            yield row % (sep, labels_text(labels), aut)
-            sep = ",\n"
-    yield "\n ]\n}\n" if sep == ",\n" else text + "\n"
+    return _row_stream({**head, key: _SLOT}, (row % (labels_text(labels), aut)
+                                              for row, classes in rows
+                                              for labels, aut in classes))
 
 
 def _enumerate_json(head: dict, maps):
@@ -330,35 +370,38 @@ def cmd_enumerate(args) -> tuple:
 
 
 def cmd_volume(args) -> tuple:
+    """W_{g,n} as LaTeX, or as a stream of JSON chunks: its terms are
+    sorted and their coefficients formatted once (`Poly._term_texts`), and
+    both "terms", one row template filled per term, and "W_str" are
+    written from them."""
     _check_stable(args.g, args.n)
     _check_reach(args.g, args.n)
     W = kontsevich_volume(args.g, args.n)
     if args.format == "latex":
         return f"W_{{{args.g},{args.n}}} = {_poly_latex(W)}\n", 0
-    payload = {
+    texts = W._term_texts()
+    head = {
         "v": 1,
         "command": "volume",
         "g": args.g,
         "n": args.n,
-        "W": W.to_json(),
-        "W_str": str(W),
+        "W": {"vars": list(W.vars), "terms": _SLOT},
+        "W_str": W._display(texts),
     }
-    return payload, 0
+    term = _row_template({"exp": [_SLOT] * args.n, "coef": _SLOT}, "   ")
+    return _row_stream(head, (term % (*exp, _encode_str(cs)) for exp, cs in texts)), 0
 
 
 def cmd_psi(args) -> tuple:
+    """The nonzero psi numbers of (g, n) by exponent tuple, as a stream of
+    JSON chunks, one row template filled per number."""
     _check_stable(args.g, args.n)
     _check_reach(args.g, args.n)
     table = psi_numbers(args.g, args.n)
-    payload = {
-        "v": 1,
-        "command": "psi",
-        "g": args.g,
-        "n": args.n,
-        "psi": [{"alpha": list(alpha), "value": str(val)}
-                for alpha, val in sorted(table.items()) if val != 0],
-    }
-    return payload, 0
+    head = {"v": 1, "command": "psi", "g": args.g, "n": args.n, "psi": _SLOT}
+    row = _row_template({"alpha": [_SLOT] * args.n, "value": _SLOT}, "  ")
+    return _row_stream(head, (row % (*alpha, _encode_str(str(val)))
+                              for alpha, val in sorted(table.items()) if val)), 0
 
 
 def cmd_verify_kcf(args) -> tuple:
@@ -370,12 +413,6 @@ def cmd_verify_kcf(args) -> tuple:
     if not args.points:
         payload["points"] = payload["points"][:3]
     return payload, 0 if report["equal"] else VERIFICATION_FAILURE
-
-
-# Stands for a class's face labels and |Aut| in a map's `identities` row;
-# json writes it as "\u0000", which no other field of a row contains.
-_SLOT = "\0"
-_SLOT_TEXT = _encode_str(_SLOT)
 
 
 def cmd_identities(args) -> tuple:
@@ -403,9 +440,9 @@ def cmd_identities(args) -> tuple:
         rho = form.density()
         ok = rep["ok"] and rho == expected_density
         all_ok &= ok
-        row = _json_text({"graph": {**graph.to_json(), "face_labels": _SLOT}, "aut": _SLOT,
-                          "checks": rep["checks"], "density": str(rho), "ok": ok}, "  ")
-        rows.append(("%s  " + row.replace("%", "%%").replace(_SLOT_TEXT, "%s"), classes))
+        rows.append((_row_template({"graph": {**graph.to_json(), "face_labels": _SLOT},
+                                    "aut": _SLOT, "checks": rep["checks"],
+                                    "density": str(rho), "ok": ok}, "  "), classes))
     head = {
         "v": 1,
         "command": "identities",

@@ -2,7 +2,10 @@
 
 A polynomial stores a variable tuple and a map from exponent tuples to
 nonzero `Fraction` coefficients; binary operations merge variable sets by
-name.
+name.  A coefficient whose type is exactly `Fraction` is stored as given,
+any other is converted.  For display the terms are sorted by total degree,
+then by exponent tuple, both descending, and each coefficient is formatted
+once (`_term_texts`), for `str` and `to_json` alike.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ class Poly:
         if terms:
             for exp, c in terms.items():
                 if c:
-                    clean[tuple(exp)] = Fraction(c)
+                    clean[tuple(exp)] = c if type(c) is Fraction else Fraction(c)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -195,28 +198,51 @@ class Poly:
 
     # -- display -------------------------------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
+    def _sorted_exps(self) -> list:
+        """The exponent tuples by total degree, then by the tuple itself,
+        both descending: the order of the key (sum(exp), exp) with
+        reverse=True, from two stable sorts with C-level keys."""
+        exps = sorted(self.terms, reverse=True)
+        exps.sort(key=sum, reverse=True)
+        return exps
+
+    def _sorted_terms(self) -> list:
+        """The (exp, c) pairs in the order of `_sorted_exps`."""
+        terms = self.terms
+        return [(exp, terms[exp]) for exp in self._sorted_exps()]
+
+    def _term_texts(self) -> list:
+        """The (exp, str(c)) pairs in the order of `_sorted_exps`: each term
+        sorted and its coefficient formatted once, for `__str__`, `to_json`
+        and the `volume` command alike."""
+        exps = self._sorted_exps()
+        return list(zip(exps, map(str, map(self.terms.__getitem__, exps))))
+
+    def _display(self, texts) -> str:
+        """The text of `__str__` from this polynomial's `_term_texts`:
+        terms joined by " + ", or " - " before a negative coefficient, each
+        coefficient but 1 and -1 written before its monomial.  The text of
+        each power of a variable is built once, and the whole text by one
+        `join`."""
+        if not texts:
+            return "0"
+        tops = map(max, zip(*(exp for exp, _ in texts)))
+        powers = [["", v] + [f"{v}^{e}" for e in range(2, top + 1)]
+                  for v, top in zip(self.vars, tops)]
+        pieces = []
+        for exp, cs in texts:
+            mono = "*".join(filter(None, map(list.__getitem__, powers, exp)))
+            if cs[0] == "-":
+                sign, cs = " - ", cs[1:]
+            else:
+                sign = " + "
+            pieces.append(sign)
+            pieces.append((mono if cs == "1" else f"{cs}*{mono}") if mono else cs)
+        pieces[0] = "" if pieces[0] == " + " else "-"
+        return "".join(pieces)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, c in self._sorted_terms():
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.vars, exp) if e
-            )
-            cs = str(c)
-            if mono:
-                piece = mono if cs == "1" else (f"-{mono}" if cs == "-1" else f"{cs}*{mono}")
-            else:
-                piece = cs
-            parts.append(piece)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return self._display(self._term_texts())
 
     def __repr__(self):
         return f"Poly({self.vars!r}, {self.terms!r})"
@@ -224,8 +250,7 @@ class Poly:
     def to_json(self):
         return {
             "vars": list(self.vars),
-            "terms": [{"exp": list(e), "coef": str(c)}
-                      for e, c in self._sorted_terms()],
+            "terms": [{"exp": list(e), "coef": cs} for e, cs in self._term_texts()],
         }
 
 

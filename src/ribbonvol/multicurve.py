@@ -231,15 +231,16 @@ def _maximal_runs(graph, gamma, delta, opposite: bool):
     """Maximal aligned stretches of gamma with delta (or its reverse).
 
     Returns (runs, closed); closed alignments are parallel copies of the
-    same curve and contribute no crossings.
+    same curve and contribute no crossings.  The matches (t, u), where
+    gamma[t] is delta[u] (or its reverse s1[delta[u]]), are read off one
+    index of delta's positions by dart, in O(M + L + matches).
     """
     s1 = graph.s1
     M, L = len(gamma), len(delta)
-    matches = set()
-    for t in range(M):
-        for u in range(L):
-            if (gamma[t] == s1[delta[u]]) if opposite else (gamma[t] == delta[u]):
-                matches.add((t, u))
+    at = {}
+    for u, dart in enumerate(delta):
+        at.setdefault(s1[dart] if opposite else dart, []).append(u)
+    matches = {(t, u) for t, dart in enumerate(gamma) for u in at.get(dart, ())}
     if not matches:
         return [], False
     step = -1 if opposite else 1

@@ -11,7 +11,10 @@ that `ribbonvol.exact.solve_sqrt5` replaces in the chart layer.  The
 limiting crossing matrix is summed in `Surd` arithmetic, every pentagon
 cosine from the `Surd` table of cos(2 pi k / 5) (`curve_pair_cos`,
 `intersection_matrix`), the field route that the integer sums of
-`ribbonvol.multicurve` replace.
+`ribbonvol.multicurve` replace.  Its shared edge paths come from
+`oracle_maximal_runs`, which tests every position of one walk against every
+position of the other, where `ribbonvol.multicurve._maximal_runs` looks the
+matches up in one index of the second walk by dart.
 """
 
 from fractions import Fraction
@@ -37,7 +40,6 @@ from ribbonvol.hypgeom import (
 from ribbonvol.kformula import EPSILON, kontsevich_form
 from ribbonvol.multicurve import (
     UnresolvableCrossing,
-    _maximal_runs,
     _passages,
     _run_contribution,
 )
@@ -128,6 +130,34 @@ def verify_form_identities(graph):
             "ok": all(checks.values())}
 
 
+def oracle_maximal_runs(graph, gamma, delta, opposite: bool):
+    """(runs, closed) of `_maximal_runs`, the matches found by an M x L
+    double loop over the positions of gamma and delta."""
+    s1 = graph.s1
+    M, L = len(gamma), len(delta)
+    matches = set()
+    for t in range(M):
+        for u in range(L):
+            if (gamma[t] == s1[delta[u]]) if opposite else (gamma[t] == delta[u]):
+                matches.add((t, u))
+    if not matches:
+        return [], False
+    step = -1 if opposite else 1
+    starts = [(t, u) for (t, u) in sorted(matches)
+              if ((t - 1) % M, (u - step) % L) not in matches]
+    if not starts:
+        return [], True  # every match extends backwards: closed alignment
+    runs = []
+    for (t, u) in starts:
+        run = [(t, u)]
+        cur = ((t + 1) % M, (u + step) % L)
+        while cur in matches and cur != (t, u):
+            run.append(cur)
+            cur = ((cur[0] + 1) % M, (cur[1] + step) % L)
+        runs.append(run)
+    return runs, False
+
+
 def curve_pair_cos(graph, P, Q):
     """Sum of cos of the limiting anticlockwise angles from P to Q, each
     contribution added as a `Surd`: +-1 per shared maximal edge path, and
@@ -136,7 +166,7 @@ def curve_pair_cos(graph, P, Q):
     for gamma in P.components:
         for delta in Q.components:
             for opposite in (False, True):
-                runs, closed = _maximal_runs(graph, gamma, delta, opposite)
+                runs, closed = oracle_maximal_runs(graph, gamma, delta, opposite)
                 if closed:
                     continue
                 for run in runs:

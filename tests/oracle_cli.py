@@ -18,6 +18,13 @@ the density once per labelled class, and one report dict per class, for
 unlabelled map, reuses them for every labelling of it, and streams each
 class's row from a template formatted once per map.
 
+`oracle_volume_payload` and `oracle_psi_payload` are the dicts `volume`
+and `psi` returned before they were streamed: W's terms as one dict per
+term and `W_str` from `Poly`'s old display routes (`oracle_poly`), which
+sort the terms and format every coefficient once per route, and one dict
+per nonzero psi number.  The CLI sorts and formats W's terms once and
+streams both lists from one row template filled per term.
+
 `oracle_parser` builds the argument parser with one hand-written
 `add_argument` call per option, as `build_parser` did before the CLI's
 grammar became one table; help, version and usage-error bytes must match.
@@ -27,12 +34,14 @@ import argparse
 import json
 from fractions import Fraction
 
+from oracle_poly import oracle_poly_json, oracle_poly_str
 from ribbonvol import __version__
 from ribbonvol.cli import (_parse_chord, _parse_degrees, cmd_angle, cmd_enumerate,
                            cmd_identities, cmd_psi, cmd_verify_kcf, cmd_volume,
                            cmd_witten12)
 from ribbonvol.kformula import _cell_form, verify_form_identities
 from ribbonvol.ribbon import enumerate_graphs, enumerate_trivalent
+from ribbonvol.volumes import kontsevich_volume, psi_numbers
 
 
 def oracle_json_text(value) -> str:
@@ -96,6 +105,21 @@ def oracle_identities_payload(args) -> dict:
         "ok": all_ok,
         "reports": out,
     }
+
+
+def oracle_volume_payload(g: int, n: int) -> dict:
+    """The `volume` payload of (g, n) as one dict."""
+    W = kontsevich_volume(g, n)
+    return {"v": 1, "command": "volume", "g": g, "n": n,
+            "W": oracle_poly_json(W), "W_str": oracle_poly_str(W)}
+
+
+def oracle_psi_payload(g: int, n: int) -> dict:
+    """The `psi` payload of (g, n) as one dict."""
+    table = psi_numbers(g, n)
+    return {"v": 1, "command": "psi", "g": g, "n": n,
+            "psi": [{"alpha": list(alpha), "value": str(val)}
+                    for alpha, val in sorted(table.items()) if val != 0]}
 
 
 def oracle_parser() -> argparse.ArgumentParser:

@@ -23,8 +23,10 @@ from jsonschema import Draft202012Validator
 import ribbonvol.cli as cli_module
 from enumerate_cases import ORACLE_CASES
 from oracle_cli import (oracle_enumerate_text, oracle_identities_payload, oracle_json_text,
-                        oracle_parser)
+                        oracle_parser, oracle_psi_payload, oracle_volume_payload)
+from oracle_poly import oracle_sorted_terms
 from ribbonvol.cli import build_parser, cmd_angle, main
+from ribbonvol.exact import Poly
 from ribbonvol.hypgeom import IdealPolygonChord, chords_cross, crossing_cos
 from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph, enumerate_graphs, enumerate_maps
 from ribbonvol.wittencycle import ChartError
@@ -482,12 +484,12 @@ class _DroppingSink:
 
 
 def test_a_dict_payload_is_written_without_holding_its_text():
-    """`volume --g 0 --n 10` (2.06 MB of text, 0.56 MB of it `W_str`) is
-    written to a sink that drops its input while the traced peak stays
-    below 0.4 times its text; a writer that joins its chunks in runs of
-    4096 before each write holds 0.58 times."""
-    args = cli_module._recognize(["volume", "--g", "0", "--n", "10"])
-    payload, _ = args.func(args)
+    """The dict payload of `volume --g 0 --n 10` from before `volume` was
+    streamed (`oracle_volume_payload`: 2.06 MB of text, 0.56 MB of it
+    `W_str`) is written to a sink that drops its input while the traced
+    peak stays below 0.4 times its text; a writer that joins its chunks in
+    runs of 4096 before each write holds 0.58 times."""
+    payload = oracle_volume_payload(0, 10)
     size = len(oracle_json_text(payload)) + 1
     tracemalloc.start()
     try:
@@ -496,6 +498,52 @@ def test_a_dict_payload_is_written_without_holding_its_text():
     finally:
         tracemalloc.stop()
     assert peak < 0.4 * size, (peak, size)
+
+
+def test_a_streamed_volume_is_written_without_holding_its_text():
+    """`volume --g 0 --n 10`, written to a sink that drops its input, holds
+    its `W_str` once as JSON text beside the rows it fills one by one: the
+    traced peak is 0.27 times the text, below the 0.4 a dict payload is
+    held to, where joining the rows would hold all of it."""
+    args = cli_module._recognize(["volume", "--g", "0", "--n", "10"])
+    size = len("".join(args.func(args)[0]))
+    payload, _ = args.func(args)
+    tracemalloc.start()
+    try:
+        cli_module._write(_DroppingSink(), payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * size, (peak, size)
+
+
+# Every stable (g, n) of dimension 3g-3+n <= 6, (0,7) and (0,9) among them
+SMALL_TYPES = [(g, n) for g in range(3) for n in range(1, 10)
+               if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 6]
+
+
+@pytest.mark.parametrize("g,n", SMALL_TYPES, ids=str)
+def test_volume_and_psi_print_the_bytes_of_their_old_payloads(run, g, n):
+    """The streamed `volume` and `psi` give `json.dumps(indent=1)` of the
+    dicts they returned before, W's built by `Poly`'s old display routes."""
+    for command, oracle in (("volume", oracle_volume_payload), ("psi", oracle_psi_payload)):
+        code, out = run(command, "--g", str(g), "--n", str(n))
+        assert code == 0
+        assert out == oracle_json_text(oracle(g, n)) + "\n", command
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (0, 6), (1, 1), (1, 4), (2, 2), (3, 1)], ids=str)
+def test_volume_latex_and_out_keep_their_bytes(run, tmp_path, monkeypatch, g, n):
+    """`--format latex` reads `Poly._sorted_terms`, whose order is the old
+    per-term key's, and `--out` gets the bytes of stdout."""
+    argv = ["volume", "--g", str(g), "--n", str(n)]
+    latex = run(*argv, "--format", "latex")
+    dest = tmp_path / "w.json"
+    for fmt in ("json", "latex"):
+        assert run(*argv, "--format", fmt, "--out", str(dest)) == (0, "")
+        assert dest.read_text(encoding="utf-8") == run(*argv, "--format", fmt)[1]
+    monkeypatch.setattr(Poly, "_sorted_terms", oracle_sorted_terms)
+    assert run(*argv, "--format", "latex") == latex
 
 
 def test_the_writer_is_the_only_indent_1_route_in_src():

@@ -1,9 +1,13 @@
+import importlib.util
 import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracle_cells
+from ribbonvol import multicurve
 from ribbonvol.exact import Poly, Surd
 from ribbonvol.multicurve import (
     InvalidMulticurve,
@@ -18,6 +22,7 @@ from ribbonvol.multicurve import (
 from ribbonvol.ribbon import enumerate_graphs, enumerate_trivalent
 from ribbonvol.wittencycle import example5_charts
 
+ROOT = Path(__file__).resolve().parent.parent
 SMALL_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2)]
 
 
@@ -340,3 +345,62 @@ def test_intersection_matrix_builds_no_fraction(monkeypatch):
     assert all(type(x) is Surd and type(x.a) is type(x.b) is int
                for X in matrices for row in X for x in row)
     assert any(x.b for X in matrices for row in X for x in row)
+
+
+def _checked_runs(calls):
+    """`_maximal_runs` that asserts its result equals the double-loop oracle's
+    on every call and counts the calls in `calls`."""
+    runs = multicurve._maximal_runs
+
+    def checked(graph, gamma, delta, opposite):
+        got = runs(graph, gamma, delta, opposite)
+        assert got == oracle_cells.oracle_maximal_runs(graph, gamma, delta, opposite), (
+            graph.to_json(), gamma, delta, opposite)
+        calls.append(1)
+        return got
+    return checked
+
+
+def test_maximal_runs_equal_the_double_loop_on_the_witten12_charts():
+    """Every ordered pair of curves of the eight packaged charts, a curve
+    with itself included, every pair of their components, both ways round."""
+    charts, _ = example5_charts()
+    pairs = 0
+    for chart, _ in charts:
+        for P, Q in itertools.product(chart.curves, repeat=2):
+            for gamma, delta in itertools.product(P.components, Q.components):
+                for opposite in (False, True):
+                    assert (multicurve._maximal_runs(chart.graph, gamma, delta, opposite)
+                            == oracle_cells.oracle_maximal_runs(chart.graph, gamma, delta,
+                                                                opposite))
+                    pairs += 1
+    assert pairs == 496  # component pairs of the packaged charts, both ways round
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_maximal_runs_equal_the_double_loop_in_the_chart_searches(monkeypatch, capsys):
+    """Every call of the chart search of `scripts/build_charts.py`, on the
+    seven cells besides the lead chart's, and of the slot search of
+    `scripts/find_lead_chart.py`: the curve pools' self-crossing counts and
+    every candidate chart's crossing matrix."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    build, lead = _load_script("build_charts"), _load_script("find_lead_chart")
+    calls = []
+    checked = _checked_runs(calls)
+    monkeypatch.setattr(multicurve, "_maximal_runs", checked)
+    monkeypatch.setattr(build, "_maximal_runs", checked)
+    lead_key = build.CellChart.from_json(build.LEAD_CHART).graph.canonical_form()
+    others = [graph for graph, _ in enumerate_graphs(1, 2, [5, 3])
+              if graph.canonical_form() != lead_key]
+    assert len(others) == 7
+    for graph in others:
+        build.find_chart(graph)
+    assert len(lead.main()) == 15
+    capsys.readouterr()
+    assert len(calls) > 60_000

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_poly import oracle_poly_json, oracle_poly_str, oracle_sorted_terms
 from ribbonvol.exact import Poly, poly_integrate
 
 
@@ -88,3 +89,51 @@ def test_evaluation_is_ring_homomorphism(terms, a, b):
     point = {"x": Fraction(a), "y": Fraction(b)}
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
     assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+
+
+# A polynomial in zero to four variables with up to 12 terms of degree at
+# most 5 each, so degrees repeat and the order within a degree matters;
+# coefficients 1 and -1, other integers and fractions of either sign.
+COEFFICIENTS = st.sampled_from([1, -1]) | st.integers(-30, 30) | st.fractions(
+    min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def polys(draw):
+    vars = ("x", "y", "z", "w")[:draw(st.integers(0, 4))]
+    exps = st.tuples(*[st.integers(0, 5)] * len(vars))
+    return Poly(vars, draw(st.dictionaries(exps, COEFFICIENTS, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys())
+def test_display_equals_the_old_per_term_routes(p):
+    """The two C-level sorts give the order of the old per-term key, and
+    `str` and `to_json`, which read one list of (exp, str(c)) pairs, give
+    the old text and dict, on constants, the zero polynomial, polynomials in
+    no variable and non-homogeneous ones with negative coefficients."""
+    assert p._sorted_terms() == oracle_sorted_terms(p)
+    assert p._term_texts() == [(e, str(c)) for e, c in oracle_sorted_terms(p)]
+    assert str(p) == oracle_poly_str(p)
+    assert p.to_json() == oracle_poly_json(p)
+
+
+def test_display_of_signs_units_and_constants():
+    x, y = Poly.variable("x", ("x", "y")), Poly.variable("y", ("x", "y"))
+    assert str(Poly.zero(("x",))) == "0"
+    assert str(Poly.const(Fraction(-3, 4))) == "-3/4"
+    assert str(-x * x * y + y - 1) == "-x^2*y + y - 1"
+    assert str(Fraction(-1, 2) * x - y * y * y) == "-y^3 - 1/2*x"
+
+
+def test_a_fraction_coefficient_is_kept_and_any_other_made_one():
+    """A coefficient of type `Fraction` is stored as given; an int, or an
+    instance of a `Fraction` subclass, becomes a plain `Fraction`."""
+    class Half(Fraction):
+        pass
+
+    c = Fraction(3, 7)
+    p = Poly(("x", "y"), {(1, 0): c, (0, 1): 2, (0, 0): Half(1, 2)})
+    assert p.terms[(1, 0)] is c
+    assert [type(v) for v in p.terms.values()] == [Fraction] * 3
+    assert p.terms == {(1, 0): c, (0, 1): Fraction(2), (0, 0): Fraction(1, 2)}
