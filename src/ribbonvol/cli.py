@@ -77,8 +77,8 @@ VERIFICATION_FAILURE = 1
 _DVV_BUDGET = 3_500_000
 
 # `verify-kcf` refuses more sampled points than this: each is evaluated
-# exactly and kept in the report; 1000 take about 2 CPU s at (0,5) and 5
-# at (1,4) on a 2-vCPU Xeon (Python 3.11).
+# exactly and kept in the report; 1000 take about 1.5 CPU s at (0,5) and
+# 2.5 at (1,4) on a 2-vCPU Xeon (Python 3.11).
 _MAX_TRIALS = 1000
 
 # `angle` refuses a crossing whose `crossing_cos_error` exceeds this: short
@@ -144,8 +144,9 @@ def _dvv_cost(g: int, n: int) -> float:
     tuples that `psi_numbers` fills and `volume` prints, plus d^5 (6 + n^2
     + 6 C(n, 3)) / 10^4 for the DVV recursion, which peels the smallest
     index and grows like d^5 at fixed n, and faster than n^2 from n = 3 on.
-    Fitted on a 2-vCPU Xeon (Python 3.11) to within a factor 1.5 of every
-    run measured from 0.3 to 18 CPU s.
+    Fitted on a 2-vCPU Xeon (Python 3.11) while `volume` formatted each
+    term twice; now conservative, 1.7-4.1x over the measured CPU ((0,11):
+    2.02 s, measured 0.49), most where the 46 per tuple dominates.
     """
     d = 3 * g - 3 + n
     return 46 * comb(d + n - 1, n - 1) + d ** 5 * (6 + n * n + 6 * comb(n, 3)) / 10_000

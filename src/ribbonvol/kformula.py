@@ -15,7 +15,7 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import mul, ne, sub
 
 from .exact import (
     SingularMatrixError,
@@ -355,70 +355,58 @@ def _psi_groups(g: int, n: int):
 
 def _integer_side(groups):
     """Groups with `Fraction` coefficients (`_psi_groups`) as an integer
-    side `(groups, den)`: den the lcm of the denominators, and each
-    coefficient c the int c * den."""
+    side `({exponent vector: int}, den)`: den the lcm of the denominators,
+    and each coefficient c the int c * den."""
     den = lcm(*(c.denominator for _, c in groups))
-    return [(exps, c.numerator * (den // c.denominator)) for exps, c in groups], den
+    return {exps: c.numerator * (den // c.denominator) for exps, c in groups}, den
 
 
-# The most groups in one run: `_side_totals` holds two levels of a trie's
-# products at once, so a larger side is cut into runs with tries of their own.
-_TRIE_GROUPS = 8192
-
-
-def _trie(keys, depth, index):
-    """(levels, at): the trie of the exponent tuples `keys`, each of length
-    `depth`, and the node of each key at its last level (0, the empty key,
-    if depth is 0).  Level f lists the distinct prefixes k_0..k_f as two
-    lists, `parent`, the index of k_0..k_{f-1} at level f - 1 (0, the empty
-    prefix, at level 0), and `exps`, k_f.  `index` supplies the node
-    numbers, one int object shared by every level's `parent`."""
+def _trie(keys, columns):
+    """(levels, at): the trie of the exponent vectors `keys` read at the
+    column indices `columns`, in that order, and the node of each key at
+    its last level (0, the empty key, for no column).  Level f lists the
+    distinct partial keys, a key's entries at columns[0..f], as two lists:
+    `parent`, the node of the partial key without its last entry at level
+    f - 1 (0 at level 0), and `exps`, its entry at columns[f]."""
     at = [0] * len(keys)
     levels = []
-    for f in range(depth):
+    for col in columns:
         nodes = {}
         for i, key in enumerate(keys):
-            at[i] = nodes.setdefault((at[i], key[f]), index[len(nodes)])
+            at[i] = nodes.setdefault((at[i], key[col]), len(nodes))
         levels.append(([a for a, _ in nodes], [e for _, e in nodes]))
     return levels, at
 
 
 def _integer_form(*sides):
     """(cden, highest, sides) for integer sides `(groups, den)`
-    (`_integer_side`, `_map_groups`), each group an exponent vector over
-    `_factor_order(n)` and an int, worth the int over den; built once for
-    all points.
+    (`_integer_side`, `_map_groups`), groups a dict from exponent vectors
+    over `_factor_order(n)` to ints, each worth its int over den; built once
+    for all points.
 
     cden is the lcm of the sides' dens and highest[f] the largest exponent
-    of factor f over every side.  Each side becomes a list of runs: its
-    groups are sorted by vector, their ints scaled to cden, and cut into
-    runs of at most `_TRIE_GROUPS`.  The F factors are cut at c = ceil(F/2),
-    and a run is `(prefix, suffix, pre, suf, coeffs)`: `prefix` the `_trie`
-    levels of the vectors' entries 0..c-1, `suffix` those of entries F-1
-    down to c, and for the i-th group of the run `pre[i]` and `suf[i]` its
-    nodes at the last level of each and `coeffs[i]` its int.  Sorted, the
-    groups under one prefix are consecutive, so two runs share at most one
-    prefix node per level; their suffixes interleave, so two runs may share
-    any number of suffix nodes.
+    of factor f over every side.  The F factors are cut at c = ceil(F/2).
+    Each side's vectors are sorted and it becomes one `(prefix, suffix, suf,
+    coeffs, last)`: `prefix` the `_trie` levels of the vectors' columns
+    0..c-1, `suffix` those of columns F-1 down to c, and for the i-th group
+    `suf[i]` its node at the suffix trie's last level, `coeffs[i]` its int
+    scaled to cden and `last[i]` whether it is the last group under its
+    prefix node.  Sorted, the groups under one prefix node are consecutive,
+    so the prefix trie's last level lists its nodes in the order of their
+    last groups.
     """
     cden = lcm(*(den for _, den in sides))
-    highest = [max(col) for col in zip(*(exps for groups, _ in sides for exps, _ in groups))]
+    highest = [max(col) for col in zip(*(exps for groups, _ in sides for exps in groups))]
     F = len(highest)
     c = -(-F // 2)
     out = []
     for groups, den in sides:
         scale = cden // den
-        groups = sorted(groups)
-        runs = []
-        for start in range(0, len(groups), _TRIE_GROUPS):
-            run = groups[start:start + _TRIE_GROUPS]
-            # one int object per node index, shared by both tries' levels
-            # rather than one per entry: 28 bytes less a node
-            index = list(range(len(run)))
-            prefix, pre = _trie([exps[:c] for exps, _ in run], c, index)
-            suffix, suf = _trie([exps[c:][::-1] for exps, _ in run], F - c, index)
-            runs.append((prefix, suffix, pre, suf, [k * scale for _, k in run]))
-        out.append(runs)
+        keys = sorted(groups)
+        prefix, pre = _trie(keys, range(c))
+        suffix, suf = _trie(keys, range(F - 1, c - 1, -1))
+        last = [*map(ne, pre[:-1], pre[1:]), True]
+        out.append((prefix, suffix, suf, [groups[k] * scale for k in keys], last))
     return cden, highest, out
 
 
@@ -439,11 +427,15 @@ def _side_totals(form, coords):
     Each factor value a/b is computed once as an integer pair: (p_i, q_i)
     for s_i = p_i/q_i and (p_i q_j + p_j q_i, q_i q_j) for s_i + s_j.  The
     denominator is cden times a^M for each factor's highest exponent M, and
-    a group with exponents e is worth its coefficient times the product of
-    a^(M - e) b^e over the factors.  That product is P * S, P over the
-    factors before the cut and S over those after it: each run's prefix
-    and suffix tries build every node's product once (`_level_products`),
-    and one more `map` sums coefficient * P * S over the run's groups.
+    a group g with exponents e is worth its coefficient c_g times the
+    product of a^(M - e) b^e over the factors.  That product is P * S, P
+    over the factors before the cut and S over those after it, so a side
+    is the sum over prefix nodes p of P[p] times the sum of c_g * S[s_g]
+    over the groups g under p.  Both tries build every node's product once
+    (`_level_products`); one `map` forms c_g * S[s_g] per group, their
+    running sum is kept at each prefix node's last group, and the
+    differences of consecutive kept sums, one per prefix node, are
+    multiplied by P: C-level `map`s, with no bytecode per group or node.
     """
     cden, highest, sides = form
     p = [x.numerator for x in coords]
@@ -455,14 +447,12 @@ def _side_totals(form, coords):
     powers = [[a ** (M - m) * b ** m for m in range(M + 1)]
               for (a, b), M in zip(values, highest)]
     totals = []
-    for runs in sides:
-        total = 0
-        for prefix, suffix, pre, suf, coeffs in runs:
-            P = _level_products(prefix, powers)
-            S = _level_products(suffix, powers[len(prefix):][::-1])
-            total += sum(map(mul, coeffs, map(mul, map(P.__getitem__, pre),
-                                              map(S.__getitem__, suf))))
-        totals.append(total)
+    for prefix, suffix, suf, coeffs, last in sides:
+        P = _level_products(prefix, powers)
+        S = _level_products(suffix, powers[len(prefix):][::-1])
+        running = itertools.accumulate(map(mul, coeffs, map(S.__getitem__, suf)))
+        ends = list(itertools.compress(running, last))
+        totals.append(sum(map(mul, P, map(sub, ends, itertools.chain((0,), ends)))))
     return totals, cden * prod(a ** M for (a, _), M in zip(values, highest))
 
 
@@ -486,12 +476,17 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     Both sides are evaluated exactly at rational points whose coordinates
     are p/q with p, q uniform on 1..1000.  Agreement is a probabilistic
     check, not a proof: in n >= 2 variables no number of agreeing points
-    proves an identity of rational functions.  If the sides differ, the
-    numerator of their difference is a nonzero polynomial of some total
-    degree D, and by Schwartz-Zippel a point passes falsely with
-    probability at most D/|S|, where |S| = 1000 since no coordinate value
-    has probability above 1/1000; independent points multiply these
-    bounds.  At least 2 * degree_bound + 1 points are sampled.  Failures
+    proves an identity of rational functions.  Every group of both sides
+    has total exponent 6g - 6 + 3n, so with D the product of each factor
+    s_i and s_i + s_j to its highest exponent over both sides (`highest`
+    of `_integer_form`), P = D * (lhs - rhs) is a polynomial, homogeneous
+    of degree sum(highest) - (6g - 6 + 3n): 18 at (0,4), 27 at (1,3) and
+    60 at (1,4).  D is positive at every point, so a point passes falsely
+    exactly when a nonzero P vanishes there, by Schwartz-Zippel with
+    probability at most deg P / 1000, since no coordinate value has
+    probability above 1/1000; independent points multiply these bounds.
+    degree_bound = 6g - 6 + 4n (10, 12 and 16 at those types) only sets
+    the least number of points sampled, 2 * degree_bound + 1.  Failures
     report the first offending point.
 
     The graph side is grouped once per unlabelled map (`_map_groups`, by
@@ -499,11 +494,12 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     per-graph rational function or canonical pair is built) and the psi
     side once from `psi_numbers` (`_psi_groups`, `_integer_side`).  Both go
     over one shared denominator once (`_integer_form`, which also records
-    each side's distinct exponent prefixes and suffixes, cut at the middle
-    factor, in two tries), and at each point `_side_totals` computes the
-    factor values s_i, s_i + s_j and their powers once, multiplies each
-    shared prefix and each shared suffix once, and sums each side, one
-    prefix-times-suffix product per group, to an integer over the one
+    each side as one trie of its distinct exponent prefixes and one of its
+    distinct suffixes, cut at the middle factor), and at each point
+    `_side_totals` computes the factor values s_i, s_i + s_j and their
+    powers once, multiplies each shared prefix and each shared suffix
+    once, and sums each side, one coefficient-times-suffix product per
+    group and one prefix product per prefix, to an integer over the one
     denominator den > 0 both share: the sides are equal exactly when their
     integer totals are, and then one reduced fraction is printed for both.
     "graphs" counts the labelled classes, the automorphism orbits on the
@@ -516,7 +512,7 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     rng = random.Random(seed)
     svars = tuple(f"s{i}" for i in range(1, n + 1))
     groups, gden, classes = _map_groups(g, n)
-    form = _integer_form(_integer_side(_psi_groups(g, n)), (groups.items(), gden))
+    form = _integer_form(_integer_side(_psi_groups(g, n)), (groups, gden))
     points = []
     for _ in range(trials):
         coords = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in svars]

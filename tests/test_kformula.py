@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import factorial, floor, gcd, lcm, prod
+from operator import mul
 
 import pytest
 
@@ -23,6 +24,7 @@ from ribbonvol.kformula import (
     _integer_form,
     _integer_side,
     _labelled_exponents,
+    _level_products,
     _map_groups,
     _principal_block_identity,
     _psi_groups,
@@ -594,7 +596,7 @@ def test_integer_totals_equal_the_per_side_oracle(g, n):
     if (g, n) in MAP_ROUTE_TYPES:
         groups, den, _ = _map_groups(g, n)
         sides.append([(exps, Fraction(k, den)) for exps, k in groups.items()])
-        integer_sides.append((groups.items(), den))
+        integer_sides.append((groups, den))
     form = _integer_form(*integer_sides)
     for point in sample_points(n, 2 if n >= 5 else 4, seed=13 * n + g):
         coords = [point[f"s{i}"] for i in range(1, n + 1)]
@@ -605,13 +607,42 @@ def test_integer_totals_equal_the_per_side_oracle(g, n):
         assert totals[0] == totals[-1]  # the formula, where both sides are built
 
 
-def flat_side_totals(sides, coords):
-    """Oracle for `_side_totals`: the flat route it replaced, on the integer
-    sides `(groups, den)` that `_integer_form` takes.  Each group's product
-    of F factor powers is formed on its own, F multiplications per group
-    per point, with no prefix shared."""
-    cden = lcm(*(den for _, den in sides))
-    highest = [max(col) for col in zip(*(exps for groups, _ in sides for exps, _ in groups))]
+# (g, n) -> the degree of D * side, D the product of each denominator
+# factor to its highest exponent: sum(highest) - (6g - 6 + 3n).
+KCF_DEGREES = {(0, 4): 18, (1, 3): 27, (2, 2): 18, (1, 4): 60}
+
+
+@pytest.mark.parametrize("g,n", list(KCF_DEGREES))
+def test_each_side_times_the_shared_denominator_is_homogeneous(g, n):
+    """The Schwartz-Zippel degree of `verify_kcf`: every group of both
+    sides has total exponent 6g - 6 + 3n, so each side times D = prod_f
+    x_f^highest[f] (x_f the factors s_i and s_i + s_j) is a polynomial,
+    homogeneous of degree sum(highest) - (6g - 6 + 3n); scaling every
+    coordinate by 2 multiplies it by 2^degree, at each seeded point."""
+    groups, den, _ = _map_groups(g, n)
+    sides = [_integer_side(_psi_groups(g, n)), (groups, den)]
+    form = _integer_form(*sides)
+    highest = form[1]
+    degree = sum(highest) - (6 * g - 6 + 3 * n)
+    assert degree == KCF_DEGREES[g, n]
+    assert {sum(exps) for side, _ in sides for exps in side} == {6 * g - 6 + 3 * n}
+
+    def times_D(coords):
+        totals, d = _side_totals(form, coords)
+        factors = coords + [a + b for a, b in itertools.combinations(coords, 2)]
+        D = prod(x ** M for x, M in zip(factors, highest))
+        return [Fraction(total, d) * D for total in totals]
+
+    for point in sample_points(n, 3, seed=19 * n + g):
+        coords = [point[f"s{i}"] for i in range(1, n + 1)]
+        value = times_D(coords)
+        assert value[0] == value[1] != 0
+        assert times_D([2 * x for x in coords]) == [2 ** degree * v for v in value]
+
+
+def factor_powers(coords, highest):
+    """The integer factor values (a, b), a/b = s_i or s_i + s_j, at `coords`
+    and each factor's powers a^(M - m) b^m for m = 0..M, M = highest[f]."""
     p = [x.numerator for x in coords]
     q = [x.denominator for x in coords]
     values = list(zip(p, q))
@@ -619,84 +650,133 @@ def flat_side_totals(sides, coords):
         values.append((p[i] * q[j] + p[j] * q[i], q[i] * q[j]))
     powers = [[a ** (M - m) * b ** m for m in range(M + 1)]
               for (a, b), M in zip(values, highest)]
+    return values, powers
+
+
+def flat_side_totals(sides, coords):
+    """Oracle for `_side_totals`: the flat route it replaced, on the integer
+    sides `({exponent vector: int}, den)` that `_integer_form` takes.  Each
+    group's product of F factor powers is formed on its own, F
+    multiplications per group per point, with no prefix shared."""
+    cden = lcm(*(den for _, den in sides))
+    highest = [max(col) for col in zip(*(exps for groups, _ in sides for exps in groups))]
+    values, powers = factor_powers(coords, highest)
     totals = [sum(k * (cden // den) * prod(map(list.__getitem__, powers, exps))
-                  for exps, k in groups)
+                  for exps, k in groups.items())
               for groups, den in sides]
     return totals, cden * prod(a ** M for (a, _), M in zip(values, highest))
 
 
-def run_products(runs):
-    """The products per point of one side of `_integer_form`, as (prefix
-    nodes, suffix nodes, groups): one per node of each trie and one
-    prefix-times-suffix product per group."""
-    prefix = sum(len(parent) for run in runs for parent, _ in run[0])
-    suffix = sum(len(parent) for run in runs for parent, _ in run[1])
-    return prefix, suffix, sum(len(run[4]) for run in runs)
+def side_products(side):
+    """The multiplications per point of one side of `_integer_form`, as
+    (prefix nodes, suffix nodes, groups, last-level prefix nodes): one per
+    node of each trie, one coefficient times suffix product per group, and
+    one prefix product times the sum under it per node of the prefix trie's
+    last level."""
+    prefix, suffix, suf, _, _ = side
+    return (sum(len(parent) for parent, _ in prefix),
+            sum(len(parent) for parent, _ in suffix), len(suf), len(prefix[-1][0]))
 
 
-# (g, n) -> the graph side's products per point: flat, one per group and
-# factor, and prefix times suffix, one per distinct exponent prefix of
-# factors 0..c-1, one per distinct suffix of factors F-1 down to c, c =
-# ceil(F/2), and one per group.  F = 1 at (1,1) and (2,1), 3 at (1,2).
-GRAPH_SIDE_PRODUCTS = {(1, 1): (1, 2), (2, 1): (1, 2), (1, 2): (27, 28),
-                       (0, 4): (590, 238), (1, 3): (912, 351),
-                       (0, 5): (23025, 3979), (1, 4): (47900, 7667)}
+def prefix_nodes(last):
+    """The prefix node of each group, read off the `last` flags of a side of
+    `_integer_form`: the number of prefix nodes closed before it."""
+    return list(itertools.accumulate([0] + last[:-1]))
+
+
+# (g, n) -> the graph side's multiplications per point: flat, one per group
+# and factor, and through the two tries, the sum of `side_products`: one per
+# distinct exponent prefix of factors 0..c-1 and one per distinct suffix of
+# factors F-1 down to c, c = ceil(F/2), one per group and one per distinct
+# full prefix.  F = 1 at (1,1) and (2,1), 3 at (1,2).
+GRAPH_SIDE_PRODUCTS = {(1, 1): (1, 3), (2, 1): (1, 3), (1, 2): (27, 37),
+                       (0, 4): (590, 269), (1, 3): (912, 401),
+                       (0, 5): (23025, 4497), (1, 4): (47900, 8302)}
 
 
 @pytest.mark.parametrize("g,n", list(GRAPH_SIDE_PRODUCTS))
 def test_level_totals_equal_the_flat_products(g, n):
     """Oracle gate for the prefix-times-suffix evaluator: at the extremes
     and at seeded points both sides' integer totals and the shared
-    denominator are those of the flat route, and the graph side takes the
-    pinned number of products per point, its tries cut at c = ceil(F/2)."""
+    denominator are those of the flat route, and the graph side, one prefix
+    trie and one suffix trie cut at c = ceil(F/2), takes the pinned number
+    of multiplications per point."""
     groups, den, _ = _map_groups(g, n)
-    sides = [_integer_side(_psi_groups(g, n)), (list(groups.items()), den)]
+    sides = [_integer_side(_psi_groups(g, n)), (groups, den)]
     form = _integer_form(*sides)
     F = len(_factor_order(n))
-    # one run: fewer than _TRIE_GROUPS groups
-    [(prefix, suffix, pre, suf, coeffs)] = runs = form[2][1]
+    prefix, suffix, suf, coeffs, last = side = form[2][1]
     assert (len(prefix), len(suffix)) == (-(-F // 2), F // 2)
-    assert len(pre) == len(suf) == len(coeffs) == len(groups)
-    assert len(set(zip(pre, suf))) == len(groups)
-    assert (len(groups) * F, sum(run_products(runs))) == GRAPH_SIDE_PRODUCTS[g, n]
+    assert len(suf) == len(coeffs) == len(last) == len(groups)
+    assert sum(last) == len(prefix[-1][0]) and last[-1]
+    assert len(set(zip(prefix_nodes(last), suf))) == len(groups)
+    assert (len(groups) * F, sum(side_products(side))) == GRAPH_SIDE_PRODUCTS[g, n]
     for point in sample_points(n, 4, seed=7 * n + g):
         coords = [point[f"s{i}"] for i in range(1, n + 1)]
         assert _side_totals(form, coords) == flat_side_totals(sides, coords)
 
 
-@pytest.mark.parametrize("size", [1, 7, 58])
-def test_a_side_cut_into_tries_keeps_the_totals(monkeypatch, size):
-    """A side of more than `_TRIE_GROUPS` groups is cut into runs, each
-    with its own two tries, here the 59 graph-side groups of (0,4) (F = 10,
-    cut at c = 5) into runs of `size`: the totals are the flat route's.
+def trie_keys(levels, columns, vectors):
+    """The partial keys of every level of a `_trie`, rebuilt from its
+    `parent` and `exps` lists, after checking that each level holds exactly
+    the distinct partial keys of `vectors` at `columns`, each once."""
+    keys = [()]
+    for f, (parent, exps) in enumerate(levels):
+        keys = [keys[a] + (e,) for a, e in zip(parent, exps)]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {tuple(v[col] for col in columns[:f + 1]) for v in vectors}
+    return keys
 
-    The groups are sorted, so the prefixes of a run are consecutive and
-    each cut repeats at most one prefix node per level, c per cut.  Their
-    suffixes interleave: each run's suffix trie is a sub-trie of the whole
-    side's, so the k runs repeat at most k - 1 copies of it, and no run has
-    more than F - c suffix nodes per group.  The group count does not
-    change.  One group per run takes c + (F - c) + 1 = F + 1 products a
-    group."""
-    import ribbonvol.kformula as kf
 
-    groups, den, _ = _map_groups(0, 4)
-    sides = [_integer_side(_psi_groups(0, 4)), (list(groups.items()), den)]
-    F = len(_factor_order(4))
+@pytest.mark.parametrize("g,n,spread", [(1, 1, 1), (2, 1, 1), (0, 4, 1), (0, 5, 1),
+                                        (1, 4, 1), (1, 3, 5)])
+def test_one_trie_pair_per_side_holds_each_partial_key_once(g, n, spread):
+    """Layout gate for `_integer_form`, on both sides: every level of the
+    prefix trie (columns 0..c-1) and of the suffix trie (columns F-1 down
+    to c) holds exactly the side's distinct partial prefixes or suffixes,
+    each once; each group's prefix node (read off the `last` flags) and
+    suffix node rebuild its vector, in sorted order, with its int scaled to
+    cden.  At seeded points the sum under each prefix node, computed group
+    by group, equals the flat route's sum over the groups with that prefix,
+    and the prefix products times those sums give `flat_side_totals`.  F =
+    1 at (1,1) and (2,1), so the suffix trie has no level; every prefix
+    node of the psi side at (0,4) holds one group.  Where the formula holds
+    both sides reduce to one den, so at (1,3) the graph side is put over
+    `spread` times its den, and the psi side's ints are scaled to cden."""
+    groups, den, _ = _map_groups(g, n)
+    sides = [_integer_side(_psi_groups(g, n)), (groups, den * spread)]
+    form = cden, highest, laid = _integer_form(*sides)
+    F = len(highest)
     c = -(-F // 2)
-    prefix, suffix, count = run_products(_integer_form(*sides)[2][1])
-    monkeypatch.setattr(kf, "_TRIE_GROUPS", size)
-    form = kf._integer_form(*sides)
-    runs = form[2][1]
-    k = len(runs)
-    assert k == -(-len(groups) // size)
-    cut_prefix, cut_suffix, cut_count = run_products(runs)
-    assert prefix <= cut_prefix <= prefix + (k - 1) * c
-    assert suffix <= cut_suffix <= min(k * suffix, len(groups) * (F - c))
-    assert cut_count == count == len(groups)
-    assert (cut_prefix + cut_suffix + cut_count == len(groups) * (F + 1)) == (size == 1)
-    for point in sample_points(4, 4, seed=29):
-        coords = [point[f"s{i}"] for i in range(1, 5)]
-        assert kf._side_totals(form, coords) == flat_side_totals(sides, coords)
+    columns = (range(c), range(F - 1, c - 1, -1))
+    assert (g, n) != (0, 4) or all(laid[0][4])
+    scaled = [(side, cden // den) for side, den in sides]
+    for (side, scale), (prefix, suffix, suf, coeffs, last) in zip(scaled, laid):
+        vectors = sorted(side)
+        heads = trie_keys(prefix, columns[0], vectors)
+        tails = trie_keys(suffix, columns[1], vectors)
+        pre = prefix_nodes(last)
+        assert [heads[a] + tails[b][::-1] for a, b in zip(pre, suf)] == vectors
+        assert coeffs == [side[v] * scale for v in vectors]
+        assert len(heads) == pre[-1] + 1
+    for point in sample_points(n, 3, seed=17 * n + g):
+        coords = [point[f"s{i}"] for i in range(1, n + 1)]
+        _, powers = factor_powers(coords, highest)
+        totals, _ = flat_side_totals(sides, coords)
+        for (side, scale), (prefix, suffix, suf, coeffs, last), total in zip(
+                scaled, laid, totals):
+            P = _level_products(prefix, powers)
+            S = _level_products(suffix, powers[c:][::-1])
+            sums = [0] * len(P)
+            for a, b, k in zip(prefix_nodes(last), suf, coeffs):
+                sums[a] += k * S[b]
+            flat = {}
+            for v in sorted(side):
+                tail = prod(map(list.__getitem__, powers[c:], v[c:]))
+                flat[v[:c]] = flat.get(v[:c], 0) + side[v] * scale * tail
+            assert sums == list(flat.values())
+            assert sum(map(mul, P, sums)) == total
+        assert _side_totals(form, coords)[0] == totals
 
 
 def test_the_smallest_coefficient_step_is_detected(monkeypatch):
@@ -714,7 +794,7 @@ def test_the_smallest_coefficient_step_is_detected(monkeypatch):
     g, n, seed = 0, 4, 1647
     groups, den, classes = _map_groups(g, n)
     psi = _integer_side(_psi_groups(g, n))
-    cden = _integer_form(psi, (groups.items(), den))[0]
+    cden = _integer_form(psi, (groups, den))[0]
     first = verify_kcf(g, n, trials=3, seed=seed)["points"][0]
     coords = [Fraction(x) for x in first["point"].values()]
     factors = coords + [a + b for a, b in itertools.combinations(coords, 2)]
@@ -725,7 +805,7 @@ def test_the_smallest_coefficient_step_is_detected(monkeypatch):
     exps = min(groups, key=worth)
     shifted = {e: k * (cden // den) for e, k in groups.items()}
     shifted[exps] += 1
-    assert _integer_form(psi, (shifted.items(), cden))[0] == cden
+    assert _integer_form(psi, (shifted, cden))[0] == cden
     monkeypatch.setattr(kf, "_map_groups", lambda g, n: (shifted, cden, classes))
     report = kf.verify_kcf(g, n, trials=3, seed=seed)
     assert not report["equal"]
