@@ -17,7 +17,6 @@ from .linalg import (
     mat_rank,
     mat_det,
     mat_inverse,
-    rref,
     bareiss,
     bareiss_kernel,
     solve_sqrt5,
@@ -41,7 +40,6 @@ __all__ = [
     "mat_rank",
     "mat_det",
     "mat_inverse",
-    "rref",
     "bareiss",
     "bareiss_kernel",
     "solve_sqrt5",

@@ -1,17 +1,22 @@
-"""Exact dense linear algebra over Q or Q(sqrt(5)), and over Z.
+"""Exact dense linear algebra over Z, Q and Q(sqrt(5)).
 
-Matrices are lists of row lists whose entries support exact field
-arithmetic (`Fraction` or `Surd`).  One Gauss-Jordan elimination serves
-rank, determinant, inverse and kernel; the sizes in this package never
-exceed a few dozen.
-`bareiss` is the fraction-free elimination for integer matrices; systems
-over Q(sqrt(5)) reach it through `solve_sqrt5`.
+Matrices are lists of row lists.  There is one elimination, `bareiss`, the
+fraction-free Gauss-Jordan elimination of an integer matrix; rational
+matrices reach it with each row cleared of denominators (`_cleared`), and
+systems over Q(sqrt(5)) through `solve_sqrt5`.  Rank, determinant, inverse
+and kernel are read off it: `mat_rank`, `mat_det`, `kernel_basis` and
+`right_inverse` take rational matrices (int or `Fraction` entries) and
+raise TypeError on a `Surd` entry; `mat_inverse` also inverts a matrix of
+`Surd`s, by `solve_sqrt5`.  The sizes in this package never exceed a few
+dozen.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+
+from .surd import Surd
 
 __all__ = [
     "SingularMatrixError",
@@ -22,7 +27,6 @@ __all__ = [
     "mat_rank",
     "mat_det",
     "mat_inverse",
-    "rref",
     "bareiss",
     "bareiss_kernel",
     "solve_sqrt5",
@@ -70,74 +74,12 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _gauss_jordan(A):
-    """The one Gauss-Jordan elimination over a field: (R, pivot_cols, det)
-    with (R, pivot_cols) as `rref` returns them and det the signed product
-    of the pivots, the determinant of A when A is square and nonsingular."""
-    M = [list(row) for row in A]
-    n = len(M)
-    m = len(M[0]) if n else 0
-    pivots = []
-    det = Fraction(1)
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if M[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            M[r], M[pr] = M[pr], M[r]
-            det = -det
-        inv = M[r][c]
-        det = det * inv
-        rec = Fraction(1) / inv  # one reciprocal per pivot; Surd via __rtruediv__
-        M[r] = [x * rec for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return M, pivots, det
-
-
-def rref(A):
-    """Reduced row echelon form of a copy of A; returns (R, pivot_cols).
-    The pivots are the lexicographically first basis of A's column space."""
-    R, pivots, _ = _gauss_jordan(A)
-    return R, pivots
-
-
-def mat_rank(A) -> int:
-    if not A:
-        return 0
-    return len(rref(A)[1])
-
-
-def mat_det(A):
-    """Determinant of the square matrix A, the pivot product of its
-    elimination (0 when A is singular)."""
-    if any(len(row) != len(A) for row in A):
-        raise ValueError("determinant of a non-square matrix")
-    _, pivots, det = _gauss_jordan(A)
-    return det if len(pivots) == len(A) else det * 0
-
-
-def mat_inverse(A):
-    n = len(A)
-    M = [list(row) + list(irow) for row, irow in zip(A, identity(n))]
-    R, pivots = rref(M)
-    if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in R]
-
-
 def bareiss(A):
     """Fraction-free Gauss-Jordan elimination of an integer matrix A.
 
-    Returns (R, pivots, det): R = det * rref(A)[0] in integers, the pivot
-    columns of `rref`, and det = det A[P, pivots], P the pivot rows in
+    Returns (R, pivots, det): R = det times the reduced row echelon form of
+    A, in integers, its pivot columns (the lexicographically first basis of
+    A's column space), and det = det A[P, pivots], P the pivot rows in
     their original order (1 if A has rank 0).  Each step scales every row
     by the new pivot and divides exactly by the previous one (Bareiss,
     Math. Comp. 22, 1968), so every entry stays a minor of A.
@@ -174,27 +116,45 @@ def bareiss(A):
     return M, pivots, prev
 
 
+def _cleared(A):
+    """(M, scales): each row of the rational matrix A times the lcm of its
+    denominators, in ints, and those lcms (1 for a row of ints).  TypeError
+    on an entry with no denominator, such as a `Surd`."""
+    M, scales = [], []
+    try:
+        for row in A:
+            scale = lcm(*(x.denominator for x in row))
+            M.append([x.numerator * (scale // x.denominator) for x in row])
+            scales.append(scale)
+    except AttributeError as exc:
+        raise TypeError(f"expected a rational matrix: {exc}") from None
+    return M, scales
+
+
 def solve_sqrt5(X, Y):
     """(Za, Zb, det), integers with X^{-1} Y = (Za + Zb sqrt(5)) / det, for
     X over Q(sqrt(5)) (m x m, `Surd`) and rational Y (m x k).
 
     x = a + b sqrt(5) acts on (u, v) ~ u + v sqrt(5) as [[a, 5b], [b, a]], so
-    one `bareiss` of [Xa 5Xb | Y; Xb Xa | 0], each row scaled by the lcm of
-    its denominators, gives det [I | Za; Zb].  An int's denominator is 1, so
-    a row of ints, as the int-part crossing matrix and integer Y of the
-    chart layer give, scales by 1.  SingularMatrixError if X is singular.
+    one `bareiss` of [Xa 5Xb | Y; Xb Xa | 0], each row `_cleared`, gives
+    det [I | Za; Zb].  A row of ints, as the int-part crossing matrix and
+    integer Y of the chart layer give, scales by 1.  SingularMatrixError if
+    X is singular.
     """
     m = len(X)
     rows = ([[x.a for x in xr] + [5 * x.b for x in xr] + list(yr) for xr, yr in zip(X, Y)]
             + [[x.b for x in xr] + [x.a for x in xr] + [0] * len(yr) for xr, yr in zip(X, Y)])
-    M = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        M.append([x.numerator * (scale // x.denominator) for x in row])
-    R, pivots, det = bareiss(M)
+    R, pivots, det = bareiss(_cleared(rows)[0])
     if pivots != list(range(2 * m)):
         raise SingularMatrixError("matrix is singular")
     return [row[2 * m:] for row in R[:m]], [row[2 * m:] for row in R[m:]], det
+
+
+def _surd_matrix(A, B, den):
+    """The matrix (A + B sqrt(5)) / den from integer matrices A and B, each
+    entry one `Surd` of the two reduced Fractions, stored as they are."""
+    return [[Surd._make(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, rb)]
+            for ra, rb in zip(A, B)]
 
 
 def bareiss_kernel(R, pivots, det):
@@ -214,37 +174,64 @@ def bareiss_kernel(R, pivots, det):
     return W, d
 
 
+def mat_rank(A) -> int:
+    """Rank of the rational matrix A: the number of `bareiss` pivots."""
+    return len(bareiss(_cleared(A)[0])[1])
+
+
+def mat_det(A) -> Fraction:
+    """Determinant of the square rational matrix A: the `bareiss`
+    determinant of its cleared rows over the product of their lcms, 0 when
+    A is singular."""
+    if any(len(row) != len(A) for row in A):
+        raise ValueError("determinant of a non-square matrix")
+    M, scales = _cleared(A)
+    _, pivots, det = bareiss(M)
+    return Fraction(det, prod(scales)) if len(pivots) == len(A) else Fraction(0)
+
+
 def kernel_basis(A):
-    """Basis of the right kernel, one vector per free column, in column order."""
+    """Basis of the right kernel of the rational matrix A, one vector per
+    free column, in column order: `bareiss_kernel`'s W over its scale d."""
     if not A:
         return []
-    R, pivots = rref(A)
-    m = len(R[0])
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(v)
-    return basis
+    W, d = bareiss_kernel(*bareiss(_cleared(A)[0]))
+    return [[Fraction(x, d) for x in w] for w in W]
+
+
+def _pivot_inverse(A):
+    """(pivots, B) for a rational n x m matrix A of full row rank: B is
+    A_P^{-1}, A_P the n x n block of A on its pivot columns P.  One `bareiss`
+    of [A | I], each row cleared, which leaves its reduced row echelon form
+    unchanged; the right block of that form is A_P^{-1}, and the elimination
+    gives it times det.  SingularMatrixError if rank A < n."""
+    M, scales = _cleared(A)
+    m = len(A[0]) if A else 0
+    R, pivots, det = bareiss([row + [s if j == i else 0 for j in range(len(M))]
+                              for i, (row, s) in enumerate(zip(M, scales))])
+    if pivots and pivots[-1] >= m:
+        raise SingularMatrixError("matrix does not have full row rank")
+    return pivots, [[Fraction(x, det) for x in row[m:]] for row in R]
+
+
+def mat_inverse(A):
+    """Inverse of the square matrix A: over Q from `_pivot_inverse`, and
+    for a matrix of `Surd`s one `solve_sqrt5` of [A | I].
+    SingularMatrixError if A is singular."""
+    if any(len(row) != len(A) for row in A):
+        raise ValueError("inverse of a non-square matrix")
+    if any(isinstance(x, Surd) for row in A for x in row):
+        return _surd_matrix(*solve_sqrt5(A, identity(len(A))))
+    return _pivot_inverse(A)[1]
 
 
 def right_inverse(A):
-    """Any W with A @ W = I; requires full row rank."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    R, pivots = rref(A)
-    if len(pivots) != n:
-        raise SingularMatrixError("matrix does not have full row rank")
-    # solve A w_j = e_j using only pivot columns
-    M = [[A[i][c] for c in pivots] for i in range(n)]
-    Minv = mat_inverse(M)
-    W = [[Fraction(0)] * n for _ in range(m)]
+    """W with A @ W = I for a rational matrix A of full row rank: A_P^{-1}
+    on the pivot rows P, zero elsewhere."""
+    pivots, B = _pivot_inverse(A)
+    W = [[Fraction(0)] * len(A) for _ in range(len(A[0]) if A else 0)]
     for r, c in enumerate(pivots):
-        for j in range(n):
-            W[c][j] = Minv[r][j]
+        W[c] = B[r]
     return W
 
 

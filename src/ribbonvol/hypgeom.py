@@ -7,8 +7,9 @@ degree-d vertex, and crossing angles of complete geodesics joining the
 ideal vertices of a regular ideal d-gon (the shape a vertex polygon
 approaches as the boundary lengths grow).
 
-Everything is double precision except the pentagon chord angles, which are
-also returned exactly: they lie in Z[sqrt(5)] and are computed in integers.
+Everything is double precision except the pentagon chord angles, which
+lie in Z[sqrt(5)] and are computed exactly, in integers (`_pentagon_cos`);
+`crossing_cos` at d = 5 is the float of that exact value.
 """
 
 from __future__ import annotations
@@ -142,24 +143,13 @@ def _interleaved(c1: IdealPolygonChord, c2: IdealPolygonChord):
     return a, b, c, d
 
 
-# cos(2 pi k / 5) in Q(sqrt(5)), k = 0..4
-_PENTAGON_COS = (
-    Surd(1),
-    (Surd(0, 1) - 1) / 4,
-    (Surd(0, 1) + 1) / -4,
-    (Surd(0, 1) + 1) / -4,
-    (Surd(0, 1) - 1) / 4,
-)
-
-# the same in integers: 4 cos(2 pi k / 5) = c + s sqrt(5) as (c, s)
+# 4 cos(2 pi k / 5) = c + s sqrt(5) as (c, s), k = 0..4
 _PENTAGON_4COS = ((4, 0), (-1, 1), (-1, -1), (-1, -1), (-1, 1))
 
 
 def _root_cos(d: int):
-    """k -> cos(2 pi k / d) for any integer k: exact for d = 5, else a float
-    computed on demand, so the cost does not grow with d."""
-    if d == 5:
-        return lambda k: _PENTAGON_COS[k % 5]
+    """k -> cos(2 pi k / d) for any integer k, a float computed on demand,
+    so the cost does not grow with d."""
     return lambda k: math.cos(2.0 * math.pi * (k % d) / d)
 
 
@@ -201,11 +191,13 @@ def _pentagon_cos(a, b, c, e):
 def crossing_cos(c1: IdealPolygonChord, c2: IdealPolygonChord) -> float:
     """cos of the anticlockwise crossing angle (in (0, pi)) from c1 to c2.
 
-    Antisymmetric under swapping the chords; double precision.
+    Antisymmetric under swapping the chords; double precision, and at d = 5
+    the float of the exact `_pentagon_cos`.
     """
     a, b, c, e = _interleaved(c1, c2)
-    val = _crossing_cos_from(a, b, c, e, _root_cos(c1.d))
-    return float(val)
+    if c1.d == 5:
+        return float(Surd(*_pentagon_cos(a, b, c, e)))
+    return _crossing_cos_from(a, b, c, e, _root_cos(c1.d))
 
 
 def crossing_cos_error(c1: IdealPolygonChord, c2: IdealPolygonChord) -> float:

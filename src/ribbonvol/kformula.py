@@ -31,6 +31,7 @@ from .ribbon import (
     UnsupportedGraph,
     _automorphisms,
     _class_count,
+    _cycle_index,
     _each_map,
     _face_orders,
     enumerate_trivalent,
@@ -279,10 +280,7 @@ def _labelled_exponents(s1, faces):
     whose 1/2 the caller takes from the first n entries.
     """
     n = len(faces)
-    face_of = [0] * len(s1)
-    for i, cyc in enumerate(faces):
-        for d in cyc:
-            face_of[d] = i
+    face_of = _cycle_index(faces, len(s1))
     sides = Counter((face_of[d], face_of[s1[d]]) for d in range(len(s1)) if d < s1[d])
     factors = _factor_order(n)
     index = [[0] * n for _ in range(n)]

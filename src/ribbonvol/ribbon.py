@@ -89,6 +89,15 @@ def _inverse(p):
     return inv
 
 
+def _cycle_index(cycles, num_darts):
+    """The index in `cycles` of the cycle holding each dart, as a tuple."""
+    out = [0] * num_darts
+    for i, cyc in enumerate(cycles):
+        for d in cyc:
+            out[d] = i
+    return tuple(out)
+
+
 def face_cycles(s0, s1):
     """Cycles of s2 = s0^{-1} s1.
 
@@ -235,18 +244,11 @@ class RibbonGraph:
 
     @cached_property
     def edge_of(self):
-        out = [0] * self.num_darts
-        for k, (a, b) in enumerate(self.edges):
-            out[a] = out[b] = k
-        return tuple(out)
+        return _cycle_index(self.edges, self.num_darts)
 
     @cached_property
     def vertex_of(self):
-        out = [0] * self.num_darts
-        for v, cyc in enumerate(self.vertices):
-            for d in cyc:
-                out[d] = v
-        return tuple(out)
+        return _cycle_index(self.vertices, self.num_darts)
 
     @cached_property
     def faces(self):
@@ -259,11 +261,7 @@ class RibbonGraph:
 
     @cached_property
     def face_of(self):
-        out = [0] * self.num_darts
-        for i, cyc in enumerate(self.faces):
-            for d in cyc:
-                out[d] = i
-        return tuple(out)
+        return _cycle_index(self.faces, self.num_darts)
 
     @property
     def genus(self) -> int:

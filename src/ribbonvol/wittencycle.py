@@ -24,7 +24,6 @@ from .exact import (
     SingularMatrixError,
     Surd,
     double_factorial,
-    identity,
     mat_inverse,
     mat_mul,
     orthant_exponential_integral,
@@ -32,6 +31,7 @@ from .exact import (
     solve_sqrt5,
     transpose,
 )
+from .exact.linalg import _surd_matrix
 from .kformula import kernel_normalization
 from .multicurve import Multicurve, intersection_matrix
 from .ribbon import RibbonGraph, enumerate_graphs
@@ -95,7 +95,8 @@ def asymptotic_form(chart: CellChart):
 
     Only the restriction to ker A (the tangent space of the cell) is
     meaningful.  `form_on_kernel_basis` computes that restriction without
-    building M; this full form is kept as its reference.
+    building M; this full form is kept as its reference.  Both solve in
+    Q(sqrt(5)) by `solve_sqrt5` (here through `mat_inverse`).
     """
     X = chart.intersection_matrix()
     try:
@@ -108,13 +109,6 @@ def asymptotic_form(chart: CellChart):
         E = chart.graph.num_edges
         return [[Surd(0)] * E for _ in range(E)]
     return [[-x for x in row] for row in mat_mul(transpose(D), mat_mul(Xinv, D))]
-
-
-def _surd_matrix(A, B, den):
-    """The matrix (A + B sqrt(5)) / den from integer matrices A and B, each
-    entry one `Surd` of the two reduced Fractions, stored as they are."""
-    return [[Surd._make(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, rb)]
-            for ra, rb in zip(A, B)]
 
 
 def form_on_kernel_basis(chart: CellChart, X=None):
@@ -248,8 +242,8 @@ _W5_FACTOR = 2  # W_5 = 2 [C]; see `witten12_report`
 
 def witten12_report() -> dict:
     """Run the full (1,2) one-vertex-of-degree-five pipeline; the lead
-    chart's X^{-1} is one `solve_sqrt5` of [X | I], in integers, on the X
-    the cycle computation built.
+    chart's X^{-1} is `mat_inverse`, one `solve_sqrt5` of [X | I] in
+    integers, on the X the cycle computation built.
 
     The cells give <[C] psi_i> = 1/2; W_5 = 2 [C] is the Witten cycle as
     Kontsevich (1992) and Arbarello-Cornalba (1996) normalize it, pairing
@@ -260,7 +254,7 @@ def witten12_report() -> dict:
     w5 = {alpha: _W5_FACTOR * v for alpha, v in result["intersections"].items()}
     lead = charts[lead_index][0]
     X = result["matrices"][lead_index]
-    Xinv = _surd_matrix(*solve_sqrt5(X, identity(len(X))))
+    Xinv = mat_inverse(X)
     report = {
         "graphs": len(charts),
         "lead_chart": lead.to_json(),

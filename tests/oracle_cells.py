@@ -3,38 +3,37 @@
 The basis V of ker A is read off the `Fraction` RREF of A, the volume factor
 is 1/|det A_P| by `mat_det` on the pivot columns P, the quarter-K form is
 V (K/4) V^T by `mat_mul`, and the B-hat comparison inverts the block with
-`mat_inverse`.  Nothing here uses `bareiss` or the integer scale d of
-`ribbonvol.kformula`; the same checks, in the same order, give the report
-that `verify_form_identities` must reproduce.  Linear systems over
-Q(sqrt(5)) are solved by the `Surd` RREF (`surd_solve`), the field route
-that `ribbonvol.exact.solve_sqrt5` replaces in the chart layer.  The
-limiting crossing matrix is summed in `Surd` arithmetic, every pentagon
-cosine from the `Surd` table of cos(2 pi k / 5) (`curve_pair_cos`,
+`mat_inverse`, all three the Gauss-Jordan routes of `oracle_linalg`.
+Nothing here uses `bareiss` or the integer scale d of `ribbonvol.kformula`;
+the same checks, in the same order, give the report that
+`verify_form_identities` must reproduce.  Linear systems over Q(sqrt(5))
+are solved by the `Surd` RREF (`surd_solve`), the field route that
+`ribbonvol.exact.solve_sqrt5` replaces in the chart layer.  The limiting
+crossing matrix is summed in `Surd` arithmetic, every pentagon cosine from
+the `Surd` table of cos(2 pi k / 5), `_PENTAGON_COS`, through
+`_crossing_cos_from` (`pentagon_cos`, `curve_pair_cos`,
 `intersection_matrix`), the field route that the integer sums of
-`ribbonvol.multicurve` replace.  Its shared edge paths come from
-`oracle_maximal_runs`, which tests every position of one walk against every
-position of the other, where `ribbonvol.multicurve._maximal_runs` looks the
-matches up in one index of the second walk by dart.
+`ribbonvol.multicurve` and `ribbonvol.hypgeom._pentagon_cos` replace.  Its
+shared edge paths come from `oracle_maximal_runs`, which tests every
+position of one walk against every position of the other, where
+`ribbonvol.multicurve._maximal_runs` looks the matches up in one index of
+the second walk by dart.
 """
 
 from fractions import Fraction
 
+from oracle_linalg import mat_det, mat_inverse, mat_rank, rref
 from ribbonvol.exact import (
     SingularMatrixError,
     Surd,
-    mat_det,
-    mat_inverse,
     mat_mul,
-    mat_rank,
     pfaffian,
-    rref,
     transpose,
 )
 from ribbonvol.hypgeom import (
     IdealPolygonChord,
     _crossing_cos_from,
     _interleaved,
-    _root_cos,
     chords_cross,
 )
 from ribbonvol.kformula import EPSILON, kontsevich_form
@@ -43,6 +42,20 @@ from ribbonvol.multicurve import (
     _passages,
     _run_contribution,
 )
+
+# cos(2 pi k / 5) in Q(sqrt(5)), k = 0..4
+_PENTAGON_COS = (
+    Surd(1),
+    (Surd(0, 1) - 1) / 4,
+    (Surd(0, 1) + 1) / -4,
+    (Surd(0, 1) + 1) / -4,
+    (Surd(0, 1) - 1) / 4,
+)
+
+
+def pentagon_cos(a, b, c, e):
+    """`_crossing_cos_from` at d = 5 over the `Surd` table `_PENTAGON_COS`."""
+    return _crossing_cos_from(a, b, c, e, lambda k: _PENTAGON_COS[k % 5])
 
 
 def _fractions(M):
@@ -189,7 +202,7 @@ def curve_pair_cos(graph, P, Q):
             if deg != 5:
                 raise UnresolvableCrossing(
                     f"no exact angle for a degree-{deg} crossing at vertex {v1}")
-            total = total + _crossing_cos_from(*_interleaved(ch1, ch2), _root_cos(5))
+            total = total + pentagon_cos(*_interleaved(ch1, ch2))
     return total
 
 

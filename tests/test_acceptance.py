@@ -11,12 +11,11 @@ from fractions import Fraction
 import pytest
 
 from ribbonvol.cli import main as cli_main
+from oracle_linalg import mat_rank
 from ribbonvol.exact import (
     RationalFunction,
     Surd,
-    kernel_basis,
     mat_inverse,
-    mat_rank,
     mat_vec,
 )
 from ribbonvol.hypgeom import (

@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
+import oracle_cells
 from ribbonvol import hypgeom
 from ribbonvol.exact import Surd
 from ribbonvol.hypgeom import (
@@ -125,7 +126,8 @@ def _crossing_pentagon_pairs():
 
 def _pentagon_mismatches():
     """How many crossing pairs `_pentagon_cos` gets wrong (or cannot divide)
-    against `_crossing_cos_from` over the `Surd` table `_PENTAGON_COS`."""
+    against `_crossing_cos_from` over the oracle's `Surd` table
+    `_PENTAGON_COS`."""
     bad = 0
     for c1, c2 in _crossing_pentagon_pairs():
         ends = hypgeom._interleaved(c1, c2)
@@ -134,7 +136,7 @@ def _pentagon_mismatches():
         except ArithmeticError:
             bad += 1
             continue
-        bad += got != hypgeom._crossing_cos_from(*ends, hypgeom._root_cos(5))
+        bad += got != oracle_cells.pentagon_cos(*ends)
     return bad
 
 
@@ -151,8 +153,21 @@ def test_integer_pentagon_cosine_equals_the_surd_route():
 
 def test_integer_pentagon_table_holds_four_cosines():
     for k, (c, s) in enumerate(hypgeom._PENTAGON_4COS):
-        assert Surd(c, s) == 4 * hypgeom._PENTAGON_COS[k]
+        assert Surd(c, s) == 4 * oracle_cells._PENTAGON_COS[k]
         assert c + s * math.sqrt(5) == pytest.approx(4 * math.cos(2 * math.pi * k / 5))
+
+
+def test_pentagon_crossing_cos_is_the_float_of_the_surd_route():
+    """At d = 5 the float cosine is the float of the exact one, and equals
+    the float of the oracle's `Surd` route on all 40 crossing pairs: +-0.236...,
+    bit for bit (`math.cos` in the float route differs in the last digits)."""
+    pairs = _crossing_pentagon_pairs()
+    assert len(pairs) == 40
+    for c1, c2 in pairs:
+        expected = float(oracle_cells.pentagon_cos(*hypgeom._interleaved(c1, c2)))
+        assert crossing_cos(c1, c2) == expected == float(crossing_cos_exact(c1, c2))
+        assert abs(expected) == 0.2360679774997898
+        assert crossing_cos_error(c1, c2) < 1e-14
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -256,7 +271,7 @@ def _table_crossing_cos(c1, c2):
     modulo d."""
     d = c1.d
     if d == 5:
-        table = {k: hypgeom._PENTAGON_COS[k] for k in range(5)}
+        table = {k: oracle_cells._PENTAGON_COS[k] for k in range(5)}
     else:
         table = {k: math.cos(2.0 * math.pi * k / d) for k in range(d)}
     a, b, c, e = hypgeom._interleaved(c1, c2)

@@ -11,11 +11,7 @@ from ribbonvol.exact import (
     RationalFunction,
     SingularMatrixError,
     bareiss,
-    kernel_basis,
-    mat_det,
     orthant_exponential_integral,
-    right_inverse,
-    rref,
 )
 from ribbonvol.kformula import (
     EPSILON,
@@ -55,6 +51,7 @@ from ribbonvol.volumes import lhs_laplace, psi_numbers
 
 import oracle_cells
 import oracle_ratfun
+from oracle_linalg import kernel_basis, mat_det, right_inverse, rref
 
 SMALL_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2)]
 
@@ -829,7 +826,8 @@ def test_dropping_one_psi_group_is_detected(monkeypatch):
 
 def volume_factor_oracle(A):
     """Oracle for `kernel_normalization`: |det [V | W]| built in full, with
-    W = right_inverse(A) and V = kernel_basis(A)."""
+    W = right_inverse(A) and V = kernel_basis(A), all three by the
+    Gauss-Jordan routes of `oracle_linalg`."""
     A = [[Fraction(x) for x in row] for row in A]
     V = kernel_basis(A)
     W = right_inverse(A)

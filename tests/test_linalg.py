@@ -19,9 +19,9 @@ from ribbonvol.exact import (
     mat_rank,
     pfaffian,
     right_inverse,
-    rref,
     solve_sqrt5,
 )
+import oracle_linalg
 from oracle_cells import surd_solve
 
 
@@ -101,7 +101,7 @@ def test_pfaffian_squares_to_determinant(n, seed):
         for j in range(i + 1, n):
             x = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
             M[i][j], M[j][i] = x, -x
-    assert pfaffian(M) ** 2 == mat_det(M)
+    assert pfaffian(M) ** 2 == oracle_linalg.mat_det(M)
 
 
 @st.composite
@@ -126,24 +126,77 @@ def int_matrices(draw):
 @settings(max_examples=300)
 @given(int_matrices())
 def test_bareiss_equals_the_fraction_route(A):
-    """One fraction-free pass gives the pivots, rank and scaled RREF of
-    `rref`, the determinant of `mat_det`, and `kernel_basis` up to d."""
+    """One fraction-free pass gives the pivots, rank and scaled RREF of the
+    oracle's `rref`, the determinant of its `mat_det`, and its
+    `kernel_basis` up to d."""
     AQ = [[Fraction(x) for x in row] for row in A]
-    R, pivots = rref(AQ)
+    R, pivots = oracle_linalg.rref(AQ)
     RI, pivots_i, det = bareiss(A)
     assert pivots_i == pivots
-    assert len(pivots) == mat_rank(AQ)
+    assert len(pivots) == oracle_linalg.mat_rank(AQ)
     assert RI == [[det * x for x in row] for row in R]
     assert all(type(x) is int for row in RI for x in row)
     if len(A) == len(A[0]):
-        assert mat_det(AQ) == (det if len(pivots) == len(A) else 0)
+        assert oracle_linalg.mat_det(AQ) == (det if len(pivots) == len(A) else 0)
     if len(pivots) == len(A):
-        assert det == mat_det([[row[c] for c in pivots] for row in AQ])
+        assert det == oracle_linalg.mat_det([[row[c] for c in pivots] for row in AQ])
     W, d = bareiss_kernel(RI, pivots, det)
-    V = kernel_basis(AQ)
+    V = oracle_linalg.kernel_basis(AQ)
     assert [[Fraction(x, d) for x in w] for w in W] == V
     assert d == lcm(1, *(x.denominator for v in V for x in v))
     assert all(type(x) is int for w in W for x in w)
+
+
+@st.composite
+def rational_matrices(draw):
+    """`int_matrices` with row i over r_i and column j over c_j, so a rank
+    stays what it was: entry x / (r_i c_j), an int when r_i c_j = 1, else
+    a Fraction; and now and then the empty matrix."""
+    if draw(st.integers(0, 15)) == 0:
+        return []
+    A = draw(int_matrices())
+    dens = st.integers(1, 4)
+    rows = [draw(dens) for _ in A]
+    cols = [draw(dens) for _ in A[0]]
+    return [[x if r * c == 1 else Fraction(x, r * c) for x, c in zip(row, cols)]
+            for row, r in zip(A, rows)]
+
+
+@settings(max_examples=300)
+@given(rational_matrices())
+def test_rank_det_and_kernel_equal_the_gauss_jordan_oracle(A):
+    """`mat_rank`, `mat_det` and `kernel_basis`, each read off `bareiss`,
+    against the field elimination of `oracle_linalg`."""
+    assert mat_rank(A) == oracle_linalg.mat_rank(A)
+    assert kernel_basis(A) == oracle_linalg.kernel_basis(A)
+    if all(len(row) == len(A) for row in A):
+        det = mat_det(A)
+        assert type(det) is Fraction and det == oracle_linalg.mat_det(A)
+
+
+@settings(max_examples=300)
+@given(rational_matrices())
+def test_inverses_equal_the_gauss_jordan_oracle(A):
+    """`right_inverse`, and `mat_inverse` on square matrices, against the
+    oracle's: the same matrix, or SingularMatrixError from both."""
+    routes = [(right_inverse, oracle_linalg.right_inverse)]
+    if all(len(row) == len(A) for row in A):
+        routes.append((mat_inverse, oracle_linalg.mat_inverse))
+    full_rank = oracle_linalg.mat_rank(A) == len(A)
+    for route, oracle in routes:
+        if full_rank:
+            assert route(A) == oracle(A)
+        else:
+            with pytest.raises(SingularMatrixError):
+                route(A)
+            with pytest.raises(SingularMatrixError):
+                oracle(A)
+
+
+@pytest.mark.parametrize("route", [mat_rank, mat_det, kernel_basis, right_inverse])
+def test_rational_routes_refuse_a_surd_matrix(route):
+    with pytest.raises(TypeError, match="rational matrix"):
+        route([[Surd(1, 1), Surd(2)], [Surd(0), Surd(3, -1)]])
 
 
 def test_bareiss_determinant_sign_and_fractional_kernel():
@@ -158,7 +211,7 @@ def test_bareiss_determinant_sign_and_fractional_kernel():
 
 def forward_elimination_det(A):
     """The determinant by forward elimination alone, with the pivot choice
-    and row swaps of `rref` (oracle for `mat_det`)."""
+    and row swaps of the oracle's `rref` (oracle for `mat_det`)."""
     n = len(A)
     M = [list(row) for row in A]
     det = Fraction(1)
@@ -181,9 +234,10 @@ def forward_elimination_det(A):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_mat_det_equals_forward_elimination_and_bareiss(seed):
-    """Random Fraction matrices, a third of them singular: the pivot product
-    of the Gauss-Jordan elimination equals the forward elimination's, and
-    Bareiss's determinant once the denominators are cleared."""
+    """Random Fraction matrices, a third of them singular: `mat_det` and the
+    pivot product of the oracle's Gauss-Jordan elimination equal the forward
+    elimination's, and Bareiss's determinant once the denominators are
+    cleared."""
     rng = random.Random(seed)
     for n in range(1, 7):
         A = rand_matrix(rng, n)
@@ -191,7 +245,7 @@ def test_mat_det_equals_forward_elimination_and_bareiss(seed):
             k, j = rng.sample(range(n), 2)
             A[k] = [x * rng.randint(-2, 2) for x in A[j]]
         det = mat_det(A)
-        assert det == forward_elimination_det(A)
+        assert det == forward_elimination_det(A) == oracle_linalg.mat_det(A)
         D = lcm(*(x.denominator for row in A for x in row))
         AI = [[int(x * D) for x in row] for row in A]
         _, pivots, bdet = bareiss(AI)
@@ -199,19 +253,19 @@ def test_mat_det_equals_forward_elimination_and_bareiss(seed):
 
 
 def test_mat_det_over_surds_equals_forward_elimination():
-    """The crossing matrices X of the eight packaged (1,2) charts (the lead
-    chart's is the reference X_REF of `test_wittencycle`), each invertible
-    (`build_charts.py` asks `solve_sqrt5` for that), and a singular Surd
-    matrix."""
+    """The oracle's field determinant on the crossing matrices X of the
+    eight packaged (1,2) charts (the lead chart's is the reference X_REF of
+    `test_wittencycle`), each invertible (`build_charts.py` asks
+    `solve_sqrt5` for that), and on a singular Surd matrix."""
     from ribbonvol.wittencycle import example5_charts
 
     charts, _ = example5_charts()
     for chart, _ in charts:
         X = chart.intersection_matrix()
-        assert mat_det(X) == forward_elimination_det(X) != 0
+        assert oracle_linalg.mat_det(X) == forward_elimination_det(X) != 0
     r = Surd(-1, 1)
     S = [[r, Surd(2)], [r * r, Surd(2) * r]]
-    assert mat_det(S) == forward_elimination_det(S) == 0
+    assert oracle_linalg.mat_det(S) == forward_elimination_det(S) == 0
 
 
 def test_mat_det_rejects_non_square_matrices():
@@ -220,9 +274,16 @@ def test_mat_det_rejects_non_square_matrices():
         mat_det([[Fraction(0), Fraction(2), Fraction(3)]])
 
 
+def test_mat_inverse_rejects_non_square_matrices():
+    # [[1, 0]] has a pivot on its first column: its "inverse" would be [[1]]
+    for A in ([[1, 0]], [[Fraction(0), Fraction(2), Fraction(3)]], [[Surd(1), Surd(0, 1)]]):
+        with pytest.raises(ValueError, match="non-square"):
+            mat_inverse(A)
+
+
 def test_rref_of_an_integer_matrix_stays_exact():
     """An int pivot scales its row by a Fraction reciprocal, never a float."""
-    R, pivots = rref([[3, 1, 2], [6, 4, 1]])
+    R, pivots = oracle_linalg.rref([[3, 1, 2], [6, 4, 1]])
     assert pivots == [0, 1]
     assert R == [[1, 0, Fraction(7, 6)], [0, 1, Fraction(-3, 2)]]
     assert all(isinstance(x, Fraction) for row in R for x in row)
@@ -252,13 +313,28 @@ def sqrt5_systems(draw):
 @given(sqrt5_systems())
 def test_solve_sqrt5_equals_the_surd_field_route(system):
     """The integer solve of the regular representation against the `Surd`
-    RREF of [X | Y], and against `mat_inverse` for Y = I."""
+    RREF of [X | Y], and against the oracle's `mat_inverse` for Y = I."""
     X, Y = system
-    assume(mat_det(X) != 0)
+    assume(oracle_linalg.mat_det(X) != 0)
     Za, Zb, det = solve_sqrt5(X, Y)
     assert all(type(x) is int for Z in (Za, Zb) for row in Z for x in row)
     assert sqrt5_matrix(Za, Zb, det) == surd_solve(X, Y)
-    assert sqrt5_matrix(*solve_sqrt5(X, identity(len(X)))) == mat_inverse(X)
+    assert sqrt5_matrix(*solve_sqrt5(X, identity(len(X)))) == oracle_linalg.mat_inverse(X)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sqrt5_systems())
+def test_surd_mat_inverse_equals_the_gauss_jordan_oracle(system):
+    """`mat_inverse` over Q(sqrt 5), one `solve_sqrt5` of [X | I], against
+    the oracle's `Surd` Gauss-Jordan inverse, singular X included."""
+    X, _ = system
+    if oracle_linalg.mat_det(X) == 0:
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(X)
+        return
+    Xinv = mat_inverse(X)
+    assert all(type(x) is Surd for row in Xinv for x in row)
+    assert Xinv == oracle_linalg.mat_inverse(X)
 
 
 def test_solve_sqrt5_of_the_empty_system():
@@ -272,8 +348,10 @@ def test_solve_sqrt5_refuses_a_singular_matrix():
     r = Surd(1, 1)  # (1 + sqrt 5)^2 = 2 (3 + sqrt 5)
     for X in ([[r, Surd(2)], [Surd(3, 1), r]], [[Surd(0)]],
               [[Surd(-1, 1), Surd(2)], [Surd(6, -2), Surd(-2, 2)]]):
-        assert mat_det(X) == 0
+        assert oracle_linalg.mat_det(X) == 0
         with pytest.raises(SingularMatrixError):
             solve_sqrt5(X, [[1]] * len(X))
         with pytest.raises(SingularMatrixError):
             surd_solve(X, [[1]] * len(X))
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(X)

@@ -94,7 +94,7 @@ def test_edge_multicurve_limit_lengths():
 def test_limit_differential_of_standard_system():
     """d(limit length) = -2 de_k on the cell, i.e. modulo the perimeter
     relations A de = 0; tested by pairing with a kernel basis."""
-    from ribbonvol.exact import kernel_basis
+    from oracle_linalg import kernel_basis
 
     for g, n in SMALL_TYPES:
         for graph, _ in enumerate_trivalent(g, n):

@@ -8,9 +8,10 @@ from math import factorial
 import pytest
 
 import oracle_ribbon as oracle
+from oracle_linalg import mat_rank
 from enumerate_cases import ORACLE_CASES
 import ribbonvol.ribbon as ribbon
-from ribbonvol.exact import mat_rank, transpose
+from ribbonvol.exact import transpose
 from ribbonvol.ribbon import (
     InvalidRibbonGraph,
     RibbonGraph,

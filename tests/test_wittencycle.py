@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
+import oracle_linalg
 from oracle_cells import surd_solve
 from test_linalg import sqrt5_matrix
 from ribbonvol.exact import (
@@ -11,7 +13,6 @@ from ribbonvol.exact import (
     Surd,
     bareiss,
     identity,
-    mat_det,
     mat_inverse,
     solve_sqrt5,
 )
@@ -259,14 +260,15 @@ def test_perimeter_chart_is_degenerate(lead):
     boundary = Multicurve((tuple(reversed(g.faces[0])),)).validate(g)
     bad = CellChart(g, (lead.curves[0], lead.curves[1], lead.curves[2], boundary))
     X = bad.intersection_matrix()
-    assert mat_det(X) == 0
+    assert oracle_linalg.mat_det(X) == 0
     with pytest.raises(ChartError):
         cell_volume_laplace(bad)
 
 
 def entrywise_asymptotic_form(chart):
-    """Oracle for `asymptotic_form`: -sum_ij [X^-1]_ij D_ia D_jb per entry."""
-    Xinv = mat_inverse(chart.intersection_matrix())
+    """Oracle for `asymptotic_form`: -sum_ij [X^-1]_ij D_ia D_jb per entry,
+    X^-1 from the `Surd` Gauss-Jordan elimination of `oracle_linalg`."""
+    Xinv = oracle_linalg.mat_inverse(chart.intersection_matrix())
     D = [c.edge_counts(chart.graph) for c in chart.curves]
     E = chart.graph.num_edges
     return [[-sum((Xinv[i][j] * (D[i][a] * D[j][b])
@@ -281,10 +283,10 @@ def test_asymptotic_form_equals_entrywise_sum(charts):
 
 
 def test_asymptotic_form_over_int_parts_equals_the_fraction_part_route(charts, monkeypatch):
-    """The crossing matrix now holds int parts; the Gauss-Jordan elimination
-    of `asymptotic_form` over it gives, on the eight packaged charts, the
-    form it gave when X held every part as a `Fraction`, and its entries
-    have Fraction or int parts, never a float."""
+    """The crossing matrix now holds int parts; the `mat_inverse` of
+    `asymptotic_form` over it gives, on the eight packaged charts, the form
+    it gave when X held every part as a `Fraction`, and its entries have
+    Fraction or int parts, never a float."""
     cs, _ = charts
     forms = [asymptotic_form(chart) for chart, _ in cs]
 
@@ -365,10 +367,14 @@ def test_trivalent_cell_volumes_give_graph_sum_weights(g, n):
 
 def _assert_form_matches_full_form(chart):
     """`form_on_kernel_basis` against the reference route: the full E x E
-    form of `asymptotic_form`, restricted to V by `restrict_form`."""
+    form, restricted to V by `restrict_form`, both as `asymptotic_form`
+    builds it and as the oracle's entrywise sum over the `Surd` Gauss-Jordan
+    inverse, which shares no `solve_sqrt5` with it."""
     G, volfactor = form_on_kernel_basis(chart)
     assert all(type(x) is Surd for row in G for x in row)
-    assert G == restrict_form(asymptotic_form(chart), kernel_basis_of(chart))
+    V = kernel_basis_of(chart)
+    assert G == restrict_form(entrywise_asymptotic_form(chart), V)
+    assert G == restrict_form(asymptotic_form(chart), V)
     assert volfactor == kernel_normalization(chart.graph.face_edge_matrix())[2]
 
 
@@ -462,21 +468,33 @@ def test_chart_solves_equal_the_surd_field_route(charts):
 
 
 def test_witten12_lead_inverse_equals_mat_inverse(charts):
+    """The report's X^-1 against the oracle's `Surd` Gauss-Jordan inverse."""
     cs, lead_index = charts
-    Xinv = mat_inverse(cs[lead_index][0].intersection_matrix())
+    Xinv = oracle_linalg.mat_inverse(cs[lead_index][0].intersection_matrix())
     assert witten12_report()["lead_X_inverse"] == [[x.to_json() for x in row] for row in Xinv]
 
 
-def test_witten12_runs_no_field_elimination(monkeypatch):
-    """Every Q(sqrt 5) system of the pipeline goes through `solve_sqrt5`:
-    it runs with the `Surd` Gauss-Jordan elimination patched to raise."""
-    import ribbonvol.exact.linalg as linalg
+def test_no_command_divides_in_q_sqrt5(monkeypatch, capsys):
+    """`witten12` and `angle --d 5` print their recorded bytes with
+    `Surd.inverse` patched to raise: every Q(sqrt 5) system goes through
+    `solve_sqrt5`, and every pentagon cosine through the integer
+    `_pentagon_cos`."""
+    from ribbonvol.cli import main
 
-    def refuse(A):
-        raise AssertionError("witten12 ran a field elimination")
+    def refuse(self):
+        raise AssertionError("a command divided in Q(sqrt 5)")
 
-    monkeypatch.setattr(linalg, "_gauss_jordan", refuse)
-    assert witten12_report()["intersections"] == {"psi1": "1", "psi2": "1"}
+    monkeypatch.setattr(Surd, "inverse", refuse)
+    with pytest.raises(AssertionError, match="divided"):
+        Surd(2, 1) / Surd(1, 1)  # the patch is live
+    for argv, digest in (
+            (["witten12"],
+             "4d518191abc6f9ddf9d61ae8a2388684c68b6347e093f9f413406d2b8755636d"),
+            (["angle", "--d", "5", "--chord1", "0,2", "--chord2", "1,3"],
+             "917e47f1fdb48d7b741e685020d32c6e43620b1595b38cecedb7af30414dba14")):
+        assert main(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_witten12_builds_each_chart_x_once(monkeypatch, charts):
