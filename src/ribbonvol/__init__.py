@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .ribbon import RibbonGraph, enumerate_graphs, enumerate_trivalent
 from .volumes import kontsevich_volume, lhs_laplace, psi_numbers
 from .kformula import cell_density, kontsevich_form, verify_form_identities, verify_kcf
-from .multicurve import Multicurve, edge_multicurve, intersection_matrix, limit_length
+from .multicurve import Multicurve, edge_multicurve, intersection_matrix
 from .wittencycle import CellChart, cell_volume_laplace, witten12_report
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Multicurve",
     "edge_multicurve",
     "intersection_matrix",
-    "limit_length",
     "CellChart",
     "cell_volume_laplace",
     "witten12_report",

@@ -426,9 +426,9 @@ def cmd_identities(args) -> tuple:
     with its own face labels.  The density's |Pf G| is isqrt(det G) from
     `bareiss(G)`, the same elimination check (iii) runs, so the cell layer
     takes no subset-expansion Pfaffian.  Each map's row is formatted once by
-    `_json_text`, with slots for a class's face labels and |Aut|, and
-    filled once per class.  The head's "ok" covers every map, so every map
-    is checked before the first chunk."""
+    `_json_text`, with its graph as the report has it and slots for a
+    class's face labels and |Aut|, and filled once per class.  The head's
+    "ok" covers every map, so every map is checked before the first chunk."""
     _check_stable(args.g, args.n)
     _check_half_edges(args.g, args.n)
     count, maps = enumerate_maps(args.g, args.n, [3] * (4 * args.g - 4 + 2 * args.n))
@@ -441,7 +441,7 @@ def cmd_identities(args) -> tuple:
         rho = form.density()
         ok = rep["ok"] and rho == expected_density
         all_ok &= ok
-        rows.append((_row_template({"graph": {**graph.to_json(), "face_labels": _SLOT},
+        rows.append((_row_template({"graph": {**rep["graph"], "face_labels": _SLOT},
                                     "aut": _SLOT, "checks": rep["checks"],
                                     "density": str(rho), "ok": ok}, "  "), classes))
     head = {

@@ -5,7 +5,7 @@ nonzero `Fraction` coefficients; binary operations merge variable sets by
 name.  A coefficient whose type is exactly `Fraction` is stored as given,
 any other is converted.  For display the terms are sorted by total degree,
 then by exponent tuple, both descending, and each coefficient is formatted
-once (`_term_texts`), for `str` and `to_json` alike.
+once (`_term_texts`), for `str` and the `volume` command alike.
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ class Poly:
 
     def _term_texts(self) -> list:
         """The (exp, str(c)) pairs in the order of `_sorted_exps`: each term
-        sorted and its coefficient formatted once, for `__str__`, `to_json`
-        and the `volume` command alike."""
+        sorted and its coefficient formatted once, for `__str__` and the
+        `volume` command alike."""
         exps = self._sorted_exps()
         return list(zip(exps, map(str, map(self.terms.__getitem__, exps))))
 
@@ -246,12 +246,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.vars!r}, {self.terms!r})"
-
-    def to_json(self):
-        return {
-            "vars": list(self.vars),
-            "terms": [{"exp": list(e), "coef": cs} for e, cs in self._term_texts()],
-        }
 
 
 def poly_integrate(p: Poly, name: str, lower, upper) -> Poly:

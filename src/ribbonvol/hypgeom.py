@@ -1,15 +1,13 @@
-"""Hyperbolic trigonometry for surfaces with long boundaries.
+"""Crossing angles of complete geodesics joining the ideal vertices of a
+regular ideal d-gon: the shape a vertex polygon approaches as the boundary
+lengths of the surface grow.
 
-Quantitative pieces: the trirectangle relation cos(theta) = sinh(a) sinh(d/2)
-bounding the common perpendicular of an edge hexagon, the right-angled
-hexagon cosine rule, the limiting rib length acosh(1/sin(pi/d)) at a
-degree-d vertex, and crossing angles of complete geodesics joining the
-ideal vertices of a regular ideal d-gon (the shape a vertex polygon
-approaches as the boundary lengths grow).
-
-Everything is double precision except the pentagon chord angles, which
-lie in Z[sqrt(5)] and are computed exactly, in integers (`_pentagon_cos`);
-`crossing_cos` at d = 5 is the float of that exact value.
+The pentagon chord angles lie in Z[sqrt(5)] and are computed exactly, in
+integers (`_pentagon_cos`); `crossing_cos` at d = 5 is the float of that
+exact value, and other degrees are double precision.  The paper's
+trigonometry of surfaces with long boundaries (trirectangles, right-angled
+hexagons, limiting rib lengths), which no command reaches, lives beside
+the tests of acceptance criterion 7, in `tests/paper_geometry.py`.
 """
 
 from __future__ import annotations
@@ -20,12 +18,6 @@ from fractions import Fraction
 from .exact import Surd
 
 __all__ = [
-    "trirectangle_intercostal",
-    "intercostal_bound",
-    "hexagon_angle",
-    "hexagon_side",
-    "rib_length_limit",
-    "vertex_angle_limit",
     "IdealPolygonChord",
     "chords_cross",
     "crossing_cos",
@@ -39,59 +31,6 @@ __all__ = [
 # SIGMA * Q(u_ab, u_cd) / (|u_ab| |u_cd|).  Pinned against the direct disk
 # model computation (see tests).
 SIGMA = 1
-
-
-def trirectangle_intercostal(a: float, theta: float) -> float:
-    """Length of the fourth side of a trirectangle with angle theta opposite
-    a side of length a: delta = 2 asinh(cos theta / sinh a)."""
-    if a <= 0:
-        raise ValueError("side length must be positive")
-    if not 0 < theta <= math.pi / 2:
-        raise ValueError("angle must lie in (0, pi/2]")
-    return 2.0 * math.asinh(math.cos(theta) / math.sinh(a))
-
-
-def intercostal_bound(ell: float, N: float) -> float:
-    """Upper bound 2 asinh(1/sinh(N ell / 2)) for the intercostal of an edge
-    of length N*ell; decreasing in N and vanishing in the limit."""
-    if ell <= 0 or N <= 0:
-        raise ValueError("need positive edge length")
-    return 2.0 * math.asinh(1.0 / math.sinh(N * ell / 2.0))
-
-
-def hexagon_angle(a: float, b: float, c: float) -> float:
-    """Angle opposite c in a hyperbolic triangle with sides a, b, c:
-    cosh c = cosh a cosh b - sinh a sinh b cos theta."""
-    if a <= 0 or b <= 0:
-        raise ValueError("sides must be positive")
-    x = (math.cosh(a) * math.cosh(b) - math.cosh(c)) / (math.sinh(a) * math.sinh(b))
-    if 1.0 < abs(x) <= 1.0 + 1e-9:
-        x = math.copysign(1.0, x)  # degenerate triangles round just outside
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"no hyperbolic triangle with sides ({a}, {b}, {c})")
-    return math.acos(x)
-
-
-def hexagon_side(a: float, b: float, theta: float) -> float:
-    """Inverse of `hexagon_angle`: the side c from two sides and the angle."""
-    if a <= 0 or b <= 0:
-        raise ValueError("sides must be positive")
-    return math.acosh(math.cosh(a) * math.cosh(b)
-                      - math.sinh(a) * math.sinh(b) * math.cos(theta))
-
-
-def rib_length_limit(d: int) -> float:
-    """Limiting rib length acosh(1/sin(pi/d)) at a degree-d vertex."""
-    if d < 3:
-        raise ValueError("vertex degree must be at least 3")
-    return math.acosh(1.0 / math.sin(math.pi / d))
-
-
-def vertex_angle_limit(d: int) -> float:
-    """Limiting angle between adjacent edges at a degree-d vertex: 2 pi / d."""
-    if d < 3:
-        raise ValueError("vertex degree must be at least 3")
-    return 2.0 * math.pi / d
 
 
 # -- chords of the regular ideal d-gon ----------------------------------------

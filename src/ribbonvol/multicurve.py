@@ -15,14 +15,13 @@ whose boundary lengths grow, cross in two ways:
 `intersection_matrix` assembles the limiting skew matrix X for a system of
 multicurves.  Its entries lie in Z[sqrt(5)]; `curve_pair_cos` sums each in
 integers and builds one `Surd` with int parts, so X holds no `Fraction`.
+The limiting lengths and their differentials, which no command reaches,
+live beside the tests of acceptance criterion 5, in `tests/paper_geometry.py`.
 """
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
-
-from .exact import Poly, Surd
+from .exact import Surd
 from .hypgeom import IdealPolygonChord, _interleaved, _pentagon_cos, chords_cross
 from .ribbon import RibbonGraph
 
@@ -30,9 +29,6 @@ __all__ = [
     "Multicurve",
     "InvalidMulticurve",
     "edge_multicurve",
-    "limit_length",
-    "limit_length_reduced",
-    "limit_differential",
     "curve_pair_cos",
     "intersection_matrix",
 ]
@@ -151,55 +147,6 @@ def _face_walk_minus(graph: RibbonGraph, face_index: int, removed):
         return [walk[p + 1:] + walk[:p]]
     p, q = pos
     return [walk[p + 1:q], walk[q + 1:] + walk[:p]]
-
-
-def limit_length(graph: RibbonGraph, mc: Multicurve) -> Poly:
-    """Limiting normalised length: the sum of the traversed edge lengths."""
-    E = graph.num_edges
-    evars = tuple(f"e{i}" for i in range(1, E + 1))
-    terms = {}
-    for i, c in enumerate(mc.edge_counts(graph)):
-        if c:
-            exp = tuple(1 if j == i else 0 for j in range(E))
-            terms[exp] = Fraction(c)
-    return Poly(evars, terms)
-
-
-def limit_length_reduced(graph: RibbonGraph, mc: Multicurve):
-    """Split the limiting length into (perimeter part, edge part).
-
-    Returns (lam, mu) with length = sum lam_i x_i + sum mu_e e_e, where the
-    perimeter coefficients are chosen so the edge residual is supported on
-    as few edges as possible (matching the x_i + x_j - 2 e_k shape of the
-    standard system).  The split solves a small exact least-structure
-    problem: lam is the rounded-down face incidence of the curve.
-    """
-    E = graph.num_edges
-    A = graph.face_edge_matrix()
-    counts = mc.edge_counts(graph)
-    n = graph.num_faces
-    bound = max(counts, default=0) + 1
-    best = None
-    for lam_try in itertools.product(range(bound), repeat=n):
-        mu = [counts[e] - sum(lam_try[i] * A[i][e] for i in range(n)) for e in range(E)]
-        if all(m <= 0 for m in mu):
-            support = sum(1 for m in mu if m)
-            key = (support, sum(-m for m in mu), lam_try)
-            if best is None or key < best[0]:
-                best = (key, list(lam_try), mu)
-    if best is None:
-        return [Fraction(0)] * n, counts
-    return [Fraction(v) for v in best[1]], best[2]
-
-
-def limit_differential(graph: RibbonGraph, mc: Multicurve):
-    """d of the limiting length in de-coordinates, reduced on the cell.
-
-    On {A e = x} the perimeter combinations are constant, so the reduced
-    differential is the edge-residual part of `limit_length_reduced`.
-    """
-    _, mu = limit_length_reduced(graph, mc)
-    return [Fraction(m) for m in mu]
 
 
 # -- crossing engine -----------------------------------------------------------

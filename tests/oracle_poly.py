@@ -6,8 +6,8 @@ degree and then by exponent tuple, both descending; `Poly._sorted_exps`
 gets the same order from two C-level sorts.  `oracle_poly_str` and
 `oracle_poly_json` each sort again and call `str` on every coefficient, and
 `oracle_poly_str` grows its text term by term; the package reads one list of
-(exp, str(c)) pairs (`Poly._term_texts`) for both, and for the `volume`
-command.
+(exp, str(c)) pairs (`Poly._term_texts`) for `str` and for the `volume`
+command, whose "W" `oracle_poly_json` rebuilds.
 """
 
 
@@ -40,7 +40,8 @@ def oracle_poly_str(p) -> str:
 
 
 def oracle_poly_json(p) -> dict:
-    """`p.to_json()`: the variables and one {"exp", "coef"} dict per term."""
+    """The "W" of the `volume` payload: the variables and one {"exp", "coef"}
+    dict per term."""
     return {
         "vars": list(p.vars),
         "terms": [{"exp": list(e), "coef": str(c)} for e, c in oracle_sorted_terms(p)],

@@ -12,6 +12,7 @@ import pytest
 
 from ribbonvol.cli import main as cli_main
 from oracle_linalg import mat_rank
+from paper_geometry import intercostal_bound, limit_length_reduced, rib_length_limit
 from ribbonvol.exact import (
     RationalFunction,
     Surd,
@@ -22,8 +23,6 @@ from ribbonvol.hypgeom import (
     IdealPolygonChord,
     crossing_cos,
     crossing_cos_exact,
-    intercostal_bound,
-    rib_length_limit,
 )
 from ribbonvol.kformula import (
     EPSILON,
@@ -189,7 +188,6 @@ def test_criterion_6_example_cycle(capsys):
     ok &= all(8 * Xinv[i][j] == xinv8_ref[i][j] for i in range(4) for j in range(4))
 
     # Omega = de2 ^ de3 on the cell, in the documented edge names
-    from ribbonvol.multicurve import limit_length_reduced
     _, mu2 = limit_length_reduced(lead.graph, lead.curves[1])
     _, mu3 = limit_length_reduced(lead.graph, lead.curves[2])
     e2 = next(e for e, m in enumerate(mu2) if m)

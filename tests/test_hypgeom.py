@@ -15,6 +15,8 @@ from ribbonvol.hypgeom import (
     crossing_cos,
     crossing_cos_error,
     crossing_cos_exact,
+)
+from paper_geometry import (
     hexagon_angle,
     hexagon_side,
     intercostal_bound,

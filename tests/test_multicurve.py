@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import oracle_cells
+from paper_geometry import limit_differential, limit_length
 from ribbonvol import multicurve
 from ribbonvol.exact import Poly, Surd
 from ribbonvol.multicurve import (
@@ -16,8 +17,6 @@ from ribbonvol.multicurve import (
     curve_pair_cos,
     edge_multicurve,
     intersection_matrix,
-    limit_differential,
-    limit_length,
 )
 from ribbonvol.ribbon import enumerate_graphs, enumerate_trivalent
 from ribbonvol.wittencycle import example5_charts

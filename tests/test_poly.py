@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_poly import oracle_poly_json, oracle_poly_str, oracle_sorted_terms
+from oracle_poly import oracle_poly_str, oracle_sorted_terms
 from ribbonvol.exact import Poly, poly_integrate
 
 
@@ -109,13 +109,12 @@ def polys(draw):
 @given(polys())
 def test_display_equals_the_old_per_term_routes(p):
     """The two C-level sorts give the order of the old per-term key, and
-    `str` and `to_json`, which read one list of (exp, str(c)) pairs, give
-    the old text and dict, on constants, the zero polynomial, polynomials in
-    no variable and non-homogeneous ones with negative coefficients."""
+    `str`, which reads one list of (exp, str(c)) pairs, gives the old text,
+    on constants, the zero polynomial, polynomials in no variable and
+    non-homogeneous ones with negative coefficients."""
     assert p._sorted_terms() == oracle_sorted_terms(p)
     assert p._term_texts() == [(e, str(c)) for e, c in oracle_sorted_terms(p)]
     assert str(p) == oracle_poly_str(p)
-    assert p.to_json() == oracle_poly_json(p)
 
 
 def test_display_of_signs_units_and_constants():

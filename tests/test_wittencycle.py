@@ -6,6 +6,7 @@ import pytest
 
 import oracle_linalg
 from oracle_cells import surd_solve
+from paper_geometry import limit_differential, limit_length_reduced
 from test_linalg import sqrt5_matrix
 from ribbonvol.exact import (
     Poly,
@@ -26,8 +27,6 @@ from ribbonvol.multicurve import (
     Multicurve,
     edge_multicurve,
     intersection_matrix,
-    limit_differential,
-    limit_length_reduced,
 )
 from ribbonvol.ribbon import enumerate_trivalent
 from ribbonvol.volumes import psi_numbers
