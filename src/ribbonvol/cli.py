@@ -145,8 +145,10 @@ def _dvv_cost(g: int, n: int) -> float:
     + 6 C(n, 3)) / 10^4 for the DVV recursion, which peels the smallest
     index and grows like d^5 at fixed n, and faster than n^2 from n = 3 on.
     Fitted on a 2-vCPU Xeon (Python 3.11) while `volume` formatted each
-    term twice; now conservative, 1.7-4.1x over the measured CPU ((0,11):
-    2.02 s, measured 0.49), most where the 46 per tuple dominates.
+    term twice and the recursion summed `Fraction`s.  With both gone it is
+    conservative, 4-11x over the measured CPU, most where the d^5 term
+    dominates: estimated / measured 2.02 / 0.48 s at (0,11), 3.11 / 0.30
+    at (29,1), 2.96 / 0.46 at (17,4) and 3.40 / 0.31 at (23,3).
     """
     d = 3 * g - 3 + n
     return 46 * comb(d + n - 1, n - 1) + d ** 5 * (6 + n * n + 6 * comb(n, 3)) / 10_000

@@ -365,23 +365,29 @@ def _search_pairings(degrees, n, emit):
     descending.  The caller builds the same layout to read each `s1`, since
     it needs `s0` before the first call.
 
-    The smallest unpaired slot is matched against unpaired slots of already
-    used vertices, or against the first slot of the first unused vertex of
-    each distinct degree; this reaches every connected isomorphism class,
-    some more than once.  The used vertices of each run of equal degrees
-    are a prefix of it, so one pointer per run names its first unused
-    vertex.  The search is one plain recursion that hands each pairing to
-    `emit` where it is found, so no frame is resumed per pairing.
+    The first unpaired slot p that lies on an already used vertex is
+    matched against the later unpaired slots of used vertices, or against
+    the first slot of the first unused vertex of each distinct degree; this
+    reaches every connected isomorphism class, some more than once.  The
+    used vertices of each run of equal degrees are a prefix of it, so one
+    pointer per run names its first unused vertex.  Across runs they are
+    not: with degrees 5,4,3, vertex 0 may open vertex 2 while vertex 1 is
+    unused, so p need not be the smallest unpaired slot s.  The recursion
+    keeps s, scans from it to p, and ends a branch as disconnected only
+    when no unpaired slot lies on a used vertex.  Where the used vertices
+    are a prefix of the layout, as with one degree run or 4,3^k, p is s.
+    The search is one plain recursion that hands each pairing to `emit`
+    where it is found, so no frame is resumed per pairing.
 
-    The faces are the cycles of s2 = s0^{-1} s1, and pairing s with t sets
-    s2(s) = s0^{-1}(t) and s2(t) = s0^{-1}(s).  The links set so far form
+    The faces are the cycles of s2 = s0^{-1} s1, and pairing p with t sets
+    s2(p) = s0^{-1}(t) and s2(t) = s0^{-1}(p).  The links set so far form
     open paths and closed cycles; `head[d]` is the first dart of the path
     ending at d and `tail[d]` the last dart of the path starting at d (read
     at path ends only).  Setting s2(d) = e links the path ending at d to the
     path starting at e: it closes a face when both are one path (the path
     from e ends at d) and merges them otherwise.  The candidate loop checks
     the face count before the call, as an exact two-sided bound: with
-    `total` faces closed and `left` slots unpaired once s and t are paired,
+    `total` faces closed and `left` slots unpaired once p and t are paired,
     it descends only if `left == 0` and `total == n`, or if `left > 0` and
     `total < n <= total + left`.  While any path is open at least one more
     face closes, and each of the `left` open links closes at most one, so
@@ -433,26 +439,33 @@ def _search_pairings(degrees, n, emit):
             return
         while partner[s] >= 0:
             s += 1
+        # p: the first unpaired slot from s on that lies on a used vertex;
+        # after: the slot the callee scans from, s itself while it is unpaired
+        p, after = s, s + 1
         if not used[vertex_at[s]]:
-            return  # used component closed while vertices remain: disconnected
-        cands = [t for t in range(s + 1, N)
+            p = next((q for q in range(s + 1, N)
+                      if partner[q] < 0 and used[vertex_at[q]]), N)
+            if p == N:
+                return  # used component closed while vertices remain: disconnected
+            after = s
+        cands = [t for t in range(p + 1, N)
                  if partner[t] < 0 and used[vertex_at[t]]]
         cands += [starts[v] for v, end in zip(next_unused, run_end) if v < end]
-        es = inv0[s]
-        left -= 2  # the slots left unpaired once s is paired
+        es = inv0[p]
+        left -= 2  # the slots left unpaired once p is paired
         for t in cands:
             v = vertex_at[t]
             opened = not used[v]
             if opened:
                 used[v] = True
                 next_unused[run_of[v]] += 1
-            partner[s], partner[t] = t, s
-            # s2(s) = et and s2(t) = es, each linking two path ends
+            partner[p], partner[t] = t, p
+            # s2(p) = et and s2(t) = es, each linking two path ends
             total, low, r = closed, shortest, root
             et = inv0[t]
-            a, b = head[s], tail[et]
+            a, b = head[p], tail[et]
             tail[a], head[b] = b, a
-            if b == s:
+            if b == p:
                 total += 1
                 if tops[a] and size[a] < low:
                     low = size[a]
@@ -477,17 +490,17 @@ def _search_pairings(degrees, n, emit):
             # cannot close as a shortest top face
             if ((total < n <= total + left) if left else total == n) \
                     and size[r] <= low:
-                rec(s + 1, left, total, low, r)
+                rec(after, left, total, low, r)
             # undo the links in reverse order; each path keeps its ends
             if track and d != t:
                 size[c] -= size[es]
                 tops[c] -= tops[es]
             tail[c], head[d] = t, es
-            if track and b != s:
+            if track and b != p:
                 size[a] -= size[et]
                 tops[a] -= tops[et]
-            tail[a], head[b] = s, et
-            partner[s] = partner[t] = -1
+            tail[a], head[b] = p, et
+            partner[p] = partner[t] = -1
             if opened:
                 used[v] = False
                 next_unused[run_of[v]] -= 1

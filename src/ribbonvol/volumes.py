@@ -10,29 +10,54 @@ index k+1 off the bracket,
         + 1/2 sum_{r+s=k-1} (2r+1)!! (2s+1)!! [ <tau_r tau_s tau_S>_{g-1}
               + sum_{I u J = S} <tau_r tau_I>_{g1} <tau_s tau_J>_{g2} ],
 
-with (-1)!! = 1.  `_tau` peels the smallest index.  Its step is the string
-equation when that index is 0 (k = -1: weights 1, empty half-sum) and the
-dilaton equation <tau_1 tau_S>_g = (2g-2+|S|) <tau_S>_g when it is 1 (k = 0:
-weights 2d_j+1, summing to 3(2g-2+|S|)), so subset splits run only when
-every index is at least 2.  The seeds are <tau_0^3>_0 = 1 and <tau_1>_1 =
-1/24; a bracket vanishes unless sum d_i = 3g-3+n for some g with
-2g-2+n > 0, which fixes every genus above.
+with (-1)!! = 1.  A bracket vanishes unless sum d_i = 3g-3+n for some g
+with 2g-2+n > 0, which fixes every genus above; for the split 3 g1 =
+r + sum I - |I| + 2, and g2 = g - g1.
+
+The recursion runs in integers (`_dvv`), on
+
+    M(d_1 .. d_n) = 24^g g! prod_i (2d_i+1)!! <tau_{d_1} ... tau_{d_n}>_g,
+
+which is an int.  Multiplying the relation by 24^g g! (2k+3)!! prod_S
+(2d_i+1)!! clears every denominator but the 1/2:
+
+    M(k+1, S) = sum_j (2d_j+1) M(d_j+k, S-j)
+              + 1/2 sum_{r+s=k-1} [ 24g M(r, s, S)
+                                   + sum_{I u J = S} C(g, g1) M(r, I) M(s, J) ].
+
+The sum halved is even: the terms of r and s = k-1-r are equal (swap I and
+J), so it is twice the sum over r < s plus the term r = s, in which 24g is
+even and the splits (I, J) and (J, I) give equal products (with S empty,
+the one split gives C(2g1, g1) M(r)^2, and C(2g1, g1) is even).  `_dvv`
+sums each pair r < s once, doubled, and halves exactly; an odd sum raises
+`ArithmeticError`.  The seeds are M(0,0,0) = 1 (<tau_0^3>_0 = 1) and
+M(1) = 3 (<tau_1>_1 = 1/24).  `_dvv` peels the smallest index.  Its step is
+the string equation when that index is 0 (k = -1: weights 2d_j+1, empty
+half-sum) and the dilaton equation when it is 1 (k = 0), so subset splits
+run only when every index is at least 2; a split whose first half fails the
+dimension test is skipped before any lookup.  `_tau` divides out the
+weight once per sorted key, the one `Fraction` each bracket costs.
 
 `kontsevich_volume(g, n)` returns the polynomial W_{g,n}(L_1..L_n): the
 product of the perimeters times the top-power volume of the moduli space of
 metric ribbon graphs with boundary lengths L.  It is assembled from the psi
 numbers, d = 3g-3+n:
 
-    [L^{2a+1}] W_{g,n} = <psi_1^a1 ... psi_n^an> / (2^d prod a_k!),
+    [L^{2a+1}] W_{g,n} = <psi_1^a1 ... psi_n^an> / (2^d prod a_k!)
+                       = M(a) / (24^g g! prod_k (2a_k+1)!),
 
-so W_{0,3} = L1 L2 L3 and W_{1,1} = L1^3 / 48.
+since 2^a a! (2a+1)!! = (2a+1)!, so W_{0,3} = L1 L2 L3 and W_{1,1} = L1^3 / 48.
+Each coefficient depends on the exponents only through their multiset: it is
+computed once per sorted key and shared by that key's exponent tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from itertools import combinations_with_replacement
+from math import comb, factorial, prod
+from operator import sub
 
 from .exact import Poly, RationalFunction, double_factorial
 
@@ -57,34 +82,69 @@ def _key(ds) -> tuple:
     return tuple(sorted(ds, reverse=True))
 
 
-@lru_cache(maxsize=None)
-def _tau(ds: tuple) -> Fraction:
-    """<tau_{d_1} ... tau_{d_n}> for `ds` sorted in decreasing order, by DVV
-    on the smallest index."""
+def _genus(ds) -> int:
+    """The genus g of a nonzero bracket <tau_ds>_g, `ds` sorted in
+    decreasing order, with sum ds = 3g-3+n, or -1 if there is none: a sum
+    off the lattice, an unstable (g, n) or an index below 0."""
     n = len(ds)
     g, rem = divmod(sum(ds) - n + 3, 3)
-    if rem or not is_stable(g, n) or ds[-1] < 0:
-        return Fraction(0)
-    if ds == (0, 0, 0):
-        return Fraction(1)
-    if ds == (1,):
-        return Fraction(1, 24)
+    return g if not rem and is_stable(g, n) and ds[-1] >= 0 else -1
+
+
+# M at the two seeds: M(0,0,0) = <tau_0^3>_0 and M(1) = 24 * 3!! <tau_1>_1.
+_SEEDS = {(0, 0, 0): 1, (1,): 3}
+
+
+@lru_cache(maxsize=None)
+def _dvv(ds: tuple) -> int:
+    """M(ds) = 24^g g! prod (2d_i+1)!! <tau_ds>_g for `ds` sorted in
+    decreasing order, by integer DVV on the smallest index."""
+    g = _genus(ds)
+    if g < 0:
+        return 0
+    if ds in _SEEDS:
+        return _SEEDS[ds]
     k, rest = ds[-1] - 1, ds[:-1]
-    total = Fraction(0)
+    total = 0
     for j, d in enumerate(rest):
-        weight = double_factorial(2 * k + 2 * d + 1) // double_factorial(2 * d - 1)
-        total += weight * _tau(_key(rest[:j] + (d + k,) + rest[j + 1:]))
-    splits = [([d for i, d in enumerate(rest) if mask >> i & 1],
-               [d for i, d in enumerate(rest) if not mask >> i & 1])
-              for mask in range(1 << len(rest))] if k > 0 else []
-    half = Fraction(0)
-    for r in range(k):
+        total += (2 * d + 1) * _dvv(_key(rest[:j] + (d + k,) + rest[j + 1:]))
+    if k <= 0:
+        return total
+    # each split (I, J) of `rest`, with x = sum I - |I| + 2, so that (r, I)
+    # has genus (r + x) / 3; I and J stay sorted
+    splits = [(2, (), ())]
+    for d in rest:
+        splits = [split for x, I, J in splits
+                  for split in ((x + d - 1, I + (d,), J), (x, I, J + (d,)))]
+    binom = [comb(g, i) for i in range(g + 1)]
+    # the term of r equals that of s = k-1-r (swap I and J): each pair
+    # r < s is summed once and doubled
+    half = 0
+    for r in range((k + 1) // 2):
         s = k - 1 - r
-        inner = _tau(_key((r, s) + rest))
-        for I, J in splits:
-            inner += _tau(_key([r] + I)) * _tau(_key([s] + J))
-        half += double_factorial(2 * r + 1) * double_factorial(2 * s + 1) * inner
-    return (total + half / 2) / double_factorial(2 * k + 3)
+        term = 24 * g * _dvv(_key((r, s) + rest)) if g else 0
+        for x, I, J in splits:
+            g1, rem = divmod(r + x, 3)
+            if rem or g1 > g:
+                continue
+            left = _dvv(_key((r,) + I))
+            if left:
+                term += binom[g1] * left * _dvv(_key((s,) + J))
+        half += term if r == s else 2 * term
+    if half & 1:
+        raise ArithmeticError(f"odd DVV half-sum at {ds}")
+    return total + (half >> 1)
+
+
+@lru_cache(maxsize=None)
+def _tau(ds: tuple) -> Fraction:
+    """<tau_{d_1} ... tau_{d_n}> for `ds` sorted in decreasing order: M(ds)
+    over 24^g g! prod (2d_i+1)!!, one `Fraction` per key."""
+    g = _genus(ds)
+    if g < 0:
+        return Fraction(0)
+    weight = 24 ** g * factorial(g) * prod(double_factorial(2 * d + 1) for d in ds)
+    return Fraction(_dvv(ds), weight)
 
 
 def psi_numbers(g: int, n: int) -> dict:
@@ -95,25 +155,34 @@ def psi_numbers(g: int, n: int) -> dict:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The tuples of `parts` integers >= 0 summing to `total`, in
+    lexicographic order, by stars and bars: each nondecreasing choice
+    c_1 <= ... <= c_{parts-1} of bar positions in 0..total gives the parts
+    c_1, c_2 - c_1, ..., total - c_{parts-1}."""
+    ends = (total,)
+    for bars in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, bars + ends, (0,) + bars))
 
 
 @lru_cache(maxsize=None)
 def kontsevich_volume(g: int, n: int) -> Poly:
     """The polynomial W_{g,n}(L1..Ln), homogeneous of degree 6g-6+3n:
-    sum_a <psi^a> / (2^d prod a_k!) prod_k L_k^(2a_k + 1)."""
-    scale = 2 ** (3 * g - 3 + n)
+    sum_a <psi^a> / (2^d prod a_k!) prod_k L_k^(2a_k + 1), each coefficient
+    M(a) / (24^g g! prod (2a_k+1)!) computed once per sorted key."""
+    if not is_stable(g, n):
+        raise UnstableInput(f"({g},{n}) is unstable")
+    d = 3 * g - 3 + n
+    base = 24 ** g * factorial(g)
+    odd = range(1, 2 * d + 2, 2)
+    coefs = {}
     terms = {}
-    for alpha, val in psi_numbers(g, n).items():
-        denom = scale
-        for a in alpha:
-            denom *= factorial(a)
-        terms[tuple(2 * a + 1 for a in alpha)] = val / denom
+    for alpha in _compositions(d, n):
+        key = _key(alpha)
+        c = coefs.get(key)
+        if c is None:
+            den = base * prod(factorial(2 * a + 1) for a in key)
+            c = coefs[key] = Fraction(_dvv(key), den)
+        terms[tuple(map(odd.__getitem__, alpha))] = c
     return Poly(tuple(f"L{i}" for i in range(1, n + 1)), terms)
 
 

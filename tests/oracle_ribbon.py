@@ -279,9 +279,14 @@ def search_pairings(degrees):
     with no face-count pruning.
 
     Vertices are blocks of consecutive slots; s0 rotates inside each block.
-    The smallest unpaired slot is matched against unpaired slots of already
-    used vertices, or against the first slot of the first unused vertex of
-    each distinct degree; this reaches every connected isomorphism class.
+    The first unpaired slot that lies on an already used vertex is matched
+    against the later unpaired slots of used vertices, or against the first
+    slot of the first unused vertex of each distinct degree; this reaches
+    every connected isomorphism class.  The used vertices need not be a
+    prefix of the layout (degrees 5,4,3: vertex 0 may open vertex 2 while
+    vertex 1 is unused), so the slot paired is not always the smallest
+    unpaired one; the branch ends, as disconnected, only when no unpaired
+    slot lies on a used vertex.
     """
     starts = []
     vertex_at = []
@@ -303,9 +308,11 @@ def search_pairings(degrees):
         if s == N:
             yield tuple(partner)
             return
-        if not used[vertex_at[s]]:
+        # p: the first unpaired slot from s on that lies on a used vertex
+        p = next((q for q in range(s, N) if partner[q] < 0 and used[vertex_at[q]]), None)
+        if p is None:
             return  # used component closed while vertices remain: disconnected
-        cands = [t for t in range(s + 1, N)
+        cands = [t for t in range(p + 1, N)
                  if partner[t] < 0 and used[vertex_at[t]]]
         fresh = []
         seen_deg = set()
@@ -317,9 +324,9 @@ def search_pairings(degrees):
             v = vertex_at[t]
             opened = not used[v]
             used[v] = True
-            partner[s], partner[t] = t, s
-            yield from rec(s + 1)
-            partner[s] = partner[t] = -1
+            partner[p], partner[t] = t, p
+            yield from rec(s)
+            partner[p] = partner[t] = -1
             if opened:
                 used[v] = False
 

@@ -10,9 +10,12 @@ uses the package's psi-number recursion; the psi numbers are read back off
 the coefficients, <psi^a> = [L^{2a+1}] W_{g,n} * 2^{3g-3+n} * prod(a_k!).
 
 `tau` is the Dijkgraaf-Verlinde-Verlinde recursion peeling the largest
-index, where `ribbonvol.volumes._tau` peels the smallest (so that a step on
+index, where `ribbonvol.volumes._dvv` peels the smallest (so that a step on
 an index 0 or 1 is the string or dilaton equation): the same relation walked
 through other brackets, with subset splits at every peeled index above 1.
+`smallest_index_tau` is the package's earlier route: the smallest index
+peeled as `_dvv` peels it, but every step summed in `Fraction`s, with the
+double factorials as weights and one division per bracket.
 
 `laplace` is the term-by-term Laplace transform of a polynomial, the second
 derivation of `ribbonvol.volumes.lhs_laplace` (which is built from the psi
@@ -152,6 +155,37 @@ def tau(ds):
         inner = tau(_key((r, s) + rest))
         for I, J in splits:
             inner += tau(_key([r] + I)) * tau(_key([s] + J))
+        half += double_factorial(2 * r + 1) * double_factorial(2 * s + 1) * inner
+    return (total + half / 2) / double_factorial(2 * k + 3)
+
+
+@lru_cache(maxsize=None)
+def smallest_index_tau(ds):
+    """<tau_{d_1} ... tau_{d_n}> for `ds` sorted in decreasing order, by DVV
+    on the smallest index in `Fraction`s, seeded by <tau_0^3>_0 = 1 and
+    <tau_1>_1 = 1/24."""
+    n = len(ds)
+    g, rem = divmod(sum(ds) - n + 3, 3)
+    if rem or not is_stable(g, n) or ds[-1] < 0:
+        return Fraction(0)
+    if ds == (0, 0, 0):
+        return Fraction(1)
+    if ds == (1,):
+        return Fraction(1, 24)
+    k, rest = ds[-1] - 1, ds[:-1]
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        weight = double_factorial(2 * k + 2 * d + 1) // double_factorial(2 * d - 1)
+        total += weight * smallest_index_tau(_key(rest[:j] + (d + k,) + rest[j + 1:]))
+    splits = [([d for i, d in enumerate(rest) if mask >> i & 1],
+               [d for i, d in enumerate(rest) if not mask >> i & 1])
+              for mask in range(1 << len(rest))] if k > 0 else []
+    half = Fraction(0)
+    for r in range(k):
+        s = k - 1 - r
+        inner = smallest_index_tau(_key((r, s) + rest))
+        for I, J in splits:
+            inner += smallest_index_tau(_key([r] + I)) * smallest_index_tau(_key([s] + J))
         half += double_factorial(2 * r + 1) * double_factorial(2 * s + 1) * inner
     return (total + half / 2) / double_factorial(2 * k + 3)
 

@@ -307,15 +307,39 @@ def test_search_descends_only_where_n_faces_can_still_close(n, degrees, calls):
 
 @pytest.mark.parametrize("n,degrees", [(n, degrees) for _, n, degrees in WORKLOAD_TYPES]
                          + [(2, [3] * 8), (4, [3] * 8), (6, [3] * 8),
-                            (2, [4, 3, 3]), (4, [4, 3, 3]), (3, [4, 4, 3, 3])])
+                            (2, [4, 3, 3]), (4, [4, 3, 3]), (3, [4, 4, 3, 3]),
+                            (1, [5, 4, 3]), (3, [5, 4, 3]), (5, [5, 4, 3])])
 def test_deduped_maps_equal_the_oracle_canonical_pairs(n, degrees):
     maps = _unlabelled_maps(sorted(degrees, reverse=True), n)
     assert maps
     assert sorted(pair for pair, _ in maps) == oracle.canonical_pairs(n, degrees)
 
 
+# (g, n, degrees, maps, labelled classes) of the layouts with three degree
+# runs, or two runs with two vertices in the first, where the used vertices
+# stop being a prefix of the layout: vertex 0 may open a vertex of the
+# last run while one of the middle run is unused.  The counts are a brute
+# force's, over all involutions with a connectivity filter and a canonical
+# BFS key from every root, shared with no search.
+MIXED_RUN_COUNTS = [
+    (2, 1, [5, 4, 3], 24, 24), (2, 1, [4, 4, 3, 3], 33, 33),
+    (1, 3, [5, 4, 3], 108, 648), (1, 3, [4, 4, 3, 3], 154, 864),
+    (0, 5, [5, 4, 3], 36, 4320), (0, 5, [4, 4, 3, 3], 63, 6480),
+]
+
+
+@pytest.mark.parametrize("g,n,degrees,maps,classes", MIXED_RUN_COUNTS)
+def test_mixed_run_layouts_reach_every_map(g, n, degrees, maps, classes):
+    """Canary for the connectivity cut: a search that ended a branch once
+    the smallest unpaired slot lay on an unused vertex found 23, 28, 104,
+    132, 32 and 48 of these maps, missing those where the vertex of the
+    middle run is not adjacent to vertex 0."""
+    assert len(_unlabelled_maps(degrees, n)) == maps
+    assert len(enumerate_graphs(g, n, degrees)) == classes
+
+
 @pytest.mark.parametrize("n,degrees,off,total", [
-    (2, [4, 3, 3], 3, 8), (4, [4, 3, 3], 2, 7), (3, [4, 4, 3, 3], 40, 132),
+    (2, [4, 3, 3], 3, 8), (4, [4, 3, 3], 2, 7), (3, [4, 4, 3, 3], 41, 154),
     (2, [5, 3], 1, 4),
 ])
 def test_a_prune_over_all_faces_misses_maps(n, degrees, off, total):
@@ -479,10 +503,13 @@ def test_enumeration_matches_brute_force_oracle():
 @pytest.mark.parametrize("g,n,degrees", [
     (0, 3, [3, 3]), (1, 1, [3, 3]), (0, 4, [3] * 4), (1, 2, [3] * 4),
     (0, 5, [5, 5]), (1, 3, [4, 4, 4]), (0, 5, [4, 4, 4]),
+    (2, 1, [5, 4, 3]), (2, 1, [4, 4, 3, 3]), (1, 3, [5, 4, 3]), (0, 5, [5, 4, 3]),
 ])
 def test_orbit_counting_mass_identity(g, n, degrees):
     """Sum over classes of (2E)!/|Aut| equals the number of labelled
-    permutation triples, counted independently by the oracle."""
+    permutation triples, counted independently by the oracle.  The mixed
+    runs of (1,3) and (0,5) 4,4,3,3 take about 2 and 5 s in the oracle and
+    run in CI."""
     total = oracle.total_labelled_structures(g, n, degrees)
     N = sum(degrees)
     fast = enumerate_graphs(g, n, degrees)

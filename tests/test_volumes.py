@@ -7,8 +7,10 @@ import pytest
 import oracle_volumes
 from oracle_volumes import NotABaseCase, base_case, wp_volume_asymptotic
 from ribbonvol.exact import Poly
+import ribbonvol.volumes as volumes
 from ribbonvol.volumes import (
     UnstableInput,
+    _dvv,
     _tau,
     kontsevich_volume,
     lhs_laplace,
@@ -116,28 +118,72 @@ def _sorted_tuples(total, parts, top):
             for rest in _sorted_tuples(total - first, parts - 1, first)]
 
 
-# every stable (g, n) with 3g-3+n <= 8
-TYPES_UP_TO_8 = [(g, n) for g in range(4) for n in range(1, 12)
-                 if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 8]
+# every stable (g, n) with 3g-3+n <= 12
+TYPES_UP_TO_12 = [(g, n) for g in range(5) for n in range(1, 16)
+                  if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 12]
 
 
-@pytest.mark.parametrize("g,n", TYPES_UP_TO_8)
+def _keys_of(g, n):
+    return _sorted_tuples(3 * g - 3 + n, n, 3 * g - 3 + n)
+
+
+@pytest.mark.parametrize("g,n", TYPES_UP_TO_12)
+def test_integer_dvv_equals_the_fraction_dvv(g, n):
+    """`_dvv` runs the smallest-index recursion on the integers
+    24^g g! prod (2d_i+1)!! <tau>, the oracle the same recursion in
+    `Fraction`s: the two agree on every key."""
+    keys = _keys_of(g, n)
+    assert keys
+    for ds in keys:
+        assert type(_dvv(ds)) is int
+        assert _tau(ds) == oracle_volumes.smallest_index_tau(ds), ds
+
+
+# the types the largest-index oracle reaches in about 2 s together: d <= 12
+# up to n = 10 faces, and d <= 8 at every n; its subset splits run over all
+# 2^(n-1) subsets at each peeled index above 1, 26 s at (0,15) alone
+TYPES_FOR_THE_LARGEST_INDEX = [(g, n) for g, n in TYPES_UP_TO_12
+                               if n <= 10 or 3 * g - 3 + n <= 8]
+
+
+@pytest.mark.parametrize("g,n", TYPES_FOR_THE_LARGEST_INDEX)
 def test_smallest_index_dvv_equals_the_largest_index_oracle(g, n):
     """`_tau` peels the smallest index, the oracle the largest: the two walk
     the DVV relation through different brackets to the same numbers."""
-    keys = _sorted_tuples(3 * g - 3 + n, n, 3 * g - 3 + n)
+    keys = _keys_of(g, n)
     assert keys
     for ds in keys:
         assert _tau(ds) == oracle_volumes.tau(ds), ds
 
 
+def test_a_wrong_seed_fails_the_oracle_or_the_halving():
+    """Canary for the integer seeds: with M(1) = 4 in place of 3, that is
+    <tau_1>_1 = 1/6, either a half-sum comes out odd or some bracket with
+    d <= 12 differs from the `Fraction` oracle's."""
+    keys = [ds for g, n in TYPES_UP_TO_12 for ds in _keys_of(g, n)]
+    volumes._SEEDS[(1,)] = 4
+    _dvv.cache_clear()
+    _tau.cache_clear()
+    try:
+        caught = any(_tau(ds) != oracle_volumes.smallest_index_tau(ds) for ds in keys)
+    except ArithmeticError:
+        caught = True
+    finally:
+        volumes._SEEDS[(1,)] = 3
+        _dvv.cache_clear()
+        _tau.cache_clear()
+    assert caught
+
+
 def test_smallest_index_dvv_keeps_the_cache_small():
     """Canary for the peeled index: with the string and dilaton steps taken
-    on the smallest index, <tau_28>_10 reaches 469 brackets; peeling the
-    largest reaches 4731."""
+    on the smallest index, and a subset split skipped when its first half
+    has no genus, <tau_28>_10 reaches 304 brackets of `_dvv` (469 without
+    the skip); peeling the largest reaches 4731."""
+    _dvv.cache_clear()
     _tau.cache_clear()
     psi_numbers(10, 1)
-    assert _tau.cache_info().currsize == 469
+    assert _dvv.cache_info().currsize == 304
 
 
 @pytest.mark.parametrize("g", range(1, 21))
