@@ -12,11 +12,12 @@ element by element, each element built as one string; the stdlib encoder,
 pure Python when given an indent, is left to the tests as its oracle.
 `enumerate` reads the maps of `enumerate_maps` one by one and streams each
 map's classes from a row template filled once per map and then once per
-class, with no graph built per class; its head and int lists come from the
-same writer, with the same bytes as `json.dumps(indent=1)` of the whole
-payload.  `identities` checks each map once, formats the map's report row
-once with slots for a class's face labels and |Aut|, and streams one
-filled row per class the same way: both lists go through `_class_stream`.
+run of classes with equal |Aut|, with no graph built per class: the run's
+rows are one `str.join` of their label texts.  Its head and int lists come
+from the same writer, with the same bytes as `json.dumps(indent=1)` of the
+whole payload.  `identities` checks each map once, formats the map's
+report row once with slots for a class's face labels and |Aut|, and
+streams its classes the same way: both lists go through `_class_stream`.
 `volume` sorts W's terms once and formats each coefficient once
 (`Poly._term_texts`); "terms" is written from one row template, filled per
 term, and "W_str" from the same texts.  `psi` writes its table from one row
@@ -59,6 +60,7 @@ import os
 import sys
 from fractions import Fraction
 from math import comb, inf
+from operator import itemgetter
 
 from . import __version__
 from .exact import Poly
@@ -294,10 +296,11 @@ def _row_template(row: dict, indent: str) -> str:
 def _row_stream(head: dict, rows):
     """The payload `head`, in the chunks of `_json_chunks`, with its one
     `_SLOT` value, a dict's value at any depth, filled by the list whose
-    elements are `rows`, one chunk each.  A row is an element's text after
-    the separator ",\n", a filled `_row_template` or `_CLASS_ROW`; the
-    first row opens the list instead.  The list closes at the indent of the
-    line that names it, and with no row at all it is `[]`."""
+    elements are given by `rows`, one chunk each.  A row is the text of one
+    or more elements, each after its separator ",\n": filled
+    `_row_template`s or `_CLASS_ROW`s; the first row opens the list
+    instead.  The list closes at the indent of the line that names it, and
+    with no row at all it is `[]`."""
     named = ""
     for chunk in _json_chunks(head):
         if chunk != _SLOT_TEXT:
@@ -319,14 +322,21 @@ def _row_stream(head: dict, rows):
 def _class_stream(head: dict, key: str, rows):
     """The payload `head` with the list `key` filled by `_row_stream` from
     `rows`, one (template, classes) pair per map.  A template has slots for
-    the face labels and |Aut|, filled once per (labels, aut) of `classes`.
-    Each distinct tuple of face labels is formatted once per payload, since
-    the classes of every map draw their labels from the same n!
-    permutations."""
+    the face labels and |Aut|.  It is filled once per run of equal |Aut| in
+    `classes`, with `_SLOT` for the labels, and split there; the run's rows
+    are one chunk, one `str.join` of their label texts.  Each distinct
+    tuple of face labels is formatted once per payload, since the classes
+    of every map draw their labels from the same n! permutations."""
     labels_text = functools.cache(_int_list)
-    return _row_stream({**head, key: _SLOT}, (row % (labels_text(labels), aut)
-                                              for row, classes in rows
-                                              for labels, aut in classes))
+
+    def runs():
+        for row, classes in rows:
+            for aut, run in itertools.groupby(classes, itemgetter(1)):
+                before, after = (row % (_SLOT, aut)).split(_SLOT)
+                yield before + (after + before).join(
+                    map(labels_text, map(itemgetter(0), run))) + after
+
+    return _row_stream({**head, key: _SLOT}, runs())
 
 
 def _enumerate_json(head: dict, maps):

@@ -24,13 +24,17 @@ when its key from root 0 is the key of a map found so far from one of its
 top darts on a shortest top face.  Those roots of a new map are relabelled
 in full and handed to a per-map callback (`_each_map`).  For the
 enumerator, every other root is relabelled once, its BFS abandoned as soon
-as it loses to the least key so far, and the least key is the map's
-canonical pair.  Its labelled classes are the orbits of its automorphism
-group on the face labellings, read off the coset of its distinct face
-orders.  A caller that needs no canonical pair reads the automorphisms
-off the full relabellings alone (`_automorphisms`).  `enumerate_maps`
-validates one `RibbonGraph` per map and lists each map's classes only when
-its caller reaches the map; `enumerate_graphs` flattens them into one
+as it loses to the least key so far, or skipped with no BFS when the least
+key has s0'[1] = 2 and the root's edge does not go to s0(r) or s0^2(r),
+which puts 3 there; the least key is the map's canonical pair.  Its
+labelled classes are the orbits of its automorphism group on the face
+labellings, read off the coset of its distinct face orders in one C-level
+pass of `min` over the images of every labelling.  A caller that needs no
+canonical pair reads the automorphisms off the full relabellings alone
+(`_automorphisms`).  `enumerate_maps` validates one `RibbonGraph` per map,
+its checks comparisons of whole sequences where they can be and its
+vertex and face cycles kept, and lists each map's classes only when its
+caller reaches the map; `enumerate_graphs` flattens them into one
 relabelled graph per class.
 """
 
@@ -39,7 +43,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import factorial
-from operator import itemgetter
+from operator import eq, itemgetter, or_
 
 __all__ = [
     "RibbonGraph",
@@ -166,19 +170,26 @@ def _check_labels(labels, n):
 
 class RibbonGraph:
     """The map (s0, s1) and `face_labels`, the label of each s2-cycle in order
-    of minimal dart; fixed, as the hash and cached structure derive from them."""
+    of minimal dart; fixed, as the hash and cached structure derive from them.
+
+    Validation reads the cached cycles of s0, `vertices`, and of
+    s2 = s0^{-1} s1, `faces`, so every graph keeps both.  It checks, in
+    this order: permutations of one dart set, a positive even number of
+    darts, a fixed-point-free involution s1 (each a comparison of whole
+    sequences), degrees >= 3, connectivity and the face labels."""
 
     def __init__(self, s0, s1, face_labels):
         s0, s1 = tuple(s0), tuple(s1)
         N = len(s0)
         self.__dict__.update(s0=s0, s1=s1, face_labels=tuple(face_labels))
-        if len(s1) != N or sorted(s0) != list(range(N)) or sorted(s1) != list(range(N)):
+        darts = list(range(N))
+        if len(s1) != N or sorted(s0) != darts or sorted(s1) != darts:
             raise InvalidRibbonGraph("s0 and s1 must be permutations of the same dart set")
         if N == 0 or N % 2:
             raise InvalidRibbonGraph("need a positive even number of half-edges")
-        for d in range(N):
-            if s1[d] == d or s1[s1[d]] != d:
-                raise InvalidRibbonGraph("s1 must be a fixed-point-free involution")
+        # N >= 2 here, so the getter returns a tuple: s1 o s1
+        if any(map(eq, s1, darts)) or list(itemgetter(*s1)(s1)) != darts:
+            raise InvalidRibbonGraph("s1 must be a fixed-point-free involution")
         for cyc in self.vertices:
             if len(cyc) < 3:
                 raise InvalidRibbonGraph(f"vertex of degree {len(cyc)} < 3")
@@ -208,7 +219,7 @@ class RibbonGraph:
     def _relabelled(self, labels) -> "RibbonGraph":
         """The same map with the face labels `labels`, not validated again.
 
-        The copy shares `s0`, `s1` and the label-free caches `vertices` and
+        The copy shares `s0`, `s1` and the label-free cycles `vertices` and
         `faces`; only the labels are checked.
         """
         labels = tuple(labels)
@@ -230,7 +241,8 @@ class RibbonGraph:
 
     @cached_property
     def vertices(self):
-        return tuple(_perm_cycles(list(self.s0)))
+        """Cycles of s0, ordered by minimal dart."""
+        return tuple(_perm_cycles(self.s0))
 
     @property
     def num_vertices(self) -> int:
@@ -522,25 +534,44 @@ def _face_orders(faces, maps):
     return orders
 
 
+def _opens_with_two(s0, s1):
+    """For each root r, whether its BFS key has s0'[1] = 2, with every
+    degree >= 3: exactly when s1(r) is s0(r) or s0^2(r).
+
+    The BFS numbers s0(r) 1, then s1(r) 2 unless it is s0(r), and visits
+    s0(r) second: s0'[1] is the number of s0^2(r), 2 if that is s1(r) or if
+    s1(r) took no new number, and 3 otherwise.
+    """
+    return list(map(or_, map(eq, s1, s0), map(eq, s1, itemgetter(*s0)(s0))))
+
+
 def _rooted(s0, s1, faces, relabels):
     """The canonical pair of (s0, s1), its least BFS key over all roots
     decoded, and the face orders (`_face_orders`) of every root that
     reaches it, in root order.  On the canonical pair itself these roots
-    are its automorphisms, each permuting the faces.
+    are its automorphisms, each permuting the faces.  Every degree is at
+    least 3.
 
     `relabels` maps some roots to their full relabellings `(key, new)`:
     root 0 for `RibbonGraph.canonical_form`, the eligible roots of a new map
     (see `_each_map`) for `_unlabelled_maps`.  Every other root's BFS is
     bounded by the least key so far and stops once its `s0'` prefix
-    exceeds it.  A root whose key is at most the bound is never stopped, so
-    the least key and the roots that reach it are those of a full pass
-    over all roots.
+    exceeds it.  Once the least key has s0'[1] = 2, a root whose key has
+    s0'[1] = 3 (`_opens_with_two`) would stop at that entry, so it is
+    skipped with no BFS.  A root whose key is at most the bound is never
+    stopped or skipped, so the least key and the roots that reach it are
+    those of a full pass over all roots.
     """
     N = len(s0)
     best = min(key for key, _ in relabels.values())
+    two = _opens_with_two(s0, s1)
     reached = []
     for root in range(N):
-        res = relabels.get(root) or _bfs_relabel(s0, s1, root, best)
+        res = relabels.get(root)
+        if res is None:
+            if best[1] == 2 and not two[root]:
+                continue
+            res = _bfs_relabel(s0, s1, root, best)
         if res is not None and res[0] <= best:
             if res[0] < best:
                 best, reached = res[0], []
@@ -583,39 +614,31 @@ def _labelled_classes(orders, n):
     labellings, each named by its least image (`_least_image`).  With H
     the distinct face orders, a coset, the labellings whose least image is
     m are exactly m o^{-1} for o in H: |H| of them, so every class has
-    |Aut L| = len(orders) / |H|.  The labellings are walked in order; the
-    first one of each orbit names it and marks the rest done.  If |H| = 1
-    every labelling is a class of its own.
+    |Aut L| = len(orders) / |H|, and every labelling's least image over H
+    names its orbit.  The least images are read in one C-level pass, |H|
+    images of each labelling zipped and reduced by `min`, n! (|H| + 1)
+    tuples; `dict.fromkeys` keeps the first of each orbit in labelling
+    order.  If |H| = 1 every labelling is a class of its own.
     """
     coset = _distinct_orders(orders)
     aut = len(orders) // len(coset)
-    labellings = itertools.permutations(range(1, n + 1))
     if len(coset) == 1:
-        return dict.fromkeys(labellings, aut)
-    # n >= 2 here, so each getter returns a tuple: labels listed in order o,
-    # and m o^{-1}
-    images = [itemgetter(*o) for o in coset]
-    preimages = [itemgetter(*_inverse(o)) for o in coset]
-    classes = {}
-    done = set()
-    for labels in labellings:
-        if labels in done:
-            continue
-        least = min(image(labels) for image in images)
-        classes[least] = aut
-        done.update(preimage(least) for preimage in preimages)
-    return classes
+        return dict.fromkeys(itertools.permutations(range(1, n + 1)), aut)
+    # n >= 2 here, so each getter returns a tuple: the labels listed in order o
+    labellings = list(itertools.permutations(range(1, n + 1)))
+    return dict.fromkeys(map(min, zip(*[map(itemgetter(*o), labellings) for o in coset])),
+                         aut)
 
 
 def _each_map(degrees, n, visit):
     """Call `visit(s0, s1, faces, full)` once for each connected map with
     the degrees (sorted descending) and n faces, and keep none of its
     arguments after the call: `s0` the block layout's rotation, `s1` the
-    first pairing found of the map, `faces` its face cycles (`face_cycles`)
-    and `full` the full relabellings `{root: (key, new)}` of its eligible
-    roots, the top darts (darts of a vertex of the largest degree, the m
-    slots `0..m-1` of the block layout) on shortest top faces, root 0 among
-    them.
+    first pairing found of the map, `faces` its face cycles (`face_cycles`,
+    read through one inverse of `s0` built per search) and `full` the full
+    relabellings `{root: (key, new)}` of its eligible roots, the top darts
+    (darts of a vertex of the largest degree, the m slots `0..m-1` of the
+    block layout) on shortest top faces, root 0 among them.
 
     The pairing search hands each n-face pairing to `dedupe` as it finds
     it, rooted at slot 0, an eligible root.  A BFS key is a complete
@@ -626,6 +649,7 @@ def _each_map(degrees, n, visit):
     the new map's are its keys in `full`.
     """
     s0 = _block_rotation(degrees)
+    inv0 = _inverse(s0)
     m = degrees[0] * degrees.count(degrees[0])
     seen = set()
 
@@ -633,7 +657,7 @@ def _each_map(degrees, n, visit):
         first = _bfs_relabel(s0, s1, 0)
         if first[0] in seen:
             return
-        faces = face_cycles(s0, s1)
+        faces = _perm_cycles(itemgetter(*s1)(inv0))  # s2 = s0^{-1} s1
         # faces[0] is the root face, a shortest top face
         full = {d: _bfs_relabel(s0, s1, d) if d else first
                 for cyc in faces if len(cyc) == len(faces[0]) for d in cyc if d < m}
@@ -663,9 +687,9 @@ def _unlabelled_maps(degrees, n):
     that reach it.
 
     Each new map's eligible roots are relabelled in full there; its other
-    roots are bounded by the least key so far, the least key is its
-    canonical pair, and the dart maps of the roots that reach it give its
-    face orders (`_rooted`, in the pairing's face indices, which list the
+    roots are bounded by the least key so far or skipped, the least key is
+    its canonical pair, and the dart maps of the roots that reach it give
+    its face orders (`_rooted`, in the pairing's face indices, which list the
     same labelled classes).
     """
     maps = []
@@ -681,8 +705,8 @@ def enumerate_maps(g: int, n: int, degrees):
     `(graph, classes)`: its `RibbonGraph` with the face labels 1..n, its
     least class, and its sorted `(labels, aut_order)` pairs.  Every graph is
     built and validated before this returns; a map's classes
-    (`_labelled_classes`, read off the coset of its distinct face orders
-    with about 2 n! tuples) are listed only when the iterator reaches it.
+    (`_labelled_classes`, read off the coset H of its distinct face orders
+    with n! (|H| + 1) tuples) are listed only when the iterator reaches it.
     An inconsistent (g, n, degrees) combination yields `(0, [])`.
 
     The pairing search emits only the pairings with n faces rooted at a
@@ -690,7 +714,7 @@ def enumerate_maps(g: int, n: int, degrees):
     unlabelled map: each pairing is relabelled once, from root 0, and each
     new map from its other 2E - 1 roots, in full from its top darts on
     shortest top faces, whose keys it keeps, and bounded by the least key
-    so far from the rest.
+    so far from the rest, but for the roots `_rooted` skips.
 
     More than 256 half-edges raise ValueError before the search starts:
     the search's keys store one dart number per byte.

@@ -12,6 +12,10 @@ flattening, and writes the same bytes from a fixed row template, streamed
 class by class with no graph per class; the two routes share only the map
 search and the labelled classes of each map.
 
+`oracle_class_stream` fills a map's row template once per class, as
+`_class_stream` did before it filled it once per run of equal |Aut| and
+joined the run's label texts; the chunks differ, their bytes must not.
+
 `oracle_identities_payload` builds the cell form, the identity checks and
 the density once per labelled class, and one report dict per class, for
 `json.dumps(indent=1)` to serialise.  The CLI builds them once per
@@ -31,14 +35,15 @@ grammar became one table; help, version and usage-error bytes must match.
 """
 
 import argparse
+import functools
 import json
 from fractions import Fraction
 
 from oracle_poly import oracle_poly_json, oracle_poly_str
 from ribbonvol import __version__
-from ribbonvol.cli import (_parse_chord, _parse_degrees, cmd_angle, cmd_enumerate,
-                           cmd_identities, cmd_psi, cmd_verify_kcf, cmd_volume,
-                           cmd_witten12)
+from ribbonvol.cli import (_SLOT, _int_list, _parse_chord, _parse_degrees, _row_stream,
+                           cmd_angle, cmd_enumerate, cmd_identities, cmd_psi,
+                           cmd_verify_kcf, cmd_volume, cmd_witten12)
 from ribbonvol.kformula import _cell_form, verify_form_identities
 from ribbonvol.ribbon import enumerate_graphs, enumerate_trivalent
 from ribbonvol.volumes import kontsevich_volume, psi_numbers
@@ -78,6 +83,16 @@ def oracle_enumerate_text(args, classes=None) -> str:
         "classes": rows,
     }
     return json.dumps(payload, indent=1) + "\n"
+
+
+def oracle_class_stream(head: dict, key: str, rows):
+    """The chunks of the payload `head` with the list `key` streamed from
+    `rows`, (template, classes) pairs: one chunk per class, its template
+    filled with the class's label text and |Aut|."""
+    labels_text = functools.cache(_int_list)
+    return _row_stream({**head, key: _SLOT}, (row % (labels_text(labels), aut)
+                                              for row, classes in rows
+                                              for labels, aut in classes))
 
 
 def oracle_identities_payload(args) -> dict:

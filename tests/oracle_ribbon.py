@@ -12,6 +12,11 @@ the least image of every one of the n! labellings under every face order,
 as the oracle for the package's classes read off the coset of distinct
 face orders.
 
+`validated_cycles` keeps the checks `RibbonGraph.__init__` made one dart
+at a time, in loops, as the oracle for its comparisons of whole sequences:
+the same checks in the same order with the same messages, and the same
+vertex and face cycles.
+
 `bfs_relabel` keeps the package's earlier encoder, the relabelled pair
 `(s0', s1')` as two tuples, as the oracle for its bytes key.
 `bounded_relabel` and `canonical_pair` keep the bounded canonical form (each
@@ -27,7 +32,7 @@ canonical pair per n-face pairing.
 import itertools
 from math import factorial
 
-from ribbonvol.ribbon import RibbonGraph, face_cycles
+from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph, face_cycles
 
 
 def perm_cycles(p):
@@ -63,6 +68,34 @@ def connected(s0, s1):
                 seen.add(e)
                 stack.append(e)
     return len(seen) == len(s0)
+
+
+def validated_cycles(s0, s1, face_labels):
+    """The vertex and face cycles of (s0, s1), as tuples, once the checks of
+    a ribbon graph pass; else `InvalidRibbonGraph` from the first that fails,
+    in this order: permutations of one dart set, a positive even number of
+    darts, a fixed-point-free involution s1, degrees >= 3, connectivity,
+    and face labels that are a bijection onto 1..n."""
+    s0, s1, labels = tuple(s0), tuple(s1), tuple(face_labels)
+    N = len(s0)
+    if len(s1) != N or sorted(s0) != list(range(N)) or sorted(s1) != list(range(N)):
+        raise InvalidRibbonGraph("s0 and s1 must be permutations of the same dart set")
+    if N == 0 or N % 2:
+        raise InvalidRibbonGraph("need a positive even number of half-edges")
+    for d in range(N):
+        if s1[d] == d or s1[s1[d]] != d:
+            raise InvalidRibbonGraph("s1 must be a fixed-point-free involution")
+    vertices = tuple(perm_cycles(s0))
+    for cyc in vertices:
+        if len(cyc) < 3:
+            raise InvalidRibbonGraph(f"vertex of degree {len(cyc)} < 3")
+    if not connected(s0, s1):
+        raise InvalidRibbonGraph("graph is not connected")
+    faces = tuple(faces_of(s0, s1))
+    if sorted(labels) != list(range(1, len(faces) + 1)):
+        raise InvalidRibbonGraph(
+            f"face labels must be a bijection onto 1..{len(faces)}, got {labels}")
+    return vertices, faces
 
 
 def fixed_point_free_involutions(points):

@@ -22,8 +22,9 @@ from jsonschema import Draft202012Validator
 
 import ribbonvol.cli as cli_module
 from enumerate_cases import ORACLE_CASES
-from oracle_cli import (oracle_enumerate_text, oracle_identities_payload, oracle_json_text,
-                        oracle_parser, oracle_psi_payload, oracle_volume_payload)
+from oracle_cli import (oracle_class_stream, oracle_enumerate_text, oracle_identities_payload,
+                        oracle_json_text, oracle_parser, oracle_psi_payload,
+                        oracle_volume_payload)
 from oracle_poly import oracle_sorted_terms
 from ribbonvol.cli import build_parser, cmd_angle, main
 from ribbonvol.exact import Poly
@@ -777,6 +778,73 @@ def test_identities_builds_one_cell_form_per_map(run, monkeypatch):
     assert len({(graph.s0, graph.s1) for graph in built}) == 6
     assert [graph for graph, _ in checked] == built
     assert all(form == _cell_form(graph) for graph, form in checked)
+
+
+def test_class_stream_matches_the_per_class_fill(monkeypatch, capsys):
+    """Every `enumerate` JSON and `identities` payload this file builds,
+    the benchmark's among them, has the bytes of the oracle that fills each
+    map's template once per class."""
+    import ribbonvol.cli as cli
+
+    class_stream = cli._class_stream
+    streamed = []
+
+    def compared(head, key, rows):
+        rows = [(row, list(classes)) for row, classes in rows]
+        text = "".join(class_stream(head, key, rows))
+        assert text == "".join(oracle_class_stream(head, key, rows))
+        streamed.append(text)
+        return iter([text])
+
+    monkeypatch.setattr(cli, "_class_stream", compared)
+    argvs = []
+    for argv in (_argv_in_this_file() + BENCH_ARGV
+                 + [["enumerate", "--g", str(g), "--n", str(n), "--degrees", degrees]
+                    for g, n, degrees in ENUMERATE_TYPES]
+                 + [["identities", "--g", str(g), "--n", str(n)]
+                    for g, n in [(1, 2), (0, 4), (1, 3), (2, 2)]]):
+        if argv[0] in ("enumerate", "identities") and "csv" not in argv and argv not in argvs:
+            argvs.append(argv)
+    reached = []
+    for argv in argvs:
+        before = len(streamed)
+        main(argv)
+        out = capsys.readouterr().out
+        if len(streamed) > before:
+            assert out == streamed[-1]
+            reached.append(argv)
+    assert len(reached) == len(ENUMERATE_TYPES) + 5
+
+
+def test_class_stream_fills_one_row_per_class_across_aut_runs():
+    """A hand-made class list whose |Aut| changes inside a map, so that a
+    map's template is filled for several runs, the first and last map of
+    one class, one map with none: the same bytes as one fill per class,
+    with an `enumerate` row template and an `identities` one."""
+    import ribbonvol.cli as cli
+
+    labels = list(itertools.permutations(range(1, 4)))
+    runs = [[(labels[0], 1)],
+            [(labels[1], 2), (labels[2], 2), (labels[3], 1), (labels[4], 2), (labels[5], 2)],
+            [],
+            [(labels[0], 3), (labels[2], 6), (labels[5], 6)],
+            [(labels[4], 1)]]
+    enumerate_row = cli._CLASS_ROW % (6, cli._int_list([1, 2, 0, 4, 5, 3]),
+                                      cli._int_list([3, 4, 5, 0, 1, 2]), 1, 3)
+    identities_row = cli._row_template({"graph": {"face_labels": cli._SLOT}, "aut": cli._SLOT,
+                                        "ok": True}, "  ")
+    head = {"v": 1, "classes": 7}
+    for row in (enumerate_row, identities_row):
+        rows = [(row, classes) for classes in runs]
+        text = "".join(cli._class_stream(head, "list", rows))
+        assert text == "".join(oracle_class_stream(head, "list", rows))
+        payload = json.loads(text)
+        assert [item["aut"] for item in payload["list"]] == [
+            aut for classes in runs for _, aut in classes]
+        assert [item["graph"]["face_labels"] for item in payload["list"]] == [
+            list(labels) for classes in runs for labels, _ in classes]
+        assert "".join(cli._class_stream(head, "list", [])) == json.dumps(
+            {**head, "list": []}, indent=1) + "\n"
 
 
 def test_witten12_command(run):

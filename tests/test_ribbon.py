@@ -19,8 +19,10 @@ from ribbonvol.ribbon import (
     _bfs_relabel,
     _block_rotation,
     _distinct_orders,
+    _face_orders,
     _inverse,
     _labelled_classes,
+    _opens_with_two,
     _rooted,
     _search_pairings,
     _unlabelled_maps,
@@ -56,6 +58,93 @@ def test_disconnected_rejected():
 def test_face_labels_must_be_bijection():
     with pytest.raises(InvalidRibbonGraph):
         RibbonGraph((1, 2, 0, 4, 5, 3), (3, 4, 5, 0, 1, 2), (2,))
+
+
+def _random_involution(rng, N, fixed=0):
+    """A random involution of range(N) with `fixed` fixed points (N - fixed
+    even)."""
+    darts = list(range(N))
+    rng.shuffle(darts)
+    s1 = list(range(N))
+    for a, b in zip(darts[fixed::2], darts[fixed + 1::2]):
+        s1[a], s1[b] = b, a
+    return s1
+
+
+def _validation_cases(rng, trials=400):
+    """Random (s0, s1, face_labels) triples: valid graphs with their darts
+    renamed, and each kind of invalid input, one corruption of a valid
+    graph or of a random permutation pair at a time."""
+    bases = [graph for degrees, g, n in [([3] * 4, 0, 4), ([5, 3], 1, 2), ([4, 4, 3, 3], 1, 3)]
+             for graph, _ in enumerate_graphs(g, n, degrees)]
+    for trial in range(trials):
+        graph = relabelled(rng.choice(bases), rng)
+        s0, s1, labels = list(graph.s0), list(graph.s1), list(graph.face_labels)
+        N = len(s0)
+        kind = trial % 9
+        if kind == 1:  # not permutations: a repeated dart, or lengths that differ
+            target = rng.choice([s0, s1])
+            if rng.random() < 0.5:
+                target[rng.randrange(N)] = target[rng.randrange(N)]
+            else:
+                target.pop()
+        elif kind == 2:  # odd or empty
+            N = rng.choice([0, 1, 3, 5, 7])
+            s0 = list(range(1, N)) + [0] if N else []
+            s1 = _random_involution(rng, N, fixed=N % 2)
+        elif kind == 3:  # fixed points
+            s1 = _random_involution(rng, N, fixed=rng.choice([2, 4]))
+        elif kind == 4:  # not an involution: a 3-cycle of s1 on three darts
+            a, b, c = rng.sample(range(N), 3)
+            s1 = list(range(N))
+            s1[a], s1[b], s1[c] = b, c, a
+        elif kind == 5:  # a vertex of degree 1 or 2: s0 a random permutation
+            s0 = list(range(N))
+            rng.shuffle(s0)
+        elif kind == 6:  # disconnected: two graphs side by side
+            other = relabelled(rng.choice(bases), rng)
+            M = other.num_darts
+            s0 += [N + d for d in other.s0]
+            s1 += [N + d for d in other.s1]
+            labels += [len(labels) + k for k in other.face_labels]
+            if rng.random() < 0.5:  # dart names interleaved
+                pi = list(range(N + M))
+                rng.shuffle(pi)
+                s0, s1, labels = oracle.conjugate((s0, s1, labels), pi)
+        elif kind == 7:  # bad labels
+            labels = rng.choice([labels[:-1], labels + [len(labels) + 1],
+                                 [0] + labels[1:], [labels[0]] * len(labels)])
+        elif kind == 8:  # a random permutation and involution, so that
+            # several checks fail at once and their order decides
+            s0 = list(range(N))
+            rng.shuffle(s0)
+            s1 = _random_involution(rng, N, fixed=rng.choice([0, 0, 2]))
+            labels = labels[:rng.choice([-1, None])]
+        yield s0, s1, labels
+
+
+def test_validation_equals_the_loop_checks_of_the_oracle():
+    """`RibbonGraph` raises what the oracle's dart-by-dart checks raise,
+    class and message, or keeps the cycles the oracle builds; every kind
+    of fault occurs, and valid graphs too."""
+    rng = random.Random(42)
+    messages = set()
+    valid = 0
+    for s0, s1, labels in _validation_cases(rng):
+        try:
+            expected = oracle.validated_cycles(s0, s1, labels)
+        except InvalidRibbonGraph as exc:
+            with pytest.raises(InvalidRibbonGraph) as raised:
+                RibbonGraph(s0, s1, labels)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            messages.add(str(exc).split(" ")[0])
+        else:
+            graph = RibbonGraph(s0, s1, labels)
+            assert (graph.vertices, graph.faces) == expected
+            valid += 1
+    assert messages == {"s0", "need", "s1", "vertex", "graph", "face"}
+    assert valid > 0
 
 
 def test_faces_partition_darts():
@@ -401,14 +490,18 @@ def test_search_yields_each_map_once_per_top_degree_root_orbit(n, degrees, count
 
 
 def test_each_map_is_relabelled_from_every_root_once(monkeypatch):
-    """One BFS relabelling per emitted pairing, from root 0, and N - 1 more
-    per new map, whose root-0 relabelling is reused.  The roots whose keys
-    go in `seen`, the top darts on shortest top faces, are relabelled in
-    full; every other root is bounded by the least key so far.  On (1,3)
-    3^6 that is 169 full and 689 bounded relabellings, where rooting every
-    pairing at any top dart took 1446 full ones (`before`)."""
-    full = bounded = 0
-    relabel = ribbon._bfs_relabel
+    """One BFS relabelling per emitted pairing, from root 0, and at most
+    N - 1 more per new map, whose root-0 relabelling is reused.  The roots
+    whose keys go in `seen`, the top darts on shortest top faces, are
+    relabelled in full; every other root is bounded by the least key so
+    far, or skipped with no BFS once that key has s0'[1] = 2 and the root's
+    would have 3.  Each root is relabelled at most once, and every root is
+    relabelled or skipped.  On (1,3) 3^6 that is 169 full and 317 bounded
+    relabellings (689 bounded before roots were skipped), where rooting
+    every pairing at any top dart took 1446 full ones (`before`)."""
+    full = bounded = skipped = 0
+    relabel, rooted = ribbon._bfs_relabel, ribbon._rooted
+    roots = []  # the roots of the bounded relabellings of one `_rooted` call
 
     def counted(s0, s1, root, bound=None):
         nonlocal full, bounded
@@ -416,13 +509,26 @@ def test_each_map_is_relabelled_from_every_root_once(monkeypatch):
             full += 1
         else:
             bounded += 1
+            roots.append(root)
         return relabel(s0, s1, root, bound)
 
+    def counted_rooted(s0, s1, faces, relabels):
+        nonlocal skipped
+        roots.clear()
+        out = rooted(s0, s1, faces, relabels)
+        assert len(set(roots)) == len(roots) and not set(roots) & set(relabels)
+        lost = set(range(len(s0))) - set(roots) - set(relabels)
+        best = bytes(out[0][0] + out[0][1])
+        assert all(relabel(s0, s1, r)[0][1] == 3 > best[1] for r in lost)
+        skipped += len(lost)
+        return out
+
     for g, n, degrees, expected, before in [
-            (1, 3, [3] * 6, (76, 46, 18, 169, 689), 1446),
-            (2, 1, [4, 3, 3, 3, 3], (105, 29, 16, 192, 348), 540)]:
-        full = bounded = 0
+            (1, 3, [3] * 6, (76, 46, 18, 169, 317, 372), 1446),
+            (2, 1, [4, 3, 3, 3, 3], (105, 29, 16, 192, 276, 72), 540)]:
+        full = bounded = skipped = 0
         monkeypatch.setattr(ribbon, "_bfs_relabel", counted)
+        monkeypatch.setattr(ribbon, "_rooted", counted_rooted)
         out = enumerate_graphs(g, n, degrees)
         monkeypatch.undo()
         pairings = []
@@ -430,9 +536,53 @@ def test_each_map_is_relabelled_from_every_root_once(monkeypatch):
         found = len(pairings)
         N = len(_block_rotation(degrees))
         maps = len({(graph.s0, graph.s1) for graph, _ in out})
-        assert (found, maps, N, full, bounded) == expected
-        assert full + bounded == found + (N - 1) * maps
+        assert (found, maps, N, full, bounded, skipped) == expected
+        assert full + bounded + skipped == found + (N - 1) * maps
         assert full < before
+
+
+# (n, degrees, the roots `_rooted` skips from root 0 over all of the
+# oracle's n-face pairings): the types of PAIRING_COUNTS, then of
+# MIXED_RUN_COUNTS.  No pairing of trivalent (2,1) has a loop, an edge from
+# r to s0(r) or s0^2(r), so no key has s0'[1] = 2 and no root is skipped.
+SKIP_COUNTS = [(n, degrees, skips) for (n, degrees), skips in zip(
+    [(n, degrees) for n, degrees, _ in PAIRING_COUNTS]
+    + [(n, degrees) for _, n, degrees, _, _ in MIXED_RUN_COUNTS],
+    (0, 270, 2108, 350, 194, 89, 115, 14895, 2017, 618, 817, 3253, 6194, 1197, 3022))]
+
+
+@pytest.mark.parametrize("n,degrees,skips", SKIP_COUNTS)
+def test_skipped_roots_lose_at_the_second_entry(monkeypatch, n, degrees, skips):
+    """On every oracle n-face pairing, from every root: `_opens_with_two`
+    says whether the key has s0'[1] = 2, and `_rooted` from root 0 finds
+    the least key and the roots that reach it of a full pass over all
+    roots, skipping only roots whose full key is above it."""
+    degrees = tuple(sorted(degrees, reverse=True))
+    s0, pairings = oracle_n_face_pairings(n, degrees)
+    N = len(s0)
+    relabel = ribbon._bfs_relabel
+    bounded = []
+
+    def recorded(s0, s1, root, bound=None):
+        bounded.append(root)
+        return relabel(s0, s1, root, bound)
+
+    skipped_total = 0
+    for s1 in pairings:
+        keys = [relabel(s0, s1, r) for r in range(N)]
+        assert _opens_with_two(s0, s1) == [key[1] == 2 for key, _ in keys]
+        faces = face_cycles(s0, s1)
+        bounded.clear()
+        monkeypatch.setattr(ribbon, "_bfs_relabel", recorded)
+        pair, orders = _rooted(s0, s1, faces, {0: keys[0]})
+        monkeypatch.undo()
+        best = min(key for key, _ in keys)
+        assert pair == (tuple(best[:N]), tuple(best[N:]))
+        assert orders == _face_orders(faces, [new for key, new in keys if key == best])
+        skipped = set(range(1, N)) - set(bounded)
+        assert all(keys[r][0] > best for r in skipped)
+        skipped_total += len(skipped)
+    assert skipped_total == skips
 
 
 @pytest.mark.parametrize("n,degrees,count", PAIRING_COUNTS)
