@@ -11,13 +11,16 @@ small writer, `_json_chunks`, which streams a dict item by item and a list
 element by element, each element built as one string; the stdlib encoder,
 pure Python when given an indent, is left to the tests as its oracle.
 `enumerate` reads the maps of `enumerate_maps` one by one and streams each
-map's classes from a row template filled once per map and then once per
-run of classes with equal |Aut|, with no graph built per class: the run's
-rows are one `str.join` of their label texts.  Its head and int lists come
-from the same writer, with the same bytes as `json.dumps(indent=1)` of the
-whole payload.  `identities` checks each map once, formats the map's
-report row once with slots for a class's face labels and |Aut|, and
-streams its classes the same way: both lists go through `_class_stream`.
+map's classes from a row template filled twice per map, once with its
+fields and once with its |Aut|, which all of its classes share, with no
+graph built per class: the map's rows are one `str.join` of the label
+texts its mask keeps, out of one table of the n! label texts formatted
+once per payload.  Its head and int lists come from the same writer, with
+the same bytes as `json.dumps(indent=1)` of the whole payload.
+`identities` checks each map once, formats the map's report row once with
+slots for a class's face labels and |Aut|, and streams its classes the
+same way: both lists go through `_class_stream`.  The CSV reads the same
+masks over its own table of label texts.
 `volume` sorts W's terms once and formats each coefficient once
 (`Poly._term_texts`); "terms" is written from one row template, filled per
 term, and "W_str" from the same texts.  `psi` writes its table from one row
@@ -60,7 +63,6 @@ import os
 import sys
 from fractions import Fraction
 from math import comb, inf
-from operator import itemgetter
 
 from . import __version__
 from .exact import Poly
@@ -296,11 +298,11 @@ def _row_template(row: dict, indent: str) -> str:
 def _row_stream(head: dict, rows):
     """The payload `head`, in the chunks of `_json_chunks`, with its one
     `_SLOT` value, a dict's value at any depth, filled by the list whose
-    elements are given by `rows`, one chunk each.  A row is the text of one
-    or more elements, each after its separator ",\n": filled
-    `_row_template`s or `_CLASS_ROW`s; the first row opens the list
-    instead.  The list closes at the indent of the line that names it, and
-    with no row at all it is `[]`."""
+    text `rows` gives, one chunk each: its elements, each after its
+    separator ",\n" (filled `_row_template`s or `_CLASS_ROW`s), cut into
+    chunks wherever the caller cuts them, the first chunk non-empty.  The
+    first separator opens the list instead.  The list closes at the indent
+    of the line that names it, and with no chunk at all it is `[]`."""
     named = ""
     for chunk in _json_chunks(head):
         if chunk != _SLOT_TEXT:
@@ -319,47 +321,59 @@ def _row_stream(head: dict, rows):
     yield "\n"
 
 
-def _class_stream(head: dict, key: str, rows):
+def _class_texts(n, text, rows):
+    """For each (row, aut, mask) of `rows`, one per map (`enumerate_maps`),
+    `(row, aut, texts)`: `text` of each class the mask keeps, in order.  The
+    n! texts, in `itertools.permutations` order, are built once, when the
+    first map comes; a mask of None keeps them all."""
+    texts = []
+    for row, aut, mask in rows:
+        texts = texts or list(map(text, itertools.permutations(range(1, n + 1))))
+        yield row, aut, texts if mask is None else list(itertools.compress(texts, mask))
+
+
+def _class_stream(head: dict, key: str, n: int, rows):
     """The payload `head` with the list `key` filled by `_row_stream` from
-    `rows`, one (template, classes) pair per map.  A template has slots for
-    the face labels and |Aut|.  It is filled once per run of equal |Aut| in
-    `classes`, with `_SLOT` for the labels, and split there; the run's rows
-    are one chunk, one `str.join` of their label texts.  Each distinct
-    tuple of face labels is formatted once per payload, since the classes
-    of every map draw their labels from the same n! permutations."""
-    labels_text = functools.cache(_int_list)
-
-    def runs():
-        for row, classes in rows:
-            for aut, run in itertools.groupby(classes, itemgetter(1)):
+    `rows`, one (template, aut, mask) triple per map with n faces.  A
+    template has slots for the face labels and |Aut|.  It is filled once per
+    map, with `_SLOT` for the labels, and split there; the map's rows are
+    one `str.join` of the label texts of its classes (`_class_texts`),
+    written as three chunks, the text before the first label, the join and
+    the text after the last, so that no copy of the join is made.  A map
+    with no class gives no chunk."""
+    def filled():
+        for row, aut, texts in _class_texts(n, _int_list, rows):
+            if texts:
                 before, after = (row % (_SLOT, aut)).split(_SLOT)
-                yield before + (after + before).join(
-                    map(labels_text, map(itemgetter(0), run))) + after
+                yield before
+                yield (after + before).join(texts)
+                yield after
 
-    return _row_stream({**head, key: _SLOT}, runs())
+    return _row_stream({**head, key: _SLOT}, filled())
 
 
 def _enumerate_json(head: dict, maps):
     """The `enumerate` payload `head` with `"classes"` filled from the
-    (graph, classes) pairs of `enumerate_maps` by `_class_stream`; half_edges,
-    s0, s1, genus and faces are formatted once per map."""
+    (graph, aut, mask) triples of `enumerate_maps` by `_class_stream`;
+    half_edges, s0, s1, genus and faces are formatted once per map."""
     rows = ((_CLASS_ROW % (len(graph.s0), _int_list(graph.s0), _int_list(graph.s1),
-                           graph.genus, graph.num_faces), classes)
-            for graph, classes in maps)
-    return _class_stream(head, "classes", rows)
+                           graph.genus, graph.num_faces), aut, mask)
+            for graph, aut, mask in maps)
+    return _class_stream(head, "classes", head["n"], rows)
 
 
-def _enumerate_csv(maps):
-    """The `enumerate` CSV, with the map's columns formatted once per map
-    and each distinct tuple of face labels once."""
-    labels_text = functools.cache(lambda labels: " ".join(map(str, labels)))
+def _enumerate_csv(n, maps):
+    """The `enumerate` CSV of maps with n faces: each map's columns are
+    formatted once, and its rows are one chunk over the label texts of its
+    classes (`_class_texts`), each row numbered."""
     yield "index,aut,half_edges,s0,s1,face_labels\n"
     index = itertools.count()
-    for graph, classes in maps:
-        row = "%%d,%%d,%d,%s,%s,%%s\n" % (
-            len(graph.s0), " ".join(map(str, graph.s0)), " ".join(map(str, graph.s1)))
-        for labels, aut in classes:
-            yield row % (next(index), aut, labels_text(labels))
+    rows = (("%%d,%d,%d,%s,%s,%%s\n" % (aut, len(graph.s0), " ".join(map(str, graph.s0)),
+                                        " ".join(map(str, graph.s1))), aut, mask)
+            for graph, aut, mask in maps)
+    for row, _, texts in _class_texts(n, lambda labels: " ".join(map(str, labels)), rows):
+        # texts first: zip stops on them before it draws another index
+        yield "".join([row % (i, text) for text, i in zip(texts, index)])
 
 
 def cmd_enumerate(args) -> tuple:
@@ -370,7 +384,7 @@ def cmd_enumerate(args) -> tuple:
     except ValueError as exc:  # more than 256 half-edges
         return json.dumps({"v": 1, "error": str(exc)}) + "\n", USAGE_ERROR
     if args.format == "csv":
-        return _enumerate_csv(maps), 0
+        return _enumerate_csv(args.n, maps), 0
     head = {
         "v": 1,
         "command": "enumerate",
@@ -447,7 +461,7 @@ def cmd_identities(args) -> tuple:
     expected_density = Fraction(2) ** (1 - args.g)
     rows = []
     all_ok = True
-    for graph, classes in maps:
+    for graph, aut, mask in maps:
         form = _cell_form(graph)
         rep = verify_form_identities(graph, form)
         rho = form.density()
@@ -455,7 +469,7 @@ def cmd_identities(args) -> tuple:
         all_ok &= ok
         rows.append((_row_template({"graph": {**rep["graph"], "face_labels": _SLOT},
                                     "aut": _SLOT, "checks": rep["checks"],
-                                    "density": str(rho), "ok": ok}, "  "), classes))
+                                    "density": str(rho), "ok": ok}, "  "), aut, mask))
     head = {
         "v": 1,
         "command": "identities",
@@ -465,7 +479,7 @@ def cmd_identities(args) -> tuple:
         "graphs": count,
         "ok": all_ok,
     }
-    return _class_stream(head, "reports", rows), 0 if all_ok else VERIFICATION_FAILURE
+    return _class_stream(head, "reports", args.n, rows), 0 if all_ok else VERIFICATION_FAILURE
 
 
 def cmd_witten12(args) -> tuple:

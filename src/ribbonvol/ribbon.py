@@ -28,12 +28,17 @@ as it loses to the least key so far, or skipped with no BFS when the least
 key has s0'[1] = 2 and the root's edge does not go to s0(r) or s0^2(r),
 which puts 3 there; the least key is the map's canonical pair.  Its
 labelled classes are the orbits of its automorphism group on the face
-labellings, read off the coset of its distinct face orders in one C-level
-pass of `min` over the images of every labelling.  A caller that needs no
-canonical pair reads the automorphisms off the full relabellings alone
+labellings, each named by its least labelling.  The distinct face orders
+form a coset sigma G of a group G, and a labelling is least in its orbit
+exactly when it beats each of its |G| - 1 images at the first index the
+image moves, so the classes are the labellings, in `itertools.permutations`
+order, that pass at most |G| - 1 pairwise comparisons: one C-level pass
+per pair over one table of the labellings' columns gives a mask
+(`_class_pairs`, `_class_mask`).  A caller that needs no canonical pair
+reads the automorphisms off the full relabellings alone
 (`_automorphisms`).  `enumerate_maps` validates one `RibbonGraph` per map,
 its checks comparisons of whole sequences where they can be and its
-vertex and face cycles kept, and lists each map's classes only when its
+vertex and face cycles kept, and builds each map's mask only when its
 caller reaches the map; `enumerate_graphs` flattens them into one
 relabelled graph per class.
 """
@@ -43,7 +48,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import factorial
-from operator import eq, itemgetter, or_
+from operator import and_, eq, itemgetter, lt, or_
 
 __all__ = [
     "RibbonGraph",
@@ -602,32 +607,56 @@ def _distinct_orders(orders):
 
 def _class_count(orders, n):
     """The number of labelled classes of a map with n faces whose
-    automorphisms have the face orders `orders` (see `_labelled_classes`)."""
+    automorphisms have the face orders `orders` (see `_class_pairs`)."""
     return factorial(n) // len(_distinct_orders(orders))
 
 
-def _labelled_classes(orders, n):
-    """The labelled classes of a map with n faces whose automorphisms have
-    the face orders `orders`: {canonical labelling: labelled |Aut|}.
+def _class_pairs(coset):
+    """The index pairs (i, j) whose comparisons pick out the labelled
+    classes of a map whose distinct face orders are `coset` (see
+    `_distinct_orders`), sorted; none when the coset has one order.
 
-    They are the orbits of the automorphism group on the n! face
-    labellings, each named by its least image (`_least_image`).  With H
-    the distinct face orders, a coset, the labellings whose least image is
-    m are exactly m o^{-1} for o in H: |H| of them, so every class has
-    |Aut L| = len(orders) / |H|, and every labelling's least image over H
-    names its orbit.  The least images are read in one C-level pass, |H|
-    images of each labelling zipped and reduced by `min`, n! (|H| + 1)
-    tuples; `dict.fromkeys` keeps the first of each orbit in labelling
-    order.  If |H| = 1 every labelling is a class of its own.
+    Listed in the face order p, a labelling mu reads mu.p, the labels
+    mu[p[k]].  The coset H is sigma.G for any sigma in it, with
+    G = {sigma^-1.p : p in H} a group, so the images of mu are the orbit of
+    nu = mu.sigma under G acting on the right, and each labelled class is
+    named by the least labelling m of one such orbit (`_least_image`).  G
+    acts freely, so m is least exactly when m < m.g for every g != id in G;
+    with i the first index that g moves, m.g first differs from m at i, and
+    the test is m[i] < m[g[i]].  Each g gives one pair (i, g[i]), so there
+    are at most |G| - 1.
     """
-    coset = _distinct_orders(orders)
-    aut = len(orders) // len(coset)
-    if len(coset) == 1:
-        return dict.fromkeys(itertools.permutations(range(1, n + 1)), aut)
-    # n >= 2 here, so each getter returns a tuple: the labels listed in order o
-    labellings = list(itertools.permutations(range(1, n + 1)))
-    return dict.fromkeys(map(min, zip(*[map(itemgetter(*o), labellings) for o in coset])),
-                         aut)
+    back = _inverse(min(coset))
+    pairs = set()
+    for p in coset:
+        g = [back[k] for k in p]  # sigma^-1.p
+        i = next((i for i, x in enumerate(g) if x != i), None)
+        if i is not None:
+            pairs.add((i, g[i]))
+    return sorted(pairs)
+
+
+def _class_mask(pairs, columns):
+    """Which face labellings name a labelled class, given the `pairs` of
+    `_class_pairs` and the `columns` of the n! labellings in
+    `itertools.permutations` order (`columns[i]` lists the label of face
+    index i in each): a list of bools, one per labelling, in that order, or
+    None when the pairs are none and every labelling names its own class.
+    One C-level `map(lt, ...)` per pair, combined by `and_`."""
+    if not pairs:
+        return None
+    (i, j), *rest = pairs
+    mask = map(lt, columns[i], columns[j])
+    for i, j in rest:
+        mask = map(and_, mask, map(lt, columns[i], columns[j]))
+    return list(mask)
+
+
+def _labellings(n, mask):
+    """The face labellings of 1..n that `mask` (`_class_mask`) keeps, in
+    `itertools.permutations` order: every one when it is None."""
+    labellings = itertools.permutations(range(1, n + 1))
+    return labellings if mask is None else itertools.compress(labellings, mask)
 
 
 def _each_map(degrees, n, visit):
@@ -702,12 +731,16 @@ def enumerate_maps(g: int, n: int, degrees):
     multiset, map by map: `(count, maps)`.  `count` is the number of
     labelled classes, n! / |H| summed over the maps (`_class_count`).
     `maps` iterates over the unlabelled maps in canonical order, each as
-    `(graph, classes)`: its `RibbonGraph` with the face labels 1..n, its
-    least class, and its sorted `(labels, aut_order)` pairs.  Every graph is
-    built and validated before this returns; a map's classes
-    (`_labelled_classes`, read off the coset H of its distinct face orders
-    with n! (|H| + 1) tuples) are listed only when the iterator reaches it.
-    An inconsistent (g, n, degrees) combination yields `(0, [])`.
+    `(graph, aut, mask)`: its `RibbonGraph` with the face labels 1..n, its
+    least class; |Aut L|, len(orders) / |H|, shared by all of its classes;
+    and the `_class_mask` of its classes among the n! labellings in
+    `itertools.permutations` order, sorted, None when every labelling is a
+    class (`_labellings` lists them).  Every graph is built and validated
+    before this returns; a map's mask, read off the coset H of its distinct
+    face orders by at most |H| - 1 comparisons per labelling
+    (`_class_pairs`), is built only when the iterator reaches the map, from
+    one table of the labellings' columns built for the first map with
+    |H| > 1.  An inconsistent (g, n, degrees) combination yields `(0, [])`.
 
     The pairing search emits only the pairings with n faces rooted at a
     top dart on a shortest top face, and `_unlabelled_maps` keeps one per
@@ -739,8 +772,17 @@ def enumerate_maps(g: int, n: int, degrees):
     # 1..n, the least labelling, is the least image in its orbit, so it is
     # every map's least class
     graphs = [(RibbonGraph(*pair, range(1, n + 1)), orders) for pair, orders in maps]
-    return count, ((graph, sorted(_labelled_classes(orders, n).items()))
-                   for graph, orders in graphs)
+
+    def listed():
+        columns = None
+        for graph, orders in graphs:
+            coset = _distinct_orders(orders)
+            pairs = _class_pairs(coset)
+            if pairs and columns is None:
+                columns = list(zip(*itertools.permutations(range(1, n + 1))))
+            yield graph, len(orders) // len(coset), _class_mask(pairs, columns)
+
+    return count, listed()
 
 
 def enumerate_graphs(g: int, n: int, degrees) -> list:
@@ -749,8 +791,8 @@ def enumerate_graphs(g: int, n: int, degrees) -> list:
     label-preserving isomorphism class, the classes of `enumerate_maps` in
     order, each its map's graph relabelled (`RibbonGraph._relabelled`)."""
     return [(graph._relabelled(labels), aut)
-            for graph, classes in enumerate_maps(g, n, degrees)[1]
-            for labels, aut in classes]
+            for graph, aut, mask in enumerate_maps(g, n, degrees)[1]
+            for labels in _labellings(n, mask)]
 
 
 def enumerate_trivalent(g: int, n: int) -> list:

@@ -12,9 +12,10 @@ flattening, and writes the same bytes from a fixed row template, streamed
 class by class with no graph per class; the two routes share only the map
 search and the labelled classes of each map.
 
-`oracle_class_stream` fills a map's row template once per class, as
-`_class_stream` did before it filled it once per run of equal |Aut| and
-joined the run's label texts; the chunks differ, their bytes must not.
+`oracle_class_stream` fills a map's row template once per class, each
+class's labels read off the map's mask by walking all n! labellings, as
+`_class_stream` did before it filled it once per map and joined the label
+texts its mask keeps; the chunks differ, their bytes must not.
 
 `oracle_identities_payload` builds the cell form, the identity checks and
 the density once per labelled class, and one report dict per class, for
@@ -36,6 +37,7 @@ grammar became one table; help, version and usage-error bytes must match.
 
 import argparse
 import functools
+import itertools
 import json
 from fractions import Fraction
 
@@ -85,14 +87,18 @@ def oracle_enumerate_text(args, classes=None) -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
-def oracle_class_stream(head: dict, key: str, rows):
+def oracle_class_stream(head: dict, key: str, n: int, rows):
     """The chunks of the payload `head` with the list `key` streamed from
-    `rows`, (template, classes) pairs: one chunk per class, its template
-    filled with the class's label text and |Aut|."""
+    `rows`, (template, aut, mask) triples of maps with n faces: one chunk
+    per class, its template filled with the class's label text and |Aut|,
+    for each labelling of 1..n the mask keeps (all when it is None)."""
     labels_text = functools.cache(_int_list)
-    return _row_stream({**head, key: _SLOT}, (row % (labels_text(labels), aut)
-                                              for row, classes in rows
-                                              for labels, aut in classes))
+    return _row_stream({**head, key: _SLOT}, (
+        row % (labels_text(labels), aut)
+        for row, aut, mask in rows
+        for labels, kept in zip(itertools.permutations(range(1, n + 1)),
+                                itertools.repeat(True) if mask is None else mask)
+        if kept))
 
 
 def oracle_identities_payload(args) -> dict:

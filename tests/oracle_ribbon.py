@@ -7,10 +7,11 @@ the full relabelling group by explicit conjugation.  Nothing here is shared
 with the package's enumeration path beyond elementary permutation algebra
 (`face_cycles`) and `RibbonGraph` as a container.
 
-`orbit_labelled_classes` keeps the enumeration's earlier labelling step,
+`orbit_labelled_classes` keeps the enumeration's earliest labelling step,
 the least image of every one of the n! labellings under every face order,
-as the oracle for the package's classes read off the coset of distinct
-face orders.
+and `coset_labelled_classes` its next, the least image over the coset of
+distinct face orders alone, as the oracles for the package's classes, read
+off that coset by one comparison per pair of `_class_pairs`.
 
 `validated_cycles` keeps the checks `RibbonGraph.__init__` made one dart
 at a time, in loops, as the oracle for its comparisons of whole sequences:
@@ -31,6 +32,7 @@ canonical pair per n-face pairing.
 
 import itertools
 from math import factorial
+from operator import itemgetter
 
 from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph, face_cycles
 
@@ -405,3 +407,19 @@ def orbit_labelled_classes(orders, n):
         least = min(images)
         classes[least] = images.count(least)
     return classes
+
+
+def coset_labelled_classes(orders, n):
+    """The labelled classes of a map with the face orders `orders`,
+    {canonical labelling: labelled |Aut|}, read off the coset H of the
+    distinct orders: the least images of the n! labellings over H alone,
+    n! (|H| + 1) tuples, the first of each orbit kept in labelling order;
+    every class has |Aut L| = len(orders) / |H|."""
+    coset = set(map(tuple, orders))
+    aut = len(orders) // len(coset)
+    labellings = list(itertools.permutations(range(1, n + 1)))
+    if len(coset) == 1:
+        return dict.fromkeys(labellings, aut)
+    # n >= 2 here, so each getter returns a tuple: the labels listed in order o
+    return dict.fromkeys(map(min, zip(*[map(itemgetter(*o), labellings) for o in coset])),
+                         aut)

@@ -12,7 +12,9 @@ the coefficients, <psi^a> = [L^{2a+1}] W_{g,n} * 2^{3g-3+n} * prod(a_k!).
 `tau` is the Dijkgraaf-Verlinde-Verlinde recursion peeling the largest
 index, where `ribbonvol.volumes._dvv` peels the smallest (so that a step on
 an index 0 or 1 is the string or dilaton equation): the same relation walked
-through other brackets, with subset splits at every peeled index above 1.
+through other brackets, with subset splits at every peeled index above 1,
+each split's two lookups skipped when its first bracket fails the
+dimension test, as `_dvv` skips them.
 `smallest_index_tau` is the package's earlier route: the smallest index
 peeled as `_dvv` peels it, but every step summed in `Fraction`s, with the
 double factorials as weights and one division per bracket.
@@ -146,14 +148,21 @@ def tau(ds):
     for j, d in enumerate(rest):
         weight = double_factorial(2 * k + 2 * d + 1) // double_factorial(2 * d - 1)
         total += weight * tau(_key(rest[:j] + (d + k,) + rest[j + 1:]))
-    splits = [([d for i, d in enumerate(rest) if mask >> i & 1],
-               [d for i, d in enumerate(rest) if not mask >> i & 1])
-              for mask in range(1 << len(rest))] if k > 0 else []
+    # each split (I, J) of `rest`, with x = sum I - |I| + 2, so that (r, I)
+    # has genus (r + x) / 3; a split whose (r, I) has no integer genus of
+    # at most g has a zero product and is skipped before its two lookups
+    splits = [(2, [], [])] if k > 0 else []
+    for d in rest if k > 0 else ():
+        splits = [split for x, I, J in splits
+                  for split in ((x + d - 1, I + [d], J), (x, I, J + [d]))]
     half = Fraction(0)
     for r in range(k):
         s = k - 1 - r
         inner = tau(_key((r, s) + rest))
-        for I, J in splits:
+        for x, I, J in splits:
+            g1, rem = divmod(r + x, 3)
+            if rem or g1 > g:
+                continue
             inner += tau(_key([r] + I)) * tau(_key([s] + J))
         half += double_factorial(2 * r + 1) * double_factorial(2 * s + 1) * inner
     return (total + half / 2) / double_factorial(2 * k + 3)

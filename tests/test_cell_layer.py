@@ -100,7 +100,7 @@ def test_a_scaled_kernel_basis_gives_the_same_density_and_report(g, n):
 def test_density_equals_the_pfaffian_oracle_on_every_map(g, n):
     """|Pf G| read off `bareiss` against the subset-expansion Pfaffian."""
     _, maps = enumerate_maps(g, n, [3] * (4 * g - 4 + 2 * n))
-    for graph, _ in maps:
+    for graph, _, _ in maps:
         form = _cell_form(graph)
         scale = (4 * form.d * form.d) ** (len(form.G) // 2)
         assert form.density() == Fraction(abs(pfaffian(form.G)), scale) / form.volfactor

@@ -29,7 +29,8 @@ from oracle_poly import oracle_sorted_terms
 from ribbonvol.cli import build_parser, cmd_angle, main
 from ribbonvol.exact import Poly
 from ribbonvol.hypgeom import IdealPolygonChord, chords_cross, crossing_cos
-from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph, enumerate_graphs, enumerate_maps
+from ribbonvol.ribbon import (InvalidRibbonGraph, RibbonGraph, _labellings, enumerate_graphs,
+                              enumerate_maps)
 from ribbonvol.wittencycle import ChartError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -214,22 +215,28 @@ def test_enumerate_matches_the_row_dict_oracle(tmp_path, run, g, n, degrees, fmt
     assert dest.read_bytes() == out.encode()
 
 
+def _mask_of(n, classes):
+    """The mask of `enumerate_maps` that keeps the labellings `classes`."""
+    return [labels in classes for labels in itertools.permutations(range(1, n + 1))]
+
+
 def _hand_built_maps():
     """Two (0,4) inputs whose rows must come from each map's own graph: two
     maps sharing one s0 tuple object, with different s1, and one map built
     from equal but distinct s0 and s1 tuples, with two classes.  Each is
-    given as `enumerate_maps` returns it, `(count, maps)`."""
+    given as `enumerate_maps` returns it, `(count, maps)`, each map as
+    `(graph, aut, mask)`."""
     by_s0 = {}
     for graph, aut in enumerate_graphs(0, 4, [3] * 4):
         by_s0.setdefault(graph.s0, {}).setdefault(graph.s1, (graph.face_labels, aut))
     s0, maps = next((s0, maps) for s0, maps in by_s0.items() if len(maps) == 2)
     (s1a, (labels_a, aut_a)), (s1b, (labels_b, aut_b)) = maps.items()
-    shared_s0 = [(RibbonGraph(s0, s1a, labels_a), [(labels_a, aut_a)]),
-                 (RibbonGraph(s0, s1b, labels_b), [(labels_b, aut_b)])]
+    shared_s0 = [(RibbonGraph(s0, s1a, labels_a), aut_a, _mask_of(4, [labels_a])),
+                 (RibbonGraph(s0, s1b, labels_b), aut_b, _mask_of(4, [labels_b]))]
     assert shared_s0[0][0].s0 is shared_s0[1][0].s0
     copied = RibbonGraph(tuple(list(s0)), tuple(list(s1a)), labels_a)
     assert copied.s0 is not s0 and copied.s1 is not s1a
-    one_map = [(copied, [(labels_a, aut_a), (labels_a[::-1], aut_a)])]
+    one_map = [(copied, aut_a, _mask_of(4, [labels_a, labels_a[::-1]]))]
     return (2, shared_s0), (2, one_map)
 
 
@@ -248,7 +255,8 @@ def test_enumerate_rows_are_keyed_on_s0_and_s1(run, monkeypatch, fmt, case):
     code, out = run(*argv)
     assert code == 0
     classes = [(RibbonGraph(graph.s0, graph.s1, labels), aut)
-               for graph, labels_aut in maps for labels, aut in labels_aut]
+               for graph, aut, mask in maps for labels in _labellings(4, mask)]
+    assert len(classes) == count
     assert out == oracle_enumerate_text(build_parser().parse_args(argv), classes)
 
 
@@ -749,7 +757,7 @@ def test_identities_matches_the_per_class_oracle(tmp_path, run, g, n):
     assert out == expected
     assert path.read_text(encoding="utf-8") == expected
     _, maps = enumerate_maps(g, n, [3] * (4 * g - 4 + 2 * n))
-    assert any(len(classes) < factorial(n) for _, classes in maps)
+    assert any(len(list(_labellings(n, mask))) < factorial(n) for _, _, mask in maps)
 
 
 def test_identities_builds_one_cell_form_per_map(run, monkeypatch):
@@ -789,10 +797,10 @@ def test_class_stream_matches_the_per_class_fill(monkeypatch, capsys):
     class_stream = cli._class_stream
     streamed = []
 
-    def compared(head, key, rows):
-        rows = [(row, list(classes)) for row, classes in rows]
-        text = "".join(class_stream(head, key, rows))
-        assert text == "".join(oracle_class_stream(head, key, rows))
+    def compared(head, key, n, rows):
+        rows = list(rows)
+        text = "".join(class_stream(head, key, n, rows))
+        assert text == "".join(oracle_class_stream(head, key, n, rows))
         streamed.append(text)
         return iter([text])
 
@@ -816,35 +824,45 @@ def test_class_stream_matches_the_per_class_fill(monkeypatch, capsys):
     assert len(reached) == len(ENUMERATE_TYPES) + 5
 
 
-def test_class_stream_fills_one_row_per_class_across_aut_runs():
-    """A hand-made class list whose |Aut| changes inside a map, so that a
-    map's template is filled for several runs, the first and last map of
-    one class, one map with none: the same bytes as one fill per class,
-    with an `enumerate` row template and an `identities` one."""
+def test_class_stream_fills_one_row_per_class_from_a_mask():
+    """Hand-made masks over the six labellings of three faces: a map of
+    one class, one of five, one with none, one of all six (mask None) and
+    one whose only class is the last labelling, with |Aut| 1, 2, 5, 3 and
+    6: the same bytes as one fill per class, with an `enumerate` row
+    template and an `identities` one."""
     import ribbonvol.cli as cli
 
     labels = list(itertools.permutations(range(1, 4)))
-    runs = [[(labels[0], 1)],
-            [(labels[1], 2), (labels[2], 2), (labels[3], 1), (labels[4], 2), (labels[5], 2)],
-            [],
-            [(labels[0], 3), (labels[2], 6), (labels[5], 6)],
-            [(labels[4], 1)]]
+    maps = [(1, [True] + [False] * 5), (2, [False] + [True] * 5), (5, [False] * 6),
+            (3, None), (6, [False] * 5 + [True])]
     enumerate_row = cli._CLASS_ROW % (6, cli._int_list([1, 2, 0, 4, 5, 3]),
                                       cli._int_list([3, 4, 5, 0, 1, 2]), 1, 3)
     identities_row = cli._row_template({"graph": {"face_labels": cli._SLOT}, "aut": cli._SLOT,
                                         "ok": True}, "  ")
-    head = {"v": 1, "classes": 7}
+    head = {"v": 1, "classes": 13}
     for row in (enumerate_row, identities_row):
-        rows = [(row, classes) for classes in runs]
-        text = "".join(cli._class_stream(head, "list", rows))
-        assert text == "".join(oracle_class_stream(head, "list", rows))
+        rows = [(row, aut, mask) for aut, mask in maps]
+        text = "".join(cli._class_stream(head, "list", 3, rows))
+        assert text == "".join(oracle_class_stream(head, "list", 3, rows))
         payload = json.loads(text)
-        assert [item["aut"] for item in payload["list"]] == [
-            aut for classes in runs for _, aut in classes]
-        assert [item["graph"]["face_labels"] for item in payload["list"]] == [
-            list(labels) for classes in runs for labels, _ in classes]
-        assert "".join(cli._class_stream(head, "list", [])) == json.dumps(
+        kept = [(list(labels[i]), aut) for aut, mask in maps
+                for i in range(6) if mask is None or mask[i]]
+        assert len(kept) == 13
+        assert [(item["graph"]["face_labels"], item["aut"]) for item in payload["list"]] == kept
+        assert "".join(cli._class_stream(head, "list", 3, [])) == json.dumps(
             {**head, "list": []}, indent=1) + "\n"
+
+
+# sha256 of the `enumerate` CSV of (0,5) 5,5, 432 classes on 7 maps, 6 of
+# them with a coset of 2 or 10 face orders, recorded while each map's
+# classes were the least images of its labellings over that coset
+ENUMERATE_CSV_DIGEST_05_55 = "57d9fb56056bcdc3e344a5030278b3afd4c3db522dde640f2be7bc032e11ef5e"
+
+
+def test_enumerate_csv_of_a_five_face_type_is_byte_identical(run):
+    code, out = run("enumerate", "--g", "0", "--n", "5", "--degrees", "5,5", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 433
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_CSV_DIGEST_05_55
 
 
 def test_witten12_command(run):

@@ -3,7 +3,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -18,10 +18,12 @@ from ribbonvol.ribbon import (
     UnsupportedGraph,
     _bfs_relabel,
     _block_rotation,
+    _class_mask,
+    _class_pairs,
     _distinct_orders,
     _face_orders,
     _inverse,
-    _labelled_classes,
+    _labellings,
     _opens_with_two,
     _rooted,
     _search_pairings,
@@ -666,6 +668,77 @@ def test_orbit_counting_mass_identity(g, n, degrees):
     assert sum(factorial(N) // aut for _, aut in fast) == total
 
 
+def _degree_sequences(total, parts, largest=None):
+    """The degree sequences of `parts` vertices, each of degree >= 3, that
+    sum to `total`, each sorted descending."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    largest = total if largest is None else largest
+    for d in range(min(largest, total - 3 * (parts - 1)), 2, -1):
+        for rest in _degree_sequences(total - d, parts - 1, d):
+            yield (d,) + rest
+
+
+def _euler_terms(g, n):
+    """(V, |Aut L|, number of classes) of each map of type (g, n), over
+    every degree sequence with every degree >= 3, as `enumerate_maps`
+    lists them: V runs up to 4g - 4 + 2n, the trivalent cells, and
+    E = V + n - 2 + 2g."""
+    for V in range(1, 4 * g - 4 + 2 * n + 1):
+        E = V + n - 2 + 2 * g
+        for degrees in _degree_sequences(2 * E, V):
+            for _, aut, mask in enumerate_maps(g, n, degrees)[1]:
+                yield V, aut, factorial(n) if mask is None else sum(mask)
+
+
+def _euler_sum(terms):
+    """Sum over the classes L of (-1)^V(L) / |Aut L|."""
+    return sum((Fraction((-1) ** V * classes, aut) for V, aut, classes in terms), Fraction(0))
+
+
+def _bernoulli(m):
+    """B_m, with B_1 = -1/2."""
+    B = [Fraction(1)]
+    for k in range(1, m + 1):
+        B.append(-sum(comb(k + 1, j) * B[j] for j in range(k)) / (k + 1))
+    return B[m]
+
+
+def _harer_zagier(g, n):
+    """chi(M_{g,n}) from chi(M_{0,3}) = 1, chi(M_{g,1}) = -B_{2g} / (2g) and
+    chi(M_{g,k+1}) = (2 - 2g - k) chi(M_{g,k})."""
+    chi, k = (Fraction(1), 3) if g == 0 else (-_bernoulli(2 * g) / (2 * g), 1)
+    for k in range(k, n):
+        chi *= 2 - 2 * g - k
+    return chi
+
+
+@pytest.mark.parametrize("g,n,chi", [
+    (0, 3, 1), (0, 4, -1), (1, 1, Fraction(-1, 12)), (1, 2, Fraction(1, 12)),
+    (0, 5, 2), (2, 1, Fraction(1, 120)), (1, 3, Fraction(-1, 6)),
+])
+def test_every_cell_sums_to_the_euler_characteristic(g, n, chi):
+    """The cells of M_{g,n} x R_+^n are the face-labelled ribbon graphs with
+    every degree >= 3, so chi(M_{g,n}) = sum over them of (-1)^V / |Aut|
+    (Harer-Zagier, Penner, Kontsevich): a check of every class and every
+    |Aut| `enumerate_maps` lists, over every degree sequence at once, that
+    shares no cut with the search."""
+    assert _harer_zagier(g, n) == chi
+    assert _euler_sum(_euler_terms(g, n)) == chi
+
+
+@pytest.mark.parametrize("tamper", ["halve one aut", "drop one class"])
+def test_a_tampered_class_breaks_the_euler_characteristic(tamper):
+    """Canary: halving the |Aut| of one map's classes, or dropping one of
+    its classes, moves the (1,3) sum off -1/6."""
+    (V, aut, classes), *rest = _euler_terms(1, 3)
+    first = (V, Fraction(aut, 2), classes) if tamper == "halve one aut" else (V, aut, classes - 1)
+    assert _euler_sum(rest + [(V, aut, classes)]) == Fraction(-1, 6)
+    assert _euler_sum(rest + [first]) != Fraction(-1, 6)
+
+
 def test_enumeration_is_deterministic_and_idempotent():
     a = enumerate_graphs(1, 2, [5, 3])
     b = enumerate_graphs(1, 2, [5, 3])
@@ -778,20 +851,21 @@ def test_maps_list_their_classes_only_when_reached(monkeypatch, g, n, degrees):
     classes are listed when the iterator reaches it, the first of them the
     labels 1..n of the map's graph, and they add up to the count."""
     listed = []
-    labelled_classes = ribbon._labelled_classes
+    class_mask = ribbon._class_mask
 
-    def recorded(orders, n):
-        listed.append(orders)
-        return labelled_classes(orders, n)
+    def recorded(pairs, columns):
+        listed.append(pairs)
+        return class_mask(pairs, columns)
 
-    monkeypatch.setattr(ribbon, "_labelled_classes", recorded)
+    monkeypatch.setattr(ribbon, "_class_mask", recorded)
     count, maps = enumerate_maps(g, n, degrees)
     assert listed == []
     total = 0
-    for i, (graph, classes) in enumerate(maps):
+    for i, (graph, aut, mask) in enumerate(maps):
         assert len(listed) == i + 1
-        assert classes[0][0] == graph.face_labels == tuple(range(1, n + 1))
-        assert [labels for labels, _ in classes] == sorted(labels for labels, _ in classes)
+        classes = list(_labellings(n, mask))
+        assert classes[0] == graph.face_labels == tuple(range(1, n + 1))
+        assert classes == sorted(classes)
         total += len(classes)
     assert total == count == len(enumerate_graphs(g, n, degrees))
 
@@ -848,6 +922,9 @@ COSET_TYPES = [(n, [int(d) for d in degrees.split(",")])
                for _, n, degrees in ORACLE_CASES] + [
     (4, [3] * 4), (2, [3] * 8), (5, [3] * 6), (6, [4] * 4)]
 
+# the coset types and the six layouts of MIXED_RUN_COUNTS
+MASK_TYPES = COSET_TYPES + [(n, degrees) for _, n, degrees, _, _ in MIXED_RUN_COUNTS]
+
 
 def _compose(a, b):
     """a o b: k -> a[b[k]]."""
@@ -870,26 +947,83 @@ def _is_coset(orders):
 @pytest.fixture(scope="module")
 def coset_maps():
     return {(n, tuple(degrees)): _unlabelled_maps(sorted(degrees, reverse=True), n)
-            for n, degrees in COSET_TYPES}
+            for n, degrees in MASK_TYPES}
 
 
-@pytest.mark.parametrize("n,degrees", COSET_TYPES)
+def _genus(n, degrees):
+    return (2 - len(degrees) + sum(degrees) // 2 - n) // 2
+
+
+def _columns(n):
+    return list(zip(*itertools.permutations(range(1, n + 1))))
+
+
+def _mask_classes(orders, n, pairs):
+    """{labels: |Aut L|} of the labellings that the mask of `pairs` keeps."""
+    mask = _class_mask(pairs, _columns(n))
+    return dict.fromkeys(_labellings(n, mask), len(orders) // len(_distinct_orders(orders)))
+
+
+@pytest.mark.parametrize("n,degrees", MASK_TYPES)
 def test_labelled_classes_equal_the_orbit_oracle(coset_maps, n, degrees):
-    """The classes read off the coset of distinct face orders are the least
-    images of all n! labellings over every order, dict for dict."""
-    for _, orders in coset_maps[n, tuple(degrees)]:
-        assert _labelled_classes(orders, n) == oracle.orbit_labelled_classes(orders, n)
+    """The classes `enumerate_maps` lists for each map, the labellings its
+    mask keeps with the map's |Aut L|, are the least images of all n!
+    labellings over every order, and those over the coset of distinct
+    orders alone, dict for dict and in order."""
+    maps = sorted(coset_maps[n, tuple(degrees)])
+    listed = list(enumerate_maps(_genus(n, degrees), n, degrees)[1])
+    assert len(listed) == len(maps)
+    for (pair, orders), (graph, aut, mask) in zip(maps, listed):
+        assert (graph.s0, graph.s1) == pair
+        classes = dict.fromkeys(_labellings(n, mask), aut)
+        assert list(classes.items()) == sorted(oracle.orbit_labelled_classes(orders, n).items())
+        assert classes == oracle.coset_labelled_classes(orders, n)
 
 
 @pytest.mark.parametrize("n,degrees", COSET_TYPES)
 def test_distinct_face_orders_form_a_coset(coset_maps, n, degrees):
-    """The property `_labelled_classes` relies on, checked on the data."""
+    """The property `_class_pairs` relies on, checked on the data."""
     maps = coset_maps[n, tuple(degrees)]
     assert all(_is_coset(orders) for _, orders in maps)
 
 
+@pytest.mark.parametrize("n,degrees", MASK_TYPES)
+def test_the_coset_over_any_order_is_a_group_and_the_mask_its_orbits(coset_maps, n, degrees):
+    """For every order sigma of H, sigma^-1 H holds the identity and is
+    closed under composition; the mask keeps n! / |H| labellings, one per
+    orbit, with at most |H| - 1 pairs."""
+    for _, orders in coset_maps[n, tuple(degrees)]:
+        coset = _distinct_orders(orders)
+        for sigma in coset:
+            back = _inverse(sigma)
+            group = {_compose(back, o) for o in coset}
+            assert tuple(range(n)) in group
+            assert all(_compose(a, b) in group for a in group for b in group)
+        pairs = _class_pairs(coset)
+        assert len(pairs) <= len(coset) - 1
+        mask = _class_mask(pairs, _columns(n))
+        assert (factorial(n) if mask is None else sum(mask)) * len(coset) == factorial(n)
+
+
+def test_a_dropped_pair_lists_extra_classes(coset_maps):
+    """Canary for the mask: without its first pair, every map with |H| > 1
+    keeps more labellings than it has classes, so the classes differ from
+    the orbit oracle's.  Not every pair is needed: where G holds all of S_3
+    on three faces, the pairs (0,1) and (1,2) imply (0,2)."""
+    checked = 0
+    for (n, _), maps in coset_maps.items():
+        for _, orders in maps:
+            pairs = _class_pairs(_distinct_orders(orders))
+            if pairs:
+                checked += 1
+                classes = _mask_classes(orders, n, pairs[1:])
+                assert len(classes) > factorial(n) // len(_distinct_orders(orders))
+                assert classes != oracle.orbit_labelled_classes(orders, n)
+    assert checked == 135
+
+
 def test_the_coset_types_cover_698_maps(coset_maps):
-    assert sum(map(len, coset_maps.values())) == 698
+    assert sum(len(coset_maps[n, tuple(degrees)]) for n, degrees in COSET_TYPES) == 698
 
 
 def test_a_dropped_face_order_breaks_the_coset_check(coset_maps):
