@@ -68,7 +68,7 @@ from . import __version__
 from .exact import Poly
 from .hypgeom import (IdealPolygonChord, chords_cross, crossing_cos, crossing_cos_error,
                       crossing_cos_exact)
-from .kformula import _cell_form, verify_form_identities, verify_kcf
+from .kformula import verify_form_identities, verify_kcf
 from .ribbon import _MAX_DARTS, InvalidRibbonGraph, enumerate_maps
 from .volumes import kontsevich_volume, psi_numbers, is_stable
 from .wittencycle import witten12_report
@@ -420,15 +420,14 @@ def cmd_volume(args) -> tuple:
 
 
 def cmd_psi(args) -> tuple:
-    """The nonzero psi numbers of (g, n) by exponent tuple, as a stream of
-    JSON chunks, one row template filled per number."""
+    """The nonzero psi numbers of (g, n) by exponent tuple, in lexicographic
+    order, as a stream of JSON chunks, one row template filled per number."""
     _check_stable(args.g, args.n)
     _check_reach(args.g, args.n)
-    table = psi_numbers(args.g, args.n)
     head = {"v": 1, "command": "psi", "g": args.g, "n": args.n, "psi": _SLOT}
     row = _row_template({"alpha": [_SLOT] * args.n, "value": _SLOT}, "  ")
     return _row_stream(head, (row % (*alpha, _encode_str(str(val)))
-                              for alpha, val in sorted(table.items()) if val)), 0
+                              for alpha, val in psi_numbers(args.g, args.n).items() if val)), 0
 
 
 def cmd_verify_kcf(args) -> tuple:
@@ -449,12 +448,12 @@ def cmd_identities(args) -> tuple:
     The checks and the density read only K, B, ker A and G, which the face
     labels do not change (they permute the rows of A), so each map's cell
     form is built and checked once, and each class's report is the map's
-    with its own face labels.  The density's |Pf G| is isqrt(det G) from
-    `bareiss(G)`, the same elimination check (iii) runs, so the cell layer
-    takes no subset-expansion Pfaffian.  Each map's row is formatted once by
-    `_json_text`, with its graph as the report has it and slots for a
-    class's face labels and |Aut|, and filled once per class.  The head's
-    "ok" covers every map, so every map is checked before the first chunk."""
+    with its own face labels.  The report's |Pf G| = isqrt(det G) and check
+    (iii) read one `bareiss(G)`, so the cell layer takes no subset-expansion
+    Pfaffian.  Each map's row is formatted once by `_json_text`, with its
+    graph as the report has it and slots for a class's face labels and
+    |Aut|, and filled once per class.  The head's "ok" covers every map, so
+    every map is checked before the first chunk."""
     _check_stable(args.g, args.n)
     _check_half_edges(args.g, args.n)
     count, maps = enumerate_maps(args.g, args.n, [3] * (4 * args.g - 4 + 2 * args.n))
@@ -462,9 +461,8 @@ def cmd_identities(args) -> tuple:
     rows = []
     all_ok = True
     for graph, aut, mask in maps:
-        form = _cell_form(graph)
-        rep = verify_form_identities(graph, form)
-        rho = form.density()
+        rep = verify_form_identities(graph)
+        rho = rep["density"]
         ok = rep["ok"] and rho == expected_density
         all_ok &= ok
         rows.append((_row_template({"graph": {**rep["graph"], "face_labels": _SLOT},

@@ -21,7 +21,6 @@ from .exact import (
     SingularMatrixError,
     bareiss,
     bareiss_kernel,
-    double_factorial,
     mat_mul,
     mat_vec,
     orthant_exponential_integral,
@@ -32,11 +31,12 @@ from .ribbon import (
     _automorphisms,
     _class_count,
     _cycle_index,
+    _distinct_orders,
     _each_map,
     _face_orders,
     enumerate_trivalent,
 )
-from .volumes import is_stable, psi_numbers
+from .volumes import _laplace_coefficients, is_stable
 
 __all__ = [
     "kontsevich_form",
@@ -169,10 +169,8 @@ def cell_density(graph: RibbonGraph) -> Fraction:
 
 
 def verify_form_identities(graph: RibbonGraph, form: _CellForm | None = None) -> dict:
-    """Exact checks tying K to the oriented adjacency B on one graph.
-
-    `form` is `_cell_form(graph)` when the caller also wants the density
-    from the same K, ker A and G (default: built here).
+    """Exact checks tying K to the oriented adjacency B on one graph, and
+    the cell's "density", `form.density()` (`form` default: built here).
 
     With eps = EPSILON, a single global sign:
 
@@ -188,13 +186,15 @@ def verify_form_identities(graph: RibbonGraph, form: _CellForm | None = None) ->
     pins the quarter-K form at half the limiting Weil-Petersson form.
 
     Every check runs in integers on the integer basis V of the form; each
-    is unchanged by scaling the basis, so it says the same of ker A.
+    is unchanged by scaling the basis, so it says the same of ker A.  V has
+    6g - 6 + 2n rows on every cell, so (iii) reads |Pf G| != 0 off the density.
     """
     if not graph.is_trivalent:
         raise UnsupportedGraph("form identities are about trivalent cells")
     if form is None:
         form = _cell_form(graph)
     K, V, G = form.K, form.V, form.G
+    density = form.density()
     E = graph.num_edges
     B = graph.oriented_adjacency()
     dim = 6 * graph.genus - 6 + 2 * graph.num_faces
@@ -205,14 +205,14 @@ def verify_form_identities(graph: RibbonGraph, form: _CellForm | None = None) ->
                             for i in range(E) for j in range(E)),
         "BK_minus_eps4I_kills_kerA": all(
             w == EPSILON * 4 * x for v in V for w, x in zip(mat_vec(BK, v), v)),
-        "quarterK_nondegenerate_on_kerA": len(bareiss(G)[1]) == dim,
+        "quarterK_nondegenerate_on_kerA": len(G) == dim and density != 0,
         # distinguished-side independence of the restriction
         "distinguished_side_independent_on_kerA": G == restrict_form(
             kontsevich_form(graph, [len(c) // 2 for c in graph.faces]), V),
         "matches_Bhat_inverse_form": _principal_block_identity(B, G, V),
     }
     return {"graph": graph.to_json(), "epsilon": EPSILON, "checks": checks,
-            "ok": all(checks.values())}
+            "density": density, "ok": all(checks.values())}
 
 
 def _principal_block_identity(B, G, V):
@@ -323,7 +323,7 @@ def _map_groups(g: int, n: int):
     def visit(s0, s1, faces, full):
         nonlocal classes
         autos = _automorphisms(full)
-        classes += _class_count(_face_orders(faces, autos), n)
+        classes += _class_count(_distinct_orders(_face_orders(faces, autos)), n)
         vectors = list(_labelled_exponents(s1, faces))
         weight = len(autos) << sum(vectors[0][:n])
         weighed.setdefault(weight, Counter()).update(vectors)
@@ -344,11 +344,11 @@ def _map_groups(g: int, n: int):
 def _psi_groups(g: int, n: int):
     """The psi side sum_a <psi^a> prod (2a_k-1)!! / s_k^(2a_k+1), the
     Laplace transform of W_{g,n}, as groups over `_factor_order(n)`: one per
-    nonzero <psi^a>, with exponents 2a_k+1 on s_k and 0 on each s_i + s_j."""
+    nonzero `_laplace_coefficients` term, with exponents 2a_k+1 on s_k and 0
+    on each s_i + s_j."""
     zeros = (0,) * (n * (n - 1) // 2)
-    return [(tuple(2 * a + 1 for a in alpha) + zeros,
-             val * prod(double_factorial(2 * a - 1) for a in alpha))
-            for alpha, val in psi_numbers(g, n).items() if val]
+    return [(tuple(2 * a + 1 for a in alpha) + zeros, val)
+            for alpha, val in _laplace_coefficients(g, n) if val]
 
 
 def _integer_side(groups):
@@ -490,10 +490,10 @@ def verify_kcf(g: int, n: int, trials: int = 30, seed: int = 0) -> dict:
     The graph side is grouped once per unlabelled map (`_map_groups`, by
     orbit-stabiliser, in ints over one denominator: no `RibbonGraph`,
     per-graph rational function or canonical pair is built) and the psi
-    side once from `psi_numbers` (`_psi_groups`, `_integer_side`).  Both go
-    over one shared denominator once (`_integer_form`, which also records
-    each side as one trie of its distinct exponent prefixes and one of its
-    distinct suffixes, cut at the middle factor), and at each point
+    side once from `_laplace_coefficients` (`_psi_groups`, `_integer_side`).
+    Both go over one shared denominator once (`_integer_form`, which also
+    records each side as one trie of its distinct exponent prefixes and one
+    of its distinct suffixes, cut at the middle factor), and at each point
     `_side_totals` computes the factor values s_i, s_i + s_j and their
     powers once, multiplies each shared prefix and each shared suffix
     once, and sums each side, one coefficient-times-suffix product per

@@ -605,10 +605,10 @@ def _distinct_orders(orders):
     return set(map(tuple, orders))
 
 
-def _class_count(orders, n):
+def _class_count(coset, n):
     """The number of labelled classes of a map with n faces whose
-    automorphisms have the face orders `orders` (see `_class_pairs`)."""
-    return factorial(n) // len(_distinct_orders(orders))
+    automorphisms have the distinct face orders `coset` (see `_class_pairs`)."""
+    return factorial(n) // len(coset)
 
 
 def _class_pairs(coset):
@@ -766,21 +766,20 @@ def enumerate_maps(g: int, n: int, degrees):
         raise ValueError(f"enumeration is limited to {_MAX_DARTS} half-edges, "
                          f"got {2 * E}")
 
-    # n faces force genus g here since V and E are already fixed
-    maps = sorted(_unlabelled_maps(degrees, n))
-    count = sum(_class_count(orders, n) for _, orders in maps)
-    # 1..n, the least labelling, is the least image in its orbit, so it is
-    # every map's least class
-    graphs = [(RibbonGraph(*pair, range(1, n + 1)), orders) for pair, orders in maps]
+    # n faces force genus g here since V and E are already fixed.  1..n,
+    # the least labelling, is the least image in its orbit, so it is every
+    # map's least class; each map's coset is built once
+    graphs = [(RibbonGraph(*pair, range(1, n + 1)), len(orders), _distinct_orders(orders))
+              for pair, orders in sorted(_unlabelled_maps(degrees, n))]
+    count = sum(_class_count(coset, n) for _, _, coset in graphs)
 
     def listed():
         columns = None
-        for graph, orders in graphs:
-            coset = _distinct_orders(orders)
+        for graph, autos, coset in graphs:
             pairs = _class_pairs(coset)
             if pairs and columns is None:
                 columns = list(zip(*itertools.permutations(range(1, n + 1))))
-            yield graph, len(orders) // len(coset), _class_mask(pairs, columns)
+            yield graph, autos // len(coset), _class_mask(pairs, columns)
 
     return count, listed()
 

@@ -35,8 +35,9 @@ M(1) = 3 (<tau_1>_1 = 1/24).  `_dvv` peels the smallest index.  Its step is
 the string equation when that index is 0 (k = -1: weights 2d_j+1, empty
 half-sum) and the dilaton equation when it is 1 (k = 0), so subset splits
 run only when every index is at least 2; a split whose first half fails the
-dimension test is skipped before any lookup.  `_tau` divides out the
-weight once per sorted key, the one `Fraction` each bracket costs.
+dimension test is skipped before any lookup.  `_brackets` divides M by the
+weight of the psi numbers, of W_{g,n} or of its Laplace transform once per
+sorted key, the one `Fraction` each bracket costs.
 
 `kontsevich_volume(g, n)` returns the polynomial W_{g,n}(L_1..L_n): the
 product of the perimeters times the top-power volume of the moduli space of
@@ -47,8 +48,6 @@ numbers, d = 3g-3+n:
                        = M(a) / (24^g g! prod_k (2a_k+1)!),
 
 since 2^a a! (2a+1)!! = (2a+1)!, so W_{0,3} = L1 L2 L3 and W_{1,1} = L1^3 / 48.
-Each coefficient depends on the exponents only through their multiset: it is
-computed once per sorted key and shared by that key's exponent tuples.
 """
 
 from __future__ import annotations
@@ -136,22 +135,30 @@ def _dvv(ds: tuple) -> int:
     return total + (half >> 1)
 
 
-@lru_cache(maxsize=None)
-def _tau(ds: tuple) -> Fraction:
-    """<tau_{d_1} ... tau_{d_n}> for `ds` sorted in decreasing order: M(ds)
-    over 24^g g! prod (2d_i+1)!!, one `Fraction` per key."""
+def _bracket(ds, weight) -> Fraction:
+    """M(ds) / (24^g g! prod weight(d_i)) for `ds` sorted in decreasing
+    order, of genus g (`_genus`)."""
     g = _genus(ds)
-    if g < 0:
-        return Fraction(0)
-    weight = 24 ** g * factorial(g) * prod(double_factorial(2 * d + 1) for d in ds)
-    return Fraction(_dvv(ds), weight)
+    return Fraction(_dvv(ds), 24 ** g * factorial(g) * prod(map(weight, ds)))
+
+
+def _brackets(g: int, n: int, weight):
+    """Each composition a of 3g-3+n into n parts, in lexicographic order,
+    with `_bracket(_key(a), weight)`, taken once per sorted key."""
+    if not is_stable(g, n):
+        raise UnstableInput(f"({g},{n}) is unstable")
+    values = {}
+    for alpha in _compositions(3 * g - 3 + n, n):
+        key = _key(alpha)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = _bracket(key, weight)
+        yield alpha, value
 
 
 def psi_numbers(g: int, n: int) -> dict:
-    """Map from exponent tuples a (|a| = 3g-3+n) to <psi^a> in Q."""
-    if not is_stable(g, n):
-        raise UnstableInput(f"({g},{n}) is unstable")
-    return {alpha: _tau(_key(alpha)) for alpha in _compositions(3 * g - 3 + n, n)}
+    """<psi^a> in Q for each a with |a| = 3g-3+n, in lexicographic order."""
+    return dict(_brackets(g, n, lambda a: double_factorial(2 * a + 1)))
 
 
 def _compositions(total: int, parts: int):
@@ -169,29 +176,24 @@ def kontsevich_volume(g: int, n: int) -> Poly:
     """The polynomial W_{g,n}(L1..Ln), homogeneous of degree 6g-6+3n:
     sum_a <psi^a> / (2^d prod a_k!) prod_k L_k^(2a_k + 1), each coefficient
     M(a) / (24^g g! prod (2a_k+1)!) computed once per sorted key."""
-    if not is_stable(g, n):
-        raise UnstableInput(f"({g},{n}) is unstable")
     d = 3 * g - 3 + n
-    base = 24 ** g * factorial(g)
     odd = range(1, 2 * d + 2, 2)
-    coefs = {}
-    terms = {}
-    for alpha in _compositions(d, n):
-        key = _key(alpha)
-        c = coefs.get(key)
-        if c is None:
-            den = base * prod(factorial(2 * a + 1) for a in key)
-            c = coefs[key] = Fraction(_dvv(key), den)
-        terms[tuple(map(odd.__getitem__, alpha))] = c
+    terms = {tuple(map(odd.__getitem__, alpha)): c
+             for alpha, c in _brackets(g, n, lambda a: factorial(2 * a + 1))}
     return Poly(tuple(f"L{i}" for i in range(1, n + 1)), terms)
+
+
+def _laplace_coefficients(g: int, n: int):
+    """Each composition a of 3g-3+n with <psi^a> prod (2a_k-1)!!, its
+    coefficient in `lhs_laplace`: M(a) / (24^g g! prod (2a_k+1))."""
+    return _brackets(g, n, lambda a: 2 * a + 1)
 
 
 def lhs_laplace(g: int, n: int) -> RationalFunction:
     """Sum over |a| = 3g-3+n of <psi^a> prod (2a_k-1)!! / s_k^{2a_k+1}."""
     d = 3 * g - 3 + n
     svars = tuple(f"s{i}" for i in range(1, n + 1))
-    terms = {tuple(2 * (d - a) for a in alpha):
-             val * prod(double_factorial(2 * a - 1) for a in alpha)
-             for alpha, val in psi_numbers(g, n).items() if val}
+    terms = {tuple(2 * (d - a) for a in alpha): val
+             for alpha, val in _laplace_coefficients(g, n) if val}
     den = {(i,): 2 * d + 1 for i in range(n)}
     return RationalFunction(svars, 1, Poly(svars, terms), den).reduced()

@@ -122,7 +122,7 @@ def principal_block_identity(B, G, V):
 
 def verify_form_identities(graph):
     """The report of `ribbonvol.kformula.verify_form_identities`."""
-    K, V, _, G = cell_form(graph)
+    K, V, volfactor, G = cell_form(graph)
     E = graph.num_edges
     B = graph.oriented_adjacency()
     dim = 6 * graph.genus - 6 + 2 * graph.num_faces
@@ -140,7 +140,7 @@ def verify_form_identities(graph):
         "matches_Bhat_inverse_form": principal_block_identity(B, G, V),
     }
     return {"graph": graph.to_json(), "epsilon": EPSILON, "checks": checks,
-            "ok": all(checks.values())}
+            "density": density(G, volfactor), "ok": all(checks.values())}
 
 
 def oracle_maximal_runs(graph, gamma, delta, opposite: bool):

@@ -19,9 +19,16 @@ dimension test, as `_dvv` skips them.
 peeled as `_dvv` peels it, but every step summed in `Fraction`s, with the
 double factorials as weights and one division per bracket.
 
+`dvv_tau`, `volume_coefficient` and `laplace_coefficient` are the
+package's earlier per-key divisions of its integer DVV table M(ds) =
+`_dvv(ds)`, each by its own weight: the cached `_tau`, M over 24^g g!
+prod (2d_i+1)!!; `kontsevich_volume`'s own per-key dict, M over 24^g g!
+prod (2d_i+1)!; and the Laplace coefficients of `lhs_laplace` and of
+`verify_kcf`'s psi side, the psi number times prod (2d_i-1)!!.
+
 `laplace` is the term-by-term Laplace transform of a polynomial, the second
-derivation of `ribbonvol.volumes.lhs_laplace` (which is built from the psi
-numbers directly), applied to `wp_volume_asymptotic`, the asymptotic
+derivation of `ribbonvol.volumes.lhs_laplace` (which is built from the DVV
+brackets directly), applied to `wp_volume_asymptotic`, the asymptotic
 Weil-Petersson polynomial read off W_{g,n}.
 """
 
@@ -31,7 +38,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from ribbonvol.exact import Poly, RationalFunction, double_factorial, poly_integrate
-from ribbonvol.volumes import is_stable
+from ribbonvol.volumes import _dvv, is_stable
 from ribbonvol.volumes import kontsevich_volume as package_volume
 
 
@@ -197,6 +204,32 @@ def smallest_index_tau(ds):
             inner += smallest_index_tau(_key([r] + I)) * smallest_index_tau(_key([s] + J))
         half += double_factorial(2 * r + 1) * double_factorial(2 * s + 1) * inner
     return (total + half / 2) / double_factorial(2 * k + 3)
+
+
+def _weighted_dvv(ds, weight):
+    n = len(ds)
+    g, rem = divmod(sum(ds) - n + 3, 3)
+    if rem or not is_stable(g, n) or ds[-1] < 0:
+        return Fraction(0)
+    return Fraction(_dvv(ds), 24 ** g * factorial(g) * prod(weight(d) for d in ds))
+
+
+def dvv_tau(ds):
+    """<tau_ds> for `ds` sorted in decreasing order, as `_tau` divided it:
+    M(ds) / (24^g g! prod (2d_i+1)!!)."""
+    return _weighted_dvv(ds, lambda d: double_factorial(2 * d + 1))
+
+
+def volume_coefficient(ds):
+    """[L^(2ds+1)] W_{g,n} for `ds` sorted in decreasing order, as
+    `kontsevich_volume` divided it per key: M(ds) / (24^g g! prod (2d_i+1)!)."""
+    return _weighted_dvv(ds, lambda d: factorial(2 * d + 1))
+
+
+def laplace_coefficient(ds):
+    """<tau_ds> prod (2d_i-1)!!, as `lhs_laplace` and `_psi_groups` formed it
+    from the psi number."""
+    return dvv_tau(ds) * prod(double_factorial(2 * d - 1) for d in ds)
 
 
 def laplace(p, svars=None):

@@ -764,28 +764,54 @@ def test_identities_builds_one_cell_form_per_map(run, monkeypatch):
     """(0,4) has 64 labelled classes on 6 maps; each map's form is built
     once, and every check runs on the graph's own form."""
     import ribbonvol.cli as cli
-    from ribbonvol.kformula import _cell_form
+    import ribbonvol.kformula as kf
 
+    cell_form = kf._cell_form
     built = []
     checked = []
 
     def counted_cell_form(graph):
-        built.append(graph)
-        return _cell_form(graph)
+        form = cell_form(graph)
+        built.append((graph, form))
+        return form
 
-    def recorded_identities(graph, form):
-        checked.append((graph, form))
+    def recorded_identities(graph, form=None):
+        checked.append(graph)
         return verify_form_identities(graph, form)
 
     verify_form_identities = cli.verify_form_identities
-    monkeypatch.setattr(cli, "_cell_form", counted_cell_form)
+    monkeypatch.setattr(kf, "_cell_form", counted_cell_form)
     monkeypatch.setattr(cli, "verify_form_identities", recorded_identities)
     code, out = run("identities", "--g", "0", "--n", "4")
     assert code == 0 and json.loads(out)["graphs"] == 64
     assert len(built) == 6
-    assert len({(graph.s0, graph.s1) for graph in built}) == 6
-    assert [graph for graph, _ in checked] == built
-    assert all(form == _cell_form(graph) for graph, form in checked)
+    assert len({(graph.s0, graph.s1) for graph, _ in built}) == 6
+    assert checked == [graph for graph, _ in built]
+    assert all(form == cell_form(graph) for graph, form in built)
+
+
+@pytest.mark.parametrize("g,n,maps", [(0, 4, 6), (1, 3, 46)])
+def test_identities_eliminates_each_maps_g_once(g, n, maps, run, monkeypatch):
+    """The density's |Pf G| and check (iii) read one `bareiss` of each
+    map's G: the square eliminations of size 6g - 6 + 2n are the maps' G,
+    in order, each once."""
+    import ribbonvol.kformula as kf
+
+    _, listed = enumerate_maps(g, n, [3] * (4 * g - 4 + 2 * n))
+    forms = [kf._cell_form(graph).G for graph, _, _ in listed]
+    dim = 6 * g - 6 + 2 * n
+    bareiss = kf.bareiss
+    eliminated = []
+
+    def recorded_bareiss(M):
+        if len(M) == dim == len(M[0]):
+            eliminated.append(M)
+        return bareiss(M)
+
+    monkeypatch.setattr(kf, "bareiss", recorded_bareiss)
+    code, _ = run("identities", "--g", str(g), "--n", str(n))
+    assert code == 0 and len(forms) == maps
+    assert eliminated == forms
 
 
 def test_class_stream_matches_the_per_class_fill(monkeypatch, capsys):

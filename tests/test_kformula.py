@@ -46,7 +46,7 @@ from ribbonvol.ribbon import (
     enumerate_trivalent,
     face_cycles,
 )
-from ribbonvol.volumes import lhs_laplace, psi_numbers
+from ribbonvol.volumes import _laplace_coefficients, lhs_laplace
 
 import oracle_cells
 import oracle_ribbon
@@ -115,8 +115,9 @@ def test_cell_density_is_two_to_one_minus_g(g, n):
 def test_shared_cell_form_gives_the_same_report_and_density(g, n):
     for graph, _ in enumerate_trivalent(g, n):
         form = _cell_form(graph)
-        assert verify_form_identities(graph, form) == verify_form_identities(graph)
-        assert form.density() == cell_density(graph)
+        report = verify_form_identities(graph, form)
+        assert report == verify_form_identities(graph)
+        assert form.density() == cell_density(graph) == report["density"]
 
 
 def test_density_is_distinguished_side_and_basis_independent():
@@ -168,9 +169,9 @@ def test_mismatch_produces_failure_report(monkeypatch):
     import ribbonvol.kformula as kf
     from ribbonvol.cli import main
 
-    true_psi = psi_numbers(1, 1)
-    monkeypatch.setattr(kf, "psi_numbers",
-                        lambda g, n: {a: v * Fraction(3, 2) for a, v in true_psi.items()})
+    true_side = list(_laplace_coefficients(1, 1))
+    monkeypatch.setattr(kf, "_laplace_coefficients",
+                        lambda g, n: [(a, v * Fraction(3, 2)) for a, v in true_side])
     report = kf.verify_kcf(1, 1, trials=3, seed=0)
     assert not report["equal"]
     bad = report["first_mismatch"]
@@ -546,10 +547,10 @@ LHS_TYPES = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9),
 
 @pytest.mark.parametrize("g,n", LHS_TYPES)
 def test_psi_side_groups_equal_the_closed_form(g, n):
-    """The psi side as `verify_kcf` builds it from `psi_numbers`, against
-    the reduced `lhs_laplace` unpacked by the oracle `_lhs_groups` (equal as
-    dicts) and against `RationalFunction.evaluate` of `lhs_laplace`, at the
-    extremes 1/1000 and 1000 and at seeded points."""
+    """The psi side as `verify_kcf` builds it from `_laplace_coefficients`,
+    against the reduced `lhs_laplace` unpacked by the oracle `_lhs_groups`
+    (equal as dicts) and against `RationalFunction.evaluate` of
+    `lhs_laplace`, at the extremes 1/1000 and 1000 and at seeded points."""
     lhs = lhs_laplace(g, n)
     groups = _psi_groups(g, n)
     assert len(groups) == len(lhs.num.terms)
@@ -569,9 +570,9 @@ def test_psi_side_grouping_refuses_a_monomial_above_the_denominator():
 
 def test_verify_kcf_never_evaluates_a_rational_function(monkeypatch):
     """Both sides go through `_integer_form` and `_side_totals`, and the psi
-    side comes straight from `psi_numbers`: `verify_kcf` is unchanged with
-    `RationalFunction.evaluate` and `RationalFunction.reduced` patched to
-    raise."""
+    side comes straight from `_laplace_coefficients`: `verify_kcf` is
+    unchanged with `RationalFunction.evaluate` and `RationalFunction.reduced`
+    patched to raise."""
     expected = verify_kcf(1, 2, trials=3, seed=4)
 
     def refuse(self, *args):

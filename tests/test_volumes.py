@@ -1,21 +1,31 @@
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import lt
 
 import pytest
 
 import oracle_volumes
 from oracle_volumes import NotABaseCase, base_case, wp_volume_asymptotic
-from ribbonvol.exact import Poly
+from ribbonvol.exact import Poly, double_factorial
 import ribbonvol.volumes as volumes
 from ribbonvol.volumes import (
     UnstableInput,
+    _bracket,
+    _compositions,
     _dvv,
-    _tau,
+    _key,
+    _laplace_coefficients,
     kontsevich_volume,
     lhs_laplace,
     psi_numbers,
 )
+
+
+def _psi_weight(d):
+    """The weight that makes `_bracket` the psi number <tau_ds>."""
+    return double_factorial(2 * d + 1)
+
 
 # every stable (g, n) with 3g-3+n <= 6
 TYPES_UP_TO_6 = [(g, n) for g in range(3) for n in range(1, 10)
@@ -111,7 +121,7 @@ def test_dilaton_equation(g, n):
 
 def _sorted_tuples(total, parts, top):
     """The tuples of `parts` integers >= 0 summing to `total`, each sorted in
-    decreasing order with entries at most `top`: the keys `_tau` reads."""
+    decreasing order with entries at most `top`: the keys `_bracket` reads."""
     if parts == 0:
         return [()] if total == 0 else []
     return [(first,) + rest for first in range(min(top, total), -1, -1)
@@ -136,7 +146,7 @@ def test_integer_dvv_equals_the_fraction_dvv(g, n):
     assert keys
     for ds in keys:
         assert type(_dvv(ds)) is int
-        assert _tau(ds) == oracle_volumes.smallest_index_tau(ds), ds
+        assert _bracket(ds, _psi_weight) == oracle_volumes.smallest_index_tau(ds), ds
 
 
 # the types the largest-index oracle reaches in about 3 s together: all
@@ -148,12 +158,12 @@ TYPES_FOR_THE_LARGEST_INDEX = [(g, n) for g, n in TYPES_UP_TO_12 if n <= 13]
 
 @pytest.mark.parametrize("g,n", TYPES_FOR_THE_LARGEST_INDEX)
 def test_smallest_index_dvv_equals_the_largest_index_oracle(g, n):
-    """`_tau` peels the smallest index, the oracle the largest: the two walk
+    """`_dvv` peels the smallest index, the oracle the largest: the two walk
     the DVV relation through different brackets to the same numbers."""
     keys = _keys_of(g, n)
     assert keys
     for ds in keys:
-        assert _tau(ds) == oracle_volumes.tau(ds), ds
+        assert _bracket(ds, _psi_weight) == oracle_volumes.tau(ds), ds
 
 
 def test_a_wrong_seed_fails_the_oracle_or_the_halving():
@@ -163,15 +173,14 @@ def test_a_wrong_seed_fails_the_oracle_or_the_halving():
     keys = [ds for g, n in TYPES_UP_TO_12 for ds in _keys_of(g, n)]
     volumes._SEEDS[(1,)] = 4
     _dvv.cache_clear()
-    _tau.cache_clear()
     try:
-        caught = any(_tau(ds) != oracle_volumes.smallest_index_tau(ds) for ds in keys)
+        caught = any(_bracket(ds, _psi_weight) != oracle_volumes.smallest_index_tau(ds)
+                     for ds in keys)
     except ArithmeticError:
         caught = True
     finally:
         volumes._SEEDS[(1,)] = 3
         _dvv.cache_clear()
-        _tau.cache_clear()
     assert caught
 
 
@@ -181,9 +190,63 @@ def test_smallest_index_dvv_keeps_the_cache_small():
     has no genus, <tau_28>_10 reaches 304 brackets of `_dvv` (469 without
     the skip); peeling the largest reaches 4731."""
     _dvv.cache_clear()
-    _tau.cache_clear()
     psi_numbers(10, 1)
     assert _dvv.cache_info().currsize == 304
+
+
+@pytest.mark.parametrize("g,n", TYPES_UP_TO_12)
+def test_each_key_is_divided_as_the_earlier_routes_divided_it(g, n):
+    """`_bracket` divides each sorted key's M once, by the weight its
+    reader names: (2d+1)!! gives `_tau`'s psi number, (2d+1)! the
+    coefficient `kontsevich_volume` divided out per key, and 2d+1 the psi
+    number times prod (2d-1)!! that `lhs_laplace` and `_psi_groups`
+    formed."""
+    keys = _keys_of(g, n)
+    assert keys
+    for ds in keys:
+        assert _bracket(ds, _psi_weight) == oracle_volumes.dvv_tau(ds), ds
+        assert (_bracket(ds, lambda d: factorial(2 * d + 1))
+                == oracle_volumes.volume_coefficient(ds)), ds
+        assert _bracket(ds, lambda d: 2 * d + 1) == oracle_volumes.laplace_coefficient(ds), ds
+
+
+# the types up to d = 12 with at most 50 000 compositions, which each
+# reader below lists in full
+TYPES_LISTED_IN_FULL = [(g, n) for g, n in TYPES_UP_TO_12
+                        if comb(3 * g - 3 + n + n - 1, n - 1) <= 50_000]
+
+
+@pytest.mark.parametrize("g,n", TYPES_LISTED_IN_FULL)
+def test_psi_volume_and_laplace_read_each_key_from_its_bracket(g, n):
+    """`psi_numbers`, `kontsevich_volume` and `_laplace_coefficients` give
+    each composition a the earlier routes' value at its sorted key."""
+    d = 3 * g - 3 + n
+    psi = psi_numbers(g, n)
+    W = kontsevich_volume(g, n).terms
+    laplace = dict(_laplace_coefficients(g, n))
+    assert len(psi) == len(W) == len(laplace) == comb(d + n - 1, n - 1)
+    for alpha, value in psi.items():
+        key = _key(alpha)
+        assert value == oracle_volumes.dvv_tau(key), alpha
+        assert W[tuple(2 * a + 1 for a in alpha)] == oracle_volumes.volume_coefficient(key)
+        assert laplace[alpha] == oracle_volumes.laplace_coefficient(key), alpha
+
+
+def _in_lexicographic_order(g, n):
+    """Whether `_compositions` lists the C(d+n-1, n-1) compositions of
+    d = 3g-3+n into n parts in strictly increasing lexicographic order: the
+    order `psi_numbers` keeps and `psi` prints without a sort."""
+    d = 3 * g - 3 + n
+    first, second = itertools.tee(_compositions(d, n))
+    steps = bytes(map(lt, first, itertools.islice(second, 1, None)))
+    return all(steps) and len(steps) + 1 == comb(d + n - 1, n - 1)
+
+
+# the 41 stable types with d <= 12 but (0,14) and (0,15), whose 2.5 and 9.7
+# million compositions CI lists with the same helper
+@pytest.mark.parametrize("g,n", TYPES_FOR_THE_LARGEST_INDEX)
+def test_compositions_come_in_lexicographic_order(g, n):
+    assert _in_lexicographic_order(g, n)
 
 
 @pytest.mark.parametrize("g", range(1, 21))
