@@ -7,26 +7,26 @@ error.  Randomised commands require an explicit --seed, echoed in the
 output.
 
 JSON is written with the bytes of `json.dumps(payload, indent=1)` by one
-small writer, `_json_chunks`, which streams a dict item by item and a list
-element by element, each element built as one string; the stdlib encoder,
-pure Python when given an indent, is left to the tests as its oracle.
-`enumerate` reads the maps of `enumerate_maps` one by one and streams each
-map's classes from a row template filled twice per map, once with its
-fields and once with its |Aut|, which all of its classes share, with no
-graph built per class: the map's rows are one `str.join` of the label
-texts its mask keeps, out of one table of the n! label texts formatted
-once per payload.  Its head and int lists come from the same writer, with
-the same bytes as `json.dumps(indent=1)` of the whole payload.
-`identities` checks each map once, formats the map's report row once with
-slots for a class's face labels and |Aut|, and streams its classes the
-same way: both lists go through `_class_stream`.  The CSV reads the same
-masks over its own table of label texts.
-`volume` sorts W's terms once and formats each coefficient once
-(`Poly._term_texts`); "terms" is written from one row template, filled per
-term, and "W_str" from the same texts.  `psi` writes its table from one row
-template filled per nonzero number.  Every such list is streamed by one
-loop, `_row_stream`, one filled row per chunk, with the rest of the payload
-in the chunks of the writer.
+recursion, `_json_chunks`, the only code that writes braces, brackets,
+separators and indents; its leaf `_list_text` writes a list of scalars of
+one type as one `str.join`.  It streams a dict item by item and a list
+element by element; the stdlib encoder, pure Python when given an indent,
+is left to the tests as its oracle.  A list streamed row by row is a
+generator value in the payload, written where it sits, each row filled
+from a template that `_row_template` makes of a row dict whose `_SLOT`
+values become %s slots.  `enumerate` reads the maps of `enumerate_maps`
+one by one and makes one template per payload, filled twice per map, once
+with its fields and once with its |Aut|, which all of its classes share,
+with no graph built per class: the map's rows are one `str.join` of the
+label texts its mask keeps, out of one table of the n! label texts
+formatted once per payload.  `identities` checks each map once, formats
+the map's report row once with slots for a class's face labels and |Aut|,
+and streams its classes the same way: both lists go through
+`_class_stream`.  The CSV reads the same masks over its own table of label
+texts.  `volume` sorts W's terms once and formats each coefficient once
+(`Poly._term_texts`); "terms" is streamed from one row template, filled
+per term, and "W_str" is written from the same texts.  `psi` streams its
+table from one row template filled per nonzero number.
 
 The grammar is one table, `_COMMANDS`, read two ways.  `main` first tries
 `_recognize`, which takes only a subcommand followed by its exact long
@@ -63,6 +63,7 @@ import os
 import sys
 from fractions import Fraction
 from math import comb, inf
+from types import GeneratorType
 
 from . import __version__
 from .exact import Poly
@@ -205,120 +206,95 @@ def _scalar_list_text(items):
     return _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
 
 
-def _json_text(value, indent: str) -> str:
-    """`value` as one string, with the bytes `json.dumps(value, indent=1)`
-    gives it on a line that starts with `indent`.  Keys must be str and
-    values JSON scalars, lists, tuples or dicts, else TypeError."""
-    kind = type(value)
-    scalar = _SCALAR_TEXT.get(kind)
-    if scalar is not None:
-        return scalar(value)
-    if kind is list or kind is tuple:
-        return _list_text(value, indent) if value else "[]"
-    if kind is not dict:
-        raise TypeError(f"{kind.__name__} is not JSON serializable")
-    if not value:
-        return "{}"
+def _list_text(items, text, indent: str) -> str:
+    """`items`, a non-empty list or tuple of scalars of one type, as a JSON
+    list on a line that starts with `indent`, each written by `text`: one
+    `str.join`."""
     inner = indent + " "
-    body = (",\n" + inner).join([f"{_encode_str(key)}: {_json_text(item, inner)}"
-                                 for key, item in value.items()])
-    return "{\n" + inner + body + "\n" + indent + "}"
-
-
-def _list_text(items, indent: str) -> str:
-    """`_json_text` of `items`, a non-empty list or tuple: one `str.join`
-    of the scalars if they share one type, else of each element's text."""
-    inner = indent + " "
-    text = _scalar_list_text(items)
-    body = (",\n" + inner).join(map(text, items) if text
-                                else [_json_text(x, inner) for x in items])
-    return "[\n" + inner + body + "\n" + indent + "]"
+    return "[\n" + inner + (",\n" + inner).join(map(text, items)) + "\n" + indent + "]"
 
 
 def _json_chunks(value, indent: str = ""):
-    """The text of `_json_text(value, indent)` in chunks: a dict item by
-    item, a list of containers or of mixed scalars element by element, each
-    element as one string, and anything else as one chunk."""
+    """`value` with the bytes `json.dumps(value, indent=1)` gives it on a
+    line that starts with `indent`, in chunks.  This is the one recursion
+    that writes braces, brackets, separators and indents: a dict goes item
+    by item and a list element by element, but for a list of scalars of one
+    type, which is one chunk (`_list_text`).  A generator value is a list
+    streamed where it sits.  Its chunks are the list's elements, each after
+    its separator ",\n" and indent (filled `_row_template`s), cut wherever
+    the generator cuts them, the first chunk non-empty.  The first
+    separator opens the list instead, the list closes at `indent`, and with
+    no chunk at all it is `[]`.  Keys must be str and values JSON scalars,
+    lists, tuples, dicts or such generators, else TypeError."""
     kind = type(value)
+    scalar = _SCALAR_TEXT.get(kind)
     inner = indent + " "
-    if kind is dict and value:
+    if scalar is not None:
+        yield scalar(value)
+    elif kind is dict and value:
         sep = "{\n" + inner
         for key, item in value.items():
             yield sep + _encode_str(key) + ": "
             yield from _json_chunks(item, inner)
             sep = ",\n" + inner
         yield "\n" + indent + "}"
-    elif (kind is list or kind is tuple) and value and not _scalar_list_text(value):
+    elif (kind is list or kind is tuple) and value:
+        text = _scalar_list_text(value)
+        if text:
+            yield _list_text(value, text, indent)
+            return
         sep = "[\n" + inner
         for item in value:
-            yield sep + _json_text(item, inner)
+            yield sep
+            yield from _json_chunks(item, inner)
             sep = ",\n" + inner
         yield "\n" + indent + "]"
+    elif kind is GeneratorType:
+        first = next(value, None)
+        if first is None:
+            yield "[]"
+            return
+        yield "[\n" + first[2:]
+        yield from value
+        yield "\n" + indent + "]"
+    elif kind is dict or kind is list or kind is tuple:
+        yield "{}" if kind is dict else "[]"
     else:
-        yield _json_text(value, indent)
+        raise TypeError(f"{kind.__name__} is not JSON serializable")
+
+
+def _json_text(value, indent: str) -> str:
+    """`_json_chunks(value, indent)` as one string."""
+    return "".join(_json_chunks(value, indent))
+
+
+def _stream(payload: dict):
+    """The chunks of a JSON payload as `main` writes it, its newline last."""
+    yield from _json_chunks(payload)
+    yield "\n"
 
 
 def _int_list(xs) -> str:
     """`xs`, a non-empty list or tuple of ints, as `json.dumps(indent=1)`
     writes a field of a class's graph, at depth 4."""
-    return _list_text(xs, "    ")
+    return _list_text(xs, int.__repr__, "    ")
 
 
-# One class of `enumerate` JSON at depth 2, after its separator.  The map's
-# fields are filled in first; the %% slots left are the face labels and |Aut|.
-_CLASS_ROW = """,
-  {
-   "graph": {
-    "v": 1,
-    "half_edges": %d,
-    "s0": %s,
-    "s1": %s,
-    "face_labels": %%s
-   },
-   "aut": %%d,
-   "genus": %d,
-   "faces": %d
-  }"""
-
-
-# Stands for a value that a row template or a streamed payload fills in
-# later; json writes it as "\u0000", which no other field contains.
+# Stands for a value that a row template fills in later; json writes it as
+# "\u0000", which no other field contains.
 _SLOT = "\0"
 _SLOT_TEXT = _encode_str(_SLOT)
 
 
 def _row_template(row: dict, indent: str) -> str:
-    """One list element's row template: the separator ",\n", then `row` as
-    `_json_text` writes it at depth `indent`, each `_SLOT` value of it a %s
-    slot."""
+    """One streamed row's template: the separator ",\n" and `indent`, then
+    `row` as `_json_text` writes it at depth `indent`, each `_SLOT` value of
+    it a %s slot and any other "%" escaped.  `volume` and `psi` fill theirs
+    once per row; `enumerate` fills its once per map and `identities` makes
+    one per map, each leaving the face-label and |Aut| slots to
+    `_class_stream`."""
     text = _json_text(row, indent).replace("%", "%%").replace(_SLOT_TEXT, "%s")
     return ",\n" + indent + text
-
-
-def _row_stream(head: dict, rows):
-    """The payload `head`, in the chunks of `_json_chunks`, with its one
-    `_SLOT` value, a dict's value at any depth, filled by the list whose
-    text `rows` gives, one chunk each: its elements, each after its
-    separator ",\n" (filled `_row_template`s or `_CLASS_ROW`s), cut into
-    chunks wherever the caller cuts them, the first chunk non-empty.  The
-    first separator opens the list instead.  The list closes at the indent
-    of the line that names it, and with no chunk at all it is `[]`."""
-    named = ""
-    for chunk in _json_chunks(head):
-        if chunk != _SLOT_TEXT:
-            yield chunk
-            named = chunk
-            continue
-        rows = iter(rows)
-        first = next(rows, None)
-        if first is None:
-            yield "[]"
-            continue
-        line = named[named.rindex("\n") + 1:]
-        yield "[\n" + first[2:]
-        yield from rows
-        yield "\n" + " " * (len(line) - len(line.lstrip(" "))) + "]"
-    yield "\n"
 
 
 def _class_texts(n, text, rows):
@@ -333,14 +309,14 @@ def _class_texts(n, text, rows):
 
 
 def _class_stream(head: dict, key: str, n: int, rows):
-    """The payload `head` with the list `key` filled by `_row_stream` from
+    """The chunks of the payload `head` with the list `key` streamed from
     `rows`, one (template, aut, mask) triple per map with n faces.  A
-    template has slots for the face labels and |Aut|.  It is filled once per
-    map, with `_SLOT` for the labels, and split there; the map's rows are
-    one `str.join` of the label texts of its classes (`_class_texts`),
-    written as three chunks, the text before the first label, the join and
-    the text after the last, so that no copy of the join is made.  A map
-    with no class gives no chunk."""
+    template is a `_row_template` with slots for the face labels and |Aut|.
+    It is filled once per map, with `_SLOT` for the labels, and split
+    there; the map's rows are one `str.join` of the label texts of its
+    classes (`_class_texts`), written as three chunks, the text before the
+    first label, the join and the text after the last, so that no copy of
+    the join is made.  A map with no class gives no chunk."""
     def filled():
         for row, aut, texts in _class_texts(n, _int_list, rows):
             if texts:
@@ -349,15 +325,20 @@ def _class_stream(head: dict, key: str, n: int, rows):
                 yield (after + before).join(texts)
                 yield after
 
-    return _row_stream({**head, key: _SLOT}, filled())
+    return _stream({**head, key: filled()})
 
 
 def _enumerate_json(head: dict, maps):
     """The `enumerate` payload `head` with `"classes"` filled from the
-    (graph, aut, mask) triples of `enumerate_maps` by `_class_stream`;
-    half_edges, s0, s1, genus and faces are formatted once per map."""
-    rows = ((_CLASS_ROW % (len(graph.s0), _int_list(graph.s0), _int_list(graph.s1),
-                           graph.genus, graph.num_faces), aut, mask)
+    (graph, aut, mask) triples of `enumerate_maps` by `_class_stream`, from
+    one `_row_template` built per payload: half_edges, s0, s1, genus and
+    faces are filled in once per map, and the face-label and |Aut| slots,
+    filled with "%s", stay slots for `_class_stream`."""
+    row = _row_template({"graph": {"v": 1, "half_edges": _SLOT, "s0": _SLOT, "s1": _SLOT,
+                                   "face_labels": _SLOT},
+                         "aut": _SLOT, "genus": _SLOT, "faces": _SLOT}, "  ")
+    rows = ((row % (len(graph.s0), _int_list(graph.s0), _int_list(graph.s1), "%s", "%s",
+                    graph.genus, graph.num_faces), aut, mask)
             for graph, aut, mask in maps)
     return _class_stream(head, "classes", head["n"], rows)
 
@@ -407,16 +388,17 @@ def cmd_volume(args) -> tuple:
     if args.format == "latex":
         return f"W_{{{args.g},{args.n}}} = {_poly_latex(W)}\n", 0
     texts = W._term_texts()
+    term = _row_template({"exp": [_SLOT] * args.n, "coef": _SLOT}, "   ")
     head = {
         "v": 1,
         "command": "volume",
         "g": args.g,
         "n": args.n,
-        "W": {"vars": list(W.vars), "terms": _SLOT},
+        "W": {"vars": list(W.vars),
+              "terms": (term % (*exp, _encode_str(cs)) for exp, cs in texts)},
         "W_str": W._display(texts),
     }
-    term = _row_template({"exp": [_SLOT] * args.n, "coef": _SLOT}, "   ")
-    return _row_stream(head, (term % (*exp, _encode_str(cs)) for exp, cs in texts)), 0
+    return _stream(head), 0
 
 
 def cmd_psi(args) -> tuple:
@@ -424,10 +406,10 @@ def cmd_psi(args) -> tuple:
     order, as a stream of JSON chunks, one row template filled per number."""
     _check_stable(args.g, args.n)
     _check_reach(args.g, args.n)
-    head = {"v": 1, "command": "psi", "g": args.g, "n": args.n, "psi": _SLOT}
     row = _row_template({"alpha": [_SLOT] * args.n, "value": _SLOT}, "  ")
-    return _row_stream(head, (row % (*alpha, _encode_str(str(val)))
-                              for alpha, val in psi_numbers(args.g, args.n).items() if val)), 0
+    psi = (row % (*alpha, _encode_str(str(val)))
+           for alpha, val in psi_numbers(args.g, args.n).items() if val)
+    return _stream({"v": 1, "command": "psi", "g": args.g, "n": args.n, "psi": psi}), 0
 
 
 def cmd_verify_kcf(args) -> tuple:
@@ -613,15 +595,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _write(fh, payload) -> None:
     """Write a command's payload: a dict as indent=1 JSON, a str as is, or
     an iterable of str chunks as they are produced.  A dict goes to the file
-    in the chunks of `_json_chunks`, one per dict item or list element, so
-    neither the whole text nor a run of chunks is held at once."""
-    if isinstance(payload, dict):
-        fh.writelines(_json_chunks(payload))
-        fh.write("\n")
-    elif isinstance(payload, str):
+    in the chunks of `_stream`, one per dict item or list element and each
+    streamed list's rows as their generator cuts them, so neither the whole
+    text nor a run of chunks is held at once."""
+    if isinstance(payload, str):
         fh.write(payload)
     else:
-        fh.writelines(payload)
+        fh.writelines(_stream(payload) if isinstance(payload, dict) else payload)
 
 
 def _to_devnull(stream) -> None:

@@ -235,6 +235,16 @@ def right_inverse(A):
     return W
 
 
+def _check_pfaffian_input(A) -> None:
+    """Raise ValueError unless the square matrix `A` has even dimension and
+    is skew-symmetric, as a Pfaffian's input must be."""
+    n = len(A)
+    if n % 2:
+        raise ValueError("a Pfaffian needs even dimension")
+    if any(A[i][j] != -A[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError("matrix is not skew-symmetric")
+
+
 def pfaffian(A):
     """Pfaffian of an even-dimensional skew-symmetric matrix.
 
@@ -242,13 +252,7 @@ def pfaffian(A):
     over Z (integer entries give an int) or any field, fine for the sizes
     used here (<= 12).
     """
-    n = len(A)
-    if n % 2:
-        raise ValueError("pfaffian needs even dimension")
-    for i in range(n):
-        for j in range(n):
-            if A[i][j] != -A[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
+    _check_pfaffian_input(A)
     cache = {}
 
     def pf(idx):
@@ -265,4 +269,4 @@ def pfaffian(A):
         cache[idx] = total
         return total
 
-    return pf(tuple(range(n)))
+    return pf(tuple(range(len(A))))

@@ -25,6 +25,7 @@ from .exact import (
     mat_vec,
     orthant_exponential_integral,
 )
+from .exact.linalg import _check_pfaffian_input
 from .ribbon import (
     RibbonGraph,
     UnsupportedGraph,
@@ -117,13 +118,9 @@ def _abs_pf(G) -> int:
     det G = Pf(G)^2.  Raises ValueError on odd dimension or a G that is not
     skew-symmetric, and ArithmeticError if det G is not a perfect square.
     """
-    k = len(G)
-    if k % 2:
-        raise ValueError("a Pfaffian needs even dimension")
-    if any(G[i][j] != -G[j][i] for i in range(k) for j in range(i, k)):
-        raise ValueError("matrix is not skew-symmetric")
+    _check_pfaffian_input(G)
     _, pivots, det = bareiss(G)
-    if len(pivots) < k:
+    if len(pivots) < len(G):
         return 0
     pf = isqrt(max(det, 0))
     if pf * pf != det:

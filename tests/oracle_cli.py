@@ -43,9 +43,9 @@ from fractions import Fraction
 
 from oracle_poly import oracle_poly_json, oracle_poly_str
 from ribbonvol import __version__
-from ribbonvol.cli import (_SLOT, _int_list, _parse_chord, _parse_degrees, _row_stream,
-                           cmd_angle, cmd_enumerate, cmd_identities, cmd_psi,
-                           cmd_verify_kcf, cmd_volume, cmd_witten12)
+from ribbonvol.cli import (_int_list, _parse_chord, _parse_degrees, _stream, cmd_angle,
+                           cmd_enumerate, cmd_identities, cmd_psi, cmd_verify_kcf, cmd_volume,
+                           cmd_witten12)
 from ribbonvol.kformula import _cell_form, verify_form_identities
 from ribbonvol.ribbon import enumerate_graphs, enumerate_trivalent
 from ribbonvol.volumes import kontsevich_volume, psi_numbers
@@ -93,12 +93,12 @@ def oracle_class_stream(head: dict, key: str, n: int, rows):
     per class, its template filled with the class's label text and |Aut|,
     for each labelling of 1..n the mask keeps (all when it is None)."""
     labels_text = functools.cache(_int_list)
-    return _row_stream({**head, key: _SLOT}, (
+    return _stream({**head, key: (
         row % (labels_text(labels), aut)
         for row, aut, mask in rows
         for labels, kept in zip(itertools.permutations(range(1, n + 1)),
                                 itertools.repeat(True) if mask is None else mask)
-        if kept))
+        if kept)})
 
 
 def oracle_identities_payload(args) -> dict:

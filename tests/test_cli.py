@@ -861,8 +861,12 @@ def test_class_stream_fills_one_row_per_class_from_a_mask():
     labels = list(itertools.permutations(range(1, 4)))
     maps = [(1, [True] + [False] * 5), (2, [False] + [True] * 5), (5, [False] * 6),
             (3, None), (6, [False] * 5 + [True])]
-    enumerate_row = cli._CLASS_ROW % (6, cli._int_list([1, 2, 0, 4, 5, 3]),
-                                      cli._int_list([3, 4, 5, 0, 1, 2]), 1, 3)
+    slot = cli._SLOT
+    enumerate_row = cli._row_template(
+        {"graph": {"v": 1, "half_edges": slot, "s0": slot, "s1": slot, "face_labels": slot},
+         "aut": slot, "genus": slot, "faces": slot}, "  ") % (
+        6, cli._int_list([1, 2, 0, 4, 5, 3]), cli._int_list([3, 4, 5, 0, 1, 2]), "%s", "%s",
+        1, 3)
     identities_row = cli._row_template({"graph": {"face_labels": cli._SLOT}, "aut": cli._SLOT,
                                         "ok": True}, "  ")
     head = {"v": 1, "classes": 13}

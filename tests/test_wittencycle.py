@@ -199,6 +199,48 @@ def test_cells_that_differ_in_edge_count_are_refused(charts):
         witten_cycle_intersections(cs + [(trivalent, 1)])
 
 
+def test_a_total_with_a_surviving_sum_factor_is_refused(charts, monkeypatch):
+    """Canary: the lead cell's term doubled leaves an (s1+s2) factor in the
+    total, which no psi number reads, so the cycle is refused rather than
+    solved."""
+    import ribbonvol.wittencycle as wc
+
+    cs, lead_index = charts
+    lead = cs[lead_index][0]
+    term = wc.cell_volume_laplace
+    monkeypatch.setattr(wc, "cell_volume_laplace",
+                        lambda chart, X: term(chart, X) * (2 if chart is lead else 1))
+    with pytest.raises(ChartError, match=r"does not reduce to psi form; factor \(0, 1\)"):
+        witten_cycle_intersections(cs)
+
+
+@pytest.mark.parametrize("power,message", [
+    (2, r"monomial \(0,\) is not of psi shape"),
+    (5, r"exponent \(2,\) has weight != 1")])
+def test_a_total_off_the_psi_side_is_refused(monkeypatch, power, message):
+    """Canaries: the one trivalent (1,1) cell's term 1/(4 s1^3) replaced by
+    1/(4 s1^2), an even power that no (2a+1) gives, or by 1/(4 s1^5), of
+    psi shape but a = 2 on a cycle of d' = 1, is refused."""
+    import ribbonvol.wittencycle as wc
+
+    [(graph, aut)] = enumerate_trivalent(1, 1)
+    chart = _trivalent_standard_chart(graph)
+    assert str(cell_volume_laplace(chart)) == "1/(4 s1^3)"
+    monkeypatch.setattr(wc, "cell_volume_laplace", lambda chart, X: RationalFunction.from_factors(
+        ("s1",), Fraction(1, 4), [(0,)] * power))
+    with pytest.raises(ChartError, match=message):
+        witten_cycle_intersections([(chart, aut)])
+
+
+def test_an_irrational_cell_density_is_refused(lead):
+    """Canary: the lead chart's X scaled by sqrt(5) scales G by 1/sqrt(5),
+    whose Pfaffian is then irrational: refused as a chart error, not passed
+    to `Surd.as_fraction`."""
+    X = [[S5 * x for x in row] for row in lead.intersection_matrix()]
+    with pytest.raises(ChartError, match="cell density is irrational"):
+        cell_volume_laplace(lead, X)
+
+
 @pytest.mark.parametrize("g,n", [(1, 1), (0, 4), (1, 2), (2, 1), (1, 3)])
 def test_trivalent_cells_give_d_prime_of_the_top_dimension(g, n):
     """On the trivalent cells d' = (E - n)/2 = 3g - 3 + n, codimension 0:
