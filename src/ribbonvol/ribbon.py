@@ -17,7 +17,11 @@ unpaired, at least one and at most k more faces close, so a branch that
 cannot end with n faces is never entered.  It roots every pairing at a top
 dart, a dart of a vertex of the largest degree, on a shortest top face, a
 shortest face among those that hold a top dart, and cuts a branch once a
-closed top face is shorter than the root face so far.  A BFS encoding is
+closed top face is shorter than the root face so far.  With one degree run
+and n > 1 every face is a top face, so the root face is a shortest face and
+the faces still to close each hold at least as many darts: a branch is cut
+too once the root face so far times their number exceeds the darts not on
+closed faces.  Both cuts are exact.  A BFS encoding is
 a complete invariant of a rooted connected map, and face length and
 top-ness are invariants too, so a pairing is a map found before exactly
 when its key from root 0 is the key of a map found so far from one of its
@@ -419,6 +423,20 @@ def _search_pairings(degrees, n, emit):
     is also cut once that path is longer than a closed top face: paths only
     grow, so its root face could no longer be a shortest top face.  With
     n = 1 the one face is the root face, so nothing is tracked.
+
+    With n > 1 and one degree run (`m == N`), the recursion also carries
+    the number of darts on closed faces, `cd`, to which each link that
+    closes a face adds that path's `size`.  It descends only if
+    `size[r] * (n - total) <= N - cd`, with r the path through slot 0 (at
+    the leaf, with `left == 0`, both sides are 0).  Every dart is a top
+    dart, so every face is a top face and the root face must end as a
+    shortest face.  Its final length is at least `size[r]`, since paths
+    only grow (a closed root face has exactly that length), and the
+    `n - total` faces still to close, the root face among them while it is
+    open, are made of the `N - cd` darts off closed faces, each at least as
+    long as the root face.  So the bound cuts no branch that ends in an
+    emitted pairing, and the emitted pairings and their order are those of
+    the search without it.
     """
     s0 = _block_rotation(degrees)
     starts = []
@@ -446,11 +464,12 @@ def _search_pairings(degrees, n, emit):
     m = run_end[0] * degrees[0]
     tops = [1] * m + [0] * (N - m)
     track = n > 1  # untracked, every size stays 1 and the cut never fires
+    share = track and m == N  # every face is a top face
 
-    def rec(s, left, closed, shortest, root):
+    def rec(s, left, closed, shortest, root, darts):
         # left: the number of unpaired slots; shortest: the least length of
         # a closed top face (N + 1 if none); root: the start of the path
-        # through slot 0
+        # through slot 0; darts: the number of darts on closed faces
         if not left:
             emit(tuple(partner))
             return
@@ -478,12 +497,13 @@ def _search_pairings(degrees, n, emit):
                 next_unused[run_of[v]] += 1
             partner[p], partner[t] = t, p
             # s2(p) = et and s2(t) = es, each linking two path ends
-            total, low, r = closed, shortest, root
+            total, low, r, cd = closed, shortest, root, darts
             et = inv0[t]
             a, b = head[p], tail[et]
             tail[a], head[b] = b, a
             if b == p:
                 total += 1
+                cd += size[a]
                 if tops[a] and size[a] < low:
                     low = size[a]
             elif track:
@@ -495,6 +515,7 @@ def _search_pairings(degrees, n, emit):
             tail[c], head[d] = d, c
             if d == t:
                 total += 1
+                cd += size[c]
                 if tops[c] and size[c] < low:
                     low = size[c]
             elif track:
@@ -504,10 +525,12 @@ def _search_pairings(degrees, n, emit):
                     r = c
             # n faces must still be reachable (see the docstring); paths
             # only grow, so a root path longer than a closed top face
-            # cannot close as a shortest top face
+            # cannot close as a shortest top face, nor one longer than the
+            # open faces' share of the darts off closed faces
             if ((total < n <= total + left) if left else total == n) \
-                    and size[r] <= low:
-                rec(after, left, total, low, r)
+                    and size[r] <= low \
+                    and (not share or size[r] * (n - total) <= N - cd):
+                rec(after, left, total, low, r, cd)
             # undo the links in reverse order; each path keeps its ends
             if track and d != t:
                 size[c] -= size[es]
@@ -522,7 +545,7 @@ def _search_pairings(degrees, n, emit):
                 used[v] = False
                 next_unused[run_of[v]] -= 1
 
-    rec(0, N, 0, N + 1, 0)
+    rec(0, N, 0, N + 1, 0, 0)
     # rec's closure holds rec itself; clearing it frees the cycle, and the
     # state `emit` keeps, now rather than at the next garbage collection
     del rec

@@ -26,6 +26,11 @@ prod (2d_i+1)!!; `kontsevich_volume`'s own per-key dict, M over 24^g g!
 prod (2d_i+1)!; and the Laplace coefficients of `lhs_laplace` and of
 `verify_kcf`'s psi side, the psi number times prod (2d_i-1)!!.
 
+`kdv_tau` shares no recursion with DVV: the string and dilaton equations
+reduce a bracket with an index 0 or 1, and a bracket whose indices are all
+at least 2 is read off the KdV hierarchy (Witten, Surveys in Diff. Geom. 1
+(1991); Kontsevich, Comm. Math. Phys. 147 (1992)).
+
 `laplace` is the term-by-term Laplace transform of a polynomial, the second
 derivation of `ribbonvol.volumes.lhs_laplace` (which is built from the DVV
 brackets directly), applied to `wp_volume_asymptotic`, the asymptotic
@@ -33,9 +38,10 @@ Weil-Petersson polynomial read off W_{g,n}.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from ribbonvol.exact import Poly, RationalFunction, double_factorial, poly_integrate
 from ribbonvol.volumes import _dvv, is_stable
@@ -204,6 +210,83 @@ def smallest_index_tau(ds):
             inner += smallest_index_tau(_key([r] + I)) * smallest_index_tau(_key([s] + J))
         half += double_factorial(2 * r + 1) * double_factorial(2 * s + 1) * inner
     return (total + half / 2) / double_factorial(2 * k + 3)
+
+
+def _lowered(ds):
+    """`ds` with each entry in turn lowered by one, as a labelled list."""
+    return [ds[:j] + (d - 1,) + ds[j + 1:] for j, d in enumerate(ds)]
+
+
+def _labelled_splits(ds):
+    """Each split of the multiset `ds` into (S1, S2), with the number of
+    labelled splits it stands for, a product of binomials."""
+    splits = [((), (), 1)]
+    for d, c in Counter(ds).items():
+        splits = [(S1 + (d,) * k, S2 + (d,) * (c - k), w * comb(c, k))
+                  for S1, S2, w in splits for k in range(c + 1)]
+    return splits
+
+
+def _kdv(quarter):
+    """The brackets <tau_{d_1} ... tau_{d_n}>, seeded by <tau_0^3>_0 = 1 and
+    <tau_1>_1 = 1/24, by no form of DVV.
+
+    The string equation <tau_0 X> = sum_i <X with x_i lowered by 1> and the
+    dilaton equation <tau_1 X>_g = (2g-2+|X|) <X>_g reduce a bracket with an
+    index 0 or 1.  The KdV hierarchy, for a multiset S with labelled splits,
+
+        (2m+1) <tau_m tau_0^2 S> = sum_{S1 u S2 = S} [ <tau_{m-1} tau_0 S1> <tau_0^3 S2>
+                                      + 2 <tau_{m-1} tau_0^2 S1> <tau_0^2 S2> ]
+                                   + 1/4 <tau_{m-1} tau_0^4 S>,
+
+    gives a bracket whose indices are all at least 2: with x its largest,
+    <tau_x S> = <tau_0 tau_{x+1} S> - sum_j <tau_{x+1} S_j lowered>, and
+    <tau_0 tau_y S> is solved from the relation at m = y + 1.  Each step
+    lowers the genus, the number of points, or the sum of the indices but
+    the largest, so the recursion ends.
+
+    Returns the cached bracket `tau(ds)`, `ds` sorted in decreasing order,
+    with `quarter` in place of the hierarchy's 1/4 (`kdv_tau` is the true
+    one).
+    """
+
+    @lru_cache(maxsize=None)
+    def tau(ds):
+        n = len(ds)
+        g, rem = divmod(sum(ds) - n + 3, 3)
+        if rem or not is_stable(g, n) or ds[-1] < 0:
+            return Fraction(0)
+        if ds == (0, 0, 0):
+            return Fraction(1)
+        if ds == (1,):
+            return Fraction(1, 24)
+        if ds[-1] == 0:  # the string equation
+            return sum(map(tau, map(_key, _lowered(ds[:-1]))), Fraction(0))
+        if ds[-1] == 1:  # the dilaton equation
+            return (2 * g - 3 + n) * tau(ds[:-1])
+        # every index is at least 2: by the string equation,
+        # <tau_x S> = <tau_0 tau_y S> - sum_j <tau_y S_j lowered>, y = x + 1
+        y, S = ds[0] + 1, ds[1:]
+        return one_zero(y, S) - sum(tau(_key((y,) + T)) for T in _lowered(S))
+
+    def one_zero(y, S):
+        # <tau_0 tau_y S> from KdV at m = y + 1, where it is the term of
+        # S2 empty on the right and, by the string equation, a term of the
+        # left side, (2m+1) (<tau_0 tau_y S> + sum_j <tau_0 tau_m S_j lowered>)
+        m = y + 1
+        right = quarter * tau(_key((y, 0, 0, 0, 0) + S))
+        for S1, S2, w in _labelled_splits(S):
+            if S2:
+                right += w * (tau(_key((y, 0) + S1)) * tau(_key((0, 0, 0) + S2))
+                              + 2 * tau(_key((y, 0, 0) + S1)) * tau(_key((0, 0) + S2)))
+        left = sum(tau(_key((m, 0) + T)) for T in _lowered(S))
+        return (right - (2 * m + 1) * left) / (2 * m)
+
+    return tau
+
+
+# <tau_ds> for `ds` sorted in decreasing order, with the hierarchy's 1/4
+kdv_tau = _kdv(Fraction(1, 4))
 
 
 def _weighted_dvv(ds, weight):

@@ -345,6 +345,7 @@ def rooted_at_a_shortest_face(s0, s1, top_only=True):
 
 @pytest.mark.parametrize("degrees", [
     [3] * 6, [4, 3, 3, 3, 3], [4, 4, 4], [5, 5], [3] * 8, [5, 3], [3] * 4,
+    [4, 4, 4, 4], [6, 6],
 ])
 def test_pruned_search_yields_the_oracle_n_face_pairings_in_order(degrees):
     """The search emits, in the oracle's DFS order, exactly the oracle's
@@ -386,14 +387,41 @@ def rec_calls(degrees, n):
 
 @pytest.mark.parametrize("n,degrees,calls", [
     (n, degrees, calls) for (_, n, degrees), calls in zip(
-        WORKLOAD_TYPES, (405, 404, 671, 89, 52, 40))] + [
-    (4, [3] * 4, 48), (6, [3] * 8, 5113)])
+        WORKLOAD_TYPES, (405, 404, 395, 57, 40, 40))] + [
+    (4, [3] * 4, 36), (6, [3] * 8, 2838)])
 def test_search_descends_only_where_n_faces_can_still_close(n, degrees, calls):
     """The face count is bounded at the candidate, before the call: with
     `left` slots unpaired, at least one and at most `left` more faces close.
     Checking it in the callee instead took 707, 704, 942, 316, 212 and 45
-    calls on the workload types, 76 on (0,4) and 18 299 on (0,6)."""
+    calls on the workload types, 76 on (0,4) and 18 299 on (0,6).
+
+    On one degree run with n > 1 every face is a top face, and the root
+    path is also bounded by the open faces' share of the darts off closed
+    faces.  Without that bound the calls were 405, 404, 671, 89, 52 and 40,
+    48 on (0,4) and 5113 on (0,6); the one-face types and the mixed-run
+    (1,2) 5,3 keep theirs."""
     assert rec_calls(degrees, n) == calls
+
+
+@pytest.mark.parametrize("n,degrees,even", [
+    (4, [3] * 4, 1), (4, [4] * 4, 7), (6, [6, 6], 1)])
+def test_share_bound_keeps_pairings_whose_faces_share_one_length(n, degrees, even):
+    """Canary for the share bound's `<=`: on these pairings every face has
+    N / n darts, so once the root face closes, its length times the faces
+    left to close equals the darts off closed faces.  The search emits all
+    of the oracle's n-face pairings of equal face lengths; a strict `<`
+    would drop each of them."""
+    s0 = _block_rotation(degrees)
+
+    def equal(s1):
+        return len({len(f) for f in face_cycles(s0, s1)}) == 1
+
+    found = []
+    _search_pairings(degrees, n, found.append)
+    kept = [s1 for s1 in found if equal(s1)]
+    assert len(kept) == even
+    assert kept == [s1 for s1 in oracle_n_face_pairings(n, tuple(degrees))[1]
+                    if equal(s1)]
 
 
 @pytest.mark.parametrize("n,degrees", [(n, degrees) for _, n, degrees in WORKLOAD_TYPES]
@@ -489,6 +517,23 @@ def test_search_yields_each_map_once_per_top_degree_root_orbit(n, degrees, count
                           len(orders))
                  for (s0, s1), orders in maps)
     assert len(found) == rooted == emitted
+
+
+def rooted_unicellular_cubic_maps(g):
+    """2(6g - 3)! / (12^g g! (3g - 2)!), the rooted one-face trivalent maps
+    of genus g (Walsh and Lehman, J. Combin. Theory B 13 (1972))."""
+    return 2 * factorial(6 * g - 3) // (12 ** g * factorial(g) * factorial(3 * g - 2))
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_one_face_trivalent_search_emits_the_rooted_unicellular_cubic_maps(g):
+    """On a one-face trivalent type every dart is a top dart on the one
+    face, so the search emits each map once per orbit of Aut U on its 2E
+    darts: the number of rooted maps, a closed form that shares no cut with
+    the search (1 and 105)."""
+    found = []
+    _search_pairings([3] * (4 * g - 2), 1, found.append)
+    assert len(found) == rooted_unicellular_cubic_maps(g)
 
 
 def test_each_map_is_relabelled_from_every_root_once(monkeypatch):

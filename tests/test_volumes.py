@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import lt
 
 import pytest
@@ -182,6 +182,47 @@ def test_a_wrong_seed_fails_the_oracle_or_the_halving():
         volumes._SEEDS[(1,)] = 3
         _dvv.cache_clear()
     assert caught
+
+
+# every stable (g, n) with 3g-3+n <= 8, in order of d, then of n
+TYPES_UP_TO_8 = sorted(((g, n) for g, n in TYPES_UP_TO_12 if 3 * g - 3 + n <= 8),
+                       key=lambda t: (3 * t[0] - 3 + t[1], t[1]))
+
+
+@pytest.mark.parametrize("g,n", TYPES_UP_TO_8)
+def test_kdv_equals_the_integer_dvv(g, n):
+    """`kdv_tau` reaches each bracket by the string and dilaton equations
+    and the KdV hierarchy, a route that shares no recursion with DVV: the
+    two agree on every key."""
+    keys = _keys_of(g, n)
+    assert keys
+    for ds in keys:
+        assert oracle_volumes.kdv_tau(ds) == _bracket(ds, _psi_weight), ds
+
+
+def test_a_third_for_the_kdv_quarter_fails_first_at_tau_4():
+    """Canary for the KdV oracle: with 1/3 in place of the hierarchy's 1/4,
+    the first key that differs from DVV, in order of d, is <tau_4>_2, where
+    it gives 1/864 against 1/1152.  Genus 0 and 1 never reach the term."""
+    wrong = oracle_volumes._kdv(Fraction(1, 3))
+    first = next(ds for g, n in TYPES_UP_TO_8 for ds in _keys_of(g, n)
+                 if wrong(ds) != _bracket(ds, _psi_weight))
+    assert first == (4,)
+    assert (wrong(first), oracle_volumes.kdv_tau(first)) == (Fraction(1, 864), Fraction(1, 1152))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_kdv_in_genus_zero_is_the_multinomial(n):
+    """<tau_ds>_0 = (n-3)! / prod d_i! on every key of (0, n)."""
+    for ds in _keys_of(0, n):
+        assert oracle_volumes.kdv_tau(ds) == Fraction(
+            factorial(n - 3), prod(map(factorial, ds))), ds
+
+
+@pytest.mark.parametrize("g", range(1, 30))
+def test_kdv_one_point_numbers(g):
+    """<tau_{3g-2}>_g = 1/(24^g g!), up to the genus of CI's (29,1) table."""
+    assert oracle_volumes.kdv_tau((3 * g - 2,)) == Fraction(1, 24 ** g * factorial(g))
 
 
 def test_smallest_index_dvv_keeps_the_cache_small():
