@@ -1,26 +1,35 @@
 import functools
 import itertools
 import random
-import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
 import oracle_ribbon as oracle
 from oracle_linalg import mat_rank
 from enumerate_cases import ORACLE_CASES
+from ribbon_counts import (
+    cell_degree_sequences,
+    euler_sum,
+    euler_terms,
+    harer_zagier,
+    rec_calls,
+    rooted_unicellular_cubic_maps,
+)
 import ribbonvol.ribbon as ribbon
 from ribbonvol.exact import transpose
 from ribbonvol.ribbon import (
     InvalidRibbonGraph,
     RibbonGraph,
     UnsupportedGraph,
+    _automorphisms,
     _bfs_relabel,
     _block_rotation,
     _class_mask,
     _class_pairs,
     _distinct_orders,
+    _each_map,
     _face_orders,
     _inverse,
     _labellings,
@@ -366,25 +375,6 @@ def test_pruned_search_yields_the_oracle_n_face_pairings_in_order(degrees):
     assert 0 < kept < len(counted)
 
 
-def rec_calls(degrees, n):
-    """The number of calls of the search's recursion `rec` while it looks
-    for the pairings of `degrees` (sorted descending) with n faces."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_name == "rec":
-            calls += 1
-
-    before = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        _search_pairings(degrees, n, lambda s1: None)
-    finally:
-        sys.setprofile(before)
-    return calls
-
-
 @pytest.mark.parametrize("n,degrees,calls", [
     (n, degrees, calls) for (_, n, degrees), calls in zip(
         WORKLOAD_TYPES, (405, 404, 395, 57, 40, 40))] + [
@@ -400,7 +390,7 @@ def test_search_descends_only_where_n_faces_can_still_close(n, degrees, calls):
     faces.  Without that bound the calls were 405, 404, 671, 89, 52 and 40,
     48 on (0,4) and 5113 on (0,6); the one-face types and the mixed-run
     (1,2) 5,3 keep theirs."""
-    assert rec_calls(degrees, n) == calls
+    assert rec_calls(degrees, n)[0] == calls
 
 
 @pytest.mark.parametrize("n,degrees,even", [
@@ -517,12 +507,6 @@ def test_search_yields_each_map_once_per_top_degree_root_orbit(n, degrees, count
                           len(orders))
                  for (s0, s1), orders in maps)
     assert len(found) == rooted == emitted
-
-
-def rooted_unicellular_cubic_maps(g):
-    """2(6g - 3)! / (12^g g! (3g - 2)!), the rooted one-face trivalent maps
-    of genus g (Walsh and Lehman, J. Combin. Theory B 13 (1972))."""
-    return 2 * factorial(6 * g - 3) // (12 ** g * factorial(g) * factorial(3 * g - 2))
 
 
 @pytest.mark.parametrize("g", [1, 2])
@@ -706,82 +690,71 @@ def test_orbit_counting_mass_identity(g, n, degrees):
     """Sum over classes of (2E)!/|Aut| equals the number of labelled
     permutation triples, counted independently by the oracle.  The mixed
     runs of (1,3) and (0,5) 4,4,3,3 take about 2 and 5 s in the oracle and
-    run in CI."""
+    run in scale/test_at_scale.py."""
     total = oracle.total_labelled_structures(g, n, degrees)
     N = sum(degrees)
     fast = enumerate_graphs(g, n, degrees)
     assert sum(factorial(N) // aut for _, aut in fast) == total
 
 
-def _degree_sequences(total, parts, largest=None):
-    """The degree sequences of `parts` vertices, each of degree >= 3, that
-    sum to `total`, each sorted descending."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    largest = total if largest is None else largest
-    for d in range(min(largest, total - 3 * (parts - 1)), 2, -1):
-        for rest in _degree_sequences(total - d, parts - 1, d):
-            yield (d,) + rest
-
-
-def _euler_terms(g, n):
-    """(V, |Aut L|, number of classes) of each map of type (g, n), over
-    every degree sequence with every degree >= 3, as `enumerate_maps`
-    lists them: V runs up to 4g - 4 + 2n, the trivalent cells, and
-    E = V + n - 2 + 2g."""
-    for V in range(1, 4 * g - 4 + 2 * n + 1):
-        E = V + n - 2 + 2 * g
-        for degrees in _degree_sequences(2 * E, V):
-            for _, aut, mask in enumerate_maps(g, n, degrees)[1]:
-                yield V, aut, factorial(n) if mask is None else sum(mask)
-
-
-def _euler_sum(terms):
-    """Sum over the classes L of (-1)^V(L) / |Aut L|."""
-    return sum((Fraction((-1) ** V * classes, aut) for V, aut, classes in terms), Fraction(0))
-
-
-def _bernoulli(m):
-    """B_m, with B_1 = -1/2."""
-    B = [Fraction(1)]
-    for k in range(1, m + 1):
-        B.append(-sum(comb(k + 1, j) * B[j] for j in range(k)) / (k + 1))
-    return B[m]
-
-
-def _harer_zagier(g, n):
-    """chi(M_{g,n}) from chi(M_{0,3}) = 1, chi(M_{g,1}) = -B_{2g} / (2g) and
-    chi(M_{g,k+1}) = (2 - 2g - k) chi(M_{g,k})."""
-    chi, k = (Fraction(1), 3) if g == 0 else (-_bernoulli(2 * g) / (2 * g), 1)
-    for k in range(k, n):
-        chi *= 2 - 2 * g - k
-    return chi
-
-
-@pytest.mark.parametrize("g,n,chi", [
+# (g, n, chi(M_{g,n})): the types whose every cell Tier-1 lists
+EULER_TYPES = [
     (0, 3, 1), (0, 4, -1), (1, 1, Fraction(-1, 12)), (1, 2, Fraction(1, 12)),
     (0, 5, 2), (2, 1, Fraction(1, 120)), (1, 3, Fraction(-1, 6)),
-])
+]
+
+
+@pytest.mark.parametrize("g,n,chi", EULER_TYPES)
 def test_every_cell_sums_to_the_euler_characteristic(g, n, chi):
     """The cells of M_{g,n} x R_+^n are the face-labelled ribbon graphs with
     every degree >= 3, so chi(M_{g,n}) = sum over them of (-1)^V / |Aut|
     (Harer-Zagier, Penner, Kontsevich): a check of every class and every
     |Aut| `enumerate_maps` lists, over every degree sequence at once, that
     shares no cut with the search."""
-    assert _harer_zagier(g, n) == chi
-    assert _euler_sum(_euler_terms(g, n)) == chi
+    assert harer_zagier(g, n) == chi
+    assert euler_sum(euler_terms(g, n)) == chi
 
 
 @pytest.mark.parametrize("tamper", ["halve one aut", "drop one class"])
 def test_a_tampered_class_breaks_the_euler_characteristic(tamper):
     """Canary: halving the |Aut| of one map's classes, or dropping one of
     its classes, moves the (1,3) sum off -1/6."""
-    (V, aut, classes), *rest = _euler_terms(1, 3)
+    (V, aut, classes), *rest = euler_terms(1, 3)
     first = (V, Fraction(aut, 2), classes) if tamper == "halve one aut" else (V, aut, classes - 1)
-    assert _euler_sum(rest + [(V, aut, classes)]) == Fraction(-1, 6)
-    assert _euler_sum(rest + [first]) != Fraction(-1, 6)
+    assert euler_sum(rest + [(V, aut, classes)]) == Fraction(-1, 6)
+    assert euler_sum(rest + [first]) != Fraction(-1, 6)
+
+
+def eligible_roots_and_automorphisms(degrees, n):
+    """(e, |Aut U|) of each map `_each_map` visits: e the number of its
+    eligible roots, the top darts on shortest top faces, relabelled in full
+    there, and |Aut U| the number of those with root 0's key."""
+    found = []
+    _each_map(degrees, n, lambda s0, s1, faces, full: found.append(
+        (len(full), len(_automorphisms(full)))))
+    return found
+
+
+@pytest.mark.parametrize("g,n", [(g, n) for g, n, _ in EULER_TYPES])
+def test_the_search_emits_each_map_once_per_eligible_root_orbit(g, n):
+    """On every degree sequence of every cell of (g, n), the search emits
+    each map once per orbit of Aut U on its e eligible roots, so it emits
+    sum_U e / |Aut U| pairings; Aut U acts freely on the eligible roots, so
+    each e is a multiple of |Aut U|.  A check of the dedupe and of every
+    |Aut U| against the search, with no oracle."""
+    for degrees in map(list, cell_degree_sequences(g, n)):
+        found = eligible_roots_and_automorphisms(degrees, n)
+        assert all(e % aut == 0 for e, aut in found), degrees
+        assert rec_calls(degrees, n)[1] == sum(e // aut for e, aut in found), degrees
+
+
+def test_a_map_counted_twice_breaks_the_emitted_identity():
+    """Canary: a dedupe that visited one map twice would count its
+    e / |Aut U| twice, which moves the sum off the 76 pairings the search
+    emits on (1,3) 3^6."""
+    found = eligible_roots_and_automorphisms([3] * 6, 3)
+    assert rec_calls([3] * 6, 3)[1] == sum(e // aut for e, aut in found) == 76
+    assert sum(e // aut for e, aut in found + found[:1]) != 76
 
 
 def test_enumeration_is_deterministic_and_idempotent():

@@ -1,18 +1,17 @@
 import itertools
 from fractions import Fraction
 from math import comb, factorial, prod
-from operator import lt
 
 import pytest
 
 import oracle_volumes
 from oracle_volumes import NotABaseCase, base_case, wp_volume_asymptotic
+from psi_order import in_lexicographic_order
 from ribbonvol.exact import Poly, double_factorial
 import ribbonvol.volumes as volumes
 from ribbonvol.volumes import (
     UnstableInput,
     _bracket,
-    _compositions,
     _dvv,
     _key,
     _laplace_coefficients,
@@ -221,7 +220,8 @@ def test_kdv_in_genus_zero_is_the_multinomial(n):
 
 @pytest.mark.parametrize("g", range(1, 30))
 def test_kdv_one_point_numbers(g):
-    """<tau_{3g-2}>_g = 1/(24^g g!), up to the genus of CI's (29,1) table."""
+    """<tau_{3g-2}>_g = 1/(24^g g!), up to the genus of the (29,1) table
+    that scale/test_at_scale.py checks."""
     assert oracle_volumes.kdv_tau((3 * g - 2,)) == Fraction(1, 24 ** g * factorial(g))
 
 
@@ -273,21 +273,11 @@ def test_psi_volume_and_laplace_read_each_key_from_its_bracket(g, n):
         assert laplace[alpha] == oracle_volumes.laplace_coefficient(key), alpha
 
 
-def _in_lexicographic_order(g, n):
-    """Whether `_compositions` lists the C(d+n-1, n-1) compositions of
-    d = 3g-3+n into n parts in strictly increasing lexicographic order: the
-    order `psi_numbers` keeps and `psi` prints without a sort."""
-    d = 3 * g - 3 + n
-    first, second = itertools.tee(_compositions(d, n))
-    steps = bytes(map(lt, first, itertools.islice(second, 1, None)))
-    return all(steps) and len(steps) + 1 == comb(d + n - 1, n - 1)
-
-
 # the 41 stable types with d <= 12 but (0,14) and (0,15), whose 2.5 and 9.7
-# million compositions CI lists with the same helper
+# million compositions scale/test_at_scale.py lists with the same helper
 @pytest.mark.parametrize("g,n", TYPES_FOR_THE_LARGEST_INDEX)
 def test_compositions_come_in_lexicographic_order(g, n):
-    assert _in_lexicographic_order(g, n)
+    assert in_lexicographic_order(g, n)
 
 
 @pytest.mark.parametrize("g", range(1, 21))
