@@ -147,7 +147,10 @@ def find_chart(graph, dim=4, pool_cap=40):
     raise RuntimeError(f"no invertible chart found for {graph.describe()}")
 
 
-def main():
+def build_payload():
+    """The charts of the eight cells, checked, as `charts/witten12.json`
+    holds them: the lead chart at `lead_index`, the others found by
+    `find_chart`."""
     cells = enumerate_graphs(1, 2, [5, 3])
     assert len(cells) == 8 and all(a == 1 for _, a in cells)
     lead = CellChart.from_json(LEAD_CHART)
@@ -184,11 +187,15 @@ def main():
 
     lead_index = next(i for i, (c, _) in enumerate(charts)
                       if c.graph.canonical_form() == lead_key)
-    payload = {"v": 1, "lead_index": lead_index,
-               "charts": [chart.to_json() for chart, _ in charts]}
+    return {"v": 1, "lead_index": lead_index,
+            "charts": [chart.to_json() for chart, _ in charts]}
+
+
+def main():
+    payload = build_payload()
     dest = ROOT / "src" / "ribbonvol" / "charts" / "witten12.json"
     dest.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {dest} with {len(charts)} charts (lead {lead_index}); total = {total}")
+    print(f"wrote {dest} with {len(payload['charts'])} charts (lead {payload['lead_index']})")
 
 
 if __name__ == "__main__":

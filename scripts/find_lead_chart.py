@@ -23,7 +23,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ribbonvol.exact import Surd
-from ribbonvol.multicurve import Multicurve, intersection_matrix
+from ribbonvol.multicurve import InvalidMulticurve, Multicurve, intersection_matrix
 from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph, face_cycles
 
 S5 = Surd(0, 1)
@@ -76,7 +76,7 @@ def main():
                         for comp in WALKS[name])).validate(probe)
                     for name in ("C1", "C2", "C3", "C4")
                 ]
-            except Exception:
+            except InvalidMulticurve:
                 continue
             X = intersection_matrix(probe, curves)
             if all(X[i][j] == X_REF[i][j] for i in range(4) for j in range(4)):

@@ -428,6 +428,18 @@ def test_dict_payloads_are_streamed_with_the_json_dumps_bytes(tmp_path, run, mon
     assert buf.getvalue() == json.dumps(payload, indent=1) + "\n"
 
 
+# sha256 of `angle --d 5 --chord1 0,2 --chord2 1,3`, the one payload with
+# both a float and a `Surd` dict, recorded while its float cosine was summed
+# over a `Surd` cosine table
+ANGLE_D5_SHA256 = "917e47f1fdb48d7b741e685020d32c6e43620b1595b38cecedb7af30414dba14"
+
+
+def test_angle_output_is_byte_identical(run):
+    code, out = run("angle", "--d", "5", "--chord1", "0,2", "--chord2", "1,3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANGLE_D5_SHA256
+
+
 def _writer_text(value) -> str:
     """The text of the CLI's indent=1 writer, its chunks joined."""
     return "".join(cli_module._json_chunks(value))
@@ -1298,6 +1310,21 @@ def test_importing_the_cli_loads_no_dataclasses_typing_or_resources():
     assert done.returncode == 0 and done.stdout == "[]\n", done.stderr
 
 
+def test_the_console_script_runs_the_main_of_python_m():
+    """The subprocess tests below run `python -m ribbonvol.cli` in place of
+    the installed `ribbonvol` script, which calls `sys.exit(main())` on
+    the entry point in pyproject's `[project.scripts]`: that entry is
+    `ribbonvol.cli:main`, and the module's `__main__` guard makes the same
+    call.  Read as text and AST, since Python 3.10 has no `tomllib`."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["ribbonvol", "=", '"ribbonvol.cli:main"']
+    tree = ast.parse((SRC / "ribbonvol" / "cli.py").read_text(encoding="utf-8"))
+    assert ast.unparse(tree.body[-1]) == "if __name__ == '__main__':\n    sys.exit(main())"
+    assert [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "main"] == ["main"]
+
+
 # The first two outputs are larger than the pipe's buffer and the writer's
 # together, so the pipe is closed while the command is still writing; the
 # others are closed before the command writes, and with a buffered stdout
@@ -1338,7 +1365,8 @@ def test_a_stdout_pipe_closed_by_its_reader_exits_2_without_a_traceback(argv, re
     ["--help"],
     ["--version"],
     ["enumerate", "--g", "0", "--n", "130", "--degrees", "258"],  # a refused input
-], ids=["psi", "enumerate", "latex", "help", "version", "refused"])
+    ["witten12"],  # a payload read from the package data
+], ids=["psi", "enumerate", "latex", "help", "version", "refused", "witten12"])
 def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, stdout):
     if stdout == "dev_full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this host")

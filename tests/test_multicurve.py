@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -384,22 +385,26 @@ def _load_script(name):
 
 
 def test_maximal_runs_equal_the_double_loop_in_the_chart_searches(monkeypatch, capsys):
-    """Every call of the chart search of `scripts/build_charts.py`, on the
-    seven cells besides the lead chart's, and of the slot search of
-    `scripts/find_lead_chart.py`: the curve pools' self-crossing counts and
-    every candidate chart's crossing matrix."""
+    """Every call of `scripts/build_charts.py`, which searches the charts of
+    the seven cells besides the lead chart's and checks the eight cells'
+    Laplace terms, and of the slot search of `scripts/find_lead_chart.py`:
+    the curve pools' self-crossing counts and every candidate chart's
+    crossing matrix.
+
+    The two searches also build the package data: `build_payload` gives
+    `charts/witten12.json` byte for byte, and the slot search finds 15
+    hits and prints the first, the packaged lead chart."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     build, lead = _load_script("build_charts"), _load_script("find_lead_chart")
     calls = []
     checked = _checked_runs(calls)
     monkeypatch.setattr(multicurve, "_maximal_runs", checked)
     monkeypatch.setattr(build, "_maximal_runs", checked)
-    lead_key = build.CellChart.from_json(build.LEAD_CHART).graph.canonical_form()
-    others = [graph for graph, _ in enumerate_graphs(1, 2, [5, 3])
-              if graph.canonical_form() != lead_key]
-    assert len(others) == 7
-    for graph in others:
-        build.find_chart(graph)
+    payload = build.build_payload()
+    packaged = ROOT / "src" / "ribbonvol" / "charts" / "witten12.json"
+    assert (json.dumps(payload, indent=1) + "\n").encode() == packaged.read_bytes()
     assert len(lead.main()) == 15
-    capsys.readouterr()
+    head, chart = capsys.readouterr().out.split("\n", 1)
+    assert head == "15 matching realisations"
+    assert json.loads(chart) == payload["charts"][payload["lead_index"]]
     assert len(calls) > 60_000

@@ -375,11 +375,15 @@ def test_pruned_search_yields_the_oracle_n_face_pairings_in_order(degrees):
     assert 0 < kept < len(counted)
 
 
-@pytest.mark.parametrize("n,degrees,calls", [
-    (n, degrees, calls) for (_, n, degrees), calls in zip(
-        WORKLOAD_TYPES, (405, 404, 395, 57, 40, 40))] + [
-    (4, [3] * 4, 36), (6, [3] * 8, 2838)])
-def test_search_descends_only_where_n_faces_can_still_close(n, degrees, calls):
+# calls of `rec` on the workload types, (0,4) 3^4 and (0,6) 3^8, keyed by
+# (n, degrees) alone so that re-pinning a count keeps the test's id
+REC_CALLS = {(n, tuple(degrees)): calls for (_, n, degrees), calls in zip(
+    WORKLOAD_TYPES, (405, 404, 395, 57, 40, 40))} | {(4, (3,) * 4): 36, (6, (3,) * 8): 2838}
+
+
+@pytest.mark.parametrize("n,degrees", REC_CALLS,
+                         ids=[f"{n}-{','.join(map(str, degrees))}" for n, degrees in REC_CALLS])
+def test_search_descends_only_where_n_faces_can_still_close(n, degrees):
     """The face count is bounded at the candidate, before the call: with
     `left` slots unpaired, at least one and at most `left` more faces close.
     Checking it in the callee instead took 707, 704, 942, 316, 212 and 45
@@ -390,7 +394,7 @@ def test_search_descends_only_where_n_faces_can_still_close(n, degrees, calls):
     faces.  Without that bound the calls were 405, 404, 671, 89, 52 and 40,
     48 on (0,4) and 5113 on (0,6); the one-face types and the mixed-run
     (1,2) 5,3 keep theirs."""
-    assert rec_calls(degrees, n)[0] == calls
+    assert rec_calls(list(degrees), n)[0] == REC_CALLS[n, degrees]
 
 
 @pytest.mark.parametrize("n,degrees,even", [
