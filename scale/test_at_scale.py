@@ -72,7 +72,7 @@ def test_mixed_degree_runs_reach_the_orbit_count(g, n, degrees, classes):
     over all involutions, which shares no search with `enumerate`.  A
     search that ended a branch once the smallest unpaired slot lay on an
     unused vertex found 738 and 4920 of the 864 and 6480 classes.  About
-    7 CPU s, nearly all in the oracle."""
+    6 CPU s, most in the oracle's walk over the 13!! pairings."""
     found = enumerate_graphs(g, n, degrees)
     assert len(found) == classes
     mass = sum(factorial(sum(degrees)) // aut for _, aut in found)

@@ -2,12 +2,24 @@
 """Construct multicurve charts for all eight degree-(5,3) cells of type (1,2)
 and freeze them into the package data.
 
-The lead cell carries the documented curve system (reproducing the reference
-crossing matrix exactly; see find_lead_chart.py).  For the remaining cells a
-deterministic search assembles systems from edge multicurves and short
-embedded closed walks until the crossing matrix is invertible.  The script
-validates the full set by recomputing every cell's Laplace term and checking
-the expected multiset before writing charts/witten12.json.
+The lead cell carries the documented curve system.  Its graph has a
+degree-5 vertex carrying a loop (edge 4) and three parallel edges (1, 2, 3)
+to a degree-3 vertex; face 1 is the bigon between edges 1 and 2.  The
+curves, as signed edge sequences with edges 1-3 oriented toward the
+degree-5 vertex:
+
+    C1 = [ 2, 4, -2, 3, -4, -3]
+    C2 = [ 1, 4, -1, 3, -4, -3]
+    C3 = [ 1, 4, -2] u [4]
+    C4 = [ 1, 4, -2, 3, -4, -1, 2, -3]
+
+`lead_charts` tries every assignment of the eight darts to the edge ends
+and keeps those on which the curves reproduce the reference crossing
+matrix `X_REF` exactly; the first is the lead chart.  For the remaining
+cells a deterministic search assembles systems from edge multicurves and
+short embedded closed walks until the crossing matrix is invertible.  The
+script validates the full set by recomputing every cell's Laplace term and
+checking the expected multiset before writing charts/witten12.json.
 """
 
 import itertools
@@ -19,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ribbonvol.exact import RationalFunction, SingularMatrixError, solve_sqrt5
+from ribbonvol.exact import RationalFunction, SingularMatrixError, Surd, solve_sqrt5
 from ribbonvol.multicurve import (
     InvalidMulticurve,
     Multicurve,
@@ -31,15 +43,91 @@ from ribbonvol.multicurve import (
     intersection_matrix,
 )
 from ribbonvol.hypgeom import IdealPolygonChord, chords_cross
-from ribbonvol.ribbon import enumerate_graphs
+from ribbonvol.ribbon import InvalidRibbonGraph, RibbonGraph, enumerate_graphs, face_cycles
 from ribbonvol.wittencycle import CellChart, cell_volume_laplace
 
-LEAD_CHART = {
-    "graph": {"v": 1, "half_edges": 8, "s0": [1, 2, 3, 4, 0, 6, 7, 5],
-              "s1": [5, 7, 4, 6, 2, 0, 3, 1], "face_labels": [1, 2]},
-    "curves": [[[-2, -3, 2, -4, 3, 4]], [[-1, -3, 1, -4, 3, 4]],
-               [[-1, -3, 2], [-3]], [[-1, -3, 2, -4, 3, 1, -2, 4]]],
+# the pool prefix whose combinations `find_chart` tries; `combinations`
+# order over a longer pool reaches other charts first
+POOL_CAP = 40
+
+S5 = Surd(0, 1)
+X_REF = [
+    [Surd(0), S5 - 1, Surd(-2), Surd(-2)],
+    [1 - S5, Surd(0), Surd(2), S5 - 1],
+    [Surd(2), Surd(-2), Surd(0), 1 - S5],
+    [Surd(2), 1 - S5, S5 - 1, Surd(0)],
+]
+
+# dart ids of the lead cell: 0..4 at the degree-5 vertex, 5..7 at the degree-3 vertex
+S0 = (1, 2, 3, 4, 0, 6, 7, 5)
+
+WALKS = {
+    "C1": [[2, 4, -2, 3, -4, -3]],
+    "C2": [[1, 4, -1, 3, -4, -3]],
+    "C3": [[1, 4, -2], [4]],
+    "C4": [[1, 4, -2, 3, -4, -1, 2, -3]],
 }
+
+
+def lead_charts():
+    """Every realisation of the lead cell on which C1-C4 give `X_REF`, as
+    charts, in the order of the slot search."""
+    hits = []
+    # assign the five v5 slots to (e1, e2, e3, e4+, e4-) and the three v3
+    # slots to the far ends of e1, e2, e3
+    for v5_perm in itertools.permutations(range(5)):
+        to5 = {"e1": v5_perm[0], "e2": v5_perm[1], "e3": v5_perm[2],
+               "e4a": v5_perm[3], "e4b": v5_perm[4]}
+        for v3_perm in itertools.permutations((5, 6, 7)):
+            at3 = {"e1": v3_perm[0], "e2": v3_perm[1], "e3": v3_perm[2]}
+            s1 = [0] * 8
+            for e in ("e1", "e2", "e3"):
+                s1[to5[e]] = at3[e]
+                s1[at3[e]] = to5[e]
+            s1[to5["e4a"]] = to5["e4b"]
+            s1[to5["e4b"]] = to5["e4a"]
+            try:
+                probe = RibbonGraph(S0, tuple(s1), _labels(S0, tuple(s1), to5, at3))
+            except (InvalidRibbonGraph, ValueError):
+                continue
+            if probe.num_faces != 2 or probe.genus != 1:
+                continue
+            # darts for the signed walks: +k traverses edge k toward v5
+            dart_pos = {1: to5["e1"], 2: to5["e2"], 3: to5["e3"], 4: to5["e4a"]}
+            dart_neg = {1: at3["e1"], 2: at3["e2"], 3: at3["e3"], 4: to5["e4b"]}
+            try:
+                curves = [
+                    Multicurve(tuple(
+                        tuple(dart_pos[s] if s > 0 else dart_neg[-s] for s in comp)
+                        for comp in WALKS[name])).validate(probe)
+                    for name in ("C1", "C2", "C3", "C4")
+                ]
+            except InvalidMulticurve:
+                continue
+            X = intersection_matrix(probe, curves)
+            if all(X[i][j] == X_REF[i][j] for i in range(4) for j in range(4)):
+                hits.append(CellChart(probe, tuple(curves)))
+    return hits
+
+
+def _labels(s0, s1, to5, at3):
+    """Label the bigon between edges 1 and 2 as face 1."""
+    faces = face_cycles(s0, s1)
+    if len(faces) != 2:
+        raise ValueError("wrong face count")
+    sizes = sorted(len(f) for f in faces)
+    if sizes != [2, 6]:
+        raise ValueError("wrong face sizes")
+    bigon_darts = {to5["e1"], at3["e1"], to5["e2"], at3["e2"]}
+    labels = []
+    for f in faces:
+        if len(f) == 2:
+            if not set(f) <= bigon_darts:
+                raise ValueError("bigon is not bounded by edges 1 and 2")
+            labels.append(1)
+        else:
+            labels.append(2)
+    return tuple(labels)
 
 
 def self_crossings(graph, mc):
@@ -134,8 +222,9 @@ def curve_pool(graph):
     return pool
 
 
-def find_chart(graph, dim=4, pool_cap=40):
-    pool = curve_pool(graph)[:pool_cap]
+def find_chart(graph):
+    dim = 6 * graph.genus - 6 + 2 * graph.num_faces
+    pool = curve_pool(graph)[:POOL_CAP]
     for combo in itertools.combinations(range(len(pool)), dim):
         curves = tuple(pool[i] for i in combo)
         try:
@@ -149,11 +238,14 @@ def find_chart(graph, dim=4, pool_cap=40):
 
 def build_payload():
     """The charts of the eight cells, checked, as `charts/witten12.json`
-    holds them: the lead chart at `lead_index`, the others found by
-    `find_chart`."""
+    holds them: the first of `lead_charts` at `lead_index`, the others
+    found by `find_chart`."""
     cells = enumerate_graphs(1, 2, [5, 3])
     assert len(cells) == 8 and all(a == 1 for _, a in cells)
-    lead = CellChart.from_json(LEAD_CHART)
+    hits = lead_charts()
+    if not hits:
+        raise RuntimeError("no realisation of the lead cell gives X_REF")
+    lead = hits[0]
     lead_key = lead.graph.canonical_form()
 
     charts = []

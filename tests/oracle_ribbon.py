@@ -127,25 +127,25 @@ def block_s0(degrees):
     return tuple(s0)
 
 
-def labelled_structures(g, n, degrees):
-    """All (s0, s1, labels) with the blocked s0, as explicit tuples."""
+def valid_pairings(g, n, degrees):
+    """The blocked s0 of `degrees` and an iterator over every pairing s1
+    that completes it to a connected map of genus g with n faces."""
     degrees = sorted(degrees, reverse=True)
     s0 = block_s0(degrees)
     N = len(s0)
-    found = []
-    for inv in fixed_point_free_involutions(list(range(N))):
-        s1 = tuple(inv[d] for d in range(N))
-        if not connected(s0, s1):
-            continue
-        faces = sorted(faces_of(s0, s1), key=min)
-        if len(faces) != n:
-            continue
-        V, E = len(degrees), N // 2
-        if V - E + n != 2 - 2 * g:
-            continue
-        for labels in itertools.permutations(range(1, n + 1)):
-            found.append((s0, s1, labels))
-    return found
+    if len(degrees) - N // 2 + n != 2 - 2 * g:
+        return s0, iter(())
+    pairings = (tuple(inv[d] for d in range(N))
+                for inv in fixed_point_free_involutions(list(range(N))))
+    return s0, (s1 for s1 in pairings
+                if connected(s0, s1) and len(faces_of(s0, s1)) == n)
+
+
+def labelled_structures(g, n, degrees):
+    """All (s0, s1, labels) with the blocked s0, as explicit tuples."""
+    s0, pairings = valid_pairings(g, n, degrees)
+    return [(s0, s1, labels) for s1 in pairings
+            for labels in itertools.permutations(range(1, n + 1))]
 
 
 def conjugate(struct, pi):
@@ -192,11 +192,12 @@ def _aut_order(struct, group):
 def total_labelled_structures(g, n, degrees):
     """Number of valid (s0, s1, labels) triples on a fixed dart set.
 
-    Counts completions of one blocked s0 and multiplies by the number of
-    permutations with that cycle type; by orbit counting this must equal
-    the enumeration's sum of (2E)!/|Aut| over classes.
+    Counts the pairings that complete one blocked s0, times the n! face
+    labellings of each and the number of permutations with that cycle
+    type, without listing a triple; by orbit counting this must equal the
+    enumeration's sum of (2E)!/|Aut| over classes.
     """
-    structs = labelled_structures(g, n, degrees)
+    _, pairings = valid_pairings(g, n, degrees)
     deg = sorted(degrees, reverse=True)
     N = sum(deg)
     stab = 1
@@ -205,7 +206,7 @@ def total_labelled_structures(g, n, degrees):
     for d in set(deg):
         stab *= factorial(deg.count(d))
     n_s0 = factorial(N) // stab
-    return n_s0 * len(structs)
+    return n_s0 * sum(1 for _ in pairings) * factorial(n)
 
 
 def bfs_relabel(s0, s1, root):

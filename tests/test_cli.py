@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import hashlib
+import importlib.resources
 import importlib.util
 import io
 import itertools
@@ -18,7 +19,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, ValidationError
+from referencing import Registry, Resource
 
 import ribbonvol.cli as cli_module
 from enumerate_cases import ORACLE_CASES
@@ -45,35 +47,22 @@ def run(capsys):
     return _run
 
 
-def _load_schema(name, store=None):
-    """Load a schema with cross-file $refs inlined."""
-    import importlib.resources
-
-    store = {} if store is None else store
+def _schema_registry():
+    """The packaged schemas by their `$id`s, `ribbonvol/<name>.json`, so that
+    a `$ref` to a sibling file resolves against the referring schema's id."""
     root = importlib.resources.files("ribbonvol.schemas")
-    schema = json.loads((root / f"{name}.json").read_text())
+    schemas = [json.loads(path.read_text()) for path in root.iterdir()
+               if path.name.endswith(".json")]
+    return Registry().with_resources(
+        (schema["$id"], Resource.from_contents(schema)) for schema in schemas)
 
-    def inline(node):
-        if isinstance(node, dict):
-            if set(node) == {"$ref"} and node["$ref"].endswith(".json"):
-                ref = node["$ref"].rsplit("/", 1)[-1][:-5]
-                if ref not in store:
-                    store[ref] = None  # cycle guard
-                    store[ref] = _load_schema(ref, store)
-                sub = dict(store[ref])
-                sub.pop("$schema", None)
-                sub.pop("$id", None)
-                return sub
-            return {k: inline(v) for k, v in node.items()}
-        if isinstance(node, list):
-            return [inline(x) for x in node]
-        return node
 
-    return inline(schema)
+SCHEMAS = _schema_registry()
 
 
 def validate(payload, name):
-    Draft202012Validator(_load_schema(name)).validate(payload)
+    schema = SCHEMAS.contents(f"ribbonvol/{name}.json")
+    Draft202012Validator(schema, registry=SCHEMAS).validate(payload)
 
 
 def test_volume_base_case(run):
@@ -914,6 +903,18 @@ def test_witten12_command(run):
     validate(payload, "witten12")
     assert payload["intersections"] == {"psi1": "1", "psi2": "1"}
     assert payload["total_laplace"] == "(s1^2 + s2^2)/(2 s1^3 s2^3)"
+
+
+def test_a_nested_graph_that_breaks_graph_json_fails_validation(run):
+    """Canary for the registry: `witten12.json` checks its lead chart's graph
+    only through its `$ref` to `graph.json`, so each of these edits fails
+    validation only if that reference resolves."""
+    _, out = run("witten12")
+    for key, value in [("v", 2), ("half_edges", 1), ("face_labels", [0, 1])]:
+        payload = json.loads(out)
+        payload["lead_chart"]["graph"][key] = value
+        with pytest.raises(ValidationError):
+            validate(payload, "witten12")
 
 
 def test_angle_command(run):

@@ -377,34 +377,33 @@ def test_maximal_runs_equal_the_double_loop_on_the_witten12_charts():
     assert pairs == 496  # component pairs of the packaged charts, both ways round
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(f"script_{name}", ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def test_maximal_runs_equal_the_double_loop_in_the_chart_searches(monkeypatch):
+    """Every call of `scripts/build_charts.py`: the slot search that finds
+    the lead chart, the searches of the charts of the other seven cells and
+    the check of the eight cells' Laplace terms, that is the curve pools'
+    self-crossing counts and every candidate chart's crossing matrix.
 
-
-def test_maximal_runs_equal_the_double_loop_in_the_chart_searches(monkeypatch, capsys):
-    """Every call of `scripts/build_charts.py`, which searches the charts of
-    the seven cells besides the lead chart's and checks the eight cells'
-    Laplace terms, and of the slot search of `scripts/find_lead_chart.py`:
-    the curve pools' self-crossing counts and every candidate chart's
-    crossing matrix.
-
-    The two searches also build the package data: `build_payload` gives
-    `charts/witten12.json` byte for byte, and the slot search finds 15
-    hits and prints the first, the packaged lead chart."""
+    The searches also build the package data: `build_payload` gives
+    `charts/witten12.json` byte for byte, and its lead chart is the first of
+    the slot search's 15 hits."""
     monkeypatch.setattr(sys, "path", list(sys.path))
-    build, lead = _load_script("build_charts"), _load_script("find_lead_chart")
+    spec = importlib.util.spec_from_file_location(
+        "script_build_charts", ROOT / "scripts" / "build_charts.py")
+    build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build)
     calls = []
     checked = _checked_runs(calls)
     monkeypatch.setattr(multicurve, "_maximal_runs", checked)
     monkeypatch.setattr(build, "_maximal_runs", checked)
+    search, hits = build.lead_charts, []
+
+    def recorded():  # the slot search, its hits kept for the checks below
+        hits.extend(search())
+        return hits
+    monkeypatch.setattr(build, "lead_charts", recorded)
     payload = build.build_payload()
     packaged = ROOT / "src" / "ribbonvol" / "charts" / "witten12.json"
     assert (json.dumps(payload, indent=1) + "\n").encode() == packaged.read_bytes()
-    assert len(lead.main()) == 15
-    head, chart = capsys.readouterr().out.split("\n", 1)
-    assert head == "15 matching realisations"
-    assert json.loads(chart) == payload["charts"][payload["lead_index"]]
+    assert len(hits) == 15
+    assert payload["charts"][payload["lead_index"]] == hits[0].to_json()
     assert len(calls) > 60_000

@@ -123,7 +123,7 @@ def test_exports_found():
 
 def test_entry_points_found():
     assert {"_COMMANDS", "main"} <= SRC_TOP
-    assert {"enumerate_graphs", "kontsevich_volume"} <= READ_IN_SCRIPTS
+    assert {"enumerate_graphs", "intersection_matrix"} <= READ_IN_SCRIPTS
     assert {"verify_kcf", "canonical_form"} <= BOUND_BY_SPANS
     assert "_term_texts" in SRC_BODIES["__str__"]
 

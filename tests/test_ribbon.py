@@ -693,12 +693,25 @@ def test_enumeration_matches_brute_force_oracle():
 def test_orbit_counting_mass_identity(g, n, degrees):
     """Sum over classes of (2E)!/|Aut| equals the number of labelled
     permutation triples, counted independently by the oracle.  The mixed
-    runs of (1,3) and (0,5) 4,4,3,3 take about 2 and 5 s in the oracle and
+    runs of (1,3) and (0,5) 4,4,3,3 take about 2 s each in the oracle and
     run in scale/test_at_scale.py."""
     total = oracle.total_labelled_structures(g, n, degrees)
     N = sum(degrees)
     fast = enumerate_graphs(g, n, degrees)
     assert sum(factorial(N) // aut for _, aut in fast) == total
+
+
+@pytest.mark.parametrize("g,n,degrees", [
+    (0, 3, [4]), (1, 1, [4]), (0, 3, [3, 3]), (1, 1, [3, 3]), (1, 2, [5, 3])])
+def test_counted_labelled_structures_equal_the_listed_ones(g, n, degrees):
+    """The oracle's count, which lists no triple, equals the rotations of
+    cycle type `degrees`, found here among all N! permutations, times the
+    triples it lists on the blocked rotation."""
+    rotations = sum(1 for p in itertools.permutations(range(sum(degrees)))
+                    if sorted(map(len, oracle.perm_cycles(p))) == sorted(degrees))
+    listed = len(oracle.labelled_structures(g, n, degrees))
+    assert listed > 0
+    assert oracle.total_labelled_structures(g, n, degrees) == rotations * listed
 
 
 # (g, n, chi(M_{g,n})): the types whose every cell Tier-1 lists
