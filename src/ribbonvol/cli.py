@@ -40,15 +40,15 @@ call builds none, which saves a one-shot `ribbonvol` process a few
 milliseconds, the `locale` import among them.
 
 A handler returns its payload and exit code, or raises `_Refused` with an
-error line and code: an unstable (g, n), one past the DVV budget or past
-256 half-edges, more than 1000 `verify-kcf` trials, a bad chord, a cosine
-lost to rounding (2 each) and chords that do not cross (1).  argparse's
-stdout and stderr are captured.  `main` alone writes: the payload once to
-stdout or --out, then every stderr line once.  Any write error on the
-payload, such as a pipe closed by its reader, a full device or a closed
-stdout, exits 2 with an error line; a stderr that cannot be written loses
-its line, not the exit code.  Only the 256 half-edge error of `enumerate`
-is a payload, one JSON line; any other exception of a handler propagates.
+error line and code before any work: an unstable (g, n), one past the DVV
+budget or past 256 half-edges, more than 1000 `verify-kcf` trials, a bad
+chord, a cosine lost to rounding (2 each) and chords that do not cross (1).
+argparse's stdout and stderr are captured.  `main` alone writes: the
+payload once to stdout or --out, then every stderr line once, so stdout
+carries a payload or nothing.  Any write error on the payload, such as a
+pipe closed by its reader, a full device or a closed stdout, exits 2 with
+an error line; a stderr that cannot be written loses its line, not the
+exit code.  Any other exception of a handler propagates.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .exact import Poly
 from .hypgeom import (IdealPolygonChord, chords_cross, crossing_cos, crossing_cos_error,
                       crossing_cos_exact)
 from .kformula import verify_form_identities, verify_kcf
-from .ribbon import _MAX_DARTS, InvalidRibbonGraph, enumerate_maps
+from .ribbon import _MAX_DARTS, enumerate_maps
 from .volumes import kontsevich_volume, psi_numbers, is_stable
 from .wittencycle import witten12_report
 
@@ -171,10 +171,11 @@ def _check_reach(g: int, n: int) -> None:
                        USAGE_ERROR)
 
 
-def _check_half_edges(g: int, n: int) -> None:
-    """Refuse a (g, n) whose trivalent graphs have more half-edges, 12g-12+6n,
-    than enumeration takes, before any degree list or power of 2 is built."""
-    darts = 12 * g - 12 + 6 * n
+def _check_half_edges(g: int, n: int, darts: int | None = None) -> None:
+    """Refuse more half-edges than enumeration takes, `darts` or by default
+    the 12g-12+6n of the trivalent graphs of (g, n), before any search,
+    degree list or power of 2 is built."""
+    darts = 12 * g - 12 + 6 * n if darts is None else darts
     if darts > _MAX_DARTS:
         raise _Refused(f"({g},{n}) is out of reach: enumeration is limited to "
                        f"{_MAX_DARTS} half-edges, got {darts}", USAGE_ERROR)
@@ -358,12 +359,8 @@ def _enumerate_csv(n, maps):
 
 
 def cmd_enumerate(args) -> tuple:
-    try:
-        count, maps = enumerate_maps(args.g, args.n, args.degrees)
-    except InvalidRibbonGraph:
-        raise  # a fault of enumeration, not of the input
-    except ValueError as exc:  # more than 256 half-edges
-        return json.dumps({"v": 1, "error": str(exc)}) + "\n", USAGE_ERROR
+    _check_half_edges(args.g, args.n, sum(args.degrees))
+    count, maps = enumerate_maps(args.g, args.n, args.degrees)
     if args.format == "csv":
         return _enumerate_csv(args.n, maps), 0
     head = {

@@ -123,6 +123,7 @@ def face_cycles(s0, s1):
 
 # A key stores one dart number per byte up to this many darts, and a tuple of
 # ints beyond; the two orders agree, so only the key's type changes.
+# `enumerate_maps` refuses more half-edges as out of reach.
 _MAX_DARTS = 256
 
 
@@ -772,8 +773,9 @@ def enumerate_maps(g: int, n: int, degrees):
     shortest top faces, whose keys it keeps, and bounded by the least key
     so far from the rest, but for the roots `_rooted` skips.
 
-    More than 256 half-edges raise ValueError before the search starts:
-    the search's keys store one dart number per byte.
+    More than 256 half-edges raise ValueError before the search starts.
+    That is a reach guard, not a limit of the keys, which are tuples past
+    256 darts: a search over 256 darts already runs for minutes.
     """
     degrees = sorted(degrees, reverse=True)
     if not degrees or any(d < 3 for d in degrees):

@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -77,15 +78,6 @@ def test_volume_latex(run):
     code, out = run("volume", "--g", "0", "--n", "3", "--format", "latex")
     assert code == 0
     assert out.strip() == "W_{0,3} = L1L2L3"
-
-
-def test_volume_unstable_is_usage_error(capsys):
-    for argv in (["volume"], ["psi"], ["verify-kcf", "--seed", "0"], ["identities"]):
-        code = main(argv + ["--g", "0", "--n", "2"])
-        captured = capsys.readouterr()
-        assert code == 2, argv
-        assert captured.out == ""
-        assert captured.err == "error: (0,2) is unstable\n"
 
 
 def test_enumerate_counts(run):
@@ -293,30 +285,6 @@ def test_enumerate_and_identities_build_one_graph_per_map(run, monkeypatch):
         assert code == 0 and json.loads(out)[key] == classes
         assert (len(built), relabelled) == (maps, 0)
         assert len({(s0, s1) for s0, s1, _ in built}) == maps
-
-
-def test_enumerate_refuses_more_than_256_half_edges_up_front(run, monkeypatch):
-    import ribbonvol.ribbon as ribbon
-
-    def no_search(degrees, n, emit):
-        raise AssertionError("pairing search started")
-
-    monkeypatch.setattr(ribbon, "_search_pairings", no_search)
-    code, out = run("enumerate", "--g", "0", "--n", "130", "--degrees", "258")
-    assert code == 2
-    assert json.loads(out) == {
-        "v": 1, "error": "enumeration is limited to 256 half-edges, got 258"}
-
-
-def test_enumerate_refusal_is_its_payload(tmp_path, capsys):
-    """The 256 half-edge error line is the command's payload, so --out
-    takes it as it takes any payload."""
-    dest = tmp_path / "classes.json"
-    code = main(["enumerate", "--g", "0", "--n", "130", "--degrees", "258", "--out", str(dest)])
-    assert code == 2
-    assert capsys.readouterr() == ("", "")
-    assert dest.read_text() == (
-        '{"v": 1, "error": "enumeration is limited to 256 half-edges, got 258"}\n')
 
 
 def test_handler_faults_are_not_usage_errors(monkeypatch):
@@ -624,84 +592,118 @@ def test_dvv_cost_grows_with_genus_and_with_faces():
     assert _dvv_cost(17, 4) <= _DVV_BUDGET < _dvv_cost(18, 4)
 
 
-def test_out_of_reach_psi_and_volume_exit_2_before_any_dvv_work(monkeypatch, capsys):
-    import ribbonvol.cli as cli
-    import ribbonvol.volumes as volumes
-
-    def refuse(g, n):
-        raise AssertionError("psi_numbers called past the guard")
-
-    monkeypatch.setattr(cli, "psi_numbers", refuse)
-    monkeypatch.setattr(volumes, "psi_numbers", refuse)
-    for argv in (["psi", "--g", "30", "--n", "1"], ["volume", "--g", "0", "--n", "12"],
-                 ["psi", "--g", "1", "--n", "10"], ["volume", "--g", "19", "--n", "4"]):
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "out of reach" in captured.err
-
-
-def test_the_reach_check_makes_no_estimate_past_6_cpu_s(monkeypatch, capsys):
+def test_the_reach_check_makes_no_estimate_past_6_cpu_s():
     """From d = 3g-3+n = 100 on, `_check_reach` refuses without calling
-    `_dvv_cost`, whose estimate there is over 6 CPU s at every n: above the
-    budget, so the shortcut refuses nothing the estimate would accept."""
-    import ribbonvol.cli as cli
+    `_dvv_cost` (rows of STDERR_REFUSALS), whose estimate there is over 6
+    CPU s at every n: above the budget, so the shortcut refuses nothing the
+    estimate would accept."""
     from ribbonvol.volumes import is_stable
 
     for g in range(40):
         for n in range(1, 110):
             if is_stable(g, n) and 3 * g - 3 + n >= 100:
-                assert cli._dvv_cost(g, n) > 6e6 > cli._DVV_BUDGET, (g, n)
-
-    def refuse(g, n):
-        raise AssertionError("_dvv_cost called past d = 100")
-
-    monkeypatch.setattr(cli, "_dvv_cost", refuse)
-    for g, n in [(34, 1), (0, 103), (10**50, 2), (2, 10**50)]:
-        assert main(["psi", "--g", str(g), "--n", str(n)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: ({g},{n}) is out of reach: estimated over 6 CPU s\n"
+                assert cli_module._dvv_cost(g, n) > 6e6 > cli_module._DVV_BUDGET, (g, n)
 
 
-def test_verify_kcf_and_identities_refuse_more_than_256_half_edges(monkeypatch, capsys):
-    """12g-12+6n half-edges: (0,44) has 252 and runs; (0,45) has 258 and is
-    refused before any graph or power of 2 is built."""
-    import ribbonvol.cli as cli
-
-    for name in ("verify_kcf", "enumerate_maps"):
-        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("called"))
-    for argv in (["verify-kcf", "--seed", "1"], ["identities"]):
-        for g, n, darts in [(0, 45, 258), (22, 2, 264), (10**9, 1, 12 * 10**9 - 6)]:
-            assert main(argv + ["--g", str(g), "--n", str(n)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == (f"error: ({g},{n}) is out of reach: enumeration is "
-                                    f"limited to 256 half-edges, got {darts}\n")
-    assert cli._check_half_edges(0, 44) is None and cli._check_half_edges(21, 2) is None
+def test_the_half_edge_guard_accepts_252_and_256_half_edges():
+    """(0,44) and (21,2) have 252 trivalent half-edges; `enumerate` takes a
+    degree sum of 256."""
+    for args in [(0, 44), (21, 2), (0, 129, 256)]:
+        assert cli_module._check_half_edges(*args) is None
 
 
-def test_verify_kcf_refuses_more_than_1000_trials_up_front(monkeypatch, capsys):
-    """Every sampled point is evaluated exactly and kept in the report, so
-    a trial count past the cap is refused before any map is searched."""
-    import ribbonvol.cli as cli
-    import ribbonvol.ribbon as ribbon
-
-    monkeypatch.setattr(cli, "verify_kcf", lambda *args, **kwargs: pytest.fail("called"))
-    monkeypatch.setattr(ribbon, "_search_pairings", lambda *args: pytest.fail("searched"))
-    for trials in ["1001", "100000000", "9" * 400]:
-        argv = ["verify-kcf", "--g", "1", "--n", "1", "--seed", "1", "--trials", trials]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: --trials is limited to 1000, got {trials}\n"
-    assert cli._MAX_TRIALS == 1000 and cli._check_trials(1000) is None
+def test_the_trial_guard_accepts_1000_trials():
+    assert cli_module._MAX_TRIALS == 1000 and cli_module._check_trials(1000) is None
 
 
 # Integers of 400 digits, past any float and any list size: each must be
 # refused before the arithmetic it would overflow or, for `verify-kcf`, the
 # 2^(2g-2+n) it would spend minutes on.
 HUGE = "9" * 400
+
+
+_HALF_EDGES = "error: ({},{}) is out of reach: enumeration is limited to 256 half-edges, got {}"
+
+# What a refusal must not reach, by dotted path: the DVV recursion, the map
+# search, and `verify-kcf`'s sampled points with it
+_DVV = ("ribbonvol.cli.psi_numbers", "ribbonvol.volumes.psi_numbers")
+_SEARCH = ("ribbonvol.cli.enumerate_maps", "ribbonvol.ribbon._search_pairings")
+_KCF = ("ribbonvol.cli.verify_kcf", *_SEARCH)
+
+# Each refused input, by name: its argv, its exit code (1 for chords that do
+# not cross, else 2), the last line of its stderr, the only one but for
+# argparse's usage error, and the functions that must not run
+STDERR_REFUSALS = {
+    "unstable": (["psi", "--g", "0", "--n", "2"], 2, "error: (0,2) is unstable", _DVV),
+    "volume-unstable": (["volume", "--g", "0", "--n", "2"], 2, "error: (0,2) is unstable", _DVV),
+    "identities-unstable": (["identities", "--g", "0", "--n", "2"], 2,
+                            "error: (0,2) is unstable", _SEARCH),
+    "verify-kcf-unstable": (["verify-kcf", "--g", "0", "--n", "2", "--seed", "1"], 2,
+                            "error: (0,2) is unstable", _KCF),
+    "psi-out-of-reach": (["psi", "--g", "30", "--n", "1"], 2,
+                         "error: (30,1) is out of reach: estimated 3.7 CPU s", _DVV),
+    "volume-out-of-reach": (["volume", "--g", "0", "--n", "12"], 2,
+                            "error: (0,12) is out of reach: estimated 7.7 CPU s", _DVV),
+    "psi-1-10": (["psi", "--g", "1", "--n", "10"], 2,
+                 "error: (1,10) is out of reach: estimated 4.3 CPU s", _DVV),
+    "volume-19-4": (["volume", "--g", "19", "--n", "4"], 2,
+                    "error: (19,4) is out of reach: estimated 4.7 CPU s", _DVV),
+    # d = 3g-3+n >= 100, refused with no estimate
+    **{f"psi-{g_text}-{n_text}": (["psi", "--g", str(g), "--n", str(n)], 2,
+                                  f"error: ({g},{n}) is out of reach: estimated over 6 CPU s",
+                                  ("ribbonvol.cli._dvv_cost", *_DVV))
+       for g, n, g_text, n_text in [(34, 1, "34", "1"), (0, 103, "0", "103"),
+                                    (10**50, 2, "10^50", "2"), (2, 10**50, "2", "10^50")]},
+    **{f"{command}-{g_text}-{n}-half-edges": ([command, "--g", str(g), "--n", str(n), *seed], 2,
+                                              _HALF_EDGES.format(g, n, darts), _KCF)
+       for command, seed in [("verify-kcf", ["--seed", "1"]), ("identities", [])]
+       for g, n, darts, g_text in [(0, 45, 258, "0"), (22, 2, 264, "22"),
+                                   (10**9, 1, 12 * 10**9 - 6, "10^9")]},
+    "enumerate-half-edges": (["enumerate", "--g", "0", "--n", "130", "--degrees", "258"], 2,
+                             _HALF_EDGES.format(0, 130, 258), _SEARCH),
+    "enumerate-csv-half-edges": (["enumerate", "--g", "0", "--n", "130", "--degrees", "258",
+                                  "--format", "csv"], 2, _HALF_EDGES.format(0, 130, 258), _SEARCH),
+    # an inconsistent type, refused before its count, 0, is read
+    "enumerate-5-2-half-edges": (["enumerate", "--g", "5", "--n", "2", "--degrees", "300"], 2,
+                                 _HALF_EDGES.format(5, 2, 300), _SEARCH),
+    **{f"trials-{text}": (["verify-kcf", "--g", "1", "--n", "1", "--seed", "1", "--trials", trials],
+                          2, f"error: --trials is limited to 1000, got {trials}", _KCF)
+       for trials, text in [("1001", "1001"), ("100000000", "10^8"), (HUGE, "400-digits")]},
+    "bad-chord": (["angle", "--d", "5", "--chord1", "0,0", "--chord2", "2,4"], 2,
+                  "error: chord endpoints must be distinct vertices of the 5-gon",
+                  ("ribbonvol.cli.chords_cross",)),
+    # short chords of a large polygon, where 1 - cos(2 pi k / d) cancels: the
+    # cosine tends to 1/2, but d = 10^5 and 10^9 printed 0.0, and 10^10
+    # divided by zero
+    **{name: (["angle", "--d", d, "--chord1", "0,2", "--chord2", "1,3"], 2,
+              f"error: the cosine's rounding error may reach {error}",
+              ("ribbonvol.cli.crossing_cos",))
+       for name, d, error in [("rounding", "100000", "57"),
+                              ("rounding-10^9", "1000000000", "2.9e+17"),
+                              ("rounding-10^10", "10000000000", "inf")]},
+    "no-crossing": (["angle", "--d", "5", "--chord1", "0,1", "--chord2", "2,4"], 1,
+                    "error: chords do not cross", ("ribbonvol.cli.crossing_cos_error",)),
+    "usage-error": (["psi", "--g", "x", "--n", "1"], 2,
+                    "ribbonvol psi: error: argument --g: invalid int value: 'x'", _DVV),
+}
+
+
+@pytest.mark.parametrize("argv,code,line,not_run", STDERR_REFUSALS.values(),
+                         ids=STDERR_REFUSALS)
+def test_a_refusal_is_one_stderr_line_before_any_work(argv, code, line, not_run, tmp_path,
+                                                      capsys, monkeypatch):
+    """The refusal's exit code and stderr, nothing on stdout, and none of
+    `not_run` called; with --out F too, and F is not created."""
+    for name in not_run:
+        monkeypatch.setattr(name, lambda *args, _name=name, **kwargs: pytest.fail(_name))
+    dest = tmp_path / "out"
+    for extra in ([], ["--out", str(dest)]):
+        assert main(argv + extra) == code
+        out, err = capsys.readouterr()
+        *usage, last = err.splitlines()  # argparse's usage error alone has lines before
+        assert out == "" and err.endswith("\n") and last == line
+        assert (usage == []) == line.startswith("error: ")
+    assert not dest.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -929,17 +931,6 @@ def test_angle_command(run):
     assert code == 2
 
 
-def test_angle_refuses_a_cosine_lost_to_rounding(capsys):
-    """Short chords of a large polygon: 1 - cos(2 pi k / d) cancels.  The
-    cosine tends to 1/2, but d = 10^5 and 10^9 printed 0.0, and 10^10
-    divided by zero."""
-    for d in (10**5, 10**9, 10**10):
-        code = main(["angle", "--d", str(d), "--chord1", "0,2", "--chord2", "1,3"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "", d
-        assert captured.err.startswith("error: the cosine's rounding error may reach")
-
-
 def test_angle_accepts_every_small_polygon_and_far_diameters():
     """Every crossing with d <= 12, and perpendicular diameters at d = 10^6,
     print `crossing_cos` as before (`cmd_angle` builds the payload `main`
@@ -1103,6 +1094,17 @@ def _bench_argv() -> list:
 
 
 BENCH_ARGV = _bench_argv()
+
+
+# every distinct argv of ROUND_TRIP_ARGV and of the benchmark's jobs
+PAYLOAD_ARGV = list({tuple(argv): argv for argv in ROUND_TRIP_ARGV + BENCH_ARGV}.values())
+
+
+@pytest.mark.parametrize("argv", PAYLOAD_ARGV, ids=" ".join)
+def test_every_payload_validates_against_its_commands_schema(run, argv):
+    code, out = run(*argv)
+    assert code == 0
+    validate(json.loads(out), argv[0].replace("-", "_"))
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):
@@ -1329,9 +1331,9 @@ def test_the_console_script_runs_the_main_of_python_m():
 # The first two outputs are larger than the pipe's buffer and the writer's
 # together, so the pipe is closed while the command is still writing; the
 # others are closed before the command writes, and with a buffered stdout
-# they wait in its buffer until `main` flushes them: witten12's 2 kB, the
-# help and the version argparse prints, and the error line of a refused
-# input.
+# they wait in its buffer until `main` flushes them: witten12's 2 kB and
+# the help and the version argparse prints.  A refusal writes no stdout
+# (STDERR_REFUSALS).
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv,read", [
     (["enumerate", "--g", "1", "--n", "3", "--degrees", "3,3,3,3,3,3"], 10),  # 117 kB of rows
@@ -1339,7 +1341,6 @@ def test_the_console_script_runs_the_main_of_python_m():
     (["witten12"], 0),
     (["--help"], 0),
     (["--version"], 0),
-    (["enumerate", "--g", "0", "--n", "130", "--degrees", "258"], 0),
 ])
 def test_a_stdout_pipe_closed_by_its_reader_exits_2_without_a_traceback(argv, read, unbuffered):
     with subprocess.Popen([sys.executable, "-m", "ribbonvol.cli", *argv],
@@ -1365,9 +1366,8 @@ def test_a_stdout_pipe_closed_by_its_reader_exits_2_without_a_traceback(argv, re
     ["volume", "--g", "1", "--n", "2", "--format", "latex"],  # a str payload
     ["--help"],
     ["--version"],
-    ["enumerate", "--g", "0", "--n", "130", "--degrees", "258"],  # a refused input
     ["witten12"],  # a payload read from the package data
-], ids=["psi", "enumerate", "latex", "help", "version", "refused", "witten12"])
+], ids=["psi", "enumerate", "latex", "help", "version", "witten12"])
 def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, stdout):
     if stdout == "dev_full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this host")
@@ -1378,21 +1378,6 @@ def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, stdout):
             preexec_fn=(lambda: os.close(1)) if stdout == "fd_1_closed" else None)
     assert done.stderr.decode() == "error: cannot write stdout\n"
     assert done.returncode == 2
-
-
-# Each input refused with an error line on stderr alone, a usage error
-# among them, and its exit code: 1 for chords that do not cross, else 2
-STDERR_REFUSALS = {
-    "unstable": (["psi", "--g", "0", "--n", "2"], 2),
-    "psi-out-of-reach": (["psi", "--g", "30", "--n", "1"], 2),
-    "volume-out-of-reach": (["volume", "--g", "0", "--n", "12"], 2),
-    "identities-unstable": (["identities", "--g", "0", "--n", "2"], 2),
-    "verify-kcf-unstable": (["verify-kcf", "--g", "0", "--n", "2", "--seed", "1"], 2),
-    "bad-chord": (["angle", "--d", "5", "--chord1", "0,0", "--chord2", "2,4"], 2),
-    "rounding": (["angle", "--d", "100000", "--chord1", "0,2", "--chord2", "1,3"], 2),
-    "no-crossing": (["angle", "--d", "5", "--chord1", "0,1", "--chord2", "2,4"], 1),
-    "usage-error": (["psi", "--g", "x", "--n", "1"], 2),
-}
 
 
 class _BrokenPipeStream(io.TextIOBase):
@@ -1409,8 +1394,23 @@ class _BrokenPipeStream(io.TextIOBase):
         return self._fd
 
 
+def _one_refusal_per_kind() -> list:
+    """The names of the rows of STDERR_REFUSALS that come first of their
+    command and stderr line but for its numbers: `main` writes every refusal
+    the same way, so the stream tests would only repeat one on the others."""
+    kinds = {}
+    for name, (argv, _, line, _) in STDERR_REFUSALS.items():
+        kinds.setdefault((argv[0], re.sub(r"\d[\d.e+]*|\binf\b", "", line)), name)
+    return list(kinds.values())
+
+
+ONE_REFUSAL_PER_KIND = _one_refusal_per_kind()
+CODE_2_KINDS = [name for name in ONE_REFUSAL_PER_KIND if STDERR_REFUSALS[name][1] == 2]
+
+
 @pytest.mark.parametrize("stream", ["stderr-broken-pipe", "stderr-closed", "stdout-closed"])
-@pytest.mark.parametrize("argv,code", STDERR_REFUSALS.values(), ids=STDERR_REFUSALS)
+@pytest.mark.parametrize("argv,code", [STDERR_REFUSALS[name][:2] for name in ONE_REFUSAL_PER_KIND],
+                         ids=ONE_REFUSAL_PER_KIND)
 def test_a_refusal_returns_its_code_whatever_the_streams(argv, code, stream, tmp_path, capsys,
                                                          monkeypatch):
     """In process, with stderr on a pipe whose reader is gone, or with fd 2
@@ -1438,10 +1438,8 @@ def test_a_refusal_returns_its_code_whatever_the_streams(argv, code, stream, tmp
 @pytest.mark.parametrize("argv", [
     ["witten12"],
     ["--version"],
-    ["enumerate", "--g", "0", "--n", "130", "--degrees", "258"],  # a refused input
-    *(argv for argv, code in STDERR_REFUSALS.values() if code == 2),
-], ids=["witten12", "version", "refused",
-        *(name for name, (_, code) in STDERR_REFUSALS.items() if code == 2)])
+    *(STDERR_REFUSALS[name][0] for name in CODE_2_KINDS),
+], ids=["witten12", "version", *CODE_2_KINDS])
 def test_stdout_and_stderr_on_a_closed_pipe_exit_2(argv, unbuffered):
     read, write = os.pipe()
     os.close(read)

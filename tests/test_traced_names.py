@@ -1,4 +1,5 @@
-"""Every name the benchmark's span tracer binds must exist in the package.
+"""Every name the benchmark's span tracer binds must exist in the package,
+and only three test modules may need the benchmark at all.
 
 `perfbench/spans.py` replaces the functions and methods listed in `SPANS`
 and `COUNTED` by (module, attribute); the benchmark's own tests are not part
@@ -7,13 +8,15 @@ of this suite, so a renamed or deleted function would otherwise break
 the scripts are in `test_scripts.py`.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+TESTS = Path(__file__).resolve().parent
+SPANS_PATH = TESTS.parent / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -41,3 +44,30 @@ def test_traced_name_resolves(module, attr):
         assert callable(cls.__dict__[meth])
     else:
         assert callable(getattr(owner, attr))
+
+
+def _local_imports(path: Path, local: set) -> set:
+    """The modules of `local` that the module at `path` imports, anywhere
+    in it."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return imported & local
+
+
+def test_only_three_test_modules_need_perfbench():
+    """The modules under tests/ that mention perfbench, themselves or through
+    the closure of the tests-local modules they import (`test_wittencycle`
+    imports `test_linalg`), are these three: every other test module runs
+    in a copy of the repository without perfbench/."""
+    paths = {path.stem: path for path in TESTS.glob("*.py")}
+    imports = {name: _local_imports(path, set(paths)) for name, path in paths.items()}
+    assert "test_linalg" in imports["test_wittencycle"]
+    needing = {name for name, path in paths.items()
+               if "perfbench" in path.read_text(encoding="utf-8")}
+    while more := {name for name in paths if imports[name] & needing} - needing:
+        needing |= more
+    assert needing == {"test_cli", "test_reached_names", "test_traced_names"}
