@@ -287,6 +287,21 @@ def test_enumerate_and_identities_build_one_graph_per_map(run, monkeypatch):
         assert len({(s0, s1) for s0, s1, _ in built}) == maps
 
 
+def test_enumerate_refuses_more_than_256_half_edges_up_front(monkeypatch, capsys):
+    monkeypatch.setattr("ribbonvol.ribbon._search_pairings", lambda *args: pytest.fail("searched"))
+    assert main(["enumerate", "--g", "0", "--n", "130", "--degrees", "258"]) == 2
+    assert capsys.readouterr() == ("", _HALF_EDGES.format(0, 130, 258) + "\n")
+
+
+def test_enumerate_refusal_is_its_payload(tmp_path, capsys):
+    """A refused `enumerate`'s whole output is its stderr line: with --out F,
+    stdout is empty and F is not created."""
+    dest = tmp_path / "classes.json"
+    code = main(["enumerate", "--g", "0", "--n", "130", "--degrees", "258", "--out", str(dest)])
+    assert code == 2 and not dest.exists()
+    assert capsys.readouterr() == ("", _HALF_EDGES.format(0, 130, 258) + "\n")
+
+
 def test_handler_faults_are_not_usage_errors(monkeypatch):
     """A fault inside a handler propagates out of `main`: a ChartError from
     the packaged charts, an InvalidRibbonGraph from enumeration."""
@@ -1328,12 +1343,19 @@ def test_the_console_script_runs_the_main_of_python_m():
             if isinstance(node, ast.FunctionDef) and node.name == "main"] == ["main"]
 
 
+def _unwritable_stdout_stderr(argv) -> str:
+    """The stderr of `argv` with no stdout to write to: its refusal line if
+    it is a refused input, else the write error."""
+    lines = [line for args, _, line, _ in STDERR_REFUSALS.values() if args == argv]
+    return (lines[0] if lines else "error: cannot write stdout") + "\n"
+
+
 # The first two outputs are larger than the pipe's buffer and the writer's
 # together, so the pipe is closed while the command is still writing; the
 # others are closed before the command writes, and with a buffered stdout
 # they wait in its buffer until `main` flushes them: witten12's 2 kB and
-# the help and the version argparse prints.  A refusal writes no stdout
-# (STDERR_REFUSALS).
+# the help and the version argparse prints.  A refused input writes no
+# stdout and exits 2 with its own stderr line.
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv,read", [
     (["enumerate", "--g", "1", "--n", "3", "--degrees", "3,3,3,3,3,3"], 10),  # 117 kB of rows
@@ -1341,6 +1363,7 @@ def test_the_console_script_runs_the_main_of_python_m():
     (["witten12"], 0),
     (["--help"], 0),
     (["--version"], 0),
+    (STDERR_REFUSALS["enumerate-half-edges"][0], 0),
 ])
 def test_a_stdout_pipe_closed_by_its_reader_exits_2_without_a_traceback(argv, read, unbuffered):
     with subprocess.Popen([sys.executable, "-m", "ribbonvol.cli", *argv],
@@ -1353,7 +1376,7 @@ def test_a_stdout_pipe_closed_by_its_reader_exits_2_without_a_traceback(argv, re
         proc.stdout.close()
         err = proc.stderr.read().decode()
         code = proc.wait(timeout=60)
-    assert err == "error: cannot write stdout\n"
+    assert err == _unwritable_stdout_stderr(argv)
     assert code == 2
 
 
@@ -1367,7 +1390,8 @@ def test_a_stdout_pipe_closed_by_its_reader_exits_2_without_a_traceback(argv, re
     ["--help"],
     ["--version"],
     ["witten12"],  # a payload read from the package data
-], ids=["psi", "enumerate", "latex", "help", "version", "witten12"])
+    STDERR_REFUSALS["enumerate-half-edges"][0],  # a refused input
+], ids=["psi", "enumerate", "latex", "help", "version", "witten12", "refused"])
 def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, stdout):
     if stdout == "dev_full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this host")
@@ -1376,7 +1400,7 @@ def test_an_unwritable_stdout_exits_2_without_a_traceback(argv, stdout):
             [sys.executable, "-m", "ribbonvol.cli", *argv], env=_cli_env(),
             stdout=fh, stderr=subprocess.PIPE, timeout=60,
             preexec_fn=(lambda: os.close(1)) if stdout == "fd_1_closed" else None)
-    assert done.stderr.decode() == "error: cannot write stdout\n"
+    assert done.stderr.decode() == _unwritable_stdout_stderr(argv)
     assert done.returncode == 2
 
 
